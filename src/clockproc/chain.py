@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .environment import Environment, SpinConfig
+from .environment import EXP_OVERFLOW, Environment, SpinConfig
 from .errors import (
     CapabilityError,
     DimensionMismatchError,
@@ -41,8 +41,6 @@ __all__ = [
     "mixing_check",
 ]
 
-_EXP_OVERFLOW = 709.0
-
 EXACT_KERNEL_MAX_N = 12
 
 
@@ -51,30 +49,21 @@ def srw_step(x: SpinConfig, rng: np.random.Generator) -> SpinConfig:
     return x.flip(int(rng.integers(0, x.n)))
 
 
-def index_walk(n: int, start_bits: int, steps: int, walk_rng: np.random.Generator) -> np.ndarray:
-    """Packed-state SRW path of `steps` steps, including the start (length steps+1)."""
-    states = np.empty(steps + 1, dtype=np.uint64)
-    states[0] = start_bits
-    if steps:
-        flips = walk_rng.integers(0, n, size=steps, dtype=np.uint64)
-        masks = np.uint64(1) << flips
-        states[1:] = np.uint64(start_bits) ^ np.bitwise_xor.accumulate(masks)
-    return states
+def index_walk(n: int, start_bits, steps: int, walk_rng: np.random.Generator) -> np.ndarray:
+    """Packed-state SRW paths of ``steps`` steps, each including its start.
 
-
-def index_walk_batch(
-    n: int, starts: np.ndarray, steps: int, walk_rngs: list[np.random.Generator]
-) -> np.ndarray:
-    """Independent SRW paths from per-replica generators, shape (B, steps+1)."""
-    b = len(starts)
-    states = np.empty((b, steps + 1), dtype=np.uint64)
-    states[:, 0] = starts
+    A scalar start gives one path of length steps+1; an array of m starts
+    gives m independent paths, shape (m, steps+1), whose flips come from one
+    draw of shape (m, steps).
+    """
+    starts = np.asarray(start_bits, dtype=np.uint64)
+    states = np.empty(starts.shape + (steps + 1,), dtype=np.uint64)
+    states[..., 0] = starts
     if steps:
-        flips = np.empty((b, steps), dtype=np.uint64)
-        for r, g in enumerate(walk_rngs):
-            flips[r] = g.integers(0, n, size=steps, dtype=np.uint64)
+        flips = walk_rng.integers(0, n, size=starts.shape + (steps,), dtype=np.uint64)
         masks = np.uint64(1) << flips
-        states[:, 1:] = starts[:, None] ^ np.bitwise_xor.accumulate(masks, axis=1)
+        np.bitwise_xor.accumulate(masks, axis=-1, out=masks)
+        states[..., 1:] = starts[..., None] ^ masks
     return states
 
 
@@ -115,7 +104,7 @@ def _holding_increments(env: Environment, energies: np.ndarray, draws: np.ndarra
     log_tau = env.beta * energies
     with np.errstate(over="ignore"):
         tau_vals = np.exp(log_tau)
-    saturated = int(np.count_nonzero(log_tau > _EXP_OVERFLOW))
+    saturated = int(np.count_nonzero(log_tau > EXP_OVERFLOW))
     return tau_vals * draws, saturated
 
 

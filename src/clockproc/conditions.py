@@ -55,6 +55,7 @@ from .errors import (
 )
 from .parallel import ordered_map
 from .seeding import ReplicaStreams, StreamFamily
+from .verdicts import SLOPE_WINDOW, ladder, slope_status, worst, z_score, z_status
 
 __all__ = [
     "TailEstimate",
@@ -84,6 +85,8 @@ __all__ = [
     "degenerate_initial_term",
     "concentration_diagnostic",
     "build_condition_report",
+    "degenerate_laplace_check",
+    "plain",
 ]
 
 # Chunking constant for batched walks (states held in memory at once).  Fixed:
@@ -92,34 +95,8 @@ __all__ = [
 # chunks in the same order as a single draw would produce.
 _CHUNK_STATES = 4_000_000
 
-_PASS_Z = 4.0
-_WARN_Z = 6.0
-
-
-def _status(z: float) -> str:
-    if not math.isfinite(z):
-        return "fail"
-    if z <= _PASS_Z:
-        return "pass"
-    if z <= _WARN_Z:
-        return "warn"
-    return "fail"
-
-
-# acceptance window for fitted tail exponents; deviations from the limit
-# exponent are dominated by the finite-n transient, so they are judged against
-# this absolute window rather than the fit's statistical error
-SLOPE_WINDOW = 0.15
-
-
-def slope_window_status(deviation: float, se: float) -> str:
-    if not math.isfinite(deviation):
-        return "fail"
-    if deviation <= SLOPE_WINDOW:
-        return "pass"
-    if deviation <= SLOPE_WINDOW + 2.0 * se:
-        return "warn"
-    return "fail"
+# largest n at which every state's energy is enumerated for exact references
+_EXACT_ENUMERATION_MAX_N = 22
 
 
 def _coerce_bits(start, n: int) -> int:
@@ -135,21 +112,36 @@ def _coerce_bits(start, n: int) -> int:
     return bits
 
 
-def _batch_walk_states(n: int, starts: np.ndarray, steps: int, rng: np.random.Generator):
-    """Independent walks from each start, all flip draws in one call; (m, steps+1)."""
-    m = starts.shape[0]
-    out = np.empty((m, steps + 1), dtype=np.uint64)
-    out[:, 0] = starts
-    if steps:
-        flips = rng.integers(0, n, size=(m, steps), dtype=np.uint64)
-        masks = np.uint64(1) << flips
-        np.bitwise_xor.accumulate(masks, axis=1, out=masks)
-        out[:, 1:] = starts[:, None] ^ masks
-    return out
-
-
 def _uniform_starts(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     return rng.integers(0, 1 << n, size=count, dtype=np.uint64)
+
+
+def _iter_block_energies(
+    env: Environment,
+    count: int,
+    streams: ReplicaStreams,
+    presteps: int = 0,
+    starts: np.ndarray | None = None,
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Yield ``(lo, hi, energies)`` over chunks of ``count`` independent block walks.
+
+    Sample i walks ``presteps`` moves from its start, then its block covers
+    the next ``block_length`` visited states; ``energies`` holds the blocks of
+    samples lo..hi-1, shape (hi-lo, block_length).  Starts default to uniform
+    (the stationary law).  Consumes only the walk stream.
+    """
+    window_steps = presteps + env.block_length - 1
+    if starts is None:
+        starts = _uniform_starts(env.n, count, streams.walk)
+    else:
+        starts = np.asarray(starts, dtype=np.uint64)
+        if starts.shape != (count,):
+            raise ParameterValidationError("starts must be a vector of length `count`")
+    chunk = max(1, _CHUNK_STATES // (window_steps + 1))
+    for lo in range(0, count, chunk):
+        hi = min(count, lo + chunk)
+        states = index_walk(env.n, starts[lo:hi], window_steps, streams.walk)
+        yield lo, hi, env.energies(states[:, presteps:])
 
 
 def _block_sums(
@@ -159,66 +151,44 @@ def _block_sums(
     presteps: int = 0,
     starts: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Scaled sums of ``count`` independent blocks, optionally after burn-in moves.
-
-    Each sample walks ``presteps`` moves from its start, then accumulates
-    exp(beta*H - log time scale) * e over the next ``block_length`` visited
-    states.  Starts default to uniform (the stationary law).
-    """
+    """Scaled sums exp(beta*H - log time scale) * e over the blocks of
+    :func:`_iter_block_energies`, waiting times from the noise stream."""
     if count < 1:
         raise ParameterValidationError(f"sample count must be >= 1; got {count}")
-    theta = env.block_length
-    window_steps = presteps + theta - 1
-    if starts is None:
-        starts = _uniform_starts(env.n, count, streams.walk)
-    else:
-        starts = np.asarray(starts, dtype=np.uint64)
-        if starts.shape != (count,):
-            raise ParameterValidationError("starts must be a vector of length `count`")
     sums = np.empty(count)
-    chunk = max(1, _CHUNK_STATES // (window_steps + 1))
-    for lo in range(0, count, chunk):
-        hi = min(count, lo + chunk)
-        states = _batch_walk_states(env.n, starts[lo:hi], window_steps, streams.walk)
-        log_tau = env.beta * env.energies(states[:, presteps:])
-        draws = streams.noise.standard_exponential((hi - lo, theta))
+    for lo, hi, energies in _iter_block_energies(env, count, streams, presteps, starts):
+        draws = streams.noise.standard_exponential((hi - lo, env.block_length))
         with np.errstate(over="ignore"):
-            sums[lo:hi] = (np.exp(log_tau - env.log_time_scale) * draws).sum(axis=1)
+            sums[lo:hi] = (np.exp(env.beta * energies - env.log_time_scale) * draws).sum(axis=1)
     return sums
 
 
-def _iter_block_energies(
-    env: Environment, count: int, streams: ReplicaStreams, presteps: int = 0
-) -> Iterator[np.ndarray]:
-    """Yield (m, block_length) energy windows of independent block walks.
-
-    Consumes only the walk stream; used by conditional (waiting-time
-    integrated) transforms that never need exponential draws.
-    """
-    theta = env.block_length
-    window_steps = presteps + theta - 1
-    starts = _uniform_starts(env.n, count, streams.walk)
-    chunk = max(1, _CHUNK_STATES // (window_steps + 1))
-    for lo in range(0, count, chunk):
-        hi = min(count, lo + chunk)
-        states = _batch_walk_states(env.n, starts[lo:hi], window_steps, streams.walk)
-        yield env.energies(states[:, presteps:])
-
-
-def _resolve_block_count(env: Environment, horizon: float | None, block_count: int | None) -> int:
+def _resolve_block_count(scales, horizon: float | None, block_count: int | None) -> int:
+    """The explicit block count, else the horizon's; ``scales`` is an
+    :class:`Environment` or :class:`ModelParameters`."""
     if block_count is not None:
         if block_count < 1:
             raise ParameterValidationError(f"block count must be >= 1; got {block_count}")
         return int(block_count)
     if horizon is None:
         raise ParameterValidationError("pass a horizon t or an explicit block count")
-    k = env.block_count(horizon)
+    k = scales.block_count(horizon)
     if k == 0:
         raise DegenerateScaleError(
-            f"horizon t={horizon} yields zero complete aggregation blocks at n={env.n}; "
+            f"horizon t={horizon} yields zero complete aggregation blocks at n={scales.n}; "
             "pass an explicit block count"
         )
     return k
+
+
+def _literal_block_count(scales, horizon: float | None) -> int | None:
+    """The horizon's own block count, or None where the jump-count scale is unusable."""
+    if horizon is None:
+        return None
+    try:
+        return scales.block_count(horizon)
+    except DegenerateScaleError:
+        return None
 
 
 @dataclass(frozen=True)
@@ -415,7 +385,7 @@ def _squared_tail_indicators(
     """
     if route == "two-step":
         xs = _uniform_starts(env.n, samples, streams.walk)
-        ys = _batch_walk_states(env.n, xs, 2, streams.walk)[:, 2]
+        ys = index_walk(env.n, xs, 2, streams.walk)[:, 2]
         first = _block_sums(env, samples, streams, starts=xs)
         second = _block_sums(env, samples, streams, starts=ys)
     elif route == "split":
@@ -508,7 +478,7 @@ def _conditional_transform_moments(
     squares = np.zeros(len(v_values))
     lows = np.full(len(v_values), np.inf)
     highs = np.full(len(v_values), -np.inf)
-    for energies in _iter_block_energies(env, samples, streams):
+    for _, _, energies in _iter_block_energies(env, samples, streams):
         for j, v in enumerate(v_values):
             g = conditional_block_laplace(env, energies, v)
             sums[j] += g.sum()
@@ -674,7 +644,7 @@ def estimate_initial_term(
     if exact:
         if env.has_energy_table:
             energies = env.energy_table
-        elif env.n <= 22:
+        elif env.n <= _EXACT_ENUMERATION_MAX_N:
             energies = env.energies(np.arange(1 << env.n, dtype=np.uint64))
         else:
             raise CapabilityError(
@@ -931,7 +901,7 @@ class ConcentrationReport:
     sampling_variance_share: float
 
     def to_dict(self) -> dict:
-        return _plain(self.__dict__ | {})
+        return plain(self.__dict__ | {})
 
 
 def concentration_diagnostic(
@@ -961,24 +931,8 @@ def concentration_diagnostic(
     """
     params = validate_parameters(n, p, beta, gamma, zeta_table)
     theta = params.block_length
-    if horizon is not None and math.isfinite(params.step_scale):
-        literal = int(math.floor(math.floor(params.step_scale * horizon) / theta))
-    else:
-        literal = None
-    if block_count is not None:
-        if block_count < 1:
-            raise ParameterValidationError(f"block count must be >= 1; got {block_count}")
-        k = int(block_count)
-    else:
-        if horizon is None:
-            raise ParameterValidationError("pass a horizon t or an explicit block count")
-        if not math.isfinite(params.step_scale):
-            raise DegenerateScaleError("jump-count scale overflows at this n; pass block_count")
-        k = literal
-        if k == 0:
-            raise DegenerateScaleError(
-                f"horizon t={horizon} yields zero complete blocks; pass block_count"
-            )
+    literal = _literal_block_count(params, horizon)
+    k = _resolve_block_count(params, horizon, block_count)
     if replicas < 2:
         raise ParameterValidationError("need at least two environment replicas")
     family = StreamFamily(master_seed, "concentration")
@@ -1017,18 +971,13 @@ def concentration_diagnostic(
     # paired across replicas (shared environments), so the difference's own
     # spread is the right yardstick for the identity E[nu_quenched] = nu
     nu_diff = k * (q - m1)
-    nu_diff_se = float(nu_diff.std(ddof=1) / root_r)
-    nu_z = abs(float(nu_diff.mean())) / nu_diff_se if nu_diff_se > 0 else (
-        0.0 if float(nu_diff.mean()) == 0.0 else math.inf
-    )
+    nu_z = z_score(float(nu_diff.mean()), 0.0, float(nu_diff.std(ddof=1) / root_r))
     sigma_sq = float(k * a.mean())
     sigma_sq_se = float(k * a.std(ddof=1) / root_r)
     sigma_alt = float(k * b.mean())
     sigma_alt_se = float(k * b.std(ddof=1) / root_r)
     diff = k * (a - b)
-    diff_mean = float(diff.mean())
-    diff_se = float(diff.std(ddof=1) / root_r)
-    sigma_z = abs(diff_mean) / diff_se if diff_se > 0 else (0.0 if diff_mean == 0.0 else math.inf)
+    sigma_z = z_score(float(diff.mean()), 0.0, float(diff.std(ddof=1) / root_r))
 
     if rho is not None:
         rho_value, rho_source = float(rho), "override"
@@ -1100,18 +1049,18 @@ def concentration_diagnostic(
 # aggregate report
 
 
-def _plain(obj):
+def plain(obj):
     """Recursively convert numpy scalars/arrays and dataclasses to JSON types."""
     if isinstance(obj, dict):
-        return {key: _plain(val) for key, val in obj.items()}
+        return {key: plain(val) for key, val in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
+        return [plain(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
+        return [plain(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     if hasattr(obj, "__dataclass_fields__"):
-        return {key: _plain(getattr(obj, key)) for key in obj.__dataclass_fields__}
+        return {key: plain(getattr(obj, key)) for key in obj.__dataclass_fields__}
     if isinstance(obj, float) and not math.isfinite(obj):
         return repr(obj)
     return obj
@@ -1144,7 +1093,7 @@ class ConditionReport:
     overall: str = "pass"
 
     def to_dict(self) -> dict:
-        return _plain(self.__dict__ | {})
+        return plain(self.__dict__ | {})
 
     def write_json(self, path) -> None:
         with open(path, "w") as fh:
@@ -1198,7 +1147,18 @@ class ConditionReport:
             writer.writerows(rows)
 
 
-_STATUS_ORDER = {"pass": 0, "warn": 1, "fail": 2}
+def degenerate_laplace_check(env: Environment, estimate: LaplaceIntensityEstimate) -> dict:
+    """Verdict on a beta = 0 transform intensity against its closed form.
+
+    The estimator integrates the (unit) waiting times out exactly, so at
+    beta = 0 it must reproduce the closed form to rounding: the largest
+    relative error passes up to 1e-12 and fails above.
+    """
+    rel = 0.0
+    for v, value in zip(estimate.v_values, estimate.values):
+        oracle = estimate.block_count * (1.0 - degenerate_block_laplace(env, v)) / v
+        rel = max(rel, abs(value - oracle) / (abs(oracle) if oracle != 0 else 1.0))
+    return {"max_relative_error": rel, "status": ladder(rel, 1e-12, 1e-12)}
 
 
 def build_condition_report(
@@ -1225,10 +1185,7 @@ def build_condition_report(
     the window pass; inside window + 2 fit standard errors they warn.
     """
     k = _resolve_block_count(env, horizon, block_count)
-    try:
-        literal = env.block_count(horizon) if horizon is not None else None
-    except DegenerateScaleError:
-        literal = None
+    literal = _literal_block_count(env, horizon)
     squared_samples = squared_samples if squared_samples is not None else max(samples // 5, 2)
     trunc_samples = trunc_samples if trunc_samples is not None else samples
     intensity = estimate_intensity(env, horizon, u_grid, samples, streams, block_count=k)
@@ -1240,7 +1197,7 @@ def build_condition_report(
         env, u_grid, squared_samples, streams, block_count=k, route="split"
     )
     initial = [estimate_initial_term(env, v, samples, streams) for v in v_grid]
-    exact_available = env.has_energy_table or env.n <= 22
+    exact_available = env.has_energy_table or env.n <= _EXACT_ENUMERATION_MAX_N
     initial_exact = (
         [estimate_initial_term(env, v, exact=True) for v in v_grid]
         if exact_available
@@ -1261,22 +1218,18 @@ def build_condition_report(
         verdicts["intensity_slope"] = {
             "deviation": delta,
             "tolerance": SLOPE_WINDOW,
-            "status": slope_window_status(delta, intensity.slope_se),
+            "status": slope_status(delta, intensity.slope_se),
         }
         delta = abs(laplace.slope - (env.alpha - 1.0))
         verdicts["laplace_slope"] = {
             "deviation": delta,
             "tolerance": SLOPE_WINDOW,
-            "status": slope_window_status(delta, laplace.slope_se),
+            "status": slope_status(delta, laplace.slope_se),
         }
     z_sq = 0.0
     for ea, eb in zip(squared_a, squared_b):
-        spread = math.hypot(ea.stderr, eb.stderr)
-        if spread > 0:
-            z_sq = max(z_sq, abs(ea.value - eb.value) / spread)
-        elif ea.value != eb.value:
-            z_sq = math.inf
-    verdicts["squared_tail_routes"] = {"z": z_sq, "status": _status(z_sq)}
+        z_sq = max(z_sq, z_score(ea.value, eb.value, math.hypot(ea.stderr, eb.stderr)))
+    verdicts["squared_tail_routes"] = {"z": z_sq, "status": z_status(z_sq)}
     if initial_exact is not None:
         z_init = 0.0
         for mc, ex in zip(initial, initial_exact):
@@ -1284,22 +1237,14 @@ def build_condition_report(
             # is at most binomial; that floors the yardstick at rare-event grid
             # points where the sample variance collapses
             floor = math.sqrt(ex.value * (1.0 - ex.value) / mc.samples)
-            spread = max(mc.stderr, floor)
-            if spread > 0:
-                z_init = max(z_init, abs(mc.value - ex.value) / spread)
-            elif mc.value != ex.value:
-                z_init = math.inf
-        verdicts["initial_term"] = {"z": z_init, "status": _status(z_init)}
-    z_tm = 0.0
-    for tm in truncated:
-        if tm.quadrature_value is None or trunc_method != "annealed":
-            continue
-        if tm.mc_stderr > 0:
-            z_tm = max(z_tm, abs(tm.mc_value - tm.quadrature_value) / tm.mc_stderr)
-        elif tm.mc_value != tm.quadrature_value:
-            z_tm = math.inf
+            z_init = max(z_init, z_score(mc.value, ex.value, max(mc.stderr, floor)))
+        verdicts["initial_term"] = {"z": z_init, "status": z_status(z_init)}
     if trunc_method == "annealed" and truncated:
-        verdicts["truncated_mean"] = {"z": z_tm, "status": _status(z_tm)}
+        z_tm = 0.0
+        for tm in truncated:
+            if tm.quadrature_value is not None:
+                z_tm = max(z_tm, z_score(tm.mc_value, tm.quadrature_value, tm.mc_stderr))
+        verdicts["truncated_mean"] = {"z": z_tm, "status": z_status(z_tm)}
 
     if env.beta == 0.0:
         # every estimator has a closed form here; cross-check them all
@@ -1307,43 +1252,26 @@ def build_condition_report(
         for u, value, se in zip(u_grid, intensity.values, intensity.stderrs):
             q = degenerate_block_tail(env, float(u))
             spread = max(se, k * math.sqrt(q * (1.0 - q) / intensity.samples))
-            if spread > 0:
-                z_deg = max(z_deg, abs(value - k * q) / spread)
-            elif value != k * q:
-                z_deg = math.inf
-        verdicts["degenerate_tail"] = {"z": z_deg, "status": _status(z_deg)}
+            z_deg = max(z_deg, z_score(value, k * q, spread))
+        verdicts["degenerate_tail"] = {"z": z_deg, "status": z_status(z_deg)}
         z_deg = 0.0
         for ea, eb in zip(squared_a, squared_b):
             q = degenerate_block_tail(env, ea.threshold)
             q2 = q * q
             for est in (ea, eb):
                 spread = max(est.stderr, k * math.sqrt(q2 * (1.0 - q2) / est.samples))
-                if spread > 0:
-                    z_deg = max(z_deg, abs(est.value - k * q2) / spread)
-                elif est.value != k * q2:
-                    z_deg = math.inf
-        verdicts["degenerate_squared"] = {"z": z_deg, "status": _status(z_deg)}
-        rel = 0.0
-        for v, value in zip(v_grid, laplace.values):
-            oracle = k * (1.0 - degenerate_block_laplace(env, float(v))) / float(v)
-            rel = max(rel, abs(value - oracle) / (abs(oracle) if oracle != 0 else 1.0))
-        verdicts["degenerate_laplace"] = {
-            "max_relative_error": rel,
-            "status": "pass" if rel <= 1e-12 else "fail",
-        }
+                z_deg = max(z_deg, z_score(est.value, k * q2, spread))
+        verdicts["degenerate_squared"] = {"z": z_deg, "status": z_status(z_deg)}
+        verdicts["degenerate_laplace"] = degenerate_laplace_check(env, laplace)
         rel = 0.0
         for est in initial:
             oracle = degenerate_initial_term(env, est.v)
             rel = max(rel, abs(est.value - oracle) / (abs(oracle) if oracle != 0 else 1.0))
         verdicts["degenerate_initial"] = {
             "max_relative_error": rel,
-            "status": "pass" if rel <= 1e-12 else "fail",
+            "status": ladder(rel, 1e-12, 1e-12),
         }
 
-    overall = "pass"
-    for entry in verdicts.values():
-        if _STATUS_ORDER[entry["status"]] > _STATUS_ORDER[overall]:
-            overall = entry["status"]
     return ConditionReport(
         n=env.n,
         p=env.p,
@@ -1361,5 +1289,5 @@ def build_condition_report(
         initial_terms_exact=initial_exact,
         truncated_means=truncated,
         verdicts=verdicts,
-        overall=overall,
+        overall=worst(entry["status"] for entry in verdicts.values()),
     )

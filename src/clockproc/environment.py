@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import (
     CapabilityError,
+    DegenerateScaleError,
     DimensionMismatchError,
     ParameterValidationError,
 )
@@ -49,6 +50,7 @@ __all__ = [
     "read_coupling_file",
     "ZETA_LIMIT",
     "DEFAULT_ZETA_TABLE",
+    "EXP_OVERFLOW",
 ]
 
 # Large-p limit of the admissible-slope coefficient: sqrt(2*ln 2).
@@ -58,7 +60,7 @@ ZETA_LIMIT = math.sqrt(2.0 * math.log(2.0))
 # constant and can be overridden via configuration.
 DEFAULT_ZETA_TABLE: dict[int, float] = {3: 1.0291, 4: 1.07}
 
-_EXP_OVERFLOW = 709.0  # exp() overflows float64 just above this
+EXP_OVERFLOW = 709.0  # exp() overflows float64 just above this
 
 _LOG2 = math.log(2.0)
 
@@ -86,6 +88,33 @@ def zeta(p: int, table: dict[int, float] | None = None) -> float:
 def block_length(n: int) -> int:
     """Aggregation block length: ceil((3*ln2/2) * n^2)."""
     return math.ceil(1.5 * _LOG2 * n * n)
+
+
+def _derive_scales(n: int, beta: float, gamma: float):
+    """(alpha, log time scale, time scale, step scale) of the accelerated dynamics.
+
+    The tail exponent gamma/beta^2 and the jump-count scale
+    sqrt(n) * exp(n*gamma^2/(2*beta^2)) do not exist at beta = 0 (None there);
+    scales whose exponent leaves the float64 range saturate to inf.
+    """
+    log_time_scale = gamma * n
+    time_scale = math.exp(log_time_scale) if log_time_scale < EXP_OVERFLOW else math.inf
+    if not beta > 0:
+        return None, log_time_scale, time_scale, None
+    exponent = n * gamma * gamma / (2.0 * beta * beta)
+    step_scale = math.sqrt(n) * math.exp(exponent) if exponent < EXP_OVERFLOW else math.inf
+    return gamma / (beta * beta), log_time_scale, time_scale, step_scale
+
+
+def _block_count(step_scale: float | None, theta: int, t: float) -> int:
+    if t < 0:
+        raise ParameterValidationError(f"t must be nonnegative; got {t}")
+    if step_scale is None or not math.isfinite(step_scale):
+        raise DegenerateScaleError(
+            "jump-count scale is undefined or infinite at these parameters; "
+            "pass an explicit block count"
+        )
+    return int(math.floor(math.floor(step_scale * t) / theta))
 
 
 @dataclass(frozen=True)
@@ -238,6 +267,10 @@ class ModelParameters:
     step_scale: float
     block_length: int
 
+    def block_count(self, t: float) -> int:
+        """Number of aggregation blocks inside the first floor(a_n * t) steps."""
+        return _block_count(self.step_scale, self.block_length, t)
+
 
 def validate_parameters(
     n: int,
@@ -266,10 +299,7 @@ def validate_parameters(
             f"gamma must satisfy gamma < min(beta^2, zeta(p)*beta) "
             f"= min({beta * beta:g}, {z:g}*{beta:g}) = {bound:g}; got gamma={gamma}"
         )
-    alpha = gamma / (beta * beta)
-    log_time_scale = gamma * n
-    exponent = n * gamma * gamma / (2.0 * beta * beta)
-    step_scale = math.sqrt(n) * math.exp(exponent) if exponent < _EXP_OVERFLOW else math.inf
+    alpha, log_time_scale, time_scale, step_scale = _derive_scales(n, beta, gamma)
     return ModelParameters(
         n=n,
         p=p,
@@ -279,7 +309,7 @@ def validate_parameters(
         zeta_value=z,
         gamma_bound=bound,
         log_time_scale=log_time_scale,
-        time_scale=math.exp(log_time_scale) if log_time_scale < _EXP_OVERFLOW else math.inf,
+        time_scale=time_scale,
         step_scale=step_scale,
         block_length=block_length(n),
     )
@@ -305,6 +335,8 @@ def _energy_fold(values: np.ndarray, n: int, p: int, signs: np.ndarray) -> np.nd
 # multiply-adds; the table then makes every walk a pure gather.
 _TABLE_FLOP_BUDGET = 3.0e9
 _TABLE_MAX_STATES = 1 << 22
+# states contracted per batch, for the table build and for on-demand energies
+_CONTRACT_CHUNK = 4096
 
 
 class Environment:
@@ -343,9 +375,7 @@ class Environment:
         gamma: float,
         *,
         theorem_domain: bool,
-        alpha: float | None,
         zeta_value: float | None,
-        step_scale: float | None,
         block_length_value: int,
         build_table: bool | None = None,
     ) -> None:
@@ -354,21 +384,21 @@ class Environment:
         self.p = couplings.p
         self.beta = float(beta)
         self.gamma = float(gamma)
-        self.alpha = alpha
         self.zeta_value = zeta_value
         self.theorem_domain = theorem_domain
         self.block_length = block_length_value
-        self.log_time_scale = self.gamma * self.n
-        self.time_scale = (
-            math.exp(self.log_time_scale) if self.log_time_scale < _EXP_OVERFLOW else math.inf
+        self.alpha, self.log_time_scale, self.time_scale, self.step_scale = _derive_scales(
+            self.n, self.beta, self.gamma
         )
-        self.step_scale = step_scale
         if build_table is None:
             build_table = (
                 (1 << self.n) <= _TABLE_MAX_STATES
                 and (1 << self.n) * float(self.n) ** self.p <= _TABLE_FLOP_BUDGET
             )
-        self._energy_table = self._build_table() if build_table else None
+        self._energy_table = None
+        if build_table:
+            self._energy_table = self._contract(np.arange(1 << self.n, dtype=np.uint64))
+            self._energy_table.setflags(write=False)
 
     # -- construction -----------------------------------------------------
 
@@ -385,16 +415,8 @@ class Environment:
     ) -> "Environment":
         """Validated environment on the admissible parameter domain."""
         params = validate_parameters(n, p, beta, gamma, zeta_table)
-        env = cls(
-            CouplingTensor.sample(n, p, seed),
-            beta,
-            gamma,
-            theorem_domain=True,
-            alpha=params.alpha,
-            zeta_value=params.zeta_value,
-            step_scale=params.step_scale,
-            block_length_value=params.block_length,
-            build_table=build_table,
+        env = cls.from_couplings(
+            CouplingTensor.sample(n, p, seed), beta, gamma, zeta_table, build_table
         )
         if math.isfinite(params.step_scale) and params.block_length >= 0.5 * params.step_scale:
             warnings.warn(
@@ -427,21 +449,12 @@ class Environment:
             raise ParameterValidationError("beta and gamma must be nonnegative")
         if couplings is None:
             couplings = CouplingTensor.sample(n, p, seed)
-        if beta > 0:
-            alpha = gamma / (beta * beta)
-            exponent = n * gamma * gamma / (2.0 * beta * beta)
-            step_scale = math.sqrt(n) * math.exp(exponent) if exponent < _EXP_OVERFLOW else math.inf
-        else:
-            alpha = None
-            step_scale = None
         return cls(
             couplings,
             beta,
             gamma,
             theorem_domain=False,
-            alpha=alpha,
             zeta_value=None,
-            step_scale=step_scale,
             block_length_value=(
                 block_length_override if block_length_override is not None else block_length(n)
             ),
@@ -460,26 +473,21 @@ class Environment:
             beta,
             gamma,
             theorem_domain=True,
-            alpha=params.alpha,
             zeta_value=params.zeta_value,
-            step_scale=params.step_scale,
             block_length_value=params.block_length,
             build_table=build_table,
         )
 
     # -- energies ---------------------------------------------------------
 
-    def _build_table(self) -> np.ndarray:
-        size = 1 << self.n
-        out = np.empty(size)
-        chunk = 4096
-        all_bits = np.arange(size, dtype=np.uint64)
-        for lo in range(0, size, chunk):
-            sub = all_bits[lo : lo + chunk]
-            out[lo : lo + chunk] = _energy_fold(
+    def _contract(self, flat: np.ndarray) -> np.ndarray:
+        """Energies of a flat array of packed states by tensor contraction, in chunks."""
+        out = np.empty(flat.shape[0])
+        for lo in range(0, flat.shape[0], _CONTRACT_CHUNK):
+            sub = flat[lo : lo + _CONTRACT_CHUNK]
+            out[lo : lo + _CONTRACT_CHUNK] = _energy_fold(
                 self.couplings.values, self.n, self.p, _signs_from_bits(sub, self.n)
             )
-        out.setflags(write=False)
         return out
 
     @property
@@ -499,15 +507,7 @@ class Environment:
         bits = np.atleast_1d(np.asarray(bits, dtype=np.uint64))
         if self._energy_table is not None:
             return self._energy_table[bits]
-        flat = bits.reshape(-1)
-        out = np.empty(flat.shape[0])
-        chunk = 4096
-        for lo in range(0, flat.shape[0], chunk):
-            sub = flat[lo : lo + chunk]
-            out[lo : lo + chunk] = _energy_fold(
-                self.couplings.values, self.n, self.p, _signs_from_bits(sub, self.n)
-            )
-        return out.reshape(bits.shape)
+        return self._contract(bits.reshape(-1)).reshape(bits.shape)
 
     def energy(self, x: SpinConfig) -> float:
         if x.n != self.n:
@@ -522,16 +522,7 @@ class Environment:
 
     def block_count(self, t: float) -> int:
         """Number of aggregation blocks inside the first floor(a_n * t) steps."""
-        from .errors import DegenerateScaleError  # local to avoid cycle noise
-
-        if t < 0:
-            raise ParameterValidationError(f"t must be nonnegative; got {t}")
-        if self.step_scale is None or not math.isfinite(self.step_scale):
-            raise DegenerateScaleError(
-                "jump-count scale is undefined or infinite at these parameters; "
-                "pass an explicit block count"
-            )
-        return int(math.floor(math.floor(self.step_scale * t) / self.block_length))
+        return _block_count(self.step_scale, self.block_length, t)
 
 
 def hamiltonian(env: Environment, x: SpinConfig) -> float:
@@ -551,6 +542,6 @@ def tau(env: Environment, x: SpinConfig) -> float:
     can detect saturation with math.isinf.  Never wraps silently.
     """
     lt = log_tau(env, x)
-    if lt > _EXP_OVERFLOW:
+    if lt > EXP_OVERFLOW:
         return math.inf
     return math.exp(lt)

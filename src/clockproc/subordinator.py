@@ -67,6 +67,10 @@ class PowerLawLevyMeasure:
             raise ParameterValidationError(f"cutoff must be positive; got {cutoff}")
         return self.amplitude * self.alpha / (1.0 - self.alpha) * cutoff ** (1.0 - self.alpha)
 
+    def jump_sizes(self, cutoff: float, u: np.ndarray) -> np.ndarray:
+        """Jump sizes above ``cutoff`` from uniforms ``u``, by inverting the conditional tail."""
+        return cutoff * u ** (-1.0 / self.alpha)
+
 
 @dataclass
 class SubordinatorPath:
@@ -110,10 +114,6 @@ class SubordinatorPath:
         return total
 
 
-def _pareto_sizes(measure: PowerLawLevyMeasure, cutoff: float, u: np.ndarray) -> np.ndarray:
-    return cutoff * u ** (-1.0 / measure.alpha)
-
-
 def sample_path(
     measure: PowerLawLevyMeasure,
     horizon: float,
@@ -140,7 +140,7 @@ def sample_path(
         )
     count = int(rng.poisson(expected))
     times = np.sort(rng.uniform(0.0, horizon, size=count))
-    sizes = _pareto_sizes(measure, cutoff, rng.uniform(size=count))
+    sizes = measure.jump_sizes(cutoff, rng.uniform(size=count))
     return SubordinatorPath(
         measure=measure, horizon=horizon, cutoff=cutoff, times=times, sizes=sizes
     )
@@ -157,7 +157,7 @@ def extend_path(
     extra = (new_horizon - path.horizon) * float(path.measure.tail(path.cutoff))
     count = int(rng.poisson(extra))
     t_new = np.sort(rng.uniform(path.horizon, new_horizon, size=count))
-    s_new = _pareto_sizes(path.measure, path.cutoff, rng.uniform(size=count))
+    s_new = path.measure.jump_sizes(path.cutoff, rng.uniform(size=count))
     return SubordinatorPath(
         measure=path.measure,
         horizon=new_horizon,
@@ -196,7 +196,7 @@ def sample_totals(
         )
     counts = rng.poisson(expected, size=count)
     total = int(counts.sum())
-    sizes = _pareto_sizes(measure, cutoff, rng.uniform(size=total))
+    sizes = measure.jump_sizes(cutoff, rng.uniform(size=total))
     bounds = np.concatenate([[0], np.cumsum(counts)])
     sums = np.add.reduceat(np.concatenate([sizes, [0.0]]), bounds[:-1])
     sums[counts == 0] = 0.0

@@ -12,7 +12,6 @@ from clockproc.chain import (
     exact_step_distribution,
     extend_segment,
     index_walk,
-    index_walk_batch,
     mixing_check,
     process_at_time,
     simulate_segment,
@@ -72,13 +71,15 @@ def test_index_walk_structure():
 
 
 def test_index_walk_batch_matches_scalar():
-    fam = StreamFamily(9, "walkers")
+    """m batched walks equal m scalar walks drawn one after another from one stream."""
     starts = np.array([0, 3, 60], dtype=np.uint64)
-    rngs = [fam.generator(i, "walk") for i in range(3)]
-    batch = index_walk_batch(6, starts, 50, rngs)
+    batch_rng, scalar_rng = keyed_generator(9), keyed_generator(9)
+    batch = index_walk(6, starts, 50, batch_rng)
+    assert batch.shape == (3, 51)
     for i, s in enumerate(starts):
-        single = index_walk(6, int(s), 50, fam.generator(i, "walk"))
-        assert np.array_equal(batch[i], single)
+        assert np.array_equal(batch[i], index_walk(6, int(s), 50, scalar_rng))
+    # both generators are left in the same state
+    assert batch_rng.integers(0, 1 << 30) == scalar_rng.integers(0, 1 << 30)
 
 
 def test_uniform_occupation_small_n():

@@ -7,7 +7,6 @@ import pytest
 from scipy import stats
 
 from clockproc.conditions import (
-    SLOPE_WINDOW,
     build_condition_report,
     concentration_diagnostic,
     conditional_block_laplace,
@@ -23,7 +22,6 @@ from clockproc.conditions import (
     estimate_squared_tail,
     estimate_step_averaged_tail,
     estimate_truncated_mean,
-    slope_window_status,
     truncated_mean_asymptotic,
     truncated_mean_quadrature,
 )
@@ -33,6 +31,7 @@ from clockproc.errors import (
     ParameterValidationError,
 )
 from clockproc.seeding import ReplicaStreams, StreamFamily
+from clockproc.verdicts import SLOPE_WINDOW, slope_status
 
 pytestmark = pytest.mark.filterwarnings("ignore:block length")
 
@@ -361,11 +360,11 @@ def test_stderr_halves_when_samples_quadruple():
 
 
 def test_slope_window_status():
-    assert slope_window_status(0.0, 0.01) == "pass"
-    assert slope_window_status(SLOPE_WINDOW, 0.01) == "pass"
-    assert slope_window_status(SLOPE_WINDOW + 0.015, 0.01) == "warn"
-    assert slope_window_status(SLOPE_WINDOW + 0.03, 0.01) == "fail"
-    assert slope_window_status(math.nan, 0.01) == "fail"
+    assert slope_status(0.0, 0.01) == "pass"
+    assert slope_status(SLOPE_WINDOW, 0.01) == "pass"
+    assert slope_status(SLOPE_WINDOW + 0.015, 0.01) == "warn"
+    assert slope_status(SLOPE_WINDOW + 0.03, 0.01) == "fail"
+    assert slope_status(math.nan, 0.01) == "fail"
 
 
 # --- concentration diagnostic ---------------------------------------------
