@@ -353,7 +353,7 @@ def _run_clock(cfg: ExperimentConfig, outdir: str, args) -> tuple[dict, list]:
             "empirical_jumps": int(exceed.size),
             "reference_jumps": int(reference.size),
             "threshold": threshold,
-            "status": ladder(ks.pvalue, 1e-3, 1e-6),
+            "status": ladder(-ks.pvalue, -1e-3, -1e-6),  # pass at p >= 1e-3
         }
         if "csv" in cfg.formats:
             rows = [["empirical", repr(float(x)), repr(float(x / threshold))] for x in exceed]

@@ -157,9 +157,12 @@ def _block_sums(
         raise ParameterValidationError(f"sample count must be >= 1; got {count}")
     sums = np.empty(count)
     for lo, hi, energies in _iter_block_energies(env, count, streams, presteps, starts):
+        log_tau = env.beta * energies
+        # the draws reuse the energies' memory; holding both raises peak RSS by a window
+        del energies
         draws = streams.noise.standard_exponential((hi - lo, env.block_length))
         with np.errstate(over="ignore"):
-            sums[lo:hi] = (np.exp(env.beta * energies - env.log_time_scale) * draws).sum(axis=1)
+            sums[lo:hi] = (np.exp(log_tau - env.log_time_scale) * draws).sum(axis=1)
     return sums
 
 

@@ -38,14 +38,11 @@ _ORDER = {"pass": 0, "warn": 1, "fail": 2}
 def ladder(value: float, pass_at: float, warn_at: float) -> str:
     """Pass when ``value <= pass_at``, warn when ``value <= warn_at``, else fail.
 
-    Non-finite values fail.  For a statistic where larger is better, such as
-    a p-value, give the thresholds in decreasing order (``pass_at >
-    warn_at``); the comparisons then read ``>=``.
+    Non-finite values fail.  A statistic where larger is better, such as a
+    p-value, is graded negated, with negated thresholds.
     """
     if not math.isfinite(value):
         return "fail"
-    if pass_at > warn_at:
-        value, pass_at, warn_at = -value, -pass_at, -warn_at
     if value <= pass_at:
         return "pass"
     if value <= warn_at:

@@ -15,19 +15,18 @@ def test_ladder_smaller_is_better_keeps_inclusive_bounds():
     assert ladder(2e-12, 1e-12, 1e-12) == "fail"
 
 
-def test_ladder_larger_is_better_when_thresholds_decrease():
-    # p-value style: pass at >= 1e-3, warn at >= 1e-6
-    assert ladder(0.5, 1e-3, 1e-6) == "pass"
-    assert ladder(1e-3, 1e-3, 1e-6) == "pass"
-    assert ladder(1e-4, 1e-3, 1e-6) == "warn"
-    assert ladder(1e-6, 1e-3, 1e-6) == "warn"
-    assert ladder(1e-7, 1e-3, 1e-6) == "fail"
+def test_ladder_grades_a_negated_p_value():
+    # larger is better: pass at p >= 1e-3, warn at p >= 1e-6
+    assert ladder(-0.5, -1e-3, -1e-6) == "pass"
+    assert ladder(-1e-3, -1e-3, -1e-6) == "pass"
+    assert ladder(-1e-4, -1e-3, -1e-6) == "warn"
+    assert ladder(-1e-6, -1e-3, -1e-6) == "warn"
+    assert ladder(-1e-7, -1e-3, -1e-6) == "fail"
 
 
 def test_ladder_fails_non_finite_values():
     for value in (math.nan, math.inf, -math.inf):
         assert ladder(value, 0.01, 0.02) == "fail"
-        assert ladder(value, 1e-3, 1e-6) == "fail"
 
 
 def test_z_status_thresholds():
