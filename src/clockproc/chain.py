@@ -6,20 +6,20 @@ waiting time scaled by the holding time tau of that state; aggregating the
 rescaled clock over fixed-length blocks yields the jump sizes whose tail
 statistics the conditions module estimates.
 
-All exact-kernel routines here are dense 2^n computations intended as small-n
-oracles.
+The exact mixing check runs on Hamming-distance classes in exact integer
+arithmetic, so it covers every supported n.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
 from .environment import EXP_OVERFLOW, Environment, SpinConfig
 from .errors import (
-    CapabilityError,
     DimensionMismatchError,
     HorizonError,
     ParameterValidationError,
@@ -31,23 +31,12 @@ __all__ = [
     "TrajectorySegment",
     "ClockPath",
     "MixingReport",
-    "srw_step",
     "simulate_segment",
     "extend_segment",
     "blocked_clock",
     "process_at_time",
-    "exact_step_distribution",
-    "apply_srw_kernel",
     "mixing_check",
 ]
-
-EXACT_KERNEL_MAX_N = 12
-
-
-def srw_step(x: SpinConfig, rng: np.random.Generator) -> SpinConfig:
-    """One SRW step: flip a uniformly chosen spin (one RNG draw)."""
-    return x.flip(int(rng.integers(0, x.n)))
-
 
 def index_walk(n: int, start_bits, steps: int, walk_rng: np.random.Generator) -> np.ndarray:
     """Packed-state SRW paths of ``steps`` steps, each including its start.
@@ -222,40 +211,6 @@ def process_at_time(segment: TrajectorySegment, env: Environment, t: float) -> S
     return SpinConfig(segment.n, int(segment.states[i]))
 
 
-# -- exact dense kernel (small-n oracle) ---------------------------------
-
-
-def apply_srw_kernel(vec: np.ndarray, n: int) -> np.ndarray:
-    """One exact SRW transition applied to a dense distribution over 2^n states."""
-    if vec.shape != (1 << n,):
-        raise DimensionMismatchError(f"vector length {vec.shape} does not match 2^{n}")
-    out = np.zeros_like(vec, dtype=np.float64)
-    for b in range(n):
-        flipped = vec.reshape(-1, 2, 1 << b)[:, ::-1, :].reshape(vec.shape)
-        out += flipped
-    return out / n
-
-
-def exact_step_distribution(n: int, start: int, k: int) -> np.ndarray:
-    """Exact distribution of the SRW after k steps from a packed start state.
-
-    Dense 2^n computation; refuses n > 12.
-    """
-    if n > EXACT_KERNEL_MAX_N:
-        raise CapabilityError(
-            f"exact kernel supports n <= {EXACT_KERNEL_MAX_N}; got n={n}"
-        )
-    if not 0 <= start < (1 << n):
-        raise ParameterValidationError(f"start index {start} out of range for n={n}")
-    if k < 0:
-        raise ParameterValidationError(f"step count must be >= 0; got {k}")
-    vec = np.zeros(1 << n)
-    vec[start] = 1.0
-    for _ in range(k):
-        vec = apply_srw_kernel(vec, n)
-    return vec
-
-
 @dataclass(frozen=True)
 class MixingReport:
     """Exact two-parity mixing check after one aggregation block.
@@ -263,7 +218,9 @@ class MixingReport:
     ``max_violation`` is the exact maximum over state pairs (x, y) of
     | sum_{k=0,1} P_pi(J(theta+k)=y, J(0)=x) - 2*pi(x)*pi(y) |, and ``bound``
     is the certified value 2^(1-3n).  ``rho_implied`` rescales the violation
-    by pi_min^2, the form consumed by the concentration bound.
+    by pi_min^2, the form consumed by the concentration bound.  Both are
+    computed as exact rationals and rounded to float once; ``passed`` compares
+    the exact violation with the bound.
     """
 
     n: int
@@ -277,26 +234,34 @@ class MixingReport:
 def mixing_check(n: int, theta: int) -> MixingReport:
     """Exact mixing verification for the two-step-parity pair sum.
 
-    Uses a single start state: the SRW kernel commutes with the bit-flip
-    group, so the pair distribution depends on (x, y) only through x XOR y.
+    The SRW kernel commutes with the bit-flip group and the coordinate
+    permutations, so the law after k steps from a fixed start depends on the
+    target only through its Hamming distance d (the Ehrenfest chain).  With
+    c_k(d) the number of k-step flip sequences ending at distance d,
+    c_{k+1}(d) = (n-d+1) c_k(d-1) + (d+1) c_k(d+1) and
+    P(J(k)=y) = c_k(d) / (n^k C(n,d)); the counts are integers, so the check
+    is exact at every n.
     """
-    if n > EXACT_KERNEL_MAX_N:
-        raise CapabilityError(
-            f"mixing_check supports n <= {EXACT_KERNEL_MAX_N}; got n={n}"
-        )
+    SpinConfig(n, 0)  # n must be a valid packed-state dimension
     if theta < 0:
         raise ParameterValidationError(f"theta must be >= 0; got {theta}")
-    pi = 2.0**-n
-    dist = exact_step_distribution(n, 0, theta)
-    dist_next = apply_srw_kernel(dist, n)
-    pair = pi * (dist + dist_next)
-    violation = float(np.max(np.abs(pair - 2.0 * pi * pi)))
-    bound = 2.0 ** (1 - 3 * n)
+    counts = [1] + [0] * n
+    for _ in range(theta + 1):
+        before, padded = counts, [0, *counts, 0]
+        counts = [(n - d + 1) * padded[d] + (d + 1) * padded[d + 2] for d in range(n + 1)]
+    # rho = 4^n |2^-n (P_theta + P_theta+1) - 2 * 4^-n|, maximised over distance classes
+    paths = n ** (theta + 1)
+    rho = max(
+        abs(Fraction((n * c + c_next) << n, paths * math.comb(n, d)) - 2)
+        for d, (c, c_next) in enumerate(zip(before, counts))
+    )
+    violation = rho / 4**n
+    bound = Fraction(2, 8**n)
     return MixingReport(
         n=n,
         theta=theta,
-        max_violation=violation,
-        bound=bound,
+        max_violation=float(violation),
+        bound=float(bound),
         passed=violation <= bound,
-        rho_implied=violation / (pi * pi),
+        rho_implied=float(rho),
     )

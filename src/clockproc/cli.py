@@ -22,7 +22,7 @@ Subcommands:
     Two-time correlation curve next to the arcsine prediction and a flat
     (beta = 0) reference curve, plus per-block trap diagnostics.
 ``mixing``
-    Exact aggregation-scale mixing check (dense kernel; small n only).
+    Exact aggregation-scale mixing check (Hamming-distance chain; any n).
 ``subordinator``
     Sampler self-tests: interval-avoidance probabilities against the arcsine
     law and the horizon-marginal transform against quadrature.
@@ -59,10 +59,11 @@ from .conditions import (
     degenerate_laplace_check,
     estimate_intensity_laplace,
     plain,
+    resolve_block_count,
 )
 from .config import ExperimentConfig
 from .environment import Environment, SpinConfig, block_length
-from .errors import ClockprocError, DegenerateScaleError, HorizonError, ParameterValidationError
+from .errors import ClockprocError, HorizonError, ParameterValidationError
 from .parallel import ordered_map
 from .seeding import StreamFamily, keyed_generator, resolve_seeds
 from .subordinator import (
@@ -284,15 +285,7 @@ def _run_clock(cfg: ExperimentConfig, outdir: str, args) -> tuple[dict, list]:
             "the jump-law comparison needs beta > 0; the beta = 0 chain has no "
             "power-law clock limit"
         )
-    if cfg.block_count is not None:
-        k = cfg.block_count
-    else:
-        k = env.block_count(1.0)
-        if k == 0:
-            raise DegenerateScaleError(
-                "a unit horizon yields zero complete aggregation blocks at this n; "
-                "set overrides.block_count"
-            )
+    k = resolve_block_count(env, 1.0, cfg.block_count)
     theta = env.block_length
     start = _parse_start(cfg, args.start)
     family = StreamFamily(cfg.master_seed, "clock")
@@ -691,7 +684,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("laplace", "transform-based intensity estimate with power-law fit"),
         ("clock", "blocked clock paths vs a sampled pure-jump reference"),
         ("aging", "two-time correlation curve vs the arcsine prediction"),
-        ("mixing", "exact aggregation-scale mixing check (small n)"),
+        ("mixing", "exact aggregation-scale mixing check"),
         ("subordinator", "sampler self-tests against closed forms"),
     ]:
         sub = subparsers.add_parser(name, help=help_text)

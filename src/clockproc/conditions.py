@@ -41,7 +41,7 @@ from typing import Iterator, Sequence
 import numpy as np
 from scipy import integrate, special, stats
 
-from .chain import EXACT_KERNEL_MAX_N, index_walk, mixing_check
+from .chain import index_walk, mixing_check
 from .environment import (
     CouplingTensor,
     Environment,
@@ -87,6 +87,7 @@ __all__ = [
     "build_condition_report",
     "degenerate_laplace_check",
     "plain",
+    "resolve_block_count",
 ]
 
 # Chunking constant for batched walks (states held in memory at once).  Fixed:
@@ -140,8 +141,10 @@ def _iter_block_energies(
     chunk = max(1, _CHUNK_STATES // (window_steps + 1))
     for lo in range(0, count, chunk):
         hi = min(count, lo + chunk)
-        states = index_walk(env.n, starts[lo:hi], window_steps, streams.walk)
-        yield lo, hi, env.energies(states[:, presteps:])
+        # no name holds the walk, so it is freed before the caller draws and folds
+        yield lo, hi, env.energies(
+            index_walk(env.n, starts[lo:hi], window_steps, streams.walk)[:, presteps:]
+        )
 
 
 def _block_sums(
@@ -166,7 +169,7 @@ def _block_sums(
     return sums
 
 
-def _resolve_block_count(scales, horizon: float | None, block_count: int | None) -> int:
+def resolve_block_count(scales, horizon: float | None, block_count: int | None) -> int:
     """The explicit block count, else the horizon's; ``scales`` is an
     :class:`Environment` or :class:`ModelParameters`."""
     if block_count is not None:
@@ -328,7 +331,7 @@ def estimate_intensity(
     points whose hit rate is strictly inside (0, 1); the slope estimates the
     negated tail exponent.
     """
-    k = _resolve_block_count(env, horizon, block_count)
+    k = resolve_block_count(env, horizon, block_count)
     tails = estimate_block_tail_grid(env, thresholds, samples, streams)
     values = np.array([k * t.probability for t in tails])
     stderrs = np.array([k * t.stderr for t in tails])
@@ -410,7 +413,7 @@ def estimate_squared_tail_grid(
     block_count: int | None = None,
     route: str = "two-step",
 ) -> list[SquaredTailEstimate]:
-    k = _resolve_block_count(env, horizon, block_count)
+    k = resolve_block_count(env, horizon, block_count)
     joint = _squared_tail_indicators(env, thresholds, samples, streams, route)
     out = []
     for u, row in zip(thresholds, joint):
@@ -567,7 +570,7 @@ def estimate_intensity_laplace(
     streams: ReplicaStreams,
     block_count: int | None = None,
 ) -> LaplaceIntensityEstimate:
-    k = _resolve_block_count(env, horizon, block_count)
+    k = resolve_block_count(env, horizon, block_count)
     if np.any(np.asarray(v_values, dtype=np.float64) <= 0):
         raise ParameterValidationError("transform arguments must be positive for the intensity fit")
     means, stds = _conditional_transform_moments(env, v_values, samples, streams)
@@ -862,9 +865,9 @@ class ConcentrationReport:
     Per sampled environment the quenched intensity is estimated from one long
     stationary walk; deviations from the across-environment mean are then
     compared, on a grid of deviation levels, against the Chebyshev-type bound
-    (rho * mean^2 + correlated square) / eps^2.  ``rho`` rescales the exact
-    block-mixing violation (measured when the state space admits the dense
-    kernel, else the certified 2^(1-n)).
+    (rho * mean^2 + correlated square) / eps^2.  ``rho`` is the exact
+    block-mixing violation rescaled by pi_min^2 (``rho_source`` "measured"),
+    unless overridden (``rho_source`` "override").
     """
 
     n: int
@@ -935,7 +938,7 @@ def concentration_diagnostic(
     params = validate_parameters(n, p, beta, gamma, zeta_table)
     theta = params.block_length
     literal = _literal_block_count(params, horizon)
-    k = _resolve_block_count(params, horizon, block_count)
+    k = resolve_block_count(params, horizon, block_count)
     if replicas < 2:
         raise ParameterValidationError("need at least two environment replicas")
     family = StreamFamily(master_seed, "concentration")
@@ -984,10 +987,8 @@ def concentration_diagnostic(
 
     if rho is not None:
         rho_value, rho_source = float(rho), "override"
-    elif n <= EXACT_KERNEL_MAX_N:
-        rho_value, rho_source = mixing_check(n, theta).rho_implied, "measured"
     else:
-        rho_value, rho_source = 2.0 ** (1 - n), "certified"
+        rho_value, rho_source = mixing_check(n, theta).rho_implied, "measured"
 
     bound_mass = rho_value * nu_bar**2 + sigma_sq
     scale = math.sqrt(bound_mass)
@@ -1187,7 +1188,7 @@ def build_condition_report(
     would reject at any sufficiently large sample size.  Deviations inside
     the window pass; inside window + 2 fit standard errors they warn.
     """
-    k = _resolve_block_count(env, horizon, block_count)
+    k = resolve_block_count(env, horizon, block_count)
     literal = _literal_block_count(env, horizon)
     squared_samples = squared_samples if squared_samples is not None else max(samples // 5, 2)
     trunc_samples = trunc_samples if trunc_samples is not None else samples

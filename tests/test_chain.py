@@ -1,4 +1,4 @@
-"""Random walk, trajectory segments, blocked clock, exact kernel."""
+"""Random walk, trajectory segments, blocked clock, exact mixing check."""
 
 import math
 
@@ -6,26 +6,22 @@ import numpy as np
 import pytest
 
 from clockproc.chain import (
-    EXACT_KERNEL_MAX_N,
-    apply_srw_kernel,
     blocked_clock,
-    exact_step_distribution,
     extend_segment,
     index_walk,
     mixing_check,
     process_at_time,
     simulate_segment,
-    srw_step,
 )
 from clockproc.environment import Environment, SpinConfig, block_length
 from clockproc.errors import (
-    CapabilityError,
     DimensionMismatchError,
     HorizonError,
     ParameterValidationError,
     SegmentLengthError,
 )
 from clockproc.seeding import ReplicaStreams, StreamFamily, keyed_generator
+from dense_srw_kernel import apply_srw_kernel, dense_mixing_violation, exact_step_distribution
 
 pytestmark = pytest.mark.filterwarnings("ignore:block length")
 
@@ -35,15 +31,6 @@ def make_env(n=8, beta=3.0, gamma=2.7, seed=5):
 
 
 # --- elementary steps -----------------------------------------------------
-
-
-def test_srw_step_flips_exactly_one_spin():
-    rng = keyed_generator(1)
-    x = SpinConfig(7, 0)
-    for _ in range(500):
-        y = srw_step(x, rng)
-        assert x.hamming(y) == 1
-        x = y
 
 
 def test_srw_neighbor_frequencies_uniform():
@@ -268,7 +255,7 @@ def test_process_at_time_boundaries():
         process_at_time(seg, env, -1.0)
 
 
-# --- exact dense kernel ---------------------------------------------------
+# --- dense kernel oracle (tests/dense_srw_kernel.py) -----------------------
 
 
 def test_apply_srw_kernel_brute_force():
@@ -319,8 +306,6 @@ def test_exact_step_distribution_long_run_parity_limit():
 
 
 def test_exact_step_distribution_validation():
-    with pytest.raises(CapabilityError):
-        exact_step_distribution(EXACT_KERNEL_MAX_N + 1, 0, 1)
     with pytest.raises(ParameterValidationError):
         exact_step_distribution(4, 16, 1)
     with pytest.raises(ParameterValidationError):
@@ -353,7 +338,21 @@ def test_mixing_check_monotone_in_theta():
 
 
 def test_mixing_check_validation():
-    with pytest.raises(CapabilityError):
-        mixing_check(EXACT_KERNEL_MAX_N + 1, 10)
+    rep = mixing_check(13, 10)
+    assert rep.n == 13 and rep.theta == 10 and not rep.passed
     with pytest.raises(ParameterValidationError):
         mixing_check(6, -1)
+    for n in (0, 64):
+        with pytest.raises(ParameterValidationError):
+            mixing_check(n, 10)
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_mixing_check_matches_dense_oracle(n):
+    """The exact distance-class violation equals the dense 2^n float kernel's."""
+    for theta in (0, 1, 2, 10, 40, block_length(n)):
+        rep = mixing_check(n, theta)
+        assert rep.max_violation == pytest.approx(
+            dense_mixing_violation(n, theta), rel=0, abs=1e-12 * 4.0**-n
+        )
+        assert rep.rho_implied == pytest.approx(rep.max_violation * 4.0**n, rel=1e-15)

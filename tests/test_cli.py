@@ -91,6 +91,25 @@ def test_mixing_run_writes_manifest_and_matches_direct_check(tmp_path, capsys):
     assert rebuilt.directory == str(outdir)
 
 
+def test_mixing_passes_on_default_config(tmp_path, capsys):
+    """The shipped defaults (n = 14) run to a passing exact mixing verdict."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text("{}")
+    outdir = tmp_path / "out"
+    assert main(["mixing", "--config", str(cfg_path), "--out", str(outdir)]) == 0
+    assert "mixing_bound: pass" in capsys.readouterr().out
+    rows = read_rows(outdir / "mixing.csv")
+    assert rows[1][:2] == ["14", str(block_length(14))]
+
+
+def test_clock_with_zero_blocks_is_an_error(tmp_path, capsys):
+    # a unit horizon holds fewer jumps than one block of length 38 at n = 6
+    cfg_path = write_config(tmp_path / "cfg.json", beta=3.0, gamma=0.5)
+    assert main(["clock", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "horizon t=1.0 yields zero complete aggregation blocks at n=6" in err
+
+
 def test_conditions_degenerate_environment_passes_cleanly(tmp_path):
     cfg_path = write_config(tmp_path / "cfg.json", block_count=5)
     outdir = tmp_path / "out"

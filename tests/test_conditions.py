@@ -25,6 +25,7 @@ from clockproc.conditions import (
     truncated_mean_asymptotic,
     truncated_mean_quadrature,
 )
+from clockproc.chain import mixing_check
 from clockproc.environment import Environment
 from clockproc.errors import (
     DegenerateScaleError,
@@ -384,7 +385,7 @@ def test_concentration_diagnostic_smoke_and_determinism():
     assert len(rep.quenched_intensities) == 24
     assert len(rep.eps_grid) == 10
     assert len(rep.empirical_tail) == len(rep.chebyshev_bound) == 10
-    assert rep.rho_source == "measured"  # n=6 admits the dense kernel
+    assert rep.rho_source == "measured"
     assert math.isfinite(rep.nu_identity_z)
     assert rep.sampling_variance_share > 0
     again = concentration_diagnostic(6, 3, 2.0, 1.5, **kwargs)
@@ -405,6 +406,15 @@ def test_concentration_diagnostic_rho_override_and_validation():
     with pytest.raises(ParameterValidationError):
         concentration_diagnostic(6, 3, 2.0, 1.5, threshold=1.0, master_seed=9, replicas=8,
                                  block_count=3, eps_grid=[0.1, -0.2])
+
+
+def test_concentration_diagnostic_measures_rho_past_n_12():
+    rep = concentration_diagnostic(
+        13, 3, 2.0, 1.5, threshold=1.0, master_seed=9, replicas=4, walk_blocks=2,
+        pair_samples=4, block_count=3, eps_grid=[1.0],
+    )
+    assert rep.rho_source == "measured"
+    assert rep.rho == mixing_check(13, rep.block_length).rho_implied
 
 
 # --- full report ----------------------------------------------------------

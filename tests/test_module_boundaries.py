@@ -1,4 +1,5 @@
-"""No module of the package imports another module's private helpers.
+"""No module of the package imports another module's private helpers, and
+every exported name exists.
 
 A name with a leading underscore (dunders such as ``__version__`` aside) is
 private to the module that defines it; a ``from .module import _name``
@@ -7,6 +8,7 @@ promise.
 """
 
 import ast
+import importlib
 import pathlib
 
 import clockproc
@@ -40,3 +42,18 @@ def test_no_module_imports_private_helpers():
         if (hits := private_imports(path.read_text()))
     }
     assert offenders == {}
+
+
+def test_every_exported_name_exists_once():
+    modules = {"clockproc": clockproc} | {
+        f"clockproc.{path.stem}": importlib.import_module(f"clockproc.{path.stem}")
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "__init__"
+    }
+    missing, repeated = [], []
+    for name, module in modules.items():
+        exported = getattr(module, "__all__", [])
+        missing += [f"{name}.{attr}" for attr in exported if not hasattr(module, attr)]
+        repeated += [f"{name}.{attr}" for attr in set(exported) if exported.count(attr) > 1]
+    assert missing == []
+    assert repeated == []
