@@ -5,6 +5,8 @@ at one and two threads and compares the SHA-256 of every data file it writes
 (everything except ``manifest.json``, which records package versions) with
 digests recorded from a reference build.  The manifest's verdict block is
 hashed too, so a change in any status, statistic or derived scale shows up.
+The concentration estimator, which no subcommand runs, is pinned by the
+digest of its whole report.
 A refactor that is meant to leave the numbers alone must leave these digests
 alone; a change that moves a Monte Carlo value on purpose updates them and
 says so.
@@ -17,6 +19,7 @@ import numpy as np
 import pytest
 
 from clockproc.cli import main
+from clockproc.conditions import concentration_diagnostic
 from clockproc.environment import Environment
 
 pytestmark = pytest.mark.filterwarnings("ignore:block length")
@@ -190,3 +193,16 @@ def energy_digests():
 
 def test_energy_paths_match_recorded_digests():
     assert energy_digests() == (CONTRACTION_DIGEST, TABLE_DIGEST)
+
+
+# the concentration estimator's whole report, serialised with sorted keys
+CONCENTRATION_DIGEST = "dd0b245053e277eff07f725658e09691b244efe8355c1e9a70d760dcb60dc4a7"
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_concentration_report_matches_recorded_digest(threads):
+    report = concentration_diagnostic(
+        8, 3, 2.0, 1.5, 1.0, 1.0, master_seed=7, replicas=12, walk_blocks=40,
+        pair_samples=50, block_count=3, threads=threads,
+    )
+    assert _sha(json.dumps(report.to_dict(), sort_keys=True).encode()) == CONCENTRATION_DIGEST
