@@ -137,10 +137,11 @@ def estimate_aging_curve(
 
     Each replica starts uniformly (or at ``start``, a non-stationary choice
     for exploratory runs), simulates until its clock passes the
-    latest requested time (doubling the segment, which extends the existing
-    path rather than resampling it), and contributes one indicator per (t, s)
-    pair.  If already the expected number of steps to reach the horizon
-    exceeds ``step_cap``, the run refuses upfront with a budget error;
+    latest requested time (from ``initial_steps`` steps, doubling the
+    segment, which extends the existing path rather than resampling it), and
+    contributes one indicator per (t, s) pair.  If already the expected
+    number of steps to reach the horizon exceeds ``step_cap``, the run
+    refuses upfront with a budget error;
     individual replicas that still hit the cap (required step counts are
     heavy-tailed) are censored for the unreached pairs and excluded from
     those averages, with censoring counts reported — never silently dropped.
@@ -179,8 +180,7 @@ def estimate_aging_curve(
 
     def worker(i: int):
         streams = family.replica(i)
-        origin = SpinConfig.random(env.n, streams.walk) if start is None else start
-        segment = simulate_segment(env, origin, initial_steps, streams)
+        segment = simulate_segment(env, start, initial_steps, streams)
         while segment.horizon <= needed and segment.steps < step_cap:
             extra = min(segment.steps, step_cap - segment.steps)
             segment = extend_segment(env, segment, extra, streams)

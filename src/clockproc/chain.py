@@ -4,7 +4,9 @@ The jump chain is simple random walk: each step flips one uniformly chosen
 spin.  The clock process attaches to every visited state an exponential
 waiting time scaled by the holding time tau of that state; aggregating the
 rescaled clock over fixed-length blocks yields the jump sizes whose tail
-statistics the conditions module estimates.
+statistics the conditions module estimates.  ``simulate_segment`` is the one
+place a trajectory is drawn: it takes a given start or draws the stationary
+(uniform) one, and ``extend_segment`` continues it with the same streams.
 
 The exact mixing check runs on Hamming-distance classes in exact integer
 arithmetic, so it covers every supported n.
@@ -89,39 +91,41 @@ class TrajectorySegment:
         return float(self.cumulative()[-1])
 
 
-def _holding_increments(env: Environment, energies: np.ndarray, draws: np.ndarray):
+def _hold_at(env: Environment, states: np.ndarray, streams: ReplicaStreams) -> TrajectorySegment:
+    """Segment over already visited ``states``: one exponential per state, holds tau * e."""
+    energies = env.energies(states)
+    draws = streams.noise.standard_exponential(len(states))
     log_tau = env.beta * energies
     with np.errstate(over="ignore"):
-        tau_vals = np.exp(log_tau)
-    saturated = int(np.count_nonzero(log_tau > EXP_OVERFLOW))
-    return tau_vals * draws, saturated
-
-
-def simulate_segment(
-    env: Environment, start: SpinConfig, length: int, streams: ReplicaStreams
-) -> TrajectorySegment:
-    """Run ``length`` SRW steps from ``start`` and attach waiting times.
-
-    Deterministic given (env, start, stream seeds).  A segment simulated with
-    the same streams and a larger length extends this one prefix-stably,
-    because steps and waiting times come from separate substreams.
-    """
-    if start.n != env.n:
-        raise DimensionMismatchError(f"start has n={start.n}; environment has n={env.n}")
-    if length < 1:
-        raise ParameterValidationError(f"segment length must be >= 1; got {length}")
-    states = index_walk(env.n, start.bits, length, streams.walk)
-    energies = env.energies(states)
-    draws = streams.noise.standard_exponential(length + 1)
-    increments, saturated = _holding_increments(env, energies, draws)
+        increments = np.exp(log_tau) * draws
     return TrajectorySegment(
         n=env.n,
         states=states,
         energies=energies,
         exp_draws=draws,
         increments=increments,
-        saturated=saturated,
+        saturated=int(np.count_nonzero(log_tau > EXP_OVERFLOW)),
     )
+
+
+def simulate_segment(
+    env: Environment, start: SpinConfig | None, length: int, streams: ReplicaStreams
+) -> TrajectorySegment:
+    """Run ``length`` SRW steps from ``start`` and attach waiting times.
+
+    ``start=None`` draws a uniform (stationary) start from the walk stream
+    before the steps.  Deterministic given (env, start, stream seeds).  A
+    segment simulated with the same streams and a larger length extends this
+    one prefix-stably, because steps and waiting times come from separate
+    substreams.
+    """
+    if start is None:
+        start = SpinConfig.random(env.n, streams.walk)
+    elif start.n != env.n:
+        raise DimensionMismatchError(f"start has n={start.n}; environment has n={env.n}")
+    if length < 1:
+        raise ParameterValidationError(f"segment length must be >= 1; got {length}")
+    return _hold_at(env, index_walk(env.n, start.bits, length, streams.walk), streams)
 
 
 def extend_segment(
@@ -134,17 +138,14 @@ def extend_segment(
     if extra < 1:
         raise ParameterValidationError(f"extension must be >= 1 steps; got {extra}")
     last = int(segment.states[-1])
-    tail_states = index_walk(env.n, last, extra, streams.walk)[1:]
-    tail_energies = env.energies(tail_states)
-    tail_draws = streams.noise.standard_exponential(extra)
-    tail_inc, tail_sat = _holding_increments(env, tail_energies, tail_draws)
+    tail = _hold_at(env, index_walk(env.n, last, extra, streams.walk)[1:], streams)
     return TrajectorySegment(
         n=segment.n,
-        states=np.concatenate([segment.states, tail_states]),
-        energies=np.concatenate([segment.energies, tail_energies]),
-        exp_draws=np.concatenate([segment.exp_draws, tail_draws]),
-        increments=np.concatenate([segment.increments, tail_inc]),
-        saturated=segment.saturated + tail_sat,
+        states=np.concatenate([segment.states, tail.states]),
+        energies=np.concatenate([segment.energies, tail.energies]),
+        exp_draws=np.concatenate([segment.exp_draws, tail.exp_draws]),
+        increments=np.concatenate([segment.increments, tail.increments]),
+        saturated=segment.saturated + tail.saturated,
     )
 
 

@@ -291,9 +291,7 @@ def _run_clock(cfg: ExperimentConfig, outdir: str, args) -> tuple[dict, list]:
     family = StreamFamily(cfg.master_seed, "clock")
 
     def worker(i: int):
-        streams = family.replica(i)
-        origin = SpinConfig.random(env.n, streams.walk) if start is None else start
-        segment = simulate_segment(env, origin, k * theta, streams)
+        segment = simulate_segment(env, start, k * theta, family.replica(i))
         path = blocked_clock(segment, env, k)
         return path.block_sums(), path.initial_term
 
@@ -364,9 +362,7 @@ def _run_clock(cfg: ExperimentConfig, outdir: str, args) -> tuple[dict, list]:
                 )
             )
     if args.dump_trajectory:
-        streams = family.replica(0)
-        origin = SpinConfig.random(env.n, streams.walk) if start is None else start
-        segment = simulate_segment(env, origin, k * theta, streams)
+        segment = simulate_segment(env, start, k * theta, family.replica(0))
         name, rows_written = _dump_trajectory(env, segment, outdir)
         artifacts.append(_artifact(name, "clock", cfg, [0], f"{rows_written} visit rows"))
     verdicts["_environment"] = _environment_record(env, cfg, start) | {
@@ -442,8 +438,7 @@ def _run_aging(cfg: ExperimentConfig, outdir: str, args) -> tuple[dict, list]:
 
     # per-block localisation diagnostics on one dedicated trajectory
     trap_streams = StreamFamily(cfg.master_seed, "aging-trap").replica(0)
-    origin = SpinConfig.random(env.n, trap_streams.walk) if start is None else start
-    segment = simulate_segment(env, origin, _TRAP_BLOCKS * env.block_length, trap_streams)
+    segment = simulate_segment(env, start, _TRAP_BLOCKS * env.block_length, trap_streams)
     reports = [
         trap_localization_diagnostic(
             env, segment, i, epsilon=args.epsilon, threshold=args.trap_threshold

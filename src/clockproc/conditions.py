@@ -41,7 +41,7 @@ from typing import Iterator, Sequence
 import numpy as np
 from scipy import integrate, special, stats
 
-from .chain import index_walk, mixing_check
+from .chain import index_walk, mixing_check, simulate_segment
 from .environment import (
     CouplingTensor,
     Environment,
@@ -948,12 +948,10 @@ def concentration_diagnostic(
         couplings = CouplingTensor.sample(n, p, env_family.seed_for(i))
         env = Environment.from_couplings(couplings, beta, gamma, zeta_table=zeta_table)
         streams = family.replica(i)
-        start = int(streams.walk.integers(0, 1 << n, dtype=np.uint64))
-        states = index_walk(n, start, walk_blocks * theta - 1, streams.walk)
-        log_tau = beta * env.energies(states)
-        draws = streams.noise.standard_exponential(walk_blocks * theta)
+        walk = simulate_segment(env, None, walk_blocks * theta - 1, streams)
+        # blocks start at step 0 here, unlike blocked_clock's
         with np.errstate(over="ignore"):
-            increments = np.exp(log_tau - env.log_time_scale) * draws
+            increments = np.exp(env.beta * walk.energies - env.log_time_scale) * walk.exp_draws
         block_exceeds = increments.reshape(walk_blocks, theta).sum(axis=1) > threshold
         q_hat = float(block_exceeds.mean())
         # independent single-block marginal (fresh uniform starts) for the
@@ -1173,9 +1171,6 @@ def build_condition_report(
     eps_grid: Sequence[float],
     streams: ReplicaStreams,
     samples: int = 100_000,
-    squared_samples: int | None = None,
-    trunc_samples: int | None = None,
-    trunc_method: str = "annealed",
     block_count: int | None = None,
 ) -> ConditionReport:
     """Run every per-environment condition estimate and attach verdicts.
@@ -1186,19 +1181,19 @@ def build_condition_report(
     the parameter value instead: at finite n the fitted exponent deviates
     systematically, not statistically, so a z-test against the limit value
     would reject at any sufficiently large sample size.  Deviations inside
-    the window pass; inside window + 2 fit standard errors they warn.
+    the window pass; inside window + 2 fit standard errors they warn.  The
+    two correlated-square routes use max(samples // 5, 2) samples each; every
+    other estimate uses ``samples``.
     """
     k = resolve_block_count(env, horizon, block_count)
     literal = _literal_block_count(env, horizon)
-    squared_samples = squared_samples if squared_samples is not None else max(samples // 5, 2)
-    trunc_samples = trunc_samples if trunc_samples is not None else samples
     intensity = estimate_intensity(env, horizon, u_grid, samples, streams, block_count=k)
     laplace = estimate_intensity_laplace(env, horizon, v_grid, samples, streams, block_count=k)
-    squared_a = estimate_squared_tail_grid(
-        env, u_grid, squared_samples, streams, block_count=k, route="two-step"
-    )
-    squared_b = estimate_squared_tail_grid(
-        env, u_grid, squared_samples, streams, block_count=k, route="split"
+    squared_a, squared_b = (
+        estimate_squared_tail_grid(
+            env, u_grid, max(samples // 5, 2), streams, block_count=k, route=route
+        )
+        for route in ("two-step", "split")
     )
     initial = [estimate_initial_term(env, v, samples, streams) for v in v_grid]
     exact_available = env.has_energy_table or env.n <= _EXACT_ENUMERATION_MAX_N
@@ -1210,9 +1205,7 @@ def build_condition_report(
     # the truncated-jump mean lives on the jump-count scale, which does not
     # exist at beta = 0 (or once it overflows); skip it there instead of failing
     if env.step_scale is not None and math.isfinite(env.step_scale):
-        truncated = estimate_truncated_mean(
-            env, eps_grid, horizon, trunc_samples, streams, method=trunc_method
-        )
+        truncated = estimate_truncated_mean(env, eps_grid, horizon, samples, streams)
     else:
         truncated = []
 
@@ -1243,7 +1236,7 @@ def build_condition_report(
             floor = math.sqrt(ex.value * (1.0 - ex.value) / mc.samples)
             z_init = max(z_init, z_score(mc.value, ex.value, max(mc.stderr, floor)))
         verdicts["initial_term"] = {"z": z_init, "status": z_status(z_init)}
-    if trunc_method == "annealed" and truncated:
+    if truncated:
         z_tm = 0.0
         for tm in truncated:
             if tm.quadrature_value is not None:

@@ -23,7 +23,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from .environment import validate_parameters
+from .environment import MAX_SPINS, validate_parameters
 from .errors import ParameterValidationError
 
 __all__ = [
@@ -126,8 +126,10 @@ class ExperimentConfig:
         if self.beta == 0.0:
             # reference model: admissibility does not apply, but the walk
             # size must still make sense
-            if not isinstance(self.n, int) or self.n < 2:
-                raise ParameterValidationError(f"model.n must be an integer >= 2; got {self.n!r}")
+            if not isinstance(self.n, int) or not 2 <= self.n <= MAX_SPINS:
+                raise ParameterValidationError(
+                    f"model.n must be an integer in [2, {MAX_SPINS}]; got {self.n!r}"
+                )
             if not isinstance(self.p, int) or self.p < 3:
                 raise ParameterValidationError(f"model.p must be an integer >= 3; got {self.p!r}")
             if self.gamma < 0:

@@ -51,6 +51,7 @@ __all__ = [
     "ZETA_LIMIT",
     "DEFAULT_ZETA_TABLE",
     "EXP_OVERFLOW",
+    "MAX_SPINS",
 ]
 
 # Large-p limit of the admissible-slope coefficient: sqrt(2*ln 2).
@@ -61,6 +62,9 @@ ZETA_LIMIT = math.sqrt(2.0 * math.log(2.0))
 DEFAULT_ZETA_TABLE: dict[int, float] = {3: 1.0291, 4: 1.07}
 
 EXP_OVERFLOW = 709.0  # exp() overflows float64 just above this
+
+# largest spin count whose packed states (and uniform draws below 1 << n) fit in uint64
+MAX_SPINS = 63
 
 _LOG2 = math.log(2.0)
 
@@ -128,8 +132,8 @@ class SpinConfig:
     bits: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= 63:
-            raise ParameterValidationError(f"spin count must be in [1, 63]; got n={self.n}")
+        if not 1 <= self.n <= MAX_SPINS:
+            raise ParameterValidationError(f"spin count must be in [1, {MAX_SPINS}]; got n={self.n}")
         if not 0 <= self.bits < (1 << self.n):
             raise ParameterValidationError(
                 f"state index {self.bits} out of range for n={self.n}"
@@ -284,8 +288,8 @@ def validate_parameters(
     Raises ParameterValidationError naming the violated bound.  The bound
     guarantees 0 < alpha = gamma/beta^2 < 1 for the limiting tail exponent.
     """
-    if not isinstance(n, int) or n < 2:
-        raise ParameterValidationError(f"n must be an integer >= 2; got {n!r}")
+    if not isinstance(n, int) or not 2 <= n <= MAX_SPINS:
+        raise ParameterValidationError(f"n must be an integer in [2, {MAX_SPINS}]; got {n!r}")
     if not isinstance(p, int) or p < 3:
         raise ParameterValidationError(f"p must be an integer >= 3; got {p!r}")
     if not beta > 0:
@@ -359,7 +363,6 @@ class Environment:
         "beta",
         "gamma",
         "alpha",
-        "zeta_value",
         "theorem_domain",
         "block_length",
         "log_time_scale",
@@ -375,8 +378,6 @@ class Environment:
         gamma: float,
         *,
         theorem_domain: bool,
-        zeta_value: float | None,
-        block_length_value: int,
         build_table: bool | None = None,
     ) -> None:
         self.couplings = couplings
@@ -384,9 +385,8 @@ class Environment:
         self.p = couplings.p
         self.beta = float(beta)
         self.gamma = float(gamma)
-        self.zeta_value = zeta_value
         self.theorem_domain = theorem_domain
-        self.block_length = block_length_value
+        self.block_length = block_length(self.n)
         self.alpha, self.log_time_scale, self.time_scale, self.step_scale = _derive_scales(
             self.n, self.beta, self.gamma
         )
@@ -436,30 +436,19 @@ class Environment:
         gamma: float,
         seed: int = 0,
         couplings: CouplingTensor | None = None,
-        block_length_override: int | None = None,
         build_table: bool | None = None,
     ) -> "Environment":
         """Unvalidated environment for closed-form oracle configurations.
 
-        Allows beta = 0 and/or gamma = 0 and an explicit block length.  The
-        jump-count scale is undefined at beta = 0 (stored as None); estimators
-        that need it require an explicit block-count override there.
+        Allows beta = 0 and/or gamma = 0.  The jump-count scale is undefined
+        at beta = 0 (stored as None); estimators that need it require an
+        explicit block-count override there.
         """
         if beta < 0 or gamma < 0:
             raise ParameterValidationError("beta and gamma must be nonnegative")
         if couplings is None:
             couplings = CouplingTensor.sample(n, p, seed)
-        return cls(
-            couplings,
-            beta,
-            gamma,
-            theorem_domain=False,
-            zeta_value=None,
-            block_length_value=(
-                block_length_override if block_length_override is not None else block_length(n)
-            ),
-            build_table=build_table,
-        )
+        return cls(couplings, beta, gamma, theorem_domain=False, build_table=build_table)
 
     @classmethod
     def from_couplings(
@@ -467,16 +456,8 @@ class Environment:
         zeta_table: dict[int, float] | None = None, build_table: bool | None = None,
     ) -> "Environment":
         """Validated environment over an explicit coupling tensor."""
-        params = validate_parameters(couplings.n, couplings.p, beta, gamma, zeta_table)
-        return cls(
-            couplings,
-            beta,
-            gamma,
-            theorem_domain=True,
-            zeta_value=params.zeta_value,
-            block_length_value=params.block_length,
-            build_table=build_table,
-        )
+        validate_parameters(couplings.n, couplings.p, beta, gamma, zeta_table)
+        return cls(couplings, beta, gamma, theorem_domain=True, build_table=build_table)
 
     # -- energies ---------------------------------------------------------
 

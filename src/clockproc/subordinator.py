@@ -119,24 +119,23 @@ def sample_path(
     horizon: float,
     cutoff: float,
     rng: np.random.Generator,
-    max_expected_jumps: float = DEFAULT_JUMP_BUDGET,
 ) -> SubordinatorPath:
     """Sample the Poisson point representation restricted to jumps > cutoff.
 
     Jump count is Poisson with mean horizon * nu(cutoff, inf); times are
     uniform on [0, horizon]; sizes follow the conditional power law above the
-    cutoff.  Raises BudgetError when the expected jump count exceeds the
-    budget (default 1e8).
+    cutoff.  Raises BudgetError when the expected jump count exceeds
+    DEFAULT_JUMP_BUDGET (1e8).
     """
     if not horizon > 0:
         raise ParameterValidationError(f"horizon must be positive; got {horizon}")
     if not cutoff > 0:
         raise ParameterValidationError(f"cutoff must be positive; got {cutoff}")
     expected = horizon * float(measure.tail(cutoff))
-    if expected > max_expected_jumps:
+    if expected > DEFAULT_JUMP_BUDGET:
         raise BudgetError(
-            f"expected jump count {expected:.3g} exceeds the budget {max_expected_jumps:.3g}; "
-            "raise the cutoff or the budget"
+            f"expected jump count {expected:.3g} exceeds the budget {DEFAULT_JUMP_BUDGET:.3g}; "
+            "raise the cutoff or shorten the horizon"
         )
     count = int(rng.poisson(expected))
     times = np.sort(rng.uniform(0.0, horizon, size=count))

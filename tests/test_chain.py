@@ -103,6 +103,19 @@ def test_simulate_segment_validation():
         simulate_segment(env, SpinConfig(8, 0), 0, ReplicaStreams.from_seed(0))
 
 
+def test_none_start_draws_the_uniform_start_from_the_walk_stream():
+    env = make_env(n=7)
+    own, given = ReplicaStreams.from_seed(5), ReplicaStreams.from_seed(5)
+    a = simulate_segment(env, None, 150, own)
+    b = simulate_segment(env, SpinConfig.random(7, given.walk), 150, given)
+    for field in ("states", "energies", "exp_draws", "increments"):
+        assert np.array_equal(getattr(a, field), getattr(b, field))
+    assert a.saturated == b.saturated
+    # both walk generators were advanced by the same draws
+    assert own.walk.integers(0, 1 << 62) == given.walk.integers(0, 1 << 62)
+    assert own.noise.random() == given.noise.random()
+
+
 def test_segment_energies_match_environment():
     env = make_env(n=7)
     seg = simulate_segment(env, SpinConfig(7, 5), 100, ReplicaStreams.from_seed(2))

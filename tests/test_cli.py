@@ -353,6 +353,16 @@ def test_bad_inputs_exit_with_error_message(tmp_path, capsys):
     assert "gamma" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("beta, gamma", [(3.0, 2.7), (0.0, 0.5)])
+def test_conditions_rejects_spin_counts_above_63(tmp_path, capsys, beta, gamma):
+    cfg_path = write_config(tmp_path / "cfg.json", n=70, beta=beta, gamma=gamma)
+    assert main(["conditions", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "[2, 63]; got 70" in err
+    assert "Traceback" not in err
+
+
 def test_unknown_command_is_a_usage_error(tmp_path):
     cfg_path = write_config(tmp_path / "cfg.json")
     with pytest.raises(SystemExit) as excinfo:

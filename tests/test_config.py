@@ -66,6 +66,16 @@ def test_validation_names_the_violated_constraint():
         ExperimentConfig(threads=0).validate()
 
 
+def test_spin_count_above_the_packed_state_limit_is_rejected():
+    # states are packed into one uint64 word, so n stops at 63 in both branches
+    ExperimentConfig(n=63).validate()
+    ExperimentConfig(beta=0.0, gamma=0.5, n=63).validate()
+    with pytest.raises(ParameterValidationError, match=r"\[2, 63\]; got 70"):
+        ExperimentConfig(n=70).validate()
+    with pytest.raises(ParameterValidationError, match=r"model\.n .*\[2, 63\]; got 70"):
+        ExperimentConfig(beta=0.0, gamma=0.5, n=70).validate()
+
+
 def test_beta_zero_reference_model_is_allowed():
     cfg = ExperimentConfig(beta=0.0, gamma=0.5, n=8).validate()
     assert cfg.beta == 0.0
