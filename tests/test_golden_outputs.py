@@ -6,7 +6,8 @@ at one and two threads and compares the SHA-256 of every data file it writes
 digests recorded from a reference build.  The manifest's verdict block is
 hashed too, so a change in any status, statistic or derived scale shows up.
 The concentration estimator, which no subcommand runs, is pinned by the
-digest of its whole report.
+digest of its whole report, and the initial-term estimates by theirs on both
+energy paths (the golden configs above only reach the table path).
 A refactor that is meant to leave the numbers alone must leave these digests
 alone; a change that moves a Monte Carlo value on purpose updates them and
 says so.
@@ -19,8 +20,9 @@ import numpy as np
 import pytest
 
 from clockproc.cli import main
-from clockproc.conditions import concentration_diagnostic
+from clockproc.conditions import concentration_diagnostic, estimate_initial_term, plain
 from clockproc.environment import Environment
+from clockproc.seeding import ReplicaStreams
 
 pytestmark = pytest.mark.filterwarnings("ignore:block length")
 
@@ -206,3 +208,19 @@ def test_concentration_report_matches_recorded_digest(threads):
         pair_samples=50, block_count=3, threads=threads,
     )
     assert _sha(json.dumps(report.to_dict(), sort_keys=True).encode()) == CONCENTRATION_DIGEST
+
+
+# exact and Monte Carlo initial-term estimates, serialised with sorted keys;
+# the contraction path and the table path give the same bytes
+INITIAL_TERM_DIGEST = "a32f1bf80efa0c91913e9ddba0a6f37fac9e5d41212547df82949421fc142ceb"
+
+
+@pytest.mark.parametrize("build_table", [False, True])
+def test_initial_terms_match_recorded_digest(build_table):
+    env = Environment.create(10, 3, 3.0, 2.7, SEED, build_table=build_table)
+    streams = ReplicaStreams.from_seed(SEED)
+    v_grid = [0.1, 1.0, 10.0, 100.0]
+    exact = [estimate_initial_term(env, v, exact=True) for v in v_grid]
+    monte_carlo = [estimate_initial_term(env, v, 5000, streams) for v in v_grid]
+    document = json.dumps(plain([exact, monte_carlo]), sort_keys=True)
+    assert _sha(document.encode()) == INITIAL_TERM_DIGEST
