@@ -28,13 +28,8 @@ from .environment import (
     SpinConfig,
     ZETA_LIMIT,
     block_length,
-    hamiltonian,
-    log_tau,
     overlap,
-    read_coupling_file,
-    tau,
     validate_parameters,
-    write_coupling_file,
     zeta,
 )
 from .chain import (
@@ -49,21 +44,16 @@ from .chain import (
 )
 from .parallel import ordered_map
 from .subordinator import (
-    KSResult,
     PowerLawLevyMeasure,
     SubordinatorPath,
     arcsine_cdf,
     crossing_probability,
     crossing_probability_batch,
     extend_path,
-    ks_statistic,
     sample_path,
-    sample_totals,
     truncated_laplace_exponent,
-    write_path_csv,
 )
 from .conditions import (
-    BlockLaplaceEstimate,
     ConcentrationReport,
     ConditionReport,
     IntensityEstimate,
@@ -78,15 +68,11 @@ from .conditions import (
     degenerate_block_laplace,
     degenerate_block_tail,
     degenerate_initial_term,
-    estimate_block_laplace,
-    estimate_block_tail,
     estimate_block_tail_grid,
     estimate_initial_term,
     estimate_intensity,
     estimate_intensity_laplace,
-    estimate_squared_tail,
     estimate_squared_tail_grid,
-    estimate_step_averaged_tail,
     estimate_truncated_mean,
     truncated_mean_asymptotic,
     truncated_mean_quadrature,
@@ -125,11 +111,6 @@ __all__ = [
     "validate_parameters",
     "block_length",
     "overlap",
-    "hamiltonian",
-    "tau",
-    "log_tau",
-    "write_coupling_file",
-    "read_coupling_file",
     "ZETA_LIMIT",
     "DEFAULT_ZETA_TABLE",
     # chain
@@ -146,34 +127,25 @@ __all__ = [
     # subordinator
     "PowerLawLevyMeasure",
     "SubordinatorPath",
-    "KSResult",
     "sample_path",
     "extend_path",
-    "write_path_csv",
     "arcsine_cdf",
     "crossing_probability",
     "crossing_probability_batch",
-    "sample_totals",
     "truncated_laplace_exponent",
-    "ks_statistic",
     # conditions
     "TailEstimate",
     "IntensityEstimate",
     "SquaredTailEstimate",
-    "BlockLaplaceEstimate",
     "LaplaceIntensityEstimate",
     "InitialTermEstimate",
     "TruncatedMeanEstimate",
     "ConcentrationReport",
     "ConditionReport",
-    "estimate_block_tail",
     "estimate_block_tail_grid",
-    "estimate_step_averaged_tail",
     "estimate_intensity",
-    "estimate_squared_tail",
     "estimate_squared_tail_grid",
     "conditional_block_laplace",
-    "estimate_block_laplace",
     "estimate_intensity_laplace",
     "estimate_initial_term",
     "estimate_truncated_mean",

@@ -180,7 +180,7 @@ def estimate_aging_curve(
 
     def worker(i: int):
         streams = family.replica(i)
-        segment = simulate_segment(env, start, initial_steps, streams)
+        segment = simulate_segment(env, start, min(initial_steps, step_cap), streams)
         while segment.horizon <= needed and segment.steps < step_cap:
             extra = min(segment.steps, step_cap - segment.steps)
             segment = extend_segment(env, segment, extra, streams)

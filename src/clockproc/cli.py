@@ -5,6 +5,8 @@ Usage::
     clockproc <subcommand> --config path.json [--seed N] [--out dir]
               [--threads K] [--dump-trajectory] [--start HEX]
 
+``--dump-trajectory`` and ``--start`` belong to ``clock`` and ``aging`` only.
+
 Subcommands:
 
 ``conditions``
@@ -687,12 +689,12 @@ def _build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--seed", type=int, default=None, help="override seeds.master_seed")
         sub.add_argument("--out", default=None, help="override outputs.directory")
         sub.add_argument("--threads", type=int, default=None, help="override the worker count")
-        sub.add_argument(
-            "--dump-trajectory",
-            action="store_true",
-            help="also write one trajectory as CSV (clock and aging only)",
-        )
         if name in ("clock", "aging"):
+            sub.add_argument(
+                "--dump-trajectory",
+                action="store_true",
+                help="also write one trajectory as CSV",
+            )
             sub.add_argument(
                 "--start",
                 default=None,
@@ -753,8 +755,6 @@ def _package_version() -> str:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if not hasattr(args, "start"):
-        args.start = None
     try:
         cfg = ExperimentConfig.load(args.config)
         changes = {}

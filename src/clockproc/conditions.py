@@ -25,9 +25,11 @@ Estimator conventions used throughout:
   every estimate is reproducible from the stream seeds alone.
 
 Two deliberately redundant routes exist for the correlated-square statistic
-(two-step kernel versus split one-step products) and for the block Laplace
-transform (conditional closed form over the walk versus direct sampling of
-waiting times); consistency between routes is part of the report.
+(two-step kernel versus split one-step products); consistency between routes
+is part of the report.  The block Laplace transform is estimated by the
+conditional closed form over the walk only; its direct-sampling counterpart
+(waiting times drawn too) lives in ``tests/reference_estimators.py`` as a
+test oracle.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from .chain import index_walk, mixing_check, simulate_segment
 from .environment import (
     CouplingTensor,
     Environment,
-    SpinConfig,
     validate_parameters,
 )
 from .errors import (
@@ -61,20 +62,15 @@ __all__ = [
     "TailEstimate",
     "IntensityEstimate",
     "SquaredTailEstimate",
-    "BlockLaplaceEstimate",
     "LaplaceIntensityEstimate",
     "InitialTermEstimate",
     "TruncatedMeanEstimate",
     "ConcentrationReport",
     "ConditionReport",
-    "estimate_block_tail",
     "estimate_block_tail_grid",
-    "estimate_step_averaged_tail",
     "estimate_intensity",
-    "estimate_squared_tail",
     "estimate_squared_tail_grid",
     "conditional_block_laplace",
-    "estimate_block_laplace",
     "estimate_intensity_laplace",
     "estimate_initial_term",
     "estimate_truncated_mean",
@@ -98,19 +94,6 @@ _CHUNK_STATES = 4_000_000
 
 # largest n at which every state's energy is enumerated for exact references
 _EXACT_ENUMERATION_MAX_N = 22
-
-
-def _coerce_bits(start, n: int) -> int:
-    if isinstance(start, SpinConfig):
-        if start.n != n:
-            raise ParameterValidationError(
-                f"start configuration has n={start.n}; environment has n={n}"
-            )
-        return start.bits
-    bits = int(start)
-    if not 0 <= bits < (1 << n):
-        raise ParameterValidationError(f"start state {bits} out of range for n={n}")
-    return bits
 
 
 def _uniform_starts(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -250,27 +233,11 @@ def _tail_from_sums(sums: np.ndarray, threshold: float) -> TailEstimate:
     )
 
 
-def estimate_block_tail(
-    env: Environment,
-    threshold: float,
-    samples: int,
-    streams: ReplicaStreams,
-    start=None,
-) -> TailEstimate:
-    """P(block sum > threshold) from a uniform (or fixed) block start."""
-    starts = None
-    if start is not None:
-        starts = np.full(samples, _coerce_bits(start, env.n), dtype=np.uint64)
-    sums = _block_sums(env, samples, streams, starts=starts)
-    return _tail_from_sums(sums, threshold)
-
-
 def estimate_block_tail_grid(
     env: Environment,
     thresholds: Sequence[float],
     samples: int,
     streams: ReplicaStreams,
-    start=None,
 ) -> list[TailEstimate]:
     """Exceedance probabilities over a threshold grid from one shared sample.
 
@@ -278,24 +245,8 @@ def estimate_block_tail_grid(
     the grid monotone by construction and the fitted slope far less noisy
     than independent per-threshold runs.
     """
-    starts = None
-    if start is not None:
-        starts = np.full(samples, _coerce_bits(start, env.n), dtype=np.uint64)
-    sums = _block_sums(env, samples, streams, starts=starts)
+    sums = _block_sums(env, samples, streams)
     return [_tail_from_sums(sums, u) for u in thresholds]
-
-
-def estimate_step_averaged_tail(
-    env: Environment,
-    start,
-    threshold: float,
-    samples: int,
-    streams: ReplicaStreams,
-) -> TailEstimate:
-    """One-step-averaged exceedance: the block starts one move after ``start``."""
-    starts = np.full(samples, _coerce_bits(start, env.n), dtype=np.uint64)
-    sums = _block_sums(env, samples, streams, presteps=1, starts=starts)
-    return _tail_from_sums(sums, threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -409,11 +360,10 @@ def estimate_squared_tail_grid(
     thresholds: Sequence[float],
     samples: int,
     streams: ReplicaStreams,
-    horizon: float | None = None,
-    block_count: int | None = None,
+    block_count: int,
     route: str = "two-step",
 ) -> list[SquaredTailEstimate]:
-    k = resolve_block_count(env, horizon, block_count)
+    k = resolve_block_count(env, None, block_count)
     joint = _squared_tail_indicators(env, thresholds, samples, streams, route)
     out = []
     for u, row in zip(thresholds, joint):
@@ -429,20 +379,6 @@ def estimate_squared_tail_grid(
             )
         )
     return out
-
-
-def estimate_squared_tail(
-    env: Environment,
-    threshold: float,
-    samples: int,
-    streams: ReplicaStreams,
-    horizon: float | None = None,
-    block_count: int | None = None,
-    route: str = "two-step",
-) -> SquaredTailEstimate:
-    return estimate_squared_tail_grid(
-        env, [threshold], samples, streams, horizon, block_count, route
-    )[0]
 
 
 # ---------------------------------------------------------------------------
@@ -466,15 +402,6 @@ def conditional_block_laplace(env: Environment, energies, v: float):
     z = math.log(v) + env.beta * arr - env.log_time_scale
     out = np.exp(-np.logaddexp(0.0, z).sum(axis=-1))
     return float(out) if arr.ndim == 1 else out
-
-
-@dataclass(frozen=True)
-class BlockLaplaceEstimate:
-    v: float
-    value: float
-    stderr: float
-    samples: int
-    method: str
 
 
 def _conditional_transform_moments(
@@ -501,39 +428,6 @@ def _conditional_transform_moments(
     else:
         variances = np.zeros_like(means)
     return means, np.sqrt(variances)
-
-
-def estimate_block_laplace(
-    env: Environment,
-    v_values: Sequence[float],
-    samples: int,
-    streams: ReplicaStreams,
-    method: str = "conditional",
-) -> list[BlockLaplaceEstimate]:
-    """E[exp(-v * block/time_scale)] on a grid of transform arguments.
-
-    method="conditional" integrates the waiting times out analytically per
-    sampled walk (smaller variance, walk stream only); method="direct"
-    averages exp(-v * sum) over fully sampled blocks, waiting times included.
-    Both estimate the same expectation and their agreement is asserted by the
-    test suite; do not merge the code paths.
-    """
-    if method == "conditional":
-        means, stds = _conditional_transform_moments(env, v_values, samples, streams)
-    elif method == "direct":
-        sums = _block_sums(env, samples, streams)
-        weights = np.exp(-np.asarray(v_values, dtype=np.float64)[:, None] * sums[None, :])
-        means = weights.mean(axis=1)
-        stds = weights.std(axis=1, ddof=1) if samples > 1 else np.zeros_like(means)
-    else:
-        raise ParameterValidationError(f"unknown method {method!r}; use 'conditional' or 'direct'")
-    root = math.sqrt(samples)
-    return [
-        BlockLaplaceEstimate(
-            v=float(v), value=float(m), stderr=float(s / root), samples=samples, method=method
-        )
-        for v, m, s in zip(v_values, means, stds)
-    ]
 
 
 @dataclass(frozen=True)
@@ -626,49 +520,70 @@ class InitialTermEstimate:
     exact: bool
 
 
+def _inverse_holds(env: Environment, energies: np.ndarray) -> np.ndarray:
+    """time_scale / tau = exp(log time scale - beta*H), saturating to inf."""
+    with np.errstate(over="ignore"):
+        return np.exp(env.log_time_scale - env.beta * energies)
+
+
+def _all_energies(env: Environment) -> np.ndarray:
+    """Energies of every state: the table, else an enumeration by contraction."""
+    if env.has_energy_table:
+        return env.energy_table
+    if env.n <= _EXACT_ENUMERATION_MAX_N:
+        return env.energies(np.arange(1 << env.n, dtype=np.uint64))
+    raise CapabilityError(
+        f"exact state enumeration is not available at n={env.n}; use Monte Carlo"
+    )
+
+
 def estimate_initial_term(
     env: Environment,
-    v: float,
+    v_values: Sequence[float],
     samples: int = 0,
     streams: ReplicaStreams | None = None,
     exact: bool = False,
-) -> InitialTermEstimate:
-    """Probability that the rescaled starting hold exceeds v, from a uniform start.
+) -> list[InitialTermEstimate]:
+    """Probability that the rescaled starting hold exceeds v, from a uniform
+    start, for every v of the grid.
 
     The exponential hold is integrated out exactly, leaving the average of
     exp(-v * time_scale * exp(-beta*H)) over states: all of the hypercube
     when ``exact`` (needs the energy table or n small enough to enumerate),
-    otherwise a uniform Monte Carlo sample.  Values near 0 mean the starting
-    hold is negligible on the observation scale; only starts whose hold mean
-    is comparable to the whole observation window contribute at all.
+    otherwise a uniform Monte Carlo sample.  The exact mode enumerates the
+    states once for the whole grid; the Monte Carlo mode draws its own
+    ``samples`` uniform starts for each positive v, in grid order.  A v of 0
+    gives 1 without drawing.  Values near 0 mean the starting hold is
+    negligible on the observation scale; only starts whose hold mean is
+    comparable to the whole observation window contribute at all.
     """
-    if v < 0:
-        raise ParameterValidationError(f"threshold must be nonnegative; got {v}")
-    if v == 0:
-        total = (1 << env.n) if exact else samples
-        return InitialTermEstimate(v=0.0, value=1.0, stderr=0.0, samples=total, exact=exact)
-    if exact:
-        if env.has_energy_table:
-            energies = env.energy_table
-        elif env.n <= _EXACT_ENUMERATION_MAX_N:
-            energies = env.energies(np.arange(1 << env.n, dtype=np.uint64))
+    if any(v < 0 for v in v_values):
+        raise ParameterValidationError(f"thresholds must be nonnegative; got {list(v_values)}")
+    if not exact and (streams is None or samples < 1):
+        raise ParameterValidationError("Monte Carlo mode needs streams and samples >= 1")
+    count = (1 << env.n) if exact else samples
+    enumerated = None
+    out = []
+    for v in v_values:
+        if v == 0:
+            out.append(InitialTermEstimate(v=0.0, value=1.0, stderr=0.0, samples=count, exact=exact))
+            continue
+        if exact:
+            if enumerated is None:  # once for the whole grid
+                enumerated = _inverse_holds(env, _all_energies(env))
+            inverse_holds = enumerated
         else:
-            raise CapabilityError(
-                f"exact state enumeration is not available at n={env.n}; use Monte Carlo"
+            bits = _uniform_starts(env.n, samples, streams.walk)
+            inverse_holds = _inverse_holds(env, env.energies(bits))
+        with np.errstate(over="ignore"):
+            terms = np.exp(-v * inverse_holds)
+        stderr = float(terms.std(ddof=1) / math.sqrt(count)) if not exact and count > 1 else 0.0
+        out.append(
+            InitialTermEstimate(
+                v=float(v), value=float(terms.mean()), stderr=stderr, samples=count, exact=exact
             )
-        count = energies.size
-    else:
-        if streams is None or samples < 1:
-            raise ParameterValidationError("Monte Carlo mode needs streams and samples >= 1")
-        bits = _uniform_starts(env.n, samples, streams.walk)
-        energies = env.energies(bits)
-        count = samples
-    with np.errstate(over="ignore"):
-        inverse_holds = np.exp(env.log_time_scale - env.beta * energies)
-        terms = np.exp(-v * inverse_holds)
-    value = float(terms.mean())
-    stderr = 0.0 if exact else float(terms.std(ddof=1) / math.sqrt(count)) if count > 1 else 0.0
-    return InitialTermEstimate(v=float(v), value=value, stderr=stderr, samples=count, exact=exact)
+        )
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -757,20 +672,15 @@ def estimate_truncated_mean(
     horizon: float,
     samples: int,
     streams: ReplicaStreams,
-    method: str = "annealed",
 ) -> list[TruncatedMeanEstimate]:
     """Monte Carlo truncated-jump mean on an epsilon grid (common draws).
 
-    method="annealed" redraws the energy from its exact Gaussian single-state
-    marginal for every sample, which is the measure the quadrature reference
-    integrates; method="quenched" samples uniform states of the fixed
-    environment instead and is reported for orientation (its value carries the
-    environment's fluctuation and has no matching closed form).
+    The estimate is annealed: every sample redraws the energy from its exact
+    Gaussian single-state marginal, which is the measure the quadrature
+    reference integrates (``method`` is always "annealed").
     """
     if env.step_scale is None or not math.isfinite(env.step_scale):
         raise DegenerateScaleError("jump-count scale unavailable at these parameters")
-    if method not in ("annealed", "quenched"):
-        raise ParameterValidationError(f"unknown method {method!r}")
     if samples < 2:
         raise ParameterValidationError("need at least two samples")
     eps_arr = np.asarray(eps_values, dtype=np.float64)
@@ -783,10 +693,7 @@ def estimate_truncated_mean(
     chunk = _CHUNK_STATES
     for lo in range(0, samples, chunk):
         m = min(samples, lo + chunk) - lo
-        if method == "annealed":
-            log_tau = env.beta * root_n * streams.walk.standard_normal(m)
-        else:
-            log_tau = env.beta * env.energies(_uniform_starts(env.n, m, streams.walk))
+        log_tau = env.beta * root_n * streams.walk.standard_normal(m)
         draws = streams.noise.standard_exponential(m)
         with np.errstate(over="ignore"):
             vals = np.exp(log_tau - env.log_time_scale) * draws
@@ -810,7 +717,7 @@ def estimate_truncated_mean(
             TruncatedMeanEstimate(
                 epsilon=float(eps),
                 horizon=float(horizon),
-                method=method,
+                method="annealed",
                 mc_value=float(scale * mean),
                 mc_stderr=float(scale * math.sqrt(var / samples)),
                 samples=samples,
@@ -1195,13 +1102,9 @@ def build_condition_report(
         )
         for route in ("two-step", "split")
     )
-    initial = [estimate_initial_term(env, v, samples, streams) for v in v_grid]
+    initial = estimate_initial_term(env, v_grid, samples, streams)
     exact_available = env.has_energy_table or env.n <= _EXACT_ENUMERATION_MAX_N
-    initial_exact = (
-        [estimate_initial_term(env, v, exact=True) for v in v_grid]
-        if exact_available
-        else None
-    )
+    initial_exact = estimate_initial_term(env, v_grid, exact=True) if exact_available else None
     # the truncated-jump mean lives on the jump-count scale, which does not
     # exist at beta = 0 (or once it overflows); skip it there instead of failing
     if env.step_scale is not None and math.isfinite(env.step_scale):

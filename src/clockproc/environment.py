@@ -20,7 +20,6 @@ the tail exponent alpha = gamma/beta^2.
 from __future__ import annotations
 
 import math
-import struct
 import warnings
 from dataclasses import dataclass
 
@@ -43,11 +42,6 @@ __all__ = [
     "validate_parameters",
     "block_length",
     "overlap",
-    "hamiltonian",
-    "tau",
-    "log_tau",
-    "write_coupling_file",
-    "read_coupling_file",
     "ZETA_LIMIT",
     "DEFAULT_ZETA_TABLE",
     "EXP_OVERFLOW",
@@ -223,36 +217,6 @@ class CouplingTensor:
                 f"coupling array has {arr.size} entries; expected n^p = {n ** p}"
             )
         return cls(n=n, p=p, seed=seed, values=arr.reshape(n**p).copy())
-
-
-_MAGIC = b"PSPN1"
-_HEADER = struct.Struct("<QQQ")
-
-
-def write_coupling_file(path, tensor: CouplingTensor) -> None:
-    """Binary sidecar: magic 'PSPN1', then n, p, seed as little-endian u64,
-    then the couplings as raw little-endian float64 in tuple-lexicographic
-    order."""
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(_HEADER.pack(tensor.n, tensor.p, tensor.seed))
-        fh.write(np.ascontiguousarray(tensor.values, dtype="<f8").tobytes())
-
-
-def read_coupling_file(path) -> CouplingTensor:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_MAGIC))
-        if magic != _MAGIC:
-            raise ParameterValidationError(f"bad coupling file magic {magic!r}")
-        n, p, seed = _HEADER.unpack(fh.read(_HEADER.size))
-        body = fh.read()
-    expected = n**p * 8
-    if len(body) != expected:
-        raise DimensionMismatchError(
-            f"coupling file body has {len(body)} bytes; expected {expected} for n={n}, p={p}"
-        )
-    values = np.frombuffer(body, dtype="<f8").astype(np.float64)
-    return CouplingTensor(n=int(n), p=int(p), seed=int(seed), values=values)
 
 
 @dataclass(frozen=True)
@@ -490,39 +454,6 @@ class Environment:
             return self._energy_table[bits]
         return self._contract(bits.reshape(-1)).reshape(bits.shape)
 
-    def energy(self, x: SpinConfig) -> float:
-        if x.n != self.n:
-            raise DimensionMismatchError(
-                f"configuration has n={x.n}; environment has n={self.n}"
-            )
-        return float(self.energies(np.asarray([x.bits], dtype=np.uint64))[0])
-
-    def log_holding(self, bits) -> np.ndarray:
-        """log of mean holding times, beta * H, for packed states."""
-        return self.beta * self.energies(bits)
-
     def block_count(self, t: float) -> int:
         """Number of aggregation blocks inside the first floor(a_n * t) steps."""
         return _block_count(self.step_scale, self.block_length, t)
-
-
-def hamiltonian(env: Environment, x: SpinConfig) -> float:
-    """Energy H(x) of one configuration (deterministic pure function)."""
-    return env.energy(x)
-
-
-def log_tau(env: Environment, x: SpinConfig) -> float:
-    """log of the mean holding time at x: beta * H(x)."""
-    return env.beta * env.energy(x)
-
-
-def tau(env: Environment, x: SpinConfig) -> float:
-    """Mean holding time exp(beta * H(x)).
-
-    Saturates to +inf when the exponent exceeds the float64 range; callers
-    can detect saturation with math.isinf.  Never wraps silently.
-    """
-    lt = log_tau(env, x)
-    if lt > EXP_OVERFLOW:
-        return math.inf
-    return math.exp(lt)

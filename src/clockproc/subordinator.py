@@ -13,8 +13,6 @@ transform).
 
 from __future__ import annotations
 
-import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,16 +23,12 @@ from .errors import BudgetError, HorizonError, ParameterValidationError
 __all__ = [
     "PowerLawLevyMeasure",
     "SubordinatorPath",
-    "KSResult",
     "sample_path",
     "extend_path",
-    "write_path_csv",
     "arcsine_cdf",
     "crossing_probability",
     "crossing_probability_batch",
-    "sample_totals",
     "truncated_laplace_exponent",
-    "ks_statistic",
 ]
 
 DEFAULT_JUMP_BUDGET = 1.0e8
@@ -57,10 +51,6 @@ class PowerLawLevyMeasure:
         """nu(u, inf)."""
         return self.amplitude * np.asarray(u, dtype=np.float64) ** (-self.alpha)
 
-    def small_jump_mean(self) -> float:
-        """integral_0^1 u nu(du) = amplitude * alpha / (1 - alpha); finite for alpha < 1."""
-        return self.amplitude * self.alpha / (1.0 - self.alpha)
-
     def truncated_mean_rate(self, cutoff: float) -> float:
         """Mean mass per unit time of the jumps below ``cutoff`` that sampling omits."""
         if not cutoff > 0:
@@ -76,9 +66,8 @@ class PowerLawLevyMeasure:
 class SubordinatorPath:
     """Jumps of one sampled path on [0, horizon], time-sorted.
 
-    ``truncation_bias_bound`` is the exact mean of the omitted sub-cutoff
-    jump mass over the horizon; compensated evaluation adds it back as the
-    linear rate ``compensation_rate``.
+    Compensated evaluation adds the exact mean of the omitted sub-cutoff jump
+    mass back as the linear rate ``compensation_rate``.
     """
 
     measure: PowerLawLevyMeasure
@@ -90,15 +79,6 @@ class SubordinatorPath:
     @property
     def compensation_rate(self) -> float:
         return self.measure.truncated_mean_rate(self.cutoff)
-
-    @property
-    def truncation_bias_bound(self) -> float:
-        return self.compensation_rate * self.horizon
-
-    @property
-    def jumps(self) -> list[tuple[float, float]]:
-        """(time, size) pairs, time-sorted."""
-        return [(float(t), float(x)) for t, x in zip(self.times, self.sizes)]
 
     def values(self, compensated: bool = True) -> np.ndarray:
         """Path value immediately after each jump."""
@@ -164,44 +144,6 @@ def extend_path(
         times=np.concatenate([path.times, t_new]),
         sizes=np.concatenate([path.sizes, s_new]),
     )
-
-
-def write_path_csv(path: SubordinatorPath, file) -> None:
-    """Export a path's jumps as CSV with columns t_k, xi_k."""
-    with open(file, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t_k", "xi_k"])
-        for t, x in zip(path.times, path.sizes):
-            writer.writerow([repr(float(t)), repr(float(x))])
-
-
-def sample_totals(
-    measure: PowerLawLevyMeasure,
-    horizon: float,
-    cutoff: float,
-    count: int,
-    rng: np.random.Generator,
-    compensated: bool = False,
-) -> np.ndarray:
-    """End values S(horizon) of ``count`` independent truncated paths.
-
-    Only the marginal at the horizon is needed, so jump times are never
-    materialised.
-    """
-    expected = horizon * float(measure.tail(cutoff))
-    if expected * count > DEFAULT_JUMP_BUDGET:
-        raise BudgetError(
-            f"total expected jump count {expected * count:.3g} exceeds {DEFAULT_JUMP_BUDGET:.3g}"
-        )
-    counts = rng.poisson(expected, size=count)
-    total = int(counts.sum())
-    sizes = measure.jump_sizes(cutoff, rng.uniform(size=total))
-    bounds = np.concatenate([[0], np.cumsum(counts)])
-    sums = np.add.reduceat(np.concatenate([sizes, [0.0]]), bounds[:-1])
-    sums[counts == 0] = 0.0
-    if compensated:
-        sums = sums + measure.truncated_mean_rate(cutoff) * horizon
-    return sums
 
 
 def arcsine_cdf(alpha: float, x) -> np.ndarray | float:
@@ -303,31 +245,3 @@ def truncated_laplace_exponent(measure: PowerLawLevyMeasure, cutoff: float, v: f
     part1, _ = integrate.quad(integrand, cutoff, mid, epsabs=1e-13, epsrel=1e-11, limit=200)
     part2, _ = integrate.quad(integrand, mid, np.inf, epsabs=1e-13, epsrel=1e-11, limit=200)
     return part1 + part2
-
-
-@dataclass(frozen=True)
-class KSResult:
-    statistic: float
-    p_value: float
-    sample_size: int
-
-
-def ks_statistic(sample, cdf) -> KSResult:
-    """Two-sided sup distance between an empirical sample and a CDF callable.
-
-    Sorts internally; the p-value is the asymptotic Kolmogorov survival
-    function at sqrt(N) * D.  With a single observation D reduces to
-    max(F(x), 1 - F(x)).
-    """
-    xs = np.sort(np.asarray(sample, dtype=np.float64))
-    if xs.size == 0:
-        raise ParameterValidationError("sample must be non-empty")
-    f = np.asarray(cdf(xs), dtype=np.float64)
-    if f.shape != xs.shape:
-        raise ParameterValidationError("cdf callable must return one value per sample point")
-    n = xs.size
-    grid_hi = np.arange(1, n + 1) / n
-    grid_lo = np.arange(0, n) / n
-    d = float(max(np.max(grid_hi - f), np.max(f - grid_lo)))
-    p = float(special.kolmogorov(math.sqrt(n) * d))
-    return KSResult(statistic=d, p_value=p, sample_size=n)

@@ -1,0 +1,54 @@
+"""Independent Monte Carlo routes that the package no longer runs, kept as
+test oracles.
+
+``direct_block_laplace`` samples the waiting times of each block instead of
+integrating them out, so it checks the conditional transform the package
+uses.  ``sample_totals`` draws only the horizon marginal of truncated
+subordinator paths, which checks the truncated Laplace exponent.
+"""
+
+import math
+
+import numpy as np
+
+from clockproc.conditions import _block_sums
+from clockproc.errors import BudgetError
+from clockproc.subordinator import DEFAULT_JUMP_BUDGET, PowerLawLevyMeasure
+
+
+def direct_block_laplace(env, v_values, samples, streams):
+    """(means, stderrs) of exp(-v * block sum) over fully sampled blocks."""
+    sums = _block_sums(env, samples, streams)
+    weights = np.exp(-np.asarray(v_values, dtype=np.float64)[:, None] * sums[None, :])
+    means = weights.mean(axis=1)
+    stds = weights.std(axis=1, ddof=1) if samples > 1 else np.zeros_like(means)
+    return means, stds / math.sqrt(samples)
+
+
+def sample_totals(
+    measure: PowerLawLevyMeasure,
+    horizon: float,
+    cutoff: float,
+    count: int,
+    rng: np.random.Generator,
+    compensated: bool = False,
+) -> np.ndarray:
+    """End values S(horizon) of ``count`` independent truncated paths.
+
+    Only the marginal at the horizon is needed, so jump times are never
+    materialised.
+    """
+    expected = horizon * float(measure.tail(cutoff))
+    if expected * count > DEFAULT_JUMP_BUDGET:
+        raise BudgetError(
+            f"total expected jump count {expected * count:.3g} exceeds {DEFAULT_JUMP_BUDGET:.3g}"
+        )
+    counts = rng.poisson(expected, size=count)
+    total = int(counts.sum())
+    sizes = measure.jump_sizes(cutoff, rng.uniform(size=total))
+    bounds = np.concatenate([[0], np.cumsum(counts)])
+    sums = np.add.reduceat(np.concatenate([sizes, [0.0]]), bounds[:-1])
+    sums[counts == 0] = 0.0
+    if compensated:
+        sums = sums + measure.truncated_mean_rate(cutoff) * horizon
+    return sums

@@ -193,9 +193,10 @@ def test_criterion_04_flat_chain_closed_forms():
         assert rel <= 1e-12
 
     # initial-hold survival is exactly exp(-v * time scale)
-    for v in (0.1, 1.0, 10.0):
+    v_grid = (0.1, 1.0, 10.0)
+    for v, est in zip(v_grid, estimate_initial_term(env, v_grid, exact=True)):
         expected = math.exp(-v * scale)
-        for got in (degenerate_initial_term(env, v), estimate_initial_term(env, v, exact=True).value):
+        for got in (degenerate_initial_term(env, v), est.value):
             assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     elapsed = time.perf_counter() - t0

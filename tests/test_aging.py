@@ -80,22 +80,21 @@ def test_aging_curve_budget_and_censoring():
             env, [(1.0, 1.0)], 0.25, replicas=4, master_seed=1, time_unit=1e9, step_cap=1000
         )
     # a cap just above the expected step count censors some replicas
-    curve = estimate_aging_curve(
-        env,
-        [(1.0, 1.0), (10.0, 6.0)],
-        0.25,
-        replicas=24,
-        master_seed=3,
-        time_unit=40.0,
+    kwargs = dict(
+        replicas=24, master_seed=3, time_unit=40.0, prediction_alpha=0.5,
         step_cap=650,  # expected ~640 unit holds for the late pair
-        initial_steps=64,
-        prediction_alpha=0.5,
     )
+    pairs = [(1.0, 1.0), (10.0, 6.0)]
+    curve = estimate_aging_curve(env, pairs, 0.25, initial_steps=64, **kwargs)
     for comp, cens in zip(curve.completed, curve.censored):
         assert comp + cens == 24
     assert curve.censored[0] == 0  # the early pair always fits
     assert curve.censored[1] > 0  # the late one cannot always be reached
     assert not math.isnan(curve.estimates[0])
+    # the default 4096-step first segment is cut to the cap, so it censors the same way
+    capped = estimate_aging_curve(env, pairs, 0.25, **kwargs)
+    assert capped.censored[1] > 0
+    assert capped == estimate_aging_curve(env, pairs, 0.25, initial_steps=650, **kwargs)
 
 
 def test_aging_curve_input_validation():

@@ -370,6 +370,13 @@ def test_unknown_command_is_a_usage_error(tmp_path):
     assert excinfo.value.code == 2
 
 
+def test_dump_trajectory_is_a_usage_error_outside_clock_and_aging(tmp_path):
+    cfg_path = write_config(tmp_path / "cfg.json")
+    with pytest.raises(SystemExit) as excinfo:
+        main(["conditions", "--config", str(cfg_path), "--dump-trajectory"])
+    assert excinfo.value.code == 2
+
+
 def test_module_entry_point_runs_in_subprocess(tmp_path):
     cfg_path = write_config(tmp_path / "cfg.json", n=4)
     outdir = tmp_path / "out"

@@ -7,20 +7,19 @@ import pytest
 from scipy import stats
 
 from clockproc.conditions import (
+    _block_sums,
+    _tail_from_sums,
     build_condition_report,
     concentration_diagnostic,
     conditional_block_laplace,
     degenerate_block_laplace,
     degenerate_block_tail,
     degenerate_initial_term,
-    estimate_block_laplace,
-    estimate_block_tail,
     estimate_block_tail_grid,
     estimate_initial_term,
     estimate_intensity,
     estimate_intensity_laplace,
-    estimate_squared_tail,
-    estimate_step_averaged_tail,
+    estimate_squared_tail_grid,
     estimate_truncated_mean,
     truncated_mean_asymptotic,
     truncated_mean_quadrature,
@@ -33,6 +32,7 @@ from clockproc.errors import (
 )
 from clockproc.seeding import ReplicaStreams, StreamFamily
 from clockproc.verdicts import SLOPE_WINDOW, slope_status
+from reference_estimators import direct_block_laplace
 
 pytestmark = pytest.mark.filterwarnings("ignore:block length")
 
@@ -47,7 +47,7 @@ def unit_env(n=6, gamma=0.5):
 
 def test_block_tail_matches_gamma_law_at_beta_zero():
     env = unit_env()
-    est = estimate_block_tail(env, 2.0, 20_000, ReplicaStreams.from_seed(2))
+    est = estimate_block_tail_grid(env, [2.0], 20_000, ReplicaStreams.from_seed(2))[0]
     oracle = degenerate_block_tail(env, 2.0)
     assert oracle == pytest.approx(
         float(stats.gamma.sf(2.0 * env.time_scale, env.block_length)), rel=1e-14
@@ -71,19 +71,24 @@ def test_block_tail_grid_monotone_by_construction():
 def test_block_tail_extreme_thresholds():
     env = unit_env()
     streams = ReplicaStreams.from_seed(4)
-    assert estimate_block_tail(env, 0.0, 500, streams).probability == 1.0
-    assert estimate_block_tail(env, 1e9, 500, streams).probability == 0.0
+    assert estimate_block_tail_grid(env, [0.0], 500, streams)[0].probability == 1.0
+    assert estimate_block_tail_grid(env, [1e9], 500, streams)[0].probability == 0.0
+
+
+def fixed_start_tail(env, start, threshold, samples, streams, presteps=0):
+    """Exceedance of the block that starts ``presteps`` moves after the fixed ``start``."""
+    starts = np.full(samples, start, dtype=np.uint64)
+    sums = _block_sums(env, samples, streams, presteps=presteps, starts=starts)
+    return _tail_from_sums(sums, threshold)
 
 
 def test_step_averaged_tail_equals_neighbor_average():
     """Averaging the one-step kernel by hand reproduces the presteps=1 route."""
     env = Environment.create(4, 3, 1.2, 1.0, seed=3)
     u = 1.0
-    sa = estimate_step_averaged_tail(env, 0, u, 8000, ReplicaStreams.from_seed(5))
+    sa = fixed_start_tail(env, 0, u, 8000, ReplicaStreams.from_seed(5), presteps=1)
     fam = StreamFamily(105, "nbrs")
-    nbr = [
-        estimate_block_tail(env, u, 8000, fam.replica(b), start=(1 << b)) for b in range(4)
-    ]
+    nbr = [fixed_start_tail(env, 1 << b, u, 8000, fam.replica(b)) for b in range(4)]
     mean_nbr = float(np.mean([e.probability for e in nbr]))
     se = math.sqrt(sa.stderr**2 + sum(e.stderr**2 for e in nbr) / 16.0)
     assert abs(sa.probability - mean_nbr) < 3.0 * se
@@ -92,7 +97,7 @@ def test_step_averaged_tail_equals_neighbor_average():
 def test_step_averaged_equals_plain_tail_at_beta_zero():
     # with state-independent holds the pre-step cannot matter
     env = unit_env()
-    a = estimate_step_averaged_tail(env, 0, 2.0, 10_000, ReplicaStreams.from_seed(6))
+    a = fixed_start_tail(env, 0, 2.0, 10_000, ReplicaStreams.from_seed(6), presteps=1)
     oracle = degenerate_block_tail(env, 2.0)
     assert abs(a.probability - oracle) < 3.0 * a.stderr
 
@@ -132,19 +137,21 @@ def test_intensity_resolves_block_count_from_horizon():
 def test_squared_tail_routes_agree():
     env = Environment.create(6, 3, 2.0, 1.5, seed=2)
     fam = StreamFamily(13, "sq")
-    a = estimate_squared_tail(env, 0.5, 6000, fam.replica(0), block_count=5, route="two-step")
-    b = estimate_squared_tail(env, 0.5, 6000, fam.replica(1), block_count=5, route="split")
+    (a,) = estimate_squared_tail_grid(env, [0.5], 6000, fam.replica(0), block_count=5)
+    (b,) = estimate_squared_tail_grid(env, [0.5], 6000, fam.replica(1), block_count=5, route="split")
     assert a.route == "two-step" and b.route == "split"
     se = math.hypot(a.stderr, b.stderr)
     assert abs(a.value - b.value) < 3.5 * se
     with pytest.raises(ParameterValidationError):
-        estimate_squared_tail(env, 0.5, 100, fam.replica(2), block_count=5, route="joint")
+        estimate_squared_tail_grid(env, [0.5], 100, fam.replica(2), block_count=5, route="joint")
 
 
 def test_squared_tail_at_beta_zero_is_product_of_tails():
     # independent blocks at beta=0: the joint exceedance factorises
     env = unit_env()
-    est = estimate_squared_tail(env, 2.0, 20_000, ReplicaStreams.from_seed(14), block_count=1)
+    (est,) = estimate_squared_tail_grid(
+        env, [2.0], 20_000, ReplicaStreams.from_seed(14), block_count=1
+    )
     q = degenerate_block_tail(env, 2.0)
     se = max(est.stderr, math.sqrt(q * q * (1 - q * q) / est.samples))
     assert abs(est.value - q * q) < 3.5 * se
@@ -206,30 +213,18 @@ def test_conditional_laplace_against_monte_carlo():
 
 
 def test_block_laplace_dual_routes_agree():
+    """The conditional transform (one block) against fully sampled waiting times."""
     env = Environment.create(8, 3, 3.0, 2.7, seed=5)
     fam = StreamFamily(7, "dual")
-    cond = estimate_block_laplace(env, [0.3, 1.0, 3.0], 4000, fam.replica(0), method="conditional")
-    direct = estimate_block_laplace(env, [0.3, 1.0, 3.0], 4000, fam.replica(1), method="direct")
-    for a, b in zip(cond, direct):
-        assert a.method == "conditional" and b.method == "direct"
-        se = math.hypot(a.stderr, b.stderr)
-        assert abs(a.value - b.value) < 3.5 * se
+    v_grid = [0.3, 1.0, 3.0]
+    cond = estimate_intensity_laplace(env, None, v_grid, 4000, fam.replica(0), block_count=1)
+    means, stderrs = direct_block_laplace(env, v_grid, 4000, fam.replica(1))
+    for v, value, stderr, mean, se_direct in zip(v_grid, cond.values, cond.stderrs, means, stderrs):
+        # one block: value = (1 - E G(v)) / v
+        mean_cond, se_cond = 1.0 - v * value, v * stderr
+        assert abs(mean_cond - mean) < 3.5 * math.hypot(se_cond, se_direct)
         # integrating the waiting times out cannot increase the variance
-        assert a.stderr <= b.stderr
-    with pytest.raises(ParameterValidationError):
-        estimate_block_laplace(env, [1.0], 100, fam.replica(2), method="hybrid")
-
-
-def test_block_laplace_beta_zero_has_no_monte_carlo_noise():
-    """At beta=0 the conditional route is deterministic and exactly the formula."""
-    env = unit_env()
-    ests = estimate_block_laplace(env, [0.1, 1.0, 10.0], 200, ReplicaStreams.from_seed(3))
-    for est in ests:
-        assert est.stderr == 0.0
-        assert est.value == pytest.approx(degenerate_block_laplace(env, est.v), rel=1e-12)
-    assert degenerate_block_laplace(env, 1.0) == pytest.approx(
-        (1.0 + 1.0 / env.time_scale) ** (-env.block_length), rel=1e-12
-    )
+        assert se_cond <= se_direct
 
 
 def test_laplace_intensity_rescaled_values_monotone():
@@ -257,6 +252,9 @@ def test_laplace_intensity_beta_zero_closed_form():
     for v, value in zip(v_grid, est.values):
         oracle = 4 * (1.0 - degenerate_block_laplace(env, v)) / v
         assert value == pytest.approx(oracle, rel=1e-12)
+    assert degenerate_block_laplace(env, 1.0) == pytest.approx(
+        (1.0 + 1.0 / env.time_scale) ** (-env.block_length), rel=1e-12
+    )
 
 
 # --- initial holding term -------------------------------------------------
@@ -264,19 +262,19 @@ def test_laplace_intensity_beta_zero_closed_form():
 
 def test_initial_term_trivial_and_validation():
     env = Environment.create(8, 3, 3.0, 2.7, seed=5)
-    est = estimate_initial_term(env, 0.0, exact=True)
+    (est,) = estimate_initial_term(env, [0.0], exact=True)
     assert est.value == 1.0 and est.stderr == 0.0
     with pytest.raises(ParameterValidationError):
-        estimate_initial_term(env, -1.0, exact=True)
+        estimate_initial_term(env, [-1.0], exact=True)
     with pytest.raises(ParameterValidationError):
-        estimate_initial_term(env, 1.0)  # MC mode without streams
+        estimate_initial_term(env, [1.0])  # MC mode without streams
 
 
 def test_initial_term_exact_vs_monte_carlo():
     env = Environment.create(8, 3, 3.0, 2.7, seed=5)
     for v in (0.1, 1.0):
-        ex = estimate_initial_term(env, v, exact=True)
-        mc = estimate_initial_term(env, v, 20_000, ReplicaStreams.from_seed(23))
+        (ex,) = estimate_initial_term(env, [v], exact=True)
+        (mc,) = estimate_initial_term(env, [v], 20_000, ReplicaStreams.from_seed(23))
         assert ex.exact and not mc.exact
         floor = math.sqrt(ex.value * (1.0 - ex.value) / mc.samples)
         assert abs(mc.value - ex.value) < 3.5 * max(mc.stderr, floor)
@@ -284,14 +282,13 @@ def test_initial_term_exact_vs_monte_carlo():
 
 def test_initial_term_exact_monotone_in_v():
     env = Environment.create(8, 3, 3.0, 2.7, seed=5)
-    values = [estimate_initial_term(env, v, exact=True).value for v in (0.1, 0.5, 1.0, 5.0)]
+    values = [est.value for est in estimate_initial_term(env, [0.1, 0.5, 1.0, 5.0], exact=True)]
     assert all(b < a for a, b in zip(values, values[1:]))
 
 
 def test_initial_term_beta_zero_closed_form():
     env = unit_env(n=4, gamma=0.25)  # keep exp(-v*c_n) well above underflow
-    for v in (0.2, 1.0):
-        ex = estimate_initial_term(env, v, exact=True)
+    for v, ex in zip((0.2, 1.0), estimate_initial_term(env, [0.2, 1.0], exact=True)):
         assert ex.value == pytest.approx(degenerate_initial_term(env, v), rel=1e-12)
         assert ex.value == pytest.approx(math.exp(-v * env.time_scale), rel=1e-12)
         assert ex.stderr == 0.0
@@ -332,19 +329,14 @@ def test_truncated_mean_asymptotic_slope_identity():
         truncated_mean_asymptotic(0.3, 1.0, 2.0, 0.1, 1.0)  # gamma >= beta^2
 
 
-def test_truncated_mean_validation_and_quenched_mode():
+def test_truncated_mean_validation():
     env = Environment.create(8, 3, 3.0, 2.7, seed=5)
     with pytest.raises(ParameterValidationError):
         estimate_truncated_mean(env, [-0.1], 1.0, 100, ReplicaStreams.from_seed(1))
     with pytest.raises(ParameterValidationError):
-        estimate_truncated_mean(env, [0.1], 1.0, 100, ReplicaStreams.from_seed(1), method="typo")
+        estimate_truncated_mean(env, [0.1], 1.0, 1, ReplicaStreams.from_seed(1))
     with pytest.raises(DegenerateScaleError):
         estimate_truncated_mean(unit_env(), [0.1], 1.0, 100, ReplicaStreams.from_seed(1))
-    quenched = estimate_truncated_mean(
-        env, [0.1], 1.0, 5000, ReplicaStreams.from_seed(2), method="quenched"
-    )[0]
-    assert quenched.method == "quenched"
-    assert quenched.mc_value > 0
 
 
 def test_stderr_halves_when_samples_quadruple():

@@ -12,22 +12,19 @@ from clockproc.environment import (
     Environment,
     SpinConfig,
     block_length,
-    hamiltonian,
-    log_tau,
     overlap,
     overlap_to_reference,
-    read_coupling_file,
-    tau,
     validate_parameters,
-    write_coupling_file,
     zeta,
 )
+from clockproc.chain import simulate_segment
 from clockproc.errors import (
     CapabilityError,
     DegenerateScaleError,
     DimensionMismatchError,
     ParameterValidationError,
 )
+from clockproc.seeding import ReplicaStreams
 
 # small-n environments at the reference parameters legitimately warn that the
 # block length is not yet small against the jump-count scale; tested once below
@@ -145,26 +142,6 @@ def test_coupling_from_values_validation():
         CouplingTensor.from_values(4, 3, np.zeros(63))
 
 
-def test_coupling_file_round_trip(tmp_path):
-    tensor = CouplingTensor.sample(6, 3, seed=7)
-    path = tmp_path / "couplings.bin"
-    write_coupling_file(path, tensor)
-    back = read_coupling_file(path)
-    assert back.n == 6 and back.p == 3 and back.seed == 7
-    assert np.array_equal(back.values, tensor.values)
-
-    raw = path.read_bytes()
-    assert raw[:5] == b"PSPN1"
-    with pytest.raises(ParameterValidationError):
-        bad = tmp_path / "bad_magic.bin"
-        bad.write_bytes(b"XXXXX" + raw[5:])
-        read_coupling_file(bad)
-    with pytest.raises(DimensionMismatchError):
-        trunc = tmp_path / "trunc.bin"
-        trunc.write_bytes(raw[:-16])
-        read_coupling_file(trunc)
-
-
 # --- parameter validation and derived scales ------------------------------
 
 
@@ -231,8 +208,9 @@ def test_environment_degenerate_beta_zero():
         env.block_count(1.0)
     with pytest.raises(ParameterValidationError):
         Environment.degenerate(8, 3, -1.0, 1.0)
-    # beta=0 holding times are all 1
-    assert np.allclose(np.exp(env.log_holding(np.arange(256, dtype=np.uint64))), 1.0)
+    # beta=0 holding times are all 1: every hold is its exponential draw
+    segment = simulate_segment(env, None, 255, ReplicaStreams.from_seed(1))
+    assert np.array_equal(segment.increments, segment.exp_draws)
 
 
 def test_block_count():
@@ -257,13 +235,18 @@ def test_energy_table_matches_direct_contraction():
     assert np.allclose(with_table.energies(bits), without.energies(bits), rtol=1e-12, atol=1e-12)
 
 
+def energy(env, x):
+    """H(x) of one configuration through the package's one energy accessor."""
+    return float(env.energies(x.bits)[0])
+
+
 def test_energy_global_flip_antisymmetry():
     # a pure odd-p interaction changes sign under a global spin flip
     env = Environment.create(9, 3, 3.0, 2.7, seed=13)
     rng = np.random.default_rng(0)
     for _ in range(20):
         x = SpinConfig.random(9, rng)
-        assert env.energy(x.flip_all()) == pytest.approx(-env.energy(x), rel=1e-10, abs=1e-10)
+        assert energy(env, x.flip_all()) == pytest.approx(-energy(env, x), rel=1e-10, abs=1e-10)
 
 
 def test_energy_matches_explicit_tensor_contraction():
@@ -276,7 +259,7 @@ def test_energy_matches_explicit_tensor_contraction():
         x = SpinConfig.random(n, rng)
         s = x.spins()
         direct = float(np.einsum("ijk,i,j,k->", J, s, s, s)) * n ** (-(p - 1) / 2.0)
-        assert env.energy(x) == pytest.approx(direct, rel=1e-12, abs=1e-12)
+        assert energy(env, x) == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
 
 def test_energy_covariance_tracks_overlap():
@@ -301,17 +284,6 @@ def test_energy_covariance_tracks_overlap():
         assert abs(cov - target) < 4.0 * se
 
 
-def test_holding_time_helpers():
-    env = Environment.create(6, 3, 3.0, 2.7, seed=9)
-    rng = np.random.default_rng(8)
-    x = SpinConfig.random(6, rng)
-    assert hamiltonian(env, x) == pytest.approx(env.energy(x))
-    assert log_tau(env, x) == pytest.approx(3.0 * env.energy(x))
-    assert tau(env, x) == pytest.approx(math.exp(3.0 * env.energy(x)))
-    with pytest.raises(DimensionMismatchError):
-        env.energy(SpinConfig(7, 0))
-
-
 def test_tau_saturates_to_inf():
     # an explicit huge-coupling tensor pushes beta*H over the float64 range
     n, p = 4, 3
@@ -320,5 +292,9 @@ def test_tau_saturates_to_inf():
     tensor = CouplingTensor.from_values(n, p, values)
     env = Environment.degenerate(n, p, beta=10.0, gamma=0.0, couplings=tensor)
     hot = SpinConfig.from_spins([1, 1, 1, 1])
-    assert math.isinf(tau(env, hot))
-    assert math.isfinite(log_tau(env, hot))
+    segment = simulate_segment(env, hot, 8, ReplicaStreams.from_seed(3))
+    # the holding time saturates to inf, never wraps, and is counted; the energy stays finite
+    assert math.isinf(segment.increments[0])
+    assert math.isfinite(segment.energies[0])
+    assert segment.saturated == int(np.count_nonzero(segment.states & np.uint64(1)))
+    assert np.all(np.isinf(segment.increments) == (segment.states & np.uint64(1)).astype(bool))

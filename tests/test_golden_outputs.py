@@ -220,7 +220,7 @@ def test_initial_terms_match_recorded_digest(build_table):
     env = Environment.create(10, 3, 3.0, 2.7, SEED, build_table=build_table)
     streams = ReplicaStreams.from_seed(SEED)
     v_grid = [0.1, 1.0, 10.0, 100.0]
-    exact = [estimate_initial_term(env, v, exact=True) for v in v_grid]
-    monte_carlo = [estimate_initial_term(env, v, 5000, streams) for v in v_grid]
+    exact = estimate_initial_term(env, v_grid, exact=True)
+    monte_carlo = estimate_initial_term(env, v_grid, 5000, streams)
     document = json.dumps(plain([exact, monte_carlo]), sort_keys=True)
     assert _sha(document.encode()) == INITIAL_TERM_DIGEST
