@@ -45,12 +45,14 @@ from .chain import (
 from .parallel import ordered_map
 from .subordinator import (
     PowerLawLevyMeasure,
+    SelfTest,
     SubordinatorPath,
     arcsine_cdf,
     crossing_probability,
     crossing_probability_batch,
     extend_path,
     sample_path,
+    self_test,
     truncated_laplace_exponent,
 )
 from .conditions import (
@@ -133,6 +135,8 @@ __all__ = [
     "crossing_probability",
     "crossing_probability_batch",
     "truncated_laplace_exponent",
+    "SelfTest",
+    "self_test",
     # conditions
     "TailEstimate",
     "IntensityEstimate",

@@ -27,7 +27,8 @@ Subcommands:
     Exact aggregation-scale mixing check (Hamming-distance chain; any n).
 ``subordinator``
     Sampler self-tests: interval-avoidance probabilities against the arcsine
-    law and the horizon-marginal transform against quadrature.
+    law and the horizon-marginal transform against quadrature.  The sampler
+    is :func:`clockproc.subordinator.self_test`; this module grades its sums.
 
 Every run writes ``manifest.json`` (resolved config, package versions,
 stream provenance for each output file, verdicts) plus per-subcommand CSV
@@ -65,29 +66,15 @@ from .conditions import (
 )
 from .config import ExperimentConfig
 from .environment import Environment, SpinConfig, block_length
-from .errors import ClockprocError, HorizonError, ParameterValidationError
+from .errors import ClockprocError, ParameterValidationError
 from .parallel import ordered_map
 from .seeding import StreamFamily, keyed_generator, resolve_seeds
-from .subordinator import (
-    PowerLawLevyMeasure,
-    SubordinatorPath,
-    arcsine_cdf,
-    crossing_probability,
-    crossing_probability_batch,
-    extend_path,
-    sample_path,
-    truncated_laplace_exponent,
-)
+from .subordinator import PowerLawLevyMeasure, arcsine_cdf, sample_path, self_test
 from .verdicts import SLOPE_WINDOW, ladder, slope_status, worst, z_score, z_status
 
 __all__ = ["main", "run"]
 
 _EXIT_CODE = {"pass": 0, "warn": 2, "fail": 3}
-
-# levy self-test battery (the model section plays no role there)
-_SELF_TEST_ALPHAS = (0.3, 0.5, 0.7)
-_SELF_TEST_CUTOFF = 1.0e-4
-_SELF_TEST_CHUNK = 2000
 
 _TRAJECTORY_ROW_CAP = 1_000_000
 _TRAP_BLOCKS = 8
@@ -486,107 +473,17 @@ def _run_aging(cfg: ExperimentConfig, outdir: str, args) -> tuple[dict, list]:
     return verdicts, artifacts
 
 
-def _self_test_horizon(alpha: float, deepest: float) -> float:
-    """Initial horizon making undecided interval checks rare but affordable.
-
-    The sub-threshold drift plus moderate jumps grow the path at rate about
-    alpha/(1-alpha) * L^(1-alpha) toward a level L, so a horizon of three
-    times L divided by that rate usually passes the level.
-    """
-    return max(1.0, 3.0 * (1.0 - alpha) / alpha * deepest**alpha)
-
-
-def _crossing_and_transform(
-    alpha: float,
-    pairs: list[tuple[float, float]],
-    v_grid: tuple[float, ...],
-    paths: int,
-    master_seed: int,
-    threads: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Self-test sampler: per-pair crossing rates and transform moments.
-
-    Returns (crossing sums over paths, exp(-v S(1)) sums, their squares).
-    Chunked with a fixed chunk size and per-chunk seeds, so results do not
-    depend on the thread count.
-    """
-    measure = PowerLawLevyMeasure(1.0, alpha)
-    cutoff = _SELF_TEST_CUTOFF
-    drift_rate = measure.truncated_mean_rate(cutoff)
-    deepest = max(t + s for t, s in pairs)
-    horizon = _self_test_horizon(alpha, deepest)
-    rate = float(measure.tail(cutoff)) * horizon
-    family = StreamFamily(master_seed, f"subordinator-selftest-{alpha!r}")
-    chunks = (paths + _SELF_TEST_CHUNK - 1) // _SELF_TEST_CHUNK
-    v_arr = np.asarray(v_grid, dtype=np.float64)
-
-    def worker(c: int):
-        rng = keyed_generator(family.seed_for(c))
-        count = min(_SELF_TEST_CHUNK, paths - c * _SELF_TEST_CHUNK)
-        jump_counts = rng.poisson(rate, size=count)
-        width = max(int(jump_counts.max()), 1)
-        times = np.full((count, width), np.inf)
-        sizes = np.zeros((count, width))
-        mask = np.arange(width)[None, :] < jump_counts[:, None]
-        total = int(jump_counts.sum())
-        times[mask] = rng.uniform(0.0, horizon, size=total)
-        times.sort(axis=1)
-        sizes[mask] = measure.jump_sizes(cutoff, rng.uniform(size=total))
-
-        finite = np.isfinite(times)
-        totals_at_one = (sizes * (finite & (times <= 1.0))).sum(axis=1) + drift_rate
-        weights = np.exp(-np.outer(v_arr, totals_at_one))
-        lap_sum = weights.sum(axis=1)
-        lap_sumsq = (weights**2).sum(axis=1)
-
-        cross = np.zeros(len(pairs))
-        grown: dict[int, object] = {}
-        for j, (t, s) in enumerate(pairs):
-            flags = crossing_probability_batch(times, sizes, jump_counts, drift_rate, t, s)
-            undecided = np.nonzero(flags < 0)[0]
-            for row in undecided:
-                row = int(row)
-                path = grown.get(row)
-                if path is None:
-                    # rebuild the row's path object once, reusing its draws
-                    m = int(jump_counts[row])
-                    path = SubordinatorPath(
-                        measure=measure,
-                        horizon=horizon,
-                        cutoff=cutoff,
-                        times=times[row, :m].copy(),
-                        sizes=sizes[row, :m].copy(),
-                    )
-                while True:
-                    try:
-                        flags[row] = crossing_probability(path, t, s)
-                        break
-                    except HorizonError:
-                        path = extend_path(path, 2.0 * path.horizon, rng)
-                grown[row] = path
-            cross[j] = flags.sum()
-        return cross, lap_sum, lap_sumsq
-
-    results = ordered_map(worker, chunks, threads)
-    cross = np.sum([r[0] for r in results], axis=0)
-    lap_sum = np.sum([r[1] for r in results], axis=0)
-    lap_sumsq = np.sum([r[2] for r in results], axis=0)
-    return cross, lap_sum, lap_sumsq
-
-
 def _run_subordinator(cfg: ExperimentConfig, outdir: str, args) -> tuple[dict, list]:
     pairs = [(float(t), float(s)) for t, s in cfg.ts_grid]
     paths = cfg.samples
-    threads = cfg.resolved_threads()
     arcsine_rows = []
     laplace_rows = []
     verdicts: dict = {}
-    for alpha in _SELF_TEST_ALPHAS:
-        cross, lap_sum, lap_sumsq = _crossing_and_transform(
-            alpha, pairs, cfg.v_grid, paths, cfg.master_seed, threads
-        )
+    results = self_test(pairs, cfg.v_grid, paths, cfg.master_seed, cfg.resolved_threads())
+    for result in results:
+        alpha = result.alpha
         worst_gap = 0.0
-        for (t, s), hits in zip(pairs, cross):
+        for (t, s), hits in zip(pairs, result.crossings):
             ratio = t / (t + s)
             empirical = float(hits) / paths
             predicted = arcsine_cdf(alpha, ratio)
@@ -609,16 +506,10 @@ def _run_subordinator(cfg: ExperimentConfig, outdir: str, args) -> tuple[dict, l
             "status": ladder(worst_gap, 0.01, 0.02),
         }
 
-        measure = PowerLawLevyMeasure(1.0, alpha)
-        drift = measure.truncated_mean_rate(_SELF_TEST_CUTOFF)
         worst_z = 0.0
-        for v, total, total_sq in zip(cfg.v_grid, lap_sum, lap_sumsq):
-            mean = float(total) / paths
-            var = max(float(total_sq) / paths - mean * mean, 0.0)
-            se = math.sqrt(var / paths)
-            predicted = math.exp(
-                -v * drift - truncated_laplace_exponent(measure, _SELF_TEST_CUTOFF, v)
-            )
+        for v, mean, se, predicted in zip(
+            cfg.v_grid, result.transform_mean, result.transform_stderr, result.transform_predicted
+        ):
             worst_z = max(worst_z, z_score(mean, predicted, se))
             laplace_rows.append(
                 [repr(alpha), repr(float(v)), repr(mean), repr(se), repr(predicted)]
@@ -627,36 +518,25 @@ def _run_subordinator(cfg: ExperimentConfig, outdir: str, args) -> tuple[dict, l
 
     artifacts = []
     if "csv" in cfg.formats:
-        name = _write_csv(
-            outdir,
-            "subordinator_arcsine.csv",
-            ["alpha", "t", "s", "ratio", "empirical", "predicted", "stderr"],
-            arcsine_rows,
-        )
-        artifacts.append(
-            _artifact(
-                name,
-                "subordinator-selftest-<alpha>",
-                cfg,
-                f"chunk seeds 0..{(paths + _SELF_TEST_CHUNK - 1) // _SELF_TEST_CHUNK - 1}",
+        seeds = f"chunk seeds 0..{results[0].chunks - 1}"
+        for name, header, rows, per_row in (
+            (
+                "subordinator_arcsine.csv",
+                ["alpha", "t", "s", "ratio", "empirical", "predicted", "stderr"],
+                arcsine_rows,
                 "one row per (alpha, t, s)",
-            )
-        )
-        name = _write_csv(
-            outdir,
-            "subordinator_laplace.csv",
-            ["alpha", "v", "empirical", "stderr", "predicted"],
-            laplace_rows,
-        )
-        artifacts.append(
-            _artifact(
-                name,
-                "subordinator-selftest-<alpha>",
-                cfg,
-                f"chunk seeds 0..{(paths + _SELF_TEST_CHUNK - 1) // _SELF_TEST_CHUNK - 1}",
+            ),
+            (
+                "subordinator_laplace.csv",
+                ["alpha", "v", "empirical", "stderr", "predicted"],
+                laplace_rows,
                 "one row per (alpha, v)",
+            ),
+        ):
+            _write_csv(outdir, name, header, rows)
+            artifacts.append(
+                _artifact(name, "subordinator-selftest-<alpha>", cfg, seeds, per_row)
             )
-        )
     return verdicts, artifacts
 
 

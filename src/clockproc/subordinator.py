@@ -6,19 +6,25 @@ sampled from the Poisson point representation restricted to jumps above a
 cutoff u_min; the mean of the omitted small jumps is known exactly
 (K*alpha/(1-alpha)*u_min^(1-alpha) per unit time) and is added back as a
 linear compensation when evaluating path values, which keeps range events
-accurate at cutoffs coarse enough to sample cheaply.  The compensation can be
-switched off to study the raw truncated law (e.g. against its exact Laplace
-transform).
+accurate at cutoffs coarse enough to sample cheaply.
+
+:func:`self_test` is the sampler behind ``clockproc subordinator``: it draws
+chunks of paths as padded (paths, jumps) matrices, reads every interval
+crossing of a chunk in one :func:`crossing_probability_batch` pass, and sums
+the horizon-marginal transform of each path.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, special
 
 from .errors import BudgetError, HorizonError, ParameterValidationError
+from .parallel import ordered_map
+from .seeding import StreamFamily, keyed_generator
 
 __all__ = [
     "PowerLawLevyMeasure",
@@ -29,9 +35,17 @@ __all__ = [
     "crossing_probability",
     "crossing_probability_batch",
     "truncated_laplace_exponent",
+    "SelfTest",
+    "self_test",
 ]
 
 DEFAULT_JUMP_BUDGET = 1.0e8
+
+# self-test battery: unit-amplitude reference models, their cutoff and the
+# chunk size (the config's model section plays no role there)
+_SELF_TEST_ALPHAS = (0.3, 0.5, 0.7)
+_SELF_TEST_CUTOFF = 1.0e-4
+_SELF_TEST_CHUNK = 2000
 
 
 @dataclass(frozen=True)
@@ -80,18 +94,12 @@ class SubordinatorPath:
     def compensation_rate(self) -> float:
         return self.measure.truncated_mean_rate(self.cutoff)
 
-    def values(self, compensated: bool = True) -> np.ndarray:
+    def values(self) -> np.ndarray:
         """Path value immediately after each jump."""
-        out = np.cumsum(self.sizes)
-        if compensated:
-            out = out + self.compensation_rate * self.times
-        return out
+        return np.cumsum(self.sizes) + self.compensation_rate * self.times
 
-    def supremum(self, compensated: bool = True) -> float:
-        total = float(self.sizes.sum())
-        if compensated:
-            total += self.compensation_rate * self.horizon
-        return total
+    def supremum(self) -> float:
+        return float(self.sizes.sum()) + self.compensation_rate * self.horizon
 
 
 def sample_path(
@@ -163,7 +171,7 @@ def arcsine_cdf(alpha: float, x) -> np.ndarray | float:
     return float(out) if np.isscalar(x) else out
 
 
-def crossing_probability(path: SubordinatorPath, t: float, s: float, compensated: bool = True) -> int:
+def crossing_probability(path: SubordinatorPath, t: float, s: float) -> int:
     """Indicator that the path's range misses the open interval (t, t+s).
 
     Equals 1 exactly when the jump straddling level t starts at or below t
@@ -172,14 +180,14 @@ def crossing_probability(path: SubordinatorPath, t: float, s: float, compensated
     """
     if t < 0 or s < 0:
         raise ParameterValidationError("t and s must be nonnegative")
-    if path.supremum(compensated) <= t + s:
+    if path.supremum() <= t + s:
         raise HorizonError(
-            f"path supremum {path.supremum(compensated):.6g} has not passed t+s={t + s:.6g}; "
+            f"path supremum {path.supremum():.6g} has not passed t+s={t + s:.6g}; "
             "extend the horizon"
         )
     if s == 0:
         return 1
-    post = path.values(compensated)
+    post = path.values()
     pre = post - path.sizes
     idx = int(np.searchsorted(post, t, side="right"))
     if idx >= len(post):
@@ -192,35 +200,39 @@ def crossing_probability_batch(
     sizes: np.ndarray,
     counts: np.ndarray,
     drift: float,
-    t: float,
-    s: float,
+    pairs,
 ) -> np.ndarray:
-    """Vectorised crossing indicators over padded path matrices.
+    """Vectorised crossing indicators over padded path matrices, all pairs at once.
 
     ``times``/``sizes`` are (paths, max_jumps) with rows padded by +inf times
-    and zero sizes past ``counts``.  Returns -1 where the path never exceeded
-    t+s (caller decides how to handle), else the 0/1 indicator.
+    and zero sizes past ``counts``.  Returns a (len(pairs), paths) array: -1
+    where the path never exceeded t+s (caller decides how to handle), else
+    the 0/1 indicator of :func:`crossing_probability`.
     """
-    post = np.cumsum(sizes, axis=1)
-    if drift:
-        finite = np.isfinite(times)
-        post = post + drift * np.where(finite, times, 0.0)
-    pre = post - sizes
-    sup = post[np.arange(len(counts)), np.maximum(counts - 1, 0)]
-    sup = np.where(counts > 0, sup, 0.0)
-    out = np.full(len(counts), -1, dtype=np.int64)
-    done = sup > t + s
-    if s == 0:
-        out[done] = 1
-        return out
-    # first jump whose landing value exceeds t; rows are monotone in post
-    idx = (post <= t).sum(axis=1)
-    idx_clipped = np.minimum(idx, post.shape[1] - 1)
+    finite = np.isfinite(times)
+    post = np.where(finite, times, 0.0)
+    post *= drift
+    post += np.cumsum(sizes, axis=1)
     rows = np.arange(len(counts))
-    straddle = (pre[rows, idx_clipped] <= t) & (post[rows, idx_clipped] >= t + s)
-    valid = done & (idx < np.maximum(counts, 1))
-    out[valid] = straddle[valid].astype(np.int64)
-    out[done & ~valid] = 0
+    sup = np.where(counts > 0, post[rows, np.maximum(counts - 1, 0)], 0.0)
+    # padding never lands, so every row is monotone and a row that passed
+    # t+s first lands above t at a real jump
+    post[~finite] = np.inf
+    last = post.shape[1] - 1
+    out = np.full((len(pairs), len(counts)), -1, dtype=np.int64)
+    at_level: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+    for j, (t, s) in enumerate(pairs):
+        done = sup > t + s
+        if s == 0:
+            out[j, done] = 1
+            continue
+        if t not in at_level:
+            # first jump whose landing value exceeds t
+            idx = np.minimum((post <= t).sum(axis=1), last)
+            lands = post[rows, idx]
+            at_level[t] = (lands - sizes[rows, idx] <= t, lands)
+        starts_below, lands = at_level[t]
+        out[j, done] = (starts_below & (lands >= t + s))[done]
     return out
 
 
@@ -245,3 +257,107 @@ def truncated_laplace_exponent(measure: PowerLawLevyMeasure, cutoff: float, v: f
     part1, _ = integrate.quad(integrand, cutoff, mid, epsabs=1e-13, epsrel=1e-11, limit=200)
     part2, _ = integrate.quad(integrand, mid, np.inf, epsabs=1e-13, epsrel=1e-11, limit=200)
     return part1 + part2
+
+
+@dataclass(frozen=True)
+class SelfTest:
+    """Self-test sums for the reference model at one alpha.
+
+    ``crossings`` counts, per (t, s) pair, the paths whose range misses
+    (t, t+s).  Per v, the transform lists hold the sample mean of
+    exp(-v S(1)), its standard error and the exact value exp(-Psi(v)), where
+    Psi(v) = v * drift + the truncated Laplace exponent.
+    """
+
+    alpha: float
+    chunks: int
+    crossings: np.ndarray
+    transform_mean: list[float]
+    transform_stderr: list[float]
+    transform_predicted: list[float]
+
+
+def _self_test_horizon(alpha: float, deepest: float) -> float:
+    """Initial horizon making undecided interval checks rare but affordable.
+
+    The sub-threshold drift plus moderate jumps grow the path at rate about
+    alpha/(1-alpha) * L^(1-alpha) toward a level L, so a horizon of three
+    times L divided by that rate usually passes the level.
+    """
+    return max(1.0, 3.0 * (1.0 - alpha) / alpha * deepest**alpha)
+
+
+def self_test(
+    pairs: list[tuple[float, float]], v_grid, paths: int, master_seed: int, threads: int
+) -> list[SelfTest]:
+    """Crossing counts and transform moments of the reference models, one per alpha.
+
+    Each alpha samples ``paths`` paths in fixed-size chunks, chunk c drawing
+    from its own keyed stream, so results do not depend on ``threads``.
+    Rows the batch leaves undecided are rebuilt as :class:`SubordinatorPath`
+    objects, cached across pairs, and extended on the chunk's stream until
+    they pass t+s.
+    """
+    cutoff = _SELF_TEST_CUTOFF
+    deepest = max(t + s for t, s in pairs)
+    chunks = (paths + _SELF_TEST_CHUNK - 1) // _SELF_TEST_CHUNK
+    v_arr = np.asarray(v_grid, dtype=np.float64)
+    out = []
+    for alpha in _SELF_TEST_ALPHAS:
+        measure = PowerLawLevyMeasure(1.0, alpha)
+        drift_rate = measure.truncated_mean_rate(cutoff)
+        horizon = _self_test_horizon(alpha, deepest)
+        rate = float(measure.tail(cutoff)) * horizon
+        family = StreamFamily(master_seed, f"subordinator-selftest-{alpha!r}")
+
+        def worker(c: int):
+            rng = keyed_generator(family.seed_for(c))
+            count = min(_SELF_TEST_CHUNK, paths - c * _SELF_TEST_CHUNK)
+            jump_counts = rng.poisson(rate, size=count)
+            width = max(int(jump_counts.max()), 1)
+            times = np.full((count, width), np.inf)
+            sizes = np.zeros((count, width))
+            mask = np.arange(width)[None, :] < jump_counts[:, None]
+            total = int(jump_counts.sum())
+            times[mask] = rng.uniform(0.0, horizon, size=total)
+            times.sort(axis=1)
+            sizes[mask] = measure.jump_sizes(cutoff, rng.uniform(size=total))
+
+            finite = np.isfinite(times)
+            totals_at_one = (sizes * (finite & (times <= 1.0))).sum(axis=1) + drift_rate
+            weights = np.exp(-np.outer(v_arr, totals_at_one))
+
+            flags = crossing_probability_batch(times, sizes, jump_counts, drift_rate, pairs)
+            grown: dict[int, SubordinatorPath] = {}
+            for j, (t, s) in enumerate(pairs):
+                for row in np.nonzero(flags[j] < 0)[0].tolist():
+                    path = grown.get(row)
+                    if path is None:
+                        # rebuild the row's path object once, reusing its draws
+                        m = int(jump_counts[row])
+                        path = SubordinatorPath(
+                            measure, horizon, cutoff, times[row, :m].copy(), sizes[row, :m].copy()
+                        )
+                    while True:
+                        try:
+                            flags[j, row] = crossing_probability(path, t, s)
+                            break
+                        except HorizonError:
+                            path = extend_path(path, 2.0 * path.horizon, rng)
+                    grown[row] = path
+            return flags.sum(axis=1), weights.sum(axis=1), (weights**2).sum(axis=1)
+
+        # the pool finishes within this iteration, so the worker sees this alpha
+        results = ordered_map(worker, chunks, threads)
+        lap_sum = np.sum([r[1] for r in results], axis=0)
+        lap_sumsq = np.sum([r[2] for r in results], axis=0)
+        means, stderrs, predicted = [], [], []
+        for v, total, total_sq in zip(v_grid, lap_sum, lap_sumsq):
+            mean = float(total) / paths
+            means.append(mean)
+            stderrs.append(math.sqrt(max(float(total_sq) / paths - mean * mean, 0.0) / paths))
+            exponent = v * drift_rate + truncated_laplace_exponent(measure, cutoff, v)
+            predicted.append(math.exp(-exponent))
+        crossings = np.sum([r[0] for r in results], axis=0)
+        out.append(SelfTest(alpha, chunks, crossings, means, stderrs, predicted))
+    return out

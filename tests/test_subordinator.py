@@ -20,6 +20,7 @@ from clockproc.subordinator import (
     crossing_probability_batch,
     extend_path,
     sample_path,
+    self_test,
     truncated_laplace_exponent,
 )
 from reference_estimators import sample_totals
@@ -128,15 +129,13 @@ def test_path_values_and_supremum():
         times=np.array([1.0, 3.0]), sizes=np.array([2.0, 0.5]),
     )
     rate = m.truncated_mean_rate(0.25)
-    assert np.allclose(path.values(compensated=False), [2.0, 2.5])
-    assert np.allclose(path.values(True), [2.0 + rate * 1.0, 2.5 + rate * 3.0])
-    assert path.supremum(False) == pytest.approx(2.5)
-    assert path.supremum(True) == pytest.approx(2.5 + rate * 10.0)
+    assert np.allclose(path.values(), [2.0 + rate * 1.0, 2.5 + rate * 3.0])
+    assert path.supremum() == pytest.approx(2.5 + rate * 10.0)
     empty = SubordinatorPath(
         measure=m, horizon=2.0, cutoff=0.25, times=np.array([]), sizes=np.array([])
     )
-    assert empty.supremum(True) == pytest.approx(rate * 2.0)
-    assert empty.values(True).size == 0
+    assert empty.supremum() == pytest.approx(rate * 2.0)
+    assert empty.values().size == 0
 
 
 def test_sample_totals_laplace_transform():
@@ -211,17 +210,53 @@ def hand_path(times, sizes, horizon=10.0, cutoff=0.25, alpha=0.5):
     )
 
 
+def padded(paths, extra=0):
+    """Time-sorted (paths, jumps) matrices as the batch reads them."""
+    width = max(len(p.times) for p in paths) + extra
+    times = np.full((len(paths), width), np.inf)
+    sizes = np.zeros((len(paths), width))
+    counts = np.zeros(len(paths), dtype=np.int64)
+    for i, p in enumerate(paths):
+        k = len(p.times)
+        counts[i] = k
+        times[i, :k] = p.times
+        sizes[i, :k] = p.sizes
+    return times, sizes, counts
+
+
 def test_crossing_probability_hand_cases():
-    # uncompensated: post values [5, 5.3]
+    # compensation rate 0.5: supremum 5.3 + 0.5 * 10
     p = hand_path([1.0, 2.0], [5.0, 0.3])
-    assert crossing_probability(p, 2.0, 2.0, compensated=False) == 1  # jump over (2,4)
-    assert crossing_probability(p, 4.9, 0.3, compensated=False) == 0  # lands inside (4.9,5.2)
-    assert crossing_probability(p, 5.0, 0.1, compensated=False) == 1  # second jump straddles
-    assert crossing_probability(p, 3.0, 0.0, compensated=False) == 1  # empty interval
     with pytest.raises(HorizonError):
-        crossing_probability(p, 5.0, 1.0, compensated=False)  # supremum 5.3 <= 6
+        crossing_probability(p, 5.0, 6.0)
     with pytest.raises(ParameterValidationError):
         crossing_probability(p, -1.0, 1.0)
+
+
+def test_crossing_batch_hand_cases_without_drift():
+    # post values [5, 5.3] and one padding column
+    times, sizes, counts = padded([hand_path([1.0, 2.0], [5.0, 0.3])], extra=1)
+    pairs = [
+        (2.0, 2.0),  # jump over (2,4)
+        (4.9, 0.3),  # lands inside (4.9,5.2)
+        (5.0, 0.1),  # second jump straddles
+        (3.0, 0.0),  # empty interval
+        (5.0, 1.0),  # supremum 5.3 <= 6: undecided
+    ]
+    flags = crossing_probability_batch(times, sizes, counts, 0.0, pairs)
+    assert flags.tolist() == [[1], [0], [1], [1], [-1]]
+
+
+def test_crossing_batch_padding_never_lands():
+    # the jumps sum to 0.9 <= t, but the drift carries the path past t+s
+    # at the second jump, which straddles (1, 1.25)
+    p = hand_path([1.0, 2.0], [0.2, 0.7], horizon=4.0, cutoff=0.04)
+    assert p.compensation_rate == pytest.approx(0.2)
+    assert crossing_probability(p, 1.0, 0.25) == 1
+    times = np.array([[1.0, 2.0, np.inf]])
+    sizes = np.array([[0.2, 0.7, 0.0]])
+    flags = crossing_probability_batch(times, sizes, np.array([2]), 0.2, [(1.0, 0.25)])
+    assert flags.tolist() == [[1]]
 
 
 def test_crossing_probability_drift_crosses_after_last_jump():
@@ -229,36 +264,45 @@ def test_crossing_probability_drift_crosses_after_last_jump():
     p = hand_path([1.0], [1.0], horizon=50.0, cutoff=0.25)
     rate = p.compensation_rate
     level = 1.0 + rate * 25.0  # reached by drift at time ~25, after the jump
-    assert crossing_probability(p, level, rate, compensated=True) == 0
+    assert crossing_probability(p, level, rate) == 0
 
 
 def test_crossing_batch_agrees_with_scalar():
     m = measure(1.0, 0.5)
     rng = keyed_generator(13)
     paths = [sample_path(m, 4.0, 0.05, rng) for _ in range(300)]
-    max_jumps = max(len(p.times) for p in paths)
-    times = np.full((300, max_jumps), np.inf)
-    sizes = np.zeros((300, max_jumps))
-    counts = np.zeros(300, dtype=np.int64)
-    for i, p in enumerate(paths):
-        k = len(p.times)
-        counts[i] = k
-        times[i, :k] = p.times
-        sizes[i, :k] = p.sizes
-    drift = m.truncated_mean_rate(0.05)
-    for t, s in ((1.0, 1.0), (2.0, 0.5), (0.3, 3.0)):
-        batch = crossing_probability_batch(times, sizes, counts, drift, t, s)
+    times, sizes, counts = padded(paths, extra=1)
+    assert np.all(counts < times.shape[1])
+    pairs = [(1.0, 1.0), (2.0, 0.5), (0.3, 3.0), (1.0, 0.0)]
+    batch = crossing_probability_batch(times, sizes, counts, m.truncated_mean_rate(0.05), pairs)
+    assert batch.shape == (len(pairs), len(paths))
+    for j, (t, s) in enumerate(pairs):
         for i, p in enumerate(paths):
             try:
-                scalar = crossing_probability(p, t, s, compensated=True)
+                scalar = crossing_probability(p, t, s)
             except HorizonError:
                 # the batch form, which ignores drift past the last jump, must
                 # also be undecided here
-                assert batch[i] == -1
+                assert batch[j, i] == -1
                 continue
             # batch may be conservatively undecided, but never wrong
-            assert batch[i] in (-1, scalar)
-        assert np.any(batch >= 0)
+            assert batch[j, i] in (-1, scalar)
+        assert np.any(batch[j] >= 0)
+
+
+def test_self_test_layout_and_thread_invariance():
+    pairs, v_grid = [(1.0, 1.0), (1.0, 0.25)], [0.5, 2.0]
+    serial = self_test(pairs, v_grid, 2500, 5, 1)
+    threaded = self_test(pairs, v_grid, 2500, 5, 2)
+    assert [r.alpha for r in serial] == [0.3, 0.5, 0.7]
+    for a, b in zip(serial, threaded):
+        assert a.chunks == 2
+        assert a.crossings.shape == (2,) and np.all((a.crossings >= 0) & (a.crossings <= 2500))
+        assert np.array_equal(a.crossings, b.crossings)
+        assert a.transform_mean == b.transform_mean
+        assert a.transform_stderr == b.transform_stderr
+        assert len(a.transform_predicted) == 2
+        assert all(0.0 < x < 1.0 for x in a.transform_mean)
 
 
 # --- Laplace exponent and KS helper ---------------------------------------
