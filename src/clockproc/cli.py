@@ -70,7 +70,7 @@ from .errors import ClockprocError, ParameterValidationError
 from .parallel import ordered_map
 from .seeding import StreamFamily, keyed_generator, resolve_seeds
 from .subordinator import PowerLawLevyMeasure, arcsine_cdf, sample_path, self_test
-from .verdicts import SLOPE_WINDOW, ladder, slope_status, worst, z_score, z_status
+from .verdicts import MIN_ESS, SLOPE_WINDOW, ladder, slope_status, worst, z_score, z_status
 
 __all__ = ["main", "run"]
 
@@ -489,17 +489,8 @@ def _run_subordinator(cfg: ExperimentConfig, outdir: str, args) -> tuple[dict, l
             predicted = arcsine_cdf(alpha, ratio)
             stderr = math.sqrt(max(empirical * (1.0 - empirical), 1e-12) / paths)
             worst_gap = max(worst_gap, abs(empirical - predicted))
-            arcsine_rows.append(
-                [
-                    repr(alpha),
-                    repr(t),
-                    repr(s),
-                    repr(ratio),
-                    repr(empirical),
-                    repr(predicted),
-                    repr(stderr),
-                ]
-            )
+            row = (alpha, t, s, ratio, empirical, predicted, stderr)
+            arcsine_rows.append([repr(x) for x in row])
         verdicts[f"arcsine_alpha_{alpha}"] = {
             "max_absolute_gap": worst_gap,
             "tolerance": 0.01,
@@ -507,36 +498,32 @@ def _run_subordinator(cfg: ExperimentConfig, outdir: str, args) -> tuple[dict, l
         }
 
         worst_z = 0.0
-        for v, mean, se, predicted in zip(
-            cfg.v_grid, result.transform_mean, result.transform_stderr, result.transform_predicted
-        ):
-            worst_z = max(worst_z, z_score(mean, predicted, se))
-            laplace_rows.append(
-                [repr(alpha), repr(float(v)), repr(mean), repr(se), repr(predicted)]
-            )
-        verdicts[f"transform_alpha_{alpha}"] = {"max_z": worst_z, "status": z_status(worst_z)}
+        insufficient = []
+        columns = (result.transform_mean, result.transform_stderr, result.transform_predicted)
+        for v, mean, se, predicted, ess in zip(cfg.v_grid, *columns, result.transform_ess):
+            if ess < MIN_ESS:
+                insufficient.append({"v": float(v), "expected_ess": ess})
+            else:
+                worst_z = max(worst_z, z_score(mean, predicted, se))
+            laplace_rows.append([repr(x) for x in (alpha, float(v), mean, se, predicted)])
+        entry = {"max_z": worst_z, "status": z_status(worst_z)}
+        if insufficient:
+            listed = ", ".join(f"v={x['v']!r} ({x['expected_ess']:.2g})" for x in insufficient)
+            entry["status"] = worst([entry["status"], "warn"])
+            entry["insufficient"] = insufficient
+            entry["note"] = f"expected effective sample size below {MIN_ESS:g} at {listed}"
+        verdicts[f"transform_alpha_{alpha}"] = entry
 
     artifacts = []
     if "csv" in cfg.formats:
         seeds = f"chunk seeds 0..{results[0].chunks - 1}"
-        for name, header, rows, per_row in (
-            (
-                "subordinator_arcsine.csv",
-                ["alpha", "t", "s", "ratio", "empirical", "predicted", "stderr"],
-                arcsine_rows,
-                "one row per (alpha, t, s)",
-            ),
-            (
-                "subordinator_laplace.csv",
-                ["alpha", "v", "empirical", "stderr", "predicted"],
-                laplace_rows,
-                "one row per (alpha, v)",
-            ),
-        ):
-            _write_csv(outdir, name, header, rows)
-            artifacts.append(
-                _artifact(name, "subordinator-selftest-<alpha>", cfg, seeds, per_row)
-            )
+        purpose = "subordinator-selftest-<alpha>"
+        header = ["alpha", "t", "s", "ratio", "empirical", "predicted", "stderr"]
+        name = _write_csv(outdir, "subordinator_arcsine.csv", header, arcsine_rows)
+        artifacts.append(_artifact(name, purpose, cfg, seeds, "one row per (alpha, t, s)"))
+        header = ["alpha", "v", "empirical", "stderr", "predicted"]
+        name = _write_csv(outdir, "subordinator_laplace.csv", header, laplace_rows)
+        artifacts.append(_artifact(name, purpose, cfg, seeds, "one row per (alpha, v)"))
     return verdicts, artifacts
 
 

@@ -265,8 +265,11 @@ class SelfTest:
 
     ``crossings`` counts, per (t, s) pair, the paths whose range misses
     (t, t+s).  Per v, the transform lists hold the sample mean of
-    exp(-v S(1)), its standard error and the exact value exp(-Psi(v)), where
-    Psi(v) = v * drift + the truncated Laplace exponent.
+    exp(-v S(1)), the exact value exp(-Psi(v)), where Psi(v) = v * drift +
+    the truncated Laplace exponent, and the standard error and expected
+    effective sample size N / (1 + Var / exp(-2 Psi(v))) of the mean under
+    the reference model, Var = exp(-Psi(2v)) - exp(-2 Psi(v)).  Neither
+    uses the sample variance, which collapses when one rare path dominates.
     """
 
     alpha: float
@@ -275,6 +278,7 @@ class SelfTest:
     transform_mean: list[float]
     transform_stderr: list[float]
     transform_predicted: list[float]
+    transform_ess: list[float]
 
 
 def _self_test_horizon(alpha: float, deepest: float) -> float:
@@ -290,7 +294,7 @@ def _self_test_horizon(alpha: float, deepest: float) -> float:
 def self_test(
     pairs: list[tuple[float, float]], v_grid, paths: int, master_seed: int, threads: int
 ) -> list[SelfTest]:
-    """Crossing counts and transform moments of the reference models, one per alpha.
+    """Crossing counts and transform statistics of the reference models, one per alpha.
 
     Each alpha samples ``paths`` paths in fixed-size chunks, chunk c drawing
     from its own keyed stream, so results do not depend on ``threads``.
@@ -323,8 +327,7 @@ def self_test(
             times.sort(axis=1)
             sizes[mask] = measure.jump_sizes(cutoff, rng.uniform(size=total))
 
-            finite = np.isfinite(times)
-            totals_at_one = (sizes * (finite & (times <= 1.0))).sum(axis=1) + drift_rate
+            totals_at_one = (sizes * (times <= 1.0)).sum(axis=1) + drift_rate
             weights = np.exp(-np.outer(v_arr, totals_at_one))
 
             flags = crossing_probability_batch(times, sizes, jump_counts, drift_rate, pairs)
@@ -345,19 +348,21 @@ def self_test(
                         except HorizonError:
                             path = extend_path(path, 2.0 * path.horizon, rng)
                     grown[row] = path
-            return flags.sum(axis=1), weights.sum(axis=1), (weights**2).sum(axis=1)
+            return flags.sum(axis=1), weights.sum(axis=1)
 
         # the pool finishes within this iteration, so the worker sees this alpha
         results = ordered_map(worker, chunks, threads)
-        lap_sum = np.sum([r[1] for r in results], axis=0)
-        lap_sumsq = np.sum([r[2] for r in results], axis=0)
-        means, stderrs, predicted = [], [], []
-        for v, total, total_sq in zip(v_grid, lap_sum, lap_sumsq):
-            mean = float(total) / paths
-            means.append(mean)
-            stderrs.append(math.sqrt(max(float(total_sq) / paths - mean * mean, 0.0) / paths))
-            exponent = v * drift_rate + truncated_laplace_exponent(measure, cutoff, v)
-            predicted.append(math.exp(-exponent))
+        means = (np.sum([r[1] for r in results], axis=0) / paths).tolist()
+        stderrs, predicted, ess = [], [], []
+        for v in v_grid:
+            psi, psi_2v = (
+                u * drift_rate + truncated_laplace_exponent(measure, cutoff, u) for u in (v, 2 * v)
+            )
+            # Var e^(-v S(1)) / predicted^2 of the reference model
+            spread = max(math.expm1(2.0 * psi - psi_2v), 0.0)
+            predicted.append(math.exp(-psi))
+            stderrs.append(predicted[-1] * math.sqrt(spread / paths))
+            ess.append(paths / (1.0 + spread))
         crossings = np.sum([r[0] for r in results], axis=0)
-        out.append(SelfTest(alpha, chunks, crossings, means, stderrs, predicted))
+        out.append(SelfTest(alpha, chunks, crossings, means, stderrs, predicted, ess))
     return out

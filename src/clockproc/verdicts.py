@@ -5,7 +5,9 @@ thresholds (:func:`ladder`).  Statistical agreement is graded in z-score
 units, 4 to pass and 6 to warn (:func:`z_status`); fitted tail exponents are
 graded against an absolute window (:func:`slope_status`), because at finite
 n they deviate from the limit value systematically, not statistically.  A
-run's overall verdict is the worst of its checks (:func:`worst`).
+Monte Carlo point whose effective sample size is below ``MIN_ESS`` has no
+valid z-score; it warns and names itself.  A run's overall verdict is the
+worst of its checks (:func:`worst`).
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from typing import Iterable
 __all__ = [
     "PASS_Z",
     "WARN_Z",
+    "MIN_ESS",
     "SLOPE_WINDOW",
     "ladder",
     "z_score",
@@ -26,6 +29,7 @@ __all__ = [
 
 PASS_Z = 4.0
 WARN_Z = 6.0
+MIN_ESS = 100.0
 
 # acceptance window for fitted tail exponents; deviations from the limit
 # exponent are dominated by the finite-n transient, so they are judged against

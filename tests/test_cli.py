@@ -336,6 +336,25 @@ def test_subordinator_self_test_layout_and_thread_invariance(tmp_path):
         assert f"transform_alpha_{alpha}" in verdicts
 
 
+def test_subordinator_transform_warns_where_the_expected_ess_is_too_small(tmp_path):
+    # at alpha = 0.7 and v = 100 the mean of exp(-v S(1)) over 2000 paths is
+    # one path's weight; graded by its sample se it failed with z = 2.2e11
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(
+        json.dumps({"budgets": {"samples": 2000}, "grids": {"v_grid": [1.0, 100.0]}})
+    )
+    main(["subordinator", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    verdicts = load_manifest(tmp_path / "out")["verdicts"]
+    entry = verdicts["transform_alpha_0.7"]
+    assert entry["status"] == "warn"
+    assert [point["v"] for point in entry["insufficient"]] == [100.0]
+    assert entry["insufficient"][0]["expected_ess"] == pytest.approx(1.15e-9, rel=0.01)
+    assert "v=100.0" in entry["note"]
+    # the v = 1 point alone sets max_z
+    assert entry["max_z"] < 4.0
+    assert all(verdicts[f"transform_alpha_{a}"]["status"] == "warn" for a in (0.3, 0.5, 0.7))
+
+
 def test_bad_inputs_exit_with_error_message(tmp_path, capsys):
     # missing config file
     assert main(["mixing", "--config", str(tmp_path / "nope.json")]) == 1

@@ -142,8 +142,8 @@ EXPECTED = {
     }),
     "subordinator": (2, {
         "subordinator_arcsine.csv": "3822016cd03c5ed7bd4f1e4dd9658801c71fccaed16261171aee91488289d20f",
-        "subordinator_laplace.csv": "2e8aefb9cd585c3de81db8b7885aac42133ef1fe5ad8130ce2b96896694fb9ce",
-        "verdicts": "a1bfaa2b0968624f6dc968b9ae252f2b3ae1c52f8883769dbf61b6c8f0d76b72",
+        "subordinator_laplace.csv": "bbbb7ad4980be1e2bd57acba7aabcb3331a76f9bed52bd14d21f7b8c3be0dfc1",
+        "verdicts": "dba9d99dee49cdaa358e589ec955883b640609428d995a8827a9d0e3afaf34e3",
     }),
 }
 

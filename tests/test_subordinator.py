@@ -303,6 +303,24 @@ def test_self_test_layout_and_thread_invariance():
         assert a.transform_stderr == b.transform_stderr
         assert len(a.transform_predicted) == 2
         assert all(0.0 < x < 1.0 for x in a.transform_mean)
+        # the standard error and the expected ESS come from one variance
+        for se, pred, ess in zip(a.transform_stderr, a.transform_predicted, a.transform_ess):
+            assert 0.0 < ess < 2500
+            assert se == pytest.approx(pred * math.sqrt((2500 / ess - 1.0) / 2500), rel=1e-9)
+
+
+def test_reference_variance_of_the_transform_weight():
+    """Var e^(-v S(1)) = e^(-Psi(2v)) - e^(-2 Psi(v)) for the compensated path."""
+    m = measure(1.0, 0.5)
+    cutoff = 0.01
+    totals = sample_totals(m, 1.0, cutoff, 20000, keyed_generator(14), compensated=True)
+    for v in (0.5, 2.0):
+        psi, psi_2v = (
+            u * m.truncated_mean_rate(cutoff) + truncated_laplace_exponent(m, cutoff, u)
+            for u in (v, 2 * v)
+        )
+        expected = math.exp(-psi_2v) - math.exp(-2.0 * psi)
+        assert float(np.var(np.exp(-v * totals), ddof=1)) == pytest.approx(expected, rel=0.1)
 
 
 # --- Laplace exponent and KS helper ---------------------------------------
