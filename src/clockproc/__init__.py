@@ -24,7 +24,6 @@ from .environment import (
     DEFAULT_ZETA_TABLE,
     CouplingTensor,
     Environment,
-    ModelParameters,
     SpinConfig,
     ZETA_LIMIT,
     block_length,
@@ -107,7 +106,6 @@ __all__ = [
     # environment
     "SpinConfig",
     "CouplingTensor",
-    "ModelParameters",
     "Environment",
     "zeta",
     "validate_parameters",

@@ -100,16 +100,18 @@ def _artifact(name: str, purpose: str, cfg: ExperimentConfig, replicas, rows: st
     }
 
 
-def _build_environment(cfg: ExperimentConfig) -> Environment:
+def _build_environment(cfg: ExperimentConfig, beta: float) -> Environment:
+    """The config's coupling draw at ``beta``; beta = 0 is the flat chain, which
+    the admissibility check would refuse."""
     seed = resolve_seeds(cfg.master_seed, "environment", 0)
-    if cfg.beta == 0.0:
-        return Environment.degenerate(cfg.n, cfg.p, 0.0, cfg.gamma, seed=seed)
-    return Environment.create(cfg.n, cfg.p, cfg.beta, cfg.gamma, seed, zeta_table=cfg.zeta_table)
+    if beta == 0.0:
+        return Environment.degenerate(cfg.n, cfg.p, 0.0, cfg.gamma, seed)
+    return Environment.create(cfg.n, cfg.p, beta, cfg.gamma, seed, zeta_table=cfg.zeta_table)
 
 
-def _environment_record(env: Environment, cfg: ExperimentConfig, start: SpinConfig | None) -> dict:
+def _environment_record(env: Environment, start: SpinConfig | None) -> dict:
     return {
-        "coupling_seed": resolve_seeds(cfg.master_seed, "environment", 0),
+        "coupling_seed": env.couplings.seed,
         "alpha": env.alpha,
         "block_length": env.block_length,
         "log_time_scale": env.log_time_scale,
@@ -168,7 +170,7 @@ def _dump_trajectory(env: Environment, segment: TrajectorySegment, outdir: str) 
 
 
 def _run_conditions(cfg: ExperimentConfig, outdir: str, args) -> tuple[dict, list]:
-    env = _build_environment(cfg)
+    env = _build_environment(cfg, cfg.beta)
     streams = StreamFamily(cfg.master_seed, "conditions").replica(0)
     report = build_condition_report(
         env,
@@ -190,7 +192,7 @@ def _run_conditions(cfg: ExperimentConfig, outdir: str, args) -> tuple[dict, lis
         report.write_json(os.path.join(outdir, "conditions.json"))
         artifacts.append(_artifact("conditions.json", "conditions", cfg, [0], "full report"))
     verdicts = dict(report.verdicts)
-    verdicts["_environment"] = _environment_record(env, cfg, None) | {
+    verdicts["_environment"] = _environment_record(env, None) | {
         "block_count": report.block_count,
         "literal_block_count": report.literal_block_count,
         "status": "pass",
@@ -199,7 +201,7 @@ def _run_conditions(cfg: ExperimentConfig, outdir: str, args) -> tuple[dict, lis
 
 
 def _run_laplace(cfg: ExperimentConfig, outdir: str, args) -> tuple[dict, list]:
-    env = _build_environment(cfg)
+    env = _build_environment(cfg, cfg.beta)
     streams = StreamFamily(cfg.master_seed, "laplace").replica(0)
     est = estimate_intensity_laplace(
         env, 1.0, cfg.v_grid, cfg.samples, streams, block_count=cfg.block_count
@@ -228,7 +230,7 @@ def _run_laplace(cfg: ExperimentConfig, outdir: str, args) -> tuple[dict, list]:
         }
     if env.beta == 0.0:
         verdicts["degenerate_laplace"] = degenerate_laplace_check(env, est)
-    verdicts["_environment"] = _environment_record(env, cfg, None) | {
+    verdicts["_environment"] = _environment_record(env, None) | {
         "block_count": est.block_count,
         "status": "pass",
     }
@@ -268,7 +270,7 @@ def _run_mixing(cfg: ExperimentConfig, outdir: str, args) -> tuple[dict, list]:
 
 
 def _run_clock(cfg: ExperimentConfig, outdir: str, args) -> tuple[dict, list]:
-    env = _build_environment(cfg)
+    env = _build_environment(cfg, cfg.beta)
     if env.alpha is None:
         raise ParameterValidationError(
             "the jump-law comparison needs beta > 0; the beta = 0 chain has no "
@@ -354,7 +356,7 @@ def _run_clock(cfg: ExperimentConfig, outdir: str, args) -> tuple[dict, list]:
         segment = simulate_segment(env, start, k * theta, family.replica(0))
         name, rows_written = _dump_trajectory(env, segment, outdir)
         artifacts.append(_artifact(name, "clock", cfg, [0], f"{rows_written} visit rows"))
-    verdicts["_environment"] = _environment_record(env, cfg, start) | {
+    verdicts["_environment"] = _environment_record(env, start) | {
         "block_count": k,
         "status": "pass",
     }
@@ -362,7 +364,7 @@ def _run_clock(cfg: ExperimentConfig, outdir: str, args) -> tuple[dict, list]:
 
 
 def _run_aging(cfg: ExperimentConfig, outdir: str, args) -> tuple[dict, list]:
-    env = _build_environment(cfg)
+    env = _build_environment(cfg, cfg.beta)
     if env.alpha is None:
         raise ParameterValidationError(
             "the aging comparison needs beta > 0 (the flat reference curve is "
@@ -380,9 +382,7 @@ def _run_aging(cfg: ExperimentConfig, outdir: str, args) -> tuple[dict, list]:
         threads=threads,
         start=start,
     )
-    reference_env = Environment.degenerate(
-        cfg.n, cfg.p, 0.0, cfg.gamma, seed=resolve_seeds(cfg.master_seed, "environment", 0)
-    )
+    reference_env = _build_environment(cfg, 0.0)
     reference_curve = estimate_aging_curve(
         reference_env,
         cfg.ts_grid,
@@ -469,7 +469,7 @@ def _run_aging(cfg: ExperimentConfig, outdir: str, args) -> tuple[dict, list]:
     if args.dump_trajectory:
         name, rows_written = _dump_trajectory(env, segment, outdir)
         artifacts.append(_artifact(name, "aging-trap", cfg, [0], f"{rows_written} visit rows"))
-    verdicts["_environment"] = _environment_record(env, cfg, start) | {"status": "pass"}
+    verdicts["_environment"] = _environment_record(env, start) | {"status": "pass"}
     return verdicts, artifacts
 
 

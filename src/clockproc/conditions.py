@@ -152,30 +152,29 @@ def _block_sums(
     return sums
 
 
-def resolve_block_count(scales, horizon: float | None, block_count: int | None) -> int:
-    """The explicit block count, else the horizon's; ``scales`` is an
-    :class:`Environment` or :class:`ModelParameters`."""
+def resolve_block_count(env: Environment, horizon: float | None, block_count: int | None) -> int:
+    """The explicit block count, else the horizon's."""
     if block_count is not None:
         if block_count < 1:
             raise ParameterValidationError(f"block count must be >= 1; got {block_count}")
         return int(block_count)
     if horizon is None:
         raise ParameterValidationError("pass a horizon t or an explicit block count")
-    k = scales.block_count(horizon)
+    k = env.block_count(horizon)
     if k == 0:
         raise DegenerateScaleError(
-            f"horizon t={horizon} yields zero complete aggregation blocks at n={scales.n}; "
+            f"horizon t={horizon} yields zero complete aggregation blocks at n={env.n}; "
             "pass an explicit block count"
         )
     return k
 
 
-def _literal_block_count(scales, horizon: float | None) -> int | None:
+def _literal_block_count(env: Environment, horizon: float | None) -> int | None:
     """The horizon's own block count, or None where the jump-count scale is unusable."""
     if horizon is None:
         return None
     try:
-        return scales.block_count(horizon)
+        return env.block_count(horizon)
     except DegenerateScaleError:
         return None
 
@@ -526,15 +525,18 @@ def _inverse_holds(env: Environment, energies: np.ndarray) -> np.ndarray:
         return np.exp(env.log_time_scale - env.beta * energies)
 
 
+def _can_enumerate(env: Environment) -> bool:
+    """Whether every state's energy is at hand: a table, or n small enough to contract."""
+    return env.has_energy_table or env.n <= _EXACT_ENUMERATION_MAX_N
+
+
 def _all_energies(env: Environment) -> np.ndarray:
-    """Energies of every state: the table, else an enumeration by contraction."""
-    if env.has_energy_table:
-        return env.energy_table
-    if env.n <= _EXACT_ENUMERATION_MAX_N:
-        return env.energies(np.arange(1 << env.n, dtype=np.uint64))
-    raise CapabilityError(
-        f"exact state enumeration is not available at n={env.n}; use Monte Carlo"
-    )
+    """Energies of every state, in state order."""
+    if not _can_enumerate(env):
+        raise CapabilityError(
+            f"exact state enumeration is not available at n={env.n}; use Monte Carlo"
+        )
+    return env.energies(np.arange(1 << env.n, dtype=np.uint64))
 
 
 def estimate_initial_term(
@@ -842,18 +844,23 @@ def concentration_diagnostic(
     ``threads``.  The deviation grid defaults to ten geometric points from
     half to eight times the bound's own scale sqrt(rho*nu^2 + sigma^2).
     """
-    params = validate_parameters(n, p, beta, gamma, zeta_table)
-    theta = params.block_length
-    literal = _literal_block_count(params, horizon)
-    k = resolve_block_count(params, horizon, block_count)
+    validate_parameters(n, p, beta, gamma, zeta_table)
     if replicas < 2:
         raise ParameterValidationError("need at least two environment replicas")
     family = StreamFamily(master_seed, "concentration")
     env_family = family.child("environment")
 
+    def environment(i: int) -> Environment:
+        return Environment(CouplingTensor.sample(n, p, env_family.seed_for(i)), beta, gamma)
+
+    # replica 0's environment carries the scales every replica shares
+    first = environment(0)
+    theta = first.block_length
+    literal = _literal_block_count(first, horizon)
+    k = resolve_block_count(first, horizon, block_count)
+
     def worker(i: int):
-        couplings = CouplingTensor.sample(n, p, env_family.seed_for(i))
-        env = Environment.from_couplings(couplings, beta, gamma, zeta_table=zeta_table)
+        env = first if i == 0 else environment(i)
         streams = family.replica(i)
         walk = simulate_segment(env, None, walk_blocks * theta - 1, streams)
         # blocks start at step 0 here, unlike blocked_clock's
@@ -1103,8 +1110,7 @@ def build_condition_report(
         for route in ("two-step", "split")
     )
     initial = estimate_initial_term(env, v_grid, samples, streams)
-    exact_available = env.has_energy_table or env.n <= _EXACT_ENUMERATION_MAX_N
-    initial_exact = estimate_initial_term(env, v_grid, exact=True) if exact_available else None
+    initial_exact = estimate_initial_term(env, v_grid, exact=True) if _can_enumerate(env) else None
     # the truncated-jump mean lives on the jump-count scale, which does not
     # exist at beta = 0 (or once it overflows); skip it there instead of failing
     if env.step_scale is not None and math.isfinite(env.step_scale):

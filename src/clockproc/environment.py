@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    CapabilityError,
     DegenerateScaleError,
     DimensionMismatchError,
     ParameterValidationError,
@@ -36,7 +35,6 @@ from .seeding import keyed_generator
 __all__ = [
     "SpinConfig",
     "CouplingTensor",
-    "ModelParameters",
     "Environment",
     "zeta",
     "validate_parameters",
@@ -88,33 +86,6 @@ def block_length(n: int) -> int:
     return math.ceil(1.5 * _LOG2 * n * n)
 
 
-def _derive_scales(n: int, beta: float, gamma: float):
-    """(alpha, log time scale, time scale, step scale) of the accelerated dynamics.
-
-    The tail exponent gamma/beta^2 and the jump-count scale
-    sqrt(n) * exp(n*gamma^2/(2*beta^2)) do not exist at beta = 0 (None there);
-    scales whose exponent leaves the float64 range saturate to inf.
-    """
-    log_time_scale = gamma * n
-    time_scale = math.exp(log_time_scale) if log_time_scale < EXP_OVERFLOW else math.inf
-    if not beta > 0:
-        return None, log_time_scale, time_scale, None
-    exponent = n * gamma * gamma / (2.0 * beta * beta)
-    step_scale = math.sqrt(n) * math.exp(exponent) if exponent < EXP_OVERFLOW else math.inf
-    return gamma / (beta * beta), log_time_scale, time_scale, step_scale
-
-
-def _block_count(step_scale: float | None, theta: int, t: float) -> int:
-    if t < 0:
-        raise ParameterValidationError(f"t must be nonnegative; got {t}")
-    if step_scale is None or not math.isfinite(step_scale):
-        raise DegenerateScaleError(
-            "jump-count scale is undefined or infinite at these parameters; "
-            "pass an explicit block count"
-        )
-    return int(math.floor(math.floor(step_scale * t) / theta))
-
-
 @dataclass(frozen=True)
 class SpinConfig:
     """One corner of the hypercube {-1,+1}^n, packed into an integer.
@@ -153,17 +124,6 @@ class SpinConfig:
                 f"cannot compare configurations with n={self.n} and n={other.n}"
             )
         return (self.bits ^ other.bits).bit_count()
-
-    @classmethod
-    def from_spins(cls, values) -> "SpinConfig":
-        arr = np.asarray(values)
-        bits = 0
-        for b, v in enumerate(arr):
-            if v not in (-1, 1, -1.0, 1.0):
-                raise ParameterValidationError(f"spins must be +-1; got {v!r} at site {b}")
-            if v > 0:
-                bits |= 1 << b
-        return cls(len(arr), bits)
 
     @classmethod
     def random(cls, n: int, rng: np.random.Generator) -> "SpinConfig":
@@ -209,36 +169,6 @@ class CouplingTensor:
         values = keyed_generator(seed).standard_normal(n**p)
         return cls(n=n, p=p, seed=seed, values=values)
 
-    @classmethod
-    def from_values(cls, n: int, p: int, values, seed: int = 0) -> "CouplingTensor":
-        arr = np.array(values, dtype=np.float64)
-        if arr.size != n**p:
-            raise DimensionMismatchError(
-                f"coupling array has {arr.size} entries; expected n^p = {n ** p}"
-            )
-        return cls(n=n, p=p, seed=seed, values=arr.reshape(n**p).copy())
-
-
-@dataclass(frozen=True)
-class ModelParameters:
-    """Validated (n, p, beta, gamma) with all derived scales."""
-
-    n: int
-    p: int
-    beta: float
-    gamma: float
-    alpha: float
-    zeta_value: float
-    gamma_bound: float
-    log_time_scale: float
-    time_scale: float
-    step_scale: float
-    block_length: int
-
-    def block_count(self, t: float) -> int:
-        """Number of aggregation blocks inside the first floor(a_n * t) steps."""
-        return _block_count(self.step_scale, self.block_length, t)
-
 
 def validate_parameters(
     n: int,
@@ -246,8 +176,8 @@ def validate_parameters(
     beta: float,
     gamma: float,
     zeta_table: dict[int, float] | None = None,
-) -> ModelParameters:
-    """Check admissibility 0 < gamma < min(beta^2, zeta(p)*beta) and derive scales.
+) -> None:
+    """Check admissibility 0 < gamma < min(beta^2, zeta(p)*beta).
 
     Raises ParameterValidationError naming the violated bound.  The bound
     guarantees 0 < alpha = gamma/beta^2 < 1 for the limiting tail exponent.
@@ -267,20 +197,6 @@ def validate_parameters(
             f"gamma must satisfy gamma < min(beta^2, zeta(p)*beta) "
             f"= min({beta * beta:g}, {z:g}*{beta:g}) = {bound:g}; got gamma={gamma}"
         )
-    alpha, log_time_scale, time_scale, step_scale = _derive_scales(n, beta, gamma)
-    return ModelParameters(
-        n=n,
-        p=p,
-        beta=beta,
-        gamma=gamma,
-        alpha=alpha,
-        zeta_value=z,
-        gamma_bound=bound,
-        log_time_scale=log_time_scale,
-        time_scale=time_scale,
-        step_scale=step_scale,
-        block_length=block_length(n),
-    )
 
 
 def _signs_from_bits(bits: np.ndarray, n: int) -> np.ndarray:
@@ -310,14 +226,16 @@ _CONTRACT_CHUNK = 4096
 class Environment:
     """Immutable sampled environment: couplings, (beta, gamma), derived scales.
 
-    Construct via :meth:`create` (validated, theorem-domain) or
-    :meth:`degenerate` (oracle configurations such as beta=0 that closed-form
-    tests need; these bypass the admissibility bound and are flagged).
+    The constructor takes any couplings and any beta, gamma >= 0, so it also
+    builds the oracle configurations (beta = 0 among them) that closed-form
+    checks need; :meth:`create` samples the couplings from a seed on the
+    admissible domain only, and :meth:`degenerate` samples them without that
+    check.
 
     When the state space is small enough the constructor precomputes the full
     energy table so that trajectory simulation reduces to bitmask XOR plus a
     table lookup; otherwise energies are evaluated on demand by tensor
-    contraction.
+    contraction.  :meth:`energies` is the one way to read them.
     """
 
     __slots__ = (
@@ -327,7 +245,6 @@ class Environment:
         "beta",
         "gamma",
         "alpha",
-        "theorem_domain",
         "block_length",
         "log_time_scale",
         "time_scale",
@@ -341,30 +258,39 @@ class Environment:
         beta: float,
         gamma: float,
         *,
-        theorem_domain: bool,
         build_table: bool | None = None,
     ) -> None:
+        if not (beta >= 0 and gamma >= 0):
+            raise ParameterValidationError(
+                f"beta and gamma must be nonnegative; got beta={beta}, gamma={gamma}"
+            )
         self.couplings = couplings
-        self.n = couplings.n
+        self.n = n = couplings.n
         self.p = couplings.p
-        self.beta = float(beta)
-        self.gamma = float(gamma)
-        self.theorem_domain = theorem_domain
-        self.block_length = block_length(self.n)
-        self.alpha, self.log_time_scale, self.time_scale, self.step_scale = _derive_scales(
-            self.n, self.beta, self.gamma
-        )
+        self.beta = beta = float(beta)
+        self.gamma = gamma = float(gamma)
+        self.block_length = block_length(n)
+        # the tail exponent gamma/beta^2 and the jump-count scale
+        # sqrt(n) * exp(n*gamma^2/(2*beta^2)) do not exist at beta = 0 (None
+        # there); scales whose exponent leaves the float64 range saturate to inf
+        self.log_time_scale = gamma * n
+        self.time_scale = math.exp(gamma * n) if gamma * n < EXP_OVERFLOW else math.inf
+        self.alpha = self.step_scale = None
+        if beta > 0:
+            exponent = n * gamma * gamma / (2.0 * beta * beta)
+            self.alpha = gamma / (beta * beta)
+            self.step_scale = (
+                math.sqrt(n) * math.exp(exponent) if exponent < EXP_OVERFLOW else math.inf
+            )
         if build_table is None:
             build_table = (
-                (1 << self.n) <= _TABLE_MAX_STATES
-                and (1 << self.n) * float(self.n) ** self.p <= _TABLE_FLOP_BUDGET
+                (1 << n) <= _TABLE_MAX_STATES
+                and (1 << n) * float(n) ** self.p <= _TABLE_FLOP_BUDGET
             )
         self._energy_table = None
         if build_table:
-            self._energy_table = self._contract(np.arange(1 << self.n, dtype=np.uint64))
+            self._energy_table = self._contract(np.arange(1 << n, dtype=np.uint64))
             self._energy_table.setflags(write=False)
-
-    # -- construction -----------------------------------------------------
 
     @classmethod
     def create(
@@ -378,52 +304,26 @@ class Environment:
         build_table: bool | None = None,
     ) -> "Environment":
         """Validated environment on the admissible parameter domain."""
-        params = validate_parameters(n, p, beta, gamma, zeta_table)
-        env = cls.from_couplings(
-            CouplingTensor.sample(n, p, seed), beta, gamma, zeta_table, build_table
-        )
-        if math.isfinite(params.step_scale) and params.block_length >= 0.5 * params.step_scale:
+        validate_parameters(n, p, beta, gamma, zeta_table)
+        env = cls(CouplingTensor.sample(n, p, seed), beta, gamma, build_table=build_table)
+        if math.isfinite(env.step_scale) and env.block_length >= 0.5 * env.step_scale:
             warnings.warn(
-                f"block length {params.block_length} is not small against the "
-                f"jump-count scale {params.step_scale:.3g} at n={n}; "
+                f"block length {env.block_length} is not small against the "
+                f"jump-count scale {env.step_scale:.3g} at n={n}; "
                 "block-level asymptotics are unreliable at this size",
                 stacklevel=2,
             )
         return env
 
     @classmethod
-    def degenerate(
-        cls,
-        n: int,
-        p: int,
-        beta: float,
-        gamma: float,
-        seed: int = 0,
-        couplings: CouplingTensor | None = None,
-        build_table: bool | None = None,
-    ) -> "Environment":
+    def degenerate(cls, n: int, p: int, beta: float, gamma: float, seed: int = 0) -> "Environment":
         """Unvalidated environment for closed-form oracle configurations.
 
         Allows beta = 0 and/or gamma = 0.  The jump-count scale is undefined
         at beta = 0 (stored as None); estimators that need it require an
         explicit block-count override there.
         """
-        if beta < 0 or gamma < 0:
-            raise ParameterValidationError("beta and gamma must be nonnegative")
-        if couplings is None:
-            couplings = CouplingTensor.sample(n, p, seed)
-        return cls(couplings, beta, gamma, theorem_domain=False, build_table=build_table)
-
-    @classmethod
-    def from_couplings(
-        cls, couplings: CouplingTensor, beta: float, gamma: float,
-        zeta_table: dict[int, float] | None = None, build_table: bool | None = None,
-    ) -> "Environment":
-        """Validated environment over an explicit coupling tensor."""
-        validate_parameters(couplings.n, couplings.p, beta, gamma, zeta_table)
-        return cls(couplings, beta, gamma, theorem_domain=True, build_table=build_table)
-
-    # -- energies ---------------------------------------------------------
+        return cls(CouplingTensor.sample(n, p, seed), beta, gamma)
 
     def _contract(self, flat: np.ndarray) -> np.ndarray:
         """Energies of a flat array of packed states by tensor contraction, in chunks."""
@@ -439,14 +339,6 @@ class Environment:
     def has_energy_table(self) -> bool:
         return self._energy_table is not None
 
-    @property
-    def energy_table(self) -> np.ndarray:
-        if self._energy_table is None:
-            raise CapabilityError(
-                f"no energy table at n={self.n}, p={self.p}; construct with build_table=True"
-            )
-        return self._energy_table
-
     def energies(self, bits) -> np.ndarray:
         """Energies H for an array of packed states."""
         bits = np.atleast_1d(np.asarray(bits, dtype=np.uint64))
@@ -456,4 +348,11 @@ class Environment:
 
     def block_count(self, t: float) -> int:
         """Number of aggregation blocks inside the first floor(a_n * t) steps."""
-        return _block_count(self.step_scale, self.block_length, t)
+        if t < 0:
+            raise ParameterValidationError(f"t must be nonnegative; got {t}")
+        if self.step_scale is None or not math.isfinite(self.step_scale):
+            raise DegenerateScaleError(
+                "jump-count scale is undefined or infinite at these parameters; "
+                "pass an explicit block count"
+            )
+        return int(math.floor(math.floor(self.step_scale * t) / self.block_length))

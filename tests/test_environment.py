@@ -19,7 +19,6 @@ from clockproc.environment import (
 )
 from clockproc.chain import simulate_segment
 from clockproc.errors import (
-    CapabilityError,
     DegenerateScaleError,
     DimensionMismatchError,
     ParameterValidationError,
@@ -74,7 +73,7 @@ def test_spin_config_round_trip_and_flips():
     x = SpinConfig(5, 0b10110)
     s = x.spins()
     assert s.tolist() == [-1.0, 1.0, 1.0, -1.0, 1.0]
-    assert SpinConfig.from_spins(s) == x
+    assert sum(1 << b for b, v in enumerate(s) if v > 0) == x.bits
     y = x.flip(0)
     assert y.bits == 0b10111
     assert x.hamming(y) == 1
@@ -91,8 +90,6 @@ def test_spin_config_validation():
         SpinConfig(3, -1)
     with pytest.raises(ParameterValidationError):
         SpinConfig(3, 0).flip(3)
-    with pytest.raises(ParameterValidationError):
-        SpinConfig.from_spins([1.0, 0.5, -1.0])
     with pytest.raises(DimensionMismatchError):
         SpinConfig(3, 0).hamming(SpinConfig(4, 0))
 
@@ -137,24 +134,30 @@ def test_coupling_sample_reproducible():
     assert abs(big.var() - 1.0) < 0.2
 
 
-def test_coupling_from_values_validation():
+def test_coupling_tensor_validation():
     with pytest.raises(DimensionMismatchError):
-        CouplingTensor.from_values(4, 3, np.zeros(63))
+        CouplingTensor(4, 3, 0, np.zeros(63))
+    with pytest.raises(ParameterValidationError):
+        CouplingTensor(4, 1, 0, np.zeros(4))
+    # the tensor freezes the array it is given
+    tensor = CouplingTensor(2, 3, 0, np.zeros(8))
+    assert not tensor.values.flags.writeable
 
 
 # --- parameter validation and derived scales ------------------------------
 
 
 def test_validate_parameters_accepts_reference_point():
-    params = validate_parameters(10, 3, 3.0, 2.7)
-    assert params.alpha == pytest.approx(0.3)
-    assert params.gamma_bound == pytest.approx(min(9.0, zeta(3) * 3.0))
-    assert params.log_time_scale == pytest.approx(27.0)
-    assert params.time_scale == pytest.approx(math.exp(27.0), rel=1e-12)
-    assert params.step_scale == pytest.approx(
+    assert validate_parameters(10, 3, 3.0, 2.7) is None
+    # the scales live on the environment alone
+    env = Environment.create(10, 3, 3.0, 2.7, seed=0)
+    assert env.alpha == pytest.approx(0.3)
+    assert env.log_time_scale == pytest.approx(27.0)
+    assert env.time_scale == pytest.approx(math.exp(27.0), rel=1e-12)
+    assert env.step_scale == pytest.approx(
         math.sqrt(10) * math.exp(10 * 2.7**2 / (2 * 9.0)), rel=1e-12
     )
-    assert params.block_length == 104
+    assert env.block_length == 104
 
 
 def test_validate_parameters_rejections_name_the_bound():
@@ -172,13 +175,16 @@ def test_validate_parameters_rejections_name_the_bound():
     # small beta: the beta^2 branch binds
     with pytest.raises(ParameterValidationError):
         validate_parameters(10, 3, 0.5, 0.3)
-    assert validate_parameters(10, 3, 0.5, 0.2).gamma_bound == pytest.approx(0.25)
+    validate_parameters(10, 3, 0.5, 0.2)
+    with pytest.raises(ParameterValidationError, match=r"= 0.25; got gamma=0.25"):
+        validate_parameters(10, 3, 0.5, 0.25)
 
 
 def test_validate_parameters_respects_zeta_override():
     # stock table rejects gamma=3.2 at beta=3; a larger zeta admits it
-    params = validate_parameters(10, 3, 3.0, 3.2, zeta_table={3: 1.12})
-    assert params.zeta_value == 1.12
+    validate_parameters(10, 3, 3.0, 3.2, zeta_table={3: 1.12})
+    with pytest.raises(ParameterValidationError, match=r"1.12\*3\) = 3.36; got gamma=3.4"):
+        validate_parameters(10, 3, 3.0, 3.4, zeta_table={3: 1.12})
 
 
 # --- environments and energies --------------------------------------------
@@ -186,7 +192,7 @@ def test_validate_parameters_respects_zeta_override():
 
 def test_environment_create_flags_and_scales():
     env = Environment.create(8, 3, 3.0, 2.7, seed=5)
-    assert env.theorem_domain
+    assert env.couplings.seed == 5
     assert env.alpha == pytest.approx(0.3)
     assert env.block_length == block_length(8)
     assert env.time_scale == pytest.approx(math.exp(2.7 * 8), rel=1e-12)
@@ -201,13 +207,17 @@ def test_environment_warns_when_blocks_outgrow_step_scale():
 
 def test_environment_degenerate_beta_zero():
     env = Environment.degenerate(8, 3, 0.0, 1.0)
-    assert not env.theorem_domain
     assert env.alpha is None
     assert env.step_scale is None
     with pytest.raises(DegenerateScaleError):
         env.block_count(1.0)
     with pytest.raises(ParameterValidationError):
         Environment.degenerate(8, 3, -1.0, 1.0)
+    # the bare constructor owns that check
+    with pytest.raises(ParameterValidationError, match="nonnegative"):
+        Environment(env.couplings, 1.0, -0.5)
+    with pytest.raises(ParameterValidationError, match="nonnegative"):
+        Environment(env.couplings, math.nan, 1.0)
     # beta=0 holding times are all 1: every hold is its exponential draw
     segment = simulate_segment(env, None, 255, ReplicaStreams.from_seed(1))
     assert np.array_equal(segment.increments, segment.exp_draws)
@@ -226,11 +236,9 @@ def test_block_count():
 def test_energy_table_matches_direct_contraction():
     """The precomputed table and the on-demand tensor fold must agree exactly."""
     tensor = CouplingTensor.sample(7, 3, seed=11)
-    with_table = Environment.degenerate(7, 3, 1.0, 0.5, couplings=tensor, build_table=True)
-    without = Environment.degenerate(7, 3, 1.0, 0.5, couplings=tensor, build_table=False)
+    with_table = Environment(tensor, 1.0, 0.5, build_table=True)
+    without = Environment(tensor, 1.0, 0.5, build_table=False)
     assert with_table.has_energy_table and not without.has_energy_table
-    with pytest.raises(CapabilityError):
-        _ = without.energy_table
     bits = np.arange(128, dtype=np.uint64)
     assert np.allclose(with_table.energies(bits), without.energies(bits), rtol=1e-12, atol=1e-12)
 
@@ -271,9 +279,7 @@ def test_energy_covariance_tracks_overlap():
     h = np.empty((draws, 1 + len(pairs)))
     states = np.array([x.bits] + [y.bits for y in pairs], dtype=np.uint64)
     for i in range(draws):
-        env = Environment.degenerate(
-            n, p, 1.0, 0.5, couplings=CouplingTensor.sample(n, p, seed=i), build_table=False
-        )
+        env = Environment(CouplingTensor.sample(n, p, seed=i), 1.0, 0.5, build_table=False)
         h[i] = env.energies(states)
     for j, y in enumerate(pairs):
         r = overlap(x, y)
@@ -289,9 +295,8 @@ def test_tau_saturates_to_inf():
     n, p = 4, 3
     values = np.zeros(n**p)
     values[0] = 1e6  # J_{000}: contributes s_0^3 * n^{-1}
-    tensor = CouplingTensor.from_values(n, p, values)
-    env = Environment.degenerate(n, p, beta=10.0, gamma=0.0, couplings=tensor)
-    hot = SpinConfig.from_spins([1, 1, 1, 1])
+    env = Environment(CouplingTensor(n, p, 0, values), beta=10.0, gamma=0.0)
+    hot = SpinConfig(n, 0b1111)
     segment = simulate_segment(env, hot, 8, ReplicaStreams.from_seed(3))
     # the holding time saturates to inf, never wraps, and is counted; the energy stays finite
     assert math.isinf(segment.increments[0])

@@ -189,7 +189,8 @@ def energy_digests():
         0, 1 << 10, size=5000, dtype=np.uint64
     )
     contracted = Environment.create(10, 3, 3.0, 2.7, SEED, build_table=False).energies(states)
-    table = Environment.create(10, 3, 3.0, 2.7, SEED, build_table=True).energy_table
+    tabled = Environment.create(10, 3, 3.0, 2.7, SEED, build_table=True)
+    table = tabled.energies(np.arange(1 << 10, dtype=np.uint64))
     return _sha(contracted.tobytes()), _sha(table.tobytes())
 
 

@@ -1,11 +1,12 @@
 """No module of the package imports another module's private helpers, every
-exported name exists, and every exported function is run by the package.
+exported name exists, every exported function is run by the package, and
+every public classmethod and property of an exported class is read by it.
 
 A name with a leading underscore (dunders such as ``__version__`` aside) is
 private to the module that defines it; a ``from .module import _name``
 elsewhere couples the two modules through a helper that carries no interface
-promise.  A public function that only tests call belongs in the tests, as an
-oracle next to the test that uses it.
+promise.  A public function, alternate constructor or property that only
+tests call belongs in the tests, as an oracle next to the test that uses it.
 """
 
 import ast
@@ -64,15 +65,40 @@ def test_every_exported_name_exists_once():
 # estimator of the source paper, which callers run directly
 RUN_ONLY_BY_CALLERS = {"conditions.py:concentration_diagnostic"}
 
+# public classmethods and properties that no module of the package reads:
+# opening a replica's two streams from one bare seed is a test convenience
+READ_ONLY_BY_CALLERS = {"seeding.py:ReplicaStreams.from_seed"}
 
-def exported_functions(tree: ast.Module) -> set[str]:
-    exported = set()
+
+def exported_names(tree: ast.Module) -> set[str]:
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
         ):
-            exported = set(ast.literal_eval(node.value))
-    return {node.name for node in tree.body if isinstance(node, ast.FunctionDef)} & exported
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def exported_functions(tree: ast.Module) -> set[str]:
+    functions = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    return functions & exported_names(tree)
+
+
+def exported_members(tree: ast.Module) -> set[str]:
+    """``Class.member`` for each public classmethod and property of an exported class."""
+    exported = exported_names(tree)
+    return {
+        f"{cls.name}.{member.name}"
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and cls.name in exported
+        for member in cls.body
+        if isinstance(member, ast.FunctionDef)
+        and not member.name.startswith("_")
+        and any(
+            isinstance(d, ast.Name) and d.id in ("classmethod", "property")
+            for d in member.decorator_list
+        )
+    }
 
 
 def referenced_names(tree: ast.Module) -> set[str]:
@@ -85,17 +111,32 @@ def referenced_names(tree: ast.Module) -> set[str]:
     return names
 
 
+def _package_trees(sources: dict[str, str]) -> tuple[dict[str, ast.Module], set[str]]:
+    """Parsed modules other than ``__init__.py``, and every name they reference."""
+    trees = {name: ast.parse(source) for name, source in sources.items() if name != "__init__.py"}
+    return trees, set().union(*(referenced_names(tree) for tree in trees.values()))
+
+
 def unused_public_functions(sources: dict[str, str]) -> list[str]:
     """Module-level functions named in a module's ``__all__`` that no module
     other than ``__init__.py`` references by name or attribute."""
-    trees = {name: ast.parse(source) for name, source in sources.items()}
-    used = set().union(*(referenced_names(tree) for name, tree in trees.items()
-                         if name != "__init__.py"))
+    trees, used = _package_trees(sources)
     return sorted(
         f"{name}:{function}"
         for name, tree in trees.items()
-        if name != "__init__.py"
         for function in exported_functions(tree) - used
+    )
+
+
+def unread_public_members(sources: dict[str, str]) -> list[str]:
+    """Public classmethods and properties of classes named in a module's
+    ``__all__`` that no module other than ``__init__.py`` reads by attribute."""
+    trees, used = _package_trees(sources)
+    return sorted(
+        f"{name}:{member}"
+        for name, tree in trees.items()
+        for member in exported_members(tree)
+        if member.rpartition(".")[2] not in used
     )
 
 
@@ -112,6 +153,32 @@ def test_guard_detects_public_functions_only_the_package_init_names():
     assert unused_public_functions(sources) == ["a.py:spare"]
 
 
+def test_guard_detects_public_members_only_the_package_init_reads():
+    sources = {
+        "a.py": '__all__ = ["Kind"]\n'
+                "class Kind:\n"
+                "    @classmethod\n    def build(cls):\n        return cls()\n"
+                "    @classmethod\n    def spare_build(cls):\n        return cls()\n"
+                "    @property\n    def size(self):\n        return 1\n"
+                "    @property\n    def spare_size(self):\n        return 2\n"
+                "    @property\n    def _hidden(self):\n        return 3\n"
+                "    def method(self):\n        return 4\n"
+                "class Unexported:\n"
+                "    @classmethod\n    def spare_too(cls):\n        return cls()\n",
+        "b.py": "from . import a\n\ndef go():\n    return a.Kind.build().size\n",
+        "__init__.py": "from .a import Kind\n__all__ = ['Kind']\n"
+                       "Kind.spare_build().spare_size\n",
+    }
+    assert unread_public_members(sources) == ["a.py:Kind.spare_build", "a.py:Kind.spare_size"]
+
+
+def package_sources() -> dict[str, str]:
+    return {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+
+
 def test_every_public_function_is_run_by_the_package():
-    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
-    assert unused_public_functions(sources) == sorted(RUN_ONLY_BY_CALLERS)
+    assert unused_public_functions(package_sources()) == sorted(RUN_ONLY_BY_CALLERS)
+
+
+def test_every_public_member_is_read_by_the_package():
+    assert unread_public_members(package_sources()) == sorted(READ_ONLY_BY_CALLERS)
