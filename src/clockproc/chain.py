@@ -151,20 +151,16 @@ def extend_segment(
 
 @dataclass
 class ClockPath:
-    """Partial sums of the rescaled clock, one entry per aggregation block.
+    """The rescaled clock over k aggregation blocks.
 
-    ``times[i]`` is the rescaled clock after i+1 blocks.  The waiting time of
-    the starting state (step 0) is recorded separately in ``initial_term``
-    and excluded from the path: block i covers steps theta*(i-1)+1 .. theta*i.
+    ``block_sums[i]`` is the rescaled clock increment of block i+1, which
+    covers steps theta*i+1 .. theta*(i+1).  The waiting time of the starting
+    state (step 0) is recorded separately in ``initial_term`` and excluded
+    from the blocks.
     """
 
-    times: np.ndarray
-    index_unit: str
-    scale: float
+    block_sums: np.ndarray
     initial_term: float
-
-    def block_sums(self) -> np.ndarray:
-        return np.diff(self.times, prepend=0.0)
 
 
 def blocked_clock(segment: TrajectorySegment, env: Environment, k: int) -> ClockPath:
@@ -185,11 +181,8 @@ def blocked_clock(segment: TrajectorySegment, env: Environment, k: int) -> Clock
     log_scaled = env.beta * segment.energies[:need] - env.log_time_scale
     with np.errstate(over="ignore"):
         scaled = np.exp(log_scaled) * segment.exp_draws[:need]
-    blocks = scaled[1:need].reshape(k, theta).sum(axis=1)
     return ClockPath(
-        times=np.cumsum(blocks),
-        index_unit="blocks",
-        scale=env.time_scale,
+        block_sums=scaled[1:need].reshape(k, theta).sum(axis=1),
         initial_term=float(scaled[0]),
     )
 

@@ -284,7 +284,7 @@ def _run_clock(cfg: ExperimentConfig, outdir: str, args) -> tuple[dict, list]:
     def worker(i: int):
         segment = simulate_segment(env, start, k * theta, family.replica(i))
         path = blocked_clock(segment, env, k)
-        return path.block_sums(), path.initial_term
+        return path.block_sums, path.initial_term
 
     results = ordered_map(worker, cfg.replicas, cfg.resolved_threads())
     artifacts = []

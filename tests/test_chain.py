@@ -183,8 +183,7 @@ def test_blocked_clock_zero_blocks():
     env = make_env(n=6)
     seg = simulate_segment(env, SpinConfig(6, 0), 5, ReplicaStreams.from_seed(1))
     path = blocked_clock(seg, env, 0)
-    assert path.times.shape == (0,)
-    assert path.block_sums().shape == (0,)
+    assert path.block_sums.shape == (0,)
     assert path.initial_term >= 0
 
 
@@ -194,7 +193,7 @@ def test_blocked_clock_needs_enough_increments():
     seg = simulate_segment(env, SpinConfig(6, 0), theta, ReplicaStreams.from_seed(1))
     # theta steps give theta+1 increments: exactly one block
     path = blocked_clock(seg, env, 1)
-    assert path.times.shape == (1,)
+    assert path.block_sums.shape == (1,)
     with pytest.raises(SegmentLengthError):
         blocked_clock(seg, env, 2)
 
@@ -207,11 +206,20 @@ def test_blocked_clock_matches_direct_recompute():
     path = blocked_clock(seg, env, k)
     scaled = np.exp(env.beta * seg.energies - env.log_time_scale) * seg.exp_draws
     direct = np.array([scaled[1 + i * theta : 1 + (i + 1) * theta].sum() for i in range(k)])
-    assert np.allclose(path.block_sums(), direct, rtol=1e-12)
-    assert np.allclose(path.times, np.cumsum(direct), rtol=1e-12)
+    assert np.allclose(path.block_sums, direct, rtol=1e-12)
     assert path.initial_term == pytest.approx(float(scaled[0]), rel=1e-15)
-    assert path.index_unit == "blocks"
-    assert path.scale == env.time_scale
+
+
+def test_blocked_clock_block_sums_are_the_direct_fold_bit_for_bit():
+    """The block sums are the per-block folds themselves, not differences of a
+    running total, which lose the low bits of every small block after a large one."""
+    env = Environment.create(10, 3, 3.0, 2.7, seed=11)
+    k, theta = 12, env.block_length
+    seg = simulate_segment(env, None, k * theta, ReplicaStreams.from_seed(8))
+    with np.errstate(over="ignore"):
+        scaled = np.exp(env.beta * seg.energies - env.log_time_scale) * seg.exp_draws
+    direct = np.array([scaled[1 + i * theta : 1 + (i + 1) * theta].sum() for i in range(k)])
+    assert np.array_equal(blocked_clock(seg, env, k).block_sums, direct)
 
 
 def test_blocked_clock_unit_increment_identity():
@@ -232,7 +240,7 @@ def test_blocked_clock_unit_increment_identity():
         saturated=0,
     )
     path = blocked_clock(seg, env, theta_blocks)
-    assert np.allclose(path.block_sums(), float(theta), rtol=1e-12)
+    assert np.allclose(path.block_sums, float(theta), rtol=1e-12)
 
 
 # --- time-changed process lookup ------------------------------------------
