@@ -116,9 +116,9 @@ EXPECTED = {
         "verdicts": "987ca76d7cebd059dca63af9e4c8a0c081f2da37947b987e153bf191ef0ae051",
     }),
     "clock": (0, {
-        "clock.csv": "fa7153d6f63569d37707d109c356524eb7dd76838e5208898ee535b3fb811a31",
+        "clock.csv": "b072f6ceadf796d145e653d2f1a8cab0112ce0bd9485489413e327c1d42f6d08",
         "clock_initial_terms.csv": "8e1151aa4ab6f5a28037d0e4cee7b0c37e34ac69187e39924b89e003d24d92f1",
-        "clock_jumps.csv": "fd05a62c0b8f496dbdc8706c0ace3c568d62caa028e187c1a770169d7feb9b0d",
+        "clock_jumps.csv": "0957ed781e1b7bf56e382419aeabef6261a0629759c042a1b5161b7052a5ec03",
         "trajectory.csv": "994ced234fc24715953352df64efd1c5701e209c7e3da38fb363722423389dab",
         "verdicts": "4c7b23e52b942b73682c80a46a35b91d612386963913f6349972b94303a34737",
     }),
