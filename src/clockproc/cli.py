@@ -482,19 +482,21 @@ def _run_subordinator(cfg: ExperimentConfig, outdir: str, args) -> tuple[dict, l
     results = self_test(pairs, cfg.v_grid, paths, cfg.master_seed, cfg.resolved_threads())
     for result in results:
         alpha = result.alpha
-        worst_gap = 0.0
+        worst_gap = worst_z = 0.0
         for (t, s), hits in zip(pairs, result.crossings):
             ratio = t / (t + s)
             empirical = float(hits) / paths
             predicted = arcsine_cdf(alpha, ratio)
-            stderr = math.sqrt(max(empirical * (1.0 - empirical), 1e-12) / paths)
+            # binomial spread of the crossing frequency under the prediction
+            stderr = math.sqrt(predicted * (1.0 - predicted) / paths)
             worst_gap = max(worst_gap, abs(empirical - predicted))
+            worst_z = max(worst_z, z_score(empirical, predicted, stderr))
             row = (alpha, t, s, ratio, empirical, predicted, stderr)
             arcsine_rows.append([repr(x) for x in row])
         verdicts[f"arcsine_alpha_{alpha}"] = {
             "max_absolute_gap": worst_gap,
-            "tolerance": 0.01,
-            "status": ladder(worst_gap, 0.01, 0.02),
+            "max_z": worst_z,
+            "status": z_status(worst_z),
         }
 
         worst_z = 0.0

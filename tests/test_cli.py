@@ -355,6 +355,33 @@ def test_subordinator_transform_warns_where_the_expected_ess_is_too_small(tmp_pa
     assert all(verdicts[f"transform_alpha_{a}"]["status"] == "warn" for a in (0.3, 0.5, 0.7))
 
 
+def test_subordinator_arcsine_checks_grade_by_the_binomial_spread(tmp_path):
+    # at 2000 paths a crossing frequency spreads by about 0.011; graded by a
+    # fixed 0.02 gap, arcsine_alpha_0.5 failed here on sampling noise alone
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(
+        json.dumps({"budgets": {"samples": 2000}, "grids": {"v_grid": [1.0, 100.0]}})
+    )
+    outdir = tmp_path / "out"
+    assert main(["subordinator", "--config", str(cfg_path), "--out", str(outdir)]) == 2
+    verdicts = load_manifest(outdir)["verdicts"]
+    rows = read_rows(outdir / "subordinator_arcsine.csv")[1:]
+    for alpha in (0.3, 0.5, 0.7):
+        entry = verdicts[f"arcsine_alpha_{alpha}"]
+        assert entry["status"] == "pass"
+        z = 0.0
+        for row in rows:
+            if float(row[0]) != alpha:
+                continue
+            empirical, predicted, stderr = map(float, row[4:7])
+            # the stderr column is the spread under the prediction
+            assert stderr == math.sqrt(predicted * (1.0 - predicted) / 2000)
+            z = max(z, abs(empirical - predicted) / stderr)
+        assert entry["max_z"] == pytest.approx(z, rel=1e-12)
+    assert verdicts["arcsine_alpha_0.5"]["max_absolute_gap"] > 0.02
+    assert verdicts["arcsine_alpha_0.5"]["max_z"] == pytest.approx(1.85, abs=0.01)
+
+
 def test_bad_inputs_exit_with_error_message(tmp_path, capsys):
     # missing config file
     assert main(["mixing", "--config", str(tmp_path / "nope.json")]) == 1
