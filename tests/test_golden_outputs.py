@@ -140,10 +140,10 @@ EXPECTED = {
         "laplace.csv": "93225dd70c6f62458ca5533aa83439629af497eb86c44b1a101b07fd54056f25",
         "verdicts": "79615e585f946960b80a8ea7b505cca1a894e1ba2622422c35d5326d1e59c8e1",
     }),
-    "subordinator": (2, {
-        "subordinator_arcsine.csv": "3822016cd03c5ed7bd4f1e4dd9658801c71fccaed16261171aee91488289d20f",
+    "subordinator": (0, {
+        "subordinator_arcsine.csv": "069683a131a089bcf0edba6cf1b30f255fafbbc9a059a5658ab7eaacb6ebc153",
         "subordinator_laplace.csv": "bbbb7ad4980be1e2bd57acba7aabcb3331a76f9bed52bd14d21f7b8c3be0dfc1",
-        "verdicts": "dba9d99dee49cdaa358e589ec955883b640609428d995a8827a9d0e3afaf34e3",
+        "verdicts": "f43bc0e05804d6381bf524d7f9bbbb08a0ae7c1cc6e05892d4f870a075cc75e9",
     }),
 }
 
