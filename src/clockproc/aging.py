@@ -129,7 +129,6 @@ def estimate_aging_curve(
     time_unit: float | None = None,
     prediction_alpha: float | None = None,
     step_cap: int = 100_000_000,
-    initial_steps: int = 4096,
     threads: int = 1,
     start: SpinConfig | None = None,
 ) -> AgingCurve:
@@ -137,10 +136,10 @@ def estimate_aging_curve(
 
     Each replica starts uniformly (or at ``start``, a non-stationary choice
     for exploratory runs), simulates until its clock passes the
-    latest requested time (from ``initial_steps`` steps, doubling the
-    segment, which extends the existing path rather than resampling it), and
-    contributes one indicator per (t, s) pair.  If already the expected
-    number of steps to reach the horizon exceeds ``step_cap``, the run
+    latest requested time (from four times the expected number of steps to
+    reach it, doubling the segment, which extends the existing path rather
+    than resampling it), and contributes one indicator per (t, s) pair.  If
+    already the expected number of steps exceeds ``step_cap``, the run
     refuses upfront with a budget error;
     individual replicas that still hit the cap (required step counts are
     heavy-tailed) are censored for the unreached pairs and excluded from
@@ -173,6 +172,7 @@ def estimate_aging_curve(
             f"expected ~{expected_steps:.3g} steps to cover the horizon, above the "
             f"step cap {step_cap:.3g}; raise the cap or shorten the grid"
         )
+    first_steps = min(max(1, math.ceil(4.0 * expected_steps)), step_cap)
     family = StreamFamily(master_seed, "aging")
 
     if start is not None and start.n != env.n:
@@ -180,7 +180,7 @@ def estimate_aging_curve(
 
     def worker(i: int):
         streams = family.replica(i)
-        segment = simulate_segment(env, start, min(initial_steps, step_cap), streams)
+        segment = simulate_segment(env, start, first_steps, streams)
         while segment.horizon <= needed and segment.steps < step_cap:
             extra = min(segment.steps, step_cap - segment.steps)
             segment = extend_segment(env, segment, extra, streams)

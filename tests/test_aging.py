@@ -6,12 +6,13 @@ import math
 import numpy as np
 import pytest
 
+from clockproc import aging
 from clockproc.aging import (
     correlation_indicator,
     estimate_aging_curve,
     trap_localization_diagnostic,
 )
-from clockproc.chain import simulate_segment
+from clockproc.chain import extend_segment, simulate_segment
 from clockproc.environment import Environment, SpinConfig
 from clockproc.errors import (
     BudgetError,
@@ -19,7 +20,7 @@ from clockproc.errors import (
     HorizonError,
     ParameterValidationError,
 )
-from clockproc.seeding import ReplicaStreams
+from clockproc.seeding import ReplicaStreams, StreamFamily
 from clockproc.subordinator import arcsine_cdf
 
 pytestmark = pytest.mark.filterwarnings("ignore:block length")
@@ -79,22 +80,43 @@ def test_aging_curve_budget_and_censoring():
         estimate_aging_curve(
             env, [(1.0, 1.0)], 0.25, replicas=4, master_seed=1, time_unit=1e9, step_cap=1000
         )
-    # a cap just above the expected step count censors some replicas
-    kwargs = dict(
-        replicas=24, master_seed=3, time_unit=40.0, prediction_alpha=0.5,
-        step_cap=650,  # expected ~640 unit holds for the late pair
+    # a cap just above the expected step count censors some replicas; the
+    # first segment (four times the expected ~640 unit holds) is cut to the cap
+    curve = estimate_aging_curve(
+        env, [(1.0, 1.0), (10.0, 6.0)], 0.25, replicas=24, master_seed=3, time_unit=40.0,
+        prediction_alpha=0.5, step_cap=650,
     )
-    pairs = [(1.0, 1.0), (10.0, 6.0)]
-    curve = estimate_aging_curve(env, pairs, 0.25, initial_steps=64, **kwargs)
     for comp, cens in zip(curve.completed, curve.censored):
         assert comp + cens == 24
     assert curve.censored[0] == 0  # the early pair always fits
     assert curve.censored[1] > 0  # the late one cannot always be reached
     assert not math.isnan(curve.estimates[0])
-    # the default 4096-step first segment is cut to the cap, so it censors the same way
-    capped = estimate_aging_curve(env, pairs, 0.25, **kwargs)
-    assert capped.censored[1] > 0
-    assert capped == estimate_aging_curve(env, pairs, 0.25, initial_steps=650, **kwargs)
+
+
+def test_aging_curve_extends_short_segments_prefix_stably(monkeypatch):
+    """Replicas whose first segment ends short of the horizon are extended, and
+    read the same indicators as one long segment drawn from the same streams."""
+    env = Environment.create(6, 3, 2.0, 1.5, seed=9)
+    pairs, replicas, seed = [(0.5, 0.5), (1.0, 2.0)], 40, 5
+    extensions = []
+
+    def counting_extend(*args):
+        extensions.append(args[2])
+        return extend_segment(*args)
+
+    monkeypatch.setattr(aging, "extend_segment", counting_extend)
+    curve = estimate_aging_curve(env, pairs, 0.25, replicas, seed)
+    # the first segment is 4 x the expected 3 x step_scale steps, and the
+    # first extension of a replica doubles it
+    assert extensions[0] == math.ceil(4.0 * 3.0 * env.step_scale) == 159
+    assert sum(curve.censored) == 0
+    family = StreamFamily(seed, "aging")
+    hits = np.zeros(len(pairs))
+    for i in range(replicas):
+        long = simulate_segment(env, None, 4096, family.replica(i))
+        assert long.horizon > 3.0 * env.time_scale
+        hits += [correlation_indicator(env, long, t, s, 0.25) for t, s in pairs]
+    assert curve.estimates == tuple(hits / replicas)
 
 
 def test_aging_curve_input_validation():
