@@ -45,6 +45,7 @@ from scipy import integrate, special, stats
 
 from .chain import index_walk, mixing_check, simulate_segment
 from .environment import (
+    MAX_TABLE_SPINS,
     CouplingTensor,
     Environment,
     validate_parameters,
@@ -91,9 +92,6 @@ __all__ = [
 # before the chunk loop and each stream's remaining draws concatenate across
 # chunks in the same order as a single draw would produce.
 _CHUNK_STATES = 4_000_000
-
-# largest n at which every state's energy is enumerated for exact references
-_EXACT_ENUMERATION_MAX_N = 22
 
 
 def _uniform_starts(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -526,8 +524,8 @@ def _inverse_holds(env: Environment, energies: np.ndarray) -> np.ndarray:
 
 
 def _can_enumerate(env: Environment) -> bool:
-    """Whether every state's energy is at hand: a table, or n small enough to contract."""
-    return env.has_energy_table or env.n <= _EXACT_ENUMERATION_MAX_N
+    """Whether n is small enough to read every state's energy for exact references."""
+    return env.n <= MAX_TABLE_SPINS
 
 
 def _all_energies(env: Environment) -> np.ndarray:
@@ -551,7 +549,7 @@ def estimate_initial_term(
 
     The exponential hold is integrated out exactly, leaving the average of
     exp(-v * time_scale * exp(-beta*H)) over states: all of the hypercube
-    when ``exact`` (needs the energy table or n small enough to enumerate),
+    when ``exact`` (needs n <= ``MAX_TABLE_SPINS``, so that the states enumerate),
     otherwise a uniform Monte Carlo sample.  The exact mode enumerates the
     states once for the whole grid; the Monte Carlo mode draws its own
     ``samples`` uniform starts for each positive v, in grid order.  A v of 0

@@ -11,6 +11,11 @@ normalised overlap R(x,y) = (1/n) sum_i x_i y_i (repeated indices included in
 the sum, which is what makes the covariance exact at every n).  Mean holding
 times of the hopping dynamics are tau(x) = exp(beta * H(x)).
 
+Energies are read through ``Environment.energies``: up to n = 22
+(``MAX_TABLE_SPINS``, a 32 MB table) by a gather from the table of all 2^n
+energies, which the first lookup builds, and past that by tensor contraction
+of the states asked for.
+
 The module also derives the scale parameters of the accelerated dynamics:
 observation time scale exp(gamma*n), jump-count scale sqrt(n) *
 exp(n*gamma^2/(2*beta^2)), aggregation block length ceil((3*ln2/2)*n^2), and
@@ -20,6 +25,7 @@ the tail exponent alpha = gamma/beta^2.
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -44,6 +50,7 @@ __all__ = [
     "DEFAULT_ZETA_TABLE",
     "EXP_OVERFLOW",
     "MAX_SPINS",
+    "MAX_TABLE_SPINS",
 ]
 
 # Large-p limit of the admissible-slope coefficient: sqrt(2*ln 2).
@@ -57,6 +64,10 @@ EXP_OVERFLOW = 709.0  # exp() overflows float64 just above this
 
 # largest spin count whose packed states (and uniform draws below 1 << n) fit in uint64
 MAX_SPINS = 63
+
+# largest spin count whose 2^n energies are tabulated (2^22 float64 = 32 MB),
+# and so the largest one at which every state is enumerated for exact references
+MAX_TABLE_SPINS = 22
 
 _LOG2 = math.log(2.0)
 
@@ -162,7 +173,10 @@ class CouplingTensor:
             raise DimensionMismatchError(
                 f"coupling array has {self.values.size} entries; expected n^p = {self.n ** self.p}"
             )
-        self.values.setflags(write=False)
+        # freeze a private copy, so the caller's array stays writeable
+        values = np.array(self.values)
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def sample(cls, n: int, p: int, seed: int) -> "CouplingTensor":
@@ -215,10 +229,6 @@ def _energy_fold(values: np.ndarray, n: int, p: int, signs: np.ndarray) -> np.nd
     return h * float(n) ** (-(p - 1) / 2.0)
 
 
-# Auto-build the full energy table when 2^n * n^p stays below this many
-# multiply-adds; the table then makes every walk a pure gather.
-_TABLE_FLOP_BUDGET = 3.0e9
-_TABLE_MAX_STATES = 1 << 22
 # states contracted per batch, for the table build and for on-demand energies
 _CONTRACT_CHUNK = 4096
 
@@ -232,10 +242,15 @@ class Environment:
     admissible domain only, and :meth:`degenerate` samples them without that
     check.
 
-    When the state space is small enough the constructor precomputes the full
-    energy table so that trajectory simulation reduces to bitmask XOR plus a
-    table lookup; otherwise energies are evaluated on demand by tensor
-    contraction.  :meth:`energies` is the one way to read them.
+    :meth:`energies` is the one way to read the energies.  At n <=
+    ``MAX_TABLE_SPINS`` (``build_table=None``) it gathers from the table of
+    all 2^n energies, so trajectory simulation reduces to bitmask XOR plus a
+    table lookup and a state's energy does not depend on the batch it is
+    read in; the first call builds that table, once, under a lock, and the
+    constructor does no contraction.  Past that bound energies are contracted
+    on demand, and their last bit can move with the batch.
+    ``build_table=True/False`` forces either path;
+    ``has_energy_table`` records which one this environment reads.
     """
 
     __slots__ = (
@@ -249,7 +264,9 @@ class Environment:
         "log_time_scale",
         "time_scale",
         "step_scale",
+        "has_energy_table",
         "_energy_table",
+        "_table_lock",
     )
 
     def __init__(
@@ -282,15 +299,9 @@ class Environment:
             self.step_scale = (
                 math.sqrt(n) * math.exp(exponent) if exponent < EXP_OVERFLOW else math.inf
             )
-        if build_table is None:
-            build_table = (
-                (1 << n) <= _TABLE_MAX_STATES
-                and (1 << n) * float(n) ** self.p <= _TABLE_FLOP_BUDGET
-            )
+        self.has_energy_table = n <= MAX_TABLE_SPINS if build_table is None else build_table
         self._energy_table = None
-        if build_table:
-            self._energy_table = self._contract(np.arange(1 << n, dtype=np.uint64))
-            self._energy_table.setflags(write=False)
+        self._table_lock = threading.Lock()
 
     @classmethod
     def create(
@@ -325,26 +336,39 @@ class Environment:
         """
         return cls(CouplingTensor.sample(n, p, seed), beta, gamma)
 
-    def _contract(self, flat: np.ndarray) -> np.ndarray:
-        """Energies of a flat array of packed states by tensor contraction, in chunks."""
-        out = np.empty(flat.shape[0])
-        for lo in range(0, flat.shape[0], _CONTRACT_CHUNK):
-            sub = flat[lo : lo + _CONTRACT_CHUNK]
-            out[lo : lo + _CONTRACT_CHUNK] = _energy_fold(
-                self.couplings.values, self.n, self.p, _signs_from_bits(sub, self.n)
+    def _contract(self, count: int, states) -> np.ndarray:
+        """Energies of ``count`` packed states by tensor contraction, one chunk
+        at a time; ``states(lo, hi)`` gives the states of positions lo..hi-1."""
+        out = np.empty(count)
+        for lo in range(0, count, _CONTRACT_CHUNK):
+            hi = min(lo + _CONTRACT_CHUNK, count)
+            out[lo:hi] = _energy_fold(
+                self.couplings.values, self.n, self.p, _signs_from_bits(states(lo, hi), self.n)
             )
         return out
 
-    @property
-    def has_energy_table(self) -> bool:
-        return self._energy_table is not None
+    def _table(self) -> np.ndarray:
+        """The energies of all 2^n states in state order, built at the first call."""
+        table = self._energy_table
+        if table is None:
+            with self._table_lock:
+                table = self._energy_table
+                if table is None:
+                    table = self._contract(
+                        1 << self.n, lambda lo, hi: np.arange(lo, hi, dtype=np.uint64)
+                    )
+                    table.setflags(write=False)
+                    self._energy_table = table
+        return table
 
     def energies(self, bits) -> np.ndarray:
         """Energies H for an array of packed states."""
         bits = np.atleast_1d(np.asarray(bits, dtype=np.uint64))
-        if self._energy_table is not None:
-            return self._energy_table[bits]
-        return self._contract(bits.reshape(-1)).reshape(bits.shape)
+        if self.has_energy_table:
+            # packed states stay below 2^63, so the int64 view indexes without a cast
+            return self._table()[bits.view(np.int64)]
+        flat = bits.reshape(-1)
+        return self._contract(flat.size, lambda lo, hi: flat[lo:hi]).reshape(bits.shape)
 
     def block_count(self, t: float) -> int:
         """Number of aggregation blocks inside the first floor(a_n * t) steps."""

@@ -1,10 +1,13 @@
 """Environment layer: parameters, spin states, couplings, energies."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from clockproc import environment
 from clockproc.environment import (
     DEFAULT_ZETA_TABLE,
     ZETA_LIMIT,
@@ -17,7 +20,7 @@ from clockproc.environment import (
     validate_parameters,
     zeta,
 )
-from clockproc.chain import simulate_segment
+from clockproc.chain import index_walk, simulate_segment
 from clockproc.errors import (
     DegenerateScaleError,
     DimensionMismatchError,
@@ -139,9 +142,13 @@ def test_coupling_tensor_validation():
         CouplingTensor(4, 3, 0, np.zeros(63))
     with pytest.raises(ParameterValidationError):
         CouplingTensor(4, 1, 0, np.zeros(4))
-    # the tensor freezes the array it is given
-    tensor = CouplingTensor(2, 3, 0, np.zeros(8))
+    # the tensor freezes a private copy of the array it is given
+    values = np.zeros(8)
+    tensor = CouplingTensor(2, 3, 0, values)
     assert not tensor.values.flags.writeable
+    assert values.flags.writeable
+    values[0] = 1.0
+    assert tensor.values[0] == 0.0
 
 
 # --- parameter validation and derived scales ------------------------------
@@ -241,6 +248,81 @@ def test_energy_table_matches_direct_contraction():
     assert with_table.has_energy_table and not without.has_energy_table
     bits = np.arange(128, dtype=np.uint64)
     assert np.allclose(with_table.energies(bits), without.energies(bits), rtol=1e-12, atol=1e-12)
+
+
+def test_energy_of_a_state_does_not_depend_on_its_batch():
+    """At n = 19 every lookup reads the table, so H(x) is a function of x
+    alone: one call, 7-state calls and a permuted call agree bit for bit."""
+    env = Environment.create(19, 3, 3.0, 2.7, seed=20260822)
+    rng = np.random.default_rng(20260822)
+    states = rng.integers(0, 1 << 19, size=5000, dtype=np.uint64)
+    whole = env.energies(states)
+    batched = np.concatenate([env.energies(states[i : i + 7]) for i in range(0, states.size, 7)])
+    order = rng.permutation(states.size)
+    permuted = np.empty_like(whole)
+    permuted[order] = env.energies(states[order])
+    assert np.array_equal(batched, whole)
+    assert np.array_equal(permuted, whole)
+
+
+@pytest.fixture
+def fold_calls(monkeypatch):
+    """Counts the calls of the contraction kernel, one per 4096-state chunk."""
+    calls = []
+    fold = environment._energy_fold
+
+    def counted(*args):
+        calls.append(1)
+        return fold(*args)
+
+    monkeypatch.setattr(environment, "_energy_fold", counted)
+    return calls
+
+
+def test_energy_table_is_built_once_at_the_first_lookup(fold_calls):
+    env = Environment.create(16, 3, 3.0, 2.7, seed=7)
+    assert env.has_energy_table and len(fold_calls) == 0
+    states = np.arange(0, 1 << 16, 97, dtype=np.uint64)
+    first = env.energies(states)
+    assert len(fold_calls) == (1 << 16) // 4096
+    assert np.array_equal(env.energies(states), first)
+    assert len(fold_calls) == (1 << 16) // 4096
+
+
+def test_energy_table_is_built_once_under_concurrent_first_lookups(fold_calls):
+    env = Environment.create(16, 3, 3.0, 2.7, seed=7)
+    states = np.arange(0, 1 << 16, 97, dtype=np.uint64)
+    workers = 4  # more than the cores of a small machine
+    barrier = threading.Barrier(workers, timeout=60)
+    results = [None] * workers
+
+    def look_up(slot):
+        barrier.wait()
+        results[slot] = env.energies(states)
+
+    threads = [threading.Thread(target=look_up, args=(slot,)) for slot in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(np.array_equal(result, results[0]) for result in results)
+    assert len(fold_calls) == (1 << 16) // 4096
+
+
+def test_table_and_contraction_agree_bit_for_bit_on_a_walk_at_n20():
+    """The invariant behind unchanged n = 20 outputs: gathering from the table
+    reads the very bits that contracting the walk's states gives."""
+    tensor = CouplingTensor.sample(20, 3, seed=3001)
+    walk = index_walk(20, 12345, 20_000, np.random.default_rng(3001))
+    tabled = Environment(tensor, 3.0, 2.7).energies(walk)
+    contracted = Environment(tensor, 3.0, 2.7, build_table=False).energies(walk)
+    assert np.array_equal(tabled, contracted)
 
 
 def energy(env, x):
