@@ -6,8 +6,9 @@ at one and two threads and compares the SHA-256 of every data file it writes
 digests recorded from a reference build.  The manifest's verdict block is
 hashed too, so a change in any status, statistic or derived scale shows up.
 The concentration estimator, which no subcommand runs, is pinned by the
-digest of its whole report, and the initial-term estimates by theirs on both
-energy paths (the golden configs above only reach the table path).
+digest of its whole report, and the initial-term and transform-intensity
+estimates by theirs on both energy paths (the golden configs above only
+reach the table path, in chunks of at least 2^n states).
 A refactor that is meant to leave the numbers alone must leave these digests
 alone; a change that moves a Monte Carlo value on purpose updates them and
 says so.
@@ -20,7 +21,13 @@ import numpy as np
 import pytest
 
 from clockproc.cli import main
-from clockproc.conditions import concentration_diagnostic, estimate_initial_term, plain
+from clockproc import conditions
+from clockproc.conditions import (
+    concentration_diagnostic,
+    estimate_initial_term,
+    estimate_intensity_laplace,
+    plain,
+)
 from clockproc.environment import Environment
 from clockproc.seeding import ReplicaStreams
 
@@ -225,3 +232,21 @@ def test_initial_terms_match_recorded_digest(build_table):
     monte_carlo = estimate_initial_term(env, v_grid, 5000, streams)
     document = json.dumps(plain([exact, monte_carlo]), sort_keys=True)
     assert _sha(document.encode()) == INITIAL_TERM_DIGEST
+
+
+# transform-intensity values and stderrs, serialised as JSON; at n = 10
+# (theta = 104) a 5,000-state chunk limit walks 48 samples per chunk, so 1,013
+# samples give 21 chunks of 4,992 states, above 2^10, and a ragged last chunk
+# of 520, below it; the contraction path and the table path give the same bytes
+LAPLACE_INTENSITY_DIGEST = "81ef36ddddf4706822b2ab22440cb3b42355c957d23ecf912b8b8ede55e7244e"
+
+
+@pytest.mark.parametrize("build_table", [False, True])
+def test_laplace_intensity_matches_recorded_digest(build_table, monkeypatch):
+    monkeypatch.setattr(conditions, "_CHUNK_STATES", 5000)
+    env = Environment.create(10, 3, 3.0, 2.7, SEED, build_table=build_table)
+    est = estimate_intensity_laplace(
+        env, None, [0.1, 1.0, 10.0, 100.0], 1013, ReplicaStreams.from_seed(SEED), block_count=4
+    )
+    document = json.dumps(plain([est.values, est.stderrs]))
+    assert _sha(document.encode()) == LAPLACE_INTENSITY_DIGEST
