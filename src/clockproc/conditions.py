@@ -23,6 +23,11 @@ Estimator conventions used throughout:
 * all randomness is drawn from a :class:`~clockproc.seeding.ReplicaStreams`
   pair (walk stream for moves and starts, noise stream for waiting times), so
   every estimate is reproducible from the stream seeds alone.
+* the block Laplace transform folds a chunk of walks that holds at least
+  2^n states of a table-backed environment through a derived term table:
+  for each v, the 2^n terms logaddexp(0, log v + beta*H - log time scale)
+  are computed once and gathered by state, with the bits of the per-state
+  fold in :func:`conditional_block_laplace`.
 
 Two deliberately redundant routes exist for the correlated-square statistic
 (two-step kernel versus split one-step products); consistency between routes
@@ -98,19 +103,19 @@ def _uniform_starts(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     return rng.integers(0, 1 << n, size=count, dtype=np.uint64)
 
 
-def _iter_block_energies(
+def _iter_block_states(
     env: Environment,
     count: int,
     streams: ReplicaStreams,
     presteps: int = 0,
     starts: np.ndarray | None = None,
 ) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Yield ``(lo, hi, energies)`` over chunks of ``count`` independent block walks.
+    """Yield ``(lo, hi, states)`` over chunks of ``count`` independent block walks.
 
     Sample i walks ``presteps`` moves from its start, then its block covers
-    the next ``block_length`` visited states; ``energies`` holds the blocks of
-    samples lo..hi-1, shape (hi-lo, block_length).  Starts default to uniform
-    (the stationary law).  Consumes only the walk stream.
+    the next ``block_length`` visited states; ``states`` holds the packed
+    blocks of samples lo..hi-1, shape (hi-lo, block_length).  Starts default
+    to uniform (the stationary law).  Consumes only the walk stream.
     """
     window_steps = presteps + env.block_length - 1
     if starts is None:
@@ -122,10 +127,8 @@ def _iter_block_energies(
     chunk = max(1, _CHUNK_STATES // (window_steps + 1))
     for lo in range(0, count, chunk):
         hi = min(count, lo + chunk)
-        # no name holds the walk, so it is freed before the caller draws and folds
-        yield lo, hi, env.energies(
-            index_walk(env.n, starts[lo:hi], window_steps, streams.walk)[:, presteps:]
-        )
+        # no name here holds the walk, so the caller frees it by dropping ``states``
+        yield lo, hi, index_walk(env.n, starts[lo:hi], window_steps, streams.walk)[:, presteps:]
 
 
 def _block_sums(
@@ -136,11 +139,13 @@ def _block_sums(
     starts: np.ndarray | None = None,
 ) -> np.ndarray:
     """Scaled sums exp(beta*H - log time scale) * e over the blocks of
-    :func:`_iter_block_energies`, waiting times from the noise stream."""
+    :func:`_iter_block_states`, waiting times from the noise stream."""
     if count < 1:
         raise ParameterValidationError(f"sample count must be >= 1; got {count}")
     sums = np.empty(count)
-    for lo, hi, energies in _iter_block_energies(env, count, streams, presteps, starts):
+    for lo, hi, states in _iter_block_states(env, count, streams, presteps, starts):
+        energies = env.energies(states)
+        del states
         log_tau = env.beta * energies
         # the draws reuse the energies' memory; holding both raises peak RSS by a window
         del energies
@@ -390,6 +395,11 @@ def conditional_block_laplace(env: Environment, energies, v: float):
     1 / (1 + v * exp(beta*H_j)/time_scale) over the visited states, evaluated
     here through logaddexp so extreme energies cannot overflow.  Accepts one
     energy vector (returns a float) or a batch with blocks on the last axis.
+
+    This is the reference fold.  The transform estimator folds through it
+    past the energy table (n > ``MAX_TABLE_SPINS``) and on chunks of fewer
+    than 2^n states; on larger table-backed chunks it gathers the same terms
+    from a per-v table instead, with identical bits.
     """
     if v < 0:
         raise ParameterValidationError(f"transform argument must be nonnegative; got {v}")
@@ -401,6 +411,30 @@ def conditional_block_laplace(env: Environment, energies, v: float):
     return float(out) if arr.ndim == 1 else out
 
 
+def _table_folds(env: Environment, v_values: Sequence[float], states: np.ndarray):
+    """:func:`conditional_block_laplace` of each positive v over a chunk of
+    walk states, read from a table of the 2^n terms logaddexp(0, log v +
+    beta*H - log time scale) gathered by state.
+
+    Each term takes the reference fold's operations in its order, and the
+    gathered terms are summed over the same C-ordered (rows, block) layout,
+    so the result is bit-identical.  One term buffer and one gather buffer
+    serve every v.
+    """
+    scaled = _all_energies(env)
+    scaled *= env.beta
+    terms = np.empty_like(scaled)
+    gathered = np.empty(states.shape)
+    index = states.view(np.int64)
+    for v in v_values:
+        np.add(scaled, math.log(v), out=terms)
+        terms -= env.log_time_scale
+        np.logaddexp(0.0, terms, out=terms)
+        # indices are in range; any mode but "raise" gathers straight into ``out``
+        np.take(terms, index, out=gathered, mode="clip")
+        yield np.exp(-gathered.sum(axis=-1))
+
+
 def _conditional_transform_moments(
     env: Environment, v_values: Sequence[float], samples: int, streams: ReplicaStreams
 ):
@@ -408,9 +442,16 @@ def _conditional_transform_moments(
     squares = np.zeros(len(v_values))
     lows = np.full(len(v_values), np.inf)
     highs = np.full(len(v_values), -np.inf)
-    for _, _, energies in _iter_block_energies(env, samples, streams):
-        for j, v in enumerate(v_values):
-            g = conditional_block_laplace(env, energies, v)
+    for _, _, states in _iter_block_states(env, samples, streams):
+        # a chunk of at least 2^n states folds through the per-v term tables
+        # for less than it costs to fold its own states
+        if env.has_energy_table and states.size >= 1 << env.n:
+            folds = _table_folds(env, v_values, states)
+        else:
+            energies = env.energies(states)
+            folds = (conditional_block_laplace(env, energies, v) for v in v_values)
+        del states
+        for j, g in enumerate(folds):
             sums[j] += g.sum()
             squares[j] += (g * g).sum()
             lows[j] = min(lows[j], g.min())

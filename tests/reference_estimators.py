@@ -3,15 +3,21 @@ test oracles.
 
 ``direct_block_laplace`` samples the waiting times of each block instead of
 integrating them out, so it checks the conditional transform the package
-uses.  ``sample_totals`` draws only the horizon marginal of truncated
-subordinator paths, which checks the truncated Laplace exponent.
+uses.  ``folded_transform_moments`` walks the conditional transform's blocks
+from the same streams and folds each state's energy through
+``conditional_block_laplace``, so it checks the derived term tables the
+package folds large chunks through.  ``sample_totals`` draws only the
+horizon marginal of truncated subordinator paths, which checks the
+truncated Laplace exponent.
 """
 
 import math
 
 import numpy as np
 
-from clockproc.conditions import _block_sums
+from clockproc import conditions
+from clockproc.chain import index_walk
+from clockproc.conditions import _block_sums, conditional_block_laplace
 from clockproc.errors import BudgetError
 from clockproc.subordinator import DEFAULT_JUMP_BUDGET, PowerLawLevyMeasure
 
@@ -23,6 +29,32 @@ def direct_block_laplace(env, v_values, samples, streams):
     means = weights.mean(axis=1)
     stds = weights.std(axis=1, ddof=1) if samples > 1 else np.zeros_like(means)
     return means, stds / math.sqrt(samples)
+
+
+def folded_transform_moments(env, v_values, samples, streams):
+    """(means, stds) of the conditional block transform over ``samples``
+    uniform-start blocks, walked in the package's chunks and folded state by
+    state, with the package's running moments."""
+    theta = env.block_length
+    starts = streams.walk.integers(0, 1 << env.n, size=samples, dtype=np.uint64)
+    chunk = max(1, conditions._CHUNK_STATES // theta)
+    sums = np.zeros(len(v_values))
+    squares = np.zeros(len(v_values))
+    lows = np.full(len(v_values), np.inf)
+    highs = np.full(len(v_values), -np.inf)
+    for lo in range(0, samples, chunk):
+        walk = index_walk(env.n, starts[lo : lo + chunk], theta - 1, streams.walk)
+        energies = env.energies(walk)
+        for j, v in enumerate(v_values):
+            g = conditional_block_laplace(env, energies, v)
+            sums[j] += g.sum()
+            squares[j] += (g * g).sum()
+            lows[j] = min(lows[j], g.min())
+            highs[j] = max(highs[j], g.max())
+    means = sums / samples
+    variances = np.maximum(squares - samples * means**2, 0.0) / (samples - 1)
+    variances[highs == lows] = 0.0
+    return means, np.sqrt(variances)
 
 
 def sample_totals(

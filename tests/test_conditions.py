@@ -1,13 +1,16 @@
 """Intensity, Laplace, initial-term and truncated-mean estimators."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from clockproc import conditions
 from clockproc.conditions import (
     _block_sums,
+    _conditional_transform_moments,
     _tail_from_sums,
     build_condition_report,
     concentration_diagnostic,
@@ -32,7 +35,7 @@ from clockproc.errors import (
 )
 from clockproc.seeding import ReplicaStreams, StreamFamily
 from clockproc.verdicts import SLOPE_WINDOW, slope_status
-from reference_estimators import direct_block_laplace
+from reference_estimators import direct_block_laplace, folded_transform_moments
 
 pytestmark = pytest.mark.filterwarnings("ignore:block length")
 
@@ -225,6 +228,64 @@ def test_block_laplace_dual_routes_agree():
         assert abs(mean_cond - mean) < 3.5 * math.hypot(se_cond, se_direct)
         # integrating the waiting times out cannot increase the variance
         assert se_cond <= se_direct
+
+
+# (environment, chunk state limit, samples, whether chunks fold through term
+# tables); at n = 10 a block holds 104 states, so 5,000 states make chunks of
+# 4,992 >= 2^10 and 900 make chunks of 832 < 2^10, each with a ragged last one
+TRANSFORM_FOLD_CASES = {
+    "derived": (lambda: Environment.create(10, 3, 3.0, 2.7, seed=5), 5000, 500, True),
+    "direct": (lambda: Environment.create(10, 3, 3.0, 2.7, seed=5), 900, 100, False),
+    "beta-zero": (lambda: unit_env(), 5000, 300, True),
+    "contraction": (
+        lambda: Environment.create(10, 3, 3.0, 2.7, seed=5, build_table=False), 5000, 500, False
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRANSFORM_FOLD_CASES))
+def test_transform_moments_equal_the_per_state_fold_bit_for_bit(case, monkeypatch):
+    make_env, chunk_states, samples, derived = TRANSFORM_FOLD_CASES[case]
+    monkeypatch.setattr(conditions, "_CHUNK_STATES", chunk_states)
+    env = make_env()
+    v_grid = [0.1, 0.316, 1.0, 3.16, 10.0, 100.0]
+    reference = folded_transform_moments(env, v_grid, samples, ReplicaStreams.from_seed(23))
+    calls = []
+    fold = conditions.conditional_block_laplace
+    monkeypatch.setattr(
+        conditions, "conditional_block_laplace", lambda *args: calls.append(1) or fold(*args)
+    )
+    means, stds = _conditional_transform_moments(env, v_grid, samples, ReplicaStreams.from_seed(23))
+    assert np.array_equal(means, reference[0])
+    assert np.array_equal(stds, reference[1])
+    assert (len(calls) == 0) == derived
+
+
+def test_table_fold_peak_memory_stays_within_the_walk_window():
+    """A chunk folded through term tables allocates no more at its peak than
+    the block sums of the same walks, which the walk window bounds."""
+    env = Environment.create(18, 3, 3.0, 2.7, seed=5)
+    env.energies(0)  # builds the energy table before tracing starts
+    samples = 1000  # one chunk of 337,000 states, above 2^18
+    assert samples * env.block_length >= 1 << env.n
+    v_grid = [1.0, 1.78, 3.16, 5.62, 10.0, 17.8, 31.6, 56.2, 100.0]
+    peaks = []
+    tracemalloc.start()
+    try:
+        for run in (
+            lambda: _block_sums(env, samples, ReplicaStreams.from_seed(29)),
+            lambda: estimate_intensity_laplace(
+                env, None, v_grid, samples, ReplicaStreams.from_seed(29), block_count=1
+            ),
+        ):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    block_sums_peak, transform_peak = peaks
+    assert transform_peak <= 1.05 * block_sums_peak
 
 
 def test_laplace_intensity_rescaled_values_monotone():
