@@ -205,6 +205,16 @@ def test_clock_trajectory_dump_layout(tmp_path):
         assert float(row[3]) == pytest.approx(math.exp(3.0 * float(row[2])), rel=1e-12)
 
 
+@pytest.mark.parametrize("command", ["clock", "aging"])
+def test_trajectory_dump_is_written_whatever_the_formats(command, tmp_path):
+    cfg_path = clock_config(tmp_path / "cfg.json", replicas=2, formats=("json",))
+    outdir = tmp_path / "out"
+    code = main([command, "--config", str(cfg_path), "--out", str(outdir), "--dump-trajectory"])
+    assert code in (0, 2)
+    assert sorted(path.name for path in outdir.iterdir()) == ["manifest.json", "trajectory.csv"]
+    assert [a["file"] for a in load_manifest(outdir)["artifacts"]] == ["trajectory.csv"]
+
+
 def test_clock_start_override_is_recorded_as_nonconformant(tmp_path):
     cfg_path = clock_config(tmp_path / "cfg.json", replicas=2)
     outdir = tmp_path / "out"

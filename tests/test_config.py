@@ -107,6 +107,16 @@ def test_grid_and_type_coercion_errors():
         ExperimentConfig.from_dict({"model": {"n": 9.5}})
 
 
+def test_null_overrides_and_threads_take_their_defaults():
+    doc = {"overrides": {"block_count": None, "zeta_table": None}, "threads": None}
+    assert ExperimentConfig.from_dict(doc) == ExperimentConfig()
+
+
+def test_null_elsewhere_is_rejected_naming_the_key():
+    with pytest.raises(ParameterValidationError, match=r"model\.n must be an integer; got None"):
+        ExperimentConfig.from_dict({"model": {"n": None}})
+
+
 def test_replace_revalidates():
     cfg = ExperimentConfig(n=8)
     smaller = cfg.replace(samples=10)

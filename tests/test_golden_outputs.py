@@ -8,7 +8,9 @@ hashed too, so a change in any status, statistic or derived scale shows up.
 The concentration estimator, which no subcommand runs, is pinned by the
 digest of its whole report, and the initial-term and transform-intensity
 estimates by theirs on both energy paths (the golden configs above only
-reach the table path, in chunks of at least 2^n states).
+reach the table path, in chunks of at least 2^n states).  Each case's
+provenance -- its command, the manifest's artifact records and its resolved
+config -- is pinned by digest as well.
 A refactor that is meant to leave the numbers alone must leave these digests
 alone; a change that moves a Monte Carlo value on purpose updates them and
 says so.
@@ -250,3 +252,35 @@ def test_laplace_intensity_matches_recorded_digest(build_table, monkeypatch):
     )
     document = json.dumps(plain([est.values, est.stderrs]))
     assert _sha(document.encode()) == LAPLACE_INTENSITY_DIGEST
+
+
+# provenance of each case's run: the command, the manifest's artifact records
+# and its resolved config, less the output directory and the thread count,
+# serialised with sorted keys
+PROVENANCE = {
+    "aging": "ba8d3771455dec313264b54b3b0ef80e9ade71ea6ed4bca0c50bc51a1f5b54a9",
+    "clock": "aec744bae7af47b3be8b5c491e6e37941ae114670ad2deddc266d277177a8dee",
+    "conditions": "44639bdc91b2f644da7b61baba8d01fe0cdc52b050f1acbe759291ac55e3ffac",
+    "conditions-flat": "5f57b21db5e0a8b8369e0136a16b5ebd0f4744ec65f4d63fa9706a58105e3547",
+    "laplace": "f9a3a0255c46d87bed75a8729c50249e16729411e94617edbd90d6e6bd6ef96a",
+    "laplace-flat": "032472b10a723f1349e934fa001856def905f1c4c5c3d35f1ec9084e9ad3499c",
+    "subordinator": "d901e662b27e6d1312328c8e091f03ceb34a52cc1d415bd23798944b45a85231",
+}
+
+
+def provenance_digest(name, root):
+    command, document, extra = CASES[name]
+    cfg_path = root / f"{name}.json"
+    cfg_path.write_text(json.dumps(dict(document, seeds={"master_seed": SEED})))
+    outdir = root / name
+    main([command, "--config", str(cfg_path), "--out", str(outdir), "--threads", "1"] + extra)
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    config = manifest["config"]
+    del config["outputs"]["directory"], config["threads"]
+    record = json.dumps([manifest["command"], manifest["artifacts"], config], sort_keys=True)
+    return _sha(record.encode())
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_provenance_matches_recorded_digest(name, tmp_path):
+    assert provenance_digest(name, tmp_path) == PROVENANCE[name]
