@@ -30,10 +30,14 @@ Subcommands:
     law and the horizon-marginal transform against quadrature.  The sampler
     is :func:`clockproc.subordinator.self_test`; this module grades its sums.
 
-Every run writes ``manifest.json`` (resolved config, package versions,
-stream provenance for each output file, verdicts) plus per-subcommand CSV
-files into the output directory.  Exit code: 0 when every verdict passes,
-2 when the worst verdict is a warning, 3 when one fails, 1 on execution or
+One table, ``_COMMANDS``, names each subcommand's runner and help text.  A
+runner computes; it returns its verdicts and the files it offers, each with
+a writer and its stream provenance.  :func:`run` alone writes: the offered
+files whose extension is listed in ``outputs.formats`` (and a
+``--dump-trajectory`` file always), in the runner's order, then
+``manifest.json`` (resolved config, package versions, stream provenance for
+each written file, verdicts).  Exit code: 0 when every verdict passes, 2
+when the worst verdict is a warning, 3 when one fails, 1 on execution or
 configuration errors.
 
 All randomness is derived from the config's master seed through tagged
@@ -50,11 +54,12 @@ import json
 import os
 import platform
 import sys
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 import scipy
-from scipy import stats
 
+from . import __version__
 from .aging import estimate_aging_curve, trap_localization_diagnostic
 from .chain import TrajectorySegment, blocked_clock, mixing_check, simulate_segment
 from .conditions import (
@@ -76,28 +81,35 @@ __all__ = ["main", "run"]
 
 _EXIT_CODE = {"pass": 0, "warn": 2, "fail": 3}
 
+_TRAJECTORY = "trajectory.csv"
 _TRAJECTORY_ROW_CAP = 1_000_000
 _TRAP_BLOCKS = 8
 
 
-def _write_csv(outdir: str, name: str, header: list[str], rows: list[list]) -> str:
-    path = os.path.join(outdir, name)
+class _Output(NamedTuple):
+    """A file a runner offers: ``write(path)`` writes it, and the rest is its
+    provenance record (which streams produced which of its rows, and a note
+    on what a row is)."""
+
+    name: str
+    write: Callable[[str], None]
+    purpose: str
+    replicas: list | str
+    note: str
+
+
+def _write_csv(path: str, header: list[str], rows: Iterable[list]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-    return name
 
 
-def _artifact(name: str, purpose: str, cfg: ExperimentConfig, replicas, rows: str) -> dict:
-    """Provenance record: which streams produced which file's rows."""
-    return {
-        "file": name,
-        "master_seed": cfg.master_seed,
-        "stream_purpose": purpose,
-        "replica_indices": replicas,
-        "rows": rows,
-    }
+def _table(
+    name: str, header: list[str], rows: Iterable[list], purpose: str, replicas, note: str
+) -> _Output:
+    """A plain CSV table; ``rows`` is read only if the file is written."""
+    return _Output(name, lambda path: _write_csv(path, header, rows), purpose, replicas, note)
 
 
 def _build_environment(cfg: ExperimentConfig, beta: float) -> Environment:
@@ -141,11 +153,11 @@ def _parse_start(cfg: ExperimentConfig, raw: str | None) -> SpinConfig | None:
     return SpinConfig(cfg.n, bits)
 
 
-def _dump_trajectory(env: Environment, segment: TrajectorySegment, outdir: str) -> tuple[str, int]:
+def _trajectory(env: Environment, segment: TrajectorySegment, purpose: str) -> _Output:
     rows = min(len(segment.states), _TRAJECTORY_ROW_CAP)
     with np.errstate(over="ignore"):
         taus = np.exp(env.beta * segment.energies[:rows])
-    table = [
+    table = (
         [
             i,
             format(int(segment.states[i]), "x"),
@@ -155,21 +167,17 @@ def _dump_trajectory(env: Environment, segment: TrajectorySegment, outdir: str) 
             repr(float(segment.increments[i])),
         ]
         for i in range(rows)
-    ]
-    name = _write_csv(
-        outdir,
-        "trajectory.csv",
-        ["step", "state_hex", "H", "tau", "exp_draw", "increment"],
-        table,
     )
-    return name, rows
+    header = ["step", "state_hex", "H", "tau", "exp_draw", "increment"]
+    return _table(_TRAJECTORY, header, table, purpose, [0], f"{rows} visit rows")
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each runner computes its verdicts and the outputs it offers;
+# ``run`` decides which outputs to write
 
 
-def _run_conditions(cfg: ExperimentConfig, outdir: str, args) -> tuple[dict, list]:
+def _run_conditions(cfg: ExperimentConfig, args) -> tuple[dict, list[_Output]]:
     env = _build_environment(cfg, cfg.beta)
     streams = StreamFamily(cfg.master_seed, "conditions").replica(0)
     report = build_condition_report(
@@ -182,38 +190,31 @@ def _run_conditions(cfg: ExperimentConfig, outdir: str, args) -> tuple[dict, lis
         samples=cfg.samples,
         block_count=cfg.block_count,
     )
-    artifacts = []
-    if "csv" in cfg.formats:
-        report.write_csv(os.path.join(outdir, "conditions.csv"))
-        artifacts.append(
-            _artifact("conditions.csv", "conditions", cfg, [0], "one row per grid point")
-        )
-    if "json" in cfg.formats:
-        report.write_json(os.path.join(outdir, "conditions.json"))
-        artifacts.append(_artifact("conditions.json", "conditions", cfg, [0], "full report"))
+    outputs = [
+        _Output("conditions.csv", report.write_csv, "conditions", [0], "one row per grid point"),
+        _Output("conditions.json", report.write_json, "conditions", [0], "full report"),
+    ]
     verdicts = dict(report.verdicts)
     verdicts["_environment"] = _environment_record(env, None) | {
         "block_count": report.block_count,
         "literal_block_count": report.literal_block_count,
         "status": "pass",
     }
-    return verdicts, artifacts
+    return verdicts, outputs
 
 
-def _run_laplace(cfg: ExperimentConfig, outdir: str, args) -> tuple[dict, list]:
+def _run_laplace(cfg: ExperimentConfig, args) -> tuple[dict, list[_Output]]:
     env = _build_environment(cfg, cfg.beta)
     streams = StreamFamily(cfg.master_seed, "laplace").replica(0)
     est = estimate_intensity_laplace(
         env, 1.0, cfg.v_grid, cfg.samples, streams, block_count=cfg.block_count
     )
-    rows = [
+    rows = (
         [repr(v), repr(val), repr(se), est.samples]
         for v, val, se in zip(est.v_values, est.values, est.stderrs)
-    ]
-    artifacts = []
-    if "csv" in cfg.formats:
-        name = _write_csv(outdir, "laplace.csv", ["v", "estimate", "stderr", "samples"], rows)
-        artifacts.append(_artifact(name, "laplace", cfg, [0], "one row per transform argument"))
+    )
+    header = ["v", "estimate", "stderr", "samples"]
+    outputs = [_table("laplace.csv", header, rows, "laplace", [0], "one row per transform argument")]
     verdicts: dict = {}
     if env.alpha is not None and not math.isnan(est.slope):
         target = env.alpha - 1.0
@@ -234,10 +235,10 @@ def _run_laplace(cfg: ExperimentConfig, outdir: str, args) -> tuple[dict, list]:
         "block_count": est.block_count,
         "status": "pass",
     }
-    return verdicts, artifacts
+    return verdicts, outputs
 
 
-def _run_mixing(cfg: ExperimentConfig, outdir: str, args) -> tuple[dict, list]:
+def _run_mixing(cfg: ExperimentConfig, args) -> tuple[dict, list[_Output]]:
     theta = block_length(cfg.n)
     report = mixing_check(cfg.n, theta)
     rows = [
@@ -250,15 +251,8 @@ def _run_mixing(cfg: ExperimentConfig, outdir: str, args) -> tuple[dict, list]:
             repr(report.rho_implied),
         ]
     ]
-    artifacts = []
-    if "csv" in cfg.formats:
-        name = _write_csv(
-            outdir,
-            "mixing.csv",
-            ["n", "theta", "max_violation", "bound", "passed", "rho_implied"],
-            rows,
-        )
-        artifacts.append(_artifact(name, "mixing (exact, no streams)", cfg, [], "single row"))
+    header = ["n", "theta", "max_violation", "bound", "passed", "rho_implied"]
+    outputs = [_table("mixing.csv", header, rows, "mixing (exact, no streams)", [], "single row")]
     verdicts = {
         "mixing_bound": {
             "max_violation": report.max_violation,
@@ -266,10 +260,10 @@ def _run_mixing(cfg: ExperimentConfig, outdir: str, args) -> tuple[dict, list]:
             "status": "pass" if report.passed else "fail",
         }
     }
-    return verdicts, artifacts
+    return verdicts, outputs
 
 
-def _run_clock(cfg: ExperimentConfig, outdir: str, args) -> tuple[dict, list]:
+def _run_clock(cfg: ExperimentConfig, args) -> tuple[dict, list[_Output]]:
     env = _build_environment(cfg, cfg.beta)
     if env.alpha is None:
         raise ParameterValidationError(
@@ -287,27 +281,33 @@ def _run_clock(cfg: ExperimentConfig, outdir: str, args) -> tuple[dict, list]:
         return path.block_sums, path.initial_term
 
     results = ordered_map(worker, cfg.replicas, cfg.resolved_threads())
-    artifacts = []
-    if "csv" in cfg.formats:
-        rows = []
+    replicas = f"0..{cfg.replicas - 1}"
+
+    def clock_rows():
         for i, (sums, _) in enumerate(results):
             cumulative = np.cumsum(sums)
             for j in range(k):
-                rows.append([i, j, repr(float(sums[j])), repr(float(cumulative[j]))])
-        name = _write_csv(
-            outdir,
+                yield [i, j, repr(float(sums[j])), repr(float(cumulative[j]))]
+
+    initial_rows = ([i, repr(float(init))] for i, (_, init) in enumerate(results))
+    outputs = [
+        _table(
             "clock.csv",
             ["replica", "block_index", "increment", "cumulative"],
-            rows,
-        )
-        artifacts.append(
-            _artifact(name, "clock", cfg, f"0..{cfg.replicas - 1}", "k rows per replica")
-        )
-        initial_rows = [[i, repr(float(init))] for i, (_, init) in enumerate(results)]
-        name = _write_csv(outdir, "clock_initial_terms.csv", ["replica", "initial_term"], initial_rows)
-        artifacts.append(
-            _artifact(name, "clock", cfg, f"0..{cfg.replicas - 1}", "one row per replica")
-        )
+            clock_rows(),
+            "clock",
+            replicas,
+            "k rows per replica",
+        ),
+        _table(
+            "clock_initial_terms.csv",
+            ["replica", "initial_term"],
+            initial_rows,
+            "clock",
+            replicas,
+            "one row per replica",
+        ),
+    ]
 
     pooled = np.concatenate([sums for sums, _ in results])
     threshold = cfg.u_grid[0]
@@ -322,13 +322,17 @@ def _run_clock(cfg: ExperimentConfig, outdir: str, args) -> tuple[dict, list]:
             ),
         }
     else:
+        # imported here rather than at the top: scipy.stats is the slowest
+        # import of the package's dependencies, and only this check uses it
+        from scipy.stats import ks_2samp
+
         # size distribution above a fixed threshold is amplitude-free, so the
         # matched amplitude only controls how many reference jumps we draw
         amplitude = exceed.size / cfg.replicas * threshold**env.alpha
         measure = PowerLawLevyMeasure(amplitude, env.alpha)
         rng = keyed_generator(resolve_seeds(cfg.master_seed, "clock-reference", 0))
         reference = sample_path(measure, float(cfg.replicas), threshold, rng).sizes
-        ks = stats.ks_2samp(exceed / threshold, reference / threshold)
+        ks = ks_2samp(exceed / threshold, reference / threshold)
         verdicts["clock_jump_law"] = {
             "statistic": float(ks.statistic),
             "p_value": float(ks.pvalue),
@@ -337,33 +341,32 @@ def _run_clock(cfg: ExperimentConfig, outdir: str, args) -> tuple[dict, list]:
             "threshold": threshold,
             "status": ladder(-ks.pvalue, -1e-3, -1e-6),  # pass at p >= 1e-3
         }
-        if "csv" in cfg.formats:
-            rows = [["empirical", repr(float(x)), repr(float(x / threshold))] for x in exceed]
-            rows += [
-                ["sampled", repr(float(x)), repr(float(x / threshold))] for x in np.sort(reference)
-            ]
-            name = _write_csv(outdir, "clock_jumps.csv", ["source", "size", "normalized"], rows)
-            artifacts.append(
-                _artifact(
-                    name,
-                    "clock + clock-reference",
-                    cfg,
-                    f"0..{cfg.replicas - 1}",
-                    "pooled block increments above the threshold, then sampled jumps",
-                )
+        jump_rows = (
+            [source, repr(float(x)), repr(float(x / threshold))]
+            for source, sizes in (("empirical", exceed), ("sampled", np.sort(reference)))
+            for x in sizes
+        )
+        outputs.append(
+            _table(
+                "clock_jumps.csv",
+                ["source", "size", "normalized"],
+                jump_rows,
+                "clock + clock-reference",
+                replicas,
+                "pooled block increments above the threshold, then sampled jumps",
             )
+        )
     if args.dump_trajectory:
         segment = simulate_segment(env, start, k * theta, family.replica(0))
-        name, rows_written = _dump_trajectory(env, segment, outdir)
-        artifacts.append(_artifact(name, "clock", cfg, [0], f"{rows_written} visit rows"))
+        outputs.append(_trajectory(env, segment, "clock"))
     verdicts["_environment"] = _environment_record(env, start) | {
         "block_count": k,
         "status": "pass",
     }
-    return verdicts, artifacts
+    return verdicts, outputs
 
 
-def _run_aging(cfg: ExperimentConfig, outdir: str, args) -> tuple[dict, list]:
+def _run_aging(cfg: ExperimentConfig, args) -> tuple[dict, list[_Output]]:
     env = _build_environment(cfg, cfg.beta)
     if env.alpha is None:
         raise ParameterValidationError(
@@ -395,22 +398,17 @@ def _run_aging(cfg: ExperimentConfig, outdir: str, args) -> tuple[dict, list]:
         threads=threads,
         start=start,
     )
-    artifacts = []
-    if "csv" in cfg.formats:
-        main_curve.write_csv(os.path.join(outdir, "aging.csv"))
-        artifacts.append(
-            _artifact("aging.csv", "aging-main", cfg, f"0..{cfg.replicas - 1}", "one row per (t, s)")
-        )
-        reference_curve.write_csv(os.path.join(outdir, "aging_reference.csv"))
-        artifacts.append(
-            _artifact(
-                "aging_reference.csv",
-                "aging-reference",
-                cfg,
-                f"0..{cfg.replicas - 1}",
-                "one row per (t, s), flat (beta = 0) chain on the decorrelation scale",
-            )
-        )
+    replicas = f"0..{cfg.replicas - 1}"
+    outputs = [
+        _Output("aging.csv", main_curve.write_csv, "aging-main", replicas, "one row per (t, s)"),
+        _Output(
+            "aging_reference.csv",
+            reference_curve.write_csv,
+            "aging-reference",
+            replicas,
+            "one row per (t, s), flat (beta = 0) chain on the decorrelation scale",
+        ),
+    ]
 
     main_gap = main_curve.max_absolute_gap
     reference_gap = reference_curve.max_absolute_gap
@@ -434,32 +432,26 @@ def _run_aging(cfg: ExperimentConfig, outdir: str, args) -> tuple[dict, list]:
         )
         for i in range(_TRAP_BLOCKS)
     ]
-    if "csv" in cfg.formats:
-        rows = [
-            [
-                r.block_index,
-                format(r.dominant_state, "x"),
-                repr(r.dominant_fraction),
-                repr(r.ball_time_fraction),
-                r.reentered,
-                r.untrapped,
-            ]
-            for r in reports
+    rows = (
+        [
+            r.block_index,
+            format(r.dominant_state, "x"),
+            repr(r.dominant_fraction),
+            repr(r.ball_time_fraction),
+            r.reentered,
+            r.untrapped,
         ]
-        name = _write_csv(
-            outdir,
-            "traps.csv",
-            [
-                "block_index",
-                "dominant_state_hex",
-                "dominant_fraction",
-                "ball_time_fraction",
-                "reentered",
-                "untrapped",
-            ],
-            rows,
-        )
-        artifacts.append(_artifact(name, "aging-trap", cfg, [0], "one row per block"))
+        for r in reports
+    )
+    header = [
+        "block_index",
+        "dominant_state_hex",
+        "dominant_fraction",
+        "ball_time_fraction",
+        "reentered",
+        "untrapped",
+    ]
+    outputs.append(_table("traps.csv", header, rows, "aging-trap", [0], "one row per block"))
     verdicts["trap_blocks"] = {
         "untrapped_blocks": int(sum(r.untrapped for r in reports)),
         "reentered_blocks": int(sum(r.reentered for r in reports)),
@@ -467,13 +459,12 @@ def _run_aging(cfg: ExperimentConfig, outdir: str, args) -> tuple[dict, list]:
         "status": "pass",
     }
     if args.dump_trajectory:
-        name, rows_written = _dump_trajectory(env, segment, outdir)
-        artifacts.append(_artifact(name, "aging-trap", cfg, [0], f"{rows_written} visit rows"))
+        outputs.append(_trajectory(env, segment, "aging-trap"))
     verdicts["_environment"] = _environment_record(env, start) | {"status": "pass"}
-    return verdicts, artifacts
+    return verdicts, outputs
 
 
-def _run_subordinator(cfg: ExperimentConfig, outdir: str, args) -> tuple[dict, list]:
+def _run_subordinator(cfg: ExperimentConfig, args) -> tuple[dict, list[_Output]]:
     pairs = [(float(t), float(s)) for t, s in cfg.ts_grid]
     paths = cfg.samples
     arcsine_rows = []
@@ -516,26 +507,37 @@ def _run_subordinator(cfg: ExperimentConfig, outdir: str, args) -> tuple[dict, l
             entry["note"] = f"expected effective sample size below {MIN_ESS:g} at {listed}"
         verdicts[f"transform_alpha_{alpha}"] = entry
 
-    artifacts = []
-    if "csv" in cfg.formats:
-        seeds = f"chunk seeds 0..{results[0].chunks - 1}"
-        purpose = "subordinator-selftest-<alpha>"
-        header = ["alpha", "t", "s", "ratio", "empirical", "predicted", "stderr"]
-        name = _write_csv(outdir, "subordinator_arcsine.csv", header, arcsine_rows)
-        artifacts.append(_artifact(name, purpose, cfg, seeds, "one row per (alpha, t, s)"))
-        header = ["alpha", "v", "empirical", "stderr", "predicted"]
-        name = _write_csv(outdir, "subordinator_laplace.csv", header, laplace_rows)
-        artifacts.append(_artifact(name, purpose, cfg, seeds, "one row per (alpha, v)"))
-    return verdicts, artifacts
+    seeds = f"chunk seeds 0..{results[0].chunks - 1}"
+    purpose = "subordinator-selftest-<alpha>"
+    outputs = [
+        _table(
+            "subordinator_arcsine.csv",
+            ["alpha", "t", "s", "ratio", "empirical", "predicted", "stderr"],
+            arcsine_rows,
+            purpose,
+            seeds,
+            "one row per (alpha, t, s)",
+        ),
+        _table(
+            "subordinator_laplace.csv",
+            ["alpha", "v", "empirical", "stderr", "predicted"],
+            laplace_rows,
+            purpose,
+            seeds,
+            "one row per (alpha, v)",
+        ),
+    ]
+    return verdicts, outputs
 
 
-_DISPATCH = {
-    "conditions": _run_conditions,
-    "laplace": _run_laplace,
-    "clock": _run_clock,
-    "aging": _run_aging,
-    "mixing": _run_mixing,
-    "subordinator": _run_subordinator,
+# subcommand -> (runner, help text)
+_COMMANDS = {
+    "conditions": (_run_conditions, "full condition report for one sampled environment"),
+    "laplace": (_run_laplace, "transform-based intensity estimate with power-law fit"),
+    "clock": (_run_clock, "blocked clock paths vs a sampled pure-jump reference"),
+    "aging": (_run_aging, "two-time correlation curve vs the arcsine prediction"),
+    "mixing": (_run_mixing, "exact aggregation-scale mixing check"),
+    "subordinator": (_run_subordinator, "sampler self-tests against closed forms"),
 }
 
 
@@ -545,14 +547,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Simulation and verification laboratory for rescaled clock processes",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("conditions", "full condition report for one sampled environment"),
-        ("laplace", "transform-based intensity estimate with power-law fit"),
-        ("clock", "blocked clock paths vs a sampled pure-jump reference"),
-        ("aging", "two-time correlation curve vs the arcsine prediction"),
-        ("mixing", "exact aggregation-scale mixing check"),
-        ("subordinator", "sampler self-tests against closed forms"),
-    ]:
+    for name, (_, help_text) in _COMMANDS.items():
         sub = subparsers.add_parser(name, help=help_text)
         sub.add_argument("--config", required=True, help="path to the JSON config document")
         sub.add_argument("--seed", type=int, default=None, help="override seeds.master_seed")
@@ -587,16 +582,37 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(command: str, cfg: ExperimentConfig, args) -> int:
-    """Execute one subcommand on a validated config; returns the exit code."""
+    """Execute one subcommand on a validated config; returns the exit code.
+
+    The runner computes; this writes each output it offers whose extension is
+    one of ``outputs.formats``, in the runner's order, and records its
+    provenance.  A dumped trajectory is asked for by flag, so it is written
+    whatever the formats.
+    """
     outdir = cfg.directory
     os.makedirs(outdir, exist_ok=True)
-    verdicts, artifacts = _DISPATCH[command](cfg, outdir, args)
+    runner, _ = _COMMANDS[command]
+    verdicts, outputs = runner(cfg, args)
+    artifacts = []
+    for output in outputs:
+        if output.name != _TRAJECTORY and output.name.rpartition(".")[2] not in cfg.formats:
+            continue
+        output.write(os.path.join(outdir, output.name))
+        artifacts.append(
+            {
+                "file": output.name,
+                "master_seed": cfg.master_seed,
+                "stream_purpose": output.purpose,
+                "replica_indices": output.replicas,
+                "rows": output.note,
+            }
+        )
     overall = worst(entry.get("status", "pass") for entry in verdicts.values())
     manifest = {
         "command": command,
         "config": cfg.to_dict(),
         "versions": {
-            "clockproc": _package_version(),
+            "clockproc": __version__,
             "python": platform.python_version(),
             "numpy": np.__version__,
             "scipy": scipy.__version__,
@@ -614,12 +630,6 @@ def run(command: str, cfg: ExperimentConfig, args) -> int:
         print(f"{name}: {verdicts[name].get('status', 'pass')}")
     print(f"overall: {overall}")
     return _EXIT_CODE[overall]
-
-
-def _package_version() -> str:
-    from . import __version__
-
-    return __version__
 
 
 def main(argv=None) -> int:

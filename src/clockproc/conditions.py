@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy import integrate, special, stats
+from scipy import integrate, special
 
 from .chain import index_walk, mixing_check, simulate_segment
 from .environment import (
@@ -783,7 +783,7 @@ def _require_unit_holding(env: Environment) -> None:
 def degenerate_block_tail(env: Environment, threshold: float) -> float:
     """Exact block exceedance at beta = 0: a Gamma(block_length) upper tail."""
     _require_unit_holding(env)
-    return float(stats.gamma.sf(threshold * env.time_scale, env.block_length))
+    return float(special.gammaincc(env.block_length, threshold * env.time_scale))
 
 
 def degenerate_block_laplace(env: Environment, v: float) -> float:

@@ -7,6 +7,11 @@ for the worker-pool width.  Thread count never changes any numeric result
 time, so two runs of the same config are comparable even when one of them
 overrode ``threads`` on the command line.
 
+One table, ``_LAYOUT``, lists each section's keys and the parser of each;
+``from_dict`` reads the document through it and ``to_dict`` writes it back
+through it.  A null ``overrides`` entry or a null ``threads`` keeps its
+default; a null anywhere else is rejected with the key named.
+
 Configs round-trip losslessly: ``from_dict(cfg.to_dict())`` reproduces the
 config exactly, and the JSON text written by ``save`` parses back to the
 same document (floats are serialized via ``repr``, which is lossless for
@@ -82,6 +87,69 @@ def _as_grid(section: str, key: str, value: Any) -> tuple[float, ...]:
     if any(b <= a for a, b in zip(out, out[1:])):
         raise ParameterValidationError(f"{section}.{key} must be strictly increasing")
     return out
+
+
+def _as_pairs(section: str, key: str, value: Any) -> tuple[tuple[float, float], ...]:
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ParameterValidationError(f"{section}.{key} must be a nonempty list of [t, s]")
+    pairs = []
+    for item in value:
+        if not isinstance(item, (list, tuple)) or len(item) != 2:
+            raise ParameterValidationError(
+                f"{section}.{key} entries must be [t, s] pairs; got {item!r}"
+            )
+        pairs.append((_as_float(section, key, item[0]), _as_float(section, key, item[1])))
+    return tuple(pairs)
+
+
+def _as_path(section: str, key: str, value: Any) -> str:
+    if not isinstance(value, str):
+        raise ParameterValidationError(f"{section}.{key} must be a string")
+    return value
+
+
+def _as_formats(section: str, key: str, value: Any) -> tuple[str, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise ParameterValidationError(f"{section}.{key} must be a list")
+    return tuple(str(fmt) for fmt in value)
+
+
+def _as_zeta_table(section: str, key: str, value: Any) -> dict[int, float]:
+    if not isinstance(value, dict):
+        raise ParameterValidationError(
+            f"{section}.{key} must map interaction order to a value"
+        )
+    table = {}
+    for raw, entry in value.items():
+        try:
+            order = int(raw)
+        except (TypeError, ValueError):
+            raise ParameterValidationError(
+                f"{section}.{key} keys must be integers; got {raw!r}"
+            ) from None
+        table[order] = _as_float(section, key, entry)
+    return table
+
+
+def _to_json(value: Any) -> Any:
+    """A config field as plain JSON: tuples become lists, table keys strings."""
+    if isinstance(value, tuple):
+        return [_to_json(item) for item in value]
+    if isinstance(value, dict):
+        return {str(key): entry for key, entry in sorted(value.items())}
+    return value
+
+
+# section -> {key: parser}; each key names the ExperimentConfig field it sets.
+# The top-level ``threads`` is the one key outside a section.
+_LAYOUT = {
+    "model": {"n": _as_int, "p": _as_int, "beta": _as_float, "gamma": _as_float},
+    "budgets": {"samples": _as_int, "replicas": _as_int, "step_cap": _as_int},
+    "grids": {"u_grid": _as_grid, "v_grid": _as_grid, "eps_grid": _as_grid, "ts_grid": _as_pairs},
+    "seeds": {"master_seed": _as_int},
+    "outputs": {"directory": _as_path, "formats": _as_formats},
+    "overrides": {"block_count": _as_int, "zeta_table": _as_zeta_table},
+}
 
 
 @dataclass(frozen=True)
@@ -179,123 +247,31 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         """Plain-JSON document, fully resolved (defaults expanded)."""
-        return {
-            "model": {"n": self.n, "p": self.p, "beta": self.beta, "gamma": self.gamma},
-            "budgets": {
-                "samples": self.samples,
-                "replicas": self.replicas,
-                "step_cap": self.step_cap,
-            },
-            "grids": {
-                "u_grid": list(self.u_grid),
-                "v_grid": list(self.v_grid),
-                "eps_grid": list(self.eps_grid),
-                "ts_grid": [[t, s] for t, s in self.ts_grid],
-            },
-            "seeds": {"master_seed": self.master_seed},
-            "outputs": {"directory": self.directory, "formats": list(self.formats)},
-            "overrides": {
-                "block_count": self.block_count,
-                "zeta_table": (
-                    None
-                    if self.zeta_table is None
-                    else {str(p): value for p, value in sorted(self.zeta_table.items())}
-                ),
-            },
-            "threads": self.threads,
+        document = {
+            section: {key: _to_json(getattr(self, key)) for key in keys}
+            for section, keys in _LAYOUT.items()
         }
+        document["threads"] = self.threads
+        return document
 
     @classmethod
     def from_dict(cls, document: dict) -> "ExperimentConfig":
         if not isinstance(document, dict):
             raise ParameterValidationError("config document must be a JSON object")
-        _reject_unknown(
-            "<top level>",
-            document,
-            ("model", "budgets", "grids", "seeds", "outputs", "overrides", "threads"),
-        )
-        base = cls()
+        _reject_unknown("<top level>", document, (*_LAYOUT, "threads"))
         kwargs: dict[str, Any] = {}
-
-        model = document.get("model", {})
-        _reject_unknown("model", model, ("n", "p", "beta", "gamma"))
-        if "n" in model:
-            kwargs["n"] = _as_int("model", "n", model["n"])
-        if "p" in model:
-            kwargs["p"] = _as_int("model", "p", model["p"])
-        if "beta" in model:
-            kwargs["beta"] = _as_float("model", "beta", model["beta"])
-        if "gamma" in model:
-            kwargs["gamma"] = _as_float("model", "gamma", model["gamma"])
-
-        budgets = document.get("budgets", {})
-        _reject_unknown("budgets", budgets, ("samples", "replicas", "step_cap"))
-        for key in ("samples", "replicas", "step_cap"):
-            if key in budgets:
-                kwargs[key] = _as_int("budgets", key, budgets[key])
-
-        grids = document.get("grids", {})
-        _reject_unknown("grids", grids, ("u_grid", "v_grid", "eps_grid", "ts_grid"))
-        for key in ("u_grid", "v_grid", "eps_grid"):
-            if key in grids:
-                kwargs[key] = _as_grid("grids", key, grids[key])
-        if "ts_grid" in grids:
-            raw = grids["ts_grid"]
-            if not isinstance(raw, (list, tuple)) or not raw:
-                raise ParameterValidationError("grids.ts_grid must be a nonempty list of [t, s]")
-            pairs = []
-            for item in raw:
-                if not isinstance(item, (list, tuple)) or len(item) != 2:
-                    raise ParameterValidationError(
-                        f"grids.ts_grid entries must be [t, s] pairs; got {item!r}"
-                    )
-                pairs.append(
-                    (_as_float("grids", "ts_grid", item[0]), _as_float("grids", "ts_grid", item[1]))
-                )
-            kwargs["ts_grid"] = tuple(pairs)
-
-        seeds = document.get("seeds", {})
-        _reject_unknown("seeds", seeds, ("master_seed",))
-        if "master_seed" in seeds:
-            kwargs["master_seed"] = _as_int("seeds", "master_seed", seeds["master_seed"])
-
-        outputs = document.get("outputs", {})
-        _reject_unknown("outputs", outputs, ("directory", "formats"))
-        if "directory" in outputs:
-            if not isinstance(outputs["directory"], str):
-                raise ParameterValidationError("outputs.directory must be a string")
-            kwargs["directory"] = outputs["directory"]
-        if "formats" in outputs:
-            raw = outputs["formats"]
-            if not isinstance(raw, (list, tuple)):
-                raise ParameterValidationError("outputs.formats must be a list")
-            kwargs["formats"] = tuple(str(fmt) for fmt in raw)
-
-        overrides = document.get("overrides", {})
-        _reject_unknown("overrides", overrides, ("block_count", "zeta_table"))
-        if overrides.get("block_count") is not None:
-            kwargs["block_count"] = _as_int("overrides", "block_count", overrides["block_count"])
-        if overrides.get("zeta_table") is not None:
-            raw = overrides["zeta_table"]
-            if not isinstance(raw, dict):
-                raise ParameterValidationError(
-                    "overrides.zeta_table must map interaction order to a value"
-                )
-            table = {}
-            for key, value in raw.items():
-                try:
-                    order = int(key)
-                except (TypeError, ValueError):
-                    raise ParameterValidationError(
-                        f"overrides.zeta_table keys must be integers; got {key!r}"
-                    ) from None
-                table[order] = _as_float("overrides", "zeta_table", value)
-            kwargs["zeta_table"] = table
+        for section, parsers in _LAYOUT.items():
+            given = document.get(section, {})
+            if not isinstance(given, dict):
+                raise ParameterValidationError(f"config section {section!r} must be a JSON object")
+            _reject_unknown(section, given, tuple(parsers))
+            for key, parse in parsers.items():
+                # an override left null keeps its default (unset)
+                if key in given and (given[key] is not None or section != "overrides"):
+                    kwargs[key] = parse(section, key, given[key])
         if document.get("threads") is not None:
             kwargs["threads"] = _as_int("<top level>", "threads", document["threads"])
-
-        merged = {**base.__dict__, **kwargs}
-        return cls(**merged).validate()
+        return cls(**kwargs).validate()
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"

@@ -2,6 +2,17 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "ClockprocError",
+    "DimensionMismatchError",
+    "ParameterValidationError",
+    "CapabilityError",
+    "SegmentLengthError",
+    "HorizonError",
+    "DegenerateScaleError",
+    "BudgetError",
+]
+
 
 class ClockprocError(Exception):
     """Base class for all package-specific errors."""

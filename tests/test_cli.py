@@ -444,3 +444,15 @@ def test_module_entry_point_runs_in_subprocess(tmp_path):
     assert proc.returncode == 0
     assert "overall: pass" in proc.stdout
     assert (outdir / "manifest.json").exists()
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    """scipy.stats is the slowest import of the dependencies; only the clock
+    jump-law check uses it, and it imports it there."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, clockproc.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -115,6 +115,8 @@ def test_null_overrides_and_threads_take_their_defaults():
 def test_null_elsewhere_is_rejected_naming_the_key():
     with pytest.raises(ParameterValidationError, match=r"model\.n must be an integer; got None"):
         ExperimentConfig.from_dict({"model": {"n": None}})
+    with pytest.raises(ParameterValidationError, match="config section 'grids'"):
+        ExperimentConfig.from_dict({"grids": None})
 
 
 def test_replace_revalidates():

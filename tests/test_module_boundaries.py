@@ -61,6 +61,52 @@ def test_every_exported_name_exists_once():
     assert repeated == []
 
 
+# the modules whose public names the package re-exports at its top level
+RE_EXPORTED = (
+    "errors", "seeding", "environment", "chain", "parallel",
+    "subordinator", "conditions", "aging", "config",
+)
+
+# every name the top level exported before it was composed from the modules'
+# lists; none may go missing
+TOP_LEVEL_NAMES = {
+    "__version__",
+    "ClockprocError", "DimensionMismatchError", "ParameterValidationError", "CapabilityError",
+    "SegmentLengthError", "HorizonError", "DegenerateScaleError", "BudgetError",
+    "resolve_seeds", "keyed_generator", "StreamFamily", "ReplicaStreams",
+    "SpinConfig", "CouplingTensor", "Environment", "zeta", "validate_parameters",
+    "block_length", "overlap", "ZETA_LIMIT", "DEFAULT_ZETA_TABLE",
+    "TrajectorySegment", "ClockPath", "MixingReport", "simulate_segment", "extend_segment",
+    "blocked_clock", "process_at_time", "mixing_check",
+    "ordered_map",
+    "PowerLawLevyMeasure", "SubordinatorPath", "sample_path", "extend_path", "arcsine_cdf",
+    "crossing_probability", "crossing_probability_batch", "truncated_laplace_exponent",
+    "SelfTest", "self_test",
+    "TailEstimate", "IntensityEstimate", "SquaredTailEstimate", "LaplaceIntensityEstimate",
+    "InitialTermEstimate", "TruncatedMeanEstimate", "ConcentrationReport", "ConditionReport",
+    "estimate_block_tail_grid", "estimate_intensity", "estimate_squared_tail_grid",
+    "conditional_block_laplace", "estimate_intensity_laplace", "estimate_initial_term",
+    "estimate_truncated_mean", "truncated_mean_quadrature", "truncated_mean_asymptotic",
+    "degenerate_block_tail", "degenerate_block_laplace", "degenerate_initial_term",
+    "concentration_diagnostic", "build_condition_report",
+    "correlation_indicator", "AgingCurve", "estimate_aging_curve", "TrapReport",
+    "trap_localization_diagnostic",
+    "DEFAULT_MASTER_SEED", "ExperimentConfig", "default_ts_grid",
+}
+
+
+def test_top_level_is_composed_from_the_module_lists():
+    composed = ["__version__"] + [
+        name
+        for stem in RE_EXPORTED
+        for name in importlib.import_module(f"clockproc.{stem}").__all__
+    ]
+    assert clockproc.__all__ == composed
+    assert len(set(composed)) == len(composed)
+    assert len(TOP_LEVEL_NAMES) == 71
+    assert TOP_LEVEL_NAMES <= set(clockproc.__all__)
+
+
 # public functions that no module of the package runs: the concentration
 # estimator of the source paper, which callers run directly
 RUN_ONLY_BY_CALLERS = {"conditions.py:concentration_diagnostic"}
