@@ -243,14 +243,13 @@ class Environment:
     check.
 
     :meth:`energies` is the one way to read the energies.  At n <=
-    ``MAX_TABLE_SPINS`` (``build_table=None``) it gathers from the table of
-    all 2^n energies, so trajectory simulation reduces to bitmask XOR plus a
-    table lookup and a state's energy does not depend on the batch it is
-    read in; the first call builds that table, once, under a lock, and the
-    constructor does no contraction.  Past that bound energies are contracted
-    on demand, and their last bit can move with the batch.
-    ``build_table=True/False`` forces either path;
-    ``has_energy_table`` records which one this environment reads.
+    ``MAX_TABLE_SPINS`` it gathers from the table of all 2^n energies, so
+    trajectory simulation reduces to bitmask XOR plus a table lookup and a
+    state's energy does not depend on the batch it is read in; the first call
+    builds that table, once, under a lock, and the constructor does no
+    contraction.  Past that bound energies are contracted on demand, and
+    their last bit can move with the batch.  ``has_energy_table`` records
+    which path this environment reads.
     """
 
     __slots__ = (
@@ -269,14 +268,7 @@ class Environment:
         "_table_lock",
     )
 
-    def __init__(
-        self,
-        couplings: CouplingTensor,
-        beta: float,
-        gamma: float,
-        *,
-        build_table: bool | None = None,
-    ) -> None:
+    def __init__(self, couplings: CouplingTensor, beta: float, gamma: float) -> None:
         if not (beta >= 0 and gamma >= 0):
             raise ParameterValidationError(
                 f"beta and gamma must be nonnegative; got beta={beta}, gamma={gamma}"
@@ -299,7 +291,7 @@ class Environment:
             self.step_scale = (
                 math.sqrt(n) * math.exp(exponent) if exponent < EXP_OVERFLOW else math.inf
             )
-        self.has_energy_table = n <= MAX_TABLE_SPINS if build_table is None else build_table
+        self.has_energy_table = n <= MAX_TABLE_SPINS
         self._energy_table = None
         self._table_lock = threading.Lock()
 
@@ -312,11 +304,10 @@ class Environment:
         gamma: float,
         seed: int,
         zeta_table: dict[int, float] | None = None,
-        build_table: bool | None = None,
     ) -> "Environment":
         """Validated environment on the admissible parameter domain."""
         validate_parameters(n, p, beta, gamma, zeta_table)
-        env = cls(CouplingTensor.sample(n, p, seed), beta, gamma, build_table=build_table)
+        env = cls(CouplingTensor.sample(n, p, seed), beta, gamma)
         if math.isfinite(env.step_scale) and env.block_length >= 0.5 * env.step_scale:
             warnings.warn(
                 f"block length {env.block_length} is not small against the "

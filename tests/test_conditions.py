@@ -230,24 +230,27 @@ def test_block_laplace_dual_routes_agree():
         assert se_cond <= se_direct
 
 
-# (environment, chunk state limit, samples, whether chunks fold through term
-# tables); at n = 10 a block holds 104 states, so 5,000 states make chunks of
-# 4,992 >= 2^10 and 900 make chunks of 832 < 2^10, each with a ragged last one
+def reference_env():
+    return Environment.create(10, 3, 3.0, 2.7, seed=5)
+
+
+# (environment given the ``contracted`` fixture, chunk state limit, samples,
+# whether chunks fold through term tables); at n = 10 a block holds 104
+# states, so 5,000 states make chunks of 4,992 >= 2^10 and 900 make chunks of
+# 832 < 2^10, each with a ragged last one
 TRANSFORM_FOLD_CASES = {
-    "derived": (lambda: Environment.create(10, 3, 3.0, 2.7, seed=5), 5000, 500, True),
-    "direct": (lambda: Environment.create(10, 3, 3.0, 2.7, seed=5), 900, 100, False),
-    "beta-zero": (lambda: unit_env(), 5000, 300, True),
-    "contraction": (
-        lambda: Environment.create(10, 3, 3.0, 2.7, seed=5, build_table=False), 5000, 500, False
-    ),
+    "derived": (lambda contracted: reference_env(), 5000, 500, True),
+    "direct": (lambda contracted: reference_env(), 900, 100, False),
+    "beta-zero": (lambda contracted: unit_env(), 5000, 300, True),
+    "contraction": (lambda contracted: contracted(reference_env), 5000, 500, False),
 }
 
 
 @pytest.mark.parametrize("case", sorted(TRANSFORM_FOLD_CASES))
-def test_transform_moments_equal_the_per_state_fold_bit_for_bit(case, monkeypatch):
+def test_transform_moments_equal_the_per_state_fold_bit_for_bit(case, contracted, monkeypatch):
     make_env, chunk_states, samples, derived = TRANSFORM_FOLD_CASES[case]
     monkeypatch.setattr(conditions, "_CHUNK_STATES", chunk_states)
-    env = make_env()
+    env = make_env(contracted)
     v_grid = [0.1, 0.316, 1.0, 3.16, 10.0, 100.0]
     reference = folded_transform_moments(env, v_grid, samples, ReplicaStreams.from_seed(23))
     calls = []

@@ -240,11 +240,11 @@ def test_block_count():
         env.block_count(-0.5)
 
 
-def test_energy_table_matches_direct_contraction():
+def test_energy_table_matches_direct_contraction(contracted):
     """The precomputed table and the on-demand tensor fold must agree exactly."""
     tensor = CouplingTensor.sample(7, 3, seed=11)
-    with_table = Environment(tensor, 1.0, 0.5, build_table=True)
-    without = Environment(tensor, 1.0, 0.5, build_table=False)
+    with_table = Environment(tensor, 1.0, 0.5)
+    without = contracted(lambda: Environment(tensor, 1.0, 0.5))
     assert with_table.has_energy_table and not without.has_energy_table
     bits = np.arange(128, dtype=np.uint64)
     assert np.allclose(with_table.energies(bits), without.energies(bits), rtol=1e-12, atol=1e-12)
@@ -315,14 +315,14 @@ def test_energy_table_is_built_once_under_concurrent_first_lookups(fold_calls):
     assert len(fold_calls) == (1 << 16) // 4096
 
 
-def test_table_and_contraction_agree_bit_for_bit_on_a_walk_at_n20():
+def test_table_and_contraction_agree_bit_for_bit_on_a_walk_at_n20(contracted):
     """The invariant behind unchanged n = 20 outputs: gathering from the table
     reads the very bits that contracting the walk's states gives."""
     tensor = CouplingTensor.sample(20, 3, seed=3001)
     walk = index_walk(20, 12345, 20_000, np.random.default_rng(3001))
     tabled = Environment(tensor, 3.0, 2.7).energies(walk)
-    contracted = Environment(tensor, 3.0, 2.7, build_table=False).energies(walk)
-    assert np.array_equal(tabled, contracted)
+    contraction = contracted(lambda: Environment(tensor, 3.0, 2.7)).energies(walk)
+    assert np.array_equal(tabled, contraction)
 
 
 def energy(env, x):
@@ -352,7 +352,7 @@ def test_energy_matches_explicit_tensor_contraction():
         assert energy(env, x) == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
 
-def test_energy_covariance_tracks_overlap():
+def test_energy_covariance_tracks_overlap(contracted):
     """Cov(H(x), H(y)) over coupling draws is n * R(x,y)^p."""
     n, p = 5, 3
     x = SpinConfig(n, 0b00000)
@@ -361,7 +361,7 @@ def test_energy_covariance_tracks_overlap():
     h = np.empty((draws, 1 + len(pairs)))
     states = np.array([x.bits] + [y.bits for y in pairs], dtype=np.uint64)
     for i in range(draws):
-        env = Environment(CouplingTensor.sample(n, p, seed=i), 1.0, 0.5, build_table=False)
+        env = contracted(lambda: Environment(CouplingTensor.sample(n, p, seed=i), 1.0, 0.5))
         h[i] = env.energies(states)
     for j, y in enumerate(pairs):
         r = overlap(x, y)

@@ -193,18 +193,21 @@ CONTRACTION_DIGEST = "d844d4eeccb871dbce81971d6891943cfdfbc3e223090a265c3b728b9e
 TABLE_DIGEST = "cb17333538f13519c9f0562925bd327f48e61ec3fd9e288a928ef7b09f4adcf0"
 
 
-def energy_digests():
+def create_env():
+    return Environment.create(10, 3, 3.0, 2.7, SEED)
+
+
+def energy_digests(contracted):
     states = np.random.Generator(np.random.Philox(key=SEED)).integers(
         0, 1 << 10, size=5000, dtype=np.uint64
     )
-    contracted = Environment.create(10, 3, 3.0, 2.7, SEED, build_table=False).energies(states)
-    tabled = Environment.create(10, 3, 3.0, 2.7, SEED, build_table=True)
-    table = tabled.energies(np.arange(1 << 10, dtype=np.uint64))
-    return _sha(contracted.tobytes()), _sha(table.tobytes())
+    contraction = contracted(create_env).energies(states)
+    table = create_env().energies(np.arange(1 << 10, dtype=np.uint64))
+    return _sha(contraction.tobytes()), _sha(table.tobytes())
 
 
-def test_energy_paths_match_recorded_digests():
-    assert energy_digests() == (CONTRACTION_DIGEST, TABLE_DIGEST)
+def test_energy_paths_match_recorded_digests(contracted):
+    assert energy_digests(contracted) == (CONTRACTION_DIGEST, TABLE_DIGEST)
 
 
 # the concentration estimator's whole report, serialised with sorted keys
@@ -225,9 +228,9 @@ def test_concentration_report_matches_recorded_digest(threads):
 INITIAL_TERM_DIGEST = "a32f1bf80efa0c91913e9ddba0a6f37fac9e5d41212547df82949421fc142ceb"
 
 
-@pytest.mark.parametrize("build_table", [False, True])
-def test_initial_terms_match_recorded_digest(build_table):
-    env = Environment.create(10, 3, 3.0, 2.7, SEED, build_table=build_table)
+@pytest.mark.parametrize("table", [False, True])
+def test_initial_terms_match_recorded_digest(table, contracted):
+    env = create_env() if table else contracted(create_env)
     streams = ReplicaStreams.from_seed(SEED)
     v_grid = [0.1, 1.0, 10.0, 100.0]
     exact = estimate_initial_term(env, v_grid, exact=True)
@@ -243,10 +246,10 @@ def test_initial_terms_match_recorded_digest(build_table):
 LAPLACE_INTENSITY_DIGEST = "81ef36ddddf4706822b2ab22440cb3b42355c957d23ecf912b8b8ede55e7244e"
 
 
-@pytest.mark.parametrize("build_table", [False, True])
-def test_laplace_intensity_matches_recorded_digest(build_table, monkeypatch):
+@pytest.mark.parametrize("table", [False, True])
+def test_laplace_intensity_matches_recorded_digest(table, contracted, monkeypatch):
     monkeypatch.setattr(conditions, "_CHUNK_STATES", 5000)
-    env = Environment.create(10, 3, 3.0, 2.7, SEED, build_table=build_table)
+    env = create_env() if table else contracted(create_env)
     est = estimate_intensity_laplace(
         env, None, [0.1, 1.0, 10.0, 100.0], 1013, ReplicaStreams.from_seed(SEED), block_count=4
     )
