@@ -161,7 +161,8 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_case(name, threads, root):
+def run_cli(name, threads, root):
+    """Runs one case through ``main``; returns its exit code and output directory."""
     command, document, extra = CASES[name]
     cfg_path = root / f"{name}.json"
     cfg_path.write_text(json.dumps(dict(document, seeds={"master_seed": SEED})))
@@ -170,6 +171,11 @@ def run_case(name, threads, root):
         [command, "--config", str(cfg_path), "--out", str(outdir), "--threads", str(threads)]
         + extra
     )
+    return code, outdir
+
+
+def run_case(name, threads, root):
+    code, outdir = run_cli(name, threads, root)
     digests = {
         path.name: _sha(path.read_bytes())
         for path in sorted(outdir.iterdir())
@@ -272,11 +278,7 @@ PROVENANCE = {
 
 
 def provenance_digest(name, root):
-    command, document, extra = CASES[name]
-    cfg_path = root / f"{name}.json"
-    cfg_path.write_text(json.dumps(dict(document, seeds={"master_seed": SEED})))
-    outdir = root / name
-    main([command, "--config", str(cfg_path), "--out", str(outdir), "--threads", "1"] + extra)
+    _, outdir = run_cli(name, 1, root)
     manifest = json.loads((outdir / "manifest.json").read_text())
     config = manifest["config"]
     del config["outputs"]["directory"], config["threads"]
