@@ -9,9 +9,12 @@ linear compensation when evaluating path values, which keeps range events
 accurate at cutoffs coarse enough to sample cheaply.
 
 :func:`self_test` is the sampler behind ``clockproc subordinator``: it draws
-chunks of paths as padded (paths, jumps) matrices, reads every interval
-crossing of a chunk in one :func:`crossing_probability_batch` pass, and sums
-the horizon-marginal transform of each path.
+chunks of paths as padded (paths, jumps) matrices in time windows, [0, 1]
+first and then doubling horizons, sums the transform of S(1) from the first
+window, and reads every interval crossing of a window in one
+:func:`crossing_probability_batch` pass.  A path stops drawing once a jump
+lands above the deepest t, since that first landing above t settles every
+(t, s) indicator.
 """
 
 from __future__ import annotations
@@ -102,6 +105,26 @@ class SubordinatorPath:
         return float(self.sizes.sum()) + self.compensation_rate * self.horizon
 
 
+def _window(
+    measure: PowerLawLevyMeasure, cutoff: float, start: float, end: float, rows: int, rng
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Poisson points of ``rows`` paths on (start, end] as padded, time-sorted matrices.
+
+    Rows are padded by +inf times and zero sizes past their jump counts.  The
+    stream gives the counts, then the uniform times, then the uniform sizes.
+    """
+    counts = rng.poisson((end - start) * float(measure.tail(cutoff)), size=rows)
+    width = max(int(counts.max()), 1)
+    times = np.full((rows, width), np.inf)
+    sizes = np.zeros((rows, width))
+    mask = np.arange(width)[None, :] < counts[:, None]
+    total = int(counts.sum())
+    times[mask] = rng.uniform(start, end, size=total)
+    times.sort(axis=1)
+    sizes[mask] = measure.jump_sizes(cutoff, rng.uniform(size=total))
+    return times, sizes, counts
+
+
 def sample_path(
     measure: PowerLawLevyMeasure,
     horizon: float,
@@ -112,7 +135,8 @@ def sample_path(
 
     Jump count is Poisson with mean horizon * nu(cutoff, inf); times are
     uniform on [0, horizon]; sizes follow the conditional power law above the
-    cutoff.  Raises BudgetError when the expected jump count exceeds
+    cutoff.  This is :func:`extend_path` of the empty path at horizon 0.
+    Raises BudgetError when the expected jump count exceeds
     DEFAULT_JUMP_BUDGET (1e8).
     """
     if not horizon > 0:
@@ -125,12 +149,8 @@ def sample_path(
             f"expected jump count {expected:.3g} exceeds the budget {DEFAULT_JUMP_BUDGET:.3g}; "
             "raise the cutoff or shorten the horizon"
         )
-    count = int(rng.poisson(expected))
-    times = np.sort(rng.uniform(0.0, horizon, size=count))
-    sizes = measure.jump_sizes(cutoff, rng.uniform(size=count))
-    return SubordinatorPath(
-        measure=measure, horizon=horizon, cutoff=cutoff, times=times, sizes=sizes
-    )
+    empty = np.empty(0)
+    return extend_path(SubordinatorPath(measure, 0.0, cutoff, empty, empty), horizon, rng)
 
 
 def extend_path(
@@ -141,16 +161,14 @@ def extend_path(
         raise ParameterValidationError(
             f"new horizon {new_horizon} must exceed the current horizon {path.horizon}"
         )
-    extra = (new_horizon - path.horizon) * float(path.measure.tail(path.cutoff))
-    count = int(rng.poisson(extra))
-    t_new = np.sort(rng.uniform(path.horizon, new_horizon, size=count))
-    s_new = path.measure.jump_sizes(path.cutoff, rng.uniform(size=count))
+    times, sizes, counts = _window(path.measure, path.cutoff, path.horizon, new_horizon, 1, rng)
+    count = int(counts[0])
     return SubordinatorPath(
         measure=path.measure,
         horizon=new_horizon,
         cutoff=path.cutoff,
-        times=np.concatenate([path.times, t_new]),
-        sizes=np.concatenate([path.sizes, s_new]),
+        times=np.concatenate([path.times, times[0, :count]]),
+        sizes=np.concatenate([path.sizes, sizes[0, :count]]),
     )
 
 
@@ -175,15 +193,15 @@ def crossing_probability(path: SubordinatorPath, t: float, s: float) -> int:
     """Indicator that the path's range misses the open interval (t, t+s).
 
     Equals 1 exactly when the jump straddling level t starts at or below t
-    and lands at or above t+s (s = 0 gives 1: the empty interval).  Raises
-    HorizonError when the path has not yet exceeded t+s.
+    and lands at or above t+s (s = 0 gives 1: the empty interval).  The path
+    past its first landing above t cannot change that, so this raises
+    HorizonError only when the path has not landed above t.
     """
     if t < 0 or s < 0:
         raise ParameterValidationError("t and s must be nonnegative")
-    if path.supremum() <= t + s:
+    if path.supremum() <= t:
         raise HorizonError(
-            f"path supremum {path.supremum():.6g} has not passed t+s={t + s:.6g}; "
-            "extend the horizon"
+            f"path supremum {path.supremum():.6g} has not passed t={t:.6g}; extend the horizon"
         )
     if s == 0:
         return 1
@@ -206,8 +224,9 @@ def crossing_probability_batch(
 
     ``times``/``sizes`` are (paths, max_jumps) with rows padded by +inf times
     and zero sizes past ``counts``.  Returns a (len(pairs), paths) array: -1
-    where the path never exceeded t+s (caller decides how to handle), else
-    the 0/1 indicator of :func:`crossing_probability`.
+    where the path has not landed above t, its value after its last jump
+    being at most t (caller decides how to handle), else the 0/1 indicator of
+    :func:`crossing_probability`.
     """
     finite = np.isfinite(times)
     post = np.where(finite, times, 0.0)
@@ -215,14 +234,14 @@ def crossing_probability_batch(
     post += np.cumsum(sizes, axis=1)
     rows = np.arange(len(counts))
     sup = np.where(counts > 0, post[rows, np.maximum(counts - 1, 0)], 0.0)
-    # padding never lands, so every row is monotone and a row that passed
-    # t+s first lands above t at a real jump
+    # padding never lands, so every row is monotone and a row that passed t
+    # first lands above t at a real jump
     post[~finite] = np.inf
     last = post.shape[1] - 1
     out = np.full((len(pairs), len(counts)), -1, dtype=np.int64)
     at_level: dict[float, tuple[np.ndarray, np.ndarray]] = {}
     for j, (t, s) in enumerate(pairs):
-        done = sup > t + s
+        done = sup > t
         if s == 0:
             out[j, done] = 1
             continue
@@ -281,73 +300,49 @@ class SelfTest:
     transform_ess: list[float]
 
 
-def _self_test_horizon(alpha: float, deepest: float) -> float:
-    """Initial horizon making undecided interval checks rare but affordable.
-
-    The sub-threshold drift plus moderate jumps grow the path at rate about
-    alpha/(1-alpha) * L^(1-alpha) toward a level L, so a horizon of three
-    times L divided by that rate usually passes the level.
-    """
-    return max(1.0, 3.0 * (1.0 - alpha) / alpha * deepest**alpha)
-
-
 def self_test(
     pairs: list[tuple[float, float]], v_grid, paths: int, master_seed: int, threads: int
 ) -> list[SelfTest]:
     """Crossing counts and transform statistics of the reference models, one per alpha.
 
     Each alpha samples ``paths`` paths in fixed-size chunks, chunk c drawing
-    from its own keyed stream, so results do not depend on ``threads``.
-    Rows the batch leaves undecided are rebuilt as :class:`SubordinatorPath`
-    objects, cached across pairs, and extended on the chunk's stream until
-    they pass t+s.
+    from its own keyed stream, so results do not depend on ``threads``.  A
+    chunk draws window [0, 1] for every path, which gives S(1), then (1, 2],
+    (2, 4], ... for the paths that have not yet landed above the deepest t.
+    A path's first landing above t settles every (t, s) indicator, so no
+    later jump is drawn.
     """
     cutoff = _SELF_TEST_CUTOFF
-    deepest = max(t + s for t, s in pairs)
+    deepest = max(range(len(pairs)), key=lambda j: pairs[j][0])
     chunks = (paths + _SELF_TEST_CHUNK - 1) // _SELF_TEST_CHUNK
     v_arr = np.asarray(v_grid, dtype=np.float64)
     out = []
     for alpha in _SELF_TEST_ALPHAS:
         measure = PowerLawLevyMeasure(1.0, alpha)
         drift_rate = measure.truncated_mean_rate(cutoff)
-        horizon = _self_test_horizon(alpha, deepest)
-        rate = float(measure.tail(cutoff)) * horizon
         family = StreamFamily(master_seed, f"subordinator-selftest-{alpha!r}")
 
         def worker(c: int):
             rng = keyed_generator(family.seed_for(c))
             count = min(_SELF_TEST_CHUNK, paths - c * _SELF_TEST_CHUNK)
-            jump_counts = rng.poisson(rate, size=count)
-            width = max(int(jump_counts.max()), 1)
-            times = np.full((count, width), np.inf)
-            sizes = np.zeros((count, width))
-            mask = np.arange(width)[None, :] < jump_counts[:, None]
-            total = int(jump_counts.sum())
-            times[mask] = rng.uniform(0.0, horizon, size=total)
-            times.sort(axis=1)
-            sizes[mask] = measure.jump_sizes(cutoff, rng.uniform(size=total))
-
-            totals_at_one = (sizes * (times <= 1.0)).sum(axis=1) + drift_rate
-            weights = np.exp(-np.outer(v_arr, totals_at_one))
-
-            flags = crossing_probability_batch(times, sizes, jump_counts, drift_rate, pairs)
-            grown: dict[int, SubordinatorPath] = {}
-            for j, (t, s) in enumerate(pairs):
-                for row in np.nonzero(flags[j] < 0)[0].tolist():
-                    path = grown.get(row)
-                    if path is None:
-                        # rebuild the row's path object once, reusing its draws
-                        m = int(jump_counts[row])
-                        path = SubordinatorPath(
-                            measure, horizon, cutoff, times[row, :m].copy(), sizes[row, :m].copy()
-                        )
-                    while True:
-                        try:
-                            flags[j, row] = crossing_probability(path, t, s)
-                            break
-                        except HorizonError:
-                            path = extend_path(path, 2.0 * path.horizon, rng)
-                    grown[row] = path
+            flags = np.full((len(pairs), count), -1, dtype=np.int64)
+            mass = np.zeros(count)  # jump mass each path has drawn so far
+            rows = np.arange(count)  # paths that have not landed above the deepest t
+            start, end = 0.0, 1.0
+            while rows.size:
+                times, sizes, counts = _window(measure, cutoff, start, end, rows.size, rng)
+                if start == 0.0:
+                    # every path draws [0, 1]: S(1) is its jump mass plus the drift
+                    weights = np.exp(-np.outer(v_arr, sizes.sum(axis=1) + drift_rate))
+                # a leading jump at time 0 carries the mass of the earlier windows;
+                # it lands at or below every level the path has not passed
+                times = np.column_stack([np.zeros(rows.size), times])
+                sizes = np.column_stack([mass[rows], sizes])
+                window = crossing_probability_batch(times, sizes, counts + 1, drift_rate, pairs)
+                flags[:, rows] = np.where(flags[:, rows] < 0, window, flags[:, rows])
+                mass[rows] = sizes.sum(axis=1)
+                rows = rows[flags[deepest, rows] < 0]
+                start, end = end, 2.0 * end
             return flags.sum(axis=1), weights.sum(axis=1)
 
         # the pool finishes within this iteration, so the worker sees this alpha

@@ -225,10 +225,12 @@ def padded(paths, extra=0):
 
 
 def test_crossing_probability_hand_cases():
-    # compensation rate 0.5: supremum 5.3 + 0.5 * 10
+    # compensation rate 0.5: values [5.5, 6.3], supremum 5.3 + 0.5 * 10
     p = hand_path([1.0, 2.0], [5.0, 0.3])
+    # the first landing above 5 starts at 0.5 and stops short of 11
+    assert crossing_probability(p, 5.0, 6.0) == 0
     with pytest.raises(HorizonError):
-        crossing_probability(p, 5.0, 6.0)
+        crossing_probability(p, 10.5, 1.0)
     with pytest.raises(ParameterValidationError):
         crossing_probability(p, -1.0, 1.0)
 
@@ -241,10 +243,11 @@ def test_crossing_batch_hand_cases_without_drift():
         (4.9, 0.3),  # lands inside (4.9,5.2)
         (5.0, 0.1),  # second jump straddles
         (3.0, 0.0),  # empty interval
-        (5.0, 1.0),  # supremum 5.3 <= 6: undecided
+        (5.0, 1.0),  # second jump lands above 5 but short of 6
+        (5.3, 0.5),  # supremum 5.3 <= t: undecided
     ]
     flags = crossing_probability_batch(times, sizes, counts, 0.0, pairs)
-    assert flags.tolist() == [[1], [0], [1], [1], [-1]]
+    assert flags.tolist() == [[1], [0], [1], [1], [0], [-1]]
 
 
 def test_crossing_batch_padding_never_lands():
@@ -288,6 +291,44 @@ def test_crossing_batch_agrees_with_scalar():
             # batch may be conservatively undecided, but never wrong
             assert batch[j, i] in (-1, scalar)
         assert np.any(batch[j] >= 0)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+def test_paths_cut_after_their_first_landing_above_t_keep_every_flag(alpha):
+    """Jumps after the first landing above t change no (t, s) indicator."""
+    m = measure(1.0, alpha)
+    cutoff = 0.01
+    rng = keyed_generator(15)
+    full = [sample_path(m, 40.0, cutoff, rng) for _ in range(200)]
+    drift = m.truncated_mean_rate(cutoff)
+    for t in (0.3, 1.0, 2.5):
+        cut = []
+        for p in full:
+            k = int(np.searchsorted(p.values(), t, side="right"))
+            assert k < len(p.times)  # every path lands above t before its horizon
+            cut.append(hand_path(p.times[: k + 1], p.sizes[: k + 1], p.times[k], cutoff, alpha))
+        pairs = [(t, s) for s in (0.0, 0.05, 0.25, 1.0, 4.0)]
+        whole = crossing_probability_batch(*padded(full), drift, pairs)
+        prefix = crossing_probability_batch(*padded(cut), drift, pairs)
+        assert np.all(whole >= 0)
+        assert np.array_equal(prefix, whole)
+        # both outcomes occur, so the comparison can tell a wrong rule apart
+        assert 0 < whole[1:].sum() < whole[1:].size
+
+
+def test_self_test_draws_about_one_unit_window(monkeypatch):
+    """At alpha = 0.7 nearly every path lands above t = 1 within [0, 1]."""
+    drawn = []
+    jump_sizes = PowerLawLevyMeasure.jump_sizes
+
+    def counted(self, cutoff, u):
+        if self.alpha == 0.7:
+            drawn.append(np.size(u))
+        return jump_sizes(self, cutoff, u)
+
+    monkeypatch.setattr(PowerLawLevyMeasure, "jump_sizes", counted)
+    self_test([(1.0, 1.0), (1.0, 0.25)], [1.0], 2000, 5, 1)
+    assert sum(drawn) < 1.1 * 2000 * float(measure(1.0, 0.7).tail(1e-4))
 
 
 def test_self_test_layout_and_thread_invariance():
