@@ -366,8 +366,9 @@ def test_subordinator_transform_warns_where_the_expected_ess_is_too_small(tmp_pa
 
 
 def test_subordinator_arcsine_checks_grade_by_the_binomial_spread(tmp_path):
-    # at 2000 paths a crossing frequency spreads by about 0.011; graded by a
-    # fixed 0.02 gap, arcsine_alpha_0.5 failed here on sampling noise alone
+    # at 2000 paths a crossing frequency spreads by about 0.011, so a fixed
+    # 0.02 gap fails on sampling noise alone at some seeds (this one did, with
+    # the draw order before paths were drawn in windows); z reads the spread
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(
         json.dumps({"budgets": {"samples": 2000}, "grids": {"v_grid": [1.0, 100.0]}})
@@ -388,8 +389,8 @@ def test_subordinator_arcsine_checks_grade_by_the_binomial_spread(tmp_path):
             assert stderr == math.sqrt(predicted * (1.0 - predicted) / 2000)
             z = max(z, abs(empirical - predicted) / stderr)
         assert entry["max_z"] == pytest.approx(z, rel=1e-12)
-    assert verdicts["arcsine_alpha_0.5"]["max_absolute_gap"] > 0.02
-    assert verdicts["arcsine_alpha_0.5"]["max_z"] == pytest.approx(1.85, abs=0.01)
+    assert verdicts["arcsine_alpha_0.5"]["max_absolute_gap"] == pytest.approx(0.0104, abs=1e-4)
+    assert verdicts["arcsine_alpha_0.5"]["max_z"] == pytest.approx(0.94, abs=0.01)
 
 
 def test_bad_inputs_exit_with_error_message(tmp_path, capsys):

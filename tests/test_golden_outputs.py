@@ -150,9 +150,9 @@ EXPECTED = {
         "verdicts": "79615e585f946960b80a8ea7b505cca1a894e1ba2622422c35d5326d1e59c8e1",
     }),
     "subordinator": (0, {
-        "subordinator_arcsine.csv": "069683a131a089bcf0edba6cf1b30f255fafbbc9a059a5658ab7eaacb6ebc153",
-        "subordinator_laplace.csv": "bbbb7ad4980be1e2bd57acba7aabcb3331a76f9bed52bd14d21f7b8c3be0dfc1",
-        "verdicts": "f43bc0e05804d6381bf524d7f9bbbb08a0ae7c1cc6e05892d4f870a075cc75e9",
+        "subordinator_arcsine.csv": "afc9af3783c4b3d0f2d2ed4083186469050d113f2f6a82d5aff4092c189166c0",
+        "subordinator_laplace.csv": "6d6e8f9440c73a8f37a0db344cbcf17b2eedcd668f191ac4de5c6abdbe71911f",
+        "verdicts": "d0c1d197cebf858965f77962a814b0efe229b830b0ca1727e8224eed8e3090d3",
     }),
 }
 
