@@ -313,7 +313,7 @@ def self_test(
     later jump is drawn.
     """
     cutoff = _SELF_TEST_CUTOFF
-    deepest = max(range(len(pairs)), key=lambda j: pairs[j][0])
+    deepest = int(np.argmax([t for t, _ in pairs]))  # the pair with the largest t
     chunks = (paths + _SELF_TEST_CHUNK - 1) // _SELF_TEST_CHUNK
     v_arr = np.asarray(v_grid, dtype=np.float64)
     out = []
