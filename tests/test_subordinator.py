@@ -11,10 +11,11 @@ from clockproc.errors import (
     HorizonError,
     ParameterValidationError,
 )
-from clockproc.seeding import keyed_generator
+from clockproc.seeding import StreamFamily, keyed_generator
 from clockproc.subordinator import (
     PowerLawLevyMeasure,
     SubordinatorPath,
+    _window,
     arcsine_cdf,
     crossing_probability,
     crossing_probability_batch,
@@ -329,6 +330,42 @@ def test_self_test_draws_about_one_unit_window(monkeypatch):
     monkeypatch.setattr(PowerLawLevyMeasure, "jump_sizes", counted)
     self_test([(1.0, 1.0), (1.0, 0.25)], [1.0], 2000, 5, 1)
     assert sum(drawn) < 1.1 * 2000 * float(measure(1.0, 0.7).tail(1e-4))
+
+
+def replayed_crossings(pairs, paths, master_seed, alpha, cutoff=1e-4):
+    """Crossing counts of one self-test chunk from whole path objects.
+
+    Replays the chunk's windows on its keyed stream, appends each window's
+    jumps to the path's own lists, and reads every flag with the scalar
+    indicator.  Also returns the number of windows drawn.
+    """
+    m = measure(1.0, alpha)
+    rng = keyed_generator(StreamFamily(master_seed, f"subordinator-selftest-{alpha!r}").seed_for(0))
+    deepest = max(t for t, _ in pairs)
+    jumps = [([], []) for _ in range(paths)]
+    rows, start, end, windows = list(range(paths)), 0.0, 1.0, 0
+    while rows:
+        times, sizes, counts = _window(m, cutoff, start, end, len(rows), rng)
+        for i, row in enumerate(rows):
+            jumps[row][0].extend(times[i, : counts[i]])
+            jumps[row][1].extend(sizes[i, : counts[i]])
+        grown = [hand_path(*jumps[row], end, cutoff, alpha) for row in rows]
+        rows = [row for row, p in zip(rows, grown) if p.values().max(initial=0.0) <= deepest]
+        start, end, windows = end, 2.0 * end, windows + 1
+    # each path ends at its first landing above the deepest t or later
+    whole = [hand_path(ts, ss, ts[-1], cutoff, alpha) for ts, ss in jumps]
+    counts = [sum(crossing_probability(p, t, s) for p in whole) for t, s in pairs]
+    return counts, windows
+
+
+def test_windowed_self_test_matches_whole_paths():
+    """The carried mass of earlier windows gives the flags of the whole path."""
+    pairs = [(0.5, 0.5), (3.0, 1.0), (6.0, 2.0)]
+    results = self_test(pairs, [1.0], 300, 17, 1)
+    for result in results:
+        counts, windows = replayed_crossings(pairs, 300, 17, result.alpha)
+        assert windows > 1
+        assert result.crossings.tolist() == counts
 
 
 def test_self_test_layout_and_thread_invariance():
