@@ -335,7 +335,8 @@ def self_test(
                     # every path draws [0, 1]: S(1) is its jump mass plus the drift
                     weights = np.exp(-np.outer(v_arr, sizes.sum(axis=1) + drift_rate))
                 # a leading jump at time 0 carries the mass of the earlier windows;
-                # it lands at or below every level the path has not passed
+                # it lands at or below every level the path has not passed, so it
+                # misreads only flags that are already set, and those are kept
                 times = np.column_stack([np.zeros(rows.size), times])
                 sizes = np.column_stack([mass[rows], sizes])
                 window = crossing_probability_batch(times, sizes, counts + 1, drift_rate, pairs)
