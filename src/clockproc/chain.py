@@ -45,16 +45,21 @@ def index_walk(n: int, start_bits, steps: int, walk_rng: np.random.Generator) ->
 
     A scalar start gives one path of length steps+1; an array of m starts
     gives m independent paths, shape (m, steps+1), whose flips come from one
-    draw of shape (m, steps).
+    draw of shape (m, steps).  The path is built in place in its output, so
+    the flip sites (4 bytes each) are the only other allocation.
     """
     starts = np.asarray(start_bits, dtype=np.uint64)
     states = np.empty(starts.shape + (steps + 1,), dtype=np.uint64)
     states[..., 0] = starts
     if steps:
-        flips = walk_rng.integers(0, n, size=starts.shape + (steps,), dtype=np.uint64)
-        masks = np.uint64(1) << flips
-        np.bitwise_xor.accumulate(masks, axis=-1, out=masks)
-        states[..., 1:] = starts[..., None] ^ masks
+        # below 2^32, NumPy draws bounded uint32 and uint64 by the same 32-bit
+        # Lemire path, so the sites and the stream's state match a uint64 draw
+        flips = walk_rng.integers(0, n, size=starts.shape + (steps,), dtype=np.uint32)
+        moves = states[..., 1:]
+        np.left_shift(np.uint64(1), flips, out=moves)
+        del flips
+        np.bitwise_xor.accumulate(moves, axis=-1, out=moves)
+        moves ^= starts[..., None]
     return states
 
 

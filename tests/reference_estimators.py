@@ -6,7 +6,11 @@ integrating them out, so it checks the conditional transform the package
 uses.  ``folded_transform_moments`` walks the conditional transform's blocks
 from the same streams and folds each state's energy through
 ``conditional_block_laplace``, so it checks the derived term tables the
-package folds large chunks through.  ``sample_totals`` draws only the
+package folds large chunks through.  ``per_state_block_sums`` walks the
+same blocks in one piece and scales each state's hold from its own energy,
+so it checks the hold tables and the chunking of ``_block_sums``.
+``uint64_index_walk`` draws the flip sites as uint64 and builds the path
+out of place, as ``index_walk`` once did.  ``sample_totals`` draws only the
 horizon marginal of truncated subordinator paths, which checks the
 truncated Laplace exponent.
 """
@@ -20,6 +24,32 @@ from clockproc.chain import index_walk
 from clockproc.conditions import _block_sums, conditional_block_laplace
 from clockproc.errors import BudgetError
 from clockproc.subordinator import DEFAULT_JUMP_BUDGET, PowerLawLevyMeasure
+
+
+def uint64_index_walk(n, start_bits, steps, walk_rng):
+    """Packed-state SRW paths from uint64 flip sites, built out of place."""
+    starts = np.asarray(start_bits, dtype=np.uint64)
+    states = np.empty(starts.shape + (steps + 1,), dtype=np.uint64)
+    states[..., 0] = starts
+    if steps:
+        flips = walk_rng.integers(0, n, size=starts.shape + (steps,), dtype=np.uint64)
+        masks = np.uint64(1) << flips
+        np.bitwise_xor.accumulate(masks, axis=-1, out=masks)
+        states[..., 1:] = starts[..., None] ^ masks
+    return states
+
+
+def per_state_block_sums(env, count, streams, presteps=0, starts=None):
+    """Block sums exp(beta*H - log time scale) * e of ``count`` blocks, walked
+    in one piece and scaled from each state's energy."""
+    theta = env.block_length
+    if starts is None:
+        starts = streams.walk.integers(0, 1 << env.n, size=count, dtype=np.uint64)
+    walk = uint64_index_walk(env.n, starts, presteps + theta - 1, streams.walk)[:, presteps:]
+    energies = env.energies(walk)
+    draws = streams.noise.standard_exponential((count, theta))
+    with np.errstate(over="ignore"):
+        return (np.exp(env.beta * energies - env.log_time_scale) * draws).sum(axis=1)
 
 
 def direct_block_laplace(env, v_values, samples, streams):

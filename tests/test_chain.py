@@ -22,6 +22,7 @@ from clockproc.errors import (
 )
 from clockproc.seeding import ReplicaStreams, StreamFamily, keyed_generator
 from dense_srw_kernel import apply_srw_kernel, dense_mixing_violation, exact_step_distribution
+from reference_estimators import uint64_index_walk
 
 pytestmark = pytest.mark.filterwarnings("ignore:block length")
 
@@ -67,6 +68,26 @@ def test_index_walk_batch_matches_scalar():
         assert np.array_equal(batch[i], index_walk(6, int(s), 50, scalar_rng))
     # both generators are left in the same state
     assert batch_rng.integers(0, 1 << 30) == scalar_rng.integers(0, 1 << 30)
+
+
+@pytest.mark.parametrize("n", [2, 14, 22, 23, 63])
+@pytest.mark.parametrize("steps", [0, 1, 257])
+@pytest.mark.parametrize("batched", [False, True])
+def test_index_walk_equals_the_uint64_draw_oracle(n, steps, batched):
+    """uint32 flip sites give the uint64 draw's states and leave the stream
+    where it would; an odd count of sites leaves half a 64-bit word buffered."""
+    starts_rng = keyed_generator(n)
+    if batched:
+        starts = starts_rng.integers(0, 1 << n, size=7, dtype=np.uint64)
+    else:
+        starts = int(starts_rng.integers(0, 1 << n, dtype=np.uint64))
+    rng, oracle_rng = keyed_generator(31), keyed_generator(31)
+    states = index_walk(n, starts, steps, rng)
+    expected = uint64_index_walk(n, starts, steps, oracle_rng)
+    assert states.dtype == expected.dtype == np.uint64
+    assert states.shape == expected.shape
+    assert np.array_equal(states, expected)
+    np.testing.assert_equal(rng.bit_generator.state, oracle_rng.bit_generator.state)
 
 
 def test_uniform_occupation_small_n():
