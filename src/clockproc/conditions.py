@@ -23,11 +23,12 @@ Estimator conventions used throughout:
 * all randomness is drawn from a :class:`~clockproc.seeding.ReplicaStreams`
   pair (walk stream for moves and starts, noise stream for waiting times), so
   every estimate is reproducible from the stream seeds alone.
-* the block Laplace transform folds a chunk of walks that holds at least
-  2^n states of a table-backed environment through a derived term table:
-  for each v, the 2^n terms logaddexp(0, log v + beta*H - log time scale)
-  are computed once and gathered by state, with the bits of the per-state
-  fold in :func:`conditional_block_laplace`.
+* a chunk of walks that holds at least 2^n states of a table-backed
+  environment reads per-state tables gathered by state, with the bits of
+  the per-state computation: the block sums gather the 2^n scaled holds
+  exp(beta*H - log time scale), built once per call, and the block Laplace
+  transform gathers, for each v, the 2^n terms logaddexp(0, log v + beta*H -
+  log time scale) of the fold in :func:`conditional_block_laplace`.
 
 Two deliberately redundant routes exist for the correlated-square statistic
 (two-step kernel versus split one-step products); consistency between routes
@@ -46,7 +47,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .chain import index_walk, mixing_check, simulate_segment
 from .environment import (
@@ -92,11 +93,16 @@ __all__ = [
     "resolve_block_count",
 ]
 
-# Chunking constant for batched walks (states held in memory at once).  Fixed:
-# results must not depend on it, and they do not, because starts are drawn
-# before the chunk loop and each stream's remaining draws concatenate across
-# chunks in the same order as a single draw would produce.
+# Chunking constant for batched walks (states held in memory at once).  The
+# walk states, the waiting-time draws and each sample's block sum do not depend
+# on it: starts are drawn before the chunk loop, and each stream's draws
+# concatenate across chunks as one draw would.  Running sums over samples do:
+# the transform moments and the truncated-mean sums add one partial sum per
+# chunk, so their last digits move with it.  It is fixed for that reason.
 _CHUNK_STATES = 4_000_000
+
+# states gathered at once by the term-table fold, a slice of rows at a time
+_GATHER_STATES = 1 << 16
 
 
 def _uniform_starts(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -131,6 +137,21 @@ def _iter_block_states(
         yield lo, hi, index_walk(env.n, starts[lo:hi], window_steps, streams.walk)[:, presteps:]
 
 
+def _folds_by_table(env: Environment, states: np.ndarray) -> bool:
+    """Whether a chunk of walk states reads a per-state table of 2^n entries:
+    the energies are tabulated and the chunk holds at least 2^n states, so the
+    table costs less than computing its terms state by state."""
+    return env.has_energy_table and states.size >= 1 << env.n
+
+
+def _scaled_holds(env: Environment, energies: np.ndarray) -> np.ndarray:
+    """exp(beta*H - log time scale) of ``energies``, in place, saturating to inf."""
+    energies *= env.beta
+    energies -= env.log_time_scale
+    with np.errstate(over="ignore"):
+        return np.exp(energies, out=energies)
+
+
 def _block_sums(
     env: Environment,
     count: int,
@@ -139,19 +160,30 @@ def _block_sums(
     starts: np.ndarray | None = None,
 ) -> np.ndarray:
     """Scaled sums exp(beta*H - log time scale) * e over the blocks of
-    :func:`_iter_block_states`, waiting times from the noise stream."""
+    :func:`_iter_block_states`, waiting times from the noise stream.
+
+    Chunks that :func:`_folds_by_table` admits gather each state's scaled hold
+    from a table of the 2^n values exp(beta*H - log time scale), built once
+    per call; other chunks compute them from the states' energies.  Either way
+    each hold takes the same operations in the same order, so the sums are
+    bit-identical, and a chunk holds one window of holds and one of draws.
+    """
     if count < 1:
         raise ParameterValidationError(f"sample count must be >= 1; got {count}")
     sums = np.empty(count)
+    hold_table = None
     for lo, hi, states in _iter_block_states(env, count, streams, presteps, starts):
-        energies = env.energies(states)
+        if _folds_by_table(env, states):
+            if hold_table is None:
+                hold_table = _scaled_holds(env, _all_energies(env))
+            holds = hold_table[states.view(np.int64)]
+        else:
+            holds = _scaled_holds(env, env.energies(states))
         del states
-        log_tau = env.beta * energies
-        # the draws reuse the energies' memory; holding both raises peak RSS by a window
-        del energies
         draws = streams.noise.standard_exponential((hi - lo, env.block_length))
-        with np.errstate(over="ignore"):
-            sums[lo:hi] = (np.exp(log_tau - env.log_time_scale) * draws).sum(axis=1)
+        draws *= holds
+        del holds
+        sums[lo:hi] = draws.sum(axis=1)
     return sums
 
 
@@ -397,9 +429,10 @@ def conditional_block_laplace(env: Environment, energies, v: float):
     energy vector (returns a float) or a batch with blocks on the last axis.
 
     This is the reference fold.  The transform estimator folds through it
-    past the energy table (n > ``MAX_TABLE_SPINS``) and on chunks of fewer
-    than 2^n states; on larger table-backed chunks it gathers the same terms
-    from a per-v table instead, with identical bits.
+    on the chunks that :func:`_folds_by_table` turns down: past the energy
+    table (n > ``MAX_TABLE_SPINS``) and on chunks of fewer than 2^n states.
+    The chunks it admits gather the same terms from a per-v table instead,
+    with identical bits, under the rule the block sums' hold table follows.
     """
     if v < 0:
         raise ParameterValidationError(f"transform argument must be nonnegative; got {v}")
@@ -414,25 +447,31 @@ def conditional_block_laplace(env: Environment, energies, v: float):
 def _table_folds(env: Environment, v_values: Sequence[float], states: np.ndarray):
     """:func:`conditional_block_laplace` of each positive v over a chunk of
     walk states, read from a table of the 2^n terms logaddexp(0, log v +
-    beta*H - log time scale) gathered by state.
+    beta*H - log time scale) gathered by state (for chunks that
+    :func:`_folds_by_table` admits, the rule :func:`_block_sums` shares).
 
-    Each term takes the reference fold's operations in its order, and the
-    gathered terms are summed over the same C-ordered (rows, block) layout,
-    so the result is bit-identical.  One term buffer and one gather buffer
-    serve every v.
+    Each term takes the reference fold's operations in its order, and each
+    row's gathered terms are summed over the same contiguous block, so the
+    result is bit-identical.  One term buffer serves every v, and one buffer
+    of ``_GATHER_STATES`` states takes the rows a slice at a time.
     """
     scaled = _all_energies(env)
     scaled *= env.beta
     terms = np.empty_like(scaled)
-    gathered = np.empty(states.shape)
     index = states.view(np.int64)
+    rows = max(1, _GATHER_STATES // states.shape[-1])
+    gathered = np.empty((min(rows, len(states)), states.shape[-1]))
     for v in v_values:
         np.add(scaled, math.log(v), out=terms)
         terms -= env.log_time_scale
         np.logaddexp(0.0, terms, out=terms)
-        # indices are in range; any mode but "raise" gathers straight into ``out``
-        np.take(terms, index, out=gathered, mode="clip")
-        yield np.exp(-gathered.sum(axis=-1))
+        folds = np.empty(len(states))
+        for lo in range(0, len(states), rows):
+            part = gathered[: min(rows, len(states) - lo)]
+            # indices are in range; any mode but "raise" gathers straight into ``out``
+            np.take(terms, index[lo : lo + rows], out=part, mode="clip")
+            np.exp(-part.sum(axis=-1), out=folds[lo : lo + len(part)])
+        yield folds
 
 
 def _conditional_transform_moments(
@@ -443,9 +482,7 @@ def _conditional_transform_moments(
     lows = np.full(len(v_values), np.inf)
     highs = np.full(len(v_values), -np.inf)
     for _, _, states in _iter_block_states(env, samples, streams):
-        # a chunk of at least 2^n states folds through the per-v term tables
-        # for less than it costs to fold its own states
-        if env.has_energy_table and states.size >= 1 << env.n:
+        if _folds_by_table(env, states):
             folds = _table_folds(env, v_values, states)
         else:
             energies = env.energies(states)
@@ -680,6 +717,10 @@ def truncated_mean_quadrature(env: Environment, epsilon: float, horizon: float) 
         raise ParameterValidationError(f"epsilon must be positive; got {epsilon}")
     if env.beta <= 0:
         raise ParameterValidationError("the Gaussian-marginal closed form requires beta > 0")
+    # imported here rather than at the top: scipy.integrate adds about 0.3 s
+    # to every start-up, and only the quadratures use it
+    from scipy import integrate
+
     if env.step_scale is None or not math.isfinite(env.step_scale):
         raise DegenerateScaleError("jump-count scale unavailable at these parameters")
     s = env.beta * math.sqrt(env.n)

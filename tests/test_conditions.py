@@ -28,14 +28,18 @@ from clockproc.conditions import (
     truncated_mean_quadrature,
 )
 from clockproc.chain import mixing_check
-from clockproc.environment import Environment
+from clockproc.environment import CouplingTensor, Environment
 from clockproc.errors import (
     DegenerateScaleError,
     ParameterValidationError,
 )
 from clockproc.seeding import ReplicaStreams, StreamFamily
 from clockproc.verdicts import SLOPE_WINDOW, slope_status
-from reference_estimators import direct_block_laplace, folded_transform_moments
+from reference_estimators import (
+    direct_block_laplace,
+    folded_transform_moments,
+    per_state_block_sums,
+)
 
 pytestmark = pytest.mark.filterwarnings("ignore:block length")
 
@@ -262,6 +266,62 @@ def test_transform_moments_equal_the_per_state_fold_bit_for_bit(case, contracted
     assert np.array_equal(means, reference[0])
     assert np.array_equal(stds, reference[1])
     assert (len(calls) == 0) == derived
+
+
+def saturating_env():
+    """beta = 80 at n = 10: exp(beta*H - log time scale) overflows to inf on
+    5 of the 1,024 states (about 40% of the blocks hold one) and underflows
+    to 0 on the lowest ones."""
+    return Environment(CouplingTensor.sample(10, 3, 5), 80.0, 2.7)
+
+
+def keyed_starts(n, count):
+    return np.random.default_rng(41).integers(0, 1 << n, size=count, dtype=np.uint64)
+
+
+# (environment given the ``contracted`` fixture, chunk state limit, samples,
+# presteps, whether chunks read the hold table); the first four mirror
+# TRANSFORM_FOLD_CASES, "split" walks one move before each block from given
+# starts, as the split route of the correlated square does
+BLOCK_SUM_CASES = {
+    "derived": (lambda contracted: reference_env(), 5000, 500, 0, True),
+    "direct": (lambda contracted: reference_env(), 900, 100, 0, False),
+    "beta-zero": (lambda contracted: unit_env(), 5000, 300, 0, True),
+    "contraction": (lambda contracted: contracted(reference_env), 5000, 500, 0, False),
+    "saturating": (lambda contracted: saturating_env(), 5000, 500, 0, True),
+    "split": (lambda contracted: reference_env(), 5000, 500, 1, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_SUM_CASES))
+def test_block_sums_equal_the_per_state_oracle_bit_for_bit(case, contracted, monkeypatch):
+    make_env, chunk_states, samples, presteps, by_table = BLOCK_SUM_CASES[case]
+    monkeypatch.setattr(conditions, "_CHUNK_STATES", chunk_states)
+    env = make_env(contracted)
+    starts = keyed_starts(env.n, samples) if presteps else None
+    reference = per_state_block_sums(env, samples, ReplicaStreams.from_seed(37), presteps, starts)
+    tables = []
+    enumerate_all = conditions._all_energies
+    monkeypatch.setattr(
+        conditions, "_all_energies", lambda env: tables.append(1) or enumerate_all(env)
+    )
+    sums = _block_sums(env, samples, ReplicaStreams.from_seed(37), presteps, starts)
+    assert sums.tobytes() == reference.tobytes()
+    # the hold table is built once per call, however many chunks read it
+    assert len(tables) == int(by_table)
+    if case == "saturating":
+        assert np.isinf(sums).any() and np.isfinite(sums).any()
+
+
+def test_block_sums_do_not_depend_on_the_chunk_size(monkeypatch):
+    """Chunks below 2^n states (per-state holds) and above it (the hold
+    table) give the same sums."""
+    env = reference_env()
+    runs = []
+    for chunk_states in (900, 50_000):
+        monkeypatch.setattr(conditions, "_CHUNK_STATES", chunk_states)
+        runs.append(_block_sums(env, 700, ReplicaStreams.from_seed(43)))
+    assert np.array_equal(runs[0], runs[1])
 
 
 def test_table_fold_peak_memory_stays_within_the_walk_window():
