@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .errors import BudgetError, HorizonError, ParameterValidationError
 from .parallel import ordered_map
@@ -266,6 +266,10 @@ def truncated_laplace_exponent(measure: PowerLawLevyMeasure, cutoff: float, v: f
         raise ParameterValidationError(f"v must be nonnegative; got {v}")
     if v == 0:
         return 0.0
+    # imported here rather than at the top: scipy.integrate adds about 0.3 s
+    # to every start-up, and only the quadratures use it
+    from scipy import integrate
+
     a = measure.alpha
     k = measure.amplitude
 

@@ -457,3 +457,16 @@ def test_importing_the_cli_leaves_scipy_stats_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_importing_the_cli_leaves_scipy_integrate_unloaded():
+    """scipy.integrate adds about 0.3 s to every start-up; only the truncated
+    mean and truncated Laplace exponent quadratures use it, and they import
+    it there."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, clockproc.cli; print('scipy.integrate' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
