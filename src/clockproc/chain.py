@@ -57,7 +57,6 @@ def index_walk(n: int, start_bits, steps: int, walk_rng: np.random.Generator) ->
         flips = walk_rng.integers(0, n, size=starts.shape + (steps,), dtype=np.uint32)
         moves = states[..., 1:]
         np.left_shift(np.uint64(1), flips, out=moves)
-        del flips
         np.bitwise_xor.accumulate(moves, axis=-1, out=moves)
         moves ^= starts[..., None]
     return states

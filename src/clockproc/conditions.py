@@ -717,12 +717,12 @@ def truncated_mean_quadrature(env: Environment, epsilon: float, horizon: float) 
         raise ParameterValidationError(f"epsilon must be positive; got {epsilon}")
     if env.beta <= 0:
         raise ParameterValidationError("the Gaussian-marginal closed form requires beta > 0")
+    if env.step_scale is None or not math.isfinite(env.step_scale):
+        raise DegenerateScaleError("jump-count scale unavailable at these parameters")
     # imported here rather than at the top: scipy.integrate adds about 0.3 s
     # to every start-up, and only the quadratures use it
     from scipy import integrate
 
-    if env.step_scale is None or not math.isfinite(env.step_scale):
-        raise DegenerateScaleError("jump-count scale unavailable at these parameters")
     s = env.beta * math.sqrt(env.n)
     gn = env.log_time_scale
     log_eps = math.log(epsilon)
