@@ -256,30 +256,27 @@ def crossing_probability_batch(
 
 
 def truncated_laplace_exponent(measure: PowerLawLevyMeasure, cutoff: float, v: float) -> float:
-    """Quadrature of integral_cutoff^inf (1 - e^(-v*u)) nu(du).
+    """Psi_c(v) = integral_cutoff^inf (1 - e^(-v*u)) nu(du), in closed form.
 
     The Laplace transform of the raw truncated path at horizon T is
-    exp(-T * value); with the full measure (cutoff -> 0) the exponent tends
-    to amplitude * Gamma(1-alpha) * v^alpha.
+    exp(-T * value).  Integrating by parts against the tail
+    nu(u, inf) = K u^(-alpha) gives
+
+        Psi_c(v) = K c^(-alpha) (1 - e^(-v c)) + K v integral_c^inf u^(-alpha) e^(-v u) du
+                 = K (c^(-alpha) (1 - e^(-v c)) + v^alpha Gamma(1-alpha) Q(1-alpha, v c)),
+
+    with Q the regularized upper incomplete gamma function.  At cutoff 0 the
+    first term vanishes and Psi_0(v) = K Gamma(1-alpha) v^alpha, the
+    exponent of the full stable measure.
     """
     if v < 0:
         raise ParameterValidationError(f"v must be nonnegative; got {v}")
-    if v == 0:
-        return 0.0
-    # imported here rather than at the top: scipy.integrate adds about 0.3 s
-    # to every start-up, and only the quadratures use it
-    from scipy import integrate
-
+    if cutoff < 0:
+        raise ParameterValidationError(f"cutoff must be nonnegative; got {cutoff}")
     a = measure.alpha
-    k = measure.amplitude
-
-    def integrand(u):
-        return -special.expm1(-v * u) * k * a * u ** (-a - 1.0)
-
-    mid = max(cutoff, 10.0 / v)
-    part1, _ = integrate.quad(integrand, cutoff, mid, epsabs=1e-13, epsrel=1e-11, limit=200)
-    part2, _ = integrate.quad(integrand, mid, np.inf, epsabs=1e-13, epsrel=1e-11, limit=200)
-    return part1 + part2
+    head = cutoff ** -a * -math.expm1(-v * cutoff) if cutoff > 0 else 0.0
+    tail = v**a * math.gamma(1.0 - a) * float(special.gammaincc(1.0 - a, v * cutoff))
+    return measure.amplitude * (head + tail)
 
 
 @dataclass(frozen=True)

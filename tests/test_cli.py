@@ -461,8 +461,7 @@ def test_importing_the_cli_leaves_scipy_stats_unloaded():
 
 def test_importing_the_cli_leaves_scipy_integrate_unloaded():
     """scipy.integrate adds about 0.3 s to every start-up; only the truncated
-    mean and truncated Laplace exponent quadratures use it, and they import
-    it there."""
+    mean quadrature uses it, and it imports it there."""
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, clockproc.cli; print('scipy.integrate' in sys.modules)"],
         capture_output=True,
@@ -470,3 +469,19 @@ def test_importing_the_cli_leaves_scipy_integrate_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_subordinator_run_leaves_scipy_integrate_unloaded(tmp_path):
+    """The subordinator self-test grades against the truncated Laplace
+    exponent in closed form, so a whole run never loads scipy.integrate."""
+    cfg_path = tmp_path / "cfg.json"
+    grids = {"ts_grid": [[1.0, 1.0]], "v_grid": [1.0]}
+    cfg_path.write_text(json.dumps({"budgets": {"samples": 200}, "grids": grids}))
+    argv = ["subordinator", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+    script = (
+        f"import sys; from clockproc.cli import main; main({argv!r}); "
+        "print('scipy.integrate' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"

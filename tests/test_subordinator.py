@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, special, stats
@@ -416,3 +417,30 @@ def test_truncated_laplace_exponent_limits():
         assert got == pytest.approx(full, rel=1e-5)
     with pytest.raises(ParameterValidationError):
         truncated_laplace_exponent(m, 0.1, -1.0)
+
+
+def defining_integral(amplitude, alpha, cutoff, v):
+    """50-digit quadrature of integral_cutoff^inf (1 - e^(-v*u)) nu(du), split at
+    1/v where the integrand turns from linear to power-law decay; returns the
+    value and mpmath's error estimate."""
+    with mpmath.workdps(50):
+        a, v, c = mpmath.mpf(alpha), mpmath.mpf(v), mpmath.mpf(cutoff)
+        points = [c] + ([1 / v] if 1 / v > c else []) + [mpmath.inf]
+        return mpmath.quad(
+            lambda u: -mpmath.expm1(-v * u) * amplitude * a * u ** (-a - 1),
+            points, error=True, maxdegree=6,
+        )
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+def test_truncated_laplace_exponent_matches_the_defining_integral(alpha):
+    m = measure(1.3, alpha)
+    for cutoff in (0.0, 1e-9, 1e-4, 0.1, 1.0):
+        for v in (1e-3, 1.0, 56.2, 112.4, 1e4):
+            value, error = defining_integral(1.3, alpha, cutoff, v)
+            assert error < 1e-14 * value
+            got = truncated_laplace_exponent(m, cutoff, v)
+            assert got == pytest.approx(float(value), rel=1e-12), (cutoff, v)
+    with pytest.raises(ParameterValidationError):
+        truncated_laplace_exponent(m, -1e-3, 1.0)
