@@ -151,8 +151,8 @@ EXPECTED = {
     }),
     "subordinator": (0, {
         "subordinator_arcsine.csv": "afc9af3783c4b3d0f2d2ed4083186469050d113f2f6a82d5aff4092c189166c0",
-        "subordinator_laplace.csv": "6d6e8f9440c73a8f37a0db344cbcf17b2eedcd668f191ac4de5c6abdbe71911f",
-        "verdicts": "d0c1d197cebf858965f77962a814b0efe229b830b0ca1727e8224eed8e3090d3",
+        "subordinator_laplace.csv": "d3dd4a677aba2e9bfd36c63eefa0d0427d7a47512f3d1ff2b4dfb94d72ef9f36",
+        "verdicts": "85a2d35a17557e1ad06444a684f9acd0c2fe7c1a7a535b5bed6f25beae003c3c",
     }),
 }
 
