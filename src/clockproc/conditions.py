@@ -1143,18 +1143,26 @@ class ConditionReport:
             writer.writerows(rows)
 
 
+def _closed_form_check(pairs) -> dict:
+    """Verdict on (estimate, closed form) pairs that must agree to rounding:
+    the largest relative error passes up to 1e-12 and fails above."""
+    rel = 0.0
+    for value, oracle in pairs:
+        rel = max(rel, abs(value - oracle) / (abs(oracle) if oracle != 0 else 1.0))
+    return {"max_relative_error": rel, "status": ladder(rel, 1e-12, 1e-12)}
+
+
 def degenerate_laplace_check(env: Environment, estimate: LaplaceIntensityEstimate) -> dict:
     """Verdict on a beta = 0 transform intensity against its closed form.
 
     The estimator integrates the (unit) waiting times out exactly, so at
-    beta = 0 it must reproduce the closed form to rounding: the largest
-    relative error passes up to 1e-12 and fails above.
+    beta = 0 it must reproduce the closed form to rounding.
     """
-    rel = 0.0
-    for v, value in zip(estimate.v_values, estimate.values):
-        oracle = estimate.block_count * (1.0 - degenerate_block_laplace(env, v)) / v
-        rel = max(rel, abs(value - oracle) / (abs(oracle) if oracle != 0 else 1.0))
-    return {"max_relative_error": rel, "status": ladder(rel, 1e-12, 1e-12)}
+    k = estimate.block_count
+    return _closed_form_check(
+        (value, k * (1.0 - degenerate_block_laplace(env, v)) / v)
+        for v, value in zip(estimate.v_values, estimate.values)
+    )
 
 
 def build_condition_report(
@@ -1249,14 +1257,9 @@ def build_condition_report(
                 z_deg = max(z_deg, z_score(est.value, k * q2, spread))
         verdicts["degenerate_squared"] = {"z": z_deg, "status": z_status(z_deg)}
         verdicts["degenerate_laplace"] = degenerate_laplace_check(env, laplace)
-        rel = 0.0
-        for est in initial:
-            oracle = degenerate_initial_term(env, est.v)
-            rel = max(rel, abs(est.value - oracle) / (abs(oracle) if oracle != 0 else 1.0))
-        verdicts["degenerate_initial"] = {
-            "max_relative_error": rel,
-            "status": ladder(rel, 1e-12, 1e-12),
-        }
+        verdicts["degenerate_initial"] = _closed_form_check(
+            (est.value, degenerate_initial_term(env, est.v)) for est in initial
+        )
 
     return ConditionReport(
         n=env.n,
