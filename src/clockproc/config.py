@@ -273,13 +273,6 @@ class ExperimentConfig:
             kwargs["threads"] = _as_int("<top level>", "threads", document["threads"])
         return cls(**kwargs).validate()
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(self.to_json())
-
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
         with open(path, "r", encoding="utf-8") as handle:

@@ -115,20 +115,6 @@ class SpinConfig:
                 f"state index {self.bits} out of range for n={self.n}"
             )
 
-    def spins(self) -> np.ndarray:
-        """The +-1 spin vector as a float array of length n."""
-        bits = np.uint64(self.bits)
-        shifts = np.arange(self.n, dtype=np.uint64)
-        return (((bits >> shifts) & np.uint64(1)).astype(np.float64) * 2.0) - 1.0
-
-    def flip(self, site: int) -> "SpinConfig":
-        if not 0 <= site < self.n:
-            raise ParameterValidationError(f"site {site} out of range for n={self.n}")
-        return SpinConfig(self.n, self.bits ^ (1 << site))
-
-    def flip_all(self) -> "SpinConfig":
-        return SpinConfig(self.n, self.bits ^ ((1 << self.n) - 1))
-
     def hamming(self, other: "SpinConfig") -> int:
         if self.n != other.n:
             raise DimensionMismatchError(

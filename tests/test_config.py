@@ -1,5 +1,7 @@
 """Experiment configuration: defaults, validation, JSON round-trips."""
 
+import json
+
 import pytest
 
 from clockproc.config import ExperimentConfig, default_ts_grid
@@ -27,7 +29,7 @@ def test_round_trip_through_dict_and_json(tmp_path):
     back = ExperimentConfig.from_dict(doc)
     assert back == cfg
     path = tmp_path / "run.json"
-    cfg.save(path)
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     assert ExperimentConfig.load(path) == cfg
 
 

@@ -1,12 +1,14 @@
 """No module of the package imports another module's private helpers, every
 exported name exists, every exported function is run by the package, and
-every public classmethod and property of an exported class is read by it.
+every public method, classmethod and property of an exported class is read
+by it.
 
 A name with a leading underscore (dunders such as ``__version__`` aside) is
 private to the module that defines it; a ``from .module import _name``
 elsewhere couples the two modules through a helper that carries no interface
-promise.  A public function, alternate constructor or property that only
-tests call belongs in the tests, as an oracle next to the test that uses it.
+promise.  A public function, method, alternate constructor or property that
+only tests call belongs in the tests, as an oracle next to the test that uses
+it.
 """
 
 import ast
@@ -116,8 +118,9 @@ RUN_ONLY_BY_CALLERS = {
     "subordinator.py:crossing_probability",
 }
 
-# public classmethods and properties that no module of the package reads:
-# opening a replica's two streams from one bare seed is a test convenience
+# public methods, classmethods and properties that no module of the package
+# reads: opening a replica's two streams from one bare seed is a test
+# convenience
 READ_ONLY_BY_CALLERS = {"seeding.py:ReplicaStreams.from_seed"}
 
 
@@ -136,19 +139,15 @@ def exported_functions(tree: ast.Module) -> set[str]:
 
 
 def exported_members(tree: ast.Module) -> set[str]:
-    """``Class.member`` for each public classmethod and property of an exported class."""
+    """``Class.member`` for each public method, classmethod and property of an
+    exported class."""
     exported = exported_names(tree)
     return {
         f"{cls.name}.{member.name}"
         for cls in tree.body
         if isinstance(cls, ast.ClassDef) and cls.name in exported
         for member in cls.body
-        if isinstance(member, ast.FunctionDef)
-        and not member.name.startswith("_")
-        and any(
-            isinstance(d, ast.Name) and d.id in ("classmethod", "property")
-            for d in member.decorator_list
-        )
+        if isinstance(member, ast.FunctionDef) and not member.name.startswith("_")
     }
 
 
@@ -180,8 +179,9 @@ def unused_public_functions(sources: dict[str, str]) -> list[str]:
 
 
 def unread_public_members(sources: dict[str, str]) -> list[str]:
-    """Public classmethods and properties of classes named in a module's
-    ``__all__`` that no module other than ``__init__.py`` reads by attribute."""
+    """Public methods, classmethods and properties of classes named in a
+    module's ``__all__`` that no module other than ``__init__.py`` reads by
+    attribute."""
     trees, used = _package_trees(sources)
     return sorted(
         f"{name}:{member}"
@@ -214,13 +214,17 @@ def test_guard_detects_public_members_only_the_package_init_reads():
                 "    @property\n    def spare_size(self):\n        return 2\n"
                 "    @property\n    def _hidden(self):\n        return 3\n"
                 "    def method(self):\n        return 4\n"
+                "    def spare_method(self):\n        return 5\n"
                 "class Unexported:\n"
                 "    @classmethod\n    def spare_too(cls):\n        return cls()\n",
-        "b.py": "from . import a\n\ndef go():\n    return a.Kind.build().size\n",
+        "b.py": "from . import a\n\n"
+                "def go():\n    return a.Kind.build().size + a.Kind().method()\n",
         "__init__.py": "from .a import Kind\n__all__ = ['Kind']\n"
-                       "Kind.spare_build().spare_size\n",
+                       "Kind.spare_build().spare_size + Kind().spare_method()\n",
     }
-    assert unread_public_members(sources) == ["a.py:Kind.spare_build", "a.py:Kind.spare_size"]
+    assert unread_public_members(sources) == [
+        "a.py:Kind.spare_build", "a.py:Kind.spare_method", "a.py:Kind.spare_size"
+    ]
 
 
 def package_sources() -> dict[str, str]:
