@@ -13,8 +13,8 @@ times of the hopping dynamics are tau(x) = exp(beta * H(x)).
 
 Energies are read through ``Environment.energies``: up to n = 22
 (``MAX_TABLE_SPINS``, a 32 MB table) by a gather from the table of all 2^n
-energies, which the first lookup builds, and past that by tensor contraction
-of the states asked for.
+energies, which the first lookup builds with one Walsh-Hadamard transform of
+the couplings, and past that by tensor contraction of the states asked for.
 
 The module also derives the scale parameters of the accelerated dynamics:
 observation time scale exp(gamma*n), jump-count scale sqrt(n) *
@@ -215,8 +215,36 @@ def _energy_fold(values: np.ndarray, n: int, p: int, signs: np.ndarray) -> np.nd
     return h * float(n) ** (-(p - 1) / 2.0)
 
 
-# states contracted per batch, for the table build and for on-demand energies
+# states contracted per batch, for on-demand energies past the table
 _CONTRACT_CHUNK = 4096
+
+
+def _walsh_table(values: np.ndarray, n: int, p: int) -> np.ndarray:
+    """The energies of all 2^n states in state order, by a Walsh-Hadamard transform.
+
+    Since x_i^2 = 1, each ordered tuple's coupling is a coefficient of the
+    product over the sites S that occur in it an odd number of times, the
+    XOR of 1 << i over the tuple, and |S| has the parity of p.  With x_i = +1
+    where bit i of b is set, that product is (-1)^p (-1)^|S & b|, so the
+    table is (-1)^p n^{-(p-1)/2} times the transform of the summed
+    coefficients: n passes of in-place butterflies over one half-size buffer.
+    """
+    # uint32 site sets cover n <= MAX_TABLE_SPINS at half the couplings' bytes
+    site = np.left_shift(np.uint32(1), np.arange(n, dtype=np.uint32))
+    masks = site
+    for _ in range(p - 1):
+        masks = (masks[:, None] ^ site).reshape(-1)
+    table = np.bincount(masks, weights=values, minlength=1 << n)
+    half = np.empty(table.size // 2)
+    for level in range(n):
+        pairs = table.reshape(-1, 2, 1 << level)
+        low, high = pairs[:, 0], pairs[:, 1]
+        total = half.reshape(low.shape)
+        np.add(low, high, out=total)
+        np.subtract(low, high, out=high)
+        low[...] = total
+    table *= (-1.0) ** p * float(n) ** (-(p - 1) / 2.0)
+    return table
 
 
 class Environment:
@@ -232,10 +260,10 @@ class Environment:
     ``MAX_TABLE_SPINS`` it gathers from the table of all 2^n energies, so
     trajectory simulation reduces to bitmask XOR plus a table lookup and a
     state's energy does not depend on the batch it is read in; the first call
-    builds that table, once, under a lock, and the constructor does no
-    contraction.  Past that bound energies are contracted on demand, and
-    their last bit can move with the batch.  ``has_energy_table`` records
-    which path this environment reads.
+    builds that table, once, under a lock, by a Walsh-Hadamard transform of
+    the couplings, and the constructor builds nothing.  Past that bound
+    energies are contracted on demand, and their last bit can move with the
+    batch.  ``has_energy_table`` records which path this environment reads.
     """
 
     __slots__ = (
@@ -313,14 +341,14 @@ class Environment:
         """
         return cls(CouplingTensor.sample(n, p, seed), beta, gamma)
 
-    def _contract(self, count: int, states) -> np.ndarray:
-        """Energies of ``count`` packed states by tensor contraction, one chunk
-        at a time; ``states(lo, hi)`` gives the states of positions lo..hi-1."""
-        out = np.empty(count)
-        for lo in range(0, count, _CONTRACT_CHUNK):
-            hi = min(lo + _CONTRACT_CHUNK, count)
-            out[lo:hi] = _energy_fold(
-                self.couplings.values, self.n, self.p, _signs_from_bits(states(lo, hi), self.n)
+    def _contract(self, states: np.ndarray) -> np.ndarray:
+        """Energies of a flat array of packed states by tensor contraction, one
+        chunk at a time."""
+        out = np.empty(states.size)
+        for lo in range(0, states.size, _CONTRACT_CHUNK):
+            chunk = states[lo : lo + _CONTRACT_CHUNK]
+            out[lo : lo + chunk.size] = _energy_fold(
+                self.couplings.values, self.n, self.p, _signs_from_bits(chunk, self.n)
             )
         return out
 
@@ -331,21 +359,19 @@ class Environment:
             with self._table_lock:
                 table = self._energy_table
                 if table is None:
-                    table = self._contract(
-                        1 << self.n, lambda lo, hi: np.arange(lo, hi, dtype=np.uint64)
-                    )
+                    table = _walsh_table(self.couplings.values, self.n, self.p)
                     table.setflags(write=False)
                     self._energy_table = table
         return table
 
     def energies(self, bits) -> np.ndarray:
-        """Energies H for an array of packed states."""
+        """Energies H for an array of packed states: gathered from the table of
+        all 2^n energies at n <= ``MAX_TABLE_SPINS``, contracted past it."""
         bits = np.atleast_1d(np.asarray(bits, dtype=np.uint64))
         if self.has_energy_table:
             # packed states stay below 2^63, so the int64 view indexes without a cast
             return self._table()[bits.view(np.int64)]
-        flat = bits.reshape(-1)
-        return self._contract(flat.size, lambda lo, hi: flat[lo:hi]).reshape(bits.shape)
+        return self._contract(bits.reshape(-1)).reshape(bits.shape)
 
     def block_count(self, t: float) -> int:
         """Number of aggregation blocks inside the first floor(a_n * t) steps."""

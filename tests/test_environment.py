@@ -1,5 +1,6 @@
 """Environment layer: parameters, spin states, couplings, energies."""
 
+import itertools
 import math
 import sys
 import threading
@@ -279,30 +280,30 @@ def test_energy_of_a_state_does_not_depend_on_its_batch():
 
 
 @pytest.fixture
-def fold_calls(monkeypatch):
-    """Counts the calls of the contraction kernel, one per 4096-state chunk."""
+def walsh_builds(monkeypatch):
+    """Counts the calls of the Walsh-Hadamard table build."""
     calls = []
-    fold = environment._energy_fold
+    build = environment._walsh_table
 
     def counted(*args):
         calls.append(1)
-        return fold(*args)
+        return build(*args)
 
-    monkeypatch.setattr(environment, "_energy_fold", counted)
+    monkeypatch.setattr(environment, "_walsh_table", counted)
     return calls
 
 
-def test_energy_table_is_built_once_at_the_first_lookup(fold_calls):
+def test_energy_table_is_built_once_at_the_first_lookup(walsh_builds):
     env = Environment.create(16, 3, 3.0, 2.7, seed=7)
-    assert env.has_energy_table and len(fold_calls) == 0
+    assert env.has_energy_table and len(walsh_builds) == 0
     states = np.arange(0, 1 << 16, 97, dtype=np.uint64)
     first = env.energies(states)
-    assert len(fold_calls) == (1 << 16) // 4096
+    assert len(walsh_builds) == 1
     assert np.array_equal(env.energies(states), first)
-    assert len(fold_calls) == (1 << 16) // 4096
+    assert len(walsh_builds) == 1
 
 
-def test_energy_table_is_built_once_under_concurrent_first_lookups(fold_calls):
+def test_energy_table_is_built_once_under_concurrent_first_lookups(walsh_builds):
     env = Environment.create(16, 3, 3.0, 2.7, seed=7)
     states = np.arange(0, 1 << 16, 97, dtype=np.uint64)
     workers = 4  # more than the cores of a small machine
@@ -325,17 +326,63 @@ def test_energy_table_is_built_once_under_concurrent_first_lookups(fold_calls):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert all(np.array_equal(result, results[0]) for result in results)
-    assert len(fold_calls) == (1 << 16) // 4096
+    assert len(walsh_builds) == 1
 
 
-def test_table_and_contraction_agree_bit_for_bit_on_a_walk_at_n20(contracted):
-    """The invariant behind unchanged n = 20 outputs: gathering from the table
-    reads the very bits that contracting the walk's states gives."""
+@pytest.mark.parametrize("p", [3, 4])
+@pytest.mark.parametrize("n", [10, 12])
+def test_table_and_contraction_are_within_rounding_of_the_exact_sum(n, p, contracted):
+    """Both paths against the exactly rounded sum of the n^p terms.
+
+    Each path forms H by rounded adds of signed couplings, so every partial
+    sum is at most S = n^{-(p-1)/2} * sum|J| in size and each add is off by
+    at most 2^-53 of its partial sum; the bound 4 * 2^-52 * S allows eight
+    such roundings at their largest."""
+    tensor = CouplingTensor.sample(n, p, seed=20260822 + 10 * n + p)
+    scale = float(n) ** (-(p - 1) / 2.0)
+    states = np.random.default_rng(n * p).integers(0, 1 << n, size=64, dtype=np.uint64)
+    tabled = Environment(tensor, 1.0, 0.5).energies(states)
+    contraction = contracted(lambda: Environment(tensor, 1.0, 0.5)).energies(states)
+    tuples = np.array(list(itertools.product(range(n), repeat=p)))
+    bound = 4.0 * 2.0**-52 * scale * math.fsum(np.abs(tensor.values))
+    for k, bits in enumerate(states):
+        x = spins(SpinConfig(n, int(bits)))
+        exact = math.fsum(tensor.values * np.prod(x[tuples], axis=1)) * scale
+        assert abs(tabled[k] - exact) <= bound
+        assert abs(contraction[k] - exact) <= bound
+
+
+def test_table_and_contraction_agree_on_a_walk_at_n20(contracted):
     tensor = CouplingTensor.sample(20, 3, seed=3001)
     walk = index_walk(20, 12345, 20_000, np.random.default_rng(3001))
     tabled = Environment(tensor, 3.0, 2.7).energies(walk)
     contraction = contracted(lambda: Environment(tensor, 3.0, 2.7)).energies(walk)
-    assert np.array_equal(tabled, contraction)
+    assert np.max(np.abs(tabled - contraction)) <= 1e-13
+
+
+# (n, p, the one index tuple with a nonzero coupling); repeated sites cancel in
+# pairs, so (0, 0, 1) couples x_1 alone and (0, 0, 1, 1) is a constant
+SINGLE_COUPLINGS = [
+    (n, p, sites)
+    for n in (2, 5)
+    for p, sites in [(3, (0, 1, 2)), (3, (0, 0, 1)), (3, (1, 1, 1)), (4, (0, 0, 1, 1)), (4, (0, 1, 2, 3))]
+    if max(sites) < n
+]
+
+
+@pytest.mark.parametrize("n, p, sites", SINGLE_COUPLINGS)
+def test_table_of_one_coupling_is_its_signed_monomial_exactly(n, p, sites):
+    """H = J * n^{-(p-1)/2} * x_{i1}...x_{ip} at every state, bit for bit: the
+    sign (-1)^p and the reduction of repeated sites are both exercised."""
+    coupling = -1.3
+    values = np.zeros(n**p)
+    values[np.ravel_multi_index(sites, (n,) * p)] = coupling
+    env = Environment(CouplingTensor(n, p, 0, values), 1.0, 0.5)
+    table = env.energies(np.arange(1 << n, dtype=np.uint64))
+    scaled = coupling * float(n) ** (-(p - 1) / 2.0)
+    for bits in range(1 << n):
+        x = spins(SpinConfig(n, bits))
+        assert table[bits] == scaled * math.prod(x[list(sites)])
 
 
 def energy(env, x):
