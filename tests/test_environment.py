@@ -353,6 +353,8 @@ def test_table_and_contraction_are_within_rounding_of_the_exact_sum(n, p, contra
 
 
 def test_table_and_contraction_agree_on_a_walk_at_n20(contracted):
+    """The two paths round differently, so they agree to a few ulps on a
+    long n = 20 walk, not bit for bit."""
     tensor = CouplingTensor.sample(20, 3, seed=3001)
     walk = index_walk(20, 12345, 20_000, np.random.default_rng(3001))
     tabled = Environment(tensor, 3.0, 2.7).energies(walk)
@@ -365,7 +367,9 @@ def test_table_and_contraction_agree_on_a_walk_at_n20(contracted):
 SINGLE_COUPLINGS = [
     (n, p, sites)
     for n in (2, 5)
-    for p, sites in [(3, (0, 1, 2)), (3, (0, 0, 1)), (3, (1, 1, 1)), (4, (0, 0, 1, 1)), (4, (0, 1, 2, 3))]
+    for p, sites in [
+        (3, (0, 1, 2)), (3, (0, 0, 1)), (3, (1, 1, 1)), (4, (0, 0, 1, 1)), (4, (0, 1, 2, 3))
+    ]
     if max(sites) < n
 ]
 

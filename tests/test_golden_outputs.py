@@ -263,7 +263,9 @@ def test_laplace_intensity_matches_recorded_digest(table, contracted, monkeypatc
         env, None, [0.1, 1.0, 10.0, 100.0], 1013, ReplicaStreams.from_seed(SEED), block_count=4
     )
     document = json.dumps(plain([est.values, est.stderrs]))
-    expected = LAPLACE_INTENSITY_TABLE_DIGEST if table else LAPLACE_INTENSITY_CONTRACTION_DIGEST
+    expected = (
+        LAPLACE_INTENSITY_TABLE_DIGEST if table else LAPLACE_INTENSITY_CONTRACTION_DIGEST
+    )
     assert _sha(document.encode()) == expected
 
 
