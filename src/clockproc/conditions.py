@@ -676,7 +676,7 @@ class TruncatedMeanEstimate:
     mc_value: float
     mc_stderr: float
     samples: int
-    quadrature_value: float | None
+    quadrature_value: float
     asymptotic_value: float | None
 
 
@@ -787,9 +787,6 @@ def estimate_truncated_mean(
     for j, eps in enumerate(eps_arr):
         mean = sums[j] / samples
         var = max(squares[j] / samples - mean * mean, 0.0) * samples / (samples - 1)
-        quad_value = (
-            truncated_mean_quadrature(env, float(eps), horizon) if env.beta > 0 else None
-        )
         asym = (
             truncated_mean_asymptotic(env.alpha, env.beta, env.gamma, float(eps), horizon)
             if env.alpha is not None and 0 < env.alpha < 1
@@ -803,7 +800,7 @@ def estimate_truncated_mean(
                 mc_value=float(scale * mean),
                 mc_stderr=float(scale * math.sqrt(var / samples)),
                 samples=samples,
-                quadrature_value=quad_value,
+                quadrature_value=truncated_mean_quadrature(env, float(eps), horizon),
                 asymptotic_value=asym,
             )
         )
@@ -1129,10 +1126,9 @@ class ConditionReport:
             rows.append(
                 ["truncated_mean", repr(tm.epsilon), repr(tm.mc_value), repr(tm.mc_stderr), tm.samples]
             )
-            if tm.quadrature_value is not None:
-                rows.append(
-                    ["truncated_mean_quadrature", repr(tm.epsilon), repr(tm.quadrature_value), repr(0.0), 0]
-                )
+            rows.append(
+                ["truncated_mean_quadrature", repr(tm.epsilon), repr(tm.quadrature_value), repr(0.0), 0]
+            )
             if tm.asymptotic_value is not None:
                 rows.append(
                     ["truncated_mean_asymptotic", repr(tm.epsilon), repr(tm.asymptotic_value), repr(0.0), 0]
@@ -1236,8 +1232,7 @@ def build_condition_report(
     if truncated:
         z_tm = 0.0
         for tm in truncated:
-            if tm.quadrature_value is not None:
-                z_tm = max(z_tm, z_score(tm.mc_value, tm.quadrature_value, tm.mc_stderr))
+            z_tm = max(z_tm, z_score(tm.mc_value, tm.quadrature_value, tm.mc_stderr))
         verdicts["truncated_mean"] = {"z": z_tm, "status": z_status(z_tm)}
 
     if env.beta == 0.0:
