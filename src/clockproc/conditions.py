@@ -10,8 +10,8 @@ square vanishes, (iii) the initial holding time is negligible on the
 observation scale, and (iv) the truncated mean of a single rescaled jump
 vanishes with the truncation level.  This module estimates each of those
 quantities by Monte Carlo over walks (and, where a closed form exists, by
-quadrature), fits tail exponents, and packages the lot into a report with
-pass / warn / fail verdicts.
+one trapezoid sum over its one-dimensional integral), fits tail exponents,
+and packages the lot into a report with pass / warn / fail verdicts.
 
 Estimator conventions used throughout:
 
@@ -712,6 +712,16 @@ def truncated_mean_quadrature(env: Environment, epsilon: float, horizon: float) 
     with s = beta*sqrt(n) and gn = log time_scale; everything is evaluated in
     log space (the factors span hundreds of e-folds individually but the
     product does not).
+
+    The integral is one trapezoid sum in u = ln x on a uniform grid over
+    [-400, 30] with spacing h = min(430/1999, s/8).  The integrand is entire
+    in u and decays like e^{2u} on the left and e^{-e^u} on the right, so the
+    sum converges geometrically in 1/h (Trefethen & Weideman, SIAM Review
+    2014); the Phi factor turns over within about s of its midpoint, which is
+    why h shrinks with s.  Against a 40-digit mpmath quadrature it is within
+    1.3e-14 relative at n = 14, 20 and 30 (beta = 3, gamma = 2.7) and within
+    5e-15 for s from 0.1 to 0.74, for eps from 1e-6 to 50.  The cost is
+    max(2000, 3440/s) evaluations.
     """
     if epsilon <= 0:
         raise ParameterValidationError(f"epsilon must be positive; got {epsilon}")
@@ -719,32 +729,20 @@ def truncated_mean_quadrature(env: Environment, epsilon: float, horizon: float) 
         raise ParameterValidationError("the Gaussian-marginal closed form requires beta > 0")
     if env.step_scale is None or not math.isfinite(env.step_scale):
         raise DegenerateScaleError("jump-count scale unavailable at these parameters")
-    # imported here rather than at the top: scipy.integrate adds about 0.3 s
-    # to every start-up, and only the quadratures use it
-    from scipy import integrate
-
     s = env.beta * math.sqrt(env.n)
     gn = env.log_time_scale
     log_eps = math.log(epsilon)
-
-    def log_density(u):
-        # u = ln x; extra factor x from the change of variables
-        return 2.0 * u - np.exp(u) + 0.5 * s * s + special.log_ndtr((gn + log_eps - u) / s - s)
-
-    grid = np.linspace(-400.0, 30.0, 2000)
-    vals = log_density(grid)
+    lo, hi = -400.0, 30.0
+    points = max(2000, math.ceil(8.0 * (hi - lo) / s) + 1)
+    # the spacing from the bounds, not from the grid: grid[1] - grid[0]
+    # carries the rounding of -400 + h
+    h = (hi - lo) / (points - 1)
+    u = np.linspace(lo, hi, points)
+    # u = ln x; extra factor x from the change of variables.  The end terms
+    # are below e^-800 of the peak, so the trapezoid halving them is moot.
+    vals = 2.0 * u - np.exp(u) + 0.5 * s * s + special.log_ndtr((gn + log_eps - u) / s - s)
     peak = float(vals.max())
-    keep = np.where(vals > peak - 60.0)[0]
-    lo, hi = float(grid[keep[0]]), float(grid[keep[-1]])
-    integral, _ = integrate.quad(
-        lambda u: math.exp(float(log_density(np.asarray(u))) - peak),
-        lo,
-        hi,
-        limit=400,
-        epsabs=1e-14,
-        epsrel=1e-11,
-    )
-    log_value = peak + math.log(integral)
+    log_value = peak + math.log(h * float(np.exp(vals - peak).sum()))
     return math.exp(math.log(env.step_scale * horizon) - gn + log_value)
 
 

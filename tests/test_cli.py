@@ -460,8 +460,8 @@ def test_importing_the_cli_leaves_scipy_stats_unloaded():
 
 
 def test_importing_the_cli_leaves_scipy_integrate_unloaded():
-    """scipy.integrate adds about 0.3 s to every start-up; only the truncated
-    mean quadrature uses it, and it imports it there."""
+    """scipy.integrate adds about 0.3 s to every start-up, and no module of
+    the package uses it."""
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, clockproc.cli; print('scipy.integrate' in sys.modules)"],
         capture_output=True,
@@ -485,3 +485,24 @@ def test_subordinator_run_leaves_scipy_integrate_unloaded(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_conditions_run_leaves_scipy_integrate_unloaded(tmp_path):
+    """The truncated-mean reference is one trapezoid sum, so a conditions run
+    at beta > 0, which computes it, never loads scipy.integrate."""
+    cfg_path = tmp_path / "cfg.json"
+    model = {"n": 8, "p": 3, "beta": 3.0, "gamma": 2.7}
+    grids = {"u_grid": [0.5, 1.0], "v_grid": [1.0], "eps_grid": [0.1]}
+    cfg_path.write_text(json.dumps({"model": model, "budgets": {"samples": 200}, "grids": grids}))
+    outdir = tmp_path / "out"
+    argv = ["conditions", "--config", str(cfg_path), "--out", str(outdir)]
+    script = (
+        f"import sys; from clockproc.cli import main; code = main({argv!r}); "
+        "print(code, 'scipy.integrate' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = proc.stdout.splitlines()[-1].split()
+    assert code != "1", proc.stderr
+    assert "truncated_mean_quadrature" in (outdir / "conditions.csv").read_text()
+    assert loaded == "False"

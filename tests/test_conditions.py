@@ -439,6 +439,39 @@ def test_truncated_mean_quadrature_monotone_in_epsilon():
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
+def _truncated_mean_mpmath(env, epsilon, horizon):
+    """The defining integral of truncated_mean_quadrature in u = ln x, by
+    40-digit tanh-sinh quadrature split around where the Phi factor turns
+    over.  Widening the range past [-80, 8] moves no float digit here."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        s = mp.mpf(env.beta) * mp.sqrt(env.n)
+        gn = mp.mpf(env.log_time_scale)
+        mid = gn + mp.log(mp.mpf(epsilon)) - s * s
+
+        def integrand(u):
+            return mp.exp(2 * u - mp.exp(u) + s * s / 2) * mp.ncdf((mid - u) / s)
+
+        cuts = {-80.0, 0.0, 8.0} | {float(mid + k * s) for k in range(-4, 5)}
+        integral = mp.quad(integrand, sorted(c for c in cuts if -80.0 <= c <= 8.0))
+        return float(mp.mpf(env.step_scale) * horizon * integral / mp.exp(gn))
+
+
+@pytest.mark.parametrize(
+    "beta, n, gamma, eps",
+    [(3.0, 14, 2.7, eps) for eps in (1e-6, 0.05, 0.2, 50.0)]
+    + [(3.0, 20, 2.7, 0.05), (3.0, 20, 2.7, 50.0), (3.0, 30, 2.7, 1e-6), (3.0, 30, 2.7, 0.2)]
+    # s = beta*sqrt(n) of 0.1, 0.2 and 0.73: the Phi factor turns over within
+    # about s, which a fixed 2,000-point grid over [-400, 30] does not resolve
+    + [(0.05, 4, 0.002, 1e-6), (0.05, 4, 0.002, 0.2), (0.1, 4, 0.005, 0.05)]
+    + [(0.1, 4, 0.005, 50.0), (0.3, 6, 0.05, 1e-6), (0.3, 6, 0.05, 0.2)],
+)
+def test_truncated_mean_quadrature_against_high_precision(beta, n, gamma, eps):
+    env = Environment.degenerate(n, 3, beta, gamma)
+    got = truncated_mean_quadrature(env, eps, 2.0)
+    assert got == pytest.approx(_truncated_mean_mpmath(env, eps, 2.0), rel=1e-12, abs=0.0)
+
+
 def test_truncated_mean_asymptotic_slope_identity():
     """The reference curve's log-log slope in eps is exactly 1 - alpha."""
     alpha, beta, gamma = 0.3, 3.0, 2.7
