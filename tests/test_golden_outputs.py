@@ -132,8 +132,8 @@ EXPECTED = {
         "verdicts": "4c7b23e52b942b73682c80a46a35b91d612386963913f6349972b94303a34737",
     }),
     "conditions": (3, {
-        "conditions.csv": "a9fd78ca1160f07bbfa9b661dc32d1f03b8c5a9c329534cbdda335ff3c56ceb1",
-        "conditions.json": "b2f9f809c35ee38a37253260c8de4948ee998072f49cd0d63714c5a95ba41c1e",
+        "conditions.csv": "031b7166a052480fef497f778a7aaa45dde5cb52f74a19fdac6a15396bfc53ae",
+        "conditions.json": "b90960f72b0e693c9395d996ec34e94b3b65a4623c541faa4a3ff53f9d0809e5",
         "verdicts": "81351158b3bde867b7e67e75ee02d885b62dfd1763feaef3824e7d3d2a8dad2e",
     }),
     "conditions-flat": (0, {
