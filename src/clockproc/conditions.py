@@ -734,12 +734,13 @@ def truncated_mean_quadrature(env: Environment, epsilon: float, horizon: float) 
     log_eps = math.log(epsilon)
     lo, hi = -400.0, 30.0
     points = max(2000, math.ceil(8.0 * (hi - lo) / s) + 1)
-    # the spacing from the bounds, not from the grid: grid[1] - grid[0]
-    # carries the rounding of -400 + h
+    # the spacing from the bounds, not from the grid: u[1] - u[0] carries
+    # the rounding of -400 + h
     h = (hi - lo) / (points - 1)
     u = np.linspace(lo, hi, points)
     # u = ln x; extra factor x from the change of variables.  The end terms
-    # are below e^-800 of the peak, so the trapezoid halving them is moot.
+    # are hundreds of e-folds below the peak, so the trapezoid's halving of
+    # them is moot.
     vals = 2.0 * u - np.exp(u) + 0.5 * s * s + special.log_ndtr((gn + log_eps - u) / s - s)
     peak = float(vals.max())
     log_value = peak + math.log(h * float(np.exp(vals - peak).sum()))

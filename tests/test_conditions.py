@@ -462,7 +462,9 @@ def _truncated_mean_mpmath(env, epsilon, horizon):
     [(3.0, 14, 2.7, eps) for eps in (1e-6, 0.05, 0.2, 50.0)]
     + [(3.0, 20, 2.7, 0.05), (3.0, 20, 2.7, 50.0), (3.0, 30, 2.7, 1e-6), (3.0, 30, 2.7, 0.2)]
     # s = beta*sqrt(n) of 0.1, 0.2 and 0.73: the Phi factor turns over within
-    # about s, which a fixed 2,000-point grid over [-400, 30] does not resolve
+    # about s, so the spacing must shrink with s; a fixed 2,000-point grid
+    # over [-400, 30] misses 1e-12 at s <= 0.2 unless eps puts the turn
+    # where e^{-x} has already killed the integrand
     + [(0.05, 4, 0.002, 1e-6), (0.05, 4, 0.002, 0.2), (0.1, 4, 0.005, 0.05)]
     + [(0.1, 4, 0.005, 50.0), (0.3, 6, 0.05, 1e-6), (0.3, 6, 0.05, 0.2)],
 )
