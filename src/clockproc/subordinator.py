@@ -9,9 +9,12 @@ linear compensation when evaluating path values, which keeps range events
 accurate at cutoffs coarse enough to sample cheaply.
 
 :func:`self_test` is the sampler behind ``clockproc subordinator``: it draws
-chunks of paths as padded (paths, jumps) matrices in time windows, [0, 1]
-first and then doubling horizons, sums the transform of S(1) from the first
-window, and reads every interval crossing of a window in one
+chunks of paths in time windows, [0, 1] first and then doubling horizons.
+A window's jumps leave the chunk's stream in one order, every count, then
+every time, then every size, and are laid out as padded (paths, jumps)
+matrices a block of rows at a time, so the matrices stay small enough for
+the cache.  Each block gives its paths' S(1), for the transform, from the
+first window, and every interval crossing in one
 :func:`crossing_probability_batch` pass.  A path stops drawing once a jump
 lands above the deepest t, since that first landing above t settles every
 (t, s) indicator.
@@ -49,6 +52,9 @@ DEFAULT_JUMP_BUDGET = 1.0e8
 _SELF_TEST_ALPHAS = (0.3, 0.5, 0.7)
 _SELF_TEST_CUTOFF = 1.0e-4
 _SELF_TEST_CHUNK = 2000
+# rows of the padded window matrices built at once; any size gives the same
+# bytes, since every block shares the window's row length
+_SELF_TEST_ROW_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -75,8 +81,11 @@ class PowerLawLevyMeasure:
         return self.amplitude * self.alpha / (1.0 - self.alpha) * cutoff ** (1.0 - self.alpha)
 
     def jump_sizes(self, cutoff: float, u: np.ndarray) -> np.ndarray:
-        """Jump sizes above ``cutoff`` from uniforms ``u``, by inverting the conditional tail."""
-        return cutoff * u ** (-1.0 / self.alpha)
+        """Jump sizes above ``cutoff`` from uniforms ``u``, by inverting the
+        conditional tail; overwrites the float64 array ``u`` and returns it."""
+        np.power(u, -1.0 / self.alpha, out=u)
+        u *= cutoff
+        return u
 
 
 @dataclass
@@ -105,24 +114,20 @@ class SubordinatorPath:
         return float(self.sizes.sum()) + self.compensation_rate * self.horizon
 
 
-def _window(
+def _draw_window(
     measure: PowerLawLevyMeasure, cutoff: float, start: float, end: float, rows: int, rng
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Poisson points of ``rows`` paths on (start, end] as padded, time-sorted matrices.
+    """Poisson points of ``rows`` paths on (start, end], in stream order.
 
-    Rows are padded by +inf times and zero sizes past their jump counts.  The
-    stream gives the counts, then the uniform times, then the uniform sizes.
+    The stream gives the jump counts of every row, then the uniform times,
+    then the uniform sizes.  Returns the counts and the 1-D times and sizes,
+    unsorted: row i owns the ``counts[i]`` entries after those of rows < i.
     """
     counts = rng.poisson((end - start) * float(measure.tail(cutoff)), size=rows)
-    width = max(int(counts.max()), 1)
-    times = np.full((rows, width), np.inf)
-    sizes = np.zeros((rows, width))
-    mask = np.arange(width)[None, :] < counts[:, None]
     total = int(counts.sum())
-    times[mask] = rng.uniform(start, end, size=total)
-    times.sort(axis=1)
-    sizes[mask] = measure.jump_sizes(cutoff, rng.uniform(size=total))
-    return times, sizes, counts
+    times = rng.uniform(start, end, size=total)
+    sizes = measure.jump_sizes(cutoff, rng.uniform(size=total))
+    return counts, times, sizes
 
 
 def sample_path(
@@ -161,14 +166,14 @@ def extend_path(
         raise ParameterValidationError(
             f"new horizon {new_horizon} must exceed the current horizon {path.horizon}"
         )
-    times, sizes, counts = _window(path.measure, path.cutoff, path.horizon, new_horizon, 1, rng)
-    count = int(counts[0])
+    _, times, sizes = _draw_window(path.measure, path.cutoff, path.horizon, new_horizon, 1, rng)
+    times.sort()
     return SubordinatorPath(
         measure=path.measure,
         horizon=new_horizon,
         cutoff=path.cutoff,
-        times=np.concatenate([path.times, times[0, :count]]),
-        sizes=np.concatenate([path.sizes, sizes[0, :count]]),
+        times=np.concatenate([path.times, times]),
+        sizes=np.concatenate([path.sizes, sizes]),
     )
 
 
@@ -206,11 +211,13 @@ def crossing_probability(path: SubordinatorPath, t: float, s: float) -> int:
     if s == 0:
         return 1
     post = path.values()
-    pre = post - path.sizes
     idx = int(np.searchsorted(post, t, side="right"))
     if idx >= len(post):
         return 0  # level t is crossed by the compensation drift after the last jump
-    return int(pre[idx] <= t and post[idx] >= t + s)
+    # the value before the jump, summed: post - size cancels to 0 under a huge jump
+    before = np.cumsum(path.sizes[:idx])[-1] if idx else 0.0
+    pre = before + path.compensation_rate * path.times[idx]
+    return int(pre <= t and post[idx] >= t + s)
 
 
 def crossing_probability_batch(
@@ -228,15 +235,14 @@ def crossing_probability_batch(
     being at most t (caller decides how to handle), else the 0/1 indicator of
     :func:`crossing_probability`.
     """
-    finite = np.isfinite(times)
-    post = np.where(finite, times, 0.0)
-    post *= drift
-    post += np.cumsum(sizes, axis=1)
+    times, counts = np.asarray(times, dtype=np.float64), np.asarray(counts)
+    jumps = np.cumsum(sizes, axis=1)
+    # padding lands at +inf, so every row is monotone and a row that passed t
+    # first lands above t at a real jump (at drift 0, inf * drift would be NaN)
+    post = times * drift if drift > 0 else np.where(times < np.inf, 0.0, np.inf)
+    post += jumps
     rows = np.arange(len(counts))
     sup = np.where(counts > 0, post[rows, np.maximum(counts - 1, 0)], 0.0)
-    # padding never lands, so every row is monotone and a row that passed t
-    # first lands above t at a real jump
-    post[~finite] = np.inf
     last = post.shape[1] - 1
     out = np.full((len(pairs), len(counts)), -1, dtype=np.int64)
     at_level: dict[float, tuple[np.ndarray, np.ndarray]] = {}
@@ -246,10 +252,13 @@ def crossing_probability_batch(
             out[j, done] = 1
             continue
         if t not in at_level:
-            # first jump whose landing value exceeds t
+            # first jump whose landing value exceeds t, and the value before it,
+            # summed: landing - size cancels to 0 under a huge jump
             idx = np.minimum((post <= t).sum(axis=1), last)
-            lands = post[rows, idx]
-            at_level[t] = (lands - sizes[rows, idx] <= t, lands)
+            pre = np.where(idx > 0, jumps[rows, idx - 1], 0.0)
+            if drift > 0:
+                pre += drift * times[rows, idx]
+            at_level[t] = (pre <= t, post[rows, idx])
         starts_below, lands = at_level[t]
         out[j, done] = (starts_below & (lands >= t + s))[done]
     return out
@@ -311,7 +320,11 @@ def self_test(
     chunk draws window [0, 1] for every path, which gives S(1), then (1, 2],
     (2, 4], ... for the paths that have not yet landed above the deepest t.
     A path's first landing above t settles every (t, s) indicator, so no
-    later jump is drawn.
+    later jump is drawn.  A window draws its counts, times and sizes for all
+    its paths in that stream order, then builds the padded matrices and reads
+    the crossings ``_SELF_TEST_ROW_BLOCK`` rows at a time; every block's rows
+    are as long as the window's longest, so the bytes do not depend on the
+    block size.
     """
     cutoff = _SELF_TEST_CUTOFF
     deepest = int(np.argmax([t for t, _ in pairs]))  # the pair with the largest t
@@ -331,18 +344,39 @@ def self_test(
             rows = np.arange(count)  # paths that have not landed above the deepest t
             start, end = 0.0, 1.0
             while rows.size:
-                times, sizes, counts = _window(measure, cutoff, start, end, rows.size, rng)
+                counts, jump_times, jump_sizes = _draw_window(
+                    measure, cutoff, start, end, rows.size, rng
+                )
+                # one row length for every block keeps each row's pairwise sums
+                width = max(int(counts.max()), 1)
+                offsets = np.concatenate([[0], np.cumsum(counts)])
+                if start == 0.0:
+                    totals = np.empty(rows.size)  # jump mass of [0, 1]
+                for lo in range(0, rows.size, _SELF_TEST_ROW_BLOCK):
+                    hi = min(lo + _SELF_TEST_ROW_BLOCK, rows.size)
+                    block = rows[lo:hi]
+                    # a leading jump at time 0 carries the mass of the earlier
+                    # windows; it lands at or below every level the path has not
+                    # passed, so it misreads only flags that are already set, and
+                    # those are kept
+                    times = np.full((hi - lo, width + 1), np.inf)
+                    sizes = np.zeros((hi - lo, width + 1))
+                    times[:, 0] = 0.0
+                    sizes[:, 0] = mass[block]
+                    mask = np.arange(width)[None, :] < counts[lo:hi, None]
+                    times[:, 1:][mask] = jump_times[offsets[lo] : offsets[hi]]
+                    sizes[:, 1:][mask] = jump_sizes[offsets[lo] : offsets[hi]]
+                    times[:, 1:].sort(axis=1)
+                    if start == 0.0:
+                        totals[lo:hi] = sizes[:, 1:].sum(axis=1)
+                    window = crossing_probability_batch(
+                        times, sizes, counts[lo:hi] + 1, drift_rate, pairs
+                    )
+                    flags[:, block] = np.where(flags[:, block] < 0, window, flags[:, block])
+                    mass[block] = sizes.sum(axis=1)
                 if start == 0.0:
                     # every path draws [0, 1]: S(1) is its jump mass plus the drift
-                    weights = np.exp(-np.outer(v_arr, sizes.sum(axis=1) + drift_rate))
-                # a leading jump at time 0 carries the mass of the earlier windows;
-                # it lands at or below every level the path has not passed, so it
-                # misreads only flags that are already set, and those are kept
-                times = np.column_stack([np.zeros(rows.size), times])
-                sizes = np.column_stack([mass[rows], sizes])
-                window = crossing_probability_batch(times, sizes, counts + 1, drift_rate, pairs)
-                flags[:, rows] = np.where(flags[:, rows] < 0, window, flags[:, rows])
-                mass[rows] = sizes.sum(axis=1)
+                    weights = np.exp(-np.outer(v_arr, totals + drift_rate))
                 rows = rows[flags[deepest, rows] < 0]
                 start, end = end, 2.0 * end
             return flags.sum(axis=1), weights.sum(axis=1)

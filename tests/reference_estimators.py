@@ -12,7 +12,10 @@ so it checks the hold tables and the chunking of ``_block_sums``.
 ``uint64_index_walk`` draws the flip sites as uint64 and builds the path
 out of place, as ``index_walk`` once did.  ``sample_totals`` draws only the
 horizon marginal of truncated subordinator paths, which checks the
-truncated Laplace exponent.
+truncated Laplace exponent.  ``unblocked_self_test`` runs each self-test
+chunk as whole padded (paths, jumps) matrices per window, with the carried
+mass stacked on as a column and one crossing batch per window, so it checks
+the row blocks ``self_test`` builds and the stream order it draws in.
 """
 
 import math
@@ -23,7 +26,12 @@ from clockproc import conditions
 from clockproc.chain import index_walk
 from clockproc.conditions import _block_sums, conditional_block_laplace
 from clockproc.errors import BudgetError
-from clockproc.subordinator import DEFAULT_JUMP_BUDGET, PowerLawLevyMeasure
+from clockproc.seeding import StreamFamily, keyed_generator
+from clockproc.subordinator import (
+    DEFAULT_JUMP_BUDGET,
+    PowerLawLevyMeasure,
+    crossing_probability_batch,
+)
 
 
 def uint64_index_walk(n, start_bits, steps, walk_rng):
@@ -114,3 +122,57 @@ def sample_totals(
     if compensated:
         sums = sums + measure.truncated_mean_rate(cutoff) * horizon
     return sums
+
+
+def padded_window(measure, cutoff, start, end, rows, rng):
+    """Poisson points of ``rows`` paths on (start, end] as padded, time-sorted
+    (times, sizes, counts) matrices: +inf times and zero sizes past each
+    count.  The stream gives the counts, then the uniform times, then the
+    uniform sizes."""
+    counts = rng.poisson((end - start) * float(measure.tail(cutoff)), size=rows)
+    width = max(int(counts.max()), 1)
+    times = np.full((rows, width), np.inf)
+    sizes = np.zeros((rows, width))
+    mask = np.arange(width)[None, :] < counts[:, None]
+    total = int(counts.sum())
+    times[mask] = rng.uniform(start, end, size=total)
+    times.sort(axis=1)
+    sizes[mask] = measure.jump_sizes(cutoff, rng.uniform(size=total))
+    return times, sizes, counts
+
+
+def unblocked_self_test(pairs, v_grid, paths, master_seed, alphas=(0.3, 0.5, 0.7)):
+    """(alpha, crossings, transform means) of the self-test, each chunk's
+    window read as one padded matrix pair and one crossing batch."""
+    cutoff, chunk = 1.0e-4, 2000
+    deepest = int(np.argmax([t for t, _ in pairs]))
+    v_arr = np.asarray(v_grid, dtype=np.float64)
+    out = []
+    for alpha in alphas:
+        measure = PowerLawLevyMeasure(1.0, alpha)
+        drift_rate = measure.truncated_mean_rate(cutoff)
+        family = StreamFamily(master_seed, f"subordinator-selftest-{alpha!r}")
+        results = []
+        for c in range((paths + chunk - 1) // chunk):
+            rng = keyed_generator(family.seed_for(c))
+            count = min(chunk, paths - c * chunk)
+            flags = np.full((len(pairs), count), -1, dtype=np.int64)
+            mass = np.zeros(count)
+            rows = np.arange(count)
+            start, end = 0.0, 1.0
+            while rows.size:
+                times, sizes, counts = padded_window(measure, cutoff, start, end, rows.size, rng)
+                if start == 0.0:
+                    weights = np.exp(-np.outer(v_arr, sizes.sum(axis=1) + drift_rate))
+                times = np.column_stack([np.zeros(rows.size), times])
+                sizes = np.column_stack([mass[rows], sizes])
+                window = crossing_probability_batch(times, sizes, counts + 1, drift_rate, pairs)
+                flags[:, rows] = np.where(flags[:, rows] < 0, window, flags[:, rows])
+                mass[rows] = sizes.sum(axis=1)
+                rows = rows[flags[deepest, rows] < 0]
+                start, end = end, 2.0 * end
+            results.append((flags.sum(axis=1), weights.sum(axis=1)))
+        crossings = np.sum([r[0] for r in results], axis=0)
+        means = (np.sum([r[1] for r in results], axis=0) / paths).tolist()
+        out.append((alpha, crossings, means))
+    return out

@@ -1,12 +1,16 @@
 """Truncated stable subordinator: sampling, crossing events, arcsine law."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
+from clockproc import subordinator
+from clockproc.config import default_ts_grid
 from clockproc.errors import (
     BudgetError,
     HorizonError,
@@ -16,7 +20,6 @@ from clockproc.seeding import StreamFamily, keyed_generator
 from clockproc.subordinator import (
     PowerLawLevyMeasure,
     SubordinatorPath,
-    _window,
     arcsine_cdf,
     crossing_probability,
     crossing_probability_batch,
@@ -25,7 +28,7 @@ from clockproc.subordinator import (
     self_test,
     truncated_laplace_exponent,
 )
-from reference_estimators import sample_totals
+from reference_estimators import padded_window, sample_totals, unblocked_self_test
 
 
 def measure(amplitude=1.0, alpha=0.5):
@@ -237,6 +240,7 @@ def test_crossing_probability_hand_cases():
         crossing_probability(p, -1.0, 1.0)
 
 
+@pytest.mark.filterwarnings("error")  # 0 * inf padding would be NaN
 def test_crossing_batch_hand_cases_without_drift():
     # post values [5, 5.3] and one padding column
     times, sizes, counts = padded([hand_path([1.0, 2.0], [5.0, 0.3])], extra=1)
@@ -250,6 +254,16 @@ def test_crossing_batch_hand_cases_without_drift():
     ]
     flags = crossing_probability_batch(times, sizes, counts, 0.0, pairs)
     assert flags.tolist() == [[1], [0], [1], [1], [0], [-1]]
+
+
+def test_crossing_reads_the_value_before_a_huge_jump_without_cancellation():
+    # the path stands at 0.001 > t = 0 before the 1e20 jump; landing - size
+    # would cancel to 0 <= t and count a false crossing
+    flags = crossing_probability_batch([[0, 0.5]], [[0, 1e20]], [2], 0.002, [(0.0, 1.0)])
+    assert flags.tolist() == [[0]]
+    p = hand_path([0.0, 0.5], [0.0, 1e20])
+    assert p.compensation_rate * 0.5 > 0.0
+    assert crossing_probability(p, 0.0, 1.0) == 0
 
 
 def test_crossing_batch_padding_never_lands():
@@ -346,7 +360,7 @@ def replayed_crossings(pairs, paths, master_seed, alpha, cutoff=1e-4):
     jumps = [([], []) for _ in range(paths)]
     rows, start, end, windows = list(range(paths)), 0.0, 1.0, 0
     while rows:
-        times, sizes, counts = _window(m, cutoff, start, end, len(rows), rng)
+        times, sizes, counts = padded_window(m, cutoff, start, end, len(rows), rng)
         for i, row in enumerate(rows):
             jumps[row][0].extend(times[i, : counts[i]])
             jumps[row][1].extend(sizes[i, : counts[i]])
@@ -386,6 +400,50 @@ def test_self_test_layout_and_thread_invariance():
         for se, pred, ess in zip(a.transform_stderr, a.transform_predicted, a.transform_ess):
             assert 0.0 < ess < 2500
             assert se == pytest.approx(pred * math.sqrt((2500 / ess - 1.0) / 2500), rel=1e-9)
+
+
+ORACLE_PAIRS = [(0.5, 0.5), (0.5, 0.0), (3.0, 1.0), (6.0, 2.0), (6.0, 0.25)]
+ORACLE_V = [1.0, 10.0, 100.0]
+
+
+def assert_same_self_test(results, reference):
+    for result, (alpha, crossings, means) in zip(results, reference, strict=True):
+        assert result.alpha == alpha
+        assert np.array_equal(result.crossings, crossings)
+        assert result.transform_mean == means
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_self_test_row_blocks_match_whole_window_matrices(threads):
+    """2,500 paths make a 2,000-row and a 500-row chunk, neither a multiple of
+    the row block, and the later windows of t = 3 and 6 hold fewer rows than
+    a block; the counts and the transform means keep every bit."""
+    reference = unblocked_self_test(ORACLE_PAIRS, ORACLE_V, 2500, 23)
+    assert_same_self_test(self_test(ORACLE_PAIRS, ORACLE_V, 2500, 23, threads), reference)
+
+
+def test_self_test_does_not_depend_on_the_row_block(monkeypatch):
+    def values(results):
+        return [(r.crossings.tolist(), dataclasses.replace(r, crossings=None)) for r in results]
+
+    runs = []
+    for block in (1, 7, 4096):
+        monkeypatch.setattr(subordinator, "_SELF_TEST_ROW_BLOCK", block)
+        runs.append(values(self_test(ORACLE_PAIRS, ORACLE_V, 2500, 29, 1)))
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def test_self_test_chunk_peak_memory_stays_below_the_whole_window_matrices():
+    """One 2,000-path chunk on the shipped ts_grid: the row blocks keep the
+    traced peak near 33 MB, where whole-window matrices reach 47 MB."""
+    pairs = list(default_ts_grid())
+    tracemalloc.start()
+    try:
+        self_test(pairs, [1.0], 2000, 31, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 38e6
 
 
 def test_reference_variance_of_the_transform_weight():
