@@ -28,14 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import BudgetError, HorizonError, ParameterValidationError
+from .errors import HorizonError, ParameterValidationError
 from .parallel import ordered_map
 from .seeding import StreamFamily, keyed_generator
 
 __all__ = [
     "PowerLawLevyMeasure",
     "SubordinatorPath",
-    "sample_path",
     "extend_path",
     "arcsine_cdf",
     "crossing_probability",
@@ -44,8 +43,6 @@ __all__ = [
     "SelfTest",
     "self_test",
 ]
-
-DEFAULT_JUMP_BUDGET = 1.0e8
 
 # self-test battery: unit-amplitude reference models, their cutoff and the
 # chunk size (the config's model section plays no role there)
@@ -128,34 +125,6 @@ def _draw_window(
     times = rng.uniform(start, end, size=total)
     sizes = measure.jump_sizes(cutoff, rng.uniform(size=total))
     return counts, times, sizes
-
-
-def sample_path(
-    measure: PowerLawLevyMeasure,
-    horizon: float,
-    cutoff: float,
-    rng: np.random.Generator,
-) -> SubordinatorPath:
-    """Sample the Poisson point representation restricted to jumps > cutoff.
-
-    Jump count is Poisson with mean horizon * nu(cutoff, inf); times are
-    uniform on [0, horizon]; sizes follow the conditional power law above the
-    cutoff.  This is :func:`extend_path` of the empty path at horizon 0.
-    Raises BudgetError when the expected jump count exceeds
-    DEFAULT_JUMP_BUDGET (1e8).
-    """
-    if not horizon > 0:
-        raise ParameterValidationError(f"horizon must be positive; got {horizon}")
-    if not cutoff > 0:
-        raise ParameterValidationError(f"cutoff must be positive; got {cutoff}")
-    expected = horizon * float(measure.tail(cutoff))
-    if expected > DEFAULT_JUMP_BUDGET:
-        raise BudgetError(
-            f"expected jump count {expected:.3g} exceeds the budget {DEFAULT_JUMP_BUDGET:.3g}; "
-            "raise the cutoff or shorten the horizon"
-        )
-    empty = np.empty(0)
-    return extend_path(SubordinatorPath(measure, 0.0, cutoff, empty, empty), horizon, rng)
 
 
 def extend_path(

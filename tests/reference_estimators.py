@@ -10,12 +10,14 @@ package folds large chunks through.  ``per_state_block_sums`` walks the
 same blocks in one piece and scales each state's hold from its own energy,
 so it checks the hold tables and the chunking of ``_block_sums``.
 ``uint64_index_walk`` draws the flip sites as uint64 and builds the path
-out of place, as ``index_walk`` once did.  ``sample_totals`` draws only the
-horizon marginal of truncated subordinator paths, which checks the
-truncated Laplace exponent.  ``unblocked_self_test`` runs each self-test
-chunk as whole padded (paths, jumps) matrices per window, with the carried
-mass stacked on as a column and one crossing batch per window, so it checks
-the row blocks ``self_test`` builds and the stream order it draws in.
+out of place, as ``index_walk`` once did.  ``sample_path`` draws one
+truncated subordinator path on [0, horizon], the oracle path of the
+crossing and extension tests.  ``sample_totals`` draws only the horizon
+marginal of truncated subordinator paths, which checks the truncated
+Laplace exponent.  ``unblocked_self_test`` runs each self-test chunk as
+whole padded (paths, jumps) matrices per window, with the carried mass
+stacked on as a column and one crossing batch per window, so it checks the
+row blocks ``self_test`` builds and the stream order it draws in.
 """
 
 import math
@@ -25,13 +27,16 @@ import numpy as np
 from clockproc import conditions
 from clockproc.chain import index_walk
 from clockproc.conditions import _block_sums, conditional_block_laplace
-from clockproc.errors import BudgetError
+from clockproc.errors import BudgetError, ParameterValidationError
 from clockproc.seeding import StreamFamily, keyed_generator
 from clockproc.subordinator import (
-    DEFAULT_JUMP_BUDGET,
     PowerLawLevyMeasure,
+    SubordinatorPath,
     crossing_probability_batch,
+    extend_path,
 )
+
+DEFAULT_JUMP_BUDGET = 1.0e8
 
 
 def uint64_index_walk(n, start_bits, steps, walk_rng):
@@ -93,6 +98,34 @@ def folded_transform_moments(env, v_values, samples, streams):
     variances = np.maximum(squares - samples * means**2, 0.0) / (samples - 1)
     variances[highs == lows] = 0.0
     return means, np.sqrt(variances)
+
+
+def sample_path(
+    measure: PowerLawLevyMeasure,
+    horizon: float,
+    cutoff: float,
+    rng: np.random.Generator,
+) -> SubordinatorPath:
+    """Sample the Poisson point representation restricted to jumps > cutoff.
+
+    Jump count is Poisson with mean horizon * nu(cutoff, inf); times are
+    uniform on [0, horizon]; sizes follow the conditional power law above the
+    cutoff.  This is :func:`extend_path` of the empty path at horizon 0.
+    Raises BudgetError when the expected jump count exceeds
+    DEFAULT_JUMP_BUDGET (1e8).
+    """
+    if not horizon > 0:
+        raise ParameterValidationError(f"horizon must be positive; got {horizon}")
+    if not cutoff > 0:
+        raise ParameterValidationError(f"cutoff must be positive; got {cutoff}")
+    expected = horizon * float(measure.tail(cutoff))
+    if expected > DEFAULT_JUMP_BUDGET:
+        raise BudgetError(
+            f"expected jump count {expected:.3g} exceeds the budget {DEFAULT_JUMP_BUDGET:.3g}; "
+            "raise the cutoff or shorten the horizon"
+        )
+    empty = np.empty(0)
+    return extend_path(SubordinatorPath(measure, 0.0, cutoff, empty, empty), horizon, rng)
 
 
 def sample_totals(

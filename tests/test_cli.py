@@ -12,7 +12,9 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from scipy import stats
 
 from clockproc.chain import mixing_check
 from clockproc.environment import block_length
@@ -187,6 +189,61 @@ def test_clock_outputs_do_not_depend_on_thread_count(tmp_path):
     assert len(rows) == 1 + 12 * k
     assert all(float(r[2]) > 0 for r in rows[1:])
     assert len(read_rows(serial / "clock_initial_terms.csv")) == 1 + 12
+
+
+# (master seed, replicas) -> the band the jump law's p lands in: N = 11 with
+# p = 1.2e-4 (warn), N = 20 with p = 7.7e-3, N = 22 with p = 0.072
+JUMP_LAW_CASES = [(3, 24), (12, 40), (11, 40)]
+
+
+@pytest.mark.parametrize("seed, replicas", JUMP_LAW_CASES)
+def test_clock_jump_law_is_the_exact_one_sample_ks_test(seed, replicas, tmp_path):
+    """The statistic is the one-sample KS distance of the normalized jumps
+    from the exact tail 1 - x^-alpha, and the p-value, twice the one-sided
+    Smirnov tail, is the exact two-sided p where p <= 1e-2 and bounds it
+    from above beyond."""
+    cfg_path = clock_config(
+        tmp_path / "cfg.json", master_seed=seed, replicas=replicas, u_grid=[0.25]
+    )
+    outdir = tmp_path / "out"
+    code = main(["clock", "--config", str(cfg_path), "--out", str(outdir)])
+    verdicts = load_manifest(outdir)["verdicts"]
+    law, alpha = verdicts["clock_jump_law"], verdicts["_environment"]["alpha"]
+    rows = read_rows(outdir / "clock_jumps.csv")
+    assert rows[0] == ["size", "normalized"]
+    x = np.array([float(row[1]) for row in rows[1:]])
+    assert law["empirical_jumps"] == x.size >= 10
+    assert [float(row[0]) / 0.25 for row in rows[1:]] == x.tolist()
+
+    exact = stats.ks_1samp(x, lambda y: 1.0 - y**-alpha, method="exact")
+    assert law["statistic"] == pytest.approx(exact.statistic, rel=1e-12, abs=0)
+    # the doubled one-sided tail adds the chance that both one-sided
+    # distances exceed D: below 1e-10 relative where p <= 1e-3 and at most
+    # 5.1e-8 in (1e-3, 1e-2] for N = 10..3000; at most 1.7% up to p = 0.5
+    rel = 1e-9 if exact.pvalue <= 1e-3 else 1e-7 if exact.pvalue <= 1e-2 else 0.02
+    assert law["p_value"] == pytest.approx(exact.pvalue, rel=rel, abs=0)
+    assert law["p_value"] >= exact.pvalue
+    expected = "pass" if exact.pvalue >= 1e-3 else "warn" if exact.pvalue >= 1e-6 else "fail"
+    assert law["status"] == expected
+    assert code == {"pass": 0, "warn": 2}[expected]
+
+
+def test_clock_jump_law_warns_when_too_few_increments_exceed_the_threshold(tmp_path):
+    cfg_path = clock_config(tmp_path / "cfg.json", u_grid=[1.0e12])
+    outdir = tmp_path / "out"
+    assert main(["clock", "--config", str(cfg_path), "--out", str(outdir)]) == 2
+    increments = [float(row[2]) for row in read_rows(outdir / "clock.csv")[1:]]
+    assert max(increments) < 1.0e12
+    assert load_manifest(outdir)["verdicts"]["clock_jump_law"] == {
+        "status": "warn",
+        "note": (
+            "only 0 block increments exceeded u=1000000000000.0; "
+            "not enough for a distribution comparison"
+        ),
+    }
+    assert not (outdir / "clock_jumps.csv").exists()
+    files = [a["file"] for a in load_manifest(outdir)["artifacts"]]
+    assert files == ["clock.csv", "clock_initial_terms.csv"]
 
 
 def test_clock_trajectory_dump_layout(tmp_path):
@@ -448,8 +505,8 @@ def test_module_entry_point_runs_in_subprocess(tmp_path):
 
 
 def test_importing_the_cli_leaves_scipy_stats_unloaded():
-    """scipy.stats is the slowest import of the dependencies; only the clock
-    jump-law check uses it, and it imports it there."""
+    """scipy.stats is the slowest import of the dependencies, and no module of
+    the package uses it: the clock jump law is graded through scipy.special."""
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, clockproc.cli; print('scipy.stats' in sys.modules)"],
         capture_output=True,
@@ -471,38 +528,54 @@ def test_importing_the_cli_leaves_scipy_integrate_unloaded():
     assert proc.stdout.strip() == "False"
 
 
-def test_subordinator_run_leaves_scipy_integrate_unloaded(tmp_path):
-    """The subordinator self-test grades against the truncated Laplace
-    exponent in closed form, so a whole run never loads scipy.integrate."""
-    cfg_path = tmp_path / "cfg.json"
-    grids = {"ts_grid": [[1.0, 1.0]], "v_grid": [1.0]}
-    cfg_path.write_text(json.dumps({"budgets": {"samples": 200}, "grids": grids}))
-    argv = ["subordinator", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
-    script = (
-        f"import sys; from clockproc.cli import main; main({argv!r}); "
-        "print('scipy.integrate' in sys.modules)"
-    )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+# subcommand -> (config document, the file that shows the run reached the
+# code that once imported scipy.stats or scipy.integrate, and a text in it)
+RUNS_WITHOUT_SLOW_IMPORTS = {
+    # the jump law is graded by twice the one-sided Smirnov tail
+    "clock": (
+        {
+            "model": {"n": 8, "p": 3, "beta": 3.0, "gamma": 2.7},
+            "seeds": {"master_seed": 12},
+            "budgets": {"replicas": 40},
+            "grids": {"u_grid": [0.25]},
+        },
+        "clock_jumps.csv",
+        "size,normalized",
+    ),
+    # the truncated-mean reference is one trapezoid sum
+    "conditions": (
+        {
+            "model": {"n": 8, "p": 3, "beta": 3.0, "gamma": 2.7},
+            "budgets": {"samples": 200},
+            "grids": {"u_grid": [0.5, 1.0], "v_grid": [1.0], "eps_grid": [0.1]},
+        },
+        "conditions.csv",
+        "truncated_mean_quadrature",
+    ),
+    # the self-test grades against the truncated Laplace exponent in closed form
+    "subordinator": (
+        {"budgets": {"samples": 200}, "grids": {"ts_grid": [[1.0, 1.0]], "v_grid": [1.0]}},
+        "subordinator_laplace.csv",
+        "predicted",
+    ),
+}
 
 
-def test_conditions_run_leaves_scipy_integrate_unloaded(tmp_path):
-    """The truncated-mean reference is one trapezoid sum, so a conditions run
-    at beta > 0, which computes it, never loads scipy.integrate."""
+@pytest.mark.parametrize("command", sorted(RUNS_WITHOUT_SLOW_IMPORTS))
+def test_run_leaves_scipy_stats_and_integrate_unloaded(command, tmp_path):
+    """A whole run loads neither scipy.stats nor scipy.integrate."""
+    document, name, text = RUNS_WITHOUT_SLOW_IMPORTS[command]
     cfg_path = tmp_path / "cfg.json"
-    model = {"n": 8, "p": 3, "beta": 3.0, "gamma": 2.7}
-    grids = {"u_grid": [0.5, 1.0], "v_grid": [1.0], "eps_grid": [0.1]}
-    cfg_path.write_text(json.dumps({"model": model, "budgets": {"samples": 200}, "grids": grids}))
+    cfg_path.write_text(json.dumps(document))
     outdir = tmp_path / "out"
-    argv = ["conditions", "--config", str(cfg_path), "--out", str(outdir)]
+    argv = [command, "--config", str(cfg_path), "--out", str(outdir)]
     script = (
         f"import sys; from clockproc.cli import main; code = main({argv!r}); "
-        "print(code, 'scipy.integrate' in sys.modules)"
+        "print(code, 'scipy.stats' in sys.modules, 'scipy.integrate' in sys.modules)"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    code, loaded = proc.stdout.splitlines()[-1].split()
+    code, stats_loaded, integrate_loaded = proc.stdout.splitlines()[-1].split()
     assert code != "1", proc.stderr
-    assert "truncated_mean_quadrature" in (outdir / "conditions.csv").read_text()
-    assert loaded == "False"
+    assert text in (outdir / name).read_text()
+    assert (stats_loaded, integrate_loaded) == ("False", "False")

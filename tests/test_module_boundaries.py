@@ -81,7 +81,7 @@ TOP_LEVEL_NAMES = {
     "TrajectorySegment", "ClockPath", "MixingReport", "simulate_segment", "extend_segment",
     "blocked_clock", "process_at_time", "mixing_check",
     "ordered_map",
-    "PowerLawLevyMeasure", "SubordinatorPath", "sample_path", "extend_path", "arcsine_cdf",
+    "PowerLawLevyMeasure", "SubordinatorPath", "extend_path", "arcsine_cdf",
     "crossing_probability", "crossing_probability_batch", "truncated_laplace_exponent",
     "SelfTest", "self_test",
     "TailEstimate", "IntensityEstimate", "SquaredTailEstimate", "LaplaceIntensityEstimate",
@@ -105,17 +105,19 @@ def test_top_level_is_composed_from_the_module_lists():
     ]
     assert clockproc.__all__ == composed
     assert len(set(composed)) == len(composed)
-    assert len(TOP_LEVEL_NAMES) == 71
+    assert len(TOP_LEVEL_NAMES) == 70
     assert TOP_LEVEL_NAMES <= set(clockproc.__all__)
 
 
 # public functions that no module of the package runs: the concentration
 # estimator of the source paper, which callers run directly, and the scalar
-# crossing indicator, which the benchmark tracer still times as
-# subordinator.crossing_fallback until the tracer is retargeted
+# crossing indicator and the path extension, which the benchmark tracer still
+# times as subordinator.crossing_fallback and subordinator.extend_path until
+# the tracer is retargeted
 RUN_ONLY_BY_CALLERS = {
     "conditions.py:concentration_diagnostic",
     "subordinator.py:crossing_probability",
+    "subordinator.py:extend_path",
 }
 
 # public methods, classmethods and properties that no module of the package

@@ -24,11 +24,10 @@ from clockproc.subordinator import (
     crossing_probability,
     crossing_probability_batch,
     extend_path,
-    sample_path,
     self_test,
     truncated_laplace_exponent,
 )
-from reference_estimators import padded_window, sample_totals, unblocked_self_test
+from reference_estimators import padded_window, sample_path, sample_totals, unblocked_self_test
 
 
 def measure(amplitude=1.0, alpha=0.5):
