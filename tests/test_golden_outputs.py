@@ -127,9 +127,9 @@ EXPECTED = {
     "clock": (0, {
         "clock.csv": "9c30e5ebee43e4c890b9aa63be0757387d6bf1a5b5129b679caadce5dd7108fa",
         "clock_initial_terms.csv": "7e060b9f5fd29ea90e4576d77189a56a5ec5c6c79fe3e8aea64aa66cbbccc480",
-        "clock_jumps.csv": "513356b9fc81bf97fc067e88d3876a9b1bc4acd91aa9d80ce681d72f0da9dd0c",
+        "clock_jumps.csv": "c6b8075d1519c5ebab70b81e16997ac48cd18e6a35e8c9066e239615b92b40fa",
         "trajectory.csv": "f1627c2c0712fdc091c5dd2c5d54367c55ce59b92e966539c962d3dd6a859270",
-        "verdicts": "4c7b23e52b942b73682c80a46a35b91d612386963913f6349972b94303a34737",
+        "verdicts": "223e853d3b55b0aea71ec0d96904f77c29ab345d6e1728b5c9ea6a7b8adcc969",
     }),
     "conditions": (3, {
         "conditions.csv": "031b7166a052480fef497f778a7aaa45dde5cb52f74a19fdac6a15396bfc53ae",
@@ -274,7 +274,7 @@ def test_laplace_intensity_matches_recorded_digest(table, contracted, monkeypatc
 # serialised with sorted keys
 PROVENANCE = {
     "aging": "ba8d3771455dec313264b54b3b0ef80e9ade71ea6ed4bca0c50bc51a1f5b54a9",
-    "clock": "aec744bae7af47b3be8b5c491e6e37941ae114670ad2deddc266d277177a8dee",
+    "clock": "b1958d404a83f711b6d9392d4b531fa261497c05fcd77829461f7d076fe7519b",
     "conditions": "44639bdc91b2f644da7b61baba8d01fe0cdc52b050f1acbe759291ac55e3ffac",
     "conditions-flat": "5f57b21db5e0a8b8369e0136a16b5ebd0f4744ec65f4d63fa9706a58105e3547",
     "laplace": "f9a3a0255c46d87bed75a8729c50249e16729411e94617edbd90d6e6bd6ef96a",
