@@ -324,8 +324,9 @@ def _run_clock(cfg: ExperimentConfig, args) -> tuple[dict, list[_Output]]:
         }
     else:
         # one-sample KS against the exact conditional tail P(X/u > x) = x^-alpha;
-        # twice the one-sided Smirnov tail is the exact two-sided p wherever
-        # p <= 1e-2, which holds both ladder thresholds
+        # twice the one-sided Smirnov tail bounds the two-sided p from above and
+        # is exact to 1e-7 relative wherever p <= 1e-2, which holds both ladder
+        # thresholds
         x = exceed / threshold
         n = x.size
         cdf = -np.expm1(-env.alpha * np.log(x))

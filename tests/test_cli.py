@@ -200,8 +200,8 @@ JUMP_LAW_CASES = [(3, 24), (12, 40), (11, 40)]
 def test_clock_jump_law_is_the_exact_one_sample_ks_test(seed, replicas, tmp_path):
     """The statistic is the one-sample KS distance of the normalized jumps
     from the exact tail 1 - x^-alpha, and the p-value, twice the one-sided
-    Smirnov tail, is the exact two-sided p where p <= 1e-2 and bounds it
-    from above beyond."""
+    Smirnov tail, bounds the exact two-sided p from above and matches it
+    where p <= 1e-2."""
     cfg_path = clock_config(
         tmp_path / "cfg.json", master_seed=seed, replicas=replicas, u_grid=[0.25]
     )
