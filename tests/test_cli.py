@@ -191,8 +191,9 @@ def test_clock_outputs_do_not_depend_on_thread_count(tmp_path):
     assert len(read_rows(serial / "clock_initial_terms.csv")) == 1 + 12
 
 
-# (master seed, replicas) -> the band the jump law's p lands in: N = 11 with
-# p = 1.2e-4 (warn), N = 20 with p = 7.7e-3, N = 22 with p = 0.072
+# (master seed, replicas), one case per tolerance band of the p-value check
+# below: N = 11 with p = 1.2e-4 (warn), N = 20 with p = 7.7e-3, N = 22 with
+# p = 0.072
 JUMP_LAW_CASES = [(3, 24), (12, 40), (11, 40)]
 
 
