@@ -8,10 +8,14 @@ over the environment, (i) the aggregated jump intensity
 settles onto a power law K * t * u^(-alpha), (ii) its two-step-correlated
 square vanishes, (iii) the initial holding time is negligible on the
 observation scale, and (iv) the truncated mean of a single rescaled jump
-vanishes with the truncation level.  This module estimates each of those
-quantities by Monte Carlo over walks (and, where a closed form exists, by
-one trapezoid sum over its one-dimensional integral), fits tail exponents,
-and packages the lot into a report with pass / warn / fail verdicts.
+vanishes with the truncation level.  This module estimates (i) and (ii) by
+Monte Carlo over walks, and (iii) and (iv) as averages over the sampled
+environment's states of one bounded term per state, the exponential hold
+integrated out: over uniform Monte Carlo starts, and exactly over all 2^n
+states where the energy table exists.  It fits tail exponents, gives the
+annealed truncated mean as one trapezoid sum over its one-dimensional
+integral, and packages the lot into a report with pass / warn / fail
+verdicts.
 
 Estimator conventions used throughout:
 
@@ -44,7 +48,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy import special
@@ -57,6 +61,7 @@ from .environment import (
     validate_parameters,
 )
 from .errors import (
+    BudgetError,
     CapabilityError,
     DegenerateScaleError,
     ParameterValidationError,
@@ -97,8 +102,8 @@ __all__ = [
 # walk states, the waiting-time draws and each sample's block sum do not depend
 # on it: starts are drawn before the chunk loop, and each stream's draws
 # concatenate across chunks as one draw would.  Running sums over samples do:
-# the transform moments and the truncated-mean sums add one partial sum per
-# chunk, so their last digits move with it.  It is fixed for that reason.
+# the transform moments add one partial sum per chunk, so their last digits
+# move with it.  It is fixed for that reason.
 _CHUNK_STATES = 4_000_000
 
 # states gathered at once by the term-table fold, a slice of rows at a time
@@ -595,24 +600,49 @@ class InitialTermEstimate:
     exact: bool
 
 
-def _inverse_holds(env: Environment, energies: np.ndarray) -> np.ndarray:
-    """time_scale / tau = exp(log time scale - beta*H), saturating to inf."""
-    with np.errstate(over="ignore"):
-        return np.exp(env.log_time_scale - env.beta * energies)
-
-
-def _can_enumerate(env: Environment) -> bool:
-    """Whether n is small enough to read every state's energy for exact references."""
-    return env.n <= MAX_TABLE_SPINS
-
-
 def _all_energies(env: Environment) -> np.ndarray:
     """Energies of every state, in state order."""
-    if not _can_enumerate(env):
+    # a bound on n, not ``has_energy_table``: an exact initial term may also
+    # enumerate an environment that reads its energies by contraction
+    if env.n > MAX_TABLE_SPINS:
         raise CapabilityError(
             f"exact state enumeration is not available at n={env.n}; use Monte Carlo"
         )
     return env.energies(np.arange(1 << env.n, dtype=np.uint64))
+
+
+def _state_average(
+    env: Environment,
+    term: Callable[[np.ndarray, float, np.ndarray], None],
+    parameters: Sequence[float],
+    samples: int = 0,
+    streams: ReplicaStreams | None = None,
+) -> list[tuple[float, float]]:
+    """Mean and standard error over states of ``term(inverse_holds, x, out)``,
+    which writes one bounded value per state into ``out``, for each x of
+    ``parameters``: over ``samples`` uniform starts from ``streams.walk``, one
+    draw for every x, or else exactly over all 2^n states (standard error 0).
+    The inverse holds time_scale / tau = exp(log time scale - beta*H) are
+    computed in place of the energies, saturating to inf."""
+    if samples:
+        energies = env.energies(_uniform_starts(env.n, samples, streams.walk))
+    else:
+        energies = _all_energies(env)
+    averages = []
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        energies *= env.beta
+        inverse_holds = np.exp(np.subtract(env.log_time_scale, energies, out=energies), out=energies)
+        out = np.empty_like(inverse_holds)
+        for x in parameters:
+            term(inverse_holds, x, out)
+            stderr = float(out.std(ddof=1) / math.sqrt(out.size)) if samples > 1 else 0.0
+            averages.append((float(out.mean()), stderr))
+    return averages
+
+
+def _survival_terms(inverse_holds: np.ndarray, v: float, out: np.ndarray) -> None:
+    """exp(-v * time_scale / tau), the chance that the hold outlasts v time scales."""
+    np.exp(np.multiply(inverse_holds, -v, out=out), out=out)
 
 
 def estimate_initial_term(
@@ -639,27 +669,19 @@ def estimate_initial_term(
         raise ParameterValidationError(f"thresholds must be nonnegative; got {list(v_values)}")
     if not exact and (streams is None or samples < 1):
         raise ParameterValidationError("Monte Carlo mode needs streams and samples >= 1")
+    positive = [v for v in v_values if v > 0]
+    if exact:
+        averages = iter(_state_average(env, _survival_terms, positive))
+    else:
+        averages = (
+            _state_average(env, _survival_terms, [v], samples, streams)[0] for v in positive
+        )
     count = (1 << env.n) if exact else samples
-    enumerated = None
     out = []
     for v in v_values:
-        if v == 0:
-            out.append(InitialTermEstimate(v=0.0, value=1.0, stderr=0.0, samples=count, exact=exact))
-            continue
-        if exact:
-            if enumerated is None:  # once for the whole grid
-                enumerated = _inverse_holds(env, _all_energies(env))
-            inverse_holds = enumerated
-        else:
-            bits = _uniform_starts(env.n, samples, streams.walk)
-            inverse_holds = _inverse_holds(env, env.energies(bits))
-        with np.errstate(over="ignore"):
-            terms = np.exp(-v * inverse_holds)
-        stderr = float(terms.std(ddof=1) / math.sqrt(count)) if not exact and count > 1 else 0.0
+        value, stderr = next(averages) if v > 0 else (1.0, 0.0)
         out.append(
-            InitialTermEstimate(
-                v=float(v), value=float(terms.mean()), stderr=stderr, samples=count, exact=exact
-            )
+            InitialTermEstimate(v=float(v), value=value, stderr=stderr, samples=count, exact=exact)
         )
     return out
 
@@ -667,15 +689,20 @@ def estimate_initial_term(
 # ---------------------------------------------------------------------------
 # truncated mean of a single rescaled jump
 
+# grid points of the truncated-mean quadrature at most (8 MB per array)
+_QUADRATURE_POINTS = 1 << 20
+# max over a of P(2, a) / a, rounded up: the bound of a per-state term over eps
+_TRUNCATED_TERM_BOUND = 0.2985
+
 
 @dataclass(frozen=True)
 class TruncatedMeanEstimate:
     epsilon: float
     horizon: float
-    method: str
     mc_value: float
     mc_stderr: float
     samples: int
+    exact_value: float | None
     quadrature_value: float
     asymptotic_value: float | None
 
@@ -714,14 +741,16 @@ def truncated_mean_quadrature(env: Environment, epsilon: float, horizon: float) 
     product does not).
 
     The integral is one trapezoid sum in u = ln x on a uniform grid over
-    [-400, 30] with spacing h = min(430/1999, s/8).  The integrand is entire
+    [-400, 30] with spacing h = min(430/1999, s/2).  The integrand is entire
     in u and decays like e^{2u} on the left and e^{-e^u} on the right, so the
     sum converges geometrically in 1/h (Trefethen & Weideman, SIAM Review
-    2014); the Phi factor turns over within about s of its midpoint, which is
-    why h shrinks with s.  Against a 40-digit mpmath quadrature it is within
-    1.3e-14 relative at n = 14, 20 and 30 (beta = 3, gamma = 2.7) and within
-    5e-15 for s from 0.1 to 0.74, for eps from 1e-6 to 50.  The cost is
-    max(2000, 3440/s) evaluations.
+    2014); the Phi factor turns over within about s of its midpoint, so its
+    share of the error is about exp(-2 pi^2 s^2 / h^2), below e^-79 at
+    h = s/2.  Against a 40-digit mpmath quadrature it is within 1.3e-14
+    relative at n = 14, 20 and 30 (beta = 3, gamma = 2.7) and within 2.6e-14
+    for s from the smallest accepted to 1.5, for eps from 1e-6 to 50.  The cost is
+    max(2000, 860/s) evaluations, at most ``_QUADRATURE_POINTS``: an s below
+    860 / (``_QUADRATURE_POINTS`` - 1), about 8.2e-4, raises BudgetError.
     """
     if epsilon <= 0:
         raise ParameterValidationError(f"epsilon must be positive; got {epsilon}")
@@ -733,7 +762,10 @@ def truncated_mean_quadrature(env: Environment, epsilon: float, horizon: float) 
     gn = env.log_time_scale
     log_eps = math.log(epsilon)
     lo, hi = -400.0, 30.0
-    points = max(2000, math.ceil(8.0 * (hi - lo) / s) + 1)
+    points = max(2000, math.ceil(2.0 * (hi - lo) / s) + 1)
+    if points > _QUADRATURE_POINTS:
+        smallest = 2.0 * (hi - lo) / (_QUADRATURE_POINTS - 1)
+        raise BudgetError(f"the quadrature needs beta*sqrt(n) >= {smallest:.6g}; got {s:.6g}")
     # the spacing from the bounds, not from the grid: u[1] - u[0] carries
     # the rounding of -400 + h
     h = (hi - lo) / (points - 1)
@@ -747,6 +779,21 @@ def truncated_mean_quadrature(env: Environment, epsilon: float, horizon: float) 
     return math.exp(math.log(env.step_scale * horizon) - gn + log_value)
 
 
+def _truncated_terms(inverse_holds: np.ndarray, epsilon: float, out: np.ndarray) -> None:
+    """E[m*e; m*e <= eps] = m * P(2, eps/m) per state: m = 1/inverse hold is the
+    scaled hold mean, e the unit exponential hold integrated out, and P(2, a) =
+    1 - e^-a (1 + a).  At a = eps/m >= 1 that is m - e^-a (m + eps); below, it
+    cancels, and eps * a/2 * 1F1(2; 3; -a) gives it, 0 at a saturated m = inf."""
+    holds = np.reciprocal(inverse_holds)
+    a = np.multiply(inverse_holds, epsilon, out=out)
+    series = np.flatnonzero(a < 1.0)
+    low = a[series]
+    np.exp(np.negative(a, out=out), out=out)
+    out *= holds + epsilon
+    np.subtract(holds, out, out=out)
+    out[series] = 0.5 * epsilon * low * special.hyp1f1(2.0, 3.0, -low)
+
+
 def estimate_truncated_mean(
     env: Environment,
     eps_values: Sequence[float],
@@ -754,11 +801,14 @@ def estimate_truncated_mean(
     samples: int,
     streams: ReplicaStreams,
 ) -> list[TruncatedMeanEstimate]:
-    """Monte Carlo truncated-jump mean on an epsilon grid (common draws).
+    """Truncated-jump mean step_scale * t * E[m*e; m*e <= eps] of the sampled
+    environment on an epsilon grid, m a state's scaled hold mean and e its
+    hold, integrated out (:func:`_truncated_terms`).
 
-    The estimate is annealed: every sample redraws the energy from its exact
-    Gaussian single-state marginal, which is the measure the quadrature
-    reference integrates (``method`` is always "annealed").
+    The Monte Carlo value averages ``samples`` uniform starts, one draw for
+    the whole grid; ``exact_value`` averages all 2^n states where the energy
+    table exists, and is None past it.  Its mean over environments is the
+    annealed value that :func:`truncated_mean_quadrature` integrates.
     """
     if env.step_scale is None or not math.isfinite(env.step_scale):
         raise DegenerateScaleError("jump-count scale unavailable at these parameters")
@@ -768,24 +818,10 @@ def estimate_truncated_mean(
     if np.any(eps_arr <= 0):
         raise ParameterValidationError("epsilon values must be positive")
     scale = env.step_scale * horizon
-    root_n = math.sqrt(env.n)
-    sums = np.zeros(eps_arr.size)
-    squares = np.zeros(eps_arr.size)
-    chunk = _CHUNK_STATES
-    for lo in range(0, samples, chunk):
-        m = min(samples, lo + chunk) - lo
-        log_tau = env.beta * root_n * streams.walk.standard_normal(m)
-        draws = streams.noise.standard_exponential(m)
-        with np.errstate(over="ignore"):
-            vals = np.exp(log_tau - env.log_time_scale) * draws
-        for j, eps in enumerate(eps_arr):
-            kept = np.where(vals <= eps, vals, 0.0)
-            sums[j] += kept.sum()
-            squares[j] += (kept * kept).sum()
+    sampled = _state_average(env, _truncated_terms, eps_arr, samples, streams)
+    exact = _state_average(env, _truncated_terms, eps_arr) if env.has_energy_table else None
     out = []
-    for j, eps in enumerate(eps_arr):
-        mean = sums[j] / samples
-        var = max(squares[j] / samples - mean * mean, 0.0) * samples / (samples - 1)
+    for j, (eps, (mean, stderr)) in enumerate(zip(eps_arr, sampled)):
         asym = (
             truncated_mean_asymptotic(env.alpha, env.beta, env.gamma, float(eps), horizon)
             if env.alpha is not None and 0 < env.alpha < 1
@@ -795,10 +831,10 @@ def estimate_truncated_mean(
             TruncatedMeanEstimate(
                 epsilon=float(eps),
                 horizon=float(horizon),
-                method="annealed",
                 mc_value=float(scale * mean),
-                mc_stderr=float(scale * math.sqrt(var / samples)),
+                mc_stderr=float(scale * stderr),
                 samples=samples,
+                exact_value=None if exact is None else float(scale * exact[j][0]),
                 quadrature_value=truncated_mean_quadrature(env, float(eps), horizon),
                 asymptotic_value=asym,
             )
@@ -1099,39 +1135,33 @@ class ConditionReport:
         every row keeps the same five columns.
         """
         rows: list[list] = []
+
+        def add(quantity, x, value, stderr, samples):
+            rows.append([quantity, "" if x is None else repr(x), repr(value), repr(stderr), samples])
+
         it = self.intensity
         for u, val, se in zip(it.thresholds, it.values, it.stderrs):
-            rows.append(["nu", repr(u), repr(val), repr(se), it.samples])
-        rows.append(["nu_slope", "", repr(it.slope), repr(it.slope_se), it.samples])
+            add("nu", u, val, se, it.samples)
+        add("nu_slope", None, it.slope, it.slope_se, it.samples)
         lp = self.laplace_intensity
         for v, val, se in zip(lp.v_values, lp.values, lp.stderrs):
-            rows.append(["laplace_nu", repr(v), repr(val), repr(se), lp.samples])
-        rows.append(["laplace_nu_slope", "", repr(lp.slope), repr(lp.slope_se), lp.samples])
+            add("laplace_nu", v, val, se, lp.samples)
+        add("laplace_nu_slope", None, lp.slope, lp.slope_se, lp.samples)
         for est in self.squared_two_step:
-            rows.append(
-                ["sigma_sq_two_step", repr(est.threshold), repr(est.value), repr(est.stderr), est.samples]
-            )
+            add("sigma_sq_two_step", est.threshold, est.value, est.stderr, est.samples)
         for est in self.squared_split:
-            rows.append(
-                ["sigma_sq_split", repr(est.threshold), repr(est.value), repr(est.stderr), est.samples]
-            )
+            add("sigma_sq_split", est.threshold, est.value, est.stderr, est.samples)
         for est in self.initial_terms:
-            rows.append(["initial_term", repr(est.v), repr(est.value), repr(est.stderr), est.samples])
+            add("initial_term", est.v, est.value, est.stderr, est.samples)
         for est in self.initial_terms_exact or []:
-            rows.append(
-                ["initial_term_exact", repr(est.v), repr(est.value), repr(0.0), est.samples]
-            )
+            add("initial_term_exact", est.v, est.value, 0.0, est.samples)
         for tm in self.truncated_means:
-            rows.append(
-                ["truncated_mean", repr(tm.epsilon), repr(tm.mc_value), repr(tm.mc_stderr), tm.samples]
-            )
-            rows.append(
-                ["truncated_mean_quadrature", repr(tm.epsilon), repr(tm.quadrature_value), repr(0.0), 0]
-            )
+            add("truncated_mean", tm.epsilon, tm.mc_value, tm.mc_stderr, tm.samples)
+            if tm.exact_value is not None:
+                add("truncated_mean_exact", tm.epsilon, tm.exact_value, 0.0, 1 << self.n)
+            add("truncated_mean_quadrature", tm.epsilon, tm.quadrature_value, 0.0, 0)
             if tm.asymptotic_value is not None:
-                rows.append(
-                    ["truncated_mean_asymptotic", repr(tm.epsilon), repr(tm.asymptotic_value), repr(0.0), 0]
-                )
+                add("truncated_mean_asymptotic", tm.epsilon, tm.asymptotic_value, 0.0, 0)
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["quantity", "u_or_v_or_eps", "estimate", "stderr", "samples"])
@@ -1145,6 +1175,19 @@ def _closed_form_check(pairs) -> dict:
     for value, oracle in pairs:
         rel = max(rel, abs(value - oracle) / (abs(oracle) if oracle != 0 else 1.0))
     return {"max_relative_error": rel, "status": ladder(rel, 1e-12, 1e-12)}
+
+
+def _floored_z(rows) -> dict:
+    """z verdict of Monte Carlo state averages against their exact values, from
+    rows (estimate, stderr, samples, exact value, bound) of per-state terms in
+    [0, bound].  Their variance is at most (bound - mean) * mean (Bhatia &
+    Davis, Amer. Math. Monthly 2000); that floors the yardstick where the
+    sample variance collapses on rare states."""
+    z = 0.0
+    for value, stderr, samples, exact, bound in rows:
+        floor = math.sqrt((bound - exact) * exact / samples)
+        z = max(z, z_score(value, exact, max(stderr, floor)))
+    return {"z": z, "status": z_status(z)}
 
 
 def degenerate_laplace_check(env: Environment, estimate: LaplaceIntensityEstimate) -> dict:
@@ -1193,7 +1236,7 @@ def build_condition_report(
         for route in ("two-step", "split")
     )
     initial = estimate_initial_term(env, v_grid, samples, streams)
-    initial_exact = estimate_initial_term(env, v_grid, exact=True) if _can_enumerate(env) else None
+    initial_exact = estimate_initial_term(env, v_grid, exact=True) if env.has_energy_table else None
     # the truncated-jump mean lives on the jump-count scale, which does not
     # exist at beta = 0 (or once it overflows); skip it there instead of failing
     if env.step_scale is not None and math.isfinite(env.step_scale):
@@ -1220,19 +1263,15 @@ def build_condition_report(
         z_sq = max(z_sq, z_score(ea.value, eb.value, math.hypot(ea.stderr, eb.stderr)))
     verdicts["squared_tail_routes"] = {"z": z_sq, "status": z_status(z_sq)}
     if initial_exact is not None:
-        z_init = 0.0
-        for mc, ex in zip(initial, initial_exact):
-            # the averaged terms live in [0, 1], so under agreement the spread
-            # is at most binomial; that floors the yardstick at rare-event grid
-            # points where the sample variance collapses
-            floor = math.sqrt(ex.value * (1.0 - ex.value) / mc.samples)
-            z_init = max(z_init, z_score(mc.value, ex.value, max(mc.stderr, floor)))
-        verdicts["initial_term"] = {"z": z_init, "status": z_status(z_init)}
-    if truncated:
-        z_tm = 0.0
-        for tm in truncated:
-            z_tm = max(z_tm, z_score(tm.mc_value, tm.quadrature_value, tm.mc_stderr))
-        verdicts["truncated_mean"] = {"z": z_tm, "status": z_status(z_tm)}
+        verdicts["initial_term"] = _floored_z(
+            (mc.value, mc.stderr, mc.samples, ex.value, 1.0) for mc, ex in zip(initial, initial_exact)
+        )
+    if truncated and env.has_energy_table:
+        verdicts["truncated_mean"] = _floored_z(
+            (tm.mc_value, tm.mc_stderr, tm.samples, tm.exact_value,
+             env.step_scale * horizon * _TRUNCATED_TERM_BOUND * tm.epsilon)
+            for tm in truncated
+        )
 
     if env.beta == 0.0:
         # every estimator has a closed form here; cross-check them all

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy import stats
 
 from clockproc import conditions
@@ -30,6 +31,7 @@ from clockproc.conditions import (
 from clockproc.chain import mixing_check
 from clockproc.environment import CouplingTensor, Environment
 from clockproc.errors import (
+    BudgetError,
     DegenerateScaleError,
     ParameterValidationError,
 )
@@ -421,15 +423,76 @@ def test_initial_term_beta_zero_closed_form():
 # --- truncated single-jump mean -------------------------------------------
 
 
-def test_truncated_mean_monte_carlo_matches_quadrature():
+def test_truncated_mean_monte_carlo_matches_exact_average():
     env = Environment.create(8, 3, 3.0, 2.7, seed=5)
     ests = estimate_truncated_mean(
         env, [0.05, 0.1, 0.2], 1.0, 100_000, ReplicaStreams.from_seed(12)
     )
     for est in ests:
-        assert est.method == "annealed"
         assert est.quadrature_value is not None
-        assert abs(est.mc_value - est.quadrature_value) < 3.0 * est.mc_stderr
+        assert abs(est.mc_value - est.exact_value) < 3.0 * est.mc_stderr
+
+
+def _truncated_term_mpmath(m, epsilon):
+    """E[m*e; m*e <= eps] for a unit exponential e, by 30-digit quadrature of
+    m * x * e^-x over x <= eps/m; the tail past x = 1000 is below e^-990."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        if m == math.inf:
+            return 0.0
+        a = mp.mpf(epsilon) / mp.mpf(m)
+        upper = a if a < 1000 else mp.inf
+        cuts = [0, upper] if upper < 1 else [0, 1, upper]
+        return float(mp.mpf(m) * mp.quad(lambda x: x * mp.exp(-x), cuts))
+
+
+def _truncated_term(m, epsilon):
+    """The estimator's per-state term at one hold mean m (inverse hold 1/m)."""
+    out = np.empty(1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        conditions._truncated_terms(np.array([1.0 / m]), epsilon, out)
+    return float(out[0])
+
+
+@pytest.mark.parametrize("epsilon", [1e-3, 0.2, 50.0])
+def test_truncated_term_matches_the_defining_integral(epsilon):
+    # hold means from 1e-300 to 1e300, a few either side of a = eps/m = 1,
+    # where the closed form hands over to the series, and a saturated hold
+    means = [10.0**k for k in range(-300, 301, 25)]
+    means += [epsilon * f for f in (0.5, 0.999, 1.0, 1.001, 2.0)] + [math.inf]
+    for m in means:
+        want = _truncated_term_mpmath(m, epsilon)
+        assert _truncated_term(m, epsilon) == pytest.approx(want, rel=1e-12, abs=0.0), m
+
+
+@given(
+    log_m=st.floats(-300.0, 300.0),
+    log_eps=st.floats(-6.0, 6.0),
+    saturated=st.booleans(),
+)
+def test_truncated_term_lies_between_zero_and_its_bound(log_m, log_eps, saturated):
+    """0 <= m * P(2, eps/m) <= max_a P(2, a)/a * eps, the bound of the se floor."""
+    epsilon = 10.0**log_eps
+    term = _truncated_term(math.inf if saturated else 10.0**log_m, epsilon)
+    assert 0.0 <= term <= conditions._TRUNCATED_TERM_BOUND * epsilon
+
+
+def test_truncated_mean_exact_value_averages_to_the_quadrature():
+    """Averaged over environments, the exact quenched truncated mean is the
+    annealed one that the quadrature integrates: 300 environments at n = 10."""
+    family = StreamFamily(17, "truncated-environments")
+    eps_grid = [0.05, 0.2]
+    exact = np.array([
+        [est.exact_value for est in estimate_truncated_mean(
+            Environment.create(10, 3, 3.0, 2.7, seed=family.seed_for(i)),
+            eps_grid, 1.0, 2, family.replica(i),
+        )]
+        for i in range(300)
+    ])
+    env = Environment.create(10, 3, 3.0, 2.7, seed=family.seed_for(0))
+    for eps, values in zip(eps_grid, exact.T):
+        quadrature = truncated_mean_quadrature(env, eps, 1.0)
+        assert abs(values.mean() - quadrature) <= 4.0 * values.std(ddof=1) / math.sqrt(300)
 
 
 def test_truncated_mean_quadrature_monotone_in_epsilon():
@@ -437,6 +500,10 @@ def test_truncated_mean_quadrature_monotone_in_epsilon():
     values = [truncated_mean_quadrature(env, e, 1.0) for e in (0.02, 0.05, 0.1, 0.2, 0.5)]
     assert all(v > 0 for v in values)
     assert all(b > a for a, b in zip(values, values[1:]))
+
+
+# spacing s/2 over [-400, 30] fills the point budget at this s = beta*sqrt(n)
+SMALLEST_S = 2 * 430 / (conditions._QUADRATURE_POINTS - 1)
 
 
 def _truncated_mean_mpmath(env, epsilon, horizon):
@@ -466,12 +533,20 @@ def _truncated_mean_mpmath(env, epsilon, horizon):
     # over [-400, 30] misses 1e-12 at s <= 0.2 unless eps puts the turn
     # where e^{-x} has already killed the integrand
     + [(0.05, 4, 0.002, 1e-6), (0.05, 4, 0.002, 0.2), (0.1, 4, 0.005, 0.05)]
-    + [(0.1, 4, 0.005, 50.0), (0.3, 6, 0.05, 1e-6), (0.3, 6, 0.05, 0.2)],
+    + [(0.1, 4, 0.005, 50.0), (0.3, 6, 0.05, 1e-6), (0.3, 6, 0.05, 0.2)]
+    # the smallest s the point budget accepts, where the grid is largest
+    + [(SMALLEST_S / 2 * (1 + 1e-9), 4, SMALLEST_S**2 / 8, eps) for eps in (1e-6, 0.2, 50.0)],
 )
 def test_truncated_mean_quadrature_against_high_precision(beta, n, gamma, eps):
     env = Environment.degenerate(n, 3, beta, gamma)
     got = truncated_mean_quadrature(env, eps, 2.0)
     assert got == pytest.approx(_truncated_mean_mpmath(env, eps, 2.0), rel=1e-12, abs=0.0)
+
+
+def test_truncated_mean_quadrature_refuses_a_grid_past_its_budget():
+    env = Environment.degenerate(4, 3, SMALLEST_S / 2 * 0.99, SMALLEST_S**2 / 8)
+    with pytest.raises(BudgetError, match=f"{SMALLEST_S:.6g}"):
+        truncated_mean_quadrature(env, 0.2, 1.0)
 
 
 def test_truncated_mean_asymptotic_slope_identity():

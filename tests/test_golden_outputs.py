@@ -6,9 +6,9 @@ at one and two threads and compares the SHA-256 of every data file it writes
 digests recorded from a reference build.  The manifest's verdict block is
 hashed too, so a change in any status, statistic or derived scale shows up.
 The concentration estimator, which no subcommand runs, is pinned by the
-digest of its whole report, and the initial-term and transform-intensity
-estimates by theirs on both energy paths (the golden configs above only
-reach the table path, in chunks of at least 2^n states).  Each case's
+digest of its whole report, and the initial-term, truncated-mean and
+transform-intensity estimates by theirs on both energy paths (the golden
+configs above only reach the table path, in chunks of at least 2^n states).  Each case's
 provenance -- its command, the manifest's artifact records and its resolved
 config -- is pinned by digest as well.
 A refactor that is meant to leave the numbers alone must leave these digests
@@ -28,6 +28,7 @@ from clockproc.conditions import (
     concentration_diagnostic,
     estimate_initial_term,
     estimate_intensity_laplace,
+    estimate_truncated_mean,
     plain,
 )
 from clockproc.environment import Environment
@@ -244,6 +245,24 @@ def test_initial_terms_match_recorded_digest(table, contracted):
     monte_carlo = estimate_initial_term(env, v_grid, 5000, streams)
     document = json.dumps(plain([exact, monte_carlo]), sort_keys=True)
     expected = INITIAL_TERM_TABLE_DIGEST if table else INITIAL_TERM_CONTRACTION_DIGEST
+    assert _sha(document.encode()) == expected
+
+
+# truncated-mean estimates, serialised with sorted keys: on the table path
+# with their exact values, on the contraction path (past the table) without
+TRUNCATED_MEAN_CONTRACTION_DIGEST = "bf9ebfe3a863fb9dc4c3e8271dde0dfb47d746afc8a9098add776c86d88a1989"
+TRUNCATED_MEAN_TABLE_DIGEST = "5e1f92f52aa25268a00bdee5d99306e6a5e28252b56030b8e9b1530bcc6b1860"
+
+
+@pytest.mark.parametrize("table", [False, True])
+def test_truncated_means_match_recorded_digest(table, contracted):
+    env = create_env() if table else contracted(create_env)
+    estimates = estimate_truncated_mean(
+        env, [0.05, 0.1, 0.2], 1.0, 5000, ReplicaStreams.from_seed(SEED)
+    )
+    assert all((est.exact_value is not None) == table for est in estimates)
+    document = json.dumps(plain(estimates), sort_keys=True)
+    expected = TRUNCATED_MEAN_TABLE_DIGEST if table else TRUNCATED_MEAN_CONTRACTION_DIGEST
     assert _sha(document.encode()) == expected
 
 
