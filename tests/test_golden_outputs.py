@@ -133,9 +133,9 @@ EXPECTED = {
         "verdicts": "223e853d3b55b0aea71ec0d96904f77c29ab345d6e1728b5c9ea6a7b8adcc969",
     }),
     "conditions": (3, {
-        "conditions.csv": "031b7166a052480fef497f778a7aaa45dde5cb52f74a19fdac6a15396bfc53ae",
-        "conditions.json": "b90960f72b0e693c9395d996ec34e94b3b65a4623c541faa4a3ff53f9d0809e5",
-        "verdicts": "81351158b3bde867b7e67e75ee02d885b62dfd1763feaef3824e7d3d2a8dad2e",
+        "conditions.csv": "7efdb9ac0427fa3ca4078b857c445be45d88ad5866fa9b7ce5e61df6a0e9d58a",
+        "conditions.json": "7c62721d5b670b9048539c67d7651ecb3f42f533f8f8c38b293b469b79759152",
+        "verdicts": "462fe188428ec37618410998407558fd76a6300d282055232059b1f1ff711dc3",
     }),
     "conditions-flat": (0, {
         "conditions.csv": "ec5d6e6291970bc3f156f6703da79da69e5d6a04a440268806a0918a054790a9",
