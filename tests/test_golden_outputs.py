@@ -8,9 +8,9 @@ hashed too, so a change in any status, statistic or derived scale shows up.
 The concentration estimator, which no subcommand runs, is pinned by the
 digest of its whole report, and the initial-term, truncated-mean and
 transform-intensity estimates by theirs on both energy paths (the golden
-configs above only reach the table path, in chunks of at least 2^n states).  Each case's
-provenance -- its command, the manifest's artifact records and its resolved
-config -- is pinned by digest as well.
+configs above only reach the table path, in chunks of at least 2^n states).
+Each case's provenance -- its command, the manifest's artifact records and
+its resolved config -- is pinned by digest as well.
 A refactor that is meant to leave the numbers alone must leave these digests
 alone; a change that moves a Monte Carlo value on purpose updates them and
 says so.
