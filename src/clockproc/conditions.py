@@ -27,12 +27,17 @@ Estimator conventions used throughout:
 * all randomness is drawn from a :class:`~clockproc.seeding.ReplicaStreams`
   pair (walk stream for moves and starts, noise stream for waiting times), so
   every estimate is reproducible from the stream seeds alone.
-* a chunk of walks that holds at least 2^n states of a table-backed
-  environment reads per-state tables gathered by state, with the bits of
-  the per-state computation: the block sums gather the 2^n scaled holds
-  exp(beta*H - log time scale), built once per call, and the block Laplace
-  transform gathers, for each v, the 2^n terms logaddexp(0, log v + beta*H -
-  log time scale) of the fold in :func:`conditional_block_laplace`.
+* walks are drawn, gathered and folded in row blocks of at most
+  ``_GATHER_STATES`` states (a whole chunk past the energy table), and no
+  output depends on that size; ``_CHUNK_STATES`` groups only the transform
+  moments' running sums and, past the table, the contracted energies;
+* walk states read per-state tables gathered by state, with the bits of the
+  per-state computation, wherever at least 2^n states read a table of a
+  table-backed environment: the block sums gather the 2^n scaled holds
+  exp(beta*H - log time scale), built once per call that walks 2^n states,
+  and the block Laplace transform gathers, for each v, the 2^n terms
+  logaddexp(0, log v + beta*H - log time scale) of the fold in
+  :func:`conditional_block_laplace`, built once per chunk that holds 2^n.
 
 Two deliberately redundant routes exist for the correlated-square statistic
 (two-step kernel versus split one-step products); consistency between routes
@@ -98,15 +103,16 @@ __all__ = [
     "resolve_block_count",
 ]
 
-# Chunking constant for batched walks (states held in memory at once).  The
-# walk states, the waiting-time draws and each sample's block sum do not depend
-# on it: starts are drawn before the chunk loop, and each stream's draws
-# concatenate across chunks as one draw would.  Running sums over samples do:
-# the transform moments add one partial sum per chunk, so their last digits
-# move with it.  It is fixed for that reason.
+# States per chunk of the transform's samples.  Each chunk adds one partial
+# sum per v to the transform moments, so their last digits move with it; past
+# the energy table a chunk is also one row block, the batch its energies are
+# contracted in, and their last bits move with that batch.  It is fixed for
+# those reasons.
 _CHUNK_STATES = 4_000_000
 
-# states gathered at once by the term-table fold, a slice of rows at a time
+# States per row block, the unit in which a table-backed environment's walks
+# are drawn, gathered and folded: the walk and noise streams fill in row
+# order, so no output depends on it, and it bounds the memory a walk takes
 _GATHER_STATES = 1 << 16
 
 
@@ -121,12 +127,14 @@ def _iter_block_states(
     presteps: int = 0,
     starts: np.ndarray | None = None,
 ) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Yield ``(lo, hi, states)`` over chunks of ``count`` independent block walks.
+    """Yield ``(lo, hi, states)`` over row blocks of ``count`` independent block walks.
 
     Sample i walks ``presteps`` moves from its start, then its block covers
     the next ``block_length`` visited states; ``states`` holds the packed
-    blocks of samples lo..hi-1, shape (hi-lo, block_length).  Starts default
-    to uniform (the stationary law).  Consumes only the walk stream.
+    blocks of samples lo..hi-1, shape (hi-lo, block_length).  A row block
+    walks at most ``_GATHER_STATES`` states (at least one row), or
+    ``_CHUNK_STATES`` past the energy table.  Starts default to uniform (the
+    stationary law).  Consumes only the walk stream.
     """
     window_steps = presteps + env.block_length - 1
     if starts is None:
@@ -135,18 +143,20 @@ def _iter_block_states(
         starts = np.asarray(starts, dtype=np.uint64)
         if starts.shape != (count,):
             raise ParameterValidationError("starts must be a vector of length `count`")
-    chunk = max(1, _CHUNK_STATES // (window_steps + 1))
-    for lo in range(0, count, chunk):
-        hi = min(count, lo + chunk)
+    block = _GATHER_STATES if env.has_energy_table else _CHUNK_STATES
+    rows = max(1, block // (window_steps + 1))
+    for lo in range(0, count, rows):
+        hi = min(count, lo + rows)
         # no name here holds the walk, so the caller frees it by dropping ``states``
         yield lo, hi, index_walk(env.n, starts[lo:hi], window_steps, streams.walk)[:, presteps:]
 
 
-def _folds_by_table(env: Environment, states: np.ndarray) -> bool:
-    """Whether a chunk of walk states reads a per-state table of 2^n entries:
-    the energies are tabulated and the chunk holds at least 2^n states, so the
-    table costs less than computing its terms state by state."""
-    return env.has_energy_table and states.size >= 1 << env.n
+def _folds_by_table(env: Environment, states: int) -> bool:
+    """Whether ``states`` walk states read a per-state table of 2^n entries
+    built for them: the energies are tabulated and there are at least 2^n
+    of them, so the table costs less than computing their terms state by
+    state."""
+    return env.has_energy_table and states >= 1 << env.n
 
 
 def _scaled_holds(env: Environment, energies: np.ndarray) -> np.ndarray:
@@ -167,23 +177,24 @@ def _block_sums(
     """Scaled sums exp(beta*H - log time scale) * e over the blocks of
     :func:`_iter_block_states`, waiting times from the noise stream.
 
-    Chunks that :func:`_folds_by_table` admits gather each state's scaled hold
-    from a table of the 2^n values exp(beta*H - log time scale), built once
-    per call; other chunks compute them from the states' energies.  Either way
-    each hold takes the same operations in the same order, so the sums are
-    bit-identical, and a chunk holds one window of holds and one of draws.
+    A call whose ``count`` blocks :func:`_folds_by_table` admits gathers each
+    state's scaled hold from a table of the 2^n values exp(beta*H - log time
+    scale), built once; other calls compute them from the states' energies.
+    Either way each hold takes the same operations in the same order, so the
+    sums are bit-identical.  Each row block is walked, drawn and summed on
+    its own, so beyond the sums a call holds the table and one row block.
     """
     if count < 1:
         raise ParameterValidationError(f"sample count must be >= 1; got {count}")
     sums = np.empty(count)
     hold_table = None
+    if _folds_by_table(env, count * env.block_length):
+        hold_table = _scaled_holds(env, _all_energies(env))
     for lo, hi, states in _iter_block_states(env, count, streams, presteps, starts):
-        if _folds_by_table(env, states):
-            if hold_table is None:
-                hold_table = _scaled_holds(env, _all_energies(env))
-            holds = hold_table[states.view(np.int64)]
-        else:
+        if hold_table is None:
             holds = _scaled_holds(env, env.energies(states))
+        else:
+            holds = hold_table[states.view(np.int64)]
         del states
         draws = streams.noise.standard_exponential((hi - lo, env.block_length))
         draws *= holds
@@ -436,8 +447,8 @@ def conditional_block_laplace(env: Environment, energies, v: float):
     This is the reference fold.  The transform estimator folds through it
     on the chunks that :func:`_folds_by_table` turns down: past the energy
     table (n > ``MAX_TABLE_SPINS``) and on chunks of fewer than 2^n states.
-    The chunks it admits gather the same terms from a per-v table instead,
-    with identical bits, under the rule the block sums' hold table follows.
+    The chunks it admits gather the same terms from per-v tables instead,
+    with identical bits.
     """
     if v < 0:
         raise ParameterValidationError(f"transform argument must be nonnegative; got {v}")
@@ -449,50 +460,69 @@ def conditional_block_laplace(env: Environment, energies, v: float):
     return float(out) if arr.ndim == 1 else out
 
 
-def _table_folds(env: Environment, v_values: Sequence[float], states: np.ndarray):
-    """:func:`conditional_block_laplace` of each positive v over a chunk of
-    walk states, read from a table of the 2^n terms logaddexp(0, log v +
-    beta*H - log time scale) gathered by state (for chunks that
-    :func:`_folds_by_table` admits, the rule :func:`_block_sums` shares).
+def _table_folds(env: Environment, v_values: Sequence[float], blocks: list[np.ndarray]):
+    """:func:`conditional_block_laplace` of each positive v over a chunk's
+    walk, given as row blocks of uint32 states, read from tables of the 2^n
+    terms logaddexp(0, log v + beta*H - log time scale) gathered by state.
 
     Each term takes the reference fold's operations in its order, and each
     row's gathered terms are summed over the same contiguous block, so the
-    result is bit-identical.  One term buffer serves every v, and one buffer
-    of ``_GATHER_STATES`` states takes the rows a slice at a time.
+    result is bit-identical.  The tables of as many v as fit in the bytes of
+    the chunk's states are held at once, so that each row block is widened
+    to gather indices once for all of them.
     """
     scaled = _all_energies(env)
     scaled *= env.beta
-    terms = np.empty_like(scaled)
-    index = states.view(np.int64)
-    rows = max(1, _GATHER_STATES // states.shape[-1])
-    gathered = np.empty((min(rows, len(states)), states.shape[-1]))
-    for v in v_values:
-        np.add(scaled, math.log(v), out=terms)
-        terms -= env.log_time_scale
-        np.logaddexp(0.0, terms, out=terms)
-        folds = np.empty(len(states))
-        for lo in range(0, len(states), rows):
-            part = gathered[: min(rows, len(states) - lo)]
-            # indices are in range; any mode but "raise" gathers straight into ``out``
-            np.take(terms, index[lo : lo + rows], out=part, mode="clip")
-            np.exp(-part.sum(axis=-1), out=folds[lo : lo + len(part)])
-        yield folds
+    group = max(1, sum(block.nbytes for block in blocks) // scaled.nbytes)
+    tables = np.empty((min(group, len(v_values)), scaled.size))
+    rows = sum(len(block) for block in blocks)
+    gathered = np.empty(blocks[0].shape)
+    index = np.empty(blocks[0].shape, dtype=np.intp)
+    for first in range(0, len(v_values), group):
+        grouped = v_values[first : first + group]
+        for terms, v in zip(tables, grouped):
+            np.add(scaled, math.log(v), out=terms)
+            terms -= env.log_time_scale
+            np.logaddexp(0.0, terms, out=terms)
+        folds = [np.empty(rows) for _ in grouped]
+        lo = 0
+        for block in blocks:
+            part, states = gathered[: len(block)], index[: len(block)]
+            np.copyto(states, block)
+            for terms, fold in zip(tables, folds):
+                # indices are in range; any mode but "raise" gathers straight into ``out``
+                np.take(terms, states, out=part, mode="clip")
+                np.exp(-part.sum(axis=-1), out=fold[lo : lo + len(block)])
+            lo += len(block)
+        yield from folds
 
 
 def _conditional_transform_moments(
     env: Environment, v_values: Sequence[float], samples: int, streams: ReplicaStreams
 ):
+    """Means and standard deviations over ``samples`` uniform-start blocks of
+    :func:`conditional_block_laplace` for each v, with running sums that add
+    one partial sum per chunk of ``_CHUNK_STATES`` states.  A chunk that
+    :func:`_folds_by_table` admits holds its walk as uint32 states, one row
+    block at a time, for :func:`_table_folds`; another holds its energies."""
+    theta = env.block_length
     sums = np.zeros(len(v_values))
     squares = np.zeros(len(v_values))
     lows = np.full(len(v_values), np.inf)
     highs = np.full(len(v_values), -np.inf)
-    for _, _, states in _iter_block_states(env, samples, streams):
-        if _folds_by_table(env, states):
-            folds = _table_folds(env, v_values, states)
+    starts = _uniform_starts(env.n, samples, streams.walk)
+    chunk = max(1, _CHUNK_STATES // theta)
+    for lo in range(0, samples, chunk):
+        part = starts[lo : lo + chunk]
+        walk = _iter_block_states(env, len(part), streams, starts=part)
+        if _folds_by_table(env, len(part) * theta):
+            folds = _table_folds(env, v_values, [states.astype(np.uint32) for *_, states in walk])
         else:
-            energies = env.energies(states)
-            folds = (conditional_block_laplace(env, energies, v) for v in v_values)
-        del states
+            energies = [env.energies(states) for *_, states in walk]
+            folds = (
+                np.concatenate([conditional_block_laplace(env, block, v) for block in energies])
+                for v in v_values
+            )
         for j, g in enumerate(folds):
             sums[j] += g.sum()
             squares[j] += (g * g).sum()
@@ -703,7 +733,7 @@ class TruncatedMeanEstimate:
     mc_stderr: float
     samples: int
     exact_value: float | None
-    quadrature_value: float
+    quadrature_value: float | None
     asymptotic_value: float | None
 
 
@@ -808,7 +838,8 @@ def estimate_truncated_mean(
     The Monte Carlo value averages ``samples`` uniform starts, one draw for
     the whole grid; ``exact_value`` averages all 2^n states where the energy
     table exists, and is None past it.  Its mean over environments is the
-    annealed value that :func:`truncated_mean_quadrature` integrates.
+    annealed value that :func:`truncated_mean_quadrature` integrates;
+    ``quadrature_value`` is None below the quadrature's smallest beta*sqrt(n).
     """
     if env.step_scale is None or not math.isfinite(env.step_scale):
         raise DegenerateScaleError("jump-count scale unavailable at these parameters")
@@ -820,6 +851,11 @@ def estimate_truncated_mean(
     scale = env.step_scale * horizon
     sampled = _state_average(env, _truncated_terms, eps_arr, samples, streams)
     exact = _state_average(env, _truncated_terms, eps_arr) if env.has_energy_table else None
+    try:
+        quadrature = [truncated_mean_quadrature(env, float(eps), horizon) for eps in eps_arr]
+    except BudgetError:
+        # the annealed reference only; the quenched estimate does not need it
+        quadrature = [None] * len(eps_arr)
     out = []
     for j, (eps, (mean, stderr)) in enumerate(zip(eps_arr, sampled)):
         asym = (
@@ -835,7 +871,7 @@ def estimate_truncated_mean(
                 mc_stderr=float(scale * stderr),
                 samples=samples,
                 exact_value=None if exact is None else float(scale * exact[j][0]),
-                quadrature_value=truncated_mean_quadrature(env, float(eps), horizon),
+                quadrature_value=quadrature[j],
                 asymptotic_value=asym,
             )
         )
@@ -1159,7 +1195,8 @@ class ConditionReport:
             add("truncated_mean", tm.epsilon, tm.mc_value, tm.mc_stderr, tm.samples)
             if tm.exact_value is not None:
                 add("truncated_mean_exact", tm.epsilon, tm.exact_value, 0.0, 1 << self.n)
-            add("truncated_mean_quadrature", tm.epsilon, tm.quadrature_value, 0.0, 0)
+            if tm.quadrature_value is not None:
+                add("truncated_mean_quadrature", tm.epsilon, tm.quadrature_value, 0.0, 0)
             if tm.asymptotic_value is not None:
                 add("truncated_mean_asymptotic", tm.epsilon, tm.asymptotic_value, 0.0, 0)
         with open(path, "w", newline="") as fh:

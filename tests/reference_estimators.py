@@ -8,7 +8,7 @@ from the same streams and folds each state's energy through
 ``conditional_block_laplace``, so it checks the derived term tables the
 package folds large chunks through.  ``per_state_block_sums`` walks the
 same blocks in one piece and scales each state's hold from its own energy,
-so it checks the hold tables and the chunking of ``_block_sums``.
+so it checks the hold tables and the row blocks of ``_block_sums``.
 ``uint64_index_walk`` draws the flip sites as uint64 and builds the path
 out of place, as ``index_walk`` once did.  ``sample_path`` draws one
 truncated subordinator path on [0, horizon], the oracle path of the

@@ -134,6 +134,28 @@ def test_conditions_degenerate_environment_passes_cleanly(tmp_path):
     assert code == {"pass": 0, "warn": 2, "fail": 3}[manifest["overall"]]
 
 
+def test_conditions_runs_to_a_verdict_below_the_quadrature_budget(tmp_path):
+    """At beta*sqrt(n) = 4e-4, below the smallest the annealed quadrature
+    accepts, the run still grades the quenched truncated mean against its
+    exact value and only leaves the quadrature rows out."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "model": {"n": 4, "beta": 0.0002, "gamma": 2e-8},
+        "budgets": {"samples": 2000},
+        "grids": {"u_grid": [14.0, 17.0, 20.0]},
+        "overrides": {"block_count": 3},
+    }))
+    outdir = tmp_path / "out"
+    code = main(["conditions", "--config", str(cfg_path), "--out", str(outdir)])
+    assert code in (0, 2, 3)
+    assert "truncated_mean" in load_manifest(outdir)["verdicts"]
+    quantities = [row[0] for row in read_rows(outdir / "conditions.csv")]
+    assert "truncated_mean_exact" in quantities
+    assert "truncated_mean_quadrature" not in quantities
+    report = json.loads((outdir / "conditions.json").read_text())
+    assert all(tm["quadrature_value"] is None for tm in report["truncated_means"])
+
+
 def test_conditions_reruns_are_byte_identical(tmp_path):
     cfg_path = write_config(tmp_path / "cfg.json", block_count=5)
     first, second = tmp_path / "a", tmp_path / "b"

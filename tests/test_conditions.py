@@ -282,12 +282,14 @@ def keyed_starts(n, count):
 
 
 # (environment given the ``contracted`` fixture, chunk state limit, samples,
-# presteps, whether chunks read the hold table); the first four mirror
-# TRANSFORM_FOLD_CASES, "split" walks one move before each block from given
-# starts, as the split route of the correlated square does
+# presteps, whether the call reads the hold table); the first four mirror
+# TRANSFORM_FOLD_CASES, except that a call reads the table once it walks 2^n
+# states, so "direct" walks 9 blocks of 104 states, 936 < 2^10; "split" walks
+# one move before each block from given starts, as the split route of the
+# correlated square does
 BLOCK_SUM_CASES = {
     "derived": (lambda contracted: reference_env(), 5000, 500, 0, True),
-    "direct": (lambda contracted: reference_env(), 900, 100, 0, False),
+    "direct": (lambda contracted: reference_env(), 900, 9, 0, False),
     "beta-zero": (lambda contracted: unit_env(), 5000, 300, 0, True),
     "contraction": (lambda contracted: contracted(reference_env), 5000, 500, 0, False),
     "saturating": (lambda contracted: saturating_env(), 5000, 500, 0, True),
@@ -309,48 +311,112 @@ def test_block_sums_equal_the_per_state_oracle_bit_for_bit(case, contracted, mon
     )
     sums = _block_sums(env, samples, ReplicaStreams.from_seed(37), presteps, starts)
     assert sums.tobytes() == reference.tobytes()
-    # the hold table is built once per call, however many chunks read it
+    # the hold table is built once per call, however many row blocks read it
     assert len(tables) == int(by_table)
     if case == "saturating":
         assert np.isinf(sums).any() and np.isfinite(sums).any()
 
 
 def test_block_sums_do_not_depend_on_the_chunk_size(monkeypatch):
-    """Chunks below 2^n states (per-state holds) and above it (the hold
-    table) give the same sums."""
+    """Neither the chunk size nor the hold table moves a sum: the first 9 of
+    700 blocks, which read the hold table, equal the 9 blocks of a call that
+    walks fewer than 2^n states and so computes each hold from its energy,
+    under chunks of 900 and 50,000 states."""
     env = reference_env()
+    starts = keyed_starts(env.n, 700)
+    assert 9 * env.block_length < 1 << env.n <= 700 * env.block_length
     runs = []
     for chunk_states in (900, 50_000):
         monkeypatch.setattr(conditions, "_CHUNK_STATES", chunk_states)
-        runs.append(_block_sums(env, 700, ReplicaStreams.from_seed(43)))
-    assert np.array_equal(runs[0], runs[1])
+        runs.append(_block_sums(env, 700, ReplicaStreams.from_seed(43), starts=starts)[:9])
+        runs.append(_block_sums(env, 9, ReplicaStreams.from_seed(43), starts=starts[:9]))
+    assert all(np.array_equal(runs[0], run) for run in runs[1:])
+
+
+# (environment given the ``contracted`` fixture, presteps) of the row-block
+# size checks; the transform walks no move before its blocks, so "split"
+# checks the block sums only
+ROW_BLOCK_CASES = {
+    "table": (lambda contracted: reference_env(), 0),
+    "contraction": (lambda contracted: contracted(reference_env), 0),
+    "saturating": (lambda contracted: saturating_env(), 0),
+    "split": (lambda contracted: reference_env(), 1),
+}
+
+
+# row blocks of one row, of 5 rows (4 with a move before each block), which
+# divide neither the 48 rows of a 5,000-state chunk at n = 10 nor its ragged
+# last chunk, and of more rows than a chunk holds
+@pytest.mark.parametrize("gather_states", [1, 520, 10_000])
+@pytest.mark.parametrize("case", sorted(ROW_BLOCK_CASES))
+def test_no_output_depends_on_the_row_block_size(case, gather_states, contracted, monkeypatch):
+    monkeypatch.setattr(conditions, "_CHUNK_STATES", 5000)
+    monkeypatch.setattr(conditions, "_GATHER_STATES", gather_states)
+    make_env, presteps = ROW_BLOCK_CASES[case]
+    env = make_env(contracted)
+    samples = 500
+    starts = keyed_starts(env.n, samples) if presteps else None
+    reference = per_state_block_sums(env, samples, ReplicaStreams.from_seed(37), presteps, starts)
+    sums = _block_sums(env, samples, ReplicaStreams.from_seed(37), presteps, starts)
+    assert sums.tobytes() == reference.tobytes()
+    if presteps:
+        return
+    v_grid = [0.1, 1.0, 10.0, 100.0]
+    reference = folded_transform_moments(env, v_grid, samples, ReplicaStreams.from_seed(23))
+    moments = _conditional_transform_moments(env, v_grid, samples, ReplicaStreams.from_seed(23))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(moments, reference))
+
+
+def traced_peak(run) -> int:
+    """Bytes that ``run()`` allocates at its peak, above what it starts with."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def memory_env():
+    env = Environment.create(14, 3, 3.0, 2.7, seed=5)
+    env.energies(0)  # builds the energy table before tracing starts
+    return env
+
+
+def test_block_sums_peak_memory_grows_only_by_the_per_sample_vectors():
+    """Ten times the samples cost the block sums their starts and sums, 16
+    bytes a sample, and nothing of the walk: it is drawn and summed one row
+    block at a time, and one block of 8-byte values bounds what else moves."""
+    env = memory_env()
+    small, large = 2000, 20_000  # 408,000 and 4,080,000 walk states
+    peaks = [
+        traced_peak(lambda: _block_sums(env, count, ReplicaStreams.from_seed(29)))
+        for count in (small, large)
+    ]
+    assert peaks[1] - peaks[0] <= (large - small) * 16 + conditions._GATHER_STATES * 8
 
 
 def test_table_fold_peak_memory_stays_within_the_walk_window():
-    """A chunk folded through term tables allocates no more at its peak than
-    the block sums of the same walks, which the walk window bounds."""
-    env = Environment.create(18, 3, 3.0, 2.7, seed=5)
-    env.energies(0)  # builds the energy table before tracing starts
-    samples = 1000  # one chunk of 337,000 states, above 2^18
-    assert samples * env.block_length >= 1 << env.n
+    """The transform holds a chunk's walk as 4-byte states, the scaled
+    energies and one term table per v (2^n doubles each), per-sample vectors
+    (the starts, and per chunk row one fold per v and one square), one row
+    block of gathered terms and their 8-byte indices, and 64 KiB of the
+    interpreter's own objects (the list of row blocks among them)."""
+    env = memory_env()
+    samples = 20_000  # a chunk of 19,607 blocks of 204 states, and a ragged one
     v_grid = [1.0, 1.78, 3.16, 5.62, 10.0, 17.8, 31.6, 56.2, 100.0]
-    peaks = []
-    tracemalloc.start()
-    try:
-        for run in (
-            lambda: _block_sums(env, samples, ReplicaStreams.from_seed(29)),
-            lambda: estimate_intensity_laplace(
-                env, None, v_grid, samples, ReplicaStreams.from_seed(29), block_count=1
-            ),
-        ):
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            run()
-            peaks.append(tracemalloc.get_traced_memory()[1] - base)
-    finally:
-        tracemalloc.stop()
-    block_sums_peak, transform_peak = peaks
-    assert transform_peak <= 1.05 * block_sums_peak
+    peak = traced_peak(
+        lambda: estimate_intensity_laplace(
+            env, None, v_grid, samples, ReplicaStreams.from_seed(29), block_count=1
+        )
+    )
+    rows = conditions._CHUNK_STATES // env.block_length
+    walk = rows * env.block_length * 4
+    tables = (len(v_grid) + 1) * (1 << env.n) * 8
+    per_sample = samples * 8 + (len(v_grid) + 1) * rows * 8
+    block = conditions._GATHER_STATES * 16
+    assert peak <= walk + tables + per_sample + block + (1 << 16)
 
 
 def test_laplace_intensity_rescaled_values_monotone():
