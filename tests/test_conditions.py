@@ -344,9 +344,8 @@ ROW_BLOCK_CASES = {
 }
 
 
-# row blocks of one row, of 5 rows (4 with a move before each block), which
-# divide neither the 48 rows of a 5,000-state chunk at n = 10 nor its ragged
-# last chunk, and of more rows than a chunk holds
+# row blocks of one row, of 5 rows, which do not divide the 48 rows of a
+# 5,000-state chunk at n = 10, and of 96 rows, more than a chunk holds
 @pytest.mark.parametrize("gather_states", [1, 520, 10_000])
 @pytest.mark.parametrize("case", sorted(ROW_BLOCK_CASES))
 def test_no_output_depends_on_the_row_block_size(case, gather_states, contracted, monkeypatch):
