@@ -447,12 +447,6 @@ def _run_aging(cfg: ExperimentConfig, args) -> tuple[dict, list[_Output]]:
         "untrapped",
     ]
     outputs.append(_table("traps.csv", header, rows, "aging-trap", [0], "one row per block"))
-    verdicts["trap_blocks"] = {
-        "untrapped_blocks": int(sum(r.untrapped for r in reports)),
-        "reentered_blocks": int(sum(r.reentered for r in reports)),
-        "blocks": _TRAP_BLOCKS,
-        "status": "pass",
-    }
     if args.dump_trajectory:
         outputs.append(_trajectory(env, segment, "aging-trap"))
     verdicts["_environment"] = _environment_record(env, start) | {"status": "pass"}

@@ -59,18 +59,8 @@ import numpy as np
 from scipy import special
 
 from .chain import index_walk, mixing_check, simulate_segment
-from .environment import (
-    MAX_TABLE_SPINS,
-    CouplingTensor,
-    Environment,
-    validate_parameters,
-)
-from .errors import (
-    BudgetError,
-    CapabilityError,
-    DegenerateScaleError,
-    ParameterValidationError,
-)
+from .environment import CouplingTensor, Environment, validate_parameters
+from .errors import BudgetError, DegenerateScaleError, ParameterValidationError
 from .parallel import ordered_map
 from .seeding import ReplicaStreams, StreamFamily
 from .verdicts import SLOPE_WINDOW, ladder, slope_status, worst, z_score, z_status
@@ -627,47 +617,55 @@ class InitialTermEstimate:
     value: float
     stderr: float
     samples: int
-    exact: bool
+    exact_value: float | None
 
 
 def _all_energies(env: Environment) -> np.ndarray:
-    """Energies of every state, in state order."""
-    # a bound on n, not ``has_energy_table``: an exact initial term may also
-    # enumerate an environment that reads its energies by contraction
-    if env.n > MAX_TABLE_SPINS:
-        raise CapabilityError(
-            f"exact state enumeration is not available at n={env.n}; use Monte Carlo"
-        )
+    """Energies of every state, in state order, of a table-backed environment."""
     return env.energies(np.arange(1 << env.n, dtype=np.uint64))
+
+
+def _inverse_holds(env: Environment, energies: np.ndarray) -> np.ndarray:
+    """time_scale / tau = exp(log time scale - beta*H) of ``energies``, in
+    place, saturating to inf."""
+    energies *= env.beta
+    return np.exp(np.subtract(env.log_time_scale, energies, out=energies), out=energies)
 
 
 def _state_average(
     env: Environment,
     term: Callable[[np.ndarray, float, np.ndarray], None],
-    parameters: Sequence[float],
-    samples: int = 0,
-    streams: ReplicaStreams | None = None,
-) -> list[tuple[float, float]]:
-    """Mean and standard error over states of ``term(inverse_holds, x, out)``,
+    grid: Sequence[float],
+    samples: int,
+    streams: ReplicaStreams,
+) -> list[tuple[float, float, float | None]]:
+    """``(mean, stderr, exact)`` over states of ``term(inverse_holds, x, out)``,
     which writes one bounded value per state into ``out``, for each x of
-    ``parameters``: over ``samples`` uniform starts from ``streams.walk``, one
-    draw for every x, or else exactly over all 2^n states (standard error 0).
-    The inverse holds time_scale / tau = exp(log time scale - beta*H) are
-    computed in place of the energies, saturating to inf."""
-    if samples:
-        energies = env.energies(_uniform_starts(env.n, samples, streams.walk))
-    else:
-        energies = _all_energies(env)
-    averages = []
+    ``grid``.  The mean and standard error are over ``samples`` uniform
+    starts from ``streams.walk``, one draw for every x.  ``exact`` averages
+    all 2^n states where the energy table exists, and is None past it; that
+    pass writes each x's terms into one 2^n buffer, one row block of
+    ``_GATHER_STATES`` states at a time."""
+    sampled = env.energies(_uniform_starts(env.n, samples, streams.walk))
+    out = np.empty_like(sampled)
+    moments = []
+    exact = [None] * len(grid)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        energies *= env.beta
-        inverse_holds = np.exp(np.subtract(env.log_time_scale, energies, out=energies), out=energies)
-        out = np.empty_like(inverse_holds)
-        for x in parameters:
-            term(inverse_holds, x, out)
-            stderr = float(out.std(ddof=1) / math.sqrt(out.size)) if samples > 1 else 0.0
-            averages.append((float(out.mean()), stderr))
-    return averages
+        _inverse_holds(env, sampled)
+        for x in grid:
+            term(sampled, x, out)
+            stderr = float(out.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
+            moments.append((float(out.mean()), stderr))
+        if env.has_energy_table:
+            del sampled, out
+            inverse_holds = _inverse_holds(env, _all_energies(env))
+            terms = np.empty_like(inverse_holds)
+            for j, x in enumerate(grid):
+                for lo in range(0, terms.size, _GATHER_STATES):
+                    hi = lo + _GATHER_STATES
+                    term(inverse_holds[lo:hi], x, terms[lo:hi])
+                exact[j] = float(terms.mean())
+    return [(mean, stderr, value) for (mean, stderr), value in zip(moments, exact)]
 
 
 def _survival_terms(inverse_holds: np.ndarray, v: float, out: np.ndarray) -> None:
@@ -678,40 +676,34 @@ def _survival_terms(inverse_holds: np.ndarray, v: float, out: np.ndarray) -> Non
 def estimate_initial_term(
     env: Environment,
     v_values: Sequence[float],
-    samples: int = 0,
-    streams: ReplicaStreams | None = None,
-    exact: bool = False,
+    samples: int,
+    streams: ReplicaStreams,
 ) -> list[InitialTermEstimate]:
     """Probability that the rescaled starting hold exceeds v, from a uniform
     start, for every v of the grid.
 
     The exponential hold is integrated out exactly, leaving the average of
-    exp(-v * time_scale * exp(-beta*H)) over states: all of the hypercube
-    when ``exact`` (needs n <= ``MAX_TABLE_SPINS``, so that the states enumerate),
-    otherwise a uniform Monte Carlo sample.  The exact mode enumerates the
-    states once for the whole grid; the Monte Carlo mode draws its own
-    ``samples`` uniform starts for each positive v, in grid order.  A v of 0
-    gives 1 without drawing.  Values near 0 mean the starting hold is
-    negligible on the observation scale; only starts whose hold mean is
-    comparable to the whole observation window contribute at all.
+    exp(-v * time_scale * exp(-beta*H)) over states.  The Monte Carlo value
+    averages ``samples`` uniform starts, one draw for the whole grid;
+    ``exact_value`` averages all 2^n states where the energy table exists,
+    and is None past it.  A v of 0 gives 1.  Values near 0 mean the starting
+    hold is negligible on the observation scale; only starts whose hold mean
+    is comparable to the whole observation window contribute at all.
     """
     if any(v < 0 for v in v_values):
         raise ParameterValidationError(f"thresholds must be nonnegative; got {list(v_values)}")
-    if not exact and (streams is None or samples < 1):
-        raise ParameterValidationError("Monte Carlo mode needs streams and samples >= 1")
+    if samples < 1:
+        raise ParameterValidationError(f"sample count must be >= 1; got {samples}")
     positive = [v for v in v_values if v > 0]
-    if exact:
-        averages = iter(_state_average(env, _survival_terms, positive))
-    else:
-        averages = (
-            _state_average(env, _survival_terms, [v], samples, streams)[0] for v in positive
-        )
-    count = (1 << env.n) if exact else samples
+    averages = iter(_state_average(env, _survival_terms, positive, samples, streams))
+    one = (1.0, 0.0, 1.0 if env.has_energy_table else None)
     out = []
     for v in v_values:
-        value, stderr = next(averages) if v > 0 else (1.0, 0.0)
+        value, stderr, exact = next(averages) if v > 0 else one
         out.append(
-            InitialTermEstimate(v=float(v), value=value, stderr=stderr, samples=count, exact=exact)
+            InitialTermEstimate(
+                v=float(v), value=value, stderr=stderr, samples=samples, exact_value=exact
+            )
         )
     return out
 
@@ -849,15 +841,14 @@ def estimate_truncated_mean(
     if np.any(eps_arr <= 0):
         raise ParameterValidationError("epsilon values must be positive")
     scale = env.step_scale * horizon
-    sampled = _state_average(env, _truncated_terms, eps_arr, samples, streams)
-    exact = _state_average(env, _truncated_terms, eps_arr) if env.has_energy_table else None
+    averages = _state_average(env, _truncated_terms, eps_arr, samples, streams)
     try:
         quadrature = [truncated_mean_quadrature(env, float(eps), horizon) for eps in eps_arr]
     except BudgetError:
         # the annealed reference only; the quenched estimate does not need it
         quadrature = [None] * len(eps_arr)
     out = []
-    for j, (eps, (mean, stderr)) in enumerate(zip(eps_arr, sampled)):
+    for j, (eps, (mean, stderr, exact)) in enumerate(zip(eps_arr, averages)):
         asym = (
             truncated_mean_asymptotic(env.alpha, env.beta, env.gamma, float(eps), horizon)
             if env.alpha is not None and 0 < env.alpha < 1
@@ -870,7 +861,7 @@ def estimate_truncated_mean(
                 mc_value=float(scale * mean),
                 mc_stderr=float(scale * stderr),
                 samples=samples,
-                exact_value=None if exact is None else float(scale * exact[j][0]),
+                exact_value=None if exact is None else float(scale * exact),
                 quadrature_value=quadrature[j],
                 asymptotic_value=asym,
             )
@@ -1151,7 +1142,6 @@ class ConditionReport:
     squared_two_step: list[SquaredTailEstimate]
     squared_split: list[SquaredTailEstimate]
     initial_terms: list[InitialTermEstimate]
-    initial_terms_exact: list[InitialTermEstimate] | None
     truncated_means: list[TruncatedMeanEstimate]
     verdicts: dict = field(default_factory=dict)
     overall: str = "pass"
@@ -1189,8 +1179,9 @@ class ConditionReport:
             add("sigma_sq_split", est.threshold, est.value, est.stderr, est.samples)
         for est in self.initial_terms:
             add("initial_term", est.v, est.value, est.stderr, est.samples)
-        for est in self.initial_terms_exact or []:
-            add("initial_term_exact", est.v, est.value, 0.0, est.samples)
+        for est in self.initial_terms:
+            if est.exact_value is not None:
+                add("initial_term_exact", est.v, est.exact_value, 0.0, 1 << self.n)
         for tm in self.truncated_means:
             add("truncated_mean", tm.epsilon, tm.mc_value, tm.mc_stderr, tm.samples)
             if tm.exact_value is not None:
@@ -1273,7 +1264,6 @@ def build_condition_report(
         for route in ("two-step", "split")
     )
     initial = estimate_initial_term(env, v_grid, samples, streams)
-    initial_exact = estimate_initial_term(env, v_grid, exact=True) if env.has_energy_table else None
     # the truncated-jump mean lives on the jump-count scale, which does not
     # exist at beta = 0 (or once it overflows); skip it there instead of failing
     if env.step_scale is not None and math.isfinite(env.step_scale):
@@ -1299,9 +1289,9 @@ def build_condition_report(
     for ea, eb in zip(squared_a, squared_b):
         z_sq = max(z_sq, z_score(ea.value, eb.value, math.hypot(ea.stderr, eb.stderr)))
     verdicts["squared_tail_routes"] = {"z": z_sq, "status": z_status(z_sq)}
-    if initial_exact is not None:
+    if env.has_energy_table:
         verdicts["initial_term"] = _floored_z(
-            (mc.value, mc.stderr, mc.samples, ex.value, 1.0) for mc, ex in zip(initial, initial_exact)
+            (est.value, est.stderr, est.samples, est.exact_value, 1.0) for est in initial
         )
     if truncated and env.has_energy_table:
         verdicts["truncated_mean"] = _floored_z(
@@ -1345,7 +1335,6 @@ def build_condition_report(
         squared_two_step=squared_a,
         squared_split=squared_b,
         initial_terms=initial,
-        initial_terms_exact=initial_exact,
         truncated_means=truncated,
         verdicts=verdicts,
         overall=worst(entry["status"] for entry in verdicts.values()),

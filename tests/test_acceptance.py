@@ -192,11 +192,15 @@ def test_criterion_04_flat_chain_closed_forms():
         worst_rel = max(worst_rel, rel)
         assert rel <= 1e-12
 
-    # initial-hold survival is exactly exp(-v * time scale)
+    # initial-hold survival is exactly exp(-v * time scale), over all states
+    # and over a Monte Carlo draw alike
     v_grid = (0.1, 1.0, 10.0)
-    for v, est in zip(v_grid, estimate_initial_term(env, v_grid, exact=True)):
+    initial = estimate_initial_term(
+        env, v_grid, 500, StreamFamily(CANONICAL_SEED, "flat-initial").replica(0)
+    )
+    for v, est in zip(v_grid, initial):
         expected = math.exp(-v * scale)
-        for got in (degenerate_initial_term(env, v), est.value):
+        for got in (degenerate_initial_term(env, v), est.exact_value, est.value):
             assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     elapsed = time.perf_counter() - t0

@@ -384,8 +384,8 @@ def test_aging_run_layout_and_flags(tmp_path):
 
     manifest = load_manifest(outdir)
     assert "aging_order" in manifest["verdicts"]
-    assert "trap_blocks" in manifest["verdicts"]
-    assert manifest["verdicts"]["trap_blocks"]["blocks"] == 8
+    # the trap diagnostics are a report in traps.csv, not a verdict
+    assert "trap_blocks" not in manifest["verdicts"]
 
 
 def test_subordinator_self_test_layout_and_thread_invariance(tmp_path):

@@ -453,36 +453,87 @@ def test_laplace_intensity_beta_zero_closed_form():
 
 def test_initial_term_trivial_and_validation():
     env = Environment.create(8, 3, 3.0, 2.7, seed=5)
-    (est,) = estimate_initial_term(env, [0.0], exact=True)
-    assert est.value == 1.0 and est.stderr == 0.0
+    (est,) = estimate_initial_term(env, [0.0], 10, ReplicaStreams.from_seed(1))
+    assert est.value == 1.0 and est.stderr == 0.0 and est.exact_value == 1.0
     with pytest.raises(ParameterValidationError):
-        estimate_initial_term(env, [-1.0], exact=True)
+        estimate_initial_term(env, [-1.0], 10, ReplicaStreams.from_seed(1))
     with pytest.raises(ParameterValidationError):
-        estimate_initial_term(env, [1.0])  # MC mode without streams
+        estimate_initial_term(env, [1.0], 0, ReplicaStreams.from_seed(1))
 
 
 def test_initial_term_exact_vs_monte_carlo():
     env = Environment.create(8, 3, 3.0, 2.7, seed=5)
-    for v in (0.1, 1.0):
-        (ex,) = estimate_initial_term(env, [v], exact=True)
-        (mc,) = estimate_initial_term(env, [v], 20_000, ReplicaStreams.from_seed(23))
-        assert ex.exact and not mc.exact
-        floor = math.sqrt(ex.value * (1.0 - ex.value) / mc.samples)
-        assert abs(mc.value - ex.value) < 3.5 * max(mc.stderr, floor)
+    for est in estimate_initial_term(env, (0.1, 1.0), 20_000, ReplicaStreams.from_seed(23)):
+        assert est.exact_value is not None
+        floor = math.sqrt(est.exact_value * (1.0 - est.exact_value) / est.samples)
+        assert abs(est.value - est.exact_value) < 3.5 * max(est.stderr, floor)
 
 
 def test_initial_term_exact_monotone_in_v():
     env = Environment.create(8, 3, 3.0, 2.7, seed=5)
-    values = [est.value for est in estimate_initial_term(env, [0.1, 0.5, 1.0, 5.0], exact=True)]
+    estimates = estimate_initial_term(env, [0.1, 0.5, 1.0, 5.0], 10, ReplicaStreams.from_seed(1))
+    values = [est.exact_value for est in estimates]
     assert all(b < a for a, b in zip(values, values[1:]))
+
+
+def test_initial_term_monte_carlo_does_not_increase_in_v():
+    """One draw serves the whole v grid, and each start's exp(-v * time_scale
+    / tau) falls in v, so the Monte Carlo values cannot rise along it; one
+    draw per v lets them."""
+    env = Environment.create(8, 3, 3.0, 2.7, seed=5)
+    v_grid = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5]
+    values = [est.value for est in estimate_initial_term(env, v_grid, 200, ReplicaStreams.from_seed(3))]
+    assert all(b <= a for a, b in zip(values, values[1:]))
 
 
 def test_initial_term_beta_zero_closed_form():
     env = unit_env(n=4, gamma=0.25)  # keep exp(-v*c_n) well above underflow
-    for v, ex in zip((0.2, 1.0), estimate_initial_term(env, [0.2, 1.0], exact=True)):
-        assert ex.value == pytest.approx(degenerate_initial_term(env, v), rel=1e-12)
-        assert ex.value == pytest.approx(math.exp(-v * env.time_scale), rel=1e-12)
-        assert ex.stderr == 0.0
+    estimates = estimate_initial_term(env, [0.2, 1.0], 10, ReplicaStreams.from_seed(1))
+    for v, est in zip((0.2, 1.0), estimates):
+        assert est.exact_value == pytest.approx(degenerate_initial_term(env, v), rel=1e-12)
+        assert est.exact_value == pytest.approx(math.exp(-v * env.time_scale), rel=1e-12)
+        assert est.value == pytest.approx(est.exact_value, rel=1e-12)
+
+
+def next_draws(stream):
+    return stream.random(8).tobytes()
+
+
+@pytest.mark.parametrize("table", [False, True])
+def test_state_averages_draw_the_starts_once(table, contracted):
+    """Each state average draws its ``samples`` uniform starts from the walk
+    stream once for the whole grid, whether or not it also averages exactly,
+    and draws nothing from the noise stream: both streams then continue as
+    fresh ones do after that one draw."""
+    build = lambda: Environment.create(8, 3, 3.0, 2.7, seed=5)
+    env = build() if table else contracted(build)
+    for estimate in (
+        lambda streams: estimate_initial_term(env, [0.0, 0.1, 1.0, 10.0], 300, streams),
+        lambda streams: estimate_truncated_mean(env, [0.05, 0.1, 0.2], 1.0, 300, streams),
+    ):
+        streams, fresh = ReplicaStreams.from_seed(31), ReplicaStreams.from_seed(31)
+        estimate(streams)
+        fresh.walk.integers(0, 1 << env.n, size=300, dtype=np.uint64)
+        assert next_draws(streams.walk) == next_draws(fresh.walk)
+        assert next_draws(streams.noise) == next_draws(fresh.noise)
+
+
+def test_exact_state_average_peak_memory_is_two_state_vectors_and_a_row_block():
+    """The exact pass holds the 2^n inverse holds and one 2^n buffer of terms,
+    which it fills one row block at a time; the truncated-mean term's own
+    temporaries (the block's hold means, their sum with eps, and the indices
+    and values of the short-hold states) take at most 40 bytes a block state.
+    The Monte Carlo draw is freed before the pass, and 64 KiB covers the
+    interpreter's own objects."""
+    env = Environment.create(18, 3, 3.0, 2.7, seed=5)
+    env.energies(0)  # builds the energy table before tracing starts
+    eps_grid = [0.05, 0.1, 0.2]
+    peak = traced_peak(
+        lambda: estimate_truncated_mean(env, eps_grid, 1.0, 1000, ReplicaStreams.from_seed(29))
+    )
+    vectors = 2 * (1 << env.n) * 8
+    block = conditions._GATHER_STATES * 40
+    assert peak <= vectors + block + (1 << 16)
 
 
 # --- truncated single-jump mean -------------------------------------------

@@ -230,8 +230,8 @@ def test_concentration_report_matches_recorded_digest(threads):
     assert _sha(json.dumps(report.to_dict(), sort_keys=True).encode()) == CONCENTRATION_DIGEST
 
 
-# exact and Monte Carlo initial-term estimates, serialised with sorted keys,
-# on the contraction path and on the table path
+# initial-term estimates, serialised with sorted keys: on the table path with
+# their exact values, on the contraction path (past the table) without
 INITIAL_TERM_CONTRACTION_DIGEST = "a32f1bf80efa0c91913e9ddba0a6f37fac9e5d41212547df82949421fc142ceb"
 INITIAL_TERM_TABLE_DIGEST = "397af229cc936e807fc6d9263c272c72cfb4671b22690034deb6033848c01afb"
 
@@ -241,9 +241,9 @@ def test_initial_terms_match_recorded_digest(table, contracted):
     env = create_env() if table else contracted(create_env)
     streams = ReplicaStreams.from_seed(SEED)
     v_grid = [0.1, 1.0, 10.0, 100.0]
-    exact = estimate_initial_term(env, v_grid, exact=True)
-    monte_carlo = estimate_initial_term(env, v_grid, 5000, streams)
-    document = json.dumps(plain([exact, monte_carlo]), sort_keys=True)
+    estimates = estimate_initial_term(env, v_grid, 5000, streams)
+    assert all((est.exact_value is not None) == table for est in estimates)
+    document = json.dumps(plain(estimates), sort_keys=True)
     expected = INITIAL_TERM_TABLE_DIGEST if table else INITIAL_TERM_CONTRACTION_DIGEST
     assert _sha(document.encode()) == expected
 
