@@ -123,7 +123,7 @@ EXPECTED = {
         "aging.csv": "cd27e68e57c143fa48b589d98034a1223f9336daf330eb18f58d51c690ce3e1a",
         "aging_reference.csv": "e62bcf8688c1071852386bca06b98148fa93c0dd904f2d41f7a67b3b3083ee3e",
         "traps.csv": "b837d81057c253790d925e62805de9badd657203b12ff79636d932d711ac715f",
-        "verdicts": "987ca76d7cebd059dca63af9e4c8a0c081f2da37947b987e153bf191ef0ae051",
+        "verdicts": "620a400da62f17c08f631d9e773ede9699157469db8e7c0daacb8f1a60a3fd76",
     }),
     "clock": (0, {
         "clock.csv": "9c30e5ebee43e4c890b9aa63be0757387d6bf1a5b5129b679caadce5dd7108fa",
@@ -133,13 +133,13 @@ EXPECTED = {
         "verdicts": "223e853d3b55b0aea71ec0d96904f77c29ab345d6e1728b5c9ea6a7b8adcc969",
     }),
     "conditions": (3, {
-        "conditions.csv": "7efdb9ac0427fa3ca4078b857c445be45d88ad5866fa9b7ce5e61df6a0e9d58a",
-        "conditions.json": "7c62721d5b670b9048539c67d7651ecb3f42f533f8f8c38b293b469b79759152",
-        "verdicts": "462fe188428ec37618410998407558fd76a6300d282055232059b1f1ff711dc3",
+        "conditions.csv": "e98d9dbe7daaf6b0642afbfd630b4ac967fab772911b56739c10b7b6316d2e7e",
+        "conditions.json": "a8e6b79ed18a05599ed25a9c96d37c956047a66eddee25af8c9004403f3ec0c4",
+        "verdicts": "2c954a8c427093c53a6235285a9e5f772f4fded49819e49c6cfadb99b5b28b69",
     }),
     "conditions-flat": (0, {
         "conditions.csv": "ec5d6e6291970bc3f156f6703da79da69e5d6a04a440268806a0918a054790a9",
-        "conditions.json": "3279aea1cc40507a036afb66849ac5a65a4b91bf05ac312499d4d32d21097f0d",
+        "conditions.json": "fd3783649e4f7c681deaa7416c01367376df5f4fa76a31f024684302373bb304",
         "verdicts": "feb99eead16a503ba867156783945345ac34ccb1066eccb34b24d8464962c3ca",
     }),
     "laplace": (0, {
@@ -232,8 +232,8 @@ def test_concentration_report_matches_recorded_digest(threads):
 
 # initial-term estimates, serialised with sorted keys: on the table path with
 # their exact values, on the contraction path (past the table) without
-INITIAL_TERM_CONTRACTION_DIGEST = "a32f1bf80efa0c91913e9ddba0a6f37fac9e5d41212547df82949421fc142ceb"
-INITIAL_TERM_TABLE_DIGEST = "397af229cc936e807fc6d9263c272c72cfb4671b22690034deb6033848c01afb"
+INITIAL_TERM_CONTRACTION_DIGEST = "90e581ff5418e541e6c48d632648ce3288c74b64e6061189575fda5d781ca097"
+INITIAL_TERM_TABLE_DIGEST = "98a34e61a11874eeb1d35485ef3add2de668d4ec513f8a167527c3ce712dee04"
 
 
 @pytest.mark.parametrize("table", [False, True])
