@@ -344,8 +344,23 @@ ROW_BLOCK_CASES = {
 }
 
 
+def whole_vector_exact_averages(env, term, grid):
+    """The exact state averages with each x's terms computed over all 2^n
+    states in one call."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        inverse_holds = conditions._inverse_holds(env, conditions._all_energies(env))
+        out = np.empty_like(inverse_holds)
+        averages = []
+        for x in grid:
+            term(inverse_holds, x, out)
+            averages.append(float(out.mean()))
+        return averages
+
+
 # row blocks of one row, of 5 rows, which do not divide the 48 rows of a
-# 5,000-state chunk at n = 10, and of 96 rows, more than a chunk holds
+# 5,000-state chunk at n = 10, and of 96 rows, more than a chunk holds; the
+# exact state averages of a table-backed environment fill their 2^10 terms
+# in 1,024, 2 and 1 row blocks
 @pytest.mark.parametrize("gather_states", [1, 520, 10_000])
 @pytest.mark.parametrize("case", sorted(ROW_BLOCK_CASES))
 def test_no_output_depends_on_the_row_block_size(case, gather_states, contracted, monkeypatch):
@@ -364,6 +379,14 @@ def test_no_output_depends_on_the_row_block_size(case, gather_states, contracted
     reference = folded_transform_moments(env, v_grid, samples, ReplicaStreams.from_seed(23))
     moments = _conditional_transform_moments(env, v_grid, samples, ReplicaStreams.from_seed(23))
     assert all(a.tobytes() == b.tobytes() for a, b in zip(moments, reference))
+    if not env.has_energy_table:
+        return
+    for term, grid in (
+        (conditions._survival_terms, v_grid),
+        (conditions._truncated_terms, [0.05, 0.1, 0.2]),
+    ):
+        averages = conditions._state_average(env, term, grid, 10, ReplicaStreams.from_seed(23))
+        assert [exact for *_, exact in averages] == whole_vector_exact_averages(env, term, grid)
 
 
 def traced_peak(run) -> int:
@@ -482,7 +505,8 @@ def test_initial_term_monte_carlo_does_not_increase_in_v():
     draw per v lets them."""
     env = Environment.create(8, 3, 3.0, 2.7, seed=5)
     v_grid = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5]
-    values = [est.value for est in estimate_initial_term(env, v_grid, 200, ReplicaStreams.from_seed(3))]
+    estimates = estimate_initial_term(env, v_grid, 200, ReplicaStreams.from_seed(3))
+    values = [est.value for est in estimates]
     assert all(b <= a for a, b in zip(values, values[1:]))
 
 
@@ -505,8 +529,7 @@ def test_state_averages_draw_the_starts_once(table, contracted):
     stream once for the whole grid, whether or not it also averages exactly,
     and draws nothing from the noise stream: both streams then continue as
     fresh ones do after that one draw."""
-    build = lambda: Environment.create(8, 3, 3.0, 2.7, seed=5)
-    env = build() if table else contracted(build)
+    env = reference_env() if table else contracted(reference_env)
     for estimate in (
         lambda streams: estimate_initial_term(env, [0.0, 0.1, 1.0, 10.0], 300, streams),
         lambda streams: estimate_truncated_mean(env, [0.05, 0.1, 0.2], 1.0, 300, streams),
