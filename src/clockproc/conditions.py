@@ -11,11 +11,11 @@ observation scale, and (iv) the truncated mean of a single rescaled jump
 vanishes with the truncation level.  This module estimates (i) and (ii) by
 Monte Carlo over walks, and (iii) and (iv) as averages over the sampled
 environment's states of one bounded term per state, the exponential hold
-integrated out: over uniform Monte Carlo starts, and exactly over all 2^n
-states where the energy table exists.  It fits tail exponents, gives the
-annealed truncated mean as one trapezoid sum over its one-dimensional
-integral, and packages the lot into a report with pass / warn / fail
-verdicts.
+integrated out: over one draw of uniform starts for the whole grid, and
+exactly over all 2^n states where the energy table exists, one row block
+at a time.  It fits tail exponents, gives the annealed truncated mean as
+one trapezoid sum over its one-dimensional integral, and packages the lot
+into a report with pass / warn / fail verdicts.
 
 Estimator conventions used throughout:
 
