@@ -37,7 +37,10 @@ Estimator conventions used throughout:
   exp(beta*H - log time scale), built once per call that walks 2^n states,
   and the block Laplace transform gathers, for each v, the 2^n terms
   logaddexp(0, log v + beta*H - log time scale) of the fold in
-  :func:`conditional_block_laplace`, built once per chunk that holds 2^n.
+  :func:`conditional_block_laplace`, built once per chunk of 2^n states or
+  more; a chunk keeps its walk (as 4-byte states) only when its term
+  tables take several passes over the v grid, and otherwise folds each row
+  block as it is drawn.
 
 Two deliberately redundant routes exist for the correlated-square statistic
 (two-step kernel versus split one-step products); consistency between routes
@@ -450,40 +453,44 @@ def conditional_block_laplace(env: Environment, energies, v: float):
     return float(out) if arr.ndim == 1 else out
 
 
-def _table_folds(env: Environment, v_values: Sequence[float], blocks: list[np.ndarray]):
+def _table_folds(env: Environment, v_values: Sequence[float], walk, states: int):
     """:func:`conditional_block_laplace` of each positive v over a chunk's
-    walk, given as row blocks of uint32 states, read from tables of the 2^n
-    terms logaddexp(0, log v + beta*H - log time scale) gathered by state.
+    ``states`` walk states, given as the row blocks of
+    :func:`_iter_block_states`, read from tables of the 2^n terms
+    logaddexp(0, log v + beta*H - log time scale) gathered by state.
 
     Each term takes the reference fold's operations in its order, and each
     row's gathered terms are summed over the same contiguous block, so the
     result is bit-identical.  The tables of as many v as fit in the bytes of
-    the chunk's states are held at once, so that each row block is widened
-    to gather indices once for all of them.
+    the chunk's states as uint32 are held at once, so that each row block is
+    widened to gather indices once for all of them.  When they cover every
+    v, each row block is folded as it is drawn and then dropped; otherwise
+    the chunk's walk is kept as uint32 row blocks for the passes over the v.
     """
+    group = max(1, states * 4 // (8 << env.n))
+    if group < len(v_values):
+        walk = [(lo, hi, block.astype(np.uint32)) for lo, hi, block in walk]
     scaled = _all_energies(env)
     scaled *= env.beta
-    group = max(1, sum(block.nbytes for block in blocks) // scaled.nbytes)
     tables = np.empty((min(group, len(v_values)), scaled.size))
-    rows = sum(len(block) for block in blocks)
-    gathered = np.empty(blocks[0].shape)
-    index = np.empty(blocks[0].shape, dtype=np.intp)
+    gathered = index = None
     for first in range(0, len(v_values), group):
         grouped = v_values[first : first + group]
         for terms, v in zip(tables, grouped):
             np.add(scaled, math.log(v), out=terms)
             terms -= env.log_time_scale
             np.logaddexp(0.0, terms, out=terms)
-        folds = [np.empty(rows) for _ in grouped]
-        lo = 0
-        for block in blocks:
-            part, states = gathered[: len(block)], index[: len(block)]
-            np.copyto(states, block)
+        folds = [np.empty(states // env.block_length) for _ in grouped]
+        for lo, hi, block in walk:
+            if index is None:
+                gathered, index = np.empty(block.shape), np.empty(block.shape, dtype=np.intp)
+            part, indices = gathered[: hi - lo], index[: hi - lo]
+            np.copyto(indices, block)
+            del block
             for terms, fold in zip(tables, folds):
                 # indices are in range; any mode but "raise" gathers straight into ``out``
-                np.take(terms, states, out=part, mode="clip")
-                np.exp(-part.sum(axis=-1), out=fold[lo : lo + len(block)])
-            lo += len(block)
+                np.take(terms, indices, out=part, mode="clip")
+                np.exp(-part.sum(axis=-1), out=fold[lo:hi])
         yield from folds
 
 
@@ -493,8 +500,10 @@ def _conditional_transform_moments(
     """Means and standard deviations over ``samples`` uniform-start blocks of
     :func:`conditional_block_laplace` for each v, with running sums that add
     one partial sum per chunk of ``_CHUNK_STATES`` states.  A chunk that
-    :func:`_folds_by_table` admits holds its walk as uint32 states, one row
-    block at a time, for :func:`_table_folds`; another holds its energies."""
+    :func:`_folds_by_table` admits is folded by :func:`_table_folds`; another
+    folds each row block's energies for every v as the block is drawn.
+    Beyond a chunk's folds, one per v and sample, a chunk holds one row block
+    unless it needs several table passes."""
     theta = env.block_length
     sums = np.zeros(len(v_values))
     squares = np.zeros(len(v_values))
@@ -506,13 +515,14 @@ def _conditional_transform_moments(
         part = starts[lo : lo + chunk]
         walk = _iter_block_states(env, len(part), streams, starts=part)
         if _folds_by_table(env, len(part) * theta):
-            folds = _table_folds(env, v_values, [states.astype(np.uint32) for *_, states in walk])
+            folds = _table_folds(env, v_values, walk, len(part) * theta)
         else:
-            energies = [env.energies(states) for *_, states in walk]
-            folds = (
-                np.concatenate([conditional_block_laplace(env, block, v) for block in energies])
-                for v in v_values
-            )
+            folds = np.empty((len(v_values), len(part)))
+            for start, stop, states in walk:
+                energies = env.energies(states)
+                del states
+                for fold, v in zip(folds, v_values):
+                    fold[start:stop] = conditional_block_laplace(env, energies, v)
         for j, g in enumerate(folds):
             sums[j] += g.sum()
             squares[j] += (g * g).sum()

@@ -243,9 +243,14 @@ def reference_env():
 # (environment given the ``contracted`` fixture, chunk state limit, samples,
 # whether chunks fold through term tables); at n = 10 a block holds 104
 # states, so 5,000 states make chunks of 4,992 >= 2^10 and 900 make chunks of
-# 832 < 2^10, each with a ragged last one
+# 832 < 2^10, each with a ragged last one.  A chunk's uint32 states fit the
+# tables of 4,992 * 4 // 8,192 = 2 v at once, so "derived" takes three table
+# passes over the 6 v; "streamed" makes two 192-row chunks whose tables fit
+# 9 >= 6 v, folded as each row block is drawn, and a ragged 116-row chunk
+# whose tables fit 5 v, so it keeps its row blocks for two passes
 TRANSFORM_FOLD_CASES = {
     "derived": (lambda contracted: reference_env(), 5000, 500, True),
+    "streamed": (lambda contracted: reference_env(), 20_000, 500, True),
     "direct": (lambda contracted: reference_env(), 900, 100, False),
     "beta-zero": (lambda contracted: unit_env(), 5000, 300, True),
     "contraction": (lambda contracted: contracted(reference_env), 5000, 500, False),
@@ -360,7 +365,11 @@ def whole_vector_exact_averages(env, term, grid):
 # row blocks of one row, of 5 rows, which do not divide the 48 rows of a
 # 5,000-state chunk at n = 10, and of 96 rows, more than a chunk holds; the
 # exact state averages of a table-backed environment fill their 2^10 terms
-# in 1,024, 2 and 1 row blocks
+# in 1,024, 2 and 1 row blocks.  The transform also runs in chunks of 900
+# states, 8 rows of 832 < 2^10 states, which fold state by state, and of
+# 20,000 states, 192 rows (and a ragged 116), whose term tables cover the
+# 4 v, so each row block is folded as it is drawn; a 5,000-state chunk's
+# tables cover 2 v, so it keeps its row blocks for two passes
 @pytest.mark.parametrize("gather_states", [1, 520, 10_000])
 @pytest.mark.parametrize("case", sorted(ROW_BLOCK_CASES))
 def test_no_output_depends_on_the_row_block_size(case, gather_states, contracted, monkeypatch):
@@ -376,9 +385,12 @@ def test_no_output_depends_on_the_row_block_size(case, gather_states, contracted
     if presteps:
         return
     v_grid = [0.1, 1.0, 10.0, 100.0]
-    reference = folded_transform_moments(env, v_grid, samples, ReplicaStreams.from_seed(23))
-    moments = _conditional_transform_moments(env, v_grid, samples, ReplicaStreams.from_seed(23))
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(moments, reference))
+    for chunk_states in (900, 5000, 20_000):
+        monkeypatch.setattr(conditions, "_CHUNK_STATES", chunk_states)
+        reference = folded_transform_moments(env, v_grid, samples, ReplicaStreams.from_seed(23))
+        streams = ReplicaStreams.from_seed(23)
+        moments = _conditional_transform_moments(env, v_grid, samples, streams)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(moments, reference))
     if not env.has_energy_table:
         return
     for term, grid in (
@@ -420,25 +432,29 @@ def test_block_sums_peak_memory_grows_only_by_the_per_sample_vectors():
 
 
 def test_table_fold_peak_memory_stays_within_the_walk_window():
-    """The transform holds a chunk's walk as 4-byte states, the scaled
-    energies and one term table per v (2^n doubles each), per-sample vectors
-    (the starts, and per chunk row one fold per v and one square), one row
-    block of gathered terms and their 8-byte indices, and 64 KiB of the
-    interpreter's own objects (the list of row blocks among them)."""
+    """At n = 14 one group of term tables covers the v grid, so each row
+    block is folded as it is drawn.  The transform holds the scaled energies
+    and one term table per v (2^n doubles each), per-sample vectors (the
+    starts, and per chunk row one fold per v, one square and the last fold
+    of the chunk before), one row block of gathered terms and their 8-byte
+    indices while the next is walked (8-byte states and 4-byte flip sites),
+    and 64 KiB of the interpreter's own objects.  1 and 5 chunks of 19,607
+    blocks of 204 states, each followed by a ragged one, fit the same budget
+    but for the starts; holding a chunk's walk as 4-byte states would add
+    16 MB."""
     env = memory_env()
-    samples = 20_000  # a chunk of 19,607 blocks of 204 states, and a ragged one
     v_grid = [1.0, 1.78, 3.16, 5.62, 10.0, 17.8, 31.6, 56.2, 100.0]
-    peak = traced_peak(
-        lambda: estimate_intensity_laplace(
-            env, None, v_grid, samples, ReplicaStreams.from_seed(29), block_count=1
-        )
-    )
     rows = conditions._CHUNK_STATES // env.block_length
-    walk = rows * env.block_length * 4
     tables = (len(v_grid) + 1) * (1 << env.n) * 8
-    per_sample = samples * 8 + (len(v_grid) + 1) * rows * 8
-    block = conditions._GATHER_STATES * 16
-    assert peak <= walk + tables + per_sample + block + (1 << 16)
+    block = conditions._GATHER_STATES * 28
+    for samples in (20_000, 100_000):
+        peak = traced_peak(
+            lambda: estimate_intensity_laplace(
+                env, None, v_grid, samples, ReplicaStreams.from_seed(29), block_count=1
+            )
+        )
+        per_sample = samples * 8 + (len(v_grid) + 2) * rows * 8
+        assert peak <= tables + per_sample + block + (1 << 16)
 
 
 def test_laplace_intensity_rescaled_values_monotone():
