@@ -13,11 +13,11 @@ chunks of paths in time windows, [0, 1] first and then doubling horizons.
 A window's jumps leave the chunk's stream in one order, every count, then
 every time, then every size, and are laid out as padded (paths, jumps)
 matrices a block of rows at a time, so the matrices stay small enough for
-the cache.  Each block gives its paths' S(1), for the transform, from the
-first window, and every interval crossing in one
-:func:`crossing_probability_batch` pass.  A path stops drawing once a jump
-lands above the deepest t, since that first landing above t settles every
-(t, s) indicator.
+the cache; each block draws its rows' sizes as it fills them in.  Each
+block gives its paths' S(1), for the transform, from the first window, and
+every interval crossing in one :func:`crossing_probability_batch` pass.
+A path stops drawing once a jump lands above the deepest t, since that
+first landing above t settles every (t, s) indicator.
 """
 
 from __future__ import annotations
@@ -113,18 +113,18 @@ class SubordinatorPath:
 
 def _draw_window(
     measure: PowerLawLevyMeasure, cutoff: float, start: float, end: float, rows: int, rng
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Poisson points of ``rows`` paths on (start, end], in stream order.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Jump counts and times of ``rows`` paths on (start, end], in stream order.
 
-    The stream gives the jump counts of every row, then the uniform times,
-    then the uniform sizes.  Returns the counts and the 1-D times and sizes,
-    unsorted: row i owns the ``counts[i]`` entries after those of rows < i.
+    The stream gives the counts of every row, then the uniform times.
+    Returns the counts and the 1-D times, unsorted: row i owns the
+    ``counts[i]`` entries after those of rows < i.  The sizes come next in
+    the stream, in the same order, as ``measure.jump_sizes(cutoff, u)`` of
+    uniforms ``u``; a caller may draw them in parts, since consecutive
+    ``uniform`` calls give the doubles of one call.
     """
     counts = rng.poisson((end - start) * float(measure.tail(cutoff)), size=rows)
-    total = int(counts.sum())
-    times = rng.uniform(start, end, size=total)
-    sizes = measure.jump_sizes(cutoff, rng.uniform(size=total))
-    return counts, times, sizes
+    return counts, rng.uniform(start, end, size=int(counts.sum()))
 
 
 def extend_path(
@@ -135,7 +135,8 @@ def extend_path(
         raise ParameterValidationError(
             f"new horizon {new_horizon} must exceed the current horizon {path.horizon}"
         )
-    _, times, sizes = _draw_window(path.measure, path.cutoff, path.horizon, new_horizon, 1, rng)
+    _, times = _draw_window(path.measure, path.cutoff, path.horizon, new_horizon, 1, rng)
+    sizes = path.measure.jump_sizes(path.cutoff, rng.uniform(size=times.size))
     times.sort()
     return SubordinatorPath(
         measure=path.measure,
@@ -289,11 +290,12 @@ def self_test(
     chunk draws window [0, 1] for every path, which gives S(1), then (1, 2],
     (2, 4], ... for the paths that have not yet landed above the deepest t.
     A path's first landing above t settles every (t, s) indicator, so no
-    later jump is drawn.  A window draws its counts, times and sizes for all
-    its paths in that stream order, then builds the padded matrices and reads
-    the crossings ``_SELF_TEST_ROW_BLOCK`` rows at a time; every block's rows
-    are as long as the window's longest, so the bytes do not depend on the
-    block size.
+    later jump is drawn.  A window draws the counts and times of all its
+    paths, then builds the padded matrices and reads the crossings
+    ``_SELF_TEST_ROW_BLOCK`` rows at a time, each block drawing its rows'
+    sizes as it fills them in, so the stream gives every count, then every
+    time, then every size, whatever the block size; every block's rows are
+    as long as the window's longest, so the bytes do not depend on it.
     """
     cutoff = _SELF_TEST_CUTOFF
     deepest = int(np.argmax([t for t, _ in pairs]))  # the pair with the largest t
@@ -313,9 +315,7 @@ def self_test(
             rows = np.arange(count)  # paths that have not landed above the deepest t
             start, end = 0.0, 1.0
             while rows.size:
-                counts, jump_times, jump_sizes = _draw_window(
-                    measure, cutoff, start, end, rows.size, rng
-                )
+                counts, jump_times = _draw_window(measure, cutoff, start, end, rows.size, rng)
                 # one row length for every block keeps each row's pairwise sums
                 width = max(int(counts.max()), 1)
                 offsets = np.concatenate([[0], np.cumsum(counts)])
@@ -334,7 +334,8 @@ def self_test(
                     sizes[:, 0] = mass[block]
                     mask = np.arange(width)[None, :] < counts[lo:hi, None]
                     times[:, 1:][mask] = jump_times[offsets[lo] : offsets[hi]]
-                    sizes[:, 1:][mask] = jump_sizes[offsets[lo] : offsets[hi]]
+                    drawn = offsets[hi] - offsets[lo]
+                    sizes[:, 1:][mask] = measure.jump_sizes(cutoff, rng.uniform(size=drawn))
                     times[:, 1:].sort(axis=1)
                     if start == 0.0:
                         totals[lo:hi] = sizes[:, 1:].sum(axis=1)
