@@ -6,7 +6,6 @@ __all__ = [
     "ClockprocError",
     "DimensionMismatchError",
     "ParameterValidationError",
-    "CapabilityError",
     "SegmentLengthError",
     "HorizonError",
     "DegenerateScaleError",
@@ -24,10 +23,6 @@ class DimensionMismatchError(ClockprocError, ValueError):
 
 class ParameterValidationError(ClockprocError, ValueError):
     """Model parameters violate an admissibility bound (the message names it)."""
-
-
-class CapabilityError(ClockprocError, ValueError):
-    """Requested size exceeds what an exact/dense routine supports."""
 
 
 class SegmentLengthError(ClockprocError, ValueError):
