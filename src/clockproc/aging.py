@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import TrajectorySegment, extend_segment, process_at_time, simulate_segment
+from .chain import TrajectorySegment, block_rows, extend_segment, process_at_time, simulate_segments
 from .environment import Environment, SpinConfig, overlap, overlap_to_reference
 from .errors import BudgetError, DimensionMismatchError, ParameterValidationError
 from .parallel import ordered_map
@@ -39,25 +39,29 @@ __all__ = [
 def correlation_indicator(
     env: Environment,
     segment: TrajectorySegment,
-    t: float,
-    s: float,
+    t,
+    s,
     epsilon: float,
     time_unit: float | None = None,
-) -> int:
+):
     """1 when the segment's process keeps overlap >= 1-epsilon between the two times.
 
     Times are in units of ``time_unit`` (default: the observation time
-    scale).  Raises HorizonError when the segment is too short to place the
-    later time.
+    scale).  Arrays of t and s, of one shape, give an int64 array of
+    indicators, one per pair, read with one search of the segment's clock.
+    Raises HorizonError when the segment is too short to place a later time.
     """
-    if t < 0 or s < 0:
+    t, s = np.asarray(t, dtype=np.float64), np.asarray(s, dtype=np.float64)
+    if (t < 0).any() or (s < 0).any():
         raise ParameterValidationError("t and s must be nonnegative")
     if not 0 < epsilon <= 2:
         raise ParameterValidationError(f"epsilon must lie in (0, 2]; got {epsilon}")
     unit = env.time_scale if time_unit is None else float(time_unit)
-    x = process_at_time(segment, env, t * unit)
-    y = process_at_time(segment, env, (t + s) * unit)
-    return int(overlap(x, y) >= 1.0 - epsilon)
+    states = process_at_time(segment, env, np.array([t * unit, (t + s) * unit]))
+    if states.ndim == 1:  # one (t, s) pair
+        x, y = (SpinConfig(env.n, int(bits)) for bits in states)
+        return int(overlap(x, y) >= 1.0 - epsilon)
+    return (overlap_to_reference(states[0], states[1], env.n) >= 1.0 - epsilon).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -138,7 +142,12 @@ def estimate_aging_curve(
     for exploratory runs), simulates until its clock passes the
     latest requested time (from four times the expected number of steps to
     reach it, doubling the segment, which extends the existing path rather
-    than resampling it), and contributes one indicator per (t, s) pair.  If
+    than resampling it), and reads its indicators of every (t, s) pair in
+    one :func:`correlation_indicator` call.  The first segments are drawn in
+    row blocks of :func:`~clockproc.chain.block_rows` replicas, one block per
+    work item of ``threads``, and only the replicas that fall short are
+    extended; each replica draws from its own streams, so the curve does
+    not depend on the block size or ``threads``.  If
     already the expected number of steps exceeds ``step_cap``, the run
     refuses upfront with a budget error;
     individual replicas that still hit the cap (required step counts are
@@ -178,22 +187,26 @@ def estimate_aging_curve(
     if start is not None and start.n != env.n:
         raise DimensionMismatchError(f"start has n={start.n}; environment has n={env.n}")
 
-    def worker(i: int):
-        streams = family.replica(i)
-        segment = simulate_segment(env, start, first_steps, streams)
-        while segment.horizon <= needed and segment.steps < step_cap:
-            extra = min(segment.steps, step_cap - segment.steps)
-            segment = extend_segment(env, segment, extra, streams)
+    times = np.array(pair_list)
+    later = times.sum(axis=1) * unit
+    rows = block_rows(env, first_steps)
+
+    def worker(b: int):
+        streams = [family.replica(i) for i in range(b * rows, min(replicas, (b + 1) * rows))]
         hits = np.zeros(len(pair_list), dtype=np.int64)
         valid = np.zeros(len(pair_list), dtype=np.int64)
-        for j, (t, s) in enumerate(pair_list):
-            if (t + s) * unit >= segment.horizon:
-                continue  # censored at the step cap
-            valid[j] = 1
-            hits[j] = correlation_indicator(env, segment, t, s, epsilon, time_unit=unit)
+        for replica, segment in zip(streams, simulate_segments(env, start, first_steps, streams)):
+            while segment.horizon <= needed and segment.steps < step_cap:
+                extra = min(segment.steps, step_cap - segment.steps)
+                segment = extend_segment(env, segment, extra, replica)
+            reached = later < segment.horizon  # the rest are censored at the step cap
+            valid += reached
+            hits[reached] += correlation_indicator(
+                env, segment, times[reached, 0], times[reached, 1], epsilon, time_unit=unit
+            )
         return hits, valid
 
-    results = ordered_map(worker, replicas, threads)
+    results = ordered_map(worker, -(-replicas // rows), threads)
     hits = np.sum([r[0] for r in results], axis=0)
     valid = np.sum([r[1] for r in results], axis=0)
     estimates, stderrs, predicted, ratios = [], [], [], []

@@ -4,9 +4,11 @@ The jump chain is simple random walk: each step flips one uniformly chosen
 spin.  The clock process attaches to every visited state an exponential
 waiting time scaled by the holding time tau of that state; aggregating the
 rescaled clock over fixed-length blocks yields the jump sizes whose tail
-statistics the conditions module estimates.  ``simulate_segment`` is the one
-place a trajectory is drawn: it takes a given start or draws the stationary
-(uniform) one, and ``extend_segment`` continues it with the same streams.
+statistics the conditions module estimates.  ``simulate_segments`` is the one
+place trajectories are drawn: a row block of replicas at a time, each from
+its own streams, with ``simulate_segment`` as its one-row case.  It takes a
+given start or draws the stationary (uniform) one, and ``extend_segment``
+continues a segment with the same streams through the same row path.
 
 The exact mixing check runs on Hamming-distance classes in exact integer
 arithmetic, so it covers every supported n.
@@ -33,12 +35,29 @@ __all__ = [
     "TrajectorySegment",
     "ClockPath",
     "MixingReport",
+    "block_rows",
+    "simulate_segments",
     "simulate_segment",
     "extend_segment",
     "blocked_clock",
     "process_at_time",
     "mixing_check",
 ]
+
+# a row block of segments holds about this many visited states: their packed
+# states, energies, exponentials, holds and clock, 40 bytes a state
+SEGMENT_BLOCK_STATES = 1 << 14
+
+
+def _walk(states: np.ndarray, flips: np.ndarray) -> np.ndarray:
+    """Fill in place the paths whose starts ``states[..., 0]`` holds, from
+    their (..., steps) uint32 flip sites; returns ``states``."""
+    moves = states[..., 1:]
+    np.left_shift(np.uint64(1), flips, out=moves)
+    np.bitwise_xor.accumulate(moves, axis=-1, out=moves)
+    moves ^= states[..., :1]
+    return states
+
 
 def index_walk(n: int, start_bits, steps: int, walk_rng: np.random.Generator) -> np.ndarray:
     """Packed-state SRW paths of ``steps`` steps, each including its start.
@@ -54,11 +73,7 @@ def index_walk(n: int, start_bits, steps: int, walk_rng: np.random.Generator) ->
     if steps:
         # below 2^32, NumPy draws bounded uint32 and uint64 by the same 32-bit
         # Lemire path, so the sites and the stream's state match a uint64 draw
-        flips = walk_rng.integers(0, n, size=starts.shape + (steps,), dtype=np.uint32)
-        moves = states[..., 1:]
-        np.left_shift(np.uint64(1), flips, out=moves)
-        np.bitwise_xor.accumulate(moves, axis=-1, out=moves)
-        moves ^= starts[..., None]
+        _walk(states, walk_rng.integers(0, n, size=starts.shape + (steps,), dtype=np.uint32))
     return states
 
 
@@ -95,41 +110,72 @@ class TrajectorySegment:
         return float(self.cumulative()[-1])
 
 
-def _hold_at(env: Environment, states: np.ndarray, streams: ReplicaStreams) -> TrajectorySegment:
-    """Segment over already visited ``states``: one exponential per state, holds tau * e."""
+def _segment_rows(
+    env: Environment, starts: np.ndarray, steps: int, streams: list[ReplicaStreams], first: int
+) -> tuple[np.ndarray, ...]:
+    """(states, energies, exponentials, holds, saturated counts) of one row per
+    replica: row r walks ``steps`` steps from ``starts[r]`` with flips from
+    ``streams[r].walk``, keeps its states from column ``first`` on, and holds
+    each kept state tau * e with e from ``streams[r].noise``.  Each row draws
+    what a one-row call would, so it does not depend on the rows beside it."""
+    states = np.empty((len(streams), steps + 1), dtype=np.uint64)
+    states[:, 0] = starts
+    flips = np.array([r.walk.integers(0, env.n, size=steps, dtype=np.uint32) for r in streams])
+    states = _walk(states, flips)[:, first:]
+    del flips
     energies = env.energies(states)
-    draws = streams.noise.standard_exponential(len(states))
-    log_tau = env.beta * energies
+    # drawn by size and stacked: filling the rows through ``out=`` ran slower
+    # on pool threads
+    draws = np.array([r.noise.standard_exponential(states.shape[-1]) for r in streams])
+    holds = env.beta * energies
+    saturated = np.count_nonzero(holds > EXP_OVERFLOW, axis=-1)
     with np.errstate(over="ignore"):
-        increments = np.exp(log_tau) * draws
-    return TrajectorySegment(
-        n=env.n,
-        states=states,
-        energies=energies,
-        exp_draws=draws,
-        increments=increments,
-        saturated=int(np.count_nonzero(log_tau > EXP_OVERFLOW)),
-    )
+        np.exp(holds, out=holds)
+    holds *= draws
+    return states, energies, draws, holds, saturated
+
+
+def block_rows(env: Environment, length: int) -> int:
+    """Replicas per row block of ``length``-step segments: as many as fit in
+    ``SEGMENT_BLOCK_STATES`` states, and one past the energy table, where a
+    contracted energy depends on the batch it is contracted in."""
+    return max(1, SEGMENT_BLOCK_STATES // (length + 1)) if env.has_energy_table else 1
+
+
+def simulate_segments(
+    env: Environment, start: SpinConfig | None, length: int, streams: list[ReplicaStreams]
+) -> list[TrajectorySegment]:
+    """Run ``length`` SRW steps per replica from ``start`` and attach waiting times.
+
+    ``start=None`` draws each replica's uniform (stationary) start from its
+    walk stream before its steps.  Replica r draws its start, flips and
+    exponentials from ``streams[r]`` alone, in that order, so its segment is
+    deterministic given (env, start, its stream seeds) whatever block it is
+    drawn in.  One walk build, one energy lookup and one hold pass serve the
+    whole block; each segment sums its own clock when it is first read, which
+    ran faster on two threads than one row-wise sum over the block.  A
+    segment simulated with the same streams and a larger length extends this
+    one prefix-stably, because steps and waiting times come from separate
+    substreams.
+    """
+    if start is not None and start.n != env.n:
+        raise DimensionMismatchError(f"start has n={start.n}; environment has n={env.n}")
+    if length < 1:
+        raise ParameterValidationError(f"segment length must be >= 1; got {length}")
+    origins = [SpinConfig.random(env.n, r.walk) if start is None else start for r in streams]
+    starts = np.array([origin.bits for origin in origins], dtype=np.uint64)
+    states, energies, draws, holds, saturated = _segment_rows(env, starts, length, streams, 0)
+    return [
+        TrajectorySegment(env.n, *rows, saturated=int(count))
+        for *rows, count in zip(states, energies, draws, holds, saturated)
+    ]
 
 
 def simulate_segment(
     env: Environment, start: SpinConfig | None, length: int, streams: ReplicaStreams
 ) -> TrajectorySegment:
-    """Run ``length`` SRW steps from ``start`` and attach waiting times.
-
-    ``start=None`` draws a uniform (stationary) start from the walk stream
-    before the steps.  Deterministic given (env, start, stream seeds).  A
-    segment simulated with the same streams and a larger length extends this
-    one prefix-stably, because steps and waiting times come from separate
-    substreams.
-    """
-    if start is None:
-        start = SpinConfig.random(env.n, streams.walk)
-    elif start.n != env.n:
-        raise DimensionMismatchError(f"start has n={start.n}; environment has n={env.n}")
-    if length < 1:
-        raise ParameterValidationError(f"segment length must be >= 1; got {length}")
-    return _hold_at(env, index_walk(env.n, start.bits, length, streams.walk), streams)
+    """The one-replica case of :func:`simulate_segments`."""
+    return simulate_segments(env, start, length, [streams])[0]
 
 
 def extend_segment(
@@ -141,15 +187,16 @@ def extend_segment(
     """
     if extra < 1:
         raise ParameterValidationError(f"extension must be >= 1 steps; got {extra}")
-    last = int(segment.states[-1])
-    tail = _hold_at(env, index_walk(env.n, last, extra, streams.walk)[1:], streams)
+    states, energies, draws, holds, saturated = _segment_rows(
+        env, segment.states[-1:], extra, [streams], 1
+    )
     return TrajectorySegment(
         n=segment.n,
-        states=np.concatenate([segment.states, tail.states]),
-        energies=np.concatenate([segment.energies, tail.energies]),
-        exp_draws=np.concatenate([segment.exp_draws, tail.exp_draws]),
-        increments=np.concatenate([segment.increments, tail.increments]),
-        saturated=segment.saturated + tail.saturated,
+        states=np.concatenate([segment.states, states[0]]),
+        energies=np.concatenate([segment.energies, energies[0]]),
+        exp_draws=np.concatenate([segment.exp_draws, draws[0]]),
+        increments=np.concatenate([segment.increments, holds[0]]),
+        saturated=segment.saturated + int(saturated[0]),
     )
 
 
@@ -191,21 +238,25 @@ def blocked_clock(segment: TrajectorySegment, env: Environment, k: int) -> Clock
     )
 
 
-def process_at_time(segment: TrajectorySegment, env: Environment, t: float) -> SpinConfig:
+def process_at_time(segment: TrajectorySegment, env: Environment, t):
     """State of the time-changed process at physical time t (binary search).
 
     The process sits at visited state i for clock values in
-    [cum_{i-1}, cum_i); t = 0 returns the starting state.  Querying at or
-    beyond the segment's horizon raises HorizonError.
+    [cum_{i-1}, cum_i); t = 0 returns the starting state.  An array of times
+    is read in one search and gives the packed states as an array.
+    Querying at or beyond the segment's horizon raises HorizonError.
     """
-    if t < 0:
-        raise ParameterValidationError(f"time must be nonnegative; got {t}")
+    times = np.asarray(t, dtype=np.float64)
+    if (times < 0).any():
+        raise ParameterValidationError(f"time must be nonnegative; got {times.min()}")
     cum = segment.cumulative()
-    i = int(np.searchsorted(cum, t, side="right"))
-    if i >= len(cum):
+    i = cum.searchsorted(times, side="right")
+    if (i >= len(cum)).any():
         raise HorizonError(
-            f"time {t:.6g} is beyond the simulated horizon {segment.horizon:.6g}"
+            f"time {times.max():.6g} is beyond the simulated horizon {segment.horizon:.6g}"
         )
+    if times.ndim:
+        return segment.states[i]
     return SpinConfig(segment.n, int(segment.states[i]))
 
 

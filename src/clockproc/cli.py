@@ -62,7 +62,14 @@ from scipy import special
 
 from . import __version__
 from .aging import estimate_aging_curve, trap_localization_diagnostic
-from .chain import TrajectorySegment, blocked_clock, mixing_check, simulate_segment
+from .chain import (
+    TrajectorySegment,
+    block_rows,
+    blocked_clock,
+    mixing_check,
+    simulate_segment,
+    simulate_segments,
+)
 from .conditions import (
     build_condition_report,
     degenerate_laplace_check,
@@ -276,12 +283,16 @@ def _run_clock(cfg: ExperimentConfig, args) -> tuple[dict, list[_Output]]:
     start = _parse_start(cfg, args.start)
     family = StreamFamily(cfg.master_seed, "clock")
 
-    def worker(i: int):
-        segment = simulate_segment(env, start, k * theta, family.replica(i))
-        path = blocked_clock(segment, env, k)
-        return path.block_sums, path.initial_term
+    rows = block_rows(env, k * theta)
 
-    results = ordered_map(worker, cfg.replicas, cfg.resolved_threads())
+    def worker(b: int):
+        streams = [family.replica(i) for i in range(b * rows, min(cfg.replicas, (b + 1) * rows))]
+        segments = simulate_segments(env, start, k * theta, streams)
+        paths = [blocked_clock(segment, env, k) for segment in segments]
+        return [(path.block_sums, path.initial_term) for path in paths]
+
+    blocks = ordered_map(worker, -(-cfg.replicas // rows), cfg.resolved_threads())
+    results = [result for block in blocks for result in block]
     replicas = f"0..{cfg.replicas - 1}"
 
     def clock_rows():

@@ -132,9 +132,10 @@ def overlap(x: SpinConfig, y: SpinConfig) -> float:
     return (x.n - 2 * x.hamming(y)) / x.n
 
 
-def overlap_to_reference(states: np.ndarray, reference: int, n: int) -> np.ndarray:
-    """Vectorised overlap of packed states against one reference state."""
-    diff = np.bitwise_xor(states.astype(np.uint64), np.uint64(reference))
+def overlap_to_reference(states: np.ndarray, reference, n: int) -> np.ndarray:
+    """Vectorised overlap of packed states against one reference state, or
+    elementwise against an array of them."""
+    diff = np.bitwise_xor(states.astype(np.uint64), np.asarray(reference, dtype=np.uint64))
     return (n - 2.0 * np.bitwise_count(diff)) / n
 
 

@@ -18,6 +18,9 @@ Laplace exponent.  ``unblocked_self_test`` runs each self-test chunk as
 whole padded (paths, jumps) matrices per window, with the carried mass
 stacked on as a column and one crossing batch per window, so it checks the
 row blocks ``self_test`` builds and the stream order it draws in.
+``per_replica_aging_counts`` walks the aging replicas one at a time and
+reads one indicator per (t, s) pair, so it checks the row blocks and the
+array indicators of ``estimate_aging_curve``.
 """
 
 import math
@@ -25,7 +28,8 @@ import math
 import numpy as np
 
 from clockproc import conditions
-from clockproc.chain import index_walk
+from clockproc.aging import correlation_indicator
+from clockproc.chain import extend_segment, index_walk, simulate_segment
 from clockproc.conditions import _block_sums, conditional_block_laplace
 from clockproc.errors import BudgetError, ParameterValidationError
 from clockproc.seeding import StreamFamily, keyed_generator
@@ -209,3 +213,28 @@ def unblocked_self_test(pairs, v_grid, paths, master_seed, alphas=(0.3, 0.5, 0.7
         means = (np.sum([r[1] for r in results], axis=0) / paths).tolist()
         out.append((alpha, crossings, means))
     return out
+
+
+def per_replica_aging_counts(
+    env, pairs, epsilon, replicas, master_seed, first_steps, time_unit, step_cap, start=None
+):
+    """Hits and completions per (t, s) pair of ``estimate_aging_curve``: each
+    replica walks a ``first_steps``-step segment on its own, doubles it until
+    its clock passes the latest pair or it reaches ``step_cap``, and reads one
+    scalar indicator per pair it reached."""
+    needed = max(t + s for t, s in pairs) * time_unit
+    family = StreamFamily(master_seed, "aging")
+    hits = np.zeros(len(pairs), dtype=np.int64)
+    valid = np.zeros(len(pairs), dtype=np.int64)
+    for i in range(replicas):
+        streams = family.replica(i)
+        segment = simulate_segment(env, start, first_steps, streams)
+        while segment.horizon <= needed and segment.steps < step_cap:
+            extra = min(segment.steps, step_cap - segment.steps)
+            segment = extend_segment(env, segment, extra, streams)
+        for j, (t, s) in enumerate(pairs):
+            if (t + s) * time_unit >= segment.horizon:
+                continue  # censored at the step cap
+            valid[j] += 1
+            hits[j] += correlation_indicator(env, segment, t, s, epsilon, time_unit=time_unit)
+    return hits, valid

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from clockproc import aging
+from clockproc import aging, chain
 from clockproc.aging import (
     correlation_indicator,
     estimate_aging_curve,
@@ -22,6 +22,7 @@ from clockproc.errors import (
 )
 from clockproc.seeding import ReplicaStreams, StreamFamily
 from clockproc.subordinator import arcsine_cdf
+from reference_estimators import per_replica_aging_counts
 
 pytestmark = pytest.mark.filterwarnings("ignore:block length")
 
@@ -47,6 +48,91 @@ def test_correlation_indicator_deterministic():
     seg = simulate_segment(env, SpinConfig(6, 3), 5000, ReplicaStreams.from_seed(2))
     vals = [correlation_indicator(env, seg, 0.3, 0.7, 0.25, time_unit=1.0) for _ in range(3)]
     assert len(set(vals)) == 1
+
+
+def test_correlation_indicator_array_form_equals_scalar_calls():
+    env = Environment.create(6, 3, 2.0, 1.5, seed=4)
+    seg = simulate_segment(env, SpinConfig(6, 3), 5000, ReplicaStreams.from_seed(2))
+    rng = np.random.default_rng(8)
+    t = rng.uniform(0.0, 0.5, size=60) * seg.horizon
+    s = rng.uniform(0.0, 0.5, size=60) * seg.horizon
+    t[:3] = s[3:6] = 0.0
+    for epsilon in (0.25, 1.0):
+        scalar = [
+            correlation_indicator(env, seg, a, b, epsilon, time_unit=1.0) for a, b in zip(t, s)
+        ]
+        array = correlation_indicator(env, seg, t, s, epsilon, time_unit=1.0)
+        assert array.dtype == np.int64
+        assert array.tolist() == scalar
+        assert 0 < sum(scalar) < len(scalar)
+    assert correlation_indicator(env, seg, t[:0], s[:0], 0.25).shape == (0,)
+    with pytest.raises(HorizonError):
+        correlation_indicator(env, seg, t, s + seg.horizon, 0.25, time_unit=1.0)
+    with pytest.raises(ParameterValidationError):
+        correlation_indicator(env, seg, t, -s, 0.25, time_unit=1.0)
+
+
+# (environment, estimate_aging_curve arguments): the first extends many of
+# its replicas, the second cuts its first segment to the step cap and
+# censors the later pair there
+ORACLE_CONFIGS = {
+    "extension-heavy": (
+        lambda: Environment.create(6, 3, 2.0, 1.5, seed=9),
+        dict(
+            pairs=[(0.5, 0.5), (1.0, 2.0), (2.0, 1.0)], epsilon=0.25, time_unit=2.0,
+            step_cap=100_000_000,
+        ),
+    ),
+    "censored": (
+        lambda: Environment.degenerate(6, 3, 0.0, 0.5),
+        dict(pairs=[(1.0, 1.0), (10.0, 6.0)], epsilon=1.0, time_unit=40.0, step_cap=650),
+    ),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("layout", ["one-per-block", "ragged", "one-block"])
+@pytest.mark.parametrize("config", sorted(ORACLE_CONFIGS))
+def test_aging_curve_matches_the_per_replica_oracle(config, layout, threads, monkeypatch):
+    """Row blocks of any size, at any thread count, read the same hits and
+    completions as walking the replicas one at a time."""
+    make_env, kwargs = ORACLE_CONFIGS[config]
+    env, replicas, seed = make_env(), 40, 5
+    blocks, extensions = [], []
+
+    def recording(env, start, length, streams):
+        blocks.append((length, len(streams)))
+        return chain.simulate_segments(env, start, length, streams)
+
+    def counting(*args):
+        extensions.append(args[2])
+        return extend_segment(*args)
+
+    monkeypatch.setattr(aging, "simulate_segments", recording)
+    monkeypatch.setattr(aging, "extend_segment", counting)
+    estimate_aging_curve(env, replicas=1, master_seed=seed, **kwargs)
+    first_steps = blocks.pop()[0]
+    rows = {"one-per-block": 1, "ragged": 3, "one-block": replicas}[layout]
+    monkeypatch.setattr(chain, "SEGMENT_BLOCK_STATES", rows * (first_steps + 1))
+    curve = estimate_aging_curve(
+        env, replicas=replicas, master_seed=seed, threads=threads, **kwargs
+    )
+    ragged = [replicas % rows] if replicas % rows else []
+    assert sorted(blocks, reverse=True) == [(first_steps, rows)] * (replicas // rows) + [
+        (first_steps, count) for count in ragged
+    ]
+    # the censored config's first segments already reach the cap
+    assert bool(extensions) == (config == "extension-heavy")
+    hits, valid = per_replica_aging_counts(
+        env, kwargs["pairs"], kwargs["epsilon"], replicas, seed, first_steps,
+        kwargs["time_unit"], kwargs["step_cap"],
+    )
+    assert 0 < hits.sum() < valid.sum()
+    assert curve.completed == tuple(valid)
+    expected = [float(h / v) if v else math.nan for h, v in zip(hits, valid)]
+    assert np.array_equal(curve.estimates, expected, equal_nan=True)
+    if config == "censored":
+        assert 0 < curve.censored[1] < replicas
 
 
 def test_aging_curve_prediction_column_is_arcsine():

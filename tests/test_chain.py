@@ -6,14 +6,17 @@ import numpy as np
 import pytest
 
 from clockproc.chain import (
+    SEGMENT_BLOCK_STATES,
+    block_rows,
     blocked_clock,
     extend_segment,
     index_walk,
     mixing_check,
     process_at_time,
     simulate_segment,
+    simulate_segments,
 )
-from clockproc.environment import Environment, SpinConfig, block_length
+from clockproc.environment import MAX_TABLE_SPINS, Environment, SpinConfig, block_length
 from clockproc.errors import (
     DimensionMismatchError,
     HorizonError,
@@ -162,6 +165,43 @@ def test_extension_is_prefix_stable():
         extend_segment(env, short, 0, streams)
 
 
+@pytest.mark.parametrize("start", [None, SpinConfig(7, 77)])
+def test_simulate_segments_rows_equal_the_one_replica_draws(start):
+    """Each row of a block draws what one replica drawn alone draws: its
+    start, then its flips, from its walk stream, and one exponential per
+    visited state from its noise stream."""
+    env = make_env(n=7)
+    family, length = StreamFamily(12, "block"), 150
+    block = [family.replica(i) for i in range(5)]
+    segments = simulate_segments(env, start, length, block)
+    for i, segment in enumerate(segments):
+        alone = family.replica(i)
+        origin = SpinConfig.random(7, alone.walk) if start is None else start
+        states = index_walk(7, origin.bits, length, alone.walk)
+        energies = env.energies(states)
+        draws = alone.noise.standard_exponential(length + 1)
+        increments = np.exp(env.beta * energies) * draws
+        assert np.array_equal(segment.states, states)
+        assert np.array_equal(segment.energies, energies)
+        assert np.array_equal(segment.exp_draws, draws)
+        assert np.array_equal(segment.increments, increments)
+        assert np.array_equal(segment.cumulative(), np.cumsum(increments))
+        assert segment.saturated == 0
+        # the block left each replica's streams where drawing alone leaves them
+        assert block[i].walk.integers(0, 1 << 62) == alone.walk.integers(0, 1 << 62)
+        assert block[i].noise.random() == alone.noise.random()
+    assert len({int(segment.states[0]) for segment in segments}) == (5 if start is None else 1)
+
+
+def test_block_rows_fill_the_state_budget_and_hold_one_replica_past_the_table():
+    env = make_env(n=6)
+    assert block_rows(env, SEGMENT_BLOCK_STATES - 1) == 1
+    assert block_rows(env, SEGMENT_BLOCK_STATES // 4 - 1) == 4
+    assert block_rows(env, 4 * SEGMENT_BLOCK_STATES) == 1
+    past = Environment.create(MAX_TABLE_SPINS + 1, 3, 3.0, 2.7, seed=1)
+    assert block_rows(past, 10) == 1
+
+
 def test_cumulative_and_horizon():
     env = make_env(n=6)
     seg = simulate_segment(env, SpinConfig(6, 0), 50, ReplicaStreams.from_seed(7))
@@ -280,6 +320,19 @@ def test_process_at_time_start_and_oracle():
         while cum[i] <= t:
             i += 1
         assert got.bits == seg.states[i]
+
+
+def test_process_at_time_reads_an_array_of_times_in_one_search():
+    env = make_env(n=7)
+    seg = simulate_segment(env, SpinConfig(7, 13), 200, ReplicaStreams.from_seed(3))
+    times = np.random.default_rng(6).uniform(0, seg.horizon, size=(3, 20))
+    times[0, 0] = 0.0
+    got = process_at_time(seg, env, times)
+    assert got.shape == times.shape and got.dtype == np.uint64
+    assert got.tolist() == [[process_at_time(seg, env, t).bits for t in row] for row in times]
+    times[2, 5] = seg.horizon
+    with pytest.raises(HorizonError):
+        process_at_time(seg, env, times)
 
 
 def test_process_at_time_boundaries():

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from clockproc.cli import main
-from clockproc import conditions
+from clockproc import chain, conditions
 from clockproc.conditions import (
     concentration_diagnostic,
     estimate_initial_term,
@@ -193,6 +193,14 @@ def run_case(name, threads, root):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_data_files_match_recorded_digests(name, threads, tmp_path):
     assert run_case(name, threads, tmp_path) == EXPECTED[name]
+
+
+@pytest.mark.parametrize("budget", [1, 1 << 40])
+@pytest.mark.parametrize("name", ["aging", "clock"])
+def test_segment_row_blocks_leave_the_digests(name, budget, tmp_path, monkeypatch):
+    """One replica per row block, or every replica in one, writes the same bytes."""
+    monkeypatch.setattr(chain, "SEGMENT_BLOCK_STATES", budget)
+    assert run_case(name, 2, tmp_path) == EXPECTED[name]
 
 
 # energies of the contraction path (no table) and of the table, as raw bytes
