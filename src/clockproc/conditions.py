@@ -492,6 +492,7 @@ def _table_folds(env: Environment, v_values: Sequence[float], walk, states: int)
                 np.take(terms, indices, out=part, mode="clip")
                 np.exp(-part.sum(axis=-1), out=fold[lo:hi])
         yield from folds
+        del folds  # the caller has read them; free them before the next group
 
 
 def _conditional_transform_moments(
@@ -502,8 +503,9 @@ def _conditional_transform_moments(
     one partial sum per chunk of ``_CHUNK_STATES`` states.  A chunk that
     :func:`_folds_by_table` admits is folded by :func:`_table_folds`; another
     folds each row block's energies for every v as the block is drawn.
-    Beyond a chunk's folds, one per v and sample, a chunk holds one row block
-    unless it needs several table passes."""
+    Beyond a chunk's folds, one per v and sample, which are freed before the
+    next chunk is walked, a chunk holds one row block unless it needs several
+    table passes."""
     theta = env.block_length
     sums = np.zeros(len(v_values))
     squares = np.zeros(len(v_values))
@@ -528,6 +530,7 @@ def _conditional_transform_moments(
             squares[j] += (g * g).sum()
             lows[j] = min(lows[j], g.min())
             highs[j] = max(highs[j], g.max())
+        folds = g = None  # a chunk's folds are freed before the next chunk walks
     means = sums / samples
     if samples > 1:
         variances = np.maximum(squares - samples * means**2, 0.0) / (samples - 1)

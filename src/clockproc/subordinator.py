@@ -348,6 +348,8 @@ def self_test(
                     # every path draws [0, 1]: S(1) is its jump mass plus the drift
                     weights = np.exp(-np.outer(v_arr, totals + drift_rate))
                 rows = rows[flags[deepest, rows] < 0]
+                # free this window's times and last block before the next draw
+                del counts, jump_times, offsets, times, sizes, mask, window
                 start, end = end, 2.0 * end
             return flags.sum(axis=1), weights.sum(axis=1)
 

@@ -435,13 +435,13 @@ def test_table_fold_peak_memory_stays_within_the_walk_window():
     """At n = 14 one group of term tables covers the v grid, so each row
     block is folded as it is drawn.  The transform holds the scaled energies
     and one term table per v (2^n doubles each), per-sample vectors (the
-    starts, and per chunk row one fold per v, one square and the last fold
-    of the chunk before), one row block of gathered terms and their 8-byte
-    indices while the next is walked (8-byte states and 4-byte flip sites),
-    and 64 KiB of the interpreter's own objects.  1 and 5 chunks of 19,607
-    blocks of 204 states, each followed by a ragged one, fit the same budget
-    but for the starts; holding a chunk's walk as 4-byte states would add
-    16 MB."""
+    starts, and per chunk row one fold per v and one square; a chunk's folds
+    are freed before the next chunk is walked), one row block of gathered
+    terms and their 8-byte indices while the next is walked (8-byte states
+    and 4-byte flip sites), and 64 KiB of the interpreter's own objects.
+    1 and 5 chunks of 19,607 blocks of 204 states, each followed by a ragged
+    one, fit the same budget but for the starts; holding a chunk's walk as
+    4-byte states would add 16 MB."""
     env = memory_env()
     v_grid = [1.0, 1.78, 3.16, 5.62, 10.0, 17.8, 31.6, 56.2, 100.0]
     rows = conditions._CHUNK_STATES // env.block_length
@@ -453,7 +453,7 @@ def test_table_fold_peak_memory_stays_within_the_walk_window():
                 env, None, v_grid, samples, ReplicaStreams.from_seed(29), block_count=1
             )
         )
-        per_sample = samples * 8 + (len(v_grid) + 2) * rows * 8
+        per_sample = samples * 8 + (len(v_grid) + 1) * rows * 8
         assert peak <= tables + per_sample + block + (1 << 16)
 
 
