@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import TrajectorySegment, block_rows, extend_segment, process_at_time, simulate_segments
-from .environment import Environment, SpinConfig, overlap, overlap_to_reference
+from .environment import Environment, SpinConfig, overlap_to_reference
 from .errors import BudgetError, DimensionMismatchError, ParameterValidationError
 from .parallel import ordered_map
 from .seeding import StreamFamily
@@ -48,7 +48,8 @@ def correlation_indicator(
 
     Times are in units of ``time_unit`` (default: the observation time
     scale).  Arrays of t and s, of one shape, give an int64 array of
-    indicators, one per pair, read with one search of the segment's clock.
+    indicators, one per pair, read with one search of the segment's clock;
+    scalars give a 0-d one.
     Raises HorizonError when the segment is too short to place a later time.
     """
     t, s = np.asarray(t, dtype=np.float64), np.asarray(s, dtype=np.float64)
@@ -58,19 +59,13 @@ def correlation_indicator(
         raise ParameterValidationError(f"epsilon must lie in (0, 2]; got {epsilon}")
     unit = env.time_scale if time_unit is None else float(time_unit)
     states = process_at_time(segment, env, np.array([t * unit, (t + s) * unit]))
-    if states.ndim == 1:  # one (t, s) pair
-        x, y = (SpinConfig(env.n, int(bits)) for bits in states)
-        return int(overlap(x, y) >= 1.0 - epsilon)
     return (overlap_to_reference(states[0], states[1], env.n) >= 1.0 - epsilon).astype(np.int64)
 
 
 @dataclass(frozen=True)
 class AgingCurve:
-    """Estimated two-time correlation over a grid of (t, s) pairs.
-
-    Carries the spin count, replica budget, and master seed, which together
-    with the environment's coupling seed re-run the measurement exactly.
-    """
+    """Estimated two-time correlation over a grid of (t, s) pairs, with the
+    prediction and the completed and censored replica counts of each pair."""
 
     pairs: tuple[tuple[float, float], ...]
     ratios: tuple[float, ...]
@@ -79,12 +74,6 @@ class AgingCurve:
     predicted: tuple[float, ...]
     completed: tuple[int, ...]
     censored: tuple[int, ...]
-    n: int
-    replicas: int
-    epsilon: float
-    time_unit: float
-    prediction_alpha: float | None
-    master_seed: int
 
     @property
     def max_absolute_gap(self) -> float:
@@ -229,12 +218,6 @@ def estimate_aging_curve(
         predicted=tuple(predicted),
         completed=tuple(int(v) for v in valid),
         censored=tuple(int(replicas - v) for v in valid),
-        n=env.n,
-        replicas=replicas,
-        epsilon=float(epsilon),
-        time_unit=float(unit),
-        prediction_alpha=None if alpha is None else float(alpha),
-        master_seed=int(master_seed),
     )
 
 
@@ -248,8 +231,6 @@ class TrapReport:
     ball_time_fraction: float
     reentered: bool
     untrapped: bool
-    epsilon: float
-    threshold: float
 
 
 def trap_localization_diagnostic(
@@ -295,6 +276,4 @@ def trap_localization_diagnostic(
         ball_time_fraction=ball_time_fraction,
         reentered=entries > 1,
         untrapped=dominant_fraction < threshold,
-        epsilon=float(epsilon),
-        threshold=float(threshold),
     )

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .environment import EXP_OVERFLOW, Environment, SpinConfig
+from .environment import Environment, SpinConfig
 from .errors import (
     DimensionMismatchError,
     HorizonError,
@@ -92,7 +92,6 @@ class TrajectorySegment:
     energies: np.ndarray
     exp_draws: np.ndarray
     increments: np.ndarray
-    saturated: int
     _cumulative: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -113,8 +112,8 @@ class TrajectorySegment:
 def _segment_rows(
     env: Environment, starts: np.ndarray, steps: int, streams: list[ReplicaStreams], first: int
 ) -> tuple[np.ndarray, ...]:
-    """(states, energies, exponentials, holds, saturated counts) of one row per
-    replica: row r walks ``steps`` steps from ``starts[r]`` with flips from
+    """(states, energies, exponentials, holds) of one row per replica: row r
+    walks ``steps`` steps from ``starts[r]`` with flips from
     ``streams[r].walk``, keeps its states from column ``first`` on, and holds
     each kept state tau * e with e from ``streams[r].noise``.  Each row draws
     what a one-row call would, so it does not depend on the rows beside it."""
@@ -128,11 +127,10 @@ def _segment_rows(
     # on pool threads
     draws = np.array([r.noise.standard_exponential(states.shape[-1]) for r in streams])
     holds = env.beta * energies
-    saturated = np.count_nonzero(holds > EXP_OVERFLOW, axis=-1)
     with np.errstate(over="ignore"):
         np.exp(holds, out=holds)
     holds *= draws
-    return states, energies, draws, holds, saturated
+    return states, energies, draws, holds
 
 
 def block_rows(env: Environment, length: int) -> int:
@@ -164,11 +162,8 @@ def simulate_segments(
         raise ParameterValidationError(f"segment length must be >= 1; got {length}")
     origins = [SpinConfig.random(env.n, r.walk) if start is None else start for r in streams]
     starts = np.array([origin.bits for origin in origins], dtype=np.uint64)
-    states, energies, draws, holds, saturated = _segment_rows(env, starts, length, streams, 0)
-    return [
-        TrajectorySegment(env.n, *rows, saturated=int(count))
-        for *rows, count in zip(states, energies, draws, holds, saturated)
-    ]
+    rows = _segment_rows(env, starts, length, streams, 0)
+    return [TrajectorySegment(env.n, *row) for row in zip(*rows)]
 
 
 def simulate_segment(
@@ -187,16 +182,13 @@ def extend_segment(
     """
     if extra < 1:
         raise ParameterValidationError(f"extension must be >= 1 steps; got {extra}")
-    states, energies, draws, holds, saturated = _segment_rows(
-        env, segment.states[-1:], extra, [streams], 1
-    )
+    states, energies, draws, holds = _segment_rows(env, segment.states[-1:], extra, [streams], 1)
     return TrajectorySegment(
         n=segment.n,
         states=np.concatenate([segment.states, states[0]]),
         energies=np.concatenate([segment.energies, energies[0]]),
         exp_draws=np.concatenate([segment.exp_draws, draws[0]]),
         increments=np.concatenate([segment.increments, holds[0]]),
-        saturated=segment.saturated + int(saturated[0]),
     )
 
 
@@ -242,8 +234,8 @@ def process_at_time(segment: TrajectorySegment, env: Environment, t):
     """State of the time-changed process at physical time t (binary search).
 
     The process sits at visited state i for clock values in
-    [cum_{i-1}, cum_i); t = 0 returns the starting state.  An array of times
-    is read in one search and gives the packed states as an array.
+    [cum_{i-1}, cum_i); t = 0 returns the starting state.  The packed states
+    come back in the shape of t, an array of times read in one search.
     Querying at or beyond the segment's horizon raises HorizonError.
     """
     times = np.asarray(t, dtype=np.float64)
@@ -255,9 +247,7 @@ def process_at_time(segment: TrajectorySegment, env: Environment, t):
         raise HorizonError(
             f"time {times.max():.6g} is beyond the simulated horizon {segment.horizon:.6g}"
         )
-    if times.ndim:
-        return segment.states[i]
-    return SpinConfig(segment.n, int(segment.states[i]))
+    return segment.states[i]
 
 
 @dataclass(frozen=True)

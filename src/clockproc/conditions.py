@@ -85,7 +85,6 @@ __all__ = [
     "estimate_initial_term",
     "estimate_truncated_mean",
     "truncated_mean_quadrature",
-    "truncated_mean_asymptotic",
     "degenerate_block_tail",
     "degenerate_block_laplace",
     "degenerate_initial_term",
@@ -739,28 +738,6 @@ class TruncatedMeanEstimate:
     samples: int
     exact_value: float | None
     quadrature_value: float | None
-    asymptotic_value: float | None
-
-
-def truncated_mean_asymptotic(
-    alpha: float, beta: float, gamma: float, epsilon: float, horizon: float
-) -> float:
-    """Large-n reference for the truncated single-jump mean.
-
-    Gamma(1+alpha) * eps^(1-alpha) * t / (beta - gamma/beta): its log-log
-    slope in eps is exactly 1 - alpha, which is the part the checks assert.
-    The prefactor follows the convention with an unnormalised Gaussian kernel
-    and sits a factor sqrt(2*pi) above the normalised-measure limit, so it is
-    reported for orientation only.
-    """
-    if not 0 < alpha < 1:
-        raise ParameterValidationError(f"alpha must lie in (0, 1); got {alpha}")
-    if beta <= 0 or gamma <= 0:
-        raise ParameterValidationError("beta and gamma must be positive")
-    denom = beta - gamma / beta
-    if denom <= 0:
-        raise ParameterValidationError("requires gamma < beta^2")
-    return math.gamma(1.0 + alpha) * epsilon ** (1.0 - alpha) / denom * horizon
 
 
 def truncated_mean_quadrature(env: Environment, epsilon: float, horizon: float) -> float:
@@ -862,11 +839,6 @@ def estimate_truncated_mean(
         quadrature = [None] * len(eps_arr)
     out = []
     for j, (eps, (mean, stderr, exact)) in enumerate(zip(eps_arr, averages)):
-        asym = (
-            truncated_mean_asymptotic(env.alpha, env.beta, env.gamma, float(eps), horizon)
-            if env.alpha is not None and 0 < env.alpha < 1
-            else None
-        )
         out.append(
             TruncatedMeanEstimate(
                 epsilon=float(eps),
@@ -876,7 +848,6 @@ def estimate_truncated_mean(
                 samples=samples,
                 exact_value=None if exact is None else float(scale * exact),
                 quadrature_value=quadrature[j],
-                asymptotic_value=asym,
             )
         )
     return out
@@ -1201,8 +1172,6 @@ class ConditionReport:
                 add("truncated_mean_exact", tm.epsilon, tm.exact_value, 0.0, 1 << self.n)
             if tm.quadrature_value is not None:
                 add("truncated_mean_quadrature", tm.epsilon, tm.quadrature_value, 0.0, 0)
-            if tm.asymptotic_value is not None:
-                add("truncated_mean_asymptotic", tm.epsilon, tm.asymptotic_value, 0.0, 0)
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["quantity", "u_or_v_or_eps", "estimate", "stderr", "samples"])

@@ -45,7 +45,6 @@ __all__ = [
     "zeta",
     "validate_parameters",
     "block_length",
-    "overlap",
     "ZETA_LIMIT",
     "DEFAULT_ZETA_TABLE",
     "EXP_OVERFLOW",
@@ -115,26 +114,15 @@ class SpinConfig:
                 f"state index {self.bits} out of range for n={self.n}"
             )
 
-    def hamming(self, other: "SpinConfig") -> int:
-        if self.n != other.n:
-            raise DimensionMismatchError(
-                f"cannot compare configurations with n={self.n} and n={other.n}"
-            )
-        return (self.bits ^ other.bits).bit_count()
-
     @classmethod
     def random(cls, n: int, rng: np.random.Generator) -> "SpinConfig":
         return cls(n, int(rng.integers(0, 1 << n, dtype=np.uint64)))
 
 
-def overlap(x: SpinConfig, y: SpinConfig) -> float:
-    """Normalised overlap R(x,y) = (n - 2*hamming(x,y)) / n, in [-1, 1]."""
-    return (x.n - 2 * x.hamming(y)) / x.n
-
-
 def overlap_to_reference(states: np.ndarray, reference, n: int) -> np.ndarray:
-    """Vectorised overlap of packed states against one reference state, or
-    elementwise against an array of them."""
+    """Normalised overlap R = (n - 2 * Hamming distance) / n, in [-1, 1], of
+    packed states against one reference state, or elementwise against an
+    array of them."""
     diff = np.bitwise_xor(states.astype(np.uint64), np.asarray(reference, dtype=np.uint64))
     return (n - 2.0 * np.bitwise_count(diff)) / n
 

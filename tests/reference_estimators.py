@@ -19,8 +19,13 @@ whole padded (paths, jumps) matrices per window, with the carried mass
 stacked on as a column and one crossing batch per window, so it checks the
 row blocks ``self_test`` builds and the stream order it draws in.
 ``per_replica_aging_counts`` walks the aging replicas one at a time and
-reads one indicator per (t, s) pair, so it checks the row blocks and the
-array indicators of ``estimate_aging_curve``.
+compares the two states of each (t, s) pair by ``overlap``, so it checks the
+row blocks and the array indicators of ``estimate_aging_curve``.
+
+``hamming`` and ``overlap`` compare two ``SpinConfig`` one pair at a time in
+Python integers, beside the package's vectorised ``overlap_to_reference``.
+``truncated_mean_asymptotic`` is the large-n curve of the truncated
+single-jump mean, whose slope in epsilon the acceptance criterion checks.
 """
 
 import math
@@ -28,10 +33,10 @@ import math
 import numpy as np
 
 from clockproc import conditions
-from clockproc.aging import correlation_indicator
-from clockproc.chain import extend_segment, index_walk, simulate_segment
+from clockproc.chain import extend_segment, index_walk, process_at_time, simulate_segment
 from clockproc.conditions import _block_sums, conditional_block_laplace
-from clockproc.errors import BudgetError, ParameterValidationError
+from clockproc.environment import SpinConfig
+from clockproc.errors import BudgetError, DimensionMismatchError, ParameterValidationError
 from clockproc.seeding import StreamFamily, keyed_generator
 from clockproc.subordinator import (
     PowerLawLevyMeasure,
@@ -41,6 +46,37 @@ from clockproc.subordinator import (
 )
 
 DEFAULT_JUMP_BUDGET = 1.0e8
+
+
+def hamming(x: SpinConfig, y: SpinConfig) -> int:
+    """Number of sites where ``x`` and ``y`` differ."""
+    if x.n != y.n:
+        raise DimensionMismatchError(f"cannot compare configurations with n={x.n} and n={y.n}")
+    return (x.bits ^ y.bits).bit_count()
+
+
+def overlap(x: SpinConfig, y: SpinConfig) -> float:
+    """Normalised overlap R(x,y) = (n - 2*hamming(x,y)) / n, in [-1, 1]."""
+    return (x.n - 2 * hamming(x, y)) / x.n
+
+
+def truncated_mean_asymptotic(alpha, beta, gamma, epsilon, horizon):
+    """Large-n reference for the truncated single-jump mean.
+
+    Gamma(1+alpha) * eps^(1-alpha) * t / (beta - gamma/beta): its log-log
+    slope in eps is exactly 1 - alpha, which is the part the checks assert.
+    The prefactor follows the convention with an unnormalised Gaussian kernel
+    and sits a factor sqrt(2*pi) above the normalised-measure limit, so it is
+    for orientation only.
+    """
+    if not 0 < alpha < 1:
+        raise ParameterValidationError(f"alpha must lie in (0, 1); got {alpha}")
+    if beta <= 0 or gamma <= 0:
+        raise ParameterValidationError("beta and gamma must be positive")
+    denom = beta - gamma / beta
+    if denom <= 0:
+        raise ParameterValidationError("requires gamma < beta^2")
+    return math.gamma(1.0 + alpha) * epsilon ** (1.0 - alpha) / denom * horizon
 
 
 def uint64_index_walk(n, start_bits, steps, walk_rng):
@@ -220,8 +256,8 @@ def per_replica_aging_counts(
 ):
     """Hits and completions per (t, s) pair of ``estimate_aging_curve``: each
     replica walks a ``first_steps``-step segment on its own, doubles it until
-    its clock passes the latest pair or it reaches ``step_cap``, and reads one
-    scalar indicator per pair it reached."""
+    its clock passes the latest pair or it reaches ``step_cap``, and counts a
+    hit where the overlap of a reached pair's two states is >= 1 - epsilon."""
     needed = max(t + s for t, s in pairs) * time_unit
     family = StreamFamily(master_seed, "aging")
     hits = np.zeros(len(pairs), dtype=np.int64)
@@ -236,5 +272,9 @@ def per_replica_aging_counts(
             if (t + s) * time_unit >= segment.horizon:
                 continue  # censored at the step cap
             valid[j] += 1
-            hits[j] += correlation_indicator(env, segment, t, s, epsilon, time_unit=time_unit)
+            x, y = (
+                SpinConfig(env.n, int(bits))
+                for bits in process_at_time(segment, env, np.array([t, t + s]) * time_unit)
+            )
+            hits[j] += overlap(x, y) >= 1.0 - epsilon
     return hits, valid

@@ -30,10 +30,10 @@ from clockproc.conditions import (
     estimate_initial_term,
     estimate_intensity_laplace,
     estimate_truncated_mean,
-    truncated_mean_asymptotic,
 )
-from clockproc.environment import CouplingTensor, Environment, block_length, overlap
+from clockproc.environment import CouplingTensor, Environment, block_length
 from clockproc.seeding import StreamFamily, keyed_generator, resolve_seeds
+from reference_estimators import overlap, truncated_mean_asymptotic
 
 pytestmark = pytest.mark.filterwarnings("ignore:block length")
 

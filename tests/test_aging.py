@@ -22,7 +22,7 @@ from clockproc.errors import (
 )
 from clockproc.seeding import ReplicaStreams, StreamFamily
 from clockproc.subordinator import arcsine_cdf
-from reference_estimators import per_replica_aging_counts
+from reference_estimators import overlap, per_replica_aging_counts
 
 pytestmark = pytest.mark.filterwarnings("ignore:block length")
 
@@ -50,21 +50,28 @@ def test_correlation_indicator_deterministic():
     assert len(set(vals)) == 1
 
 
-def test_correlation_indicator_array_form_equals_scalar_calls():
+def test_correlation_indicator_array_form_matches_the_overlap_oracle():
     env = Environment.create(6, 3, 2.0, 1.5, seed=4)
     seg = simulate_segment(env, SpinConfig(6, 3), 5000, ReplicaStreams.from_seed(2))
     rng = np.random.default_rng(8)
     t = rng.uniform(0.0, 0.5, size=60) * seg.horizon
     s = rng.uniform(0.0, 0.5, size=60) * seg.horizon
     t[:3] = s[3:6] = 0.0
+    cum = seg.cumulative()
+
+    def state(time):
+        # the visited state whose hold covers ``time``: its index counts the
+        # holds that ended at or before it
+        return SpinConfig(6, int(seg.states[np.count_nonzero(cum <= time)]))
+
     for epsilon in (0.25, 1.0):
-        scalar = [
-            correlation_indicator(env, seg, a, b, epsilon, time_unit=1.0) for a, b in zip(t, s)
-        ]
+        oracle = [int(overlap(state(a), state(a + b)) >= 1.0 - epsilon) for a, b in zip(t, s)]
         array = correlation_indicator(env, seg, t, s, epsilon, time_unit=1.0)
         assert array.dtype == np.int64
-        assert array.tolist() == scalar
-        assert 0 < sum(scalar) < len(scalar)
+        assert array.tolist() == oracle
+        assert 0 < sum(oracle) < len(oracle)
+        scalar = correlation_indicator(env, seg, t[7], s[7], epsilon, time_unit=1.0)
+        assert scalar.dtype == np.int64 and scalar.ndim == 0 and scalar == oracle[7]
     assert correlation_indicator(env, seg, t[:0], s[:0], 0.25).shape == (0,)
     with pytest.raises(HorizonError):
         correlation_indicator(env, seg, t, s + seg.horizon, 0.25, time_unit=1.0)
@@ -145,8 +152,6 @@ def test_aging_curve_prediction_column_is_arcsine():
     for (t, s), ratio, pred in zip(curve.pairs, curve.ratios, curve.predicted):
         assert ratio == pytest.approx(t / (t + s))
         assert pred == arcsine_cdf(0.3, ratio)
-    assert curve.prediction_alpha == 0.3
-    assert curve.replicas == 12
 
 
 def test_aging_curve_determinism_and_thread_invariance():

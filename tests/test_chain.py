@@ -134,7 +134,6 @@ def test_none_start_draws_the_uniform_start_from_the_walk_stream():
     b = simulate_segment(env, SpinConfig.random(7, given.walk), 150, given)
     for field in ("states", "energies", "exp_draws", "increments"):
         assert np.array_equal(getattr(a, field), getattr(b, field))
-    assert a.saturated == b.saturated
     # both walk generators were advanced by the same draws
     assert own.walk.integers(0, 1 << 62) == given.walk.integers(0, 1 << 62)
     assert own.noise.random() == given.noise.random()
@@ -160,7 +159,6 @@ def test_extension_is_prefix_stable():
     assert np.array_equal(grown.states, one_shot.states)
     assert np.array_equal(grown.exp_draws, one_shot.exp_draws)
     assert np.array_equal(grown.states[:121], short.states)
-    assert grown.saturated == one_shot.saturated
     with pytest.raises(ParameterValidationError):
         extend_segment(env, short, 0, streams)
 
@@ -186,7 +184,6 @@ def test_simulate_segments_rows_equal_the_one_replica_draws(start):
         assert np.array_equal(segment.exp_draws, draws)
         assert np.array_equal(segment.increments, increments)
         assert np.array_equal(segment.cumulative(), np.cumsum(increments))
-        assert segment.saturated == 0
         # the block left each replica's streams where drawing alone leaves them
         assert block[i].walk.integers(0, 1 << 62) == alone.walk.integers(0, 1 << 62)
         assert block[i].noise.random() == alone.noise.random()
@@ -298,7 +295,6 @@ def test_blocked_clock_unit_increment_identity():
         energies=seg.energies,
         exp_draws=np.full_like(seg.exp_draws, env.time_scale),
         increments=seg.increments,
-        saturated=0,
     )
     path = blocked_clock(seg, env, theta_blocks)
     assert np.allclose(path.block_sums, float(theta), rtol=1e-12)
@@ -307,19 +303,23 @@ def test_blocked_clock_unit_increment_identity():
 # --- time-changed process lookup ------------------------------------------
 
 
+def scanned_state(seg, t: float) -> int:
+    """Linear-scan oracle: the state at the first index whose cumulative
+    time exceeds t."""
+    cum = seg.cumulative()
+    i = 0
+    while cum[i] <= t:
+        i += 1
+    return int(seg.states[i])
+
+
 def test_process_at_time_start_and_oracle():
     env = make_env(n=7)
     seg = simulate_segment(env, SpinConfig(7, 13), 200, ReplicaStreams.from_seed(3))
-    assert process_at_time(seg, env, 0.0).bits == 13
-    cum = seg.cumulative()
+    assert process_at_time(seg, env, 0.0) == 13
     rng = np.random.default_rng(5)
     for t in rng.uniform(0, seg.horizon, size=40):
-        got = process_at_time(seg, env, float(t))
-        # linear-scan oracle: first index whose cumulative time exceeds t
-        i = 0
-        while cum[i] <= t:
-            i += 1
-        assert got.bits == seg.states[i]
+        assert process_at_time(seg, env, float(t)) == scanned_state(seg, t)
 
 
 def test_process_at_time_reads_an_array_of_times_in_one_search():
@@ -329,7 +329,7 @@ def test_process_at_time_reads_an_array_of_times_in_one_search():
     times[0, 0] = 0.0
     got = process_at_time(seg, env, times)
     assert got.shape == times.shape and got.dtype == np.uint64
-    assert got.tolist() == [[process_at_time(seg, env, t).bits for t in row] for row in times]
+    assert got.tolist() == [[scanned_state(seg, t) for t in row] for row in times]
     times[2, 5] = seg.horizon
     with pytest.raises(HorizonError):
         process_at_time(seg, env, times)
@@ -341,7 +341,7 @@ def test_process_at_time_boundaries():
     cum = seg.cumulative()
     # at an exact jump time the process has already moved on
     j = 10
-    assert process_at_time(seg, env, float(cum[j])).bits == seg.states[j + 1]
+    assert process_at_time(seg, env, float(cum[j])) == seg.states[j + 1]
     with pytest.raises(HorizonError):
         process_at_time(seg, env, seg.horizon)
     with pytest.raises(HorizonError):

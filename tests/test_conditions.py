@@ -25,7 +25,6 @@ from clockproc.conditions import (
     estimate_intensity_laplace,
     estimate_squared_tail_grid,
     estimate_truncated_mean,
-    truncated_mean_asymptotic,
     truncated_mean_quadrature,
 )
 from clockproc.chain import mixing_check
@@ -41,6 +40,7 @@ from reference_estimators import (
     direct_block_laplace,
     folded_transform_moments,
     per_state_block_sums,
+    truncated_mean_asymptotic,
 )
 
 pytestmark = pytest.mark.filterwarnings("ignore:block length")
