@@ -133,8 +133,8 @@ EXPECTED = {
         "verdicts": "223e853d3b55b0aea71ec0d96904f77c29ab345d6e1728b5c9ea6a7b8adcc969",
     }),
     "conditions": (3, {
-        "conditions.csv": "e98d9dbe7daaf6b0642afbfd630b4ac967fab772911b56739c10b7b6316d2e7e",
-        "conditions.json": "a8e6b79ed18a05599ed25a9c96d37c956047a66eddee25af8c9004403f3ec0c4",
+        "conditions.csv": "64080a8e5596a6540c138f7bb1f7b9b738c2ae258d87c35d15c873a6b3db5891",
+        "conditions.json": "63131b98b8345d0ac9c2a9d75fa8851ddb72a6d3304e020343788c2cc90f2aa4",
         "verdicts": "2c954a8c427093c53a6235285a9e5f772f4fded49819e49c6cfadb99b5b28b69",
     }),
     "conditions-flat": (0, {
@@ -258,8 +258,8 @@ def test_initial_terms_match_recorded_digest(table, contracted):
 
 # truncated-mean estimates, serialised with sorted keys: on the table path
 # with their exact values, on the contraction path (past the table) without
-TRUNCATED_MEAN_CONTRACTION_DIGEST = "bf9ebfe3a863fb9dc4c3e8271dde0dfb47d746afc8a9098add776c86d88a1989"
-TRUNCATED_MEAN_TABLE_DIGEST = "5e1f92f52aa25268a00bdee5d99306e6a5e28252b56030b8e9b1530bcc6b1860"
+TRUNCATED_MEAN_CONTRACTION_DIGEST = "0365eaaf2aa09398de5817b91df87ed2c42dd9c53e4e69e8128f6845b5ec77a6"
+TRUNCATED_MEAN_TABLE_DIGEST = "d769a6191bab5107942eb741b67f8a57ac2ca5b49f0f0d85211dcdf270e65c06"
 
 
 @pytest.mark.parametrize("table", [False, True])
