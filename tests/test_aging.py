@@ -70,13 +70,32 @@ def test_correlation_indicator_array_form_matches_the_overlap_oracle():
         assert array.dtype == np.int64
         assert array.tolist() == oracle
         assert 0 < sum(oracle) < len(oracle)
-        scalar = correlation_indicator(env, seg, t[7], s[7], epsilon, time_unit=1.0)
-        assert scalar.dtype == np.int64 and scalar.ndim == 0 and scalar == oracle[7]
     assert correlation_indicator(env, seg, t[:0], s[:0], 0.25).shape == (0,)
     with pytest.raises(HorizonError):
         correlation_indicator(env, seg, t, s + seg.horizon, 0.25, time_unit=1.0)
     with pytest.raises(ParameterValidationError):
         correlation_indicator(env, seg, t, -s, 0.25, time_unit=1.0)
+
+
+def test_correlation_indicator_array_form_equals_scalar_calls():
+    env = Environment.create(6, 3, 2.0, 1.5, seed=4)
+    seg = simulate_segment(env, SpinConfig(6, 3), 5000, ReplicaStreams.from_seed(2))
+    rng = np.random.default_rng(8)
+    t = rng.uniform(0.0, 0.5, size=60) * seg.horizon
+    s = rng.uniform(0.0, 0.5, size=60) * seg.horizon
+    t[:3] = s[3:6] = 0.0
+    for epsilon in (0.25, 1.0):
+        scalar = [
+            correlation_indicator(env, seg, a, b, epsilon, time_unit=1.0) for a, b in zip(t, s)
+        ]
+        # a scalar pair reads as a 0-d int64, one entry of the array form
+        assert all(v.dtype == np.int64 and v.ndim == 0 for v in scalar)
+        array = correlation_indicator(env, seg, t, s, epsilon, time_unit=1.0)
+        assert array.tolist() == [int(v) for v in scalar]
+    with pytest.raises(HorizonError):
+        correlation_indicator(env, seg, t[0], s[0] + seg.horizon, 0.25, time_unit=1.0)
+    with pytest.raises(ParameterValidationError):
+        correlation_indicator(env, seg, t[0], -s[0] - 1.0, 0.25, time_unit=1.0)
 
 
 # (environment, estimate_aging_curve arguments): the first extends many of
