@@ -9,9 +9,10 @@ settles onto a power law K * t * u^(-alpha), (ii) its two-step-correlated
 square vanishes, (iii) the initial holding time is negligible on the
 observation scale, and (iv) the truncated mean of a single rescaled jump
 vanishes with the truncation level.  This module estimates (i) and (ii) by
-Monte Carlo over walks, and (iii) and (iv) as averages over the sampled
-environment's states of one bounded term per state, the exponential hold
-integrated out: over one draw of uniform starts for the whole grid, and
+Monte Carlo over walks, each tail grid read off one sample of block sums as
+hit rates with binomial errors, and (iii) and (iv) as averages over the
+sampled environment's states of one bounded term per state, the exponential
+hold integrated out: over one draw of uniform starts for the whole grid, and
 exactly over all 2^n states where the energy table exists, one row block
 at a time.  It fits tail exponents, gives the annealed truncated mean as
 one trapezoid sum over its one-dimensional integral, and packages the lot
@@ -69,7 +70,6 @@ from .seeding import ReplicaStreams, StreamFamily
 from .verdicts import SLOPE_WINDOW, ladder, slope_status, worst, z_score, z_status
 
 __all__ = [
-    "TailEstimate",
     "IntensityEstimate",
     "SquaredTailEstimate",
     "LaplaceIntensityEstimate",
@@ -77,7 +77,6 @@ __all__ = [
     "TruncatedMeanEstimate",
     "ConcentrationReport",
     "ConditionReport",
-    "estimate_block_tail_grid",
     "estimate_intensity",
     "estimate_squared_tail_grid",
     "conditional_block_laplace",
@@ -231,7 +230,17 @@ class _LineFit:
     cov: float  # covariance of (intercept, slope) estimates
 
 
-def _weighted_line_fit(x: np.ndarray, y: np.ndarray, se: np.ndarray) -> _LineFit:
+def _weighted_line_fit(
+    grid: np.ndarray, values: np.ndarray, stderrs: np.ndarray, usable
+) -> _LineFit | None:
+    """Weighted least squares of log ``values`` against log ``grid`` over the
+    ``usable`` points whose value and standard error are positive, with the
+    relative errors as weights; None below two such points."""
+    usable = usable & (values > 0) & (stderrs > 0)
+    if usable.sum() < 2:
+        return None
+    values = values[usable]
+    x, y, se = np.log(grid[usable]), np.log(values), stderrs[usable] / values
     w = 1.0 / se**2
     wsum = w.sum()
     xbar = (w * x).sum() / wsum
@@ -250,45 +259,12 @@ def _weighted_line_fit(x: np.ndarray, y: np.ndarray, se: np.ndarray) -> _LineFit
     )
 
 
-# ---------------------------------------------------------------------------
-# tail probabilities of a single block
-
-
-@dataclass(frozen=True)
-class TailEstimate:
-    """Monte Carlo estimate of one exceedance probability."""
-
-    threshold: float
-    probability: float
-    stderr: float
-    samples: int
-
-
-def _tail_from_sums(sums: np.ndarray, threshold: float) -> TailEstimate:
-    m = sums.size
-    p = float(np.mean(sums > threshold))
-    return TailEstimate(
-        threshold=float(threshold),
-        probability=p,
-        stderr=math.sqrt(p * (1.0 - p) / m),
-        samples=m,
-    )
-
-
-def estimate_block_tail_grid(
-    env: Environment,
-    thresholds: Sequence[float],
-    samples: int,
-    streams: ReplicaStreams,
-) -> list[TailEstimate]:
-    """Exceedance probabilities over a threshold grid from one shared sample.
-
-    Sharing the block sums across thresholds (common random numbers) makes
-    the grid monotone by construction and the fitted slope far less noisy
-    than independent per-threshold runs.
-    """
-    sums = _block_sums(env, samples, streams)
-    return [_tail_from_sums(sums, u) for u in thresholds]
+def _binomial_intensity(hits: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hit rates p of the rows of ``hits``, one row of indicators per
+    threshold, with k*p and the binomial standard errors k*sqrt(p(1-p)/m)."""
+    m = hits.shape[1]
+    rates = hits.mean(axis=1)
+    return rates, k * rates, k * np.sqrt(rates * (1.0 - rates) / m)
 
 
 # ---------------------------------------------------------------------------
@@ -320,25 +296,22 @@ def estimate_intensity(
 ) -> IntensityEstimate:
     """nu_hat(u) = k * P(block sum > u) over a threshold grid, with slope fit.
 
-    The weighted least-squares fit of log nu_hat against log u runs over grid
-    points whose hit rate is strictly inside (0, 1); the slope estimates the
-    negated tail exponent.
+    Sharing the block sums across thresholds (common random numbers) makes
+    the grid monotone by construction and the fitted slope far less noisy
+    than independent per-threshold runs.  The weighted least-squares fit of
+    log nu_hat against log u runs over grid points whose hit rate is
+    strictly inside (0, 1); the slope estimates the negated tail exponent.
     """
     k = resolve_block_count(env, horizon, block_count)
-    tails = estimate_block_tail_grid(env, thresholds, samples, streams)
-    values = np.array([k * t.probability for t in tails])
-    stderrs = np.array([k * t.stderr for t in tails])
-    usable = (values > 0) & (stderrs > 0) & (np.array([t.probability for t in tails]) < 1)
-    if usable.sum() < 2:
+    grid = np.asarray(thresholds, dtype=np.float64)
+    sums = _block_sums(env, samples, streams)
+    rates, values, stderrs = _binomial_intensity(sums > grid[:, None], k)
+    fit = _weighted_line_fit(grid, values, stderrs, rates < 1)
+    if fit is None:
         raise ParameterValidationError(
             "tail fit needs at least two thresholds with hit rates strictly inside (0, 1); "
             "widen the threshold grid or raise the sample count"
         )
-    fit = _weighted_line_fit(
-        np.log(np.asarray(thresholds, dtype=np.float64)[usable]),
-        np.log(values[usable]),
-        stderrs[usable] / values[usable],
-    )
     return IntensityEstimate(
         thresholds=tuple(float(u) for u in thresholds),
         values=tuple(float(x) for x in values),
@@ -407,20 +380,18 @@ def estimate_squared_tail_grid(
 ) -> list[SquaredTailEstimate]:
     k = resolve_block_count(env, None, block_count)
     joint = _squared_tail_indicators(env, thresholds, samples, streams, route)
-    out = []
-    for u, row in zip(thresholds, joint):
-        p = float(row.mean())
-        out.append(
-            SquaredTailEstimate(
-                threshold=float(u),
-                value=k * p,
-                stderr=k * math.sqrt(p * (1.0 - p) / samples),
-                samples=samples,
-                block_count=k,
-                route=route,
-            )
+    _, values, stderrs = _binomial_intensity(joint, k)
+    return [
+        SquaredTailEstimate(
+            threshold=float(u),
+            value=float(value),
+            stderr=float(stderr),
+            samples=samples,
+            block_count=k,
+            route=route,
         )
-    return out
+        for u, value, stderr in zip(thresholds, values, stderrs)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -577,30 +548,24 @@ def estimate_intensity_laplace(
     block_count: int | None = None,
 ) -> LaplaceIntensityEstimate:
     k = resolve_block_count(env, horizon, block_count)
-    if np.any(np.asarray(v_values, dtype=np.float64) <= 0):
+    varr = np.asarray(v_values, dtype=np.float64)
+    if np.any(varr <= 0):
         raise ParameterValidationError("transform arguments must be positive for the intensity fit")
     means, stds = _conditional_transform_moments(env, v_values, samples, streams)
-    varr = np.asarray(v_values, dtype=np.float64)
     values = k * (1.0 - means) / varr
     stderrs = k * stds / math.sqrt(samples) / varr
-    usable = (values > 0) & (stderrs > 0)
     slope = slope_se = intercept = intercept_se = math.nan
     alpha_hat = alpha_se = amp = amp_se = math.nan
-    if usable.sum() >= 2:
-        fit = _weighted_line_fit(
-            np.log(varr[usable]), np.log(values[usable]), stderrs[usable] / values[usable]
-        )
+    fit = _weighted_line_fit(varr, values, stderrs, True)
+    if fit is not None:
         slope, slope_se = fit.slope, fit.slope_se
         intercept, intercept_se = fit.intercept, fit.intercept_se
-        alpha_hat = 1.0 + slope
-        alpha_se = slope_se
+        alpha_hat, alpha_se = 1.0 + slope, slope_se
         if horizon is not None and 0 < alpha_hat < 1:
             log_amp = intercept - math.log(horizon) - math.lgamma(1.0 - alpha_hat)
             amp = math.exp(log_amp)
             psi = special.digamma(1.0 - alpha_hat)
-            var_log = (
-                intercept_se**2 + (psi * slope_se) ** 2 + 2.0 * psi * fit.cov
-            )
+            var_log = intercept_se**2 + (psi * slope_se) ** 2 + 2.0 * psi * fit.cov
             amp_se = amp * math.sqrt(max(var_log, 0.0))
     return LaplaceIntensityEstimate(
         v_values=tuple(float(v) for v in v_values),

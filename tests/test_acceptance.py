@@ -26,8 +26,8 @@ from clockproc.conditions import (
     concentration_diagnostic,
     degenerate_block_tail,
     degenerate_initial_term,
-    estimate_block_tail_grid,
     estimate_initial_term,
+    estimate_intensity,
     estimate_intensity_laplace,
     estimate_truncated_mean,
 )
@@ -166,12 +166,18 @@ def test_criterion_04_flat_chain_closed_forms():
     t0 = time.perf_counter()
 
     # block sums are Gamma(theta, 1) on the holding-time scale
-    tails = estimate_block_tail_grid(
-        env, [1.7, 1.9, 2.1, 2.3], 200_000, StreamFamily(CANONICAL_SEED, "flat-tail").replica(0)
+    # with one block the intensity's values are the hit rates, bit for bit
+    tails = estimate_intensity(
+        env,
+        None,
+        [1.7, 1.9, 2.1, 2.3],
+        200_000,
+        StreamFamily(CANONICAL_SEED, "flat-tail").replica(0),
+        block_count=1,
     )
     worst_z = 0.0
-    for est in tails:
-        z = abs(est.probability - degenerate_block_tail(env, est.threshold)) / est.stderr
+    for u, probability, stderr in zip(tails.thresholds, tails.values, tails.stderrs):
+        z = abs(probability - degenerate_block_tail(env, u)) / stderr
         worst_z = max(worst_z, z)
         assert z <= 3.0
 

@@ -12,14 +12,13 @@ from clockproc import conditions
 from clockproc.conditions import (
     _block_sums,
     _conditional_transform_moments,
-    _tail_from_sums,
+    _binomial_intensity,
     build_condition_report,
     concentration_diagnostic,
     conditional_block_laplace,
     degenerate_block_laplace,
     degenerate_block_tail,
     degenerate_initial_term,
-    estimate_block_tail_grid,
     estimate_initial_term,
     estimate_intensity,
     estimate_intensity_laplace,
@@ -56,59 +55,64 @@ def unit_env(n=6, gamma=0.5):
 
 def test_block_tail_matches_gamma_law_at_beta_zero():
     env = unit_env()
-    est = estimate_block_tail_grid(env, [2.0], 20_000, ReplicaStreams.from_seed(2))[0]
-    oracle = degenerate_block_tail(env, 2.0)
-    assert oracle == pytest.approx(
-        float(stats.gamma.sf(2.0 * env.time_scale, env.block_length)), rel=1e-14
-    )
-    assert est.stderr == pytest.approx(
-        math.sqrt(est.probability * (1 - est.probability) / est.samples)
-    )
-    assert abs(est.probability - oracle) < 3.0 * est.stderr
+    # with one block the intensity's values are the hit rates, bit for bit
+    streams = ReplicaStreams.from_seed(2)
+    est = estimate_intensity(env, None, [2.0, 2.4], 20_000, streams, block_count=1)
+    for u, probability, stderr in zip(est.thresholds, est.values, est.stderrs):
+        oracle = degenerate_block_tail(env, u)
+        assert oracle == pytest.approx(
+            float(stats.gamma.sf(u * env.time_scale, env.block_length)), rel=1e-14
+        )
+        assert stderr == pytest.approx(math.sqrt(probability * (1 - probability) / est.samples))
+        assert abs(probability - oracle) < 3.0 * stderr
 
 
 def test_block_tail_grid_monotone_by_construction():
     """Common block sums across the grid force exact monotonicity in u."""
     env = Environment.create(8, 3, 3.0, 2.7, seed=5)
     grid = [0.25, 0.5, 1.0, 2.0, 4.0]
-    ests = estimate_block_tail_grid(env, grid, 3000, ReplicaStreams.from_seed(1))
-    probs = [e.probability for e in ests]
+    est = estimate_intensity(env, None, grid, 3000, ReplicaStreams.from_seed(1), block_count=1)
+    probs = est.values
     assert all(b <= a for a, b in zip(probs, probs[1:]))
-    assert all(e.samples == 3000 for e in ests)
+    assert est.samples == 3000
 
 
 def test_block_tail_extreme_thresholds():
     env = unit_env()
     streams = ReplicaStreams.from_seed(4)
-    assert estimate_block_tail_grid(env, [0.0], 500, streams)[0].probability == 1.0
-    assert estimate_block_tail_grid(env, [1e9], 500, streams)[0].probability == 0.0
+    # the edges p = 1 and p = 0 sit at the ends of a grid with two interior thresholds
+    est = estimate_intensity(env, None, [0.0, 1.9, 2.1, 1e9], 500, streams, block_count=1)
+    assert (est.values[0], est.stderrs[0]) == (1.0, 0.0)
+    assert (est.values[-1], est.stderrs[-1]) == (0.0, 0.0)
 
 
 def fixed_start_tail(env, start, threshold, samples, streams, presteps=0):
-    """Exceedance of the block that starts ``presteps`` moves after the fixed ``start``."""
+    """(hit rate, binomial stderr) of the block that starts ``presteps`` moves
+    after the fixed ``start``."""
     starts = np.full(samples, start, dtype=np.uint64)
     sums = _block_sums(env, samples, streams, presteps=presteps, starts=starts)
-    return _tail_from_sums(sums, threshold)
+    rates, _, stderrs = _binomial_intensity(sums[None, :] > threshold, 1)
+    return float(rates[0]), float(stderrs[0])
 
 
 def test_step_averaged_tail_equals_neighbor_average():
     """Averaging the one-step kernel by hand reproduces the presteps=1 route."""
     env = Environment.create(4, 3, 1.2, 1.0, seed=3)
     u = 1.0
-    sa = fixed_start_tail(env, 0, u, 8000, ReplicaStreams.from_seed(5), presteps=1)
+    sa, sa_se = fixed_start_tail(env, 0, u, 8000, ReplicaStreams.from_seed(5), presteps=1)
     fam = StreamFamily(105, "nbrs")
     nbr = [fixed_start_tail(env, 1 << b, u, 8000, fam.replica(b)) for b in range(4)]
-    mean_nbr = float(np.mean([e.probability for e in nbr]))
-    se = math.sqrt(sa.stderr**2 + sum(e.stderr**2 for e in nbr) / 16.0)
-    assert abs(sa.probability - mean_nbr) < 3.0 * se
+    mean_nbr = float(np.mean([p for p, _ in nbr]))
+    se = math.sqrt(sa_se**2 + sum(e**2 for _, e in nbr) / 16.0)
+    assert abs(sa - mean_nbr) < 3.0 * se
 
 
 def test_step_averaged_equals_plain_tail_at_beta_zero():
     # with state-independent holds the pre-step cannot matter
     env = unit_env()
-    a = fixed_start_tail(env, 0, 2.0, 10_000, ReplicaStreams.from_seed(6), presteps=1)
+    a, a_se = fixed_start_tail(env, 0, 2.0, 10_000, ReplicaStreams.from_seed(6), presteps=1)
     oracle = degenerate_block_tail(env, 2.0)
-    assert abs(a.probability - oracle) < 3.0 * a.stderr
+    assert abs(a - oracle) < 3.0 * a_se
 
 
 # --- aggregated intensity -------------------------------------------------
