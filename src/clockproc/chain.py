@@ -87,7 +87,6 @@ class TrajectorySegment:
     built; extension returns a new segment.
     """
 
-    n: int
     states: np.ndarray
     energies: np.ndarray
     exp_draws: np.ndarray
@@ -163,7 +162,7 @@ def simulate_segments(
     origins = [SpinConfig.random(env.n, r.walk) if start is None else start for r in streams]
     starts = np.array([origin.bits for origin in origins], dtype=np.uint64)
     rows = _segment_rows(env, starts, length, streams, 0)
-    return [TrajectorySegment(env.n, *row) for row in zip(*rows)]
+    return [TrajectorySegment(*row) for row in zip(*rows)]
 
 
 def simulate_segment(
@@ -184,7 +183,6 @@ def extend_segment(
         raise ParameterValidationError(f"extension must be >= 1 steps; got {extra}")
     states, energies, draws, holds = _segment_rows(env, segment.states[-1:], extra, [streams], 1)
     return TrajectorySegment(
-        n=segment.n,
         states=np.concatenate([segment.states, states[0]]),
         energies=np.concatenate([segment.energies, energies[0]]),
         exp_draws=np.concatenate([segment.exp_draws, draws[0]]),

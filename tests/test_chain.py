@@ -290,7 +290,6 @@ def test_blocked_clock_unit_increment_identity():
     seg = simulate_segment(env, SpinConfig(n, 0), length, streams)
     # overwrite the draws so every increment rescales to exactly 1
     seg = seg.__class__(
-        n=seg.n,
         states=seg.states,
         energies=seg.energies,
         exp_draws=np.full_like(seg.exp_draws, env.time_scale),
