@@ -224,7 +224,7 @@ def _run_laplace(cfg: ExperimentConfig, args) -> tuple[dict, list[_Output]]:
     header = ["v", "estimate", "stderr", "samples"]
     outputs = [_table("laplace.csv", header, rows, "laplace", [0], "one row per transform argument")]
     verdicts: dict = {}
-    if env.alpha is not None and not math.isnan(est.slope):
+    if env.alpha is not None:
         target = env.alpha - 1.0
         verdicts["laplace_slope"] = {
             "slope": est.slope,

@@ -336,6 +336,20 @@ def test_laplace_degenerate_closed_form_and_layout(tmp_path):
     assert "laplace_slope" not in manifest["verdicts"]
 
 
+def test_laplace_fails_a_slope_it_could_not_fit(tmp_path, capsys):
+    """One sample gives every transform point a zero stderr, so no point is
+    usable and the slope is NaN: graded as a fail, as ``conditions`` grades it."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"budgets": {"samples": 1}}))
+    outdir = tmp_path / "out"
+    assert main(["laplace", "--config", str(cfg_path), "--out", str(outdir)]) == 3
+    out = capsys.readouterr().out
+    assert "laplace_slope: fail" in out
+    assert out.strip().endswith("overall: fail")
+    verdict = load_manifest(outdir)["verdicts"]["laplace_slope"]
+    assert verdict["slope"] == "nan" and verdict["status"] == "fail"
+
+
 def test_aging_run_layout_and_flags(tmp_path):
     cfg_path = write_config(
         tmp_path / "cfg.json", n=6, beta=3.0, gamma=2.7, replicas=4, step_cap=500_000
@@ -602,3 +616,4 @@ def test_run_leaves_scipy_stats_and_integrate_unloaded(command, tmp_path):
     assert code != "1", proc.stderr
     assert text in (outdir / name).read_text()
     assert (stats_loaded, integrate_loaded) == ("False", "False")
+
