@@ -460,7 +460,8 @@ def _run_aging(cfg: ExperimentConfig, args) -> tuple[dict, list[_Output]]:
     outputs.append(_table("traps.csv", header, rows, "aging-trap", [0], "one row per block"))
     if args.dump_trajectory:
         outputs.append(_trajectory(env, segment, "aging-trap"))
-    verdicts["_environment"] = _environment_record(env, start) | {"status": "pass"}
+    record = {"epsilon": args.epsilon, "trap_threshold": args.trap_threshold, "status": "pass"}
+    verdicts["_environment"] = _environment_record(env, start) | record
     return verdicts, outputs
 
 

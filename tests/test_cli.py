@@ -6,6 +6,7 @@ locations.  One test goes through ``python -m`` to cover the installed entry
 point.
 """
 
+import argparse
 import csv
 import json
 import math
@@ -18,7 +19,7 @@ from scipy import stats
 
 from clockproc.chain import mixing_check
 from clockproc.environment import block_length
-from clockproc.cli import main
+from clockproc.cli import _build_parser, main
 from clockproc.config import ExperimentConfig
 
 pytestmark = pytest.mark.filterwarnings("ignore:block length")
@@ -617,3 +618,96 @@ def test_run_leaves_scipy_stats_and_integrate_unloaded(command, tmp_path):
     assert text in (outdir / name).read_text()
     assert (stats_loaded, integrate_loaded) == ("False", "False")
 
+
+# --- run-argument provenance ---------------------------------------------
+
+_COMMON_OPTIONS = ["--config", "--out", "--seed", "--threads"]
+
+# every option of every subcommand, as the parser declares them
+PINNED_OPTIONS = {
+    "aging": [*_COMMON_OPTIONS, "--dump-trajectory", "--epsilon", "--start", "--trap-threshold"],
+    "clock": [*_COMMON_OPTIONS, "--dump-trajectory", "--start"],
+    "conditions": _COMMON_OPTIONS,
+    "laplace": _COMMON_OPTIONS,
+    "mixing": _COMMON_OPTIONS,
+    "subordinator": _COMMON_OPTIONS,
+}
+
+# where a run writes each option's value into manifest.json: a key path whose
+# value equals the parsed option, the whole resolved "config" for --config, or
+# the "artifacts" list for a file the option adds.  An option that changes a
+# data file but is written nowhere would leave two different runs with equal
+# manifests; a new option must say here where its value is recorded.
+OPTION_RECORDS = {
+    "--config": ("config",),
+    "--out": ("config", "outputs", "directory"),
+    "--seed": ("config", "seeds", "master_seed"),
+    "--threads": ("config", "threads"),
+    "--dump-trajectory": ("artifacts",),
+    "--start": ("verdicts", "_environment", "start_distribution", "fixed_state_hex"),
+    "--epsilon": ("verdicts", "_environment", "epsilon"),
+    "--trap-threshold": ("verdicts", "_environment", "trap_threshold"),
+}
+
+# a value for each option that takes one, away from its default and the config's
+OPTION_VALUES = {"--seed": "7", "--threads": "2", "--start": "2a", "--epsilon": "0.3",
+                 "--trap-threshold": "0.7"}
+
+
+def parser_options():
+    """subcommand -> its sorted long options, read off the CLI's parser."""
+    parser = _build_parser()
+    (subparsers,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: sorted(
+            option
+            for action in sub._actions
+            if not isinstance(action, argparse._HelpAction)
+            for option in action.option_strings
+        )
+        for name, sub in subparsers.choices.items()
+    }
+
+
+def test_every_run_option_is_pinned_with_its_manifest_record():
+    assert parser_options() == {name: sorted(opts) for name, opts in PINNED_OPTIONS.items()}
+    assert {opt for opts in PINNED_OPTIONS.values() for opt in opts} == set(OPTION_RECORDS)
+
+
+def provenance_config(command, path):
+    if command in ("clock", "aging"):
+        return clock_config(path, replicas=2)
+    if command == "subordinator":
+        return write_config(path, samples=200, v_grid=[1.0])
+    return write_config(path, block_count=5)
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_OPTIONS))
+def test_every_run_option_is_written_into_the_manifest(command, tmp_path):
+    """A run with every option set away from its default writes each value
+    where ``OPTION_RECORDS`` says."""
+    cfg_path = provenance_config(command, tmp_path / "cfg.json")
+    outdir = tmp_path / "out"
+    argv = [command, "--config", str(cfg_path), "--out", str(outdir)]
+    for option in PINNED_OPTIONS[command]:
+        if option in OPTION_VALUES:
+            argv += [option, OPTION_VALUES[option]]
+        elif option == "--dump-trajectory":
+            argv.append(option)
+    assert main(argv) in (0, 2, 3)
+    manifest = load_manifest(outdir)
+    args = _build_parser().parse_args(argv)
+    overrides = {"master_seed": args.seed, "directory": args.out, "threads": args.threads}
+    resolved = ExperimentConfig.load(cfg_path).replace(**overrides).to_dict()
+    for option in PINNED_OPTIONS[command]:
+        path = OPTION_RECORDS[option]
+        if path == ("config",):
+            assert manifest["config"] == json.loads(json.dumps(resolved)), option
+        elif path == ("artifacts",):
+            assert "trajectory.csv" in [a["file"] for a in manifest["artifacts"]], option
+        else:
+            node = manifest
+            for key in path:
+                assert isinstance(node, dict) and key in node, f"{option} is not recorded at {path}"
+                node = node[key]
+            assert node == getattr(args, option[2:].replace("-", "_")), option
