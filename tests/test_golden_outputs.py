@@ -123,7 +123,7 @@ EXPECTED = {
         "aging.csv": "cd27e68e57c143fa48b589d98034a1223f9336daf330eb18f58d51c690ce3e1a",
         "aging_reference.csv": "e62bcf8688c1071852386bca06b98148fa93c0dd904f2d41f7a67b3b3083ee3e",
         "traps.csv": "b837d81057c253790d925e62805de9badd657203b12ff79636d932d711ac715f",
-        "verdicts": "620a400da62f17c08f631d9e773ede9699157469db8e7c0daacb8f1a60a3fd76",
+        "verdicts": "6fd4e9f25c772341443caf7ef6d7f202d5560669720c2f0ee40cb8db6e35aaa0",
     }),
     "clock": (0, {
         "clock.csv": "9c30e5ebee43e4c890b9aa63be0757387d6bf1a5b5129b679caadce5dd7108fa",
