@@ -231,7 +231,7 @@ class _LineFit:
 
 
 def _weighted_line_fit(
-    grid: np.ndarray, values: np.ndarray, stderrs: np.ndarray, usable
+    grid: np.ndarray, values: np.ndarray, stderrs: np.ndarray, usable: np.ndarray | bool
 ) -> _LineFit | None:
     """Weighted least squares of log ``values`` against log ``grid`` over the
     ``usable`` points whose value and standard error are positive, with the
