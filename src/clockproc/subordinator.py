@@ -17,12 +17,16 @@ the cache; each block draws its rows' sizes as it fills them in.  Each
 block gives its paths' S(1), for the transform, from the first window, and
 every interval crossing in one :func:`crossing_probability_batch` pass.
 A path stops drawing once a jump lands above the deepest t, since that
-first landing above t settles every (t, s) indicator.
+first landing above t settles every (t, s) indicator.  Each pool thread
+draws and builds into one set of scratch arrays, reused across its chunks,
+windows and row blocks and grown only when a window needs more room; every
+window's length is a power of two, so scaling its uniform draws is exact.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,20 +115,57 @@ class SubordinatorPath:
         return float(self.sizes.sum()) + self.compensation_rate * self.horizon
 
 
+class _Scratch(threading.local):
+    """Arrays that each thread reuses across a self-test's chunks, windows
+    and row blocks; a thread sees only its own, and all of them are freed
+    with the object."""
+
+    def __init__(self) -> None:
+        self.arrays: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, *shape: int, dtype=np.float64) -> np.ndarray:
+        """The named array's first prod(shape) entries, as a C-contiguous
+        ``shape`` view; grows the array when it is too small.  The entries
+        hold whatever the last caller left, so a caller overwrites what it
+        reads."""
+        size = math.prod(shape)
+        buf = self.arrays.pop(name, None)
+        if buf is None or buf.size < size:
+            del buf  # free the smaller array before the larger one is made
+            buf = np.empty(size, dtype)
+        self.arrays[name] = buf
+        return buf[:size].reshape(shape)
+
+
 def _draw_window(
-    measure: PowerLawLevyMeasure, cutoff: float, start: float, end: float, rows: int, rng
+    measure: PowerLawLevyMeasure,
+    cutoff: float,
+    start: float,
+    end: float,
+    rows: int,
+    rng,
+    scratch: _Scratch | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Jump counts and times of ``rows`` paths on (start, end], in stream order.
 
     The stream gives the counts of every row, then the uniform times.
     Returns the counts and the 1-D times, unsorted: row i owns the
-    ``counts[i]`` entries after those of rows < i.  The sizes come next in
-    the stream, in the same order, as ``measure.jump_sizes(cutoff, u)`` of
-    uniforms ``u``; a caller may draw them in parts, since consecutive
-    ``uniform`` calls give the doubles of one call.
+    ``counts[i]`` entries after those of rows < i.  The times go into
+    ``scratch``'s ``"draws"`` array when one is given.  The sizes come next
+    in the stream, in the same order, as ``measure.jump_sizes(cutoff, u)``
+    of uniforms ``u``; a caller may draw them in parts, since consecutive
+    ``random`` calls give the doubles of one call.
     """
     counts = rng.poisson((end - start) * float(measure.tail(cutoff)), size=rows)
-    return counts, rng.uniform(start, end, size=int(counts.sum()))
+    total = int(counts.sum())
+    times = np.empty(total) if scratch is None else scratch.take("draws", total)
+    # rng.uniform(start, end) is start + (end - start) * u; for a window of
+    # power-of-two length, as every self-test window is, the product is exact,
+    # so these are its doubles whether or not the two steps are fused
+    rng.random(out=times)
+    times *= end - start
+    times += start
+    return counts, times
 
 
 def extend_path(
@@ -136,7 +177,7 @@ def extend_path(
             f"new horizon {new_horizon} must exceed the current horizon {path.horizon}"
         )
     _, times = _draw_window(path.measure, path.cutoff, path.horizon, new_horizon, 1, rng)
-    sizes = path.measure.jump_sizes(path.cutoff, rng.uniform(size=times.size))
+    sizes = path.measure.jump_sizes(path.cutoff, rng.random(times.size))
     times.sort()
     return SubordinatorPath(
         measure=path.measure,
@@ -196,6 +237,7 @@ def crossing_probability_batch(
     counts: np.ndarray,
     drift: float,
     pairs,
+    work: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Vectorised crossing indicators over padded path matrices, all pairs at once.
 
@@ -203,13 +245,20 @@ def crossing_probability_batch(
     and zero sizes past ``counts``.  Returns a (len(pairs), paths) array: -1
     where the path has not landed above t, its value after its last jump
     being at most t (caller decides how to handle), else the 0/1 indicator of
-    :func:`crossing_probability`.
+    :func:`crossing_probability`.  ``work``, if given, is two float64 arrays
+    of the matrices' shape that take the running jump sums and the landing
+    values instead of two new arrays; the first may be ``sizes`` itself,
+    which is then overwritten.  The result does not depend on it.
     """
     times, counts = np.asarray(times, dtype=np.float64), np.asarray(counts)
-    jumps = np.cumsum(sizes, axis=1)
+    jumps, post = (None, np.empty_like(times)) if work is None else work
+    jumps = np.cumsum(sizes, axis=1, out=jumps)
     # padding lands at +inf, so every row is monotone and a row that passed t
     # first lands above t at a real jump (at drift 0, inf * drift would be NaN)
-    post = times * drift if drift > 0 else np.where(times < np.inf, 0.0, np.inf)
+    if drift > 0:
+        np.multiply(times, drift, out=post)
+    else:
+        np.copyto(post, np.where(times < np.inf, 0.0, np.inf))
     post += jumps
     rows = np.arange(len(counts))
     sup = np.where(counts > 0, post[rows, np.maximum(counts - 1, 0)], 0.0)
@@ -224,7 +273,7 @@ def crossing_probability_batch(
         if t not in at_level:
             # first jump whose landing value exceeds t, and the value before it,
             # summed: landing - size cancels to 0 under a huge jump
-            idx = np.minimum((post <= t).sum(axis=1), last)
+            idx = np.minimum(np.count_nonzero(post <= t, axis=1), last)
             pre = np.where(idx > 0, jumps[rows, idx - 1], 0.0)
             if drift > 0:
                 pre += drift * times[rows, idx]
@@ -296,11 +345,16 @@ def self_test(
     sizes as it fills them in, so the stream gives every count, then every
     time, then every size, whatever the block size; every block's rows are
     as long as the window's longest, so the bytes do not depend on it.
+    Each thread draws the times, builds the matrices and reads the crossings
+    in its own scratch arrays, owned by this call and reused across its
+    chunks, windows and blocks; every block overwrites the part it reads, so
+    the bytes do not depend on what an earlier window left there either.
     """
     cutoff = _SELF_TEST_CUTOFF
     deepest = int(np.argmax([t for t, _ in pairs]))  # the pair with the largest t
     chunks = (paths + _SELF_TEST_CHUNK - 1) // _SELF_TEST_CHUNK
     v_arr = np.asarray(v_grid, dtype=np.float64)
+    scratch = _Scratch()
     out = []
     for alpha in _SELF_TEST_ALPHAS:
         measure = PowerLawLevyMeasure(1.0, alpha)
@@ -315,7 +369,9 @@ def self_test(
             rows = np.arange(count)  # paths that have not landed above the deepest t
             start, end = 0.0, 1.0
             while rows.size:
-                counts, jump_times = _draw_window(measure, cutoff, start, end, rows.size, rng)
+                counts, jump_times = _draw_window(
+                    measure, cutoff, start, end, rows.size, rng, scratch
+                )
                 # one row length for every block keeps each row's pairwise sums
                 width = max(int(counts.max()), 1)
                 offsets = np.concatenate([[0], np.cumsum(counts)])
@@ -324,32 +380,37 @@ def self_test(
                 for lo in range(0, rows.size, _SELF_TEST_ROW_BLOCK):
                     hi = min(lo + _SELF_TEST_ROW_BLOCK, rows.size)
                     block = rows[lo:hi]
+                    shape = (hi - lo, width + 1)
+                    times, sizes, work = (scratch.take(n, *shape) for n in ("times", "sizes", "work"))
+                    mask = scratch.take("mask", hi - lo, width, dtype=bool)
                     # a leading jump at time 0 carries the mass of the earlier
                     # windows; it lands at or below every level the path has not
                     # passed, so it misreads only flags that are already set, and
                     # those are kept
-                    times = np.full((hi - lo, width + 1), np.inf)
-                    sizes = np.zeros((hi - lo, width + 1))
+                    times.fill(np.inf)
+                    sizes.fill(0.0)
                     times[:, 0] = 0.0
                     sizes[:, 0] = mass[block]
-                    mask = np.arange(width)[None, :] < counts[lo:hi, None]
+                    np.less(np.arange(width), counts[lo:hi, None], out=mask)
                     times[:, 1:][mask] = jump_times[offsets[lo] : offsets[hi]]
-                    drawn = offsets[hi] - offsets[lo]
-                    sizes[:, 1:][mask] = measure.jump_sizes(cutoff, rng.uniform(size=drawn))
+                    # the size uniforms borrow the room the landing values take later
+                    uniforms = rng.random(out=work.reshape(-1)[: offsets[hi] - offsets[lo]])
+                    sizes[:, 1:][mask] = measure.jump_sizes(cutoff, uniforms)
                     times[:, 1:].sort(axis=1)
                     if start == 0.0:
                         totals[lo:hi] = sizes[:, 1:].sum(axis=1)
+                    mass[block] = sizes.sum(axis=1)
+                    # the sizes are read: their running sums may overwrite them
                     window = crossing_probability_batch(
-                        times, sizes, counts[lo:hi] + 1, drift_rate, pairs
+                        times, sizes, counts[lo:hi] + 1, drift_rate, pairs, (sizes, work)
                     )
                     flags[:, block] = np.where(flags[:, block] < 0, window, flags[:, block])
-                    mass[block] = sizes.sum(axis=1)
                 if start == 0.0:
                     # every path draws [0, 1]: S(1) is its jump mass plus the drift
                     weights = np.exp(-np.outer(v_arr, totals + drift_rate))
                 rows = rows[flags[deepest, rows] < 0]
-                # free this window's times and last block before the next draw
-                del counts, jump_times, offsets, times, sizes, mask, window
+                # drop the views of the scratch, which the next window may grow
+                del counts, jump_times, offsets, times, sizes, work, mask, uniforms, window
                 start, end = end, 2.0 * end
             return flags.sum(axis=1), weights.sum(axis=1)
 

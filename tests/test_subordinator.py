@@ -421,6 +421,39 @@ def test_self_test_row_blocks_match_whole_window_matrices(threads):
     assert_same_self_test(self_test(ORACLE_PAIRS, ORACLE_V, 2500, 23, threads), reference)
 
 
+# more pairs and ratios than ORACLE_PAIRS, down to t = 0.25
+WIDE_PAIRS = [(0.25, 0.75), (1.0, 4.0), (1.0, 0.25), (2.0, 2.0), (4.0, 12.0), (6.0, 0.5)]
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_self_test_reused_scratch_changes_no_result(threads):
+    """Each thread's scratch outlives its blocks, windows and chunks: rows
+    left by a wider window or a larger block must not reach a later one.
+    A wider grid first, then ORACLE_PAIRS twice in a row, all in one
+    process, keep every bit of the unblocked oracle."""
+    wide = self_test(WIDE_PAIRS, ORACLE_V, 2500, 37, threads)
+    assert_same_self_test(wide, unblocked_self_test(WIDE_PAIRS, ORACLE_V, 2500, 37))
+    reference = unblocked_self_test(ORACLE_PAIRS, ORACLE_V, 2500, 23)
+    for _ in range(2):
+        assert_same_self_test(self_test(ORACLE_PAIRS, ORACLE_V, 2500, 23, threads), reference)
+
+
+@pytest.mark.parametrize("start, end", [(0.0, 1.0), (1.0, 2.0), (2.0, 4.0), (2.0**9, 2.0**10)])
+def test_window_draw_into_scratch_gives_the_uniform_doubles(start, end):
+    """Scaling the uniforms by a power-of-two window length is exact, so the
+    times drawn into a dirty, larger buffer are rng.uniform's doubles, and
+    the stream goes on from the same place."""
+    m, cutoff = measure(1.0, 0.5), 1e-2
+    scratch = subordinator._Scratch()
+    scratch.take("draws", 10**6).fill(np.nan)
+    drawn, expected = np.random.default_rng(41), np.random.default_rng(41)
+    counts, times = subordinator._draw_window(m, cutoff, start, end, 50, drawn, scratch)
+    rate = (end - start) * float(m.tail(cutoff))
+    assert np.array_equal(counts, expected.poisson(rate, size=50))
+    assert times.tobytes() == expected.uniform(start, end, size=int(counts.sum())).tobytes()
+    assert drawn.random() == expected.random()
+
+
 def test_self_test_does_not_depend_on_the_row_block(monkeypatch):
     def values(results):
         return [(r.crossings.tolist(), dataclasses.replace(r, crossings=None)) for r in results]
@@ -434,8 +467,10 @@ def test_self_test_does_not_depend_on_the_row_block(monkeypatch):
 
 def test_self_test_chunk_peak_memory_stays_below_the_whole_window_matrices():
     """One 2,000-path chunk on the shipped ts_grid: the row blocks, each
-    drawing its own jump sizes, keep the traced peak near 23 MB, where
-    whole-window size draws reach 33 MB and whole-window matrices 47 MB."""
+    drawing its own jump sizes, built in one reused set of scratch arrays
+    whose size uniforms share the landing values' room, keep the traced
+    peak near 20 MB.  New arrays per block and window peaked at 23 MB,
+    whole-window size draws at 33 MB and whole-window matrices at 47 MB."""
     pairs = list(default_ts_grid())
     tracemalloc.start()
     try:
@@ -443,7 +478,7 @@ def test_self_test_chunk_peak_memory_stays_below_the_whole_window_matrices():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 26e6
+    assert peak < 22e6
 
 
 def test_reference_variance_of_the_transform_weight():
