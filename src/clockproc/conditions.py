@@ -370,6 +370,21 @@ def _squared_tail_indicators(
     return (first[None, :] > grid[:, None]) & (second[None, :] > grid[:, None])
 
 
+def _squared_tail_verdict(
+    two_step: Sequence[SquaredTailEstimate], split: Sequence[SquaredTailEstimate]
+) -> dict:
+    """The routes' largest disagreement in z units over the thresholds where
+    either route has a joint exceedance; a threshold where neither has one
+    agrees on no evidence and adds no z.  With no exceedance at any
+    threshold there is nothing to grade, and the verdict warns."""
+    seen = [(a, b) for a, b in zip(two_step, split) if a.value > 0 or b.value > 0]
+    if not seen:
+        note = "no joint exceedance in either route at any threshold"
+        return {"z": 0.0, "status": "warn", "note": note}
+    z = max(z_score(a.value, b.value, math.hypot(a.stderr, b.stderr)) for a, b in seen)
+    return {"z": z, "status": z_status(z)}
+
+
 def estimate_squared_tail_grid(
     env: Environment,
     thresholds: Sequence[float],
@@ -1232,10 +1247,7 @@ def build_condition_report(
             "tolerance": SLOPE_WINDOW,
             "status": slope_status(delta, laplace.slope_se),
         }
-    z_sq = 0.0
-    for ea, eb in zip(squared_a, squared_b):
-        z_sq = max(z_sq, z_score(ea.value, eb.value, math.hypot(ea.stderr, eb.stderr)))
-    verdicts["squared_tail_routes"] = {"z": z_sq, "status": z_status(z_sq)}
+    verdicts["squared_tail_routes"] = _squared_tail_verdict(squared_a, squared_b)
     if env.has_energy_table:
         verdicts["initial_term"] = _floored_z(
             (est.value, est.stderr, est.samples, est.exact_value, 1.0) for est in initial

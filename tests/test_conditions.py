@@ -13,6 +13,8 @@ from clockproc.conditions import (
     _block_sums,
     _conditional_transform_moments,
     _binomial_intensity,
+    _squared_tail_verdict,
+    SquaredTailEstimate,
     build_condition_report,
     concentration_diagnostic,
     conditional_block_laplace,
@@ -168,6 +170,33 @@ def test_squared_tail_at_beta_zero_is_product_of_tails():
     q = degenerate_block_tail(env, 2.0)
     se = max(est.stderr, math.sqrt(q * q * (1 - q * q) / est.samples))
     assert abs(est.value - q * q) < 3.5 * se
+
+
+def squared_rows(route, values, stderrs):
+    return [
+        SquaredTailEstimate(float(u), value, se, 4000, 3, route)
+        for u, value, se in zip([0.5, 1.0, 2.0], values, stderrs)
+    ]
+
+
+def test_squared_tail_verdict_warns_without_a_joint_exceedance():
+    """0 +- 0 on both routes at every threshold is no evidence, not a pass."""
+    empty = [squared_rows(route, [0.0] * 3, [0.0] * 3) for route in ("two-step", "split")]
+    verdict = _squared_tail_verdict(*empty)
+    assert verdict["status"] == "warn" and verdict["z"] == 0.0
+    assert "no joint exceedance" in verdict["note"]
+
+
+def test_squared_tail_verdict_skips_thresholds_without_a_hit():
+    """Only thresholds where either route hits add a z; one route's lone hit
+    is graded against the other's zero."""
+    a = squared_rows("two-step", [0.3, 0.0, 0.0], [0.01, 0.0, 0.0])
+    b = squared_rows("split", [0.32, 0.0, 0.0], [0.01, 0.0, 0.0])
+    verdict = _squared_tail_verdict(a, b)
+    assert verdict == {"z": pytest.approx(0.02 / math.hypot(0.01, 0.01)), "status": "pass"}
+    b = squared_rows("split", [0.32, 0.0, 0.005], [0.01, 0.0, 0.001])
+    verdict = _squared_tail_verdict(a, b)
+    assert verdict == {"z": pytest.approx(5.0), "status": "warn"}
 
 
 # --- Laplace transforms ---------------------------------------------------
