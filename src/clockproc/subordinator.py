@@ -132,7 +132,9 @@ class _Scratch(threading.local):
         buf = self.arrays.pop(name, None)
         if buf is None or buf.size < size:
             del buf  # free the smaller array before the larger one is made
-            buf = np.empty(size, dtype)
+            # a sixteenth to spare: the next chunk's window is often a little
+            # larger, and the heap keeps the pages of each array it replaces
+            buf = np.empty(size + size // 16, dtype)
         self.arrays[name] = buf
         return buf[:size].reshape(shape)
 

@@ -469,7 +469,7 @@ def test_self_test_chunk_peak_memory_stays_below_the_whole_window_matrices():
     """One 2,000-path chunk on the shipped ts_grid: the row blocks, each
     drawing its own jump sizes, built in one reused set of scratch arrays
     whose size uniforms share the landing values' room, keep the traced
-    peak near 20 MB.  New arrays per block and window peaked at 23 MB,
+    peak near 21 MB.  New arrays per block and window peaked at 23 MB,
     whole-window size draws at 33 MB and whole-window matrices at 47 MB."""
     pairs = list(default_ts_grid())
     tracemalloc.start()
