@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import TrajectorySegment, block_rows, extend_segment, process_at_time, simulate_segments
+from .chain import TrajectorySegment, block_rows, process_at_time, walk_to_times
 from .environment import Environment, SpinConfig, overlap_to_reference
 from .errors import BudgetError, DimensionMismatchError, ParameterValidationError
 from .parallel import ordered_map
@@ -128,22 +128,21 @@ def estimate_aging_curve(
     """Monte Carlo aging curve over independent trajectory replicas.
 
     Each replica starts uniformly (or at ``start``, a non-stationary choice
-    for exploratory runs), simulates until its clock passes the
-    latest requested time (from four times the expected number of steps to
-    reach it, doubling the segment, which extends the existing path rather
-    than resampling it), and reads its indicators of every (t, s) pair in
-    one :func:`correlation_indicator` call.  The first segments are drawn in
-    row blocks of :func:`~clockproc.chain.block_rows` replicas, one block per
-    work item of ``threads``, and only the replicas that fall short are
-    extended; each replica draws from its own streams, so the curve does
-    not depend on the block size or ``threads``.  If
-    already the expected number of steps exceeds ``step_cap``, the run
-    refuses upfront with a budget error;
-    individual replicas that still hit the cap (required step counts are
-    heavy-tailed) are censored for the unreached pairs and excluded from
-    those averages, with censoring counts reported — never silently dropped.
-    The predicted values evaluate the arcsine law at t/(t+s) with the
-    environment's tail exponent unless ``prediction_alpha`` overrides it.
+    for exploratory runs) and walks until its clock passes the latest
+    requested time, recording where it sits at each t and t + s.  The thread
+    pool takes row blocks of :func:`~clockproc.chain.block_rows` replicas,
+    sized by the expected number of steps to reach that time; each block
+    walks in growing windows through :func:`~clockproc.chain.walk_to_times`,
+    whose rows stop as their clocks pass it, and reads its indicators in one
+    overlap comparison.  Each replica draws from its own streams, so the
+    curve does not depend on the block size or ``threads``.  If already the
+    expected number of steps exceeds ``step_cap``, the run refuses upfront
+    with a budget error; individual replicas that still hit the cap
+    (required step counts are heavy-tailed) are censored for the unreached
+    pairs and excluded from those averages, with censoring counts reported —
+    never silently dropped.  The predicted values evaluate the arcsine law
+    at t/(t+s) with the environment's tail exponent unless
+    ``prediction_alpha`` overrides it.
     """
     pair_list = [(float(t), float(s)) for t, s in pairs]
     if not pair_list:
@@ -153,24 +152,25 @@ def estimate_aging_curve(
             raise ParameterValidationError(f"need t >= 0 and s > 0; got (t, s)=({t}, {s})")
     if replicas < 1:
         raise ParameterValidationError("need at least one replica")
+    if not 0 < epsilon <= 2:
+        raise ParameterValidationError(f"epsilon must lie in (0, 2]; got {epsilon}")
     unit = env.time_scale if time_unit is None else float(time_unit)
     if not (unit > 0 and math.isfinite(unit)):
         raise ParameterValidationError(f"time unit must be positive and finite; got {unit}")
     alpha = env.alpha if prediction_alpha is None else float(prediction_alpha)
     latest = max((t + s) for t, s in pair_list)
-    needed = latest * unit
     # a-priori budget: covering clock time t*time_scale takes ~t*step_scale
-    # steps; with unit holding rates (beta=0) it takes ~needed steps
+    # steps; with unit holding rates (beta=0) it takes ~latest*unit steps
     if env.step_scale is not None and math.isfinite(env.step_scale):
         expected_steps = latest * env.step_scale * unit / env.time_scale
     else:
-        expected_steps = needed
+        expected_steps = latest * unit
     if expected_steps > step_cap:
         raise BudgetError(
             f"expected ~{expected_steps:.3g} steps to cover the horizon, above the "
             f"step cap {step_cap:.3g}; raise the cap or shorten the grid"
         )
-    first_steps = min(max(1, math.ceil(4.0 * expected_steps)), step_cap)
+    first = min(max(1, math.ceil(expected_steps)), step_cap)
     family = StreamFamily(master_seed, "aging")
 
     if start is not None and start.n != env.n:
@@ -178,22 +178,15 @@ def estimate_aging_curve(
 
     times = np.array(pair_list)
     later = times.sum(axis=1) * unit
-    rows = block_rows(env, first_steps)
+    queries = np.concatenate([times[:, 0] * unit, later])
+    rows = block_rows(env, first)
 
     def worker(b: int):
         streams = [family.replica(i) for i in range(b * rows, min(replicas, (b + 1) * rows))]
-        hits = np.zeros(len(pair_list), dtype=np.int64)
-        valid = np.zeros(len(pair_list), dtype=np.int64)
-        for replica, segment in zip(streams, simulate_segments(env, start, first_steps, streams)):
-            while segment.horizon <= needed and segment.steps < step_cap:
-                extra = min(segment.steps, step_cap - segment.steps)
-                segment = extend_segment(env, segment, extra, replica)
-            reached = later < segment.horizon  # the rest are censored at the step cap
-            valid += reached
-            hits[reached] += correlation_indicator(
-                env, segment, times[reached, 0], times[reached, 1], epsilon, time_unit=unit
-            )
-        return hits, valid
+        states, clocks = walk_to_times(env, start, queries, first, step_cap, streams)
+        reached = later < clocks[:, None]  # the rest are censored at the step cap
+        close = overlap_to_reference(*np.split(states, 2, axis=1), env.n) >= 1.0 - epsilon
+        return (close & reached).sum(axis=0), reached.sum(axis=0)
 
     results = ordered_map(worker, -(-replicas // rows), threads)
     hits = np.sum([r[0] for r in results], axis=0)

@@ -4,11 +4,15 @@ The jump chain is simple random walk: each step flips one uniformly chosen
 spin.  The clock process attaches to every visited state an exponential
 waiting time scaled by the holding time tau of that state; aggregating the
 rescaled clock over fixed-length blocks yields the jump sizes whose tail
-statistics the conditions module estimates.  ``simulate_segments`` is the one
-place trajectories are drawn: a row block of replicas at a time, each from
-its own streams, with ``simulate_segment`` as its one-row case.  It takes a
-given start or draws the stationary (uniform) one, and ``extend_segment``
-continues a segment with the same streams through the same row path.
+statistics the conditions module estimates.  One row path draws every
+trajectory: a row block of replicas at a time, each from its own streams.
+``simulate_segments`` keeps a block's whole segments of a fixed length, with
+``simulate_segment`` as its one-row case; it takes a given start or draws the
+stationary (uniform) one, and ``extend_segment`` continues a segment with
+the same streams.  ``walk_to_times`` walks a block in growing windows that
+stop at the latest query time, and keeps only each replica's state at the
+query times and its final clock, so its memory is one window, not a
+segment.
 
 The exact mixing check runs on Hamming-distance classes in exact integer
 arithmetic, so it covers every supported n.
@@ -39,13 +43,15 @@ __all__ = [
     "simulate_segments",
     "simulate_segment",
     "extend_segment",
+    "walk_to_times",
     "blocked_clock",
     "process_at_time",
     "mixing_check",
 ]
 
-# a row block of segments holds about this many visited states: their packed
-# states, energies, exponentials, holds and clock, 40 bytes a state
+# a row block of segments, or one window of a windowed walk, holds about this
+# many visited states: their packed states, energies, exponentials, holds and
+# clock, 40 bytes a state
 SEGMENT_BLOCK_STATES = 1 << 14
 
 
@@ -188,6 +194,68 @@ def extend_segment(
         exp_draws=np.concatenate([segment.exp_draws, draws[0]]),
         increments=np.concatenate([segment.increments, holds[0]]),
     )
+
+
+def walk_to_times(
+    env: Environment,
+    start: SpinConfig | None,
+    times,
+    first: int,
+    step_cap: int,
+    streams: list[ReplicaStreams],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Where a row block of replicas sits at each of ``times``, and their final clocks.
+
+    Replica r starts as in :func:`simulate_segments` and walks in windows
+    through the same row path: ``first`` steps, then twice the last window,
+    with the open rows times the window's states capped at
+    ``SEGMENT_BLOCK_STATES``.  A row carries its last state into the next
+    window and its running clock into that window's first hold, before the
+    row-wise sum, so its clock has the bits of one long segment's.  A row
+    stops once its clock passes the latest time, or at exactly ``step_cap``
+    steps.  Entry (r, j) of the returned states is the state
+    :func:`process_at_time` would read at ``times[j]`` on row r's whole
+    segment, wherever ``times[j]`` is below row r's final clock; past it the
+    row is censored and the entry is 0.  Only the recorded states and the
+    clocks outlive a window.
+    """
+    if start is not None and start.n != env.n:
+        raise DimensionMismatchError(f"start has n={start.n}; environment has n={env.n}")
+    if not 1 <= first <= step_cap:
+        raise ParameterValidationError(f"need 1 <= first <= step_cap; got {first} and {step_cap}")
+    queries, order = np.unique(np.asarray(times, dtype=np.float64), return_inverse=True)
+    if not queries.size or queries[0] < 0:
+        raise ParameterValidationError("need at least one time, all nonnegative")
+    origins = [SpinConfig.random(env.n, r.walk) if start is None else start for r in streams]
+    last = np.array([origin.bits for origin in origins], dtype=np.uint64)
+    clocks = np.zeros(len(streams))
+    found = np.zeros((len(streams), queries.size), dtype=np.uint64)
+    placed = np.zeros(len(streams), dtype=np.intp)  # each row's sorted queries placed so far
+    rows = np.arange(len(streams))
+    steps, window = 0, first
+    while rows.size:
+        window = min(window, step_cap - steps, max(1, SEGMENT_BLOCK_STATES // rows.size - 1))
+        states, energies, draws, clock = _segment_rows(
+            env, last[rows], window, [streams[r] for r in rows], int(steps > 0)
+        )
+        del energies, draws  # only the states and the clock are read
+        clock[:, 0] += clocks[rows]
+        np.cumsum(clock, axis=1, out=clock)
+        # a row's unplaced queries all lie at or past this window's start;
+        # search the rows whose clock passes the first of them
+        for i in np.flatnonzero(clock[:, -1] > queries[placed[rows]]):
+            r, row_clock = rows[i], clock[i]
+            at = row_clock.searchsorted(queries[placed[r] :], side="right")
+            count = np.count_nonzero(at < row_clock.size)
+            found[r, placed[r] : placed[r] + count] = states[i, at[:count]]
+            placed[r] += count
+        clocks[rows] = clock[:, -1]
+        last[rows] = states[:, -1]
+        del states, clock  # one window at a time: free this one before the next is drawn
+        steps += window
+        rows = rows[clocks[rows] <= queries[-1]] if steps < step_cap else rows[:0]
+        window *= 2
+    return found[:, order], clocks
 
 
 @dataclass

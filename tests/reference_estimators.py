@@ -18,9 +18,12 @@ Laplace exponent.  ``unblocked_self_test`` runs each self-test chunk as
 whole padded (paths, jumps) matrices per window, with the carried mass
 stacked on as a column and one crossing batch per window, so it checks the
 row blocks ``self_test`` builds and the stream order it draws in.
-``per_replica_aging_counts`` walks the aging replicas one at a time and
-compares the two states of each (t, s) pair by ``overlap``, so it checks the
-row blocks and the array indicators of ``estimate_aging_curve``.
+``doubling_aging_curve`` is the aging curve as the package once estimated
+it: each replica walks a first segment of four times the expected steps on
+its own, doubles it with ``extend_segment`` until its clock passes the
+latest time, and compares the two states of each (t, s) pair by
+``overlap``, so it checks the row blocks, the growing windows and the
+recorded states of ``estimate_aging_curve``.
 
 ``hamming`` and ``overlap`` compare two ``SpinConfig`` one pair at a time in
 Python integers, beside the package's vectorised ``overlap_to_reference``.
@@ -33,6 +36,7 @@ import math
 import numpy as np
 
 from clockproc import conditions
+from clockproc.aging import AgingCurve
 from clockproc.chain import extend_segment, index_walk, process_at_time, simulate_segment
 from clockproc.conditions import _block_sums, conditional_block_laplace
 from clockproc.environment import SpinConfig
@@ -41,6 +45,7 @@ from clockproc.seeding import StreamFamily, keyed_generator
 from clockproc.subordinator import (
     PowerLawLevyMeasure,
     SubordinatorPath,
+    arcsine_cdf,
     crossing_probability_batch,
     extend_path,
 )
@@ -251,30 +256,51 @@ def unblocked_self_test(pairs, v_grid, paths, master_seed, alphas=(0.3, 0.5, 0.7
     return out
 
 
-def per_replica_aging_counts(
-    env, pairs, epsilon, replicas, master_seed, first_steps, time_unit, step_cap, start=None
+def doubling_aging_curve(
+    env, pairs, epsilon, replicas, master_seed, *, time_unit=None, prediction_alpha=None,
+    step_cap=100_000_000, start=None,
 ):
-    """Hits and completions per (t, s) pair of ``estimate_aging_curve``: each
-    replica walks a ``first_steps``-step segment on its own, doubles it until
+    """The ``AgingCurve`` of ``estimate_aging_curve``, one replica at a time:
+    each walks a segment of four times the expected steps, doubles it until
     its clock passes the latest pair or it reaches ``step_cap``, and counts a
     hit where the overlap of a reached pair's two states is >= 1 - epsilon."""
-    needed = max(t + s for t, s in pairs) * time_unit
+    pairs = [(float(t), float(s)) for t, s in pairs]
+    unit = env.time_scale if time_unit is None else float(time_unit)
+    alpha = env.alpha if prediction_alpha is None else float(prediction_alpha)
+    latest = max(t + s for t, s in pairs)
+    if env.step_scale is not None and math.isfinite(env.step_scale):
+        expected_steps = latest * env.step_scale * unit / env.time_scale
+    else:
+        expected_steps = latest * unit
+    first_steps = min(max(1, math.ceil(4.0 * expected_steps)), step_cap)
     family = StreamFamily(master_seed, "aging")
     hits = np.zeros(len(pairs), dtype=np.int64)
     valid = np.zeros(len(pairs), dtype=np.int64)
     for i in range(replicas):
         streams = family.replica(i)
         segment = simulate_segment(env, start, first_steps, streams)
-        while segment.horizon <= needed and segment.steps < step_cap:
+        while segment.horizon <= latest * unit and segment.steps < step_cap:
             extra = min(segment.steps, step_cap - segment.steps)
             segment = extend_segment(env, segment, extra, streams)
         for j, (t, s) in enumerate(pairs):
-            if (t + s) * time_unit >= segment.horizon:
+            if (t + s) * unit >= segment.horizon:
                 continue  # censored at the step cap
             valid[j] += 1
             x, y = (
                 SpinConfig(env.n, int(bits))
-                for bits in process_at_time(segment, env, np.array([t, t + s]) * time_unit)
+                for bits in process_at_time(segment, env, np.array([t, t + s]) * unit)
             )
             hits[j] += overlap(x, y) >= 1.0 - epsilon
-    return hits, valid
+    rates = [h / v if v else math.nan for h, v in zip(hits, valid)]
+    ratios = [t / (t + s) for t, s in pairs]
+    return AgingCurve(
+        pairs=tuple(pairs),
+        ratios=tuple(ratios),
+        estimates=tuple(float(p) for p in rates),
+        stderrs=tuple(
+            float(math.sqrt(p * (1.0 - p) / v)) if v else math.nan for p, v in zip(rates, valid)
+        ),
+        predicted=tuple(math.nan if alpha is None else float(arcsine_cdf(alpha, r)) for r in ratios),
+        completed=tuple(int(v) for v in valid),
+        censored=tuple(int(replicas - v) for v in valid),
+    )

@@ -1,18 +1,21 @@
 """Two-time correlation curves and trap localisation."""
 
 import csv
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from clockproc import aging, chain
 from clockproc.aging import (
+    AgingCurve,
     correlation_indicator,
     estimate_aging_curve,
     trap_localization_diagnostic,
 )
-from clockproc.chain import extend_segment, simulate_segment
+from clockproc.chain import simulate_segment
 from clockproc.environment import Environment, SpinConfig
 from clockproc.errors import (
     BudgetError,
@@ -22,7 +25,7 @@ from clockproc.errors import (
 )
 from clockproc.seeding import ReplicaStreams, StreamFamily
 from clockproc.subordinator import arcsine_cdf
-from reference_estimators import overlap, per_replica_aging_counts
+from reference_estimators import doubling_aging_curve, overlap
 
 pytestmark = pytest.mark.filterwarnings("ignore:block length")
 
@@ -98,9 +101,13 @@ def test_correlation_indicator_array_form_equals_scalar_calls():
         correlation_indicator(env, seg, t[0], -s[0] - 1.0, 0.25, time_unit=1.0)
 
 
-# (environment, estimate_aging_curve arguments): the first extends many of
-# its replicas, the second cuts its first segment to the step cap and
-# censors the later pair there
+# the shipped (t, s) pairs at a fifth of their horizon
+SHORT_TS_GRID = [(0.2, 0.8), (0.2, 7 / 15), (0.2, 0.3), (0.2, 0.2), (0.2, 2 / 15), (0.2, 0.05)]
+
+# (environment, estimate_aging_curve arguments): a small explicit unit reads
+# an expected step count of 0.0098, so the walks start from one-step
+# windows; the flat chain cuts its walks at the step cap and censors the
+# later pair there; a fixed start; trapped chains at the default unit
 ORACLE_CONFIGS = {
     "extension-heavy": (
         lambda: Environment.create(6, 3, 2.0, 1.5, seed=9),
@@ -113,52 +120,74 @@ ORACLE_CONFIGS = {
         lambda: Environment.degenerate(6, 3, 0.0, 0.5),
         dict(pairs=[(1.0, 1.0), (10.0, 6.0)], epsilon=1.0, time_unit=40.0, step_cap=650),
     ),
+    "fixed-start": (
+        lambda: Environment.create(6, 3, 2.0, 1.5, seed=4),
+        dict(pairs=[(0.5, 0.5), (1.0, 1.0)], epsilon=0.25, time_unit=8.0, start=SpinConfig(6, 5)),
+    ),
+    "trapped": (
+        lambda: Environment.create(10, 3, 3.0, 2.7, seed=3),
+        dict(pairs=SHORT_TS_GRID, epsilon=0.25),
+    ),
+    "trapped-capped": (
+        lambda: Environment.create(10, 3, 3.0, 2.7, seed=4),
+        dict(pairs=SHORT_TS_GRID, epsilon=0.5, step_cap=400),
+    ),
 }
+
+
+@functools.cache
+def oracle_curve(config: str, replicas: int, seed: int) -> AgingCurve:
+    make_env, kwargs = ORACLE_CONFIGS[config]
+    return doubling_aging_curve(make_env(), replicas=replicas, master_seed=seed, **kwargs)
+
+
+def assert_same_curve(curve: AgingCurve, oracle: AgingCurve) -> None:
+    """Equal field for field, to the bit and the Python type of each entry."""
+    for name in AgingCurve.__dataclass_fields__:
+        assert repr(getattr(curve, name)) == repr(getattr(oracle, name)), name
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
 @pytest.mark.parametrize("layout", ["one-per-block", "ragged", "one-block"])
 @pytest.mark.parametrize("config", sorted(ORACLE_CONFIGS))
 def test_aging_curve_matches_the_per_replica_oracle(config, layout, threads, monkeypatch):
-    """Row blocks of any size, at any thread count, read the same hits and
-    completions as walking the replicas one at a time."""
+    """Row blocks of any size, at any thread count, walked in windows that
+    fit the block's budget, give the curve of doubling the segment of one
+    replica at a time, field for field."""
     make_env, kwargs = ORACLE_CONFIGS[config]
     env, replicas, seed = make_env(), 40, 5
-    blocks, extensions = [], []
+    blocks, windows = [], []
+    segment_rows = chain._segment_rows
 
-    def recording(env, start, length, streams):
-        blocks.append((length, len(streams)))
-        return chain.simulate_segments(env, start, length, streams)
+    def recording(env, start, times, first, step_cap, streams):
+        blocks.append((first, len(streams)))
+        return chain.walk_to_times(env, start, times, first, step_cap, streams)
 
-    def counting(*args):
-        extensions.append(args[2])
-        return extend_segment(*args)
+    def counting(env, starts, steps, streams, first):
+        windows.append((len(streams), steps, first))
+        return segment_rows(env, starts, steps, streams, first)
 
-    monkeypatch.setattr(aging, "simulate_segments", recording)
-    monkeypatch.setattr(aging, "extend_segment", counting)
+    monkeypatch.setattr(aging, "walk_to_times", recording)
     estimate_aging_curve(env, replicas=1, master_seed=seed, **kwargs)
-    first_steps = blocks.pop()[0]
+    first_window = blocks.pop()[0]
     rows = {"one-per-block": 1, "ragged": 3, "one-block": replicas}[layout]
-    monkeypatch.setattr(chain, "SEGMENT_BLOCK_STATES", rows * (first_steps + 1))
+    budget = rows * (first_window + 1)
+    monkeypatch.setattr(chain, "SEGMENT_BLOCK_STATES", budget)
+    monkeypatch.setattr(chain, "_segment_rows", counting)
     curve = estimate_aging_curve(
         env, replicas=replicas, master_seed=seed, threads=threads, **kwargs
     )
     ragged = [replicas % rows] if replicas % rows else []
-    assert sorted(blocks, reverse=True) == [(first_steps, rows)] * (replicas // rows) + [
-        (first_steps, count) for count in ragged
+    assert sorted(blocks, reverse=True) == [(first_window, rows)] * (replicas // rows) + [
+        (first_window, count) for count in ragged
     ]
-    # the censored config's first segments already reach the cap
-    assert bool(extensions) == (config == "extension-heavy")
-    hits, valid = per_replica_aging_counts(
-        env, kwargs["pairs"], kwargs["epsilon"], replicas, seed, first_steps,
-        kwargs["time_unit"], kwargs["step_cap"],
-    )
-    assert 0 < hits.sum() < valid.sum()
-    assert curve.completed == tuple(valid)
-    expected = [float(h / v) if v else math.nan for h, v in zip(hits, valid)]
-    assert np.array_equal(curve.estimates, expected, equal_nan=True)
-    if config == "censored":
-        assert 0 < curve.censored[1] < replicas
+    # every window fits the block's budget, and some rows walk past their first
+    assert all(count * (steps + 1) <= budget for count, steps, _ in windows)
+    assert any(later for *_, later in windows)
+    assert any(0.0 < estimate < 1.0 for estimate in curve.estimates)
+    assert_same_curve(curve, oracle_curve(config, replicas, seed))
+    if config in ("censored", "trapped-capped"):
+        assert 0 < max(curve.censored) < replicas
 
 
 def test_aging_curve_prediction_column_is_arcsine():
@@ -204,21 +233,24 @@ def test_aging_curve_budget_and_censoring():
 
 
 def test_aging_curve_extends_short_segments_prefix_stably(monkeypatch):
-    """Replicas whose first segment ends short of the horizon are extended, and
-    read the same indicators as one long segment drawn from the same streams."""
+    """Replicas whose first window ends short of the horizon walk on in
+    windows twice as long, and read the same indicators as one long segment
+    drawn from the same streams."""
     env = Environment.create(6, 3, 2.0, 1.5, seed=9)
     pairs, replicas, seed = [(0.5, 0.5), (1.0, 2.0)], 40, 5
-    extensions = []
+    windows = []
+    segment_rows = chain._segment_rows
 
-    def counting_extend(*args):
-        extensions.append(args[2])
-        return extend_segment(*args)
+    def counting(env, starts, steps, streams, first):
+        windows.append((len(streams), steps, first))
+        return segment_rows(env, starts, steps, streams, first)
 
-    monkeypatch.setattr(aging, "extend_segment", counting_extend)
+    monkeypatch.setattr(chain, "_segment_rows", counting)
     curve = estimate_aging_curve(env, pairs, 0.25, replicas, seed)
-    # the first segment is 4 x the expected 3 x step_scale steps, and the
-    # first extension of a replica doubles it
-    assert extensions[0] == math.ceil(4.0 * 3.0 * env.step_scale) == 159
+    # the first window is the expected 3 x step_scale steps for every row; the
+    # next keeps only the new states of the rows still short of the horizon
+    assert windows[0] == (replicas, math.ceil(3.0 * env.step_scale), 0) == (40, 40, 0)
+    assert windows[1][1:] == (80, 1) and 0 < windows[1][0] < replicas
     assert sum(curve.censored) == 0
     family = StreamFamily(seed, "aging")
     hits = np.zeros(len(pairs))
@@ -227,6 +259,32 @@ def test_aging_curve_extends_short_segments_prefix_stably(monkeypatch):
         assert long.horizon > 3.0 * env.time_scale
         hits += [correlation_indicator(env, long, t, s, 0.25) for t, s in pairs]
     assert curve.estimates == tuple(hits / replicas)
+
+
+def test_aging_curve_peak_memory_is_one_window_block_per_thread():
+    """Ten times the step cap, or another environment, leaves the peak within
+    one window block per thread: 40 bytes for each of its
+    ``SEGMENT_BLOCK_STATES`` states, the streams of its rows (under 2 KiB a
+    replica), and 256 KiB of the interpreter's own objects.  Walking each
+    replica's whole segment, doubled in place, peaks at 2.5 MB at the larger
+    cap and 2.1 MB at the other environment, above this 1.9 MB."""
+    replicas, threads = 300, 2
+    for seed, step_cap in ((3, 2000), (3, 20_000), (4, 20_000)):
+        env = Environment.create(10, 3, 3.0, 2.7, seed=seed)
+        env.energies(0)  # builds the energy table before tracing starts
+        rows = chain.block_rows(env, math.ceil(env.step_scale))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            curve = estimate_aging_curve(
+                env, SHORT_TS_GRID, 0.25, replicas, 7, step_cap=step_cap, threads=threads
+            )
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert rows < replicas
+        assert peak <= threads * (chain.SEGMENT_BLOCK_STATES * 40 + rows * 2048) + (1 << 18)
+        assert (sum(curve.censored) > 0) == (step_cap == 2000)
 
 
 def test_aging_curve_input_validation():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from clockproc import chain
 from clockproc.chain import (
     SEGMENT_BLOCK_STATES,
     block_rows,
@@ -15,6 +16,7 @@ from clockproc.chain import (
     process_at_time,
     simulate_segment,
     simulate_segments,
+    walk_to_times,
 )
 from clockproc.environment import MAX_TABLE_SPINS, Environment, SpinConfig, block_length
 from clockproc.errors import (
@@ -347,6 +349,62 @@ def test_process_at_time_boundaries():
         process_at_time(seg, env, seg.horizon * 2)
     with pytest.raises(ParameterValidationError):
         process_at_time(seg, env, -1.0)
+
+
+# --- windowed walks to query times ----------------------------------------
+
+
+@pytest.mark.parametrize("budget", [SEGMENT_BLOCK_STATES, 64, 2])
+@pytest.mark.parametrize("start", [None, SpinConfig(7, 77)])
+def test_walk_to_times_reads_what_one_long_segment_reads(start, budget, monkeypatch):
+    """Whatever the windows' budget, each row sits where one long segment
+    from its streams sits at every query time (repeated, unsorted, or an
+    exact jump time), and its final clock is a partial sum of that segment's
+    clock, to the bit, past the latest time."""
+    monkeypatch.setattr(chain, "SEGMENT_BLOCK_STATES", budget)
+    env = make_env(n=7)
+    family, count = StreamFamily(12, "windows"), 6
+    long = [simulate_segment(env, start, 4000, family.replica(i)) for i in range(count)]
+    latest = min(segment.horizon for segment in long) / 2
+    jump = float(long[0].cumulative()[5])
+    times = np.array([latest / 3, 0.0, latest, jump, latest / 3])
+    streams = [family.replica(i) for i in range(count)]
+    states, clocks = walk_to_times(env, start, times, 3, 10**6, streams)
+    assert states.shape == (count, len(times)) and states.dtype == np.uint64
+    for segment, row, clock in zip(long, states, clocks):
+        assert row.tolist() == process_at_time(segment, env, times).tolist()
+        assert clock > latest and clock in segment.cumulative()
+
+
+def test_walk_to_times_censors_at_exactly_the_step_cap():
+    """A row that cannot reach the latest time stops at ``step_cap`` steps
+    with the clock of that many steps, and reads 0 past it."""
+    env = make_env(n=7)
+    family, step_cap = StreamFamily(3, "cap"), 50
+    capped = [simulate_segment(env, None, step_cap, family.replica(i)) for i in range(4)]
+    early = min(segment.horizon for segment in capped) / 2
+    times = np.array([early, 1e300])
+    states, clocks = walk_to_times(
+        env, None, times, 7, step_cap, [family.replica(i) for i in range(4)]
+    )
+    assert clocks.tolist() == [segment.horizon for segment in capped]
+    assert states[:, 0].tolist() == [int(process_at_time(s, env, early)) for s in capped]
+    assert states[:, 1].tolist() == [0] * 4
+
+
+def test_walk_to_times_validation():
+    env = make_env(n=6)
+    streams = [ReplicaStreams.from_seed(1)]
+    with pytest.raises(ParameterValidationError):
+        walk_to_times(env, None, [1.0], 0, 10, streams)
+    with pytest.raises(ParameterValidationError):
+        walk_to_times(env, None, [1.0], 11, 10, streams)
+    with pytest.raises(ParameterValidationError):
+        walk_to_times(env, None, [1.0, -1.0], 1, 10, streams)
+    with pytest.raises(ParameterValidationError):
+        walk_to_times(env, None, [], 1, 10, streams)
+    with pytest.raises(DimensionMismatchError):
+        walk_to_times(env, SpinConfig(5, 0), [1.0], 1, 10, streams)
 
 
 # --- dense kernel oracle (tests/dense_srw_kernel.py) -----------------------

@@ -111,10 +111,11 @@ RE_EXPORTED = (
 )
 
 # every name the top level exported before it was composed from the modules'
-# lists; none may go missing (``CapabilityError`` left once nothing raised it,
-# ``overlap`` and ``truncated_mean_asymptotic`` once only tests called them,
-# ``TailEstimate`` and ``estimate_block_tail_grid`` once the intensity read its
-# tail grid straight off its block sums)
+# lists, and ``walk_to_times``, the windowed aging walker, since; none may go
+# missing (``CapabilityError`` left once nothing raised it, ``overlap`` and
+# ``truncated_mean_asymptotic`` once only tests called them, ``TailEstimate``
+# and ``estimate_block_tail_grid`` once the intensity read its tail grid
+# straight off its block sums)
 TOP_LEVEL_NAMES = {
     "__version__",
     "ClockprocError", "DimensionMismatchError", "ParameterValidationError",
@@ -123,7 +124,7 @@ TOP_LEVEL_NAMES = {
     "SpinConfig", "CouplingTensor", "Environment", "zeta", "validate_parameters",
     "block_length", "ZETA_LIMIT", "DEFAULT_ZETA_TABLE",
     "TrajectorySegment", "ClockPath", "MixingReport", "simulate_segment", "extend_segment",
-    "blocked_clock", "process_at_time", "mixing_check",
+    "walk_to_times", "blocked_clock", "process_at_time", "mixing_check",
     "ordered_map",
     "PowerLawLevyMeasure", "SubordinatorPath", "extend_path", "arcsine_cdf",
     "crossing_probability", "crossing_probability_batch", "truncated_laplace_exponent",
@@ -149,16 +150,20 @@ def test_top_level_is_composed_from_the_module_lists():
     ]
     assert clockproc.__all__ == composed
     assert len(set(composed)) == len(composed)
-    assert len(TOP_LEVEL_NAMES) == 65
+    assert len(TOP_LEVEL_NAMES) == 66
     assert TOP_LEVEL_NAMES <= set(clockproc.__all__)
 
 
 # public functions that no module of the package runs: the concentration
 # estimator of the source paper, which callers run directly, and the scalar
-# crossing indicator and the path extension, which the benchmark tracer still
-# times as subordinator.crossing_fallback and subordinator.extend_path until
-# the tracer is retargeted
+# crossing indicator, the path extension, the one-segment correlation
+# indicator and the segment extension, which the benchmark tracer still times
+# as subordinator.crossing_fallback, subordinator.extend_path, aging.indicator
+# and chain.extend_segment until the tracer is retargeted (``process_at_time``,
+# which it times too, stays run by the indicator)
 RUN_ONLY_BY_CALLERS = {
+    "aging.py:correlation_indicator",
+    "chain.py:extend_segment",
     "conditions.py:concentration_diagnostic",
     "subordinator.py:crossing_probability",
     "subordinator.py:extend_path",
