@@ -301,6 +301,7 @@ def estimate_intensity(
     than independent per-threshold runs.  The weighted least-squares fit of
     log nu_hat against log u runs over grid points whose hit rate is
     strictly inside (0, 1); the slope estimates the negated tail exponent.
+    Below two such points there is no fit, and its four fields are NaN.
     """
     k = resolve_block_count(env, horizon, block_count)
     grid = np.asarray(thresholds, dtype=np.float64)
@@ -308,10 +309,7 @@ def estimate_intensity(
     rates, values, stderrs = _binomial_intensity(sums > grid[:, None], k)
     fit = _weighted_line_fit(grid, values, stderrs, rates < 1)
     if fit is None:
-        raise ParameterValidationError(
-            "tail fit needs at least two thresholds with hit rates strictly inside (0, 1); "
-            "widen the threshold grid or raise the sample count"
-        )
+        fit = _LineFit(math.nan, math.nan, math.nan, math.nan, math.nan)
     return IntensityEstimate(
         thresholds=tuple(float(u) for u in thresholds),
         values=tuple(float(x) for x in values),
@@ -1241,6 +1239,10 @@ def build_condition_report(
             "tolerance": SLOPE_WINDOW,
             "status": slope_status(delta, intensity.slope_se),
         }
+        if math.isnan(delta):
+            verdicts["intensity_slope"]["note"] = (
+                "no tail fit: fewer than two thresholds have hit rates strictly inside (0, 1)"
+            )
         delta = abs(laplace.slope - (env.alpha - 1.0))
         verdicts["laplace_slope"] = {
             "deviation": delta,

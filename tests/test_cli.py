@@ -351,6 +351,23 @@ def test_laplace_fails_a_slope_it_could_not_fit(tmp_path, capsys):
     assert verdict["slope"] == "nan" and verdict["status"] == "fail"
 
 
+def test_conditions_fails_an_intensity_slope_it_could_not_fit(tmp_path):
+    """At n = 12 and seed 9 no block sum reaches the u grid, so there is no
+    tail fit: ``intensity_slope`` fails with a note, and every other file and
+    verdict is written."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"model": {"n": 12}, "budgets": {"samples": 2000}}))
+    outdir = tmp_path / "out"
+    assert main(["conditions", "--config", str(cfg_path), "--seed", "9", "--out", str(outdir)]) == 3
+    verdicts = load_manifest(outdir)["verdicts"]
+    slope = verdicts["intensity_slope"]
+    assert slope["deviation"] == "nan" and slope["status"] == "fail"
+    assert slope["note"].startswith("no tail fit")
+    assert {"laplace_slope", "squared_tail_routes", "initial_term", "truncated_mean"} <= set(verdicts)
+    assert ["nu_slope", "", "nan", "nan", "2000"] in read_rows(outdir / "conditions.csv")
+    assert (outdir / "conditions.json").exists()
+
+
 def test_aging_run_layout_and_flags(tmp_path):
     cfg_path = write_config(
         tmp_path / "cfg.json", n=6, beta=3.0, gamma=2.7, replicas=4, step_cap=500_000
