@@ -141,6 +141,18 @@ def oracle_curve(config: str, replicas: int, seed: int) -> AgingCurve:
     return doubling_aging_curve(make_env(), replicas=replicas, master_seed=seed, **kwargs)
 
 
+def record_windows(monkeypatch) -> list:
+    """(rows, steps, first column kept) of every window the row path draws."""
+    windows, segment_rows = [], chain._segment_rows
+
+    def counting(env, starts, steps, streams, first):
+        windows.append((len(streams), steps, first))
+        return segment_rows(env, starts, steps, streams, first)
+
+    monkeypatch.setattr(chain, "_segment_rows", counting)
+    return windows
+
+
 def assert_same_curve(curve: AgingCurve, oracle: AgingCurve) -> None:
     """Equal field for field, to the bit and the Python type of each entry."""
     for name in AgingCurve.__dataclass_fields__:
@@ -156,16 +168,11 @@ def test_aging_curve_matches_the_per_replica_oracle(config, layout, threads, mon
     replica at a time, field for field."""
     make_env, kwargs = ORACLE_CONFIGS[config]
     env, replicas, seed = make_env(), 40, 5
-    blocks, windows = [], []
-    segment_rows = chain._segment_rows
+    blocks = []
 
     def recording(env, start, times, first, step_cap, streams):
         blocks.append((first, len(streams)))
         return chain.walk_to_times(env, start, times, first, step_cap, streams)
-
-    def counting(env, starts, steps, streams, first):
-        windows.append((len(streams), steps, first))
-        return segment_rows(env, starts, steps, streams, first)
 
     monkeypatch.setattr(aging, "walk_to_times", recording)
     estimate_aging_curve(env, replicas=1, master_seed=seed, **kwargs)
@@ -173,7 +180,7 @@ def test_aging_curve_matches_the_per_replica_oracle(config, layout, threads, mon
     rows = {"one-per-block": 1, "ragged": 3, "one-block": replicas}[layout]
     budget = rows * (first_window + 1)
     monkeypatch.setattr(chain, "SEGMENT_BLOCK_STATES", budget)
-    monkeypatch.setattr(chain, "_segment_rows", counting)
+    windows = record_windows(monkeypatch)
     curve = estimate_aging_curve(
         env, replicas=replicas, master_seed=seed, threads=threads, **kwargs
     )
@@ -238,14 +245,7 @@ def test_aging_curve_extends_short_segments_prefix_stably(monkeypatch):
     drawn from the same streams."""
     env = Environment.create(6, 3, 2.0, 1.5, seed=9)
     pairs, replicas, seed = [(0.5, 0.5), (1.0, 2.0)], 40, 5
-    windows = []
-    segment_rows = chain._segment_rows
-
-    def counting(env, starts, steps, streams, first):
-        windows.append((len(streams), steps, first))
-        return segment_rows(env, starts, steps, streams, first)
-
-    monkeypatch.setattr(chain, "_segment_rows", counting)
+    windows = record_windows(monkeypatch)
     curve = estimate_aging_curve(env, pairs, 0.25, replicas, seed)
     # the first window is the expected 3 x step_scale steps for every row; the
     # next keeps only the new states of the rows still short of the horizon
@@ -265,8 +265,8 @@ def test_aging_curve_peak_memory_is_one_window_block_per_thread():
     """Ten times the step cap, or another environment, leaves the peak within
     one window block per thread: 40 bytes for each of its
     ``SEGMENT_BLOCK_STATES`` states, the streams of its rows (under 2 KiB a
-    replica), and 256 KiB of the interpreter's own objects.  Walking each
-    replica's whole segment, doubled in place, peaks at 2.5 MB at the larger
+    replica), and 256 KiB of the interpreter's own objects.  Holding each
+    replica's whole segment while doubling it peaked at 2.5 MB at the larger
     cap and 2.1 MB at the other environment, above this 1.9 MB."""
     replicas, threads = 300, 2
     for seed, step_cap in ((3, 2000), (3, 20_000), (4, 20_000)):
