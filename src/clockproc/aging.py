@@ -22,7 +22,7 @@ import numpy as np
 
 from .chain import TrajectorySegment, block_rows, process_at_time, walk_to_times
 from .environment import Environment, SpinConfig, overlap_to_reference
-from .errors import BudgetError, DimensionMismatchError, ParameterValidationError
+from .errors import BudgetError, ParameterValidationError
 from .parallel import ordered_map
 from .seeding import StreamFamily
 from .subordinator import arcsine_cdf
@@ -172,9 +172,6 @@ def estimate_aging_curve(
         )
     first = min(max(1, math.ceil(expected_steps)), step_cap)
     family = StreamFamily(master_seed, "aging")
-
-    if start is not None and start.n != env.n:
-        raise DimensionMismatchError(f"start has n={start.n}; environment has n={env.n}")
 
     times = np.array(pair_list)
     later = times.sum(axis=1) * unit

@@ -145,6 +145,17 @@ def block_rows(env: Environment, length: int) -> int:
     return max(1, SEGMENT_BLOCK_STATES // (length + 1)) if env.has_energy_table else 1
 
 
+def _origins(
+    env: Environment, start: SpinConfig | None, streams: list[ReplicaStreams]
+) -> np.ndarray:
+    """Each replica's packed start: ``start``, or with ``start=None`` a uniform
+    (stationary) state drawn from the replica's walk stream."""
+    if start is not None and start.n != env.n:
+        raise DimensionMismatchError(f"start has n={start.n}; environment has n={env.n}")
+    origins = [SpinConfig.random(env.n, r.walk) if start is None else start for r in streams]
+    return np.array([origin.bits for origin in origins], dtype=np.uint64)
+
+
 def simulate_segments(
     env: Environment, start: SpinConfig | None, length: int, streams: list[ReplicaStreams]
 ) -> list[TrajectorySegment]:
@@ -161,13 +172,9 @@ def simulate_segments(
     one prefix-stably, because steps and waiting times come from separate
     substreams.
     """
-    if start is not None and start.n != env.n:
-        raise DimensionMismatchError(f"start has n={start.n}; environment has n={env.n}")
     if length < 1:
         raise ParameterValidationError(f"segment length must be >= 1; got {length}")
-    origins = [SpinConfig.random(env.n, r.walk) if start is None else start for r in streams]
-    starts = np.array([origin.bits for origin in origins], dtype=np.uint64)
-    rows = _segment_rows(env, starts, length, streams, 0)
+    rows = _segment_rows(env, _origins(env, start, streams), length, streams, 0)
     return [TrajectorySegment(*row) for row in zip(*rows)]
 
 
@@ -219,15 +226,12 @@ def walk_to_times(
     row is censored and the entry is 0.  Only the recorded states and the
     clocks outlive a window.
     """
-    if start is not None and start.n != env.n:
-        raise DimensionMismatchError(f"start has n={start.n}; environment has n={env.n}")
     if not 1 <= first <= step_cap:
         raise ParameterValidationError(f"need 1 <= first <= step_cap; got {first} and {step_cap}")
     queries, order = np.unique(np.asarray(times, dtype=np.float64), return_inverse=True)
     if not queries.size or queries[0] < 0:
         raise ParameterValidationError("need at least one time, all nonnegative")
-    origins = [SpinConfig.random(env.n, r.walk) if start is None else start for r in streams]
-    last = np.array([origin.bits for origin in origins], dtype=np.uint64)
+    last = _origins(env, start, streams)
     clocks = np.zeros(len(streams))
     found = np.zeros((len(streams), queries.size), dtype=np.uint64)
     placed = np.zeros(len(streams), dtype=np.intp)  # each row's sorted queries placed so far
