@@ -31,14 +31,16 @@ Subcommands:
     is :func:`clockproc.subordinator.self_test`; this module grades its sums.
 
 One table, ``_COMMANDS``, names each subcommand's runner and help text.  A
-runner computes; it returns its verdicts and the files it offers, each with
-a writer and its stream provenance.  :func:`run` alone writes: the offered
+runner computes; it returns its verdicts, the files it offers, each with a
+writer and its stream provenance, and its run record (the environment's
+derived scales, the start distribution and the run's settings; ``None``
+where no environment is sampled).  :func:`run` alone writes: the offered
 files whose extension is listed in ``outputs.formats`` (and a
 ``--dump-trajectory`` file always), in the runner's order, then
 ``manifest.json`` (resolved config, package versions, stream provenance for
-each written file, verdicts).  Exit code: 0 when every verdict passes, 2
-when the worst verdict is a warning, 3 when one fails, 1 on execution or
-configuration errors.
+each written file, verdicts, run record).  Exit code: 0 when every verdict
+passes, 2 when the worst verdict is a warning, 3 when one fails, 1 on
+execution or configuration errors.
 
 All randomness is derived from the config's master seed through tagged
 streams, and reductions happen in replica order, so outputs are
@@ -83,7 +85,7 @@ from .errors import ClockprocError, ParameterValidationError
 from .parallel import ordered_map
 from .seeding import StreamFamily, resolve_seeds
 from .subordinator import arcsine_cdf, self_test
-from .verdicts import MIN_ESS, SLOPE_WINDOW, ladder, slope_status, worst, z_score, z_status
+from .verdicts import MIN_ESS, ladder, slope_verdict, verdict, worst, z_verdict
 
 __all__ = ["main", "run"]
 
@@ -181,11 +183,11 @@ def _trajectory(env: Environment, segment: TrajectorySegment, purpose: str) -> _
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each runner computes its verdicts and the outputs it offers;
-# ``run`` decides which outputs to write
+# subcommands: each runner computes its verdicts, the outputs it offers and
+# its run record; ``run`` decides which outputs to write
 
 
-def _run_conditions(cfg: ExperimentConfig, args) -> tuple[dict, list[_Output]]:
+def _run_conditions(cfg: ExperimentConfig, args) -> tuple[dict, list[_Output], dict]:
     env = _build_environment(cfg, cfg.beta)
     streams = StreamFamily(cfg.master_seed, "conditions").replica(0)
     report = build_condition_report(
@@ -202,16 +204,11 @@ def _run_conditions(cfg: ExperimentConfig, args) -> tuple[dict, list[_Output]]:
         _Output("conditions.csv", report.write_csv, "conditions", [0], "one row per grid point"),
         _Output("conditions.json", report.write_json, "conditions", [0], "full report"),
     ]
-    verdicts = dict(report.verdicts)
-    verdicts["_environment"] = _environment_record(env, None) | {
-        "block_count": report.block_count,
-        "literal_block_count": report.literal_block_count,
-        "status": "pass",
-    }
-    return verdicts, outputs
+    counts = {"block_count": report.block_count, "literal_block_count": report.literal_block_count}
+    return report.verdicts, outputs, _environment_record(env, None) | counts
 
 
-def _run_laplace(cfg: ExperimentConfig, args) -> tuple[dict, list[_Output]]:
+def _run_laplace(cfg: ExperimentConfig, args) -> tuple[dict, list[_Output], dict]:
     env = _build_environment(cfg, cfg.beta)
     streams = StreamFamily(cfg.master_seed, "laplace").replica(0)
     est = estimate_intensity_laplace(
@@ -225,28 +222,17 @@ def _run_laplace(cfg: ExperimentConfig, args) -> tuple[dict, list[_Output]]:
     outputs = [_table("laplace.csv", header, rows, "laplace", [0], "one row per transform argument")]
     verdicts: dict = {}
     if env.alpha is not None:
-        target = env.alpha - 1.0
-        verdicts["laplace_slope"] = {
-            "slope": est.slope,
-            "slope_se": est.slope_se,
-            "target": target,
-            "window": SLOPE_WINDOW,
-            "fitted_alpha": est.fitted_alpha,
-            "fitted_alpha_se": est.fitted_alpha_se,
-            "fitted_amplitude": est.fitted_amplitude,
-            "fitted_amplitude_se": est.fitted_amplitude_se,
-            "status": slope_status(abs(est.slope - target), est.slope_se),
-        }
+        verdicts["laplace_slope"] = slope_verdict(
+            est.slope, env.alpha - 1.0, est.slope_se, slope=est.slope, slope_se=est.slope_se,
+            fitted_alpha=est.fitted_alpha, fitted_alpha_se=est.fitted_alpha_se,
+            fitted_amplitude=est.fitted_amplitude, fitted_amplitude_se=est.fitted_amplitude_se,
+        )
     if env.beta == 0.0:
         verdicts["degenerate_laplace"] = degenerate_laplace_check(env, est)
-    verdicts["_environment"] = _environment_record(env, None) | {
-        "block_count": est.block_count,
-        "status": "pass",
-    }
-    return verdicts, outputs
+    return verdicts, outputs, _environment_record(env, None) | {"block_count": est.block_count}
 
 
-def _run_mixing(cfg: ExperimentConfig, args) -> tuple[dict, list[_Output]]:
+def _run_mixing(cfg: ExperimentConfig, args) -> tuple[dict, list[_Output], None]:
     theta = block_length(cfg.n)
     report = mixing_check(cfg.n, theta)
     rows = [
@@ -261,17 +247,12 @@ def _run_mixing(cfg: ExperimentConfig, args) -> tuple[dict, list[_Output]]:
     ]
     header = ["n", "theta", "max_violation", "bound", "passed", "rho_implied"]
     outputs = [_table("mixing.csv", header, rows, "mixing (exact, no streams)", [], "single row")]
-    verdicts = {
-        "mixing_bound": {
-            "max_violation": report.max_violation,
-            "bound": report.bound,
-            "status": "pass" if report.passed else "fail",
-        }
-    }
-    return verdicts, outputs
+    status = "pass" if report.passed else "fail"
+    evidence = {"max_violation": report.max_violation, "bound": report.bound}
+    return {"mixing_bound": verdict(status, **evidence)}, outputs, None
 
 
-def _run_clock(cfg: ExperimentConfig, args) -> tuple[dict, list[_Output]]:
+def _run_clock(cfg: ExperimentConfig, args) -> tuple[dict, list[_Output], dict]:
     env = _build_environment(cfg, cfg.beta)
     if env.alpha is None:
         raise ParameterValidationError(
@@ -326,13 +307,11 @@ def _run_clock(cfg: ExperimentConfig, args) -> tuple[dict, list[_Output]]:
     exceed = np.sort(pooled[pooled > threshold])
     verdicts: dict = {}
     if exceed.size < 10:
-        verdicts["clock_jump_law"] = {
-            "status": "warn",
-            "note": (
-                f"only {exceed.size} block increments exceeded u={threshold}; "
-                "not enough for a distribution comparison"
-            ),
-        }
+        verdicts["clock_jump_law"] = verdict(
+            "pass",  # nothing is graded, and the note makes that a warning
+            f"only {exceed.size} block increments exceeded u={threshold}; "
+            "not enough for a distribution comparison",
+        )
     else:
         # one-sample KS against the exact conditional tail P(X/u > x) = x^-alpha;
         # twice the one-sided Smirnov tail bounds the two-sided p from above and
@@ -344,13 +323,13 @@ def _run_clock(cfg: ExperimentConfig, args) -> tuple[dict, list[_Output]]:
         i = np.arange(1, n + 1)
         statistic = float(max(np.max(i / n - cdf), np.max(cdf - (i - 1) / n)))
         p_value = min(1.0, 2.0 * float(special.smirnov(n, statistic)))
-        verdicts["clock_jump_law"] = {
-            "statistic": statistic,
-            "p_value": p_value,
-            "empirical_jumps": n,
-            "threshold": threshold,
-            "status": ladder(-p_value, -1e-3, -1e-6),  # pass at p >= 1e-3
-        }
+        verdicts["clock_jump_law"] = verdict(
+            ladder(-p_value, -1e-3, -1e-6),  # pass at p >= 1e-3
+            statistic=statistic,
+            p_value=p_value,
+            empirical_jumps=n,
+            threshold=threshold,
+        )
         jump_rows = ([repr(float(size)), repr(float(y))] for size, y in zip(exceed, x))
         outputs.append(
             _table(
@@ -365,14 +344,10 @@ def _run_clock(cfg: ExperimentConfig, args) -> tuple[dict, list[_Output]]:
     if args.dump_trajectory:
         segment = simulate_segment(env, start, k * theta, family.replica(0))
         outputs.append(_trajectory(env, segment, "clock"))
-    verdicts["_environment"] = _environment_record(env, start) | {
-        "block_count": k,
-        "status": "pass",
-    }
-    return verdicts, outputs
+    return verdicts, outputs, _environment_record(env, start) | {"block_count": k}
 
 
-def _run_aging(cfg: ExperimentConfig, args) -> tuple[dict, list[_Output]]:
+def _run_aging(cfg: ExperimentConfig, args) -> tuple[dict, list[_Output], dict]:
     env = _build_environment(cfg, cfg.beta)
     if env.alpha is None:
         raise ParameterValidationError(
@@ -418,15 +393,15 @@ def _run_aging(cfg: ExperimentConfig, args) -> tuple[dict, list[_Output]]:
 
     main_gap = main_curve.max_absolute_gap
     reference_gap = reference_curve.max_absolute_gap
-    verdicts: dict = {
-        "aging_order": {
-            "main_sup_gap": main_gap,
-            "reference_sup_gap": reference_gap,
-            "censored_main": int(sum(main_curve.censored)),
-            "censored_reference": int(sum(reference_curve.censored)),
+    verdicts = {
+        "aging_order": verdict(
             # a NaN gap (every replica censored) compares False, so it warns
-            "status": "pass" if main_gap <= reference_gap else "warn",
-        }
+            "pass" if main_gap <= reference_gap else "warn",
+            main_sup_gap=main_gap,
+            reference_sup_gap=reference_gap,
+            censored_main=int(sum(main_curve.censored)),
+            censored_reference=int(sum(reference_curve.censored)),
+        )
     }
 
     # per-block localisation diagnostics on one dedicated trajectory
@@ -460,12 +435,11 @@ def _run_aging(cfg: ExperimentConfig, args) -> tuple[dict, list[_Output]]:
     outputs.append(_table("traps.csv", header, rows, "aging-trap", [0], "one row per block"))
     if args.dump_trajectory:
         outputs.append(_trajectory(env, segment, "aging-trap"))
-    record = {"epsilon": args.epsilon, "trap_threshold": args.trap_threshold, "status": "pass"}
-    verdicts["_environment"] = _environment_record(env, start) | record
-    return verdicts, outputs
+    record = {"epsilon": args.epsilon, "trap_threshold": args.trap_threshold}
+    return verdicts, outputs, _environment_record(env, start) | record
 
 
-def _run_subordinator(cfg: ExperimentConfig, args) -> tuple[dict, list[_Output]]:
+def _run_subordinator(cfg: ExperimentConfig, args) -> tuple[dict, list[_Output], None]:
     pairs = [(float(t), float(s)) for t, s in cfg.ts_grid]
     paths = cfg.samples
     arcsine_rows = []
@@ -474,7 +448,8 @@ def _run_subordinator(cfg: ExperimentConfig, args) -> tuple[dict, list[_Output]]
     results = self_test(pairs, cfg.v_grid, paths, cfg.master_seed, cfg.resolved_threads())
     for result in results:
         alpha = result.alpha
-        worst_gap = worst_z = 0.0
+        worst_gap = 0.0
+        triples = []
         for (t, s), hits in zip(pairs, result.crossings):
             ratio = t / (t + s)
             empirical = float(hits) / paths
@@ -482,31 +457,25 @@ def _run_subordinator(cfg: ExperimentConfig, args) -> tuple[dict, list[_Output]]
             # binomial spread of the crossing frequency under the prediction
             stderr = math.sqrt(predicted * (1.0 - predicted) / paths)
             worst_gap = max(worst_gap, abs(empirical - predicted))
-            worst_z = max(worst_z, z_score(empirical, predicted, stderr))
+            triples.append((empirical, predicted, stderr))
             row = (alpha, t, s, ratio, empirical, predicted, stderr)
             arcsine_rows.append([repr(x) for x in row])
-        verdicts[f"arcsine_alpha_{alpha}"] = {
-            "max_absolute_gap": worst_gap,
-            "max_z": worst_z,
-            "status": z_status(worst_z),
-        }
+        verdicts[f"arcsine_alpha_{alpha}"] = z_verdict(triples, max_absolute_gap=worst_gap)
 
-        worst_z = 0.0
-        insufficient = []
+        triples, insufficient = [], []
         columns = (result.transform_mean, result.transform_stderr, result.transform_predicted)
         for v, mean, se, predicted, ess in zip(cfg.v_grid, *columns, result.transform_ess):
             if ess < MIN_ESS:
                 insufficient.append({"v": float(v), "expected_ess": ess})
             else:
-                worst_z = max(worst_z, z_score(mean, predicted, se))
+                triples.append((mean, predicted, se))
             laplace_rows.append([repr(x) for x in (alpha, float(v), mean, se, predicted)])
-        entry = {"max_z": worst_z, "status": z_status(worst_z)}
+        note, evidence = None, {}
         if insufficient:
             listed = ", ".join(f"v={x['v']!r} ({x['expected_ess']:.2g})" for x in insufficient)
-            entry["status"] = worst([entry["status"], "warn"])
-            entry["insufficient"] = insufficient
-            entry["note"] = f"expected effective sample size below {MIN_ESS:g} at {listed}"
-        verdicts[f"transform_alpha_{alpha}"] = entry
+            note = f"expected effective sample size below {MIN_ESS:g} at {listed}"
+            evidence["insufficient"] = insufficient
+        verdicts[f"transform_alpha_{alpha}"] = z_verdict(triples, note, **evidence)
 
     seeds = f"chunk seeds 0..{results[0].chunks - 1}"
     purpose = "subordinator-selftest-<alpha>"
@@ -528,7 +497,7 @@ def _run_subordinator(cfg: ExperimentConfig, args) -> tuple[dict, list[_Output]]
             "one row per (alpha, v)",
         ),
     ]
-    return verdicts, outputs
+    return verdicts, outputs, None
 
 
 # subcommand -> (runner, help text)
@@ -593,7 +562,7 @@ def run(command: str, cfg: ExperimentConfig, args) -> int:
     outdir = cfg.directory
     os.makedirs(outdir, exist_ok=True)
     runner, _ = _COMMANDS[command]
-    verdicts, outputs = runner(cfg, args)
+    verdicts, outputs, record = runner(cfg, args)
     artifacts = []
     for output in outputs:
         if output.name != _TRAJECTORY and output.name.rpartition(".")[2] not in cfg.formats:
@@ -608,7 +577,7 @@ def run(command: str, cfg: ExperimentConfig, args) -> int:
                 "rows": output.note,
             }
         )
-    overall = worst(entry.get("status", "pass") for entry in verdicts.values())
+    overall = worst(entry["status"] for entry in verdicts.values())
     manifest = {
         "command": command,
         "config": cfg.to_dict(),
@@ -621,14 +590,13 @@ def run(command: str, cfg: ExperimentConfig, args) -> int:
         "artifacts": artifacts,
         "verdicts": verdicts,
         "overall": overall,
+        "run": record,
     }
     with open(os.path.join(outdir, "manifest.json"), "w") as fh:
         json.dump(plain(manifest), fh, sort_keys=True, indent=2)
         fh.write("\n")
     for name in sorted(verdicts):
-        if name.startswith("_"):
-            continue
-        print(f"{name}: {verdicts[name].get('status', 'pass')}")
+        print(f"{name}: {verdicts[name]['status']}")
     print(f"overall: {overall}")
     return _EXIT_CODE[overall]
 

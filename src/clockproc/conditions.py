@@ -67,7 +67,7 @@ from .environment import CouplingTensor, Environment, validate_parameters
 from .errors import BudgetError, DegenerateScaleError, ParameterValidationError
 from .parallel import ordered_map
 from .seeding import ReplicaStreams, StreamFamily
-from .verdicts import SLOPE_WINDOW, ladder, slope_status, worst, z_score, z_status
+from .verdicts import ladder, slope_verdict, verdict, worst, z_score, z_verdict
 
 __all__ = [
     "IntensityEstimate",
@@ -376,11 +376,9 @@ def _squared_tail_verdict(
     agrees on no evidence and adds no z.  With no exceedance at any
     threshold there is nothing to grade, and the verdict warns."""
     seen = [(a, b) for a, b in zip(two_step, split) if a.value > 0 or b.value > 0]
-    if not seen:
-        note = "no joint exceedance in either route at any threshold"
-        return {"z": 0.0, "status": "warn", "note": note}
-    z = max(z_score(a.value, b.value, math.hypot(a.stderr, b.stderr)) for a, b in seen)
-    return {"z": z, "status": z_status(z)}
+    note = None if seen else "no joint exceedance in either route at any threshold"
+    triples = [(a.value, b.value, math.hypot(a.stderr, b.stderr)) for a, b in seen]
+    return z_verdict(triples, note)
 
 
 def estimate_squared_tail_grid(
@@ -1087,8 +1085,10 @@ def plain(obj):
 class ConditionReport:
     """All per-environment condition estimates plus verdicts.
 
-    ``verdicts`` maps check name to {"status", "z"}; ``overall`` is the worst
-    status, ordering pass < warn < fail.
+    ``verdicts`` maps check name to a :mod:`~clockproc.verdicts` record: its
+    ``status``, its evidence (``z``, ``deviation`` and ``tolerance`` for a
+    slope, or ``max_relative_error``) and maybe a ``note``; ``overall`` is
+    the worst status, ordering pass < warn < fail.
     """
 
     n: int
@@ -1162,7 +1162,7 @@ def _closed_form_check(pairs) -> dict:
     rel = 0.0
     for value, oracle in pairs:
         rel = max(rel, abs(value - oracle) / (abs(oracle) if oracle != 0 else 1.0))
-    return {"max_relative_error": rel, "status": ladder(rel, 1e-12, 1e-12)}
+    return verdict(ladder(rel, 1e-12, 1e-12), max_relative_error=rel)
 
 
 def _floored_z(rows) -> dict:
@@ -1171,11 +1171,10 @@ def _floored_z(rows) -> dict:
     [0, bound].  Their variance is at most (bound - mean) * mean (Bhatia &
     Davis, Amer. Math. Monthly 2000); that floors the yardstick where the
     sample variance collapses on rare states."""
-    z = 0.0
-    for value, stderr, samples, exact, bound in rows:
-        floor = math.sqrt((bound - exact) * exact / samples)
-        z = max(z, z_score(value, exact, max(stderr, floor)))
-    return {"z": z, "status": z_status(z)}
+    return z_verdict(
+        (value, exact, max(stderr, math.sqrt((bound - exact) * exact / samples)))
+        for value, stderr, samples, exact, bound in rows
+    )
 
 
 def degenerate_laplace_check(env: Environment, estimate: LaplaceIntensityEstimate) -> dict:
@@ -1233,22 +1232,12 @@ def build_condition_report(
 
     verdicts: dict[str, dict] = {}
     if env.alpha is not None:
-        delta = abs(intensity.slope + env.alpha)
-        verdicts["intensity_slope"] = {
-            "deviation": delta,
-            "tolerance": SLOPE_WINDOW,
-            "status": slope_status(delta, intensity.slope_se),
-        }
-        if math.isnan(delta):
-            verdicts["intensity_slope"]["note"] = (
-                "no tail fit: fewer than two thresholds have hit rates strictly inside (0, 1)"
-            )
-        delta = abs(laplace.slope - (env.alpha - 1.0))
-        verdicts["laplace_slope"] = {
-            "deviation": delta,
-            "tolerance": SLOPE_WINDOW,
-            "status": slope_status(delta, laplace.slope_se),
-        }
+        note = "no tail fit: fewer than two thresholds have hit rates strictly inside (0, 1)"
+        note = note if math.isnan(intensity.slope) else None
+        verdicts["intensity_slope"] = slope_verdict(
+            intensity.slope, -env.alpha, intensity.slope_se, note
+        )
+        verdicts["laplace_slope"] = slope_verdict(laplace.slope, env.alpha - 1.0, laplace.slope_se)
     verdicts["squared_tail_routes"] = _squared_tail_verdict(squared_a, squared_b)
     if env.has_energy_table:
         verdicts["initial_term"] = _floored_z(
@@ -1263,20 +1252,17 @@ def build_condition_report(
 
     if env.beta == 0.0:
         # every estimator has a closed form here; cross-check them all
-        z_deg = 0.0
-        for u, value, se in zip(u_grid, intensity.values, intensity.stderrs):
-            q = degenerate_block_tail(env, float(u))
-            spread = max(se, k * math.sqrt(q * (1.0 - q) / intensity.samples))
-            z_deg = max(z_deg, z_score(value, k * q, spread))
-        verdicts["degenerate_tail"] = {"z": z_deg, "status": z_status(z_deg)}
-        z_deg = 0.0
-        for ea, eb in zip(squared_a, squared_b):
-            q = degenerate_block_tail(env, ea.threshold)
-            q2 = q * q
-            for est in (ea, eb):
-                spread = max(est.stderr, k * math.sqrt(q2 * (1.0 - q2) / est.samples))
-                z_deg = max(z_deg, z_score(est.value, k * q2, spread))
-        verdicts["degenerate_squared"] = {"z": z_deg, "status": z_status(z_deg)}
+        tails = [degenerate_block_tail(env, float(u)) for u in u_grid]
+        verdicts["degenerate_tail"] = z_verdict(
+            (value, k * q, max(se, k * math.sqrt(q * (1.0 - q) / intensity.samples)))
+            for q, value, se in zip(tails, intensity.values, intensity.stderrs)
+        )
+        joint = [q * q for q in (degenerate_block_tail(env, ea.threshold) for ea in squared_a)]
+        verdicts["degenerate_squared"] = z_verdict(
+            (est.value, k * q2, max(est.stderr, k * math.sqrt(q2 * (1.0 - q2) / est.samples)))
+            for q2, ea, eb in zip(joint, squared_a, squared_b)
+            for est in (ea, eb)
+        )
         verdicts["degenerate_laplace"] = degenerate_laplace_check(env, laplace)
         verdicts["degenerate_initial"] = _closed_form_check(
             (est.value, degenerate_initial_term(env, est.v)) for est in initial

@@ -4,10 +4,12 @@ A check reduces its evidence to one number and grades it against two
 thresholds (:func:`ladder`).  Statistical agreement is graded in z-score
 units, 4 to pass and 6 to warn (:func:`z_status`); fitted tail exponents are
 graded against an absolute window (:func:`slope_status`), because at finite
-n they deviate from the limit value systematically, not statistically.  A
-Monte Carlo point whose effective sample size is below ``MIN_ESS`` has no
-valid z-score; it warns and names itself.  A run's overall verdict is the
-worst of its checks (:func:`worst`).
+n they deviate from the limit value systematically, not statistically.
+:func:`verdict` alone writes a record's status (:func:`z_verdict` and
+:func:`slope_verdict` call it); a check that could not grade everything it
+was given, such as a Monte Carlo point whose effective sample size is below
+``MIN_ESS``, says so in a note and warns at least.  A run's overall verdict
+is the worst of its checks (:func:`worst`).
 """
 
 from __future__ import annotations
@@ -25,6 +27,9 @@ __all__ = [
     "z_status",
     "slope_status",
     "worst",
+    "verdict",
+    "z_verdict",
+    "slope_verdict",
 ]
 
 PASS_Z = 4.0
@@ -77,3 +82,33 @@ def slope_status(deviation: float, se: float) -> str:
 def worst(statuses: Iterable[str]) -> str:
     """The most severe status, ordering pass < warn < fail; "pass" when empty."""
     return max(statuses, key=_ORDER.__getitem__, default="pass")
+
+
+def verdict(status: str, note: str | None = None, /, **evidence) -> dict:
+    """The evidence, its status and, if given, a note, which lifts ``status``
+    to at least "warn"; a failure stays a failure."""
+    if {"status", "note"} & evidence.keys():
+        raise TypeError("a status or note is not evidence; pass them positionally")
+    if note is not None:
+        status, evidence["note"] = worst([status, "warn"]), note
+    return evidence | {"status": status}
+
+
+def z_verdict(triples: Iterable[tuple], note: str | None = None, /, **evidence) -> dict:
+    """The largest :func:`z_score` over (value, reference, spread) triples,
+    folded from 0.0 in order (no triples give 0), as ``z``."""
+    z = 0.0
+    for value, reference, spread in triples:
+        z = max(z, z_score(value, reference, spread))
+    return verdict(z_status(z), note, z=z, **evidence)
+
+
+def slope_verdict(
+    fitted: float, target: float, se: float, note: str | None = None, /, **evidence
+) -> dict:
+    """A fitted exponent's ``deviation`` from its target, graded by
+    :func:`slope_status` against the window, its ``tolerance``; NaN fails."""
+    deviation = abs(fitted - target)
+    return verdict(
+        slope_status(deviation, se), note, deviation=deviation, tolerance=SLOPE_WINDOW, **evidence
+    )

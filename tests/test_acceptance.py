@@ -321,7 +321,7 @@ def test_criterion_07_subordinator_and_arcsine(tmp_path):
         worst_gap = max(worst_gap, crossing["max_absolute_gap"])
         transform = verdicts[f"transform_alpha_{alpha}"]
         assert transform["status"] == "pass"
-        worst_z = max(worst_z, transform["max_z"])
+        worst_z = max(worst_z, transform["z"])
     assert elapsed < 300.0
     _line(
         7,

@@ -123,7 +123,7 @@ def test_conditions_degenerate_environment_passes_cleanly(tmp_path):
     assert manifest["overall"] == "pass"
     for key in ("degenerate_tail", "degenerate_laplace", "degenerate_initial"):
         assert manifest["verdicts"][key]["status"] == "pass"
-    env_record = manifest["verdicts"]["_environment"]
+    env_record = manifest["run"]
     assert env_record["alpha"] is None
     assert env_record["block_count"] == 5
     files = [a["file"] for a in manifest["artifacts"]]
@@ -206,7 +206,7 @@ def test_clock_outputs_do_not_depend_on_thread_count(tmp_path):
     ).read_bytes()
 
     manifest = load_manifest(serial)
-    k = manifest["verdicts"]["_environment"]["block_count"]
+    k = manifest["run"]["block_count"]
     rows = read_rows(serial / "clock.csv")
     assert rows[0] == ["replica", "block_index", "increment", "cumulative"]
     assert len(rows) == 1 + 12 * k
@@ -231,8 +231,8 @@ def test_clock_jump_law_is_the_exact_one_sample_ks_test(seed, replicas, tmp_path
     )
     outdir = tmp_path / "out"
     code = main(["clock", "--config", str(cfg_path), "--out", str(outdir)])
-    verdicts = load_manifest(outdir)["verdicts"]
-    law, alpha = verdicts["clock_jump_law"], verdicts["_environment"]["alpha"]
+    manifest = load_manifest(outdir)
+    law, alpha = manifest["verdicts"]["clock_jump_law"], manifest["run"]["alpha"]
     rows = read_rows(outdir / "clock_jumps.csv")
     assert rows[0] == ["size", "normalized"]
     x = np.array([float(row[1]) for row in rows[1:]])
@@ -278,7 +278,7 @@ def test_clock_trajectory_dump_layout(tmp_path):
     rows = read_rows(outdir / "trajectory.csv")
     assert rows[0] == ["step", "state_hex", "H", "tau", "exp_draw", "increment"]
     manifest = load_manifest(outdir)
-    k = manifest["verdicts"]["_environment"]["block_count"]
+    k = manifest["run"]["block_count"]
     assert len(rows) == 1 + (k * block_length(8) + 1)
     # every visited state parses as an n-bit integer and tau = exp(beta * H)
     for row in rows[1:5]:
@@ -301,13 +301,13 @@ def test_clock_start_override_is_recorded_as_nonconformant(tmp_path):
     outdir = tmp_path / "out"
     code = main(["clock", "--config", str(cfg_path), "--out", str(outdir), "--start", "3f"])
     assert code in (0, 2)
-    record = load_manifest(outdir)["verdicts"]["_environment"]["start_distribution"]
+    record = load_manifest(outdir)["run"]["start_distribution"]
     assert record == {"fixed_state_hex": "3f", "theorem_conformant": False}
 
     # the default draw from the uniform distribution is flagged as such
     plain = tmp_path / "plain"
     main(["clock", "--config", str(cfg_path), "--out", str(plain)])
-    assert load_manifest(plain)["verdicts"]["_environment"]["start_distribution"] == (
+    assert load_manifest(plain)["run"]["start_distribution"] == (
         "uniform (stationary)"
     )
 
@@ -472,8 +472,8 @@ def test_subordinator_transform_warns_where_the_expected_ess_is_too_small(tmp_pa
     assert [point["v"] for point in entry["insufficient"]] == [100.0]
     assert entry["insufficient"][0]["expected_ess"] == pytest.approx(1.15e-9, rel=0.01)
     assert "v=100.0" in entry["note"]
-    # the v = 1 point alone sets max_z
-    assert entry["max_z"] < 4.0
+    # the v = 1 point alone sets z
+    assert entry["z"] < 4.0
     assert all(verdicts[f"transform_alpha_{a}"]["status"] == "warn" for a in (0.3, 0.5, 0.7))
 
 
@@ -500,9 +500,9 @@ def test_subordinator_arcsine_checks_grade_by_the_binomial_spread(tmp_path):
             # the stderr column is the spread under the prediction
             assert stderr == math.sqrt(predicted * (1.0 - predicted) / 2000)
             z = max(z, abs(empirical - predicted) / stderr)
-        assert entry["max_z"] == pytest.approx(z, rel=1e-12)
+        assert entry["z"] == pytest.approx(z, rel=1e-12)
     assert verdicts["arcsine_alpha_0.5"]["max_absolute_gap"] == pytest.approx(0.0104, abs=1e-4)
-    assert verdicts["arcsine_alpha_0.5"]["max_z"] == pytest.approx(0.94, abs=0.01)
+    assert verdicts["arcsine_alpha_0.5"]["z"] == pytest.approx(0.94, abs=0.01)
 
 
 def test_bad_inputs_exit_with_error_message(tmp_path, capsys):
@@ -661,9 +661,9 @@ OPTION_RECORDS = {
     "--seed": ("config", "seeds", "master_seed"),
     "--threads": ("config", "threads"),
     "--dump-trajectory": ("artifacts",),
-    "--start": ("verdicts", "_environment", "start_distribution", "fixed_state_hex"),
-    "--epsilon": ("verdicts", "_environment", "epsilon"),
-    "--trap-threshold": ("verdicts", "_environment", "trap_threshold"),
+    "--start": ("run", "start_distribution", "fixed_state_hex"),
+    "--epsilon": ("run", "epsilon"),
+    "--trap-threshold": ("run", "trap_threshold"),
 }
 
 # a value for each option that takes one, away from its default and the config's
@@ -728,3 +728,25 @@ def test_every_run_option_is_written_into_the_manifest(command, tmp_path):
                 assert isinstance(node, dict) and key in node, f"{option} is not recorded at {path}"
                 node = node[key]
             assert node == getattr(args, option[2:].replace("-", "_")), option
+
+
+# the subcommands that sample an environment, and so write a run record
+RUN_RECORDS = {"conditions", "laplace", "clock", "aging"}
+EXIT_CODES = {"pass": 0, "warn": 2, "fail": 3}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_OPTIONS))
+def test_every_run_writes_a_well_formed_verdict_block(command, tmp_path):
+    """The benchmark harness counts a run whose ``verdicts`` block is empty,
+    or holds a status other than pass, warn or fail, as malformed, and checks
+    that ``overall`` is the worst status and the exit code mirrors it."""
+    cfg_path = provenance_config(command, tmp_path / "cfg.json")
+    outdir = tmp_path / "out"
+    code = main([command, "--config", str(cfg_path), "--out", str(outdir)])
+    manifest = load_manifest(outdir)
+    statuses = [entry["status"] for entry in manifest["verdicts"].values()]
+    assert statuses and set(statuses) <= set(EXIT_CODES)
+    overall = max(statuses, key=list(EXIT_CODES).index)
+    assert manifest["overall"] == overall
+    assert code == EXIT_CODES[overall]
+    assert (manifest["run"] is not None) == (command in RUN_RECORDS)

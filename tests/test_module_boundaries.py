@@ -1,14 +1,16 @@
 """No module of the package imports another module's private helpers or a
 name it never uses, every exported name exists, every exported function is
-run by the package, and every public method, classmethod and property of an
-exported class is read by it.
+run by the package, every public method, classmethod and property of an
+exported class is read by it, and only ``verdicts.py`` writes a verdict's
+status.
 
 A name with a leading underscore (dunders such as ``__version__`` aside) is
 private to the module that defines it; a ``from .module import _name``
 elsewhere couples the two modules through a helper that carries no interface
 promise.  A public function, method, alternate constructor or property that
 only tests call belongs in the tests, as an oracle next to the test that uses
-it.
+it.  A status set outside the graders of ``verdicts.py`` would grade by a
+rule of its own.
 """
 
 import ast
@@ -288,3 +290,42 @@ def test_every_public_function_is_run_by_the_package():
 
 def test_every_public_member_is_read_by_the_package():
     assert unread_public_members(package_sources()) == sorted(READ_ONLY_BY_CALLERS)
+
+
+def status_writes(source: str) -> list[int]:
+    """Lines that write a ``"status"`` key: as a dict-literal key, a
+    subscript store or a ``status=`` keyword."""
+    def is_status(node) -> bool:
+        return isinstance(node, ast.Constant) and node.value == "status"
+
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Dict):
+            lines += [key.lineno for key in node.keys if is_status(key)]
+        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+            lines += [node.lineno] if is_status(node.slice) else []
+        elif isinstance(node, ast.keyword) and node.arg == "status":
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_guard_detects_status_writes():
+    source = (
+        'a = {"status": "pass", "z": 0.0}\n'
+        'a["status"] = "warn"\n'
+        'b = dict(status="fail")\n'
+        'c = a["status"] + a.get("status", "pass")\n'
+        'd = {"statuses": 1, "note": a["status"]}\n'
+        'def f(status):\n    return g(status, a["status"])\n'
+        'a["status"] += "!"\n'
+    )
+    assert status_writes(source) == [1, 2, 3, 8]
+
+
+def test_only_the_verdicts_module_writes_a_status():
+    offenders = {
+        path.name: lines
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "verdicts.py" and (lines := status_writes(path.read_text()))
+    }
+    assert offenders == {}
