@@ -40,7 +40,7 @@ files whose extension is listed in ``outputs.formats`` (and a
 ``manifest.json`` (resolved config, package versions, stream provenance for
 each written file, verdicts, run record).  Exit code: 0 when every verdict
 passes, 2 when the worst verdict is a warning, 3 when one fails, 1 on
-execution or configuration errors.
+execution, configuration or usage errors.
 
 All randomness is derived from the config's master seed through tagged
 streams, and reductions happen in replica order, so outputs are
@@ -511,8 +511,16 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, subparsers too: argparse's 2 means a warned run here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="clockproc",
         description="Simulation and verification laboratory for rescaled clock processes",
     )

@@ -536,14 +536,33 @@ def test_unknown_command_is_a_usage_error(tmp_path):
     cfg_path = write_config(tmp_path / "cfg.json")
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate", "--config", str(cfg_path)])
-    assert excinfo.value.code == 2
+    assert excinfo.value.code == 1
 
 
 def test_dump_trajectory_is_a_usage_error_outside_clock_and_aging(tmp_path):
     cfg_path = write_config(tmp_path / "cfg.json")
     with pytest.raises(SystemExit) as excinfo:
         main(["conditions", "--config", str(cfg_path), "--dump-trajectory"])
-    assert excinfo.value.code == 2
+    assert excinfo.value.code == 1
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["mixing", "--config", "{config}", "--start", "2a"], 1),  # unrecognized arguments
+        (["mixing"], 1),  # a subparser's own error: --config is required
+        (["conditions", "--config", "{config}", "--threads", "two"], 1),
+        (["--help"], 0),
+        (["aging", "--help"], 0),
+    ],
+)
+def test_usage_errors_exit_1_and_help_exits_0(argv, code, tmp_path, capsys):
+    """Exit code 2 means a warned run, so a usage error must not exit with it."""
+    cfg_path = write_config(tmp_path / "cfg.json")
+    with pytest.raises(SystemExit) as excinfo:
+        main([arg.format(config=cfg_path) for arg in argv])
+    assert excinfo.value.code == code
+    assert ("error:" in capsys.readouterr().err) == (code == 1)
 
 
 def test_module_entry_point_runs_in_subprocess(tmp_path):
