@@ -3,8 +3,9 @@
 Each case runs one subcommand through ``cli.main`` on a small pinned config
 at one and two threads and compares the SHA-256 of every data file it writes
 (everything except ``manifest.json``, which records package versions) with
-digests recorded from a reference build.  The manifest's verdict block is
-hashed too, so a change in any status, statistic or derived scale shows up.
+digests recorded from a reference build.  The manifest's verdict block, its
+overall verdict and its run record are hashed too, so a change in any
+status, statistic or derived scale shows up.
 The concentration estimator, which no subcommand runs, is pinned by the
 digest of its whole report, and the initial-term, truncated-mean and
 transform-intensity estimates by theirs on both energy paths (the golden
@@ -117,43 +118,44 @@ CASES = {
     ),
 }
 
-# (exit code, {file: sha256}); "verdicts" is the manifest's verdict block
+# (exit code, {file: sha256}); "verdicts" is the manifest's verdict block,
+# overall verdict and run record
 EXPECTED = {
     "aging": (0, {
         "aging.csv": "cd27e68e57c143fa48b589d98034a1223f9336daf330eb18f58d51c690ce3e1a",
         "aging_reference.csv": "e62bcf8688c1071852386bca06b98148fa93c0dd904f2d41f7a67b3b3083ee3e",
         "traps.csv": "b837d81057c253790d925e62805de9badd657203b12ff79636d932d711ac715f",
-        "verdicts": "6fd4e9f25c772341443caf7ef6d7f202d5560669720c2f0ee40cb8db6e35aaa0",
+        "verdicts": "6144d2a28b5a857aaa7cf77826d38a8c7918a79a73860cc2823b66361e88a7c9",
     }),
     "clock": (0, {
         "clock.csv": "9c30e5ebee43e4c890b9aa63be0757387d6bf1a5b5129b679caadce5dd7108fa",
         "clock_initial_terms.csv": "7e060b9f5fd29ea90e4576d77189a56a5ec5c6c79fe3e8aea64aa66cbbccc480",
         "clock_jumps.csv": "c6b8075d1519c5ebab70b81e16997ac48cd18e6a35e8c9066e239615b92b40fa",
         "trajectory.csv": "f1627c2c0712fdc091c5dd2c5d54367c55ce59b92e966539c962d3dd6a859270",
-        "verdicts": "223e853d3b55b0aea71ec0d96904f77c29ab345d6e1728b5c9ea6a7b8adcc969",
+        "verdicts": "04be8a8ab03107cbaf3765d47156e0682fd5c6e7db8cdc056cbeab9a9500838d",
     }),
     "conditions": (3, {
         "conditions.csv": "64080a8e5596a6540c138f7bb1f7b9b738c2ae258d87c35d15c873a6b3db5891",
         "conditions.json": "63131b98b8345d0ac9c2a9d75fa8851ddb72a6d3304e020343788c2cc90f2aa4",
-        "verdicts": "2c954a8c427093c53a6235285a9e5f772f4fded49819e49c6cfadb99b5b28b69",
+        "verdicts": "2a56868207a1e37442d5bce3121c4b0a4d38fbce875952b84fe540c5a3f6108a",
     }),
     "conditions-flat": (0, {
         "conditions.csv": "ec5d6e6291970bc3f156f6703da79da69e5d6a04a440268806a0918a054790a9",
         "conditions.json": "fd3783649e4f7c681deaa7416c01367376df5f4fa76a31f024684302373bb304",
-        "verdicts": "feb99eead16a503ba867156783945345ac34ccb1066eccb34b24d8464962c3ca",
+        "verdicts": "d011839ad51fbc30399fa9904540108fc8482fb10c377cf2781c5bcb1a53d2ff",
     }),
     "laplace": (0, {
         "laplace.csv": "b179bba34c71bc3f3c094bb690b9e5c479d2caa7e2b149408c94ac1dae9072ba",
-        "verdicts": "862e25940f657495abc2d5b301d373cd652b3e6baeed0fac577a281924938bb7",
+        "verdicts": "8f0b82ebb09da63a180cb91319b1d1f158a12b75d5985c4c69efa05392544a22",
     }),
     "laplace-flat": (0, {
         "laplace.csv": "93225dd70c6f62458ca5533aa83439629af497eb86c44b1a101b07fd54056f25",
-        "verdicts": "79615e585f946960b80a8ea7b505cca1a894e1ba2622422c35d5326d1e59c8e1",
+        "verdicts": "05c482ef710e198693199de710ab62ab38c058ea63189f63308e71457544d067",
     }),
     "subordinator": (0, {
         "subordinator_arcsine.csv": "afc9af3783c4b3d0f2d2ed4083186469050d113f2f6a82d5aff4092c189166c0",
         "subordinator_laplace.csv": "d3dd4a677aba2e9bfd36c63eefa0d0427d7a47512f3d1ff2b4dfb94d72ef9f36",
-        "verdicts": "85a2d35a17557e1ad06444a684f9acd0c2fe7c1a7a535b5bed6f25beae003c3c",
+        "verdicts": "1870e3b1e859f5da4ee0c338a8d18c6a79c57df6956eb9a0cc83b11eb27a93f1",
     }),
 }
 
@@ -183,9 +185,8 @@ def run_case(name, threads, root):
         if path.name != "manifest.json"
     }
     manifest = json.loads((outdir / "manifest.json").read_text())
-    digests["verdicts"] = _sha(
-        json.dumps([manifest["verdicts"], manifest["overall"]], sort_keys=True).encode()
-    )
+    record = [manifest[key] for key in ("verdicts", "overall", "run")]
+    digests["verdicts"] = _sha(json.dumps(record, sort_keys=True).encode())
     return code, digests
 
 
