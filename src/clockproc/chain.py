@@ -4,15 +4,16 @@ The jump chain is simple random walk: each step flips one uniformly chosen
 spin.  The clock process attaches to every visited state an exponential
 waiting time scaled by the holding time tau of that state; aggregating the
 rescaled clock over fixed-length blocks yields the jump sizes whose tail
-statistics the conditions module estimates.  One row path draws every
-trajectory: a row block of replicas at a time, each from its own streams.
-``simulate_segments`` keeps a block's whole segments of a fixed length, with
-``simulate_segment`` as its one-row case; it takes a given start or draws the
-stationary (uniform) one, and ``extend_segment`` continues a segment with
-the same streams.  ``walk_to_times`` walks a block in growing windows that
-stop at the latest query time, and keeps only each replica's state at the
-query times and its final clock, so its memory is one window, not a
-segment.
+statistics the conditions module estimates.  ``scaled_holds`` is the one
+place a hold is rescaled, as exp(beta*H - log time scale).  One row path
+draws every trajectory: a row block of replicas at a time, each from its own
+streams, from a given start or the stationary (uniform) one.
+``blocked_clocks`` folds a block's rescaled holds straight into block sums,
+``simulate_segment`` keeps one replica's whole segment, and
+``extend_segment`` continues a segment with the same streams.
+``walk_to_times`` walks a block in growing windows that stop at the latest
+query time, and keeps only each replica's state at the query times and its
+final clock, so its memory is one window, not a segment.
 
 The exact mixing check runs on Hamming-distance classes in exact integer
 arithmetic, so it covers every supported n.
@@ -27,24 +28,18 @@ from fractions import Fraction
 import numpy as np
 
 from .environment import Environment, SpinConfig
-from .errors import (
-    DimensionMismatchError,
-    HorizonError,
-    ParameterValidationError,
-    SegmentLengthError,
-)
+from .errors import DimensionMismatchError, HorizonError, ParameterValidationError
 from .seeding import ReplicaStreams
 
 __all__ = [
     "TrajectorySegment",
-    "ClockPath",
     "MixingReport",
     "block_rows",
-    "simulate_segments",
+    "scaled_holds",
+    "blocked_clocks",
     "simulate_segment",
     "extend_segment",
     "walk_to_times",
-    "blocked_clock",
     "process_at_time",
     "mixing_check",
 ]
@@ -156,33 +151,59 @@ def _origins(
     return np.array([origin.bits for origin in origins], dtype=np.uint64)
 
 
-def simulate_segments(
-    env: Environment, start: SpinConfig | None, length: int, streams: list[ReplicaStreams]
-) -> list[TrajectorySegment]:
-    """Run ``length`` SRW steps per replica from ``start`` and attach waiting times.
+def scaled_holds(env: Environment, energies: np.ndarray) -> np.ndarray:
+    """exp(beta*H - log time scale) of ``energies``, in place, saturating to inf.
 
-    ``start=None`` draws each replica's uniform (stationary) start from its
-    walk stream before its steps.  Replica r draws its start, flips and
-    exponentials from ``streams[r]`` alone, in that order, so its segment is
-    deterministic given (env, start, its stream seeds) whatever block it is
-    drawn in.  One walk build, one energy lookup and one hold pass serve the
-    whole block; each segment sums its own clock when it is first read, which
-    ran faster on two threads than one row-wise sum over the block.  A
-    segment simulated with the same streams and a larger length extends this
-    one prefix-stably, because steps and waiting times come from separate
-    substreams.
+    The holds are rescaled stably, never as a quotient of raw exponentials.
     """
-    if length < 1:
-        raise ParameterValidationError(f"segment length must be >= 1; got {length}")
-    rows = _segment_rows(env, _origins(env, start, streams), length, streams, 0)
-    return [TrajectorySegment(*row) for row in zip(*rows)]
+    energies *= env.beta
+    energies -= env.log_time_scale
+    with np.errstate(over="ignore"):
+        return np.exp(energies, out=energies)
+
+
+def blocked_clocks(
+    env: Environment, start: SpinConfig | None, k: int, streams: list[ReplicaStreams]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rescaled clocks of a row block of replicas over k aggregation blocks.
+
+    Row r of the (rows, k) block sums holds replica r's rescaled clock
+    increments exp(beta*H - gamma*n) * e, block i+1 covering steps
+    theta*i+1 .. theta*(i+1), each block summed on its own (pairwise); the
+    (rows,) initial terms are the rescaled holds of the starting states
+    (step 0), kept out of the blocks.  ``start=None`` draws each replica's
+    uniform (stationary) start from its walk stream before its steps.
+    Replica r draws its start, flips and exponentials from ``streams[r]``
+    alone, in that order, as :func:`simulate_segment` draws them, so its row
+    does not depend on the block it is drawn in.  One walk build, one energy
+    lookup and one rescaling pass serve the whole block.
+    """
+    if k < 0:
+        raise ParameterValidationError(f"block count must be >= 0; got {k}")
+    theta = env.block_length
+    _, energies, draws, _ = _segment_rows(env, _origins(env, start, streams), k * theta, streams, 0)
+    scaled = scaled_holds(env, energies)
+    scaled *= draws
+    # the initial terms are copied out so the block's holds are not kept alive
+    return scaled[:, 1:].reshape(len(streams), k, theta).sum(axis=-1), scaled[:, 0].copy()
 
 
 def simulate_segment(
     env: Environment, start: SpinConfig | None, length: int, streams: ReplicaStreams
 ) -> TrajectorySegment:
-    """The one-replica case of :func:`simulate_segments`."""
-    return simulate_segments(env, start, length, [streams])[0]
+    """Run ``length`` SRW steps from ``start`` and attach waiting times.
+
+    ``start=None`` draws the uniform (stationary) start from the walk stream
+    before the steps.  The start, flips and exponentials come from
+    ``streams`` alone, in that order, so the segment is deterministic given
+    (env, start, the stream seeds).  A segment simulated with the same
+    streams and a larger length extends this one prefix-stably, because
+    steps and waiting times come from separate substreams.
+    """
+    if length < 1:
+        raise ParameterValidationError(f"segment length must be >= 1; got {length}")
+    rows = _segment_rows(env, _origins(env, start, [streams]), length, [streams], 0)
+    return TrajectorySegment(*(row[0] for row in rows))
 
 
 def extend_segment(
@@ -213,7 +234,7 @@ def walk_to_times(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Where a row block of replicas sits at each of ``times``, and their final clocks.
 
-    Replica r starts as in :func:`simulate_segments` and walks in windows
+    Replica r starts as in :func:`blocked_clocks` and walks in windows
     through the same row path: ``first`` steps, then twice the last window,
     with the open rows times the window's states capped at
     ``SEGMENT_BLOCK_STATES``.  A row carries its last state into the next
@@ -260,44 +281,6 @@ def walk_to_times(
         rows = rows[clocks[rows] <= queries[-1]] if steps < step_cap else rows[:0]
         window *= 2
     return found[:, order], clocks
-
-
-@dataclass
-class ClockPath:
-    """The rescaled clock over k aggregation blocks.
-
-    ``block_sums[i]`` is the rescaled clock increment of block i+1, which
-    covers steps theta*i+1 .. theta*(i+1).  The waiting time of the starting
-    state (step 0) is recorded separately in ``initial_term`` and excluded
-    from the blocks.
-    """
-
-    block_sums: np.ndarray
-    initial_term: float
-
-
-def blocked_clock(segment: TrajectorySegment, env: Environment, k: int) -> ClockPath:
-    """Aggregate a segment's rescaled clock into k fixed-length blocks.
-
-    Increments are rescaled stably as exp(beta*H - gamma*n) * e, never as a
-    quotient of raw exponentials.  Block sums use pairwise summation.
-    """
-    if k < 0:
-        raise ParameterValidationError(f"block count must be >= 0; got {k}")
-    theta = env.block_length
-    need = k * theta + 1
-    if len(segment.increments) < need:
-        raise SegmentLengthError(
-            f"segment has {len(segment.increments)} increments; "
-            f"{need} needed for {k} blocks of length {theta}"
-        )
-    log_scaled = env.beta * segment.energies[:need] - env.log_time_scale
-    with np.errstate(over="ignore"):
-        scaled = np.exp(log_scaled) * segment.exp_draws[:need]
-    return ClockPath(
-        block_sums=scaled[1:need].reshape(k, theta).sum(axis=1),
-        initial_term=float(scaled[0]),
-    )
 
 
 def process_at_time(segment: TrajectorySegment, env: Environment, t):

@@ -62,7 +62,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 from scipy import special
 
-from .chain import index_walk, mixing_check, simulate_segment
+from .chain import index_walk, mixing_check, scaled_holds, simulate_segment
 from .environment import CouplingTensor, Environment, validate_parameters
 from .errors import BudgetError, DegenerateScaleError, ParameterValidationError
 from .parallel import ordered_map
@@ -150,14 +150,6 @@ def _folds_by_table(env: Environment, states: int) -> bool:
     return env.has_energy_table and states >= 1 << env.n
 
 
-def _scaled_holds(env: Environment, energies: np.ndarray) -> np.ndarray:
-    """exp(beta*H - log time scale) of ``energies``, in place, saturating to inf."""
-    energies *= env.beta
-    energies -= env.log_time_scale
-    with np.errstate(over="ignore"):
-        return np.exp(energies, out=energies)
-
-
 def _block_sums(
     env: Environment,
     count: int,
@@ -180,10 +172,10 @@ def _block_sums(
     sums = np.empty(count)
     hold_table = None
     if _folds_by_table(env, count * env.block_length):
-        hold_table = _scaled_holds(env, _all_energies(env))
+        hold_table = scaled_holds(env, _all_energies(env))
     for lo, hi, states in _iter_block_states(env, count, streams, presteps, starts):
         if hold_table is None:
-            holds = _scaled_holds(env, env.energies(states))
+            holds = scaled_holds(env, env.energies(states))
         else:
             holds = hold_table[states.view(np.int64)]
         del states
@@ -962,9 +954,10 @@ def concentration_diagnostic(
         env = first if i == 0 else environment(i)
         streams = family.replica(i)
         walk = simulate_segment(env, None, walk_blocks * theta - 1, streams)
-        # blocks start at step 0 here, unlike blocked_clock's
-        with np.errstate(over="ignore"):
-            increments = np.exp(env.beta * walk.energies - env.log_time_scale) * walk.exp_draws
+        # blocks start at step 0 here, not at step 1 as in blocked_clocks; the
+        # holds are rescaled on a copy, since a segment's arrays stay unchanged
+        increments = scaled_holds(env, walk.energies.copy())
+        increments *= walk.exp_draws
         block_exceeds = increments.reshape(walk_blocks, theta).sum(axis=1) > threshold
         q_hat = float(block_exceeds.mean())
         # independent single-block marginal (fresh uniform starts) for the

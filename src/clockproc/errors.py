@@ -6,7 +6,6 @@ __all__ = [
     "ClockprocError",
     "DimensionMismatchError",
     "ParameterValidationError",
-    "SegmentLengthError",
     "HorizonError",
     "DegenerateScaleError",
     "BudgetError",
@@ -23,10 +22,6 @@ class DimensionMismatchError(ClockprocError, ValueError):
 
 class ParameterValidationError(ClockprocError, ValueError):
     """Model parameters violate an admissibility bound (the message names it)."""
-
-
-class SegmentLengthError(ClockprocError, ValueError):
-    """A trajectory segment is too short for the requested number of blocks."""
 
 
 class HorizonError(ClockprocError, ValueError):

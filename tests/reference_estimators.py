@@ -9,6 +9,9 @@ from the same streams and folds each state's energy through
 package folds large chunks through.  ``per_state_block_sums`` walks the
 same blocks in one piece and scales each state's hold from its own energy,
 so it checks the hold tables and the row blocks of ``_block_sums``.
+``blocked_clock`` aggregates one replica's whole segment into its clock
+blocks, as the clock once did replica by replica, so it checks the
+row-block fold of ``blocked_clocks``.
 ``uint64_index_walk`` draws the flip sites as uint64 and builds the path
 out of place, as ``index_walk`` once did.  ``sample_path`` draws one
 truncated subordinator path on [0, horizon], the oracle path of the
@@ -108,6 +111,17 @@ def per_state_block_sums(env, count, streams, presteps=0, starts=None):
     draws = streams.noise.standard_exponential((count, theta))
     with np.errstate(over="ignore"):
         return (np.exp(env.beta * energies - env.log_time_scale) * draws).sum(axis=1)
+
+
+def blocked_clock(segment, env, k):
+    """(block sums, initial term) of a segment's rescaled clock over k blocks
+    of ``env.block_length`` steps, the starting state's hold kept out."""
+    theta = env.block_length
+    need = k * theta + 1
+    log_scaled = env.beta * segment.energies[:need] - env.log_time_scale
+    with np.errstate(over="ignore"):
+        scaled = np.exp(log_scaled) * segment.exp_draws[:need]
+    return scaled[1:need].reshape(k, theta).sum(axis=1), float(scaled[0])
 
 
 def direct_block_laplace(env, v_values, samples, streams):

@@ -1,4 +1,4 @@
-"""Random walk, trajectory segments, blocked clock, exact mixing check."""
+"""Random walk, trajectory segments, blocked clocks, exact mixing check."""
 
 import math
 
@@ -9,25 +9,19 @@ from clockproc import chain
 from clockproc.chain import (
     SEGMENT_BLOCK_STATES,
     block_rows,
-    blocked_clock,
+    blocked_clocks,
     extend_segment,
     index_walk,
     mixing_check,
     process_at_time,
     simulate_segment,
-    simulate_segments,
     walk_to_times,
 )
 from clockproc.environment import MAX_TABLE_SPINS, Environment, SpinConfig, block_length
-from clockproc.errors import (
-    DimensionMismatchError,
-    HorizonError,
-    ParameterValidationError,
-    SegmentLengthError,
-)
+from clockproc.errors import DimensionMismatchError, HorizonError, ParameterValidationError
 from clockproc.seeding import ReplicaStreams, StreamFamily, keyed_generator
 from dense_srw_kernel import apply_srw_kernel, dense_mixing_violation, exact_step_distribution
-from reference_estimators import uint64_index_walk
+from reference_estimators import blocked_clock, uint64_index_walk
 
 pytestmark = pytest.mark.filterwarnings("ignore:block length")
 
@@ -166,30 +160,44 @@ def test_extension_is_prefix_stable():
 
 
 @pytest.mark.parametrize("start", [None, SpinConfig(7, 77)])
-def test_simulate_segments_rows_equal_the_one_replica_draws(start):
-    """Each row of a block draws what one replica drawn alone draws: its
-    start, then its flips, from its walk stream, and one exponential per
-    visited state from its noise stream."""
+def test_simulate_segment_draws_its_start_flips_and_exponentials_in_order(start):
+    """A segment draws its start, then its flips, from its walk stream, and
+    one exponential per visited state from its noise stream."""
     env = make_env(n=7)
-    family, length = StreamFamily(12, "block"), 150
+    length = 150
+    segment = simulate_segment(env, start, length, ReplicaStreams.from_seed(12))
+    alone = ReplicaStreams.from_seed(12)
+    origin = SpinConfig.random(7, alone.walk) if start is None else start
+    states = index_walk(7, origin.bits, length, alone.walk)
+    energies = env.energies(states)
+    draws = alone.noise.standard_exponential(length + 1)
+    increments = np.exp(env.beta * energies) * draws
+    assert np.array_equal(segment.states, states)
+    assert np.array_equal(segment.energies, energies)
+    assert np.array_equal(segment.exp_draws, draws)
+    assert np.array_equal(segment.increments, increments)
+    assert np.array_equal(segment.cumulative(), np.cumsum(increments))
+
+
+@pytest.mark.parametrize("start", [None, SpinConfig(7, 77)])
+def test_blocked_clocks_rows_equal_the_one_replica_folds(start):
+    """Each row of a block's clock is the per-segment fold of the segment its
+    replica draws alone, bit for bit, and the block leaves each replica's
+    streams where drawing alone leaves them."""
+    env = make_env(n=7)
+    family, k = StreamFamily(12, "block"), 9
     block = [family.replica(i) for i in range(5)]
-    segments = simulate_segments(env, start, length, block)
-    for i, segment in enumerate(segments):
+    sums, initial = blocked_clocks(env, start, k, block)
+    assert sums.shape == (5, k) and initial.shape == (5,)
+    for i in range(5):
         alone = family.replica(i)
-        origin = SpinConfig.random(7, alone.walk) if start is None else start
-        states = index_walk(7, origin.bits, length, alone.walk)
-        energies = env.energies(states)
-        draws = alone.noise.standard_exponential(length + 1)
-        increments = np.exp(env.beta * energies) * draws
-        assert np.array_equal(segment.states, states)
-        assert np.array_equal(segment.energies, energies)
-        assert np.array_equal(segment.exp_draws, draws)
-        assert np.array_equal(segment.increments, increments)
-        assert np.array_equal(segment.cumulative(), np.cumsum(increments))
-        # the block left each replica's streams where drawing alone leaves them
+        segment = simulate_segment(env, start, k * env.block_length, alone)
+        block_sums, initial_term = blocked_clock(segment, env, k)
+        assert np.array_equal(sums[i], block_sums)
+        assert initial[i] == initial_term
         assert block[i].walk.integers(0, 1 << 62) == alone.walk.integers(0, 1 << 62)
         assert block[i].noise.random() == alone.noise.random()
-    assert len({int(segment.states[0]) for segment in segments}) == (5 if start is None else 1)
+    assert len(set(initial.tolist())) == 5
 
 
 def test_block_rows_fill_the_state_budget_and_hold_one_replica_past_the_table():
@@ -241,33 +249,23 @@ def test_conditional_increment_mean_given_walk():
 
 def test_blocked_clock_zero_blocks():
     env = make_env(n=6)
-    seg = simulate_segment(env, SpinConfig(6, 0), 5, ReplicaStreams.from_seed(1))
-    path = blocked_clock(seg, env, 0)
-    assert path.block_sums.shape == (0,)
-    assert path.initial_term >= 0
-
-
-def test_blocked_clock_needs_enough_increments():
-    env = make_env(n=6)
-    theta = env.block_length
-    seg = simulate_segment(env, SpinConfig(6, 0), theta, ReplicaStreams.from_seed(1))
-    # theta steps give theta+1 increments: exactly one block
-    path = blocked_clock(seg, env, 1)
-    assert path.block_sums.shape == (1,)
-    with pytest.raises(SegmentLengthError):
-        blocked_clock(seg, env, 2)
+    sums, initial = blocked_clocks(env, SpinConfig(6, 0), 0, [ReplicaStreams.from_seed(1)])
+    assert sums.shape == (1, 0)
+    assert initial.shape == (1,) and initial[0] >= 0
+    with pytest.raises(ParameterValidationError):
+        blocked_clocks(env, SpinConfig(6, 0), -1, [ReplicaStreams.from_seed(1)])
 
 
 def test_blocked_clock_matches_direct_recompute():
     """Block sums agree with a direct rescale-and-sum of the raw increments."""
     env = make_env(n=8)
     k, theta = 6, env.block_length
-    seg = simulate_segment(env, SpinConfig(8, 3), k * theta + 10, ReplicaStreams.from_seed(9))
-    path = blocked_clock(seg, env, k)
+    sums, initial = blocked_clocks(env, SpinConfig(8, 3), k, [ReplicaStreams.from_seed(9)])
+    seg = simulate_segment(env, SpinConfig(8, 3), k * theta, ReplicaStreams.from_seed(9))
     scaled = np.exp(env.beta * seg.energies - env.log_time_scale) * seg.exp_draws
     direct = np.array([scaled[1 + i * theta : 1 + (i + 1) * theta].sum() for i in range(k)])
-    assert np.allclose(path.block_sums, direct, rtol=1e-12)
-    assert path.initial_term == pytest.approx(float(scaled[0]), rel=1e-15)
+    assert np.allclose(sums[0], direct, rtol=1e-12)
+    assert initial[0] == pytest.approx(float(scaled[0]), rel=1e-15)
 
 
 def test_blocked_clock_block_sums_are_the_direct_fold_bit_for_bit():
@@ -279,26 +277,7 @@ def test_blocked_clock_block_sums_are_the_direct_fold_bit_for_bit():
     with np.errstate(over="ignore"):
         scaled = np.exp(env.beta * seg.energies - env.log_time_scale) * seg.exp_draws
     direct = np.array([scaled[1 + i * theta : 1 + (i + 1) * theta].sum() for i in range(k)])
-    assert np.array_equal(blocked_clock(seg, env, k).block_sums, direct)
-
-
-def test_blocked_clock_unit_increment_identity():
-    """If every rescaled increment is exactly 1, each block sums to theta."""
-    n, theta_blocks = 6, 3
-    env = Environment.degenerate(n, 3, 0.0, 0.5)
-    theta = env.block_length
-    length = theta_blocks * theta + 1
-    streams = ReplicaStreams.from_seed(2)
-    seg = simulate_segment(env, SpinConfig(n, 0), length, streams)
-    # overwrite the draws so every increment rescales to exactly 1
-    seg = seg.__class__(
-        states=seg.states,
-        energies=seg.energies,
-        exp_draws=np.full_like(seg.exp_draws, env.time_scale),
-        increments=seg.increments,
-    )
-    path = blocked_clock(seg, env, theta_blocks)
-    assert np.allclose(path.block_sums, float(theta), rtol=1e-12)
+    assert np.array_equal(blocked_clocks(env, None, k, [ReplicaStreams.from_seed(8)])[0][0], direct)
 
 
 # --- time-changed process lookup ------------------------------------------

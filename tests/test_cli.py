@@ -264,6 +264,8 @@ def test_clock_jump_law_warns_when_too_few_increments_exceed_the_threshold(tmp_p
             "only 0 block increments exceeded u=1000000000000.0; "
             "not enough for a distribution comparison"
         ),
+        "empirical_jumps": 0,
+        "threshold": 1.0e12,
     }
     assert not (outdir / "clock_jumps.csv").exists()
     files = [a["file"] for a in load_manifest(outdir)["artifacts"]]

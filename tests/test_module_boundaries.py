@@ -1,16 +1,17 @@
 """No module of the package imports another module's private helpers or a
 name it never uses, every exported name exists, every exported function is
 run by the package, every public method, classmethod and property of an
-exported class is read by it, and only ``verdicts.py`` writes a verdict's
-status.
+exported class is read by it, every exported error class but the base is
+raised by it, and only ``verdicts.py`` writes a verdict's status.
 
 A name with a leading underscore (dunders such as ``__version__`` aside) is
 private to the module that defines it; a ``from .module import _name``
 elsewhere couples the two modules through a helper that carries no interface
 promise.  A public function, method, alternate constructor or property that
 only tests call belongs in the tests, as an oracle next to the test that uses
-it.  A status set outside the graders of ``verdicts.py`` would grade by a
-rule of its own.
+it.  An error class nothing raises promises callers a failure mode that no
+longer exists.  A status set outside the graders of ``verdicts.py`` would
+grade by a rule of its own.
 """
 
 import ast
@@ -113,20 +114,22 @@ RE_EXPORTED = (
 )
 
 # every name the top level exported before it was composed from the modules'
-# lists, and ``walk_to_times``, the windowed aging walker, since; none may go
-# missing (``CapabilityError`` left once nothing raised it, ``overlap`` and
+# lists, and ``walk_to_times``, the windowed aging walker, and
+# ``blocked_clocks``, the row-block clock fold, since; none may go missing
+# (``CapabilityError`` left once nothing raised it, ``overlap`` and
 # ``truncated_mean_asymptotic`` once only tests called them, ``TailEstimate``
 # and ``estimate_block_tail_grid`` once the intensity read its tail grid
-# straight off its block sums)
+# straight off its block sums, ``ClockPath``, ``blocked_clock`` and
+# ``SegmentLengthError`` once the clock folded whole row blocks)
 TOP_LEVEL_NAMES = {
     "__version__",
     "ClockprocError", "DimensionMismatchError", "ParameterValidationError",
-    "SegmentLengthError", "HorizonError", "DegenerateScaleError", "BudgetError",
+    "HorizonError", "DegenerateScaleError", "BudgetError",
     "resolve_seeds", "keyed_generator", "StreamFamily", "ReplicaStreams",
     "SpinConfig", "CouplingTensor", "Environment", "zeta", "validate_parameters",
     "block_length", "ZETA_LIMIT", "DEFAULT_ZETA_TABLE",
-    "TrajectorySegment", "ClockPath", "MixingReport", "simulate_segment", "extend_segment",
-    "walk_to_times", "blocked_clock", "process_at_time", "mixing_check",
+    "TrajectorySegment", "MixingReport", "blocked_clocks", "simulate_segment",
+    "extend_segment", "walk_to_times", "process_at_time", "mixing_check",
     "ordered_map",
     "PowerLawLevyMeasure", "SubordinatorPath", "extend_path", "arcsine_cdf",
     "crossing_probability", "crossing_probability_batch", "truncated_laplace_exponent",
@@ -152,7 +155,7 @@ def test_top_level_is_composed_from_the_module_lists():
     ]
     assert clockproc.__all__ == composed
     assert len(set(composed)) == len(composed)
-    assert len(TOP_LEVEL_NAMES) == 66
+    assert len(TOP_LEVEL_NAMES) == 64
     assert TOP_LEVEL_NAMES <= set(clockproc.__all__)
 
 
@@ -290,6 +293,43 @@ def test_every_public_function_is_run_by_the_package():
 
 def test_every_public_member_is_read_by_the_package():
     assert unread_public_members(package_sources()) == sorted(READ_ONLY_BY_CALLERS)
+
+
+def unraised_errors(sources: dict[str, str]) -> list[str]:
+    """Classes ``errors.py`` exports, other than the base ``ClockprocError``,
+    that no module raises, by name or by attribute, called or bare."""
+    errors = ast.parse(sources["errors.py"])
+    classes = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    raised = set()
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None))
+    return sorted((classes & exported_names(errors)) - raised - {"ClockprocError"})
+
+
+def test_guard_detects_error_classes_nothing_raises():
+    sources = {
+        "errors.py": '__all__ = ["ClockprocError", "Called", "Bare", "Dotted", "Dead"]\n'
+                     "class ClockprocError(Exception):\n    pass\n"
+                     "class Called(ClockprocError):\n    pass\n"
+                     "class Bare(ClockprocError):\n    pass\n"
+                     "class Dotted(ClockprocError):\n    pass\n"
+                     "class Dead(ClockprocError):\n    pass\n"
+                     "class Unexported(ClockprocError):\n    pass\n",
+        "a.py": "from . import errors\nfrom .errors import Bare, Called, Dead\n\n"
+                "def f(x):\n"
+                "    if x:\n        raise Called('x')\n"
+                "    if x is None:\n        raise Bare\n"
+                "    try:\n        g()\n    except Dead:\n        raise\n"
+                "    raise errors.Dotted('y')\n",
+    }
+    assert unraised_errors(sources) == ["Dead"]
+
+
+def test_every_exported_error_is_raised_by_the_package():
+    assert unraised_errors(package_sources()) == []
 
 
 def status_writes(source: str) -> list[int]:
