@@ -52,11 +52,11 @@ SEGMENT_BLOCK_STATES = 1 << 14
 
 def _walk(states: np.ndarray, flips: np.ndarray) -> np.ndarray:
     """Fill in place the paths whose starts ``states[..., 0]`` holds, from
-    their (..., steps) uint32 flip sites; returns ``states``."""
-    moves = states[..., 1:]
-    np.left_shift(np.uint64(1), flips, out=moves)
-    np.bitwise_xor.accumulate(moves, axis=-1, out=moves)
-    moves ^= states[..., :1]
+    their (..., steps) uint32 flip sites; returns ``states``.  One accumulate
+    over each whole row, start included, makes column j the start xor the
+    first j moves."""
+    np.left_shift(np.uint64(1), flips, out=states[..., 1:])
+    np.bitwise_xor.accumulate(states, axis=-1, out=states)
     return states
 
 

@@ -192,6 +192,7 @@ def _run_conditions(cfg: ExperimentConfig, args) -> tuple[dict, list[_Output], d
         streams=streams,
         samples=cfg.samples,
         block_count=cfg.block_count,
+        threads=cfg.resolved_threads(),
     )
     outputs = [
         _Output("conditions.csv", report.write_csv, "conditions", [0], "one row per grid point"),
@@ -205,7 +206,8 @@ def _run_laplace(cfg: ExperimentConfig, args) -> tuple[dict, list[_Output], dict
     env = _build_environment(cfg, cfg.beta)
     streams = StreamFamily(cfg.master_seed, "laplace").replica(0)
     est = estimate_intensity_laplace(
-        env, 1.0, cfg.v_grid, cfg.samples, streams, block_count=cfg.block_count
+        env, 1.0, cfg.v_grid, cfg.samples, streams, block_count=cfg.block_count,
+        threads=cfg.resolved_threads(),
     )
     rows = (
         [repr(v), repr(val), repr(se), est.samples]

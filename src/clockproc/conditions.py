@@ -41,7 +41,12 @@ Estimator conventions used throughout:
   :func:`conditional_block_laplace`, built once per chunk of 2^n states or
   more; a chunk keeps its walk (as 4-byte states) only when its term
   tables take several passes over the v grid, and otherwise folds each row
-  block as it is drawn.
+  block as it is drawn;
+* above one thread, the block sums and the transform draw each row block's
+  walk one ahead on a helper thread while the caller gathers and folds the
+  current one; each stream is drawn by one thread in serial order (the walk
+  stream's row blocks by the helper, its starts and the noise stream by the
+  caller), so no output depends on the thread count.
 
 Two deliberately redundant routes exist for the correlated-square statistic
 (two-step kernel versus split one-step products); consistency between routes
@@ -65,7 +70,7 @@ from scipy import special
 from .chain import index_walk, mixing_check, scaled_holds, simulate_segment
 from .environment import CouplingTensor, Environment, validate_parameters
 from .errors import BudgetError, DegenerateScaleError, ParameterValidationError
-from .parallel import ordered_map
+from .parallel import ordered_map, prefetch
 from .seeding import ReplicaStreams, StreamFamily
 from .verdicts import ladder, slope_verdict, verdict, worst, z_score, z_verdict
 
@@ -117,15 +122,19 @@ def _iter_block_states(
     streams: ReplicaStreams,
     presteps: int = 0,
     starts: np.ndarray | None = None,
+    threads: int = 1,
 ) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Yield ``(lo, hi, states)`` over row blocks of ``count`` independent block walks.
+    """An iterator of ``(lo, hi, states)`` over row blocks of ``count`` independent block walks.
 
     Sample i walks ``presteps`` moves from its start, then its block covers
     the next ``block_length`` visited states; ``states`` holds the packed
     blocks of samples lo..hi-1, shape (hi-lo, block_length).  A row block
     walks at most ``_GATHER_STATES`` states (at least one row), or
     ``_CHUNK_STATES`` past the energy table.  Starts default to uniform (the
-    stationary law).  Consumes only the walk stream.
+    stationary law), drawn here on the caller's thread.  The row blocks
+    consume only the walk stream, in row order; with ``threads`` > 1 they are
+    drawn on one helper thread, one row block ahead of the caller, so the
+    caller must not draw from the walk stream until the iterator ends.
     """
     window_steps = presteps + env.block_length - 1
     if starts is None:
@@ -136,10 +145,14 @@ def _iter_block_states(
             raise ParameterValidationError("starts must be a vector of length `count`")
     block = _GATHER_STATES if env.has_energy_table else _CHUNK_STATES
     rows = max(1, block // (window_steps + 1))
-    for lo in range(0, count, rows):
-        hi = min(count, lo + rows)
-        # no name here holds the walk, so the caller frees it by dropping ``states``
-        yield lo, hi, index_walk(env.n, starts[lo:hi], window_steps, streams.walk)[:, presteps:]
+
+    def walks():
+        for lo in range(0, count, rows):
+            hi = min(count, lo + rows)
+            # no name here holds the walk, so the caller frees it by dropping ``states``
+            yield lo, hi, index_walk(env.n, starts[lo:hi], window_steps, streams.walk)[:, presteps:]
+
+    return prefetch(walks(), threads)
 
 
 def _folds_by_table(env: Environment, states: int) -> bool:
@@ -156,6 +169,7 @@ def _block_sums(
     streams: ReplicaStreams,
     presteps: int = 0,
     starts: np.ndarray | None = None,
+    threads: int = 1,
 ) -> np.ndarray:
     """Scaled sums exp(beta*H - log time scale) * e over the blocks of
     :func:`_iter_block_states`, waiting times from the noise stream.
@@ -165,7 +179,9 @@ def _block_sums(
     scale), built once; other calls compute them from the states' energies.
     Either way each hold takes the same operations in the same order, so the
     sums are bit-identical.  Each row block is walked, drawn and summed on
-    its own, so beyond the sums a call holds the table and one row block.
+    its own, so beyond the sums a call holds the table and one row block,
+    and with ``threads`` > 1 the walk of the next, drawn on a helper thread
+    while this one is gathered and its waiting times are drawn.
     """
     if count < 1:
         raise ParameterValidationError(f"sample count must be >= 1; got {count}")
@@ -173,7 +189,7 @@ def _block_sums(
     hold_table = None
     if _folds_by_table(env, count * env.block_length):
         hold_table = scaled_holds(env, _all_energies(env))
-    for lo, hi, states in _iter_block_states(env, count, streams, presteps, starts):
+    for lo, hi, states in _iter_block_states(env, count, streams, presteps, starts, threads):
         if hold_table is None:
             holds = scaled_holds(env, env.energies(states))
         else:
@@ -285,6 +301,7 @@ def estimate_intensity(
     samples: int,
     streams: ReplicaStreams,
     block_count: int | None = None,
+    threads: int = 1,
 ) -> IntensityEstimate:
     """nu_hat(u) = k * P(block sum > u) over a threshold grid, with slope fit.
 
@@ -297,7 +314,7 @@ def estimate_intensity(
     """
     k = resolve_block_count(env, horizon, block_count)
     grid = np.asarray(thresholds, dtype=np.float64)
-    sums = _block_sums(env, samples, streams)
+    sums = _block_sums(env, samples, streams, threads=threads)
     rates, values, stderrs = _binomial_intensity(sums > grid[:, None], k)
     fit = _weighted_line_fit(grid, values, stderrs, rates < 1)
     if fit is None:
@@ -335,6 +352,7 @@ def _squared_tail_indicators(
     samples: int,
     streams: ReplicaStreams,
     route: str,
+    threads: int = 1,
 ) -> np.ndarray:
     """(len(thresholds), samples) joint-exceedance indicators for one route.
 
@@ -348,12 +366,12 @@ def _squared_tail_indicators(
     if route == "two-step":
         xs = _uniform_starts(env.n, samples, streams.walk)
         ys = index_walk(env.n, xs, 2, streams.walk)[:, 2]
-        first = _block_sums(env, samples, streams, starts=xs)
-        second = _block_sums(env, samples, streams, starts=ys)
+        first = _block_sums(env, samples, streams, starts=xs, threads=threads)
+        second = _block_sums(env, samples, streams, starts=ys, threads=threads)
     elif route == "split":
         xs = _uniform_starts(env.n, samples, streams.walk)
-        first = _block_sums(env, samples, streams, presteps=1, starts=xs)
-        second = _block_sums(env, samples, streams, presteps=1, starts=xs)
+        first = _block_sums(env, samples, streams, presteps=1, starts=xs, threads=threads)
+        second = _block_sums(env, samples, streams, presteps=1, starts=xs, threads=threads)
     else:
         raise ParameterValidationError(f"unknown route {route!r}; use 'two-step' or 'split'")
     grid = np.asarray(thresholds, dtype=np.float64)
@@ -380,9 +398,10 @@ def estimate_squared_tail_grid(
     streams: ReplicaStreams,
     block_count: int,
     route: str = "two-step",
+    threads: int = 1,
 ) -> list[SquaredTailEstimate]:
     k = resolve_block_count(env, None, block_count)
-    joint = _squared_tail_indicators(env, thresholds, samples, streams, route)
+    joint = _squared_tail_indicators(env, thresholds, samples, streams, route, threads)
     _, values, stderrs = _binomial_intensity(joint, k)
     return [
         SquaredTailEstimate(
@@ -469,7 +488,11 @@ def _table_folds(env: Environment, v_values: Sequence[float], walk, states: int)
 
 
 def _conditional_transform_moments(
-    env: Environment, v_values: Sequence[float], samples: int, streams: ReplicaStreams
+    env: Environment,
+    v_values: Sequence[float],
+    samples: int,
+    streams: ReplicaStreams,
+    threads: int = 1,
 ):
     """Means and standard deviations over ``samples`` uniform-start blocks of
     :func:`conditional_block_laplace` for each v, with running sums that add
@@ -478,7 +501,8 @@ def _conditional_transform_moments(
     folds each row block's energies for every v as the block is drawn.
     Beyond a chunk's folds, one per v and sample, which are freed before the
     next chunk is walked, a chunk holds one row block unless it needs several
-    table passes."""
+    table passes, and with ``threads`` > 1 the walk of the next row block,
+    drawn on a helper thread while this one is folded."""
     theta = env.block_length
     sums = np.zeros(len(v_values))
     squares = np.zeros(len(v_values))
@@ -488,7 +512,7 @@ def _conditional_transform_moments(
     chunk = max(1, _CHUNK_STATES // theta)
     for lo in range(0, samples, chunk):
         part = starts[lo : lo + chunk]
-        walk = _iter_block_states(env, len(part), streams, starts=part)
+        walk = _iter_block_states(env, len(part), streams, starts=part, threads=threads)
         if _folds_by_table(env, len(part) * theta):
             folds = _table_folds(env, v_values, walk, len(part) * theta)
         else:
@@ -549,12 +573,13 @@ def estimate_intensity_laplace(
     samples: int,
     streams: ReplicaStreams,
     block_count: int | None = None,
+    threads: int = 1,
 ) -> LaplaceIntensityEstimate:
     k = resolve_block_count(env, horizon, block_count)
     varr = np.asarray(v_values, dtype=np.float64)
     if np.any(varr <= 0):
         raise ParameterValidationError("transform arguments must be positive for the intensity fit")
-    means, stds = _conditional_transform_moments(env, v_values, samples, streams)
+    means, stds = _conditional_transform_moments(env, v_values, samples, streams, threads)
     values = k * (1.0 - means) / varr
     stderrs = k * stds / math.sqrt(samples) / varr
     slope = slope_se = intercept = intercept_se = math.nan
@@ -961,7 +986,8 @@ def concentration_diagnostic(
         block_exceeds = increments.reshape(walk_blocks, theta).sum(axis=1) > threshold
         q_hat = float(block_exceeds.mean())
         # independent single-block marginal (fresh uniform starts) for the
-        # mean-identity check, then the two correlated-square routes
+        # mean-identity check, then the two correlated-square routes; the
+        # replicas already run on the pool, so these walk on this thread alone
         marginal = _block_sums(env, pair_samples, streams) > threshold
         two_step = _squared_tail_indicators(env, [threshold], pair_samples, streams, "two-step")
         split = _squared_tail_indicators(env, [threshold], pair_samples, streams, "split")
@@ -1192,6 +1218,7 @@ def build_condition_report(
     streams: ReplicaStreams,
     samples: int = 100_000,
     block_count: int | None = None,
+    threads: int = 1,
 ) -> ConditionReport:
     """Run every per-environment condition estimate and attach verdicts.
 
@@ -1203,15 +1230,21 @@ def build_condition_report(
     would reject at any sufficiently large sample size.  Deviations inside
     the window pass; inside window + 2 fit standard errors they warn.  The
     two correlated-square routes use max(samples // 5, 2) samples each; every
-    other estimate uses ``samples``.
+    other estimate uses ``samples``.  ``threads`` > 1 draws the walks of the
+    intensity, the transform and the correlated square one row block ahead
+    on a helper thread; no value depends on it.
     """
     k = resolve_block_count(env, horizon, block_count)
     literal = _literal_block_count(env, horizon)
-    intensity = estimate_intensity(env, horizon, u_grid, samples, streams, block_count=k)
-    laplace = estimate_intensity_laplace(env, horizon, v_grid, samples, streams, block_count=k)
+    intensity = estimate_intensity(
+        env, horizon, u_grid, samples, streams, block_count=k, threads=threads
+    )
+    laplace = estimate_intensity_laplace(
+        env, horizon, v_grid, samples, streams, block_count=k, threads=threads
+    )
     squared_a, squared_b = (
         estimate_squared_tail_grid(
-            env, u_grid, max(samples // 5, 2), streams, block_count=k, route=route
+            env, u_grid, max(samples // 5, 2), streams, block_count=k, route=route, threads=threads
         )
         for route in ("two-step", "split")
     )

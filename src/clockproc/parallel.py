@@ -1,18 +1,26 @@
-"""Deterministic fan-out over independent replica indices.
+"""Deterministic fan-out over independent replica indices, and one-ahead prefetch.
 
-Work items receive only their index; any randomness must come from streams
-derived from that index, so the result list is identical for every thread
-count and the reduction order is fixed by construction.
+``ordered_map`` work items receive only their index; any randomness must
+come from streams derived from that index, so the result list is identical
+for every thread count and the reduction order is fixed by construction.
+
+``prefetch`` computes the next item of one iterator on a single helper
+thread while the caller consumes the current one.  The iterator runs on one
+thread at a time, in its own order, so a stream it draws from is drawn in
+serial order; a stream the caller draws from must not be drawn by the
+iterator.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 T = TypeVar("T")
 
-__all__ = ["ordered_map"]
+__all__ = ["ordered_map", "prefetch"]
+
+_DONE = object()
 
 
 def ordered_map(fn: Callable[[int], T], count: int, threads: int = 1) -> list[T]:
@@ -29,3 +37,25 @@ def ordered_map(fn: Callable[[int], T], count: int, threads: int = 1) -> list[T]
         return [fn(i) for i in range(count)]
     with ThreadPoolExecutor(max_workers=min(threads, count)) as pool:
         return list(pool.map(fn, range(count)))
+
+
+def prefetch(items: Iterable[T], threads: int = 1) -> Iterator[T]:
+    """Yield ``items`` in order, computing item i+1 on one helper thread
+    while the caller consumes item i.
+
+    The items and the order in which they are computed are the serial ones;
+    only one item is computed ahead.  An exception raised computing an item
+    is raised to the caller in its place.  The helper is joined when the
+    iterator ends, raises or is closed; with ``threads`` <= 1 no thread is
+    started.
+    """
+    if threads <= 1:
+        yield from items
+        return
+    source = iter(items)
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        ahead = helper.submit(next, source, _DONE)
+        while (ready := [ahead.result()])[0] is not _DONE:
+            ahead = helper.submit(next, source, _DONE)
+            # popped, so no name here holds the item while the caller does
+            yield ready.pop()

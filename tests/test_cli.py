@@ -175,6 +175,25 @@ def test_conditions_seed_override_changes_output(tmp_path):
     assert load_manifest(other)["config"]["seeds"]["master_seed"] == 999
 
 
+@pytest.mark.parametrize("command", ["conditions", "laplace"])
+def test_conditions_and_laplace_outputs_do_not_depend_on_thread_count(command, tmp_path):
+    """At n = 10 a block holds 104 states, so a row block of 2^16 states
+    holds 630 blocks and each estimate of 2,000 samples walks four row
+    blocks; above one thread the next is drawn on a helper thread."""
+    cfg_path = write_config(
+        tmp_path / "cfg.json", n=10, beta=3.0, gamma=2.7, samples=2000, block_count=5
+    )
+    codes, outputs = set(), []
+    for threads in ("1", "2", "3"):
+        outdir = tmp_path / threads
+        argv = [command, "--config", str(cfg_path), "--out", str(outdir), "--threads", threads]
+        codes.add(main(argv))
+        names = sorted(path.name for path in outdir.iterdir() if path.name != "manifest.json")
+        outputs.append({name: (outdir / name).read_bytes() for name in names})
+    assert len(codes) == 1 and codes <= {0, 2, 3}
+    assert outputs[0] and outputs[0] == outputs[1] == outputs[2]
+
+
 def test_formats_subset_limits_artifacts(tmp_path):
     cfg_path = write_config(tmp_path / "cfg.json", block_count=5, formats=("json",))
     outdir = tmp_path / "out"

@@ -438,6 +438,49 @@ def test_no_output_depends_on_the_row_block_size(case, gather_states, contracted
         assert [exact for *_, exact in averages] == whole_vector_exact_averages(env, term, grid)
 
 
+def next_draws(stream):
+    return stream.random(8).tobytes()
+
+
+# row blocks of 520 states: 5 rows of a 104-state block, 4 with one move
+# before it, so 503 samples end on a ragged row block either way
+@pytest.mark.parametrize("table", [True, False])
+def test_block_sums_and_transform_do_not_depend_on_the_thread_count(table, contracted, monkeypatch):
+    """Drawing each row block's walk one ahead on a helper thread moves no
+    sum, no transform moment and no stream: both streams end where the
+    serial run leaves them."""
+    monkeypatch.setattr(conditions, "_GATHER_STATES", 520)
+    env = reference_env() if table else contracted(reference_env)
+    samples = 503
+    starts = keyed_starts(env.n, samples)
+    runs = {
+        "plain": lambda streams, threads: [_block_sums(env, samples, streams, threads=threads)],
+        "split": lambda streams, threads: [
+            _block_sums(env, samples, streams, presteps=1, starts=starts, threads=threads)
+        ],
+    }
+
+    def transform(chunk_states):
+        def run(streams, threads):
+            monkeypatch.setattr(conditions, "_CHUNK_STATES", chunk_states)
+            v_grid = [0.1, 1.0, 10.0, 100.0]
+            return _conditional_transform_moments(env, v_grid, samples, streams, threads)
+
+        return run
+
+    # chunks that fold state by state, keep their row blocks for two table
+    # passes, and fold each row block as it is drawn, as in the row-block size test
+    runs |= {f"transform-{chunk}": transform(chunk) for chunk in (900, 5000, 20_000)}
+    for name, run in runs.items():
+        results, ends = [], []
+        for threads in (1, 2):
+            streams = ReplicaStreams.from_seed(47)
+            results.append([a.tobytes() for a in run(streams, threads)])
+            ends.append((next_draws(streams.walk), next_draws(streams.noise)))
+        assert results[0] == results[1], name
+        assert ends[0] == ends[1], name
+
+
 def traced_peak(run) -> int:
     """Bytes that ``run()`` allocates at its peak, above what it starts with."""
     tracemalloc.start()
@@ -570,10 +613,6 @@ def test_initial_term_beta_zero_closed_form():
         assert est.exact_value == pytest.approx(degenerate_initial_term(env, v), rel=1e-12)
         assert est.exact_value == pytest.approx(math.exp(-v * env.time_scale), rel=1e-12)
         assert est.value == pytest.approx(est.exact_value, rel=1e-12)
-
-
-def next_draws(stream):
-    return stream.random(8).tobytes()
 
 
 @pytest.mark.parametrize("table", [False, True])
