@@ -22,7 +22,7 @@ arithmetic, so it covers every supported n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -92,7 +92,6 @@ class TrajectorySegment:
     energies: np.ndarray
     exp_draws: np.ndarray
     increments: np.ndarray
-    _cumulative: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def steps(self) -> int:
@@ -100,9 +99,7 @@ class TrajectorySegment:
 
     def cumulative(self) -> np.ndarray:
         """Partial sums of increments: entry j is the clock after j+1 holds."""
-        if self._cumulative is None or len(self._cumulative) != len(self.increments):
-            self._cumulative = np.cumsum(self.increments)
-        return self._cumulative
+        return np.cumsum(self.increments)
 
     @property
     def horizon(self) -> float:
@@ -298,7 +295,7 @@ def process_at_time(segment: TrajectorySegment, env: Environment, t):
     i = cum.searchsorted(times, side="right")
     if (i >= len(cum)).any():
         raise HorizonError(
-            f"time {times.max():.6g} is beyond the simulated horizon {segment.horizon:.6g}"
+            f"time {times.max():.6g} is beyond the simulated horizon {cum[-1]:.6g}"
         )
     return segment.states[i]
 

@@ -618,7 +618,6 @@ def main(argv=None) -> int:
             changes["threads"] = args.threads
         if changes:
             cfg = cfg.replace(**changes)
-        cfg.validate()
         return run(args.command, cfg, args)
     except ClockprocError as exc:
         print(f"error: {exc}", file=sys.stderr)

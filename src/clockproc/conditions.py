@@ -240,13 +240,13 @@ class _LineFit:
 
 def _weighted_line_fit(
     grid: np.ndarray, values: np.ndarray, stderrs: np.ndarray, usable: np.ndarray | bool
-) -> _LineFit | None:
+) -> _LineFit:
     """Weighted least squares of log ``values`` against log ``grid`` over the
     ``usable`` points whose value and standard error are positive, with the
-    relative errors as weights; None below two such points."""
+    relative errors as weights; every field NaN below two such points."""
     usable = usable & (values > 0) & (stderrs > 0)
     if usable.sum() < 2:
-        return None
+        return _LineFit(math.nan, math.nan, math.nan, math.nan, math.nan)
     values = values[usable]
     x, y, se = np.log(grid[usable]), np.log(values), stderrs[usable] / values
     w = 1.0 / se**2
@@ -317,8 +317,6 @@ def estimate_intensity(
     sums = _block_sums(env, samples, streams, threads=threads)
     rates, values, stderrs = _binomial_intensity(sums > grid[:, None], k)
     fit = _weighted_line_fit(grid, values, stderrs, rates < 1)
-    if fit is None:
-        fit = _LineFit(math.nan, math.nan, math.nan, math.nan, math.nan)
     return IntensityEstimate(
         thresholds=tuple(float(u) for u in thresholds),
         values=tuple(float(x) for x in values),
@@ -445,11 +443,12 @@ def conditional_block_laplace(env: Environment, energies, v: float):
     return float(out) if arr.ndim == 1 else out
 
 
-def _table_folds(env: Environment, v_values: Sequence[float], walk, states: int):
-    """:func:`conditional_block_laplace` of each positive v over a chunk's
-    ``states`` walk states, given as the row blocks of
-    :func:`_iter_block_states`, read from tables of the 2^n terms
-    logaddexp(0, log v + beta*H - log time scale) gathered by state.
+def _table_folds(env: Environment, v_values: Sequence[float], walk, folds: np.ndarray) -> None:
+    """Fill row j of ``folds``, shape (len(v_values), chunk rows), with
+    :func:`conditional_block_laplace` of v_values[j] > 0 over a chunk's walk,
+    given as the row blocks of :func:`_iter_block_states`, read from tables
+    of the 2^n terms logaddexp(0, log v + beta*H - log time scale) gathered
+    by state.
 
     Each term takes the reference fold's operations in its order, and each
     row's gathered terms are summed over the same contiguous block, so the
@@ -459,7 +458,7 @@ def _table_folds(env: Environment, v_values: Sequence[float], walk, states: int)
     v, each row block is folded as it is drawn and then dropped; otherwise
     the chunk's walk is kept as uint32 row blocks for the passes over the v.
     """
-    group = max(1, states * 4 // (8 << env.n))
+    group = max(1, folds.shape[1] * env.block_length * 4 // (8 << env.n))
     if group < len(v_values):
         walk = [(lo, hi, block.astype(np.uint32)) for lo, hi, block in walk]
     scaled = _all_energies(env)
@@ -467,24 +466,20 @@ def _table_folds(env: Environment, v_values: Sequence[float], walk, states: int)
     tables = np.empty((min(group, len(v_values)), scaled.size))
     gathered = index = None
     for first in range(0, len(v_values), group):
-        grouped = v_values[first : first + group]
-        for terms, v in zip(tables, grouped):
+        for terms, v in zip(tables, v_values[first : first + group]):
             np.add(scaled, math.log(v), out=terms)
             terms -= env.log_time_scale
             np.logaddexp(0.0, terms, out=terms)
-        folds = [np.empty(states // env.block_length) for _ in grouped]
         for lo, hi, block in walk:
             if index is None:
                 gathered, index = np.empty(block.shape), np.empty(block.shape, dtype=np.intp)
             part, indices = gathered[: hi - lo], index[: hi - lo]
             np.copyto(indices, block)
             del block
-            for terms, fold in zip(tables, folds):
+            for terms, fold in zip(tables, folds[first : first + group]):
                 # indices are in range; any mode but "raise" gathers straight into ``out``
                 np.take(terms, indices, out=part, mode="clip")
                 np.exp(-part.sum(axis=-1), out=fold[lo:hi])
-        yield from folds
-        del folds  # the caller has read them; free them before the next group
 
 
 def _conditional_transform_moments(
@@ -496,13 +491,13 @@ def _conditional_transform_moments(
 ):
     """Means and standard deviations over ``samples`` uniform-start blocks of
     :func:`conditional_block_laplace` for each v, with running sums that add
-    one partial sum per chunk of ``_CHUNK_STATES`` states.  A chunk that
-    :func:`_folds_by_table` admits is folded by :func:`_table_folds`; another
-    folds each row block's energies for every v as the block is drawn.
-    Beyond a chunk's folds, one per v and sample, which are freed before the
-    next chunk is walked, a chunk holds one row block unless it needs several
-    table passes, and with ``threads`` > 1 the walk of the next row block,
-    drawn on a helper thread while this one is folded."""
+    one partial sum per chunk of ``_CHUNK_STATES`` states.  Each chunk fills
+    one (v, chunk row) fold array: through :func:`_table_folds` where
+    :func:`_folds_by_table` admits it, else by folding each row block's
+    energies for every v as the block is drawn.  Beyond that array a chunk
+    holds one row block unless it needs several table passes, and with
+    ``threads`` > 1 the walk of the next row block, drawn on a helper thread
+    while this one is folded."""
     theta = env.block_length
     sums = np.zeros(len(v_values))
     squares = np.zeros(len(v_values))
@@ -513,21 +508,20 @@ def _conditional_transform_moments(
     for lo in range(0, samples, chunk):
         part = starts[lo : lo + chunk]
         walk = _iter_block_states(env, len(part), streams, starts=part, threads=threads)
+        folds = np.empty((len(v_values), len(part)))
         if _folds_by_table(env, len(part) * theta):
-            folds = _table_folds(env, v_values, walk, len(part) * theta)
+            _table_folds(env, v_values, walk, folds)
         else:
-            folds = np.empty((len(v_values), len(part)))
             for start, stop, states in walk:
                 energies = env.energies(states)
                 del states
                 for fold, v in zip(folds, v_values):
                     fold[start:stop] = conditional_block_laplace(env, energies, v)
-        for j, g in enumerate(folds):
-            sums[j] += g.sum()
-            squares[j] += (g * g).sum()
-            lows[j] = min(lows[j], g.min())
-            highs[j] = max(highs[j], g.max())
-        folds = g = None  # a chunk's folds are freed before the next chunk walks
+        # each row is contiguous, so its sum is the same pairwise sum as a 1-D fold's
+        sums += folds.sum(axis=1)
+        np.minimum(lows, folds.min(axis=1), out=lows)
+        np.maximum(highs, folds.max(axis=1), out=highs)
+        squares += np.square(folds, out=folds).sum(axis=1)  # in place: no second array
     means = sums / samples
     if samples > 1:
         variances = np.maximum(squares - samples * means**2, 0.0) / (samples - 1)
@@ -582,31 +576,27 @@ def estimate_intensity_laplace(
     means, stds = _conditional_transform_moments(env, v_values, samples, streams, threads)
     values = k * (1.0 - means) / varr
     stderrs = k * stds / math.sqrt(samples) / varr
-    slope = slope_se = intercept = intercept_se = math.nan
-    alpha_hat = alpha_se = amp = amp_se = math.nan
     fit = _weighted_line_fit(varr, values, stderrs, True)
-    if fit is not None:
-        slope, slope_se = fit.slope, fit.slope_se
-        intercept, intercept_se = fit.intercept, fit.intercept_se
-        alpha_hat, alpha_se = 1.0 + slope, slope_se
-        if horizon is not None and 0 < alpha_hat < 1:
-            log_amp = intercept - math.log(horizon) - math.lgamma(1.0 - alpha_hat)
-            amp = math.exp(log_amp)
-            psi = special.digamma(1.0 - alpha_hat)
-            var_log = intercept_se**2 + (psi * slope_se) ** 2 + 2.0 * psi * fit.cov
-            amp_se = amp * math.sqrt(max(var_log, 0.0))
+    alpha_hat = 1.0 + fit.slope
+    amp = amp_se = math.nan
+    if horizon is not None and 0 < alpha_hat < 1:
+        log_amp = fit.intercept - math.log(horizon) - math.lgamma(1.0 - alpha_hat)
+        amp = math.exp(log_amp)
+        psi = special.digamma(1.0 - alpha_hat)
+        var_log = fit.intercept_se**2 + (psi * fit.slope_se) ** 2 + 2.0 * psi * fit.cov
+        amp_se = amp * math.sqrt(max(var_log, 0.0))
     return LaplaceIntensityEstimate(
         v_values=tuple(float(v) for v in v_values),
         values=tuple(float(x) for x in values),
         stderrs=tuple(float(x) for x in stderrs),
         block_count=k,
         samples=samples,
-        slope=slope,
-        slope_se=slope_se,
-        intercept=intercept,
-        intercept_se=intercept_se,
+        slope=fit.slope,
+        slope_se=fit.slope_se,
+        intercept=fit.intercept,
+        intercept_se=fit.intercept_se,
         fitted_alpha=alpha_hat,
-        fitted_alpha_se=alpha_se,
+        fitted_alpha_se=fit.slope_se,
         fitted_amplitude=amp,
         fitted_amplitude_se=amp_se,
     )

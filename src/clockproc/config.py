@@ -79,14 +79,9 @@ def _as_float(section: str, key: str, value: Any) -> float:
 
 
 def _as_grid(section: str, key: str, value: Any) -> tuple[float, ...]:
-    if not isinstance(value, (list, tuple)) or not value:
-        raise ParameterValidationError(f"{section}.{key} must be a nonempty list of numbers")
-    out = tuple(_as_float(section, key, item) for item in value)
-    if any(item <= 0 for item in out):
-        raise ParameterValidationError(f"{section}.{key} entries must be positive")
-    if any(b <= a for a, b in zip(out, out[1:])):
-        raise ParameterValidationError(f"{section}.{key} must be strictly increasing")
-    return out
+    if not isinstance(value, (list, tuple)):
+        raise ParameterValidationError(f"{section}.{key} must be a list of numbers")
+    return tuple(_as_float(section, key, item) for item in value)
 
 
 def _as_pairs(section: str, key: str, value: Any) -> tuple[tuple[float, float], ...]:
@@ -212,6 +207,14 @@ class ExperimentConfig:
             raise ParameterValidationError(f"budgets.replicas must be >= 1; got {self.replicas}")
         if self.step_cap < 1:
             raise ParameterValidationError(f"budgets.step_cap must be >= 1; got {self.step_cap}")
+        for key in ("u_grid", "v_grid", "eps_grid"):
+            grid = getattr(self, key)
+            if not grid:
+                raise ParameterValidationError(f"grids.{key} must be nonempty")
+            if any(item <= 0 for item in grid):
+                raise ParameterValidationError(f"grids.{key} entries must be positive")
+            if any(b <= a for a, b in zip(grid, grid[1:])):
+                raise ParameterValidationError(f"grids.{key} must be strictly increasing")
         for t, s in self.ts_grid:
             if t < 0 or s <= 0:
                 raise ParameterValidationError(

@@ -360,7 +360,8 @@ def test_laplace_degenerate_closed_form_and_layout(tmp_path):
 
 def test_laplace_fails_a_slope_it_could_not_fit(tmp_path, capsys):
     """One sample gives every transform point a zero stderr, so no point is
-    usable and the slope is NaN: graded as a fail, as ``conditions`` grades it."""
+    usable and every fit field is NaN: graded as a fail, as ``conditions``
+    grades it."""
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"budgets": {"samples": 1}}))
     outdir = tmp_path / "out"
@@ -369,7 +370,10 @@ def test_laplace_fails_a_slope_it_could_not_fit(tmp_path, capsys):
     assert "laplace_slope: fail" in out
     assert out.strip().endswith("overall: fail")
     verdict = load_manifest(outdir)["verdicts"]["laplace_slope"]
-    assert verdict["slope"] == "nan" and verdict["status"] == "fail"
+    assert verdict["status"] == "fail"
+    fit = ("slope", "slope_se", "fitted_alpha", "fitted_alpha_se",
+           "fitted_amplitude", "fitted_amplitude_se")
+    assert {key: verdict[key] for key in fit} == dict.fromkeys(fit, "nan")
 
 
 def test_conditions_fails_an_intensity_slope_it_could_not_fit(tmp_path):

@@ -62,6 +62,10 @@ def test_validation_names_the_violated_constraint():
         ExperimentConfig(formats=("yaml",)).validate()
     with pytest.raises(ParameterValidationError, match="ts_grid"):
         ExperimentConfig(ts_grid=((1.0, 0.0),)).validate()
+    with pytest.raises(ParameterValidationError, match=r"grids\.v_grid entries must be positive"):
+        ExperimentConfig(v_grid=(0.0, -1.0)).validate()
+    with pytest.raises(ParameterValidationError, match=r"grids\.u_grid must be strictly increasing"):
+        ExperimentConfig().replace(u_grid=(5.0, 1.0))
     with pytest.raises(ParameterValidationError, match="block_count"):
         ExperimentConfig(block_count=0).validate()
     with pytest.raises(ParameterValidationError, match="threads"):
