@@ -195,9 +195,9 @@ class ExperimentConfig:
                 )
             if not isinstance(self.p, int) or self.p < 3:
                 raise ParameterValidationError(f"model.p must be an integer >= 3; got {self.p!r}")
-            if self.gamma < 0:
+            if not 0 <= self.gamma < math.inf:
                 raise ParameterValidationError(
-                    f"model.gamma must be nonnegative; got {self.gamma}"
+                    f"model.gamma must be nonnegative and finite; got {self.gamma}"
                 )
         else:
             validate_parameters(self.n, self.p, self.beta, self.gamma, self.zeta_table)
@@ -211,14 +211,14 @@ class ExperimentConfig:
             grid = getattr(self, key)
             if not grid:
                 raise ParameterValidationError(f"grids.{key} must be nonempty")
-            if any(item <= 0 for item in grid):
-                raise ParameterValidationError(f"grids.{key} entries must be positive")
+            if not all(0 < item < math.inf for item in grid):
+                raise ParameterValidationError(f"grids.{key} entries must be positive and finite")
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise ParameterValidationError(f"grids.{key} must be strictly increasing")
         for t, s in self.ts_grid:
-            if t < 0 or s <= 0:
+            if not (0 <= t < math.inf and 0 < s < math.inf):
                 raise ParameterValidationError(
-                    f"grids.ts_grid pairs need t >= 0 and s > 0; got ({t}, {s})"
+                    f"grids.ts_grid pairs need finite t >= 0 and s > 0; got ({t}, {s})"
                 )
         if not (0 <= self.master_seed < 1 << 64):
             raise ParameterValidationError(

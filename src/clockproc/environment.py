@@ -166,7 +166,7 @@ def validate_parameters(
     gamma: float,
     zeta_table: dict[int, float] | None = None,
 ) -> None:
-    """Check admissibility 0 < gamma < min(beta^2, zeta(p)*beta).
+    """Check admissibility 0 < gamma < min(beta^2, zeta(p)*beta) at a finite beta > 0.
 
     Raises ParameterValidationError naming the violated bound.  The bound
     guarantees 0 < alpha = gamma/beta^2 < 1 for the limiting tail exponent.
@@ -175,8 +175,8 @@ def validate_parameters(
         raise ParameterValidationError(f"n must be an integer in [2, {MAX_SPINS}]; got {n!r}")
     if not isinstance(p, int) or p < 3:
         raise ParameterValidationError(f"p must be an integer >= 3; got {p!r}")
-    if not beta > 0:
-        raise ParameterValidationError(f"beta must be positive; got beta={beta}")
+    if not 0 < beta < math.inf:
+        raise ParameterValidationError(f"beta must be positive and finite; got beta={beta}")
     if not gamma > 0:
         raise ParameterValidationError(f"gamma must be positive; got gamma={gamma}")
     z = zeta(p, zeta_table)

@@ -1,6 +1,7 @@
 """Experiment configuration: defaults, validation, JSON round-trips."""
 
 import json
+import math
 
 import pytest
 
@@ -70,6 +71,20 @@ def test_validation_names_the_violated_constraint():
         ExperimentConfig(block_count=0).validate()
     with pytest.raises(ParameterValidationError, match="threads"):
         ExperimentConfig(threads=0).validate()
+    # configs built in code skip from_dict's number parsing, so validate
+    # rejects non-finite values itself
+    nan, inf = math.nan, math.inf
+    for key, grid in (("v_grid", (nan, 1.0)), ("u_grid", (1.0, inf)), ("eps_grid", (0.1, nan))):
+        with pytest.raises(ParameterValidationError, match=rf"grids\.{key} .*finite"):
+            ExperimentConfig(**{key: grid}).validate()
+    for pair in ((nan, 1.0), (1.0, nan), (inf, 1.0), (1.0, inf)):
+        with pytest.raises(ParameterValidationError, match=r"grids\.ts_grid .*finite"):
+            ExperimentConfig(ts_grid=(pair,)).validate()
+    for gamma in (nan, inf):
+        with pytest.raises(ParameterValidationError, match=r"model\.gamma .*finite"):
+            ExperimentConfig(beta=0.0, gamma=gamma).validate()
+    with pytest.raises(ParameterValidationError, match="beta must be positive and finite"):
+        ExperimentConfig(beta=inf).validate()
 
 
 def test_spin_count_above_the_packed_state_limit_is_rejected():

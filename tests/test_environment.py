@@ -188,6 +188,12 @@ def test_validate_parameters_rejections_name_the_bound():
         validate_parameters(10, 2, 3.0, 2.7)
     with pytest.raises(ParameterValidationError, match="beta must be"):
         validate_parameters(10, 3, 0.0, 2.7)
+    # an infinite beta would give alpha = 0 and holds exp(inf * H) of 0 or inf
+    for beta in (math.inf, math.nan):
+        with pytest.raises(ParameterValidationError, match="beta must be positive and finite"):
+            validate_parameters(10, 3, beta, 2.7)
+        with pytest.raises(ParameterValidationError, match="beta must be"):
+            Environment.create(8, 3, beta, 2.7, 1)
     with pytest.raises(ParameterValidationError, match="gamma must be positive"):
         validate_parameters(10, 3, 3.0, 0.0)
     # gamma over the admissible slope: message names min(beta^2, zeta(p)*beta)
