@@ -14,11 +14,18 @@ Each case's provenance -- its command, the manifest's artifact records and
 its resolved config -- is pinned by digest as well.
 A refactor that is meant to leave the numbers alone must leave these digests
 alone; a change that moves a Monte Carlo value on purpose updates them and
-says so.
+says so.  ``PYTHONPATH=src python tests/test_golden_outputs.py CASE...``
+prints the current digests of the named cases (all of them when none is
+named) in the layout of ``EXPECTED`` and ``PROVENANCE``, to paste in.
 """
 
+import contextlib
 import hashlib
+import io
 import json
+import pathlib
+import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -323,3 +330,25 @@ def provenance_digest(name, root):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_provenance_matches_recorded_digest(name, tmp_path):
     assert provenance_digest(name, tmp_path) == PROVENANCE[name]
+
+
+def print_digests(names):
+    """Each named case's current digests, as entries of ``EXPECTED`` and then
+    of ``PROVENANCE``; the runs' own verdict lines are held back."""
+    expected, provenance = {}, {}
+    for name in names:
+        with tempfile.TemporaryDirectory() as data, tempfile.TemporaryDirectory() as record:
+            with contextlib.redirect_stdout(io.StringIO()):
+                expected[name] = run_case(name, 1, pathlib.Path(data))
+                provenance[name] = provenance_digest(name, pathlib.Path(record))
+    for name, (code, digests) in expected.items():
+        print(f'    "{name}": ({code}, {{')
+        for file, digest in digests.items():
+            print(f'        "{file}": "{digest}",')
+        print("    }),")
+    for name, digest in provenance.items():
+        print(f'    "{name}": "{digest}",')
+
+
+if __name__ == "__main__":
+    print_digests(sys.argv[1:] or sorted(CASES))
