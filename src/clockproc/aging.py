@@ -5,11 +5,12 @@ state at two rescaled times:
 
     C(t, s) = P( overlap(X(t * unit), X((t+s) * unit)) >= 1 - epsilon ),
 
-with the observation time scale as the default unit.  In the trapping regime
-this converges to the generalised arcsine law evaluated at t/(t+s); the
-module estimates the curve over a grid of (t, s) pairs, attaches the
-prediction, and provides a per-block localisation diagnostic that checks the
-"one deep trap per block" picture directly on a trajectory.
+with the observation time scale as the unit.  In the trapping regime this
+converges to the generalised arcsine law evaluated at t/(t+s); the module
+estimates the curve over a grid of (t, s) pairs and attaches the prediction,
+gives the flat (beta = 0) chain's curve in closed form as the reference, and
+provides a per-block localisation diagnostic that checks the "one deep trap
+per block" picture directly on a trajectory.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import TrajectorySegment, block_rows, process_at_time, walk_to_times
-from .environment import Environment, SpinConfig, overlap_to_reference
+from .environment import Environment, SpinConfig, block_length, overlap_to_reference
 from .errors import BudgetError, ParameterValidationError
 from .parallel import ordered_map
 from .seeding import StreamFamily
@@ -31,6 +32,7 @@ __all__ = [
     "correlation_indicator",
     "AgingCurve",
     "estimate_aging_curve",
+    "flat_aging_curve",
     "TrapReport",
     "trap_localization_diagnostic",
 ]
@@ -112,6 +114,29 @@ class AgingCurve:
                 )
 
 
+def _checked_pairs(pairs, epsilon: float) -> list[tuple[float, float]]:
+    """The (t, s) pairs as floats, once they and ``epsilon`` are checked."""
+    pair_list = [(float(t), float(s)) for t, s in pairs]
+    if not pair_list:
+        raise ParameterValidationError("need at least one (t, s) pair")
+    for t, s in pair_list:
+        if t < 0 or s <= 0:
+            raise ParameterValidationError(f"need t >= 0 and s > 0; got (t, s)=({t}, {s})")
+    if not 0 < epsilon <= 2:
+        raise ParameterValidationError(f"epsilon must lie in (0, 2]; got {epsilon}")
+    return pair_list
+
+
+def _curve(pairs, alpha: float, estimates, stderrs, completed, censored) -> AgingCurve:
+    """An ``AgingCurve`` whose predicted column is the arcsine law at ``alpha``."""
+    ratios = tuple(t / (t + s) for t, s in pairs)
+    predicted = tuple(float(arcsine_cdf(alpha, ratio)) for ratio in ratios)
+    return AgingCurve(
+        tuple(pairs), ratios, tuple(estimates), tuple(stderrs), predicted, tuple(completed),
+        tuple(censored),
+    )
+
+
 def estimate_aging_curve(
     env: Environment,
     pairs,
@@ -119,52 +144,37 @@ def estimate_aging_curve(
     replicas: int,
     master_seed: int,
     *,
-    time_unit: float | None = None,
-    prediction_alpha: float | None = None,
     step_cap: int = 100_000_000,
     threads: int = 1,
     start: SpinConfig | None = None,
 ) -> AgingCurve:
     """Monte Carlo aging curve over independent trajectory replicas.
 
-    Each replica starts uniformly (or at ``start``, a non-stationary choice
-    for exploratory runs) and walks until its clock passes the latest
-    requested time, recording where it sits at each t and t + s.  The thread
-    pool takes row blocks of :func:`~clockproc.chain.block_rows` replicas,
-    sized by the expected number of steps to reach that time; each block
-    walks in growing windows through :func:`~clockproc.chain.walk_to_times`,
-    whose rows stop as their clocks pass it, and reads its indicators in one
-    overlap comparison.  Each replica draws from its own streams, so the
-    curve does not depend on the block size or ``threads``.  If already the
-    expected number of steps exceeds ``step_cap``, the run refuses upfront
-    with a budget error; individual replicas that still hit the cap
-    (required step counts are heavy-tailed) are censored for the unreached
-    pairs and excluded from those averages, with censoring counts reported —
-    never silently dropped.  The predicted values evaluate the arcsine law
-    at t/(t+s) with the environment's tail exponent unless
-    ``prediction_alpha`` overrides it.
+    Times are in units of the observation time scale, and the predicted
+    values evaluate the arcsine law at t/(t+s) with the environment's tail
+    exponent; beta = 0 has neither and is refused (its curve is
+    :func:`flat_aging_curve`).  Each replica starts uniformly (or at
+    ``start``, a non-stationary choice for exploratory runs) and walks until
+    its clock passes the latest requested time, recording where it sits at
+    each t and t + s.  The thread pool takes row blocks of
+    :func:`~clockproc.chain.block_rows` replicas, sized by the expected
+    number of steps to reach that time; each block walks in growing windows
+    through :func:`~clockproc.chain.walk_to_times`, whose rows stop as their
+    clocks pass it, and reads its indicators in one overlap comparison.  Each
+    replica draws from its own streams, so the curve does not depend on the
+    block size or ``threads``.  If already the expected number of steps
+    exceeds ``step_cap``, the run refuses upfront with a budget error;
+    individual replicas that still hit the cap (required step counts are
+    heavy-tailed) are censored for the unreached pairs and excluded from
+    those averages, with censoring counts reported -- never silently dropped.
     """
-    pair_list = [(float(t), float(s)) for t, s in pairs]
-    if not pair_list:
-        raise ParameterValidationError("need at least one (t, s) pair")
-    for t, s in pair_list:
-        if t < 0 or s <= 0:
-            raise ParameterValidationError(f"need t >= 0 and s > 0; got (t, s)=({t}, {s})")
+    pair_list = _checked_pairs(pairs, epsilon)
     if replicas < 1:
         raise ParameterValidationError("need at least one replica")
-    if not 0 < epsilon <= 2:
-        raise ParameterValidationError(f"epsilon must lie in (0, 2]; got {epsilon}")
-    unit = env.time_scale if time_unit is None else float(time_unit)
-    if not (unit > 0 and math.isfinite(unit)):
-        raise ParameterValidationError(f"time unit must be positive and finite; got {unit}")
-    alpha = env.alpha if prediction_alpha is None else float(prediction_alpha)
-    latest = max((t + s) for t, s in pair_list)
-    # a-priori budget: covering clock time t*time_scale takes ~t*step_scale
-    # steps; with unit holding rates (beta=0) it takes ~latest*unit steps
-    if env.step_scale is not None and math.isfinite(env.step_scale):
-        expected_steps = latest * env.step_scale * unit / env.time_scale
-    else:
-        expected_steps = latest * unit
+    if env.alpha is None:
+        raise ParameterValidationError("the aging curve needs beta > 0 (see flat_aging_curve)")
+    # a-priori budget: covering clock time t*time_scale takes ~t*step_scale steps
+    expected_steps = max((t + s) for t, s in pair_list) * env.step_scale
     if expected_steps > step_cap:
         raise BudgetError(
             f"expected ~{expected_steps:.3g} steps to cover the horizon, above the "
@@ -174,8 +184,8 @@ def estimate_aging_curve(
     family = StreamFamily(master_seed, "aging")
 
     times = np.array(pair_list)
-    later = times.sum(axis=1) * unit
-    queries = np.concatenate([times[:, 0] * unit, later])
+    later = times.sum(axis=1) * env.time_scale
+    queries = np.concatenate([times[:, 0] * env.time_scale, later])
     rows = block_rows(env, first)
 
     def worker(b: int):
@@ -188,27 +198,33 @@ def estimate_aging_curve(
     results = ordered_map(worker, -(-replicas // rows), threads)
     hits = np.sum([r[0] for r in results], axis=0)
     valid = np.sum([r[1] for r in results], axis=0)
-    estimates, stderrs, predicted, ratios = [], [], [], []
-    for j, (t, s) in enumerate(pair_list):
-        ratio = t / (t + s)
-        ratios.append(ratio)
-        if valid[j] > 0:
-            p = hits[j] / valid[j]
-            estimates.append(float(p))
-            stderrs.append(float(math.sqrt(p * (1.0 - p) / valid[j])))
-        else:
-            estimates.append(math.nan)
-            stderrs.append(math.nan)
-        predicted.append(float(arcsine_cdf(alpha, ratio)) if alpha is not None else math.nan)
-    return AgingCurve(
-        pairs=tuple(pair_list),
-        ratios=tuple(ratios),
-        estimates=tuple(estimates),
-        stderrs=tuple(stderrs),
-        predicted=tuple(predicted),
-        completed=tuple(int(v) for v in valid),
-        censored=tuple(int(replicas - v) for v in valid),
+    with np.errstate(invalid="ignore"):  # a pair that no replica reached reads NaN
+        rates = hits / valid
+        stderrs = np.sqrt(rates * (1.0 - rates) / valid)
+    return _curve(
+        pair_list, env.alpha, rates.tolist(), stderrs.tolist(), valid.tolist(),
+        (replicas - valid).tolist(),
     )
+
+
+def flat_aging_curve(n: int, pairs, epsilon: float, alpha: float) -> AgingCurve:
+    """The aging curve of the flat (beta = 0) chain in closed form.
+
+    Times are in units of ``block_length(n)``.  With unit mean holds each
+    site flips at rate 1/n, so over a time s the Hamming distance between the
+    two states is Bin(n, q) with q = (1 - exp(-2 s / n)) / 2, whatever t and
+    the start; C(t, s) sums its probabilities over the distances whose
+    overlap passes the comparison with 1 - epsilon that
+    :func:`~clockproc.environment.overlap_to_reference` makes.  As for other
+    closed-form rows, the stderr is 0.0 and no replica is run or censored;
+    the predicted column is the arcsine law at ``alpha``.
+    """
+    pair_list = _checked_pairs(pairs, epsilon)
+    near = [d for d in range(n + 1) if (n - 2.0 * d) / n >= 1.0 - epsilon]
+    flips = [-math.expm1(-2.0 * s * block_length(n) / n) / 2.0 for _, s in pair_list]
+    exact = [math.fsum(math.comb(n, d) * q**d * (1.0 - q) ** (n - d) for d in near) for q in flips]
+    none = [0] * len(pair_list)
+    return _curve(pair_list, alpha, exact, [0.0] * len(pair_list), none, none)
 
 
 @dataclass(frozen=True)

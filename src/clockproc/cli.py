@@ -21,8 +21,8 @@ Subcommands:
     above a threshold u are compared with the exact jump law of the stable
     limit, P(X/u > x) = x^(-alpha) (one-sample Kolmogorov-Smirnov).
 ``aging``
-    Two-time correlation curve next to the arcsine prediction and a flat
-    (beta = 0) reference curve, plus per-block trap diagnostics.
+    Two-time correlation curve next to the arcsine prediction and the flat
+    (beta = 0) chain's curve in closed form, plus per-block trap diagnostics.
 ``mixing``
     Exact aggregation-scale mixing check (Hamming-distance chain; any n).
 ``subordinator``
@@ -63,7 +63,7 @@ import scipy
 from scipy import special
 
 from . import __version__
-from .aging import estimate_aging_curve, trap_localization_diagnostic
+from .aging import estimate_aging_curve, flat_aging_curve, trap_localization_diagnostic
 from .chain import TrajectorySegment, block_rows, blocked_clocks, mixing_check, simulate_segment
 from .conditions import (
     build_condition_report,
@@ -115,13 +115,13 @@ def _table(
     return _Output(name, lambda path: _write_csv(path, header, rows), purpose, replicas, note)
 
 
-def _build_environment(cfg: ExperimentConfig, beta: float) -> Environment:
-    """The config's coupling draw at ``beta``; beta = 0 is the flat chain, which
-    the admissibility check would refuse."""
+def _build_environment(cfg: ExperimentConfig) -> Environment:
+    """The config's coupling draw; beta = 0 is the flat chain, which the
+    admissibility check would refuse."""
     seed = resolve_seeds(cfg.master_seed, "environment", 0)
-    if beta == 0.0:
+    if cfg.beta == 0.0:
         return Environment.degenerate(cfg.n, cfg.p, 0.0, cfg.gamma, seed)
-    return Environment.create(cfg.n, cfg.p, beta, cfg.gamma, seed, zeta_table=cfg.zeta_table)
+    return Environment.create(cfg.n, cfg.p, cfg.beta, cfg.gamma, seed, zeta_table=cfg.zeta_table)
 
 
 def _environment_record(env: Environment, start: SpinConfig | None) -> dict:
@@ -181,7 +181,7 @@ def _trajectory(env: Environment, segment: TrajectorySegment, purpose: str) -> _
 
 
 def _run_conditions(cfg: ExperimentConfig, args) -> tuple[dict, list[_Output], dict]:
-    env = _build_environment(cfg, cfg.beta)
+    env = _build_environment(cfg)
     streams = StreamFamily(cfg.master_seed, "conditions").replica(0)
     report = build_condition_report(
         env,
@@ -203,7 +203,7 @@ def _run_conditions(cfg: ExperimentConfig, args) -> tuple[dict, list[_Output], d
 
 
 def _run_laplace(cfg: ExperimentConfig, args) -> tuple[dict, list[_Output], dict]:
-    env = _build_environment(cfg, cfg.beta)
+    env = _build_environment(cfg)
     streams = StreamFamily(cfg.master_seed, "laplace").replica(0)
     est = estimate_intensity_laplace(
         env, 1.0, cfg.v_grid, cfg.samples, streams, block_count=cfg.block_count,
@@ -248,7 +248,7 @@ def _run_mixing(cfg: ExperimentConfig, args) -> tuple[dict, list[_Output], None]
 
 
 def _run_clock(cfg: ExperimentConfig, args) -> tuple[dict, list[_Output], dict]:
-    env = _build_environment(cfg, cfg.beta)
+    env = _build_environment(cfg)
     if env.alpha is None:
         raise ParameterValidationError(
             "the jump-law comparison needs beta > 0; the beta = 0 chain has no "
@@ -344,14 +344,8 @@ def _run_clock(cfg: ExperimentConfig, args) -> tuple[dict, list[_Output], dict]:
 
 
 def _run_aging(cfg: ExperimentConfig, args) -> tuple[dict, list[_Output], dict]:
-    env = _build_environment(cfg, cfg.beta)
-    if env.alpha is None:
-        raise ParameterValidationError(
-            "the aging comparison needs beta > 0 (the flat reference curve is "
-            "produced automatically)"
-        )
+    env = _build_environment(cfg)
     start = _parse_start(cfg, args.start)
-    threads = cfg.resolved_threads()
     main_curve = estimate_aging_curve(
         env,
         cfg.ts_grid,
@@ -359,30 +353,18 @@ def _run_aging(cfg: ExperimentConfig, args) -> tuple[dict, list[_Output], dict]:
         cfg.replicas,
         resolve_seeds(cfg.master_seed, "aging-main", 0),
         step_cap=cfg.step_cap,
-        threads=threads,
+        threads=cfg.resolved_threads(),
         start=start,
     )
-    reference_env = _build_environment(cfg, 0.0)
-    reference_curve = estimate_aging_curve(
-        reference_env,
-        cfg.ts_grid,
-        args.epsilon,
-        cfg.replicas,
-        resolve_seeds(cfg.master_seed, "aging-reference", 0),
-        time_unit=float(reference_env.block_length),
-        prediction_alpha=env.alpha,
-        step_cap=cfg.step_cap,
-        threads=threads,
-        start=start,
-    )
+    reference_curve = flat_aging_curve(cfg.n, cfg.ts_grid, args.epsilon, env.alpha)
     replicas = f"0..{cfg.replicas - 1}"
     outputs = [
         _Output("aging.csv", main_curve.write_csv, "aging-main", replicas, "one row per (t, s)"),
         _Output(
             "aging_reference.csv",
             reference_curve.write_csv,
-            "aging-reference",
-            replicas,
+            "closed form, no streams",
+            [],
             "one row per (t, s), flat (beta = 0) chain on the decorrelation scale",
         ),
     ]
@@ -396,7 +378,6 @@ def _run_aging(cfg: ExperimentConfig, args) -> tuple[dict, list[_Output], dict]:
             main_sup_gap=main_gap,
             reference_sup_gap=reference_gap,
             censored_main=int(sum(main_curve.censored)),
-            censored_reference=int(sum(reference_curve.censored)),
         )
     }
 

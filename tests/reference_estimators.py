@@ -271,16 +271,17 @@ def unblocked_self_test(pairs, v_grid, paths, master_seed, alphas=(0.3, 0.5, 0.7
 
 
 def doubling_aging_curve(
-    env, pairs, epsilon, replicas, master_seed, *, time_unit=None, prediction_alpha=None,
-    step_cap=100_000_000, start=None,
+    env, pairs, epsilon, replicas, master_seed, *, time_unit=None, step_cap=100_000_000,
+    start=None,
 ):
     """The ``AgingCurve`` of ``estimate_aging_curve``, one replica at a time:
     each walks a segment of four times the expected steps, doubles it until
     its clock passes the latest pair or it reaches ``step_cap``, and counts a
-    hit where the overlap of a reached pair's two states is >= 1 - epsilon."""
+    hit where the overlap of a reached pair's two states is >= 1 - epsilon.
+    ``time_unit`` (default: the observation time scale) lets it walk the
+    flat (beta = 0) chain, whose curve the package gives in closed form."""
     pairs = [(float(t), float(s)) for t, s in pairs]
     unit = env.time_scale if time_unit is None else float(time_unit)
-    alpha = env.alpha if prediction_alpha is None else float(prediction_alpha)
     latest = max(t + s for t, s in pairs)
     if env.step_scale is not None and math.isfinite(env.step_scale):
         expected_steps = latest * env.step_scale * unit / env.time_scale
@@ -314,7 +315,9 @@ def doubling_aging_curve(
         stderrs=tuple(
             float(math.sqrt(p * (1.0 - p) / v)) if v else math.nan for p, v in zip(rates, valid)
         ),
-        predicted=tuple(math.nan if alpha is None else float(arcsine_cdf(alpha, r)) for r in ratios),
+        predicted=tuple(
+            math.nan if env.alpha is None else float(arcsine_cdf(env.alpha, r)) for r in ratios
+        ),
         completed=tuple(int(v) for v in valid),
         censored=tuple(int(replicas - v) for v in valid),
     )

@@ -7,16 +7,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from clockproc import aging, chain
 from clockproc.aging import (
     AgingCurve,
     correlation_indicator,
     estimate_aging_curve,
+    flat_aging_curve,
     trap_localization_diagnostic,
 )
 from clockproc.chain import simulate_segment
-from clockproc.environment import Environment, SpinConfig
+from clockproc.environment import Environment, SpinConfig, block_length, overlap_to_reference
 from clockproc.errors import (
     BudgetError,
     DimensionMismatchError,
@@ -104,25 +106,29 @@ def test_correlation_indicator_array_form_equals_scalar_calls():
 # the shipped (t, s) pairs at a fifth of their horizon
 SHORT_TS_GRID = [(0.2, 0.8), (0.2, 7 / 15), (0.2, 0.3), (0.2, 0.2), (0.2, 2 / 15), (0.2, 0.05)]
 
-# (environment, estimate_aging_curve arguments): a small explicit unit reads
-# an expected step count of 0.0098, so the walks start from one-step
-# windows; the flat chain cuts its walks at the step cap and censors the
-# later pair there; a fixed start; trapped chains at the default unit
+# the time scale exp(gamma * n) of the n = 6, gamma = 1.5 environments
+MILD_TIME_SCALE = math.exp(9.0)
+
+# (environment, estimate_aging_curve arguments): pairs of a few units of
+# clock time read an expected step count of 0.0098, so the walks start from
+# one-step windows; a step cap below the later pair's typical step count
+# cuts walks there and censors that pair; a fixed start; trapped chains
 ORACLE_CONFIGS = {
     "extension-heavy": (
         lambda: Environment.create(6, 3, 2.0, 1.5, seed=9),
         dict(
-            pairs=[(0.5, 0.5), (1.0, 2.0), (2.0, 1.0)], epsilon=0.25, time_unit=2.0,
-            step_cap=100_000_000,
+            pairs=[(2.0 * t / MILD_TIME_SCALE, 2.0 * s / MILD_TIME_SCALE)
+                   for t, s in [(0.5, 0.5), (1.0, 2.0), (2.0, 1.0)]],
+            epsilon=0.25, step_cap=100_000_000,
         ),
     ),
     "censored": (
-        lambda: Environment.degenerate(6, 3, 0.0, 0.5),
-        dict(pairs=[(1.0, 1.0), (10.0, 6.0)], epsilon=1.0, time_unit=40.0, step_cap=650),
+        lambda: Environment.create(6, 3, 2.0, 1.5, seed=9),
+        dict(pairs=[(1.0, 1.0), (10.0, 6.0)], epsilon=1.0, step_cap=400),
     ),
     "fixed-start": (
         lambda: Environment.create(6, 3, 2.0, 1.5, seed=4),
-        dict(pairs=[(0.5, 0.5), (1.0, 1.0)], epsilon=0.25, time_unit=8.0, start=SpinConfig(6, 5)),
+        dict(pairs=[(0.5, 0.5), (1.0, 1.0)], epsilon=0.25, start=SpinConfig(6, 5)),
     ),
     "trapped": (
         lambda: Environment.create(10, 3, 3.0, 2.7, seed=3),
@@ -199,20 +205,18 @@ def test_aging_curve_matches_the_per_replica_oracle(config, layout, threads, mon
 
 def test_aging_curve_prediction_column_is_arcsine():
     """The predicted column must be the arcsine CDF at t/(t+s), one source."""
-    env = Environment.degenerate(6, 3, 0.0, 0.5)
+    env = Environment.create(6, 3, 2.0, 1.5, seed=4)
     pairs = [(1.0, 3.0), (1.0, 1.0), (3.0, 1.0)]
-    curve = estimate_aging_curve(
-        env, pairs, 0.25, replicas=12, master_seed=5, time_unit=10.0, prediction_alpha=0.3
-    )
+    curve = estimate_aging_curve(env, pairs, 0.25, replicas=12, master_seed=5)
     for (t, s), ratio, pred in zip(curve.pairs, curve.ratios, curve.predicted):
         assert ratio == pytest.approx(t / (t + s))
-        assert pred == arcsine_cdf(0.3, ratio)
+        assert pred == arcsine_cdf(env.alpha, ratio) == arcsine_cdf(0.375, ratio)
 
 
 def test_aging_curve_determinism_and_thread_invariance():
-    env = Environment.degenerate(6, 3, 0.0, 0.5)
+    env = Environment.create(6, 3, 2.0, 1.5, seed=4)
     pairs = [(1.0, 1.0), (2.0, 1.0)]
-    kwargs = dict(epsilon=0.25, replicas=16, master_seed=7, time_unit=8.0, prediction_alpha=0.5)
+    kwargs = dict(epsilon=0.25, replicas=16, master_seed=7)
     a = estimate_aging_curve(env, pairs, **kwargs)
     b = estimate_aging_curve(env, pairs, **kwargs)
     c = estimate_aging_curve(env, pairs, threads=3, **kwargs)
@@ -220,17 +224,15 @@ def test_aging_curve_determinism_and_thread_invariance():
 
 
 def test_aging_curve_budget_and_censoring():
-    env = Environment.degenerate(6, 3, 0.0, 0.5)
-    # upfront refusal when the horizon obviously exceeds the step budget
+    env = Environment.create(6, 3, 2.0, 1.5, seed=9)
+    # upfront refusal when the horizon obviously exceeds the step budget:
+    # 200 time scales take ~2,650 steps
     with pytest.raises(BudgetError):
-        estimate_aging_curve(
-            env, [(1.0, 1.0)], 0.25, replicas=4, master_seed=1, time_unit=1e9, step_cap=1000
-        )
-    # a cap just above the expected step count censors some replicas; the
-    # first segment (four times the expected ~640 unit holds) is cut to the cap
+        estimate_aging_curve(env, [(100.0, 100.0)], 0.25, replicas=4, master_seed=1, step_cap=1000)
+    # a cap just above the expected ~212 steps censors some replicas at the
+    # later pair; the oracle's first segment (four times that) is cut to the cap
     curve = estimate_aging_curve(
-        env, [(1.0, 1.0), (10.0, 6.0)], 0.25, replicas=24, master_seed=3, time_unit=40.0,
-        prediction_alpha=0.5, step_cap=650,
+        env, [(0.1, 0.1), (10.0, 6.0)], 0.25, replicas=24, master_seed=3, step_cap=220
     )
     for comp, cens in zip(curve.completed, curve.censored):
         assert comp + cens == 24
@@ -288,27 +290,30 @@ def test_aging_curve_peak_memory_is_one_window_block_per_thread():
 
 
 def test_aging_curve_input_validation():
-    env = Environment.degenerate(6, 3, 0.0, 0.5)
+    env = Environment.create(6, 3, 2.0, 1.5, seed=4)
     with pytest.raises(ParameterValidationError):
         estimate_aging_curve(env, [], 0.25, replicas=4, master_seed=1)
     with pytest.raises(ParameterValidationError):
-        estimate_aging_curve(env, [(1.0, 0.0)], 0.25, replicas=4, master_seed=1, time_unit=1.0)
+        estimate_aging_curve(env, [(1.0, 0.0)], 0.25, replicas=4, master_seed=1)
     with pytest.raises(ParameterValidationError):
-        estimate_aging_curve(env, [(1.0, 1.0)], 0.25, replicas=0, master_seed=1, time_unit=1.0)
+        estimate_aging_curve(env, [(1.0, 1.0)], 0.0, replicas=4, master_seed=1)
+    with pytest.raises(ParameterValidationError):
+        estimate_aging_curve(env, [(1.0, 1.0)], 0.25, replicas=0, master_seed=1)
     with pytest.raises(DimensionMismatchError):
         estimate_aging_curve(
-            env, [(1.0, 1.0)], 0.25, replicas=4, master_seed=1, time_unit=1.0,
-            start=SpinConfig(5, 0),
+            env, [(1.0, 1.0)], 0.25, replicas=4, master_seed=1, start=SpinConfig(5, 0)
         )
-    # beta = 0 has no tail exponent: the unit must be explicit and finite
-    with pytest.raises(ParameterValidationError):
-        estimate_aging_curve(env, [(1.0, 1.0)], 0.25, replicas=4, master_seed=1, time_unit=0.0)
+    # beta = 0 has no tail exponent and no observation scale: its curve is
+    # the closed form, and the Monte Carlo refuses it
+    flat = Environment.degenerate(6, 3, 0.0, 0.5)
+    with pytest.raises(ParameterValidationError, match="beta > 0"):
+        estimate_aging_curve(flat, [(1.0, 1.0)], 0.25, replicas=4, master_seed=1)
 
 
 def test_aging_curve_fixed_start_changes_result():
     env = Environment.create(6, 3, 2.0, 1.5, seed=9)
     pairs = [(0.5, 0.5)]
-    kwargs = dict(epsilon=0.25, replicas=20, master_seed=11, time_unit=2.0)
+    kwargs = dict(epsilon=0.25, replicas=20, master_seed=11)
     uniform = estimate_aging_curve(env, pairs, **kwargs)
     fixed = estimate_aging_curve(env, pairs, start=SpinConfig(6, 0), **kwargs)
     assert uniform.pairs == fixed.pairs
@@ -317,10 +322,9 @@ def test_aging_curve_fixed_start_changes_result():
 
 
 def test_aging_curve_max_gap_and_csv(tmp_path):
-    env = Environment.degenerate(6, 3, 0.0, 0.5)
+    env = Environment.create(6, 3, 2.0, 1.5, seed=4)
     curve = estimate_aging_curve(
-        env, [(1.0, 1.0), (2.0, 2.0)], 0.25, replicas=16, master_seed=13,
-        time_unit=8.0, prediction_alpha=0.5,
+        env, [(1.0, 1.0), (2.0, 2.0)], 0.25, replicas=16, master_seed=13
     )
     gap = curve.max_absolute_gap
     assert 0.0 <= gap <= 1.0
@@ -333,6 +337,79 @@ def test_aging_curve_max_gap_and_csv(tmp_path):
     assert len(rows) == 3
     assert float(rows[1][3]) == curve.estimates[0]
     assert "np.float64" not in out.read_text()
+
+
+# --- the flat (beta = 0) reference in closed form -------------------------
+
+
+def flat_generator(n):
+    """Dense generator of the beta = 0 chain: each site flips at rate 1/n."""
+    size = 1 << n
+    generator = -np.eye(size)
+    for site in range(n):
+        generator[np.arange(size), np.arange(size) ^ (1 << site)] += 1.0 / n
+    return generator
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_flat_aging_curve_matches_the_dense_matrix_exponential(n):
+    """C(t, s) is the mean over x of e^{s unit Q}(x, y) summed over the ball
+    of y around x, with unit = block_length(n), whatever t.  At epsilon =
+    2/n and 1.0 (and 0.5 and 1.5 at n = 4) n * epsilon / 2 is an integer, so
+    the float comparison decides the ball's edge."""
+    states = np.arange(1 << n, dtype=np.uint64)
+    generator = flat_generator(n)
+    pairs = [(0.0, 0.1), (2.0, 0.7), (0.5, 3.0), (1.0, 0.01)]
+    for epsilon in (0.25, 2.0 / n, 0.5, 1.0, 1.5):
+        ball = overlap_to_reference(states[:, None], states[None, :], n) >= 1.0 - epsilon
+        curve = flat_aging_curve(n, pairs, epsilon, 0.3)
+        for (t, s), value in zip(pairs, curve.estimates):
+            kernel = scipy.linalg.expm(s * block_length(n) * generator)
+            assert value == pytest.approx((kernel * ball).sum() / (1 << n), abs=1e-12)
+    assert curve.stderrs == (0.0,) * len(pairs)
+    assert curve.completed == curve.censored == (0,) * len(pairs)
+
+
+def test_flat_aging_curve_fields_and_validation():
+    pairs = [(1.0, 4.0), (1.0, 1.0), (3.0, 0.25)]
+    curve = flat_aging_curve(14, pairs, 0.25, 0.3)
+    assert curve.pairs == tuple(pairs)
+    assert curve.ratios == tuple(t / (t + s) for t, s in pairs)
+    assert curve.predicted == tuple(arcsine_cdf(0.3, r) for r in curve.ratios)
+    # at the shipped size the two states decorrelate fully by s = 1, and
+    # only distances 0 and 1 stay close
+    assert curve.estimates[:2] == pytest.approx((15 / 16384, 15 / 16384), rel=1e-9)
+    assert curve.estimates[2] == pytest.approx(15 / 16384, rel=1e-2)
+    assert curve.max_absolute_gap == max(
+        pred - est for pred, est in zip(curve.predicted, curve.estimates)
+    )
+    # epsilon = 2 accepts every pair of states
+    assert flat_aging_curve(6, [(0.0, 0.3)], 2.0, 0.3).estimates == pytest.approx((1.0,))
+    with pytest.raises(ParameterValidationError):
+        flat_aging_curve(6, [], 0.25, 0.3)
+    with pytest.raises(ParameterValidationError):
+        flat_aging_curve(6, [(1.0, 0.0)], 0.25, 0.3)
+    with pytest.raises(ParameterValidationError):
+        flat_aging_curve(6, [(1.0, 1.0)], 2.5, 0.3)
+
+
+@pytest.mark.parametrize("n, epsilon, seed", [(6, 0.25, 31), (6, 0.5, 32), (8, 0.25, 33)])
+def test_flat_monte_carlo_agrees_with_the_closed_form(n, epsilon, seed):
+    """The beta = 0 walker, one replica at a time on the time unit
+    block_length(n), against the closed form: binomial z <= 4, with the se
+    from the exact p (a sample se collapses where p is near 0)."""
+    env = Environment.degenerate(n, 3, 0.0, 0.5)
+    pairs = [(0.5, 0.01), (1.0, 0.03), (0.2, 0.06), (2.0, 0.2), (0.0, 1.0)]
+    replicas = 300
+    curve = doubling_aging_curve(
+        env, pairs, epsilon, replicas, seed, time_unit=float(block_length(n))
+    )
+    exact = flat_aging_curve(n, pairs, epsilon, 0.3).estimates
+    assert curve.completed == (replicas,) * len(pairs)
+    # from near 1 down to the fully decorrelated P(Bin(n, 1/2) <= n * epsilon / 2)
+    assert max(exact) > 0.6 and any(0.2 < p < 0.6 for p in exact) and min(exact) < 0.12
+    for estimate, p in zip(curve.estimates, exact):
+        assert abs(estimate - p) <= 4.0 * math.sqrt(p * (1.0 - p) / replicas)
 
 
 # --- trap localisation ----------------------------------------------------

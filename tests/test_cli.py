@@ -445,6 +445,40 @@ def test_aging_run_layout_and_flags(tmp_path):
     assert "trap_blocks" not in manifest["verdicts"]
 
 
+def test_aging_reference_file_uses_no_streams(tmp_path):
+    """The flat reference is a closed form: its file reads the same bytes at
+    any seed and start, while the Monte Carlo curve moves with the seed."""
+    cfg_path = clock_config(tmp_path / "cfg.json", ts_grid=[[1.0, 1.0], [1.0, 0.25]])
+    runs = {}
+    for label, extra in (("seed1", ["--seed", "1"]), ("seed2", ["--seed", "2"]),
+                         ("start", ["--seed", "1", "--start", "2a"])):
+        outdir = tmp_path / label
+        assert main(["aging", "--config", str(cfg_path), "--out", str(outdir), *extra]) in (0, 2)
+        runs[label] = outdir
+    reference = {(runs[label] / "aging_reference.csv").read_bytes() for label in runs}
+    assert len(reference) == 1
+    assert (runs["seed1"] / "aging.csv").read_bytes() != (runs["seed2"] / "aging.csv").read_bytes()
+    (record,) = [
+        artifact
+        for artifact in load_manifest(runs["seed2"])["artifacts"]
+        if artifact["file"] == "aging_reference.csv"
+    ]
+    assert record["stream_purpose"] == "closed form, no streams"
+    assert record["replica_indices"] == []
+    rows = read_rows(runs["seed2"] / "aging_reference.csv")
+    # stderr 0.0, no replicas and none censored, as closed-form rows read
+    assert len(rows) == 3
+    assert all(row[4] == "0.0" and row[6:] == ["0", "0"] for row in rows[1:])
+
+
+def test_aging_refuses_the_flat_chain(tmp_path, capsys):
+    """beta = 0 has no tail exponent to grade against; it exits 1, naming beta."""
+    cfg_path = write_config(tmp_path / "cfg.json", beta=0.0, gamma=0.5)
+    assert main(["aging", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "beta > 0" in err
+
+
 def test_subordinator_self_test_layout_and_thread_invariance(tmp_path):
     cfg_path = write_config(
         tmp_path / "cfg.json", samples=4000, ts_grid=[[1.0, 1.0], [3.0, 2.0]], v_grid=[0.5, 1.0]

@@ -114,8 +114,9 @@ RE_EXPORTED = (
 )
 
 # every name the top level exported before it was composed from the modules'
-# lists, and ``walk_to_times``, the windowed aging walker, and
-# ``blocked_clocks``, the row-block clock fold, since; none may go missing
+# lists, and ``walk_to_times``, the windowed aging walker, ``blocked_clocks``,
+# the row-block clock fold, and ``flat_aging_curve``, the flat reference in
+# closed form, since; none may go missing
 # (``CapabilityError`` left once nothing raised it, ``overlap`` and
 # ``truncated_mean_asymptotic`` once only tests called them, ``TailEstimate``
 # and ``estimate_block_tail_grid`` once the intensity read its tail grid
@@ -141,8 +142,8 @@ TOP_LEVEL_NAMES = {
     "estimate_truncated_mean", "truncated_mean_quadrature",
     "degenerate_block_tail", "degenerate_block_laplace", "degenerate_initial_term",
     "concentration_diagnostic", "build_condition_report",
-    "correlation_indicator", "AgingCurve", "estimate_aging_curve", "TrapReport",
-    "trap_localization_diagnostic",
+    "correlation_indicator", "AgingCurve", "estimate_aging_curve", "flat_aging_curve",
+    "TrapReport", "trap_localization_diagnostic",
     "DEFAULT_MASTER_SEED", "ExperimentConfig", "default_ts_grid",
 }
 
@@ -155,7 +156,7 @@ def test_top_level_is_composed_from_the_module_lists():
     ]
     assert clockproc.__all__ == composed
     assert len(set(composed)) == len(composed)
-    assert len(TOP_LEVEL_NAMES) == 64
+    assert len(TOP_LEVEL_NAMES) == 65
     assert TOP_LEVEL_NAMES <= set(clockproc.__all__)
 
 
