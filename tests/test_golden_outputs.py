@@ -130,9 +130,9 @@ CASES = {
 EXPECTED = {
     "aging": (0, {
         "aging.csv": "cd27e68e57c143fa48b589d98034a1223f9336daf330eb18f58d51c690ce3e1a",
-        "aging_reference.csv": "e62bcf8688c1071852386bca06b98148fa93c0dd904f2d41f7a67b3b3083ee3e",
+        "aging_reference.csv": "e01221fec76f67c1e1270c75ed64e3dd3b8571956d0769d779442049957db248",
         "traps.csv": "b837d81057c253790d925e62805de9badd657203b12ff79636d932d711ac715f",
-        "verdicts": "6144d2a28b5a857aaa7cf77826d38a8c7918a79a73860cc2823b66361e88a7c9",
+        "verdicts": "882af866311c9ac3d926b240e7acc6a9c308f471c0681e1b30033d45041d35de",
     }),
     "clock": (0, {
         "clock.csv": "9c30e5ebee43e4c890b9aa63be0757387d6bf1a5b5129b679caadce5dd7108fa",
@@ -308,7 +308,7 @@ def test_laplace_intensity_matches_recorded_digest(table, contracted, monkeypatc
 # and its resolved config, less the output directory and the thread count,
 # serialised with sorted keys
 PROVENANCE = {
-    "aging": "ba8d3771455dec313264b54b3b0ef80e9ade71ea6ed4bca0c50bc51a1f5b54a9",
+    "aging": "a16eeef749ff665e770b7cd2fcd4c80f6557267fd92ca76f3e5829801c5911f7",
     "clock": "b1958d404a83f711b6d9392d4b531fa261497c05fcd77829461f7d076fe7519b",
     "conditions": "44639bdc91b2f644da7b61baba8d01fe0cdc52b050f1acbe759291ac55e3ffac",
     "conditions-flat": "5f57b21db5e0a8b8369e0136a16b5ebd0f4744ec65f4d63fa9706a58105e3547",
