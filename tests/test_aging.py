@@ -303,7 +303,7 @@ def test_aging_curve_input_validation():
         estimate_aging_curve(
             env, [(1.0, 1.0)], 0.25, replicas=4, master_seed=1, start=SpinConfig(5, 0)
         )
-    # beta = 0 has no tail exponent and no observation scale: its curve is
+    # beta = 0 has no tail exponent and no jump-count scale: its curve is
     # the closed form, and the Monte Carlo refuses it
     flat = Environment.degenerate(6, 3, 0.0, 0.5)
     with pytest.raises(ParameterValidationError, match="beta > 0"):
