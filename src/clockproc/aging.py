@@ -253,8 +253,12 @@ def trap_localization_diagnostic(
     physical time, the share of the whole overlap-(1-epsilon) ball around the
     trap, a flag for re-entry (the walk exited the ball and came back within
     the block), and an ``untrapped`` flag when the dominant share falls below
-    ``threshold``.
+    ``threshold``, a share in (0, 1].
     """
+    if not 0 < epsilon <= 2:
+        raise ParameterValidationError(f"epsilon must lie in (0, 2]; got {epsilon}")
+    if not 0 < threshold <= 1:
+        raise ParameterValidationError(f"trap threshold must lie in (0, 1]; got {threshold}")
     if block_index < 0:
         raise ParameterValidationError(f"block index must be >= 0; got {block_index}")
     theta = env.block_length

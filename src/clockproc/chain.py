@@ -101,10 +101,6 @@ class TrajectorySegment:
         """Partial sums of increments: entry j is the clock after j+1 holds."""
         return np.cumsum(self.increments)
 
-    @property
-    def horizon(self) -> float:
-        return float(self.cumulative()[-1])
-
 
 def _segment_rows(
     env: Environment, starts: np.ndarray, steps: int, streams: list[ReplicaStreams], first: int

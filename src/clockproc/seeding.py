@@ -65,9 +65,6 @@ class StreamFamily:
     def generator(self, index: int, kind: str | None = None) -> np.random.Generator:
         return keyed_generator(self.seed_for(index, kind))
 
-    def child(self, subpurpose: str) -> "StreamFamily":
-        return StreamFamily(self.master_seed, f"{self.purpose}/{subpurpose}")
-
     def replica(self, index: int) -> "ReplicaStreams":
         return ReplicaStreams(
             walk=self.generator(index, "walk"),

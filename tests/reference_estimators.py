@@ -32,18 +32,28 @@ recorded states of ``estimate_aging_curve``.
 Python integers, beside the package's vectorised ``overlap_to_reference``.
 ``truncated_mean_asymptotic`` is the large-n curve of the truncated
 single-jump mean, whose slope in epsilon the acceptance criterion checks.
+``concentration_diagnostic`` samples environments and tests how the quenched
+intensity concentrates across them, the bound acceptance criterion 08 checks.
 """
 
 import math
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from clockproc import conditions
 from clockproc.aging import AgingCurve
-from clockproc.chain import extend_segment, index_walk, process_at_time, simulate_segment
-from clockproc.conditions import _block_sums, conditional_block_laplace
-from clockproc.environment import SpinConfig
+from clockproc.chain import (
+    extend_segment, index_walk, mixing_check, process_at_time, scaled_holds, simulate_segment,
+)
+from clockproc.conditions import (
+    _block_sums, _literal_block_count, _squared_tail_indicators, conditional_block_laplace,
+    resolve_block_count,
+)
+from clockproc.environment import CouplingTensor, Environment, SpinConfig, validate_parameters
 from clockproc.errors import BudgetError, DimensionMismatchError, ParameterValidationError
+from clockproc.parallel import ordered_map
 from clockproc.seeding import StreamFamily, keyed_generator
 from clockproc.subordinator import (
     PowerLawLevyMeasure,
@@ -52,6 +62,7 @@ from clockproc.subordinator import (
     crossing_probability_batch,
     extend_path,
 )
+from clockproc.verdicts import z_score
 
 DEFAULT_JUMP_BUDGET = 1.0e8
 
@@ -294,11 +305,12 @@ def doubling_aging_curve(
     for i in range(replicas):
         streams = family.replica(i)
         segment = simulate_segment(env, start, first_steps, streams)
-        while segment.horizon <= latest * unit and segment.steps < step_cap:
+        while segment.cumulative()[-1] <= latest * unit and segment.steps < step_cap:
             extra = min(segment.steps, step_cap - segment.steps)
             segment = extend_segment(env, segment, extra, streams)
+        horizon = segment.cumulative()[-1]
         for j, (t, s) in enumerate(pairs):
-            if (t + s) * unit >= segment.horizon:
+            if (t + s) * unit >= horizon:
                 continue  # censored at the step cap
             valid[j] += 1
             x, y = (
@@ -320,4 +332,196 @@ def doubling_aging_curve(
         ),
         completed=tuple(int(v) for v in valid),
         censored=tuple(int(replicas - v) for v in valid),
+    )
+
+
+@dataclass(frozen=True)
+class ConcentrationReport:
+    """Empirical check of the intensity's environment concentration bound.
+
+    Per sampled environment the quenched intensity is estimated from one long
+    stationary walk; deviations from the across-environment mean are then
+    compared, on a grid of deviation levels, against the Chebyshev-type bound
+    (rho * mean^2 + correlated square) / eps^2.  ``rho`` is the exact
+    block-mixing violation rescaled by pi_min^2 (``rho_source`` "measured"),
+    unless overridden (``rho_source`` "override").
+    """
+
+    n: int
+    p: int
+    beta: float
+    gamma: float
+    threshold: float
+    horizon: float | None
+    block_count: int
+    literal_block_count: int | None
+    block_length: int
+    replicas: int
+    walk_blocks: int
+    pair_samples: int
+    nu_bar: float
+    nu_bar_stderr: float
+    nu_alt: float
+    nu_alt_stderr: float
+    nu_identity_z: float
+    nu_identity_consistent: bool
+    sigma_sq: float
+    sigma_sq_stderr: float
+    sigma_sq_alt: float
+    sigma_sq_alt_stderr: float
+    sigma_identity_z: float
+    routes_consistent: bool
+    rho: float
+    rho_source: str
+    deviation_scale: float
+    eps_grid: tuple[float, ...]
+    empirical_tail: tuple[float, ...]
+    chebyshev_bound: tuple[float, ...]
+    bound_satisfied: tuple[bool, ...]
+    all_bounds_satisfied: bool
+    quenched_intensities: tuple[float, ...]
+    quenched_variance: float
+    sampling_variance_share: float
+
+
+def concentration_diagnostic(
+    n: int,
+    p: int,
+    beta: float,
+    gamma: float,
+    threshold: float,
+    horizon: float | None = None,
+    *,
+    master_seed: int,
+    replicas: int = 500,
+    walk_blocks: int = 2000,
+    pair_samples: int = 200,
+    block_count: int | None = None,
+    rho: float | None = None,
+    eps_grid: Sequence[float] | None = None,
+    threads: int = 1,
+) -> ConcentrationReport:
+    """Sample environments and test the quenched intensity's concentration.
+
+    Each replica gets its own coupling draw and stream pair derived from
+    ``master_seed``, so the report is reproducible and independent of
+    ``threads``.  The deviation grid defaults to ten geometric points from
+    half to eight times the bound's own scale sqrt(rho*nu^2 + sigma^2).
+    """
+    validate_parameters(n, p, beta, gamma)
+    if replicas < 2:
+        raise ParameterValidationError("need at least two environment replicas")
+    family = StreamFamily(master_seed, "concentration")
+    env_family = StreamFamily(master_seed, "concentration/environment")
+
+    def environment(i: int) -> Environment:
+        return Environment(CouplingTensor.sample(n, p, env_family.seed_for(i)), beta, gamma)
+
+    # replica 0's environment carries the scales every replica shares
+    first = environment(0)
+    theta = first.block_length
+    literal = _literal_block_count(first, horizon)
+    k = resolve_block_count(first, horizon, block_count)
+
+    def worker(i: int):
+        env = first if i == 0 else environment(i)
+        streams = family.replica(i)
+        walk = simulate_segment(env, None, walk_blocks * theta - 1, streams)
+        # blocks start at step 0 here, not at step 1 as in blocked_clocks; the
+        # holds are rescaled on a copy, since a segment's arrays stay unchanged
+        increments = scaled_holds(env, walk.energies.copy())
+        increments *= walk.exp_draws
+        block_exceeds = increments.reshape(walk_blocks, theta).sum(axis=1) > threshold
+        q_hat = float(block_exceeds.mean())
+        # independent single-block marginal (fresh uniform starts) for the
+        # mean-identity check, then the two correlated-square routes; the
+        # replicas already run on the pool, so these walk on this thread alone
+        marginal = _block_sums(env, pair_samples, streams) > threshold
+        two_step = _squared_tail_indicators(env, [threshold], pair_samples, streams, "two-step")
+        split = _squared_tail_indicators(env, [threshold], pair_samples, streams, "split")
+        return q_hat, float(marginal.mean()), float(two_step.mean()), float(split.mean())
+
+    results = ordered_map(worker, replicas, threads)
+    q = np.array([r[0] for r in results])
+    m1 = np.array([r[1] for r in results])
+    a = np.array([r[2] for r in results])
+    b = np.array([r[3] for r in results])
+    root_r = math.sqrt(replicas)
+    nu_values = k * q
+    nu_bar = float(nu_values.mean())
+    nu_bar_se = float(nu_values.std(ddof=1) / root_r)
+    nu_alt = float(k * m1.mean())
+    nu_alt_se = float(k * m1.std(ddof=1) / root_r)
+    # paired across replicas (shared environments), so the difference's own
+    # spread is the right yardstick for the identity E[nu_quenched] = nu
+    nu_diff = k * (q - m1)
+    nu_z = z_score(float(nu_diff.mean()), 0.0, float(nu_diff.std(ddof=1) / root_r))
+    sigma_sq = float(k * a.mean())
+    sigma_sq_se = float(k * a.std(ddof=1) / root_r)
+    sigma_alt = float(k * b.mean())
+    sigma_alt_se = float(k * b.std(ddof=1) / root_r)
+    diff = k * (a - b)
+    sigma_z = z_score(float(diff.mean()), 0.0, float(diff.std(ddof=1) / root_r))
+
+    if rho is not None:
+        rho_value, rho_source = float(rho), "override"
+    else:
+        rho_value, rho_source = mixing_check(n, theta).rho_implied, "measured"
+
+    bound_mass = rho_value * nu_bar**2 + sigma_sq
+    scale = math.sqrt(bound_mass)
+    if eps_grid is None:
+        if scale <= 0:
+            raise ParameterValidationError(
+                "deviation scale vanished; the threshold is too extreme for these sample sizes"
+            )
+        eps_arr = np.geomspace(scale / 2.0, 8.0 * scale, 10)
+    else:
+        eps_arr = np.asarray(eps_grid, dtype=np.float64)
+        if np.any(eps_arr <= 0):
+            raise ParameterValidationError("deviation levels must be positive")
+    deviations = np.abs(nu_values - nu_bar)
+    empirical = np.array([(deviations >= e).mean() for e in eps_arr])
+    bounds = np.minimum(1.0, bound_mass / eps_arr**2)
+    satisfied = empirical <= bounds
+    quenched_var = float(nu_values.var(ddof=1))
+    mean_q = float(q.mean())
+    walk_noise = k * k * mean_q * (1.0 - mean_q) / walk_blocks
+    share = walk_noise / quenched_var if quenched_var > 0 else math.inf
+    return ConcentrationReport(
+        n=n,
+        p=p,
+        beta=beta,
+        gamma=gamma,
+        threshold=float(threshold),
+        horizon=horizon,
+        block_count=k,
+        literal_block_count=literal,
+        block_length=theta,
+        replicas=replicas,
+        walk_blocks=walk_blocks,
+        pair_samples=pair_samples,
+        nu_bar=nu_bar,
+        nu_bar_stderr=nu_bar_se,
+        nu_alt=nu_alt,
+        nu_alt_stderr=nu_alt_se,
+        nu_identity_z=float(nu_z),
+        nu_identity_consistent=bool(nu_z <= 4.0),
+        sigma_sq=sigma_sq,
+        sigma_sq_stderr=sigma_sq_se,
+        sigma_sq_alt=sigma_alt,
+        sigma_sq_alt_stderr=sigma_alt_se,
+        sigma_identity_z=float(sigma_z),
+        routes_consistent=bool(sigma_z <= 3.0),
+        rho=float(rho_value),
+        rho_source=rho_source,
+        deviation_scale=float(scale),
+        eps_grid=tuple(float(e) for e in eps_arr),
+        empirical_tail=tuple(float(e) for e in empirical),
+        chebyshev_bound=tuple(float(bnd) for bnd in bounds),
+        bound_satisfied=tuple(bool(s) for s in satisfied),
+        all_bounds_satisfied=bool(satisfied.all()),
+        quenched_intensities=tuple(float(x) for x in nu_values),
+        quenched_variance=quenched_var,
+        sampling_variance_share=float(share),
     )

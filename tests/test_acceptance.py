@@ -23,7 +23,6 @@ from clockproc.chain import SpinConfig, mixing_check, simulate_segment
 from clockproc.cli import main
 from clockproc.conditions import (
     conditional_block_laplace,
-    concentration_diagnostic,
     degenerate_block_tail,
     degenerate_initial_term,
     estimate_initial_term,
@@ -33,7 +32,7 @@ from clockproc.conditions import (
 )
 from clockproc.environment import CouplingTensor, Environment, block_length
 from clockproc.seeding import StreamFamily, keyed_generator, resolve_seeds
-from reference_estimators import overlap, truncated_mean_asymptotic
+from reference_estimators import concentration_diagnostic, overlap, truncated_mean_asymptotic
 
 pytestmark = pytest.mark.filterwarnings("ignore:block length")
 

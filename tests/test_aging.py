@@ -45,7 +45,7 @@ def test_correlation_indicator_trivial_cases():
     with pytest.raises(ParameterValidationError):
         correlation_indicator(env, seg, 0.1, 0.5, 0.0)
     with pytest.raises(HorizonError):
-        correlation_indicator(env, seg, 1.0, 10.0, 0.25, time_unit=seg.horizon)
+        correlation_indicator(env, seg, 1.0, 10.0, 0.25, time_unit=seg.cumulative()[-1])
 
 
 def test_correlation_indicator_deterministic():
@@ -59,8 +59,9 @@ def test_correlation_indicator_array_form_matches_the_overlap_oracle():
     env = Environment.create(6, 3, 2.0, 1.5, seed=4)
     seg = simulate_segment(env, SpinConfig(6, 3), 5000, ReplicaStreams.from_seed(2))
     rng = np.random.default_rng(8)
-    t = rng.uniform(0.0, 0.5, size=60) * seg.horizon
-    s = rng.uniform(0.0, 0.5, size=60) * seg.horizon
+    horizon = seg.cumulative()[-1]
+    t = rng.uniform(0.0, 0.5, size=60) * horizon
+    s = rng.uniform(0.0, 0.5, size=60) * horizon
     t[:3] = s[3:6] = 0.0
     cum = seg.cumulative()
 
@@ -77,7 +78,7 @@ def test_correlation_indicator_array_form_matches_the_overlap_oracle():
         assert 0 < sum(oracle) < len(oracle)
     assert correlation_indicator(env, seg, t[:0], s[:0], 0.25).shape == (0,)
     with pytest.raises(HorizonError):
-        correlation_indicator(env, seg, t, s + seg.horizon, 0.25, time_unit=1.0)
+        correlation_indicator(env, seg, t, s + horizon, 0.25, time_unit=1.0)
     with pytest.raises(ParameterValidationError):
         correlation_indicator(env, seg, t, -s, 0.25, time_unit=1.0)
 
@@ -86,8 +87,9 @@ def test_correlation_indicator_array_form_equals_scalar_calls():
     env = Environment.create(6, 3, 2.0, 1.5, seed=4)
     seg = simulate_segment(env, SpinConfig(6, 3), 5000, ReplicaStreams.from_seed(2))
     rng = np.random.default_rng(8)
-    t = rng.uniform(0.0, 0.5, size=60) * seg.horizon
-    s = rng.uniform(0.0, 0.5, size=60) * seg.horizon
+    horizon = seg.cumulative()[-1]
+    t = rng.uniform(0.0, 0.5, size=60) * horizon
+    s = rng.uniform(0.0, 0.5, size=60) * horizon
     t[:3] = s[3:6] = 0.0
     for epsilon in (0.25, 1.0):
         scalar = [
@@ -98,7 +100,7 @@ def test_correlation_indicator_array_form_equals_scalar_calls():
         array = correlation_indicator(env, seg, t, s, epsilon, time_unit=1.0)
         assert array.tolist() == [int(v) for v in scalar]
     with pytest.raises(HorizonError):
-        correlation_indicator(env, seg, t[0], s[0] + seg.horizon, 0.25, time_unit=1.0)
+        correlation_indicator(env, seg, t[0], s[0] + horizon, 0.25, time_unit=1.0)
     with pytest.raises(ParameterValidationError):
         correlation_indicator(env, seg, t[0], -s[0] - 1.0, 0.25, time_unit=1.0)
 
@@ -258,7 +260,7 @@ def test_aging_curve_extends_short_segments_prefix_stably(monkeypatch):
     hits = np.zeros(len(pairs))
     for i in range(replicas):
         long = simulate_segment(env, None, 4096, family.replica(i))
-        assert long.horizon > 3.0 * env.time_scale
+        assert long.cumulative()[-1] > 3.0 * env.time_scale
         hits += [correlation_indicator(env, long, t, s, 0.25) for t, s in pairs]
     assert curve.estimates == tuple(hits / replicas)
 
@@ -451,3 +453,23 @@ def test_trap_diagnostic_validation_and_reentry_flag():
         trap_localization_diagnostic(env, seg, -1)
     with pytest.raises(ParameterValidationError):
         trap_localization_diagnostic(env, seg, 2)
+
+
+@pytest.mark.parametrize(
+    "keyword, value",
+    [("threshold", math.nan), ("threshold", 0.0), ("threshold", -1.0), ("threshold", 1.5),
+     ("epsilon", math.nan), ("epsilon", 0.0), ("epsilon", 2.5)],
+)
+def test_trap_diagnostic_rejects_a_threshold_or_epsilon_out_of_range(keyword, value):
+    """The dominant fraction is a share in (0, 1] and the overlap ball needs
+    epsilon in (0, 2]; the error names the parameter."""
+    env = Environment.degenerate(6, 3, 0.0, 0.5)
+    seg = simulate_segment(
+        env, SpinConfig(6, 0), env.block_length + 1, ReplicaStreams.from_seed(21)
+    )
+    name = "trap threshold" if keyword == "threshold" else "epsilon"
+    with pytest.raises(ParameterValidationError, match=name):
+        trap_localization_diagnostic(env, seg, 0, **{keyword: value})
+    # a dominant fraction is at most 1, so a threshold of 1 flags every block
+    # whose time is not all at one state
+    assert trap_localization_diagnostic(env, seg, 0, threshold=1.0).untrapped

@@ -3,7 +3,9 @@
 ``bench/tracing.py`` wraps a fixed list of ``(module, attribute)`` targets
 and refuses to run when one is missing.  This test resolves the same list
 without installing the tracer, so a rename or deletion in ``src/`` fails
-here instead of in a traced benchmark pass.
+here instead of in a traced benchmark pass.  It also checks that the
+boundary guard's allowlist of public functions no package module runs holds
+tracer targets only.
 """
 
 import importlib
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 
 from clockproc.subordinator import crossing_probability_batch
+from test_module_boundaries import RUN_ONLY_BY_CALLERS
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -38,6 +41,13 @@ def test_trace_target_resolves(module_name, attribute):
     owner = getattr(module, owner_name) if owner_name else module
     # the tracer replaces the name in the owner's own namespace
     assert member in vars(owner)
+
+
+def test_functions_no_module_runs_are_all_tracer_targets():
+    """A public function that no package module runs stays in ``src/`` only
+    while the tracer wraps it; any other belongs in the tests as an oracle."""
+    wrapped = {f"{module.rpartition('.')[2]}.py:{attr}" for _, module, attr, _ in TARGETS}
+    assert RUN_ONLY_BY_CALLERS <= wrapped
 
 
 def test_crossing_counter_reads_every_pair_of_a_batch():

@@ -214,7 +214,6 @@ def test_cumulative_and_horizon():
     seg = simulate_segment(env, SpinConfig(6, 0), 50, ReplicaStreams.from_seed(7))
     cum = seg.cumulative()
     assert np.allclose(cum, np.cumsum(seg.increments), rtol=0)
-    assert seg.horizon == cum[-1]
 
 
 def test_beta_zero_increment_mean():
@@ -298,19 +297,20 @@ def test_process_at_time_start_and_oracle():
     seg = simulate_segment(env, SpinConfig(7, 13), 200, ReplicaStreams.from_seed(3))
     assert process_at_time(seg, env, 0.0) == 13
     rng = np.random.default_rng(5)
-    for t in rng.uniform(0, seg.horizon, size=40):
+    for t in rng.uniform(0, seg.cumulative()[-1], size=40):
         assert process_at_time(seg, env, float(t)) == scanned_state(seg, t)
 
 
 def test_process_at_time_reads_an_array_of_times_in_one_search():
     env = make_env(n=7)
     seg = simulate_segment(env, SpinConfig(7, 13), 200, ReplicaStreams.from_seed(3))
-    times = np.random.default_rng(6).uniform(0, seg.horizon, size=(3, 20))
+    horizon = seg.cumulative()[-1]
+    times = np.random.default_rng(6).uniform(0, horizon, size=(3, 20))
     times[0, 0] = 0.0
     got = process_at_time(seg, env, times)
     assert got.shape == times.shape and got.dtype == np.uint64
     assert got.tolist() == [[scanned_state(seg, t) for t in row] for row in times]
-    times[2, 5] = seg.horizon
+    times[2, 5] = horizon
     with pytest.raises(HorizonError):
         process_at_time(seg, env, times)
 
@@ -323,9 +323,9 @@ def test_process_at_time_boundaries():
     j = 10
     assert process_at_time(seg, env, float(cum[j])) == seg.states[j + 1]
     with pytest.raises(HorizonError):
-        process_at_time(seg, env, seg.horizon)
+        process_at_time(seg, env, float(cum[-1]))
     with pytest.raises(HorizonError):
-        process_at_time(seg, env, seg.horizon * 2)
+        process_at_time(seg, env, float(cum[-1]) * 2)
     with pytest.raises(ParameterValidationError):
         process_at_time(seg, env, -1.0)
 
@@ -344,7 +344,7 @@ def test_walk_to_times_reads_what_one_long_segment_reads(start, budget, monkeypa
     env = make_env(n=7)
     family, count = StreamFamily(12, "windows"), 6
     long = [simulate_segment(env, start, 4000, family.replica(i)) for i in range(count)]
-    latest = min(segment.horizon for segment in long) / 2
+    latest = min(segment.cumulative()[-1] for segment in long) / 2
     jump = float(long[0].cumulative()[5])
     times = np.array([latest / 3, 0.0, latest, jump, latest / 3])
     streams = [family.replica(i) for i in range(count)]
@@ -361,12 +361,12 @@ def test_walk_to_times_censors_at_exactly_the_step_cap():
     env = make_env(n=7)
     family, step_cap = StreamFamily(3, "cap"), 50
     capped = [simulate_segment(env, None, step_cap, family.replica(i)) for i in range(4)]
-    early = min(segment.horizon for segment in capped) / 2
+    early = min(segment.cumulative()[-1] for segment in capped) / 2
     times = np.array([early, 1e300])
     states, clocks = walk_to_times(
         env, None, times, 7, step_cap, [family.replica(i) for i in range(4)]
     )
-    assert clocks.tolist() == [segment.horizon for segment in capped]
+    assert clocks.tolist() == [segment.cumulative()[-1] for segment in capped]
     assert states[:, 0].tolist() == [int(process_at_time(s, env, early)) for s in capped]
     assert states[:, 1].tolist() == [0] * 4
 

@@ -445,6 +445,18 @@ def test_aging_run_layout_and_flags(tmp_path):
     assert "trap_blocks" not in manifest["verdicts"]
 
 
+def test_aging_refuses_a_trap_threshold_outside_the_unit_interval(tmp_path, capsys):
+    """A NaN threshold flagged no block; it exits 1, naming the threshold,
+    and writes no file."""
+    cfg_path = write_config(tmp_path / "cfg.json", n=8, beta=2.0, gamma=1.5)
+    outdir = tmp_path / "out"
+    argv = ["aging", "--config", str(cfg_path), "--out", str(outdir), "--trap-threshold", "nan"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "trap threshold" in err
+    assert list(outdir.iterdir()) == []
+
+
 def test_aging_reference_file_uses_no_streams(tmp_path):
     """The flat reference is a closed form: its file reads the same bytes at
     any seed and start, while the Monte Carlo curve moves with the seed."""

@@ -16,7 +16,6 @@ from clockproc.conditions import (
     _squared_tail_verdict,
     SquaredTailEstimate,
     build_condition_report,
-    concentration_diagnostic,
     conditional_block_laplace,
     degenerate_block_laplace,
     degenerate_block_tail,
@@ -38,6 +37,7 @@ from clockproc.errors import (
 from clockproc.seeding import ReplicaStreams, StreamFamily
 from clockproc.verdicts import SLOPE_WINDOW, slope_status
 from reference_estimators import (
+    concentration_diagnostic,
     direct_block_laplace,
     folded_transform_moments,
     per_state_block_sums,

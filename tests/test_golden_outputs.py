@@ -6,20 +6,25 @@ at one and two threads and compares the SHA-256 of every data file it writes
 digests recorded from a reference build.  The manifest's verdict block, its
 overall verdict and its run record are hashed too, so a change in any
 status, statistic or derived scale shows up.
-The concentration estimator, which no subcommand runs, is pinned by the
-digest of its whole report, and the initial-term, truncated-mean and
-transform-intensity estimates by theirs on both energy paths (the golden
-configs above only reach the table path, in chunks of at least 2^n states).
+The concentration oracle, which no subcommand runs and which lives in the
+tests (``reference_estimators.concentration_diagnostic``), is pinned by the
+digest of its whole report, and the energies and the initial-term,
+truncated-mean and transform-intensity estimates by theirs on both energy
+paths (the golden configs above only reach the table path, in chunks of at
+least 2^n states).
 Each case's provenance -- its command, the manifest's artifact records and
 its resolved config -- is pinned by digest as well.
 A refactor that is meant to leave the numbers alone must leave these digests
 alone; a change that moves a Monte Carlo value on purpose updates them and
-says so.  ``PYTHONPATH=src python tests/test_golden_outputs.py CASE...``
-prints the current digests of the named cases (all of them when none is
-named) in the layout of ``EXPECTED`` and ``PROVENANCE``, to paste in.
+says so.  ``PYTHONPATH=src python tests/test_golden_outputs.py NAME...``
+prints the current digests of the named cases, in the layout of ``EXPECTED``
+and ``PROVENANCE``, and of the named module-level digests (such as
+``CONCENTRATION_DIGEST``), as their assignments; with no name it prints them
+all, to paste in.
 """
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -33,7 +38,6 @@ import pytest
 from clockproc.cli import main
 from clockproc import chain, conditions
 from clockproc.conditions import (
-    concentration_diagnostic,
     estimate_initial_term,
     estimate_intensity_laplace,
     estimate_truncated_mean,
@@ -41,6 +45,7 @@ from clockproc.conditions import (
 )
 from clockproc.environment import Environment
 from clockproc.seeding import ReplicaStreams
+from reference_estimators import concentration_diagnostic
 
 pytestmark = pytest.mark.filterwarnings("ignore:block length")
 
@@ -237,13 +242,17 @@ def test_energy_paths_match_recorded_digests(contracted):
 CONCENTRATION_DIGEST = "dd0b245053e277eff07f725658e09691b244efe8355c1e9a70d760dcb60dc4a7"
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_concentration_report_matches_recorded_digest(threads):
+def concentration_digest(threads):
     report = concentration_diagnostic(
         8, 3, 2.0, 1.5, 1.0, 1.0, master_seed=7, replicas=12, walk_blocks=40,
         pair_samples=50, block_count=3, threads=threads,
     )
-    assert _sha(json.dumps(report.to_dict(), sort_keys=True).encode()) == CONCENTRATION_DIGEST
+    return _sha(json.dumps(plain(report), sort_keys=True).encode())
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_concentration_report_matches_recorded_digest(threads):
+    assert concentration_digest(threads) == CONCENTRATION_DIGEST
 
 
 # initial-term estimates, serialised with sorted keys: on the table path with
@@ -252,16 +261,19 @@ INITIAL_TERM_CONTRACTION_DIGEST = "90e581ff5418e541e6c48d632648ce3288c74b64e6061
 INITIAL_TERM_TABLE_DIGEST = "98a34e61a11874eeb1d35485ef3add2de668d4ec513f8a167527c3ce712dee04"
 
 
-@pytest.mark.parametrize("table", [False, True])
-def test_initial_terms_match_recorded_digest(table, contracted):
+def initial_term_digest(table, contracted):
     env = create_env() if table else contracted(create_env)
     streams = ReplicaStreams.from_seed(SEED)
     v_grid = [0.1, 1.0, 10.0, 100.0]
     estimates = estimate_initial_term(env, v_grid, 5000, streams)
     assert all((est.exact_value is not None) == table for est in estimates)
-    document = json.dumps(plain(estimates), sort_keys=True)
+    return _sha(json.dumps(plain(estimates), sort_keys=True).encode())
+
+
+@pytest.mark.parametrize("table", [False, True])
+def test_initial_terms_match_recorded_digest(table, contracted):
     expected = INITIAL_TERM_TABLE_DIGEST if table else INITIAL_TERM_CONTRACTION_DIGEST
-    assert _sha(document.encode()) == expected
+    assert initial_term_digest(table, contracted) == expected
 
 
 # truncated-mean estimates, serialised with sorted keys: on the table path
@@ -270,16 +282,19 @@ TRUNCATED_MEAN_CONTRACTION_DIGEST = "0365eaaf2aa09398de5817b91df87ed2c42dd9c53e4
 TRUNCATED_MEAN_TABLE_DIGEST = "d769a6191bab5107942eb741b67f8a57ac2ca5b49f0f0d85211dcdf270e65c06"
 
 
-@pytest.mark.parametrize("table", [False, True])
-def test_truncated_means_match_recorded_digest(table, contracted):
+def truncated_mean_digest(table, contracted):
     env = create_env() if table else contracted(create_env)
     estimates = estimate_truncated_mean(
         env, [0.05, 0.1, 0.2], 1.0, 5000, ReplicaStreams.from_seed(SEED)
     )
     assert all((est.exact_value is not None) == table for est in estimates)
-    document = json.dumps(plain(estimates), sort_keys=True)
+    return _sha(json.dumps(plain(estimates), sort_keys=True).encode())
+
+
+@pytest.mark.parametrize("table", [False, True])
+def test_truncated_means_match_recorded_digest(table, contracted):
     expected = TRUNCATED_MEAN_TABLE_DIGEST if table else TRUNCATED_MEAN_CONTRACTION_DIGEST
-    assert _sha(document.encode()) == expected
+    assert truncated_mean_digest(table, contracted) == expected
 
 
 # transform-intensity values and stderrs, serialised as JSON; at n = 10
@@ -290,18 +305,23 @@ LAPLACE_INTENSITY_CONTRACTION_DIGEST = "81ef36ddddf4706822b2ab22440cb3b42355c957
 LAPLACE_INTENSITY_TABLE_DIGEST = "8b37d7678209a68626a01fb1419dabde2a439a19ded32a09a4b592f21f6fa985"
 
 
-@pytest.mark.parametrize("table", [False, True])
-def test_laplace_intensity_matches_recorded_digest(table, contracted, monkeypatch):
-    monkeypatch.setattr(conditions, "_CHUNK_STATES", 5000)
+def laplace_intensity_digest(table, contracted):
     env = create_env() if table else contracted(create_env)
-    est = estimate_intensity_laplace(
-        env, None, [0.1, 1.0, 10.0, 100.0], 1013, ReplicaStreams.from_seed(SEED), block_count=4
-    )
-    document = json.dumps(plain([est.values, est.stderrs]))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(conditions, "_CHUNK_STATES", 5000)
+        est = estimate_intensity_laplace(
+            env, None, [0.1, 1.0, 10.0, 100.0], 1013, ReplicaStreams.from_seed(SEED),
+            block_count=4,
+        )
+    return _sha(json.dumps(plain([est.values, est.stderrs])).encode())
+
+
+@pytest.mark.parametrize("table", [False, True])
+def test_laplace_intensity_matches_recorded_digest(table, contracted):
     expected = (
         LAPLACE_INTENSITY_TABLE_DIGEST if table else LAPLACE_INTENSITY_CONTRACTION_DIGEST
     )
-    assert _sha(document.encode()) == expected
+    assert laplace_intensity_digest(table, contracted) == expected
 
 
 # provenance of each case's run: the command, the manifest's artifact records
@@ -332,11 +352,27 @@ def test_provenance_matches_recorded_digest(name, tmp_path):
     assert provenance_digest(name, tmp_path) == PROVENANCE[name]
 
 
-def print_digests(names):
+# each module-level digest, by its name, from the builder of an environment
+# past the table; the concentration report's at one thread
+MODULE_DIGESTS = {
+    "CONTRACTION_DIGEST": lambda contracted: energy_digests(contracted)[0],
+    "TABLE_DIGEST": lambda contracted: energy_digests(contracted)[1],
+    "CONCENTRATION_DIGEST": lambda contracted: concentration_digest(1),
+    "INITIAL_TERM_CONTRACTION_DIGEST": functools.partial(initial_term_digest, False),
+    "INITIAL_TERM_TABLE_DIGEST": functools.partial(initial_term_digest, True),
+    "TRUNCATED_MEAN_CONTRACTION_DIGEST": functools.partial(truncated_mean_digest, False),
+    "TRUNCATED_MEAN_TABLE_DIGEST": functools.partial(truncated_mean_digest, True),
+    "LAPLACE_INTENSITY_CONTRACTION_DIGEST": functools.partial(laplace_intensity_digest, False),
+    "LAPLACE_INTENSITY_TABLE_DIGEST": functools.partial(laplace_intensity_digest, True),
+}
+
+
+def print_digests(names, contracted):
     """Each named case's current digests, as entries of ``EXPECTED`` and then
-    of ``PROVENANCE``; the runs' own verdict lines are held back."""
+    of ``PROVENANCE``, and each named module-level digest as its assignment;
+    the runs' own verdict lines are held back."""
     expected, provenance = {}, {}
-    for name in names:
+    for name in (name for name in names if name not in MODULE_DIGESTS):
         with tempfile.TemporaryDirectory() as data, tempfile.TemporaryDirectory() as record:
             with contextlib.redirect_stdout(io.StringIO()):
                 expected[name] = run_case(name, 1, pathlib.Path(data))
@@ -348,7 +384,11 @@ def print_digests(names):
         print("    }),")
     for name, digest in provenance.items():
         print(f'    "{name}": "{digest}",')
+    for name in (name for name in names if name in MODULE_DIGESTS):
+        print(f'{name} = "{MODULE_DIGESTS[name](contracted)}"')
 
 
 if __name__ == "__main__":
-    print_digests(sys.argv[1:] or sorted(CASES))
+    from conftest import build_without_table
+
+    print_digests(sys.argv[1:] or sorted(CASES) + list(MODULE_DIGESTS), build_without_table)

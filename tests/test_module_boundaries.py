@@ -121,7 +121,9 @@ RE_EXPORTED = (
 # ``truncated_mean_asymptotic`` once only tests called them, ``TailEstimate``
 # and ``estimate_block_tail_grid`` once the intensity read its tail grid
 # straight off its block sums, ``ClockPath``, ``blocked_clock`` and
-# ``SegmentLengthError`` once the clock folded whole row blocks)
+# ``SegmentLengthError`` once the clock folded whole row blocks, and
+# ``ConcentrationReport`` and ``concentration_diagnostic`` once only tests ran
+# them)
 TOP_LEVEL_NAMES = {
     "__version__",
     "ClockprocError", "DimensionMismatchError", "ParameterValidationError",
@@ -136,12 +138,12 @@ TOP_LEVEL_NAMES = {
     "crossing_probability", "crossing_probability_batch", "truncated_laplace_exponent",
     "SelfTest", "self_test",
     "IntensityEstimate", "SquaredTailEstimate", "LaplaceIntensityEstimate",
-    "InitialTermEstimate", "TruncatedMeanEstimate", "ConcentrationReport", "ConditionReport",
+    "InitialTermEstimate", "TruncatedMeanEstimate", "ConditionReport",
     "estimate_intensity", "estimate_squared_tail_grid",
     "conditional_block_laplace", "estimate_intensity_laplace", "estimate_initial_term",
     "estimate_truncated_mean", "truncated_mean_quadrature",
     "degenerate_block_tail", "degenerate_block_laplace", "degenerate_initial_term",
-    "concentration_diagnostic", "build_condition_report",
+    "build_condition_report",
     "correlation_indicator", "AgingCurve", "estimate_aging_curve", "flat_aging_curve",
     "TrapReport", "trap_localization_diagnostic",
     "DEFAULT_MASTER_SEED", "ExperimentConfig", "default_ts_grid",
@@ -156,21 +158,19 @@ def test_top_level_is_composed_from_the_module_lists():
     ]
     assert clockproc.__all__ == composed
     assert len(set(composed)) == len(composed)
-    assert len(TOP_LEVEL_NAMES) == 65
+    assert len(TOP_LEVEL_NAMES) == 63
     assert TOP_LEVEL_NAMES <= set(clockproc.__all__)
 
 
-# public functions that no module of the package runs: the concentration
-# estimator of the source paper, which callers run directly, and the scalar
-# crossing indicator, the path extension, the one-segment correlation
-# indicator and the segment extension, which the benchmark tracer still times
+# public functions that no module of the package runs: the scalar crossing
+# indicator, the path extension, the one-segment correlation indicator and the
+# segment extension, which the benchmark tracer still times
 # as subordinator.crossing_fallback, subordinator.extend_path, aging.indicator
 # and chain.extend_segment until the tracer is retargeted (``process_at_time``,
 # which it times too, stays run by the indicator)
 RUN_ONLY_BY_CALLERS = {
     "aging.py:correlation_indicator",
     "chain.py:extend_segment",
-    "conditions.py:concentration_diagnostic",
     "subordinator.py:crossing_probability",
     "subordinator.py:extend_path",
 }

@@ -61,8 +61,6 @@ def test_stream_family_matches_resolve_seeds():
     fam = StreamFamily(7, "env")
     assert fam.seed_for(3) == resolve_seeds(7, "env", 3)
     assert fam.seed_for(3, "walk") == resolve_seeds(7, "env/walk", 3)
-    child = fam.child("sub")
-    assert child.seed_for(0) == resolve_seeds(7, "env/sub", 0)
 
 
 def test_replica_streams_are_decoupled():
