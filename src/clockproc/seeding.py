@@ -4,6 +4,8 @@ Every random draw in the package comes from a counter-based generator whose
 64-bit key is derived by hashing ``(master_seed, purpose_tag, index)``.
 Replicas therefore own independent streams regardless of scheduling, batch
 size, or thread count, and any single stream can be reproduced in isolation.
+Philox is counter-based, so a stream can also be opened at any offset, which
+lets one reader draw two stretches of a stream side by side.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["resolve_seeds", "keyed_generator", "StreamFamily", "ReplicaStreams"]
+__all__ = ["resolve_seeds", "keyed_generator", "stream_position", "StreamFamily", "ReplicaStreams"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -40,9 +42,35 @@ def resolve_seeds(master_seed: int, purpose: str, index: int) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def keyed_generator(seed: int) -> np.random.Generator:
-    """Counter-based generator keyed by a 64-bit seed."""
-    return np.random.Generator(np.random.Philox(key=seed))
+def keyed_generator(seed: int, position: int = 0) -> np.random.Generator:
+    """Counter-based generator keyed by a 64-bit seed, ``position`` 64-bit
+    draws into its stream.
+
+    Philox turns counter k into the stream's draws 4(k-1) .. 4k-1, so the
+    generator skips ``position // 4`` counters and then the first
+    ``position % 4`` draws of the next: it gives what a fresh generator of
+    the same key gives after ``position`` draws.
+    """
+    bit_generator = np.random.Philox(key=seed)
+    if position:
+        bit_generator.advance(position // 4)
+        bit_generator.random_raw(position % 4)
+    return np.random.Generator(bit_generator)
+
+
+def stream_position(rng: np.random.Generator) -> int:
+    """How many 64-bit draws a :func:`keyed_generator` has given: the
+    ``position`` at which a new generator of its key goes on from it.
+
+    Doubles, and the draws built from them (``random``, ``poisson``, ...),
+    take whole 64-bit draws; a 32-bit draw buffers the other half of its
+    draw, which no position can hold, so such a state is refused.
+    """
+    state = rng.bit_generator.state
+    if state["bit_generator"] != "Philox" or state["has_uint32"]:
+        raise ValueError("only a Philox stream holding no 32-bit half has a position")
+    counter = sum(int(word) << (64 * i) for i, word in enumerate(state["state"]["counter"]))
+    return 4 * counter + state["buffer_pos"] - 4
 
 
 @dataclass(frozen=True)

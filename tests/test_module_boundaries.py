@@ -2,7 +2,8 @@
 name it never uses, every exported name exists, every exported function is
 run by the package, every public method, classmethod and property of an
 exported class is read by it, every exported error class but the base is
-raised by it, and only ``verdicts.py`` writes a verdict's status.
+raised by it, only ``verdicts.py`` writes a verdict's status, and only
+``seeding.py`` builds or positions a Philox stream.
 
 A name with a leading underscore (dunders such as ``__version__`` aside) is
 private to the module that defines it; a ``from .module import _name``
@@ -11,7 +12,8 @@ promise.  A public function, method, alternate constructor or property that
 only tests call belongs in the tests, as an oracle next to the test that uses
 it.  An error class nothing raises promises callers a failure mode that no
 longer exists.  A status set outside the graders of ``verdicts.py`` would
-grade by a rule of its own.
+grade by a rule of its own.  A stream built or positioned outside
+``seeding.py`` would count its draws by arithmetic of its own.
 """
 
 import ast
@@ -368,5 +370,44 @@ def test_only_the_verdicts_module_writes_a_status():
         path.name: lines
         for path in sorted(PACKAGE.glob("*.py"))
         if path.name != "verdicts.py" and (lines := status_writes(path.read_text()))
+    }
+    assert offenders == {}
+
+
+def philox_handling(source: str) -> list[int]:
+    """Lines that name a ``Philox`` bit generator, read or set a generator's
+    ``bit_generator.state`` or ``advance`` a stream."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and node.id == "Philox":
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and (
+            node.attr in ("Philox", "advance")
+            or node.attr == "state"
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "bit_generator"
+        ):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_guard_detects_philox_handling():
+    source = (
+        "import numpy as np\nfrom numpy.random import Philox\n"
+        "a = np.random.Philox(key=1)\n"
+        "b = Philox(2)\n"
+        "c = rng.bit_generator.state\n"
+        "rng.bit_generator.state = c\n"
+        "a.advance(3)\n"
+        "d = rng.state + state.bit_generator + np.random.default_rng(4).random()\n"
+    )
+    assert philox_handling(source) == [3, 4, 5, 6, 7]
+
+
+def test_only_the_seeding_module_builds_or_positions_a_philox_stream():
+    offenders = {
+        path.name: lines
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "seeding.py" and (lines := philox_handling(path.read_text()))
     }
     assert offenders == {}

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from clockproc.parallel import ordered_map
-from clockproc.seeding import ReplicaStreams, StreamFamily, keyed_generator, resolve_seeds
+from clockproc.seeding import (
+    ReplicaStreams,
+    StreamFamily,
+    keyed_generator,
+    resolve_seeds,
+    stream_position,
+)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "seed_vectors.json"
 
@@ -55,6 +61,49 @@ def test_keyed_generator_reproducible():
     c = keyed_generator(12346).random(8)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("offset", [0, 1, 2, 3, 4, 5, 10, 4003])
+def test_generator_placed_at_an_offset_continues_the_sequential_stream(offset):
+    """Philox hands out four 64-bit draws per counter: a generator placed at
+    ``offset`` (every residue mod 4) gives the doubles that drawing
+    ``offset`` of them and going on gives, and it stands at ``offset``."""
+    sequential = keyed_generator(2024)
+    sequential.random(offset)
+    assert stream_position(sequential) == offset
+    placed = keyed_generator(2024, offset)
+    assert stream_position(placed) == offset
+    assert placed.random(9).tobytes() == sequential.random(9).tobytes()
+    assert stream_position(placed) == stream_position(sequential) == offset + 9
+
+
+@pytest.mark.parametrize("lam", [3.0, 631.0])
+def test_stream_position_after_poisson_draws_places_the_next_generator(lam):
+    """Poisson counts take a variable number of doubles (one method below
+    lam = 10, another above); the position read after them places a second
+    generator where the first goes on, and one placed further on reads the
+    stream's later doubles side by side with the first."""
+    rng = keyed_generator(77)
+    counts = rng.poisson(lam, size=200)
+    base = stream_position(rng)
+    total = int(counts.sum())
+    ahead = keyed_generator(77, base + total)
+    expected = keyed_generator(77, base).random(2 * total + 5)
+    first, second = rng.random(total), ahead.random(total)
+    assert np.concatenate([first, second]).tobytes() == expected[: 2 * total].tobytes()
+    # the second generator ends where sequential draws leave the stream
+    assert ahead.random(5).tobytes() == expected[2 * total :].tobytes()
+
+
+def test_stream_position_refuses_a_buffered_32_bit_half():
+    """A 32-bit draw keeps the other half of its 64-bit draw for the next
+    one; no position holds that half, so the state is refused."""
+    rng = keyed_generator(5)
+    rng.integers(0, 2**31, dtype=np.int32)
+    with pytest.raises(ValueError, match="32-bit"):
+        stream_position(rng)
+    with pytest.raises(ValueError):
+        stream_position(np.random.default_rng(5))
 
 
 def test_stream_family_matches_resolve_seeds():
