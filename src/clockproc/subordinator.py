@@ -12,15 +12,19 @@ accurate at cutoffs coarse enough to sample cheaply.
 chunks of paths in time windows, [0, 1] first and then doubling horizons.
 A window's jumps leave the chunk's stream in one order, every count, then
 every time, then every size, and are laid out as padded (paths, jumps)
-matrices a block of rows at a time, so the matrices stay small enough for
-the cache; each block draws its rows' sizes as it fills them in.  Each
+matrices a block of rows at a time, each block holding at most a fixed
+number of entries, so memory does not grow with the window, the chunk or
+alpha.  Philox is counter-based, so once a window's counts are drawn the
+stream offsets of its times and of its sizes are known: each block reads
+its rows' times from the chunk's generator and their sizes from a second
+one placed where the sizes start, which then goes on as the chunk's.  Each
 block gives its paths' S(1), for the transform, from the first window, and
 every interval crossing in one :func:`crossing_probability_batch` pass.
 A path stops drawing once a jump lands above the deepest t, since that
 first landing above t settles every (t, s) indicator.  Each pool thread
-draws and builds into one set of scratch arrays, reused across its chunks,
-windows and row blocks and grown only when a window needs more room; every
-window's length is a power of two, so scaling its uniform draws is exact.
+builds into one set of scratch arrays, reused across its chunks, windows
+and row blocks; every window's length is a power of two, so scaling its
+uniform draws is exact.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from scipy import special
 
 from .errors import HorizonError, ParameterValidationError
 from .parallel import ordered_map
-from .seeding import StreamFamily, keyed_generator
+from .seeding import StreamFamily, keyed_generator, stream_position
 
 __all__ = [
     "PowerLawLevyMeasure",
@@ -53,9 +57,10 @@ __all__ = [
 _SELF_TEST_ALPHAS = (0.3, 0.5, 0.7)
 _SELF_TEST_CUTOFF = 1.0e-4
 _SELF_TEST_CHUNK = 2000
-# rows of the padded window matrices built at once; any size gives the same
-# bytes, since every block shares the window's row length
-_SELF_TEST_ROW_BLOCK = 512
+# entries of each padded matrix a row block builds: rows = budget // (width + 1),
+# at least one; any budget gives the same bytes, since every block shares the
+# window's row length
+_SELF_TEST_BLOCK_ELEMENTS = 2**17
 
 
 @dataclass(frozen=True)
@@ -132,42 +137,25 @@ class _Scratch(threading.local):
         buf = self.arrays.pop(name, None)
         if buf is None or buf.size < size:
             del buf  # free the smaller array before the larger one is made
-            # a sixteenth to spare: the next chunk's window is often a little
-            # larger, and the heap keeps the pages of each array it replaces
+            # a sixteenth to spare: a later block is often a little larger,
+            # and the heap keeps the pages of each array it replaces
             buf = np.empty(size + size // 16, dtype)
         self.arrays[name] = buf
         return buf[:size].reshape(shape)
 
 
-def _draw_window(
-    measure: PowerLawLevyMeasure,
-    cutoff: float,
-    start: float,
-    end: float,
-    rows: int,
-    rng,
-    scratch: _Scratch | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Jump counts and times of ``rows`` paths on (start, end], in stream order.
-
-    The stream gives the counts of every row, then the uniform times.
-    Returns the counts and the 1-D times, unsorted: row i owns the
-    ``counts[i]`` entries after those of rows < i.  The times go into
-    ``scratch``'s ``"draws"`` array when one is given.  The sizes come next
-    in the stream, in the same order, as ``measure.jump_sizes(cutoff, u)``
-    of uniforms ``u``; a caller may draw them in parts, since consecutive
-    ``random`` calls give the doubles of one call.
-    """
-    counts = rng.poisson((end - start) * float(measure.tail(cutoff)), size=rows)
-    total = int(counts.sum())
-    times = np.empty(total) if scratch is None else scratch.take("draws", total)
+def _jump_times(start: float, end: float, rng, out: np.ndarray) -> np.ndarray:
+    """Fills the float64 array ``out`` with uniform jump times on (start,
+    end] and returns it.  A window's counts come first in the stream, then
+    its times, then its sizes; a caller may draw the times in parts, since
+    consecutive ``random`` calls give the doubles of one call."""
     # rng.uniform(start, end) is start + (end - start) * u; for a window of
     # power-of-two length, as every self-test window is, the product is exact,
     # so these are its doubles whether or not the two steps are fused
-    rng.random(out=times)
-    times *= end - start
-    times += start
-    return counts, times
+    rng.random(out=out)
+    out *= end - start
+    out += start
+    return out
 
 
 def extend_path(
@@ -178,8 +166,9 @@ def extend_path(
         raise ParameterValidationError(
             f"new horizon {new_horizon} must exceed the current horizon {path.horizon}"
         )
-    _, times = _draw_window(path.measure, path.cutoff, path.horizon, new_horizon, 1, rng)
-    sizes = path.measure.jump_sizes(path.cutoff, rng.random(times.size))
+    count = rng.poisson((new_horizon - path.horizon) * float(path.measure.tail(path.cutoff)))
+    times = _jump_times(path.horizon, new_horizon, rng, np.empty(count))
+    sizes = path.measure.jump_sizes(path.cutoff, rng.random(count))
     times.sort()
     return SubordinatorPath(
         measure=path.measure,
@@ -341,16 +330,20 @@ def self_test(
     chunk draws window [0, 1] for every path, which gives S(1), then (1, 2],
     (2, 4], ... for the paths that have not yet landed above the deepest t.
     A path's first landing above t settles every (t, s) indicator, so no
-    later jump is drawn.  A window draws the counts and times of all its
-    paths, then builds the padded matrices and reads the crossings
-    ``_SELF_TEST_ROW_BLOCK`` rows at a time, each block drawing its rows'
-    sizes as it fills them in, so the stream gives every count, then every
-    time, then every size, whatever the block size; every block's rows are
-    as long as the window's longest, so the bytes do not depend on it.
-    Each thread draws the times, builds the matrices and reads the crossings
-    in its own scratch arrays, owned by this call and reused across its
-    chunks, windows and blocks; every block overwrites the part it reads, so
-    the bytes do not depend on what an earlier window left there either.
+    later jump is drawn.  After a window's counts the times take the
+    stream's next ``total`` doubles and the sizes the ``total`` after them,
+    so each row block draws its rows' times from the chunk's generator and
+    their sizes from one second generator per window, placed at the sizes'
+    offset; the second ends where sequential draws leave the stream, and
+    the next window draws from it.  A block holds
+    ``_SELF_TEST_BLOCK_ELEMENTS // (width + 1)`` rows, at least one, of the
+    window's row length, so its matrices and its draws stay within one
+    budget whatever the window; every block's rows are as long as the
+    window's longest, so the bytes do not depend on the budget.  Each
+    thread builds the matrices and reads the crossings in its own scratch
+    arrays, owned by this call and reused across its chunks, windows and
+    blocks; every block overwrites the part it reads, so the bytes do not
+    depend on what an earlier window left there either.
     """
     cutoff = _SELF_TEST_CUTOFF
     deepest = int(np.argmax([t for t, _ in pairs]))  # the pair with the largest t
@@ -364,23 +357,29 @@ def self_test(
         family = StreamFamily(master_seed, f"subordinator-selftest-{alpha!r}")
 
         def worker(c: int):
-            rng = keyed_generator(family.seed_for(c))
+            seed = family.seed_for(c)
+            rng = keyed_generator(seed)
             count = min(_SELF_TEST_CHUNK, paths - c * _SELF_TEST_CHUNK)
             flags = np.full((len(pairs), count), -1, dtype=np.int64)
             mass = np.zeros(count)  # jump mass each path has drawn so far
             rows = np.arange(count)  # paths that have not landed above the deepest t
             start, end = 0.0, 1.0
             while rows.size:
-                counts, jump_times = _draw_window(
-                    measure, cutoff, start, end, rows.size, rng, scratch
-                )
+                counts = rng.poisson((end - start) * float(measure.tail(cutoff)), size=rows.size)
+                # the times take the stream's next `total` doubles and the
+                # sizes the `total` after those: a second generator reads the
+                # sizes beside the times, and ends where the window leaves
+                # the stream
+                total = int(counts.sum())
+                sizes_rng = keyed_generator(seed, stream_position(rng) + total)
                 # one row length for every block keeps each row's pairwise sums
                 width = max(int(counts.max()), 1)
                 offsets = np.concatenate([[0], np.cumsum(counts)])
+                step = max(1, _SELF_TEST_BLOCK_ELEMENTS // (width + 1))
                 if start == 0.0:
                     totals = np.empty(rows.size)  # jump mass of [0, 1]
-                for lo in range(0, rows.size, _SELF_TEST_ROW_BLOCK):
-                    hi = min(lo + _SELF_TEST_ROW_BLOCK, rows.size)
+                for lo in range(0, rows.size, step):
+                    hi = min(lo + step, rows.size)
                     block = rows[lo:hi]
                     shape = (hi - lo, width + 1)
                     times, sizes, work = (scratch.take(n, *shape) for n in ("times", "sizes", "work"))
@@ -394,10 +393,10 @@ def self_test(
                     times[:, 0] = 0.0
                     sizes[:, 0] = mass[block]
                     np.less(np.arange(width), counts[lo:hi, None], out=mask)
-                    times[:, 1:][mask] = jump_times[offsets[lo] : offsets[hi]]
-                    # the size uniforms borrow the room the landing values take later
-                    uniforms = rng.random(out=work.reshape(-1)[: offsets[hi] - offsets[lo]])
-                    sizes[:, 1:][mask] = measure.jump_sizes(cutoff, uniforms)
+                    # the uniforms borrow the room the landing values take later
+                    drawn = work.reshape(-1)[: offsets[hi] - offsets[lo]]
+                    times[:, 1:][mask] = _jump_times(start, end, rng, drawn)
+                    sizes[:, 1:][mask] = measure.jump_sizes(cutoff, sizes_rng.random(out=drawn))
                     times[:, 1:].sort(axis=1)
                     if start == 0.0:
                         totals[lo:hi] = sizes[:, 1:].sum(axis=1)
@@ -411,8 +410,9 @@ def self_test(
                     # every path draws [0, 1]: S(1) is its jump mass plus the drift
                     weights = np.exp(-np.outer(v_arr, totals + drift_rate))
                 rows = rows[flags[deepest, rows] < 0]
+                rng = sizes_rng
                 # drop the views of the scratch, which the next window may grow
-                del counts, jump_times, offsets, times, sizes, work, mask, uniforms, window
+                del times, sizes, work, mask, drawn, window
                 start, end = end, 2.0 * end
             return flags.sum(axis=1), weights.sum(axis=1)
 

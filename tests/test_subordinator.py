@@ -1,6 +1,5 @@
 """Truncated stable subordinator: sampling, crossing events, arcsine law."""
 
-import dataclasses
 import math
 import tracemalloc
 
@@ -441,44 +440,58 @@ def test_self_test_reused_scratch_changes_no_result(threads):
 @pytest.mark.parametrize("start, end", [(0.0, 1.0), (1.0, 2.0), (2.0, 4.0), (2.0**9, 2.0**10)])
 def test_window_draw_into_scratch_gives_the_uniform_doubles(start, end):
     """Scaling the uniforms by a power-of-two window length is exact, so the
-    times drawn into a dirty, larger buffer are rng.uniform's doubles, and
-    the stream goes on from the same place."""
-    m, cutoff = measure(1.0, 0.5), 1e-2
-    scratch = subordinator._Scratch()
-    scratch.take("draws", 10**6).fill(np.nan)
+    times drawn in two parts into a dirty, larger buffer are rng.uniform's
+    doubles, and the stream goes on from the same place."""
+    dirty, total = np.full(10**6, np.nan), 1234
     drawn, expected = np.random.default_rng(41), np.random.default_rng(41)
-    counts, times = subordinator._draw_window(m, cutoff, start, end, 50, drawn, scratch)
-    rate = (end - start) * float(m.tail(cutoff))
-    assert np.array_equal(counts, expected.poisson(rate, size=50))
-    assert times.tobytes() == expected.uniform(start, end, size=int(counts.sum())).tobytes()
+    head = subordinator._jump_times(start, end, drawn, dirty[: total // 3]).copy()
+    tail = subordinator._jump_times(start, end, drawn, dirty[: total - total // 3])
+    times = np.concatenate([head, tail])
+    assert times.tobytes() == expected.uniform(start, end, size=total).tobytes()
     assert drawn.random() == expected.random()
 
 
 def test_self_test_does_not_depend_on_the_row_block(monkeypatch):
-    def values(results):
-        return [(r.crossings.tolist(), dataclasses.replace(r, crossings=None)) for r in results]
+    """A budget below one row builds one row per block, 5,000 entries a few
+    rows, and 2^30 every window in one block; each keeps every bit of the
+    unblocked oracle."""
+    reference = unblocked_self_test(ORACLE_PAIRS, ORACLE_V, 2500, 29)
+    for budget in (1, 5000, 2**30):
+        monkeypatch.setattr(subordinator, "_SELF_TEST_BLOCK_ELEMENTS", budget)
+        assert_same_self_test(self_test(ORACLE_PAIRS, ORACLE_V, 2500, 29, 1), reference)
 
-    runs = []
-    for block in (1, 7, 4096):
-        monkeypatch.setattr(subordinator, "_SELF_TEST_ROW_BLOCK", block)
-        runs.append(values(self_test(ORACLE_PAIRS, ORACLE_V, 2500, 29, 1)))
-    assert runs[1] == runs[0] and runs[2] == runs[0]
 
-
-def test_self_test_chunk_peak_memory_stays_below_the_whole_window_matrices():
-    """One 2,000-path chunk on the shipped ts_grid: the row blocks, each
-    drawing its own jump sizes, built in one reused set of scratch arrays
-    whose size uniforms share the landing values' room, keep the traced
-    peak near 21 MB.  New arrays per block and window peaked at 23 MB,
-    whole-window size draws at 33 MB and whole-window matrices at 47 MB."""
-    pairs = list(default_ts_grid())
+def chunk_peak(pairs):
+    """Traced peak bytes of one 2,000-path chunk of the self-test at ``pairs``."""
     tracemalloc.start()
     try:
         self_test(pairs, [1.0], 2000, 31, 1)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 22e6
+
+
+# one block of three float64 matrices and a mask at the element budget is
+# 3.3 MB; the rest is the chunk's flags, counts and offsets
+CHUNK_PEAK_BOUND = 4.5e6
+
+
+def test_self_test_chunk_peak_memory_stays_below_the_whole_window_matrices():
+    """One 2,000-path chunk on the shipped ts_grid: row blocks of a fixed
+    element budget, reading their jump times and sizes side by side from the
+    chunk's stream into one reused set of scratch arrays, keep the traced
+    peak near 4 MB.  512-row blocks behind a whole window's jump times
+    peaked at 21 MB, new arrays per block and window at 23 MB, whole-window
+    size draws at 33 MB and whole-window matrices at 47 MB."""
+    assert chunk_peak(list(default_ts_grid())) < CHUNK_PEAK_BOUND
+
+
+def test_self_test_chunk_peak_memory_does_not_grow_with_the_window():
+    """A pair at t = 8 keeps paths drawing through (4, 8], windows four to
+    eight times the first one's width; the blocks stay within the same
+    budget, so the peak does too."""
+    pairs = [*default_ts_grid(), (8.0, 8.0)]
+    assert chunk_peak(pairs) < CHUNK_PEAK_BOUND
 
 
 def test_reference_variance_of_the_transform_weight():
