@@ -344,6 +344,11 @@ def _run_clock(cfg: ExperimentConfig, args) -> tuple[dict, list[_Output], dict]:
 
 
 def _run_aging(cfg: ExperimentConfig, args) -> tuple[dict, list[_Output], dict]:
+    # the trap diagnostics would refuse it only after the whole Monte Carlo curve
+    if not 0 < args.trap_threshold <= 1:
+        raise ParameterValidationError(
+            f"trap threshold must lie in (0, 1]; got {args.trap_threshold}"
+        )
     env = _build_environment(cfg)
     start = _parse_start(cfg, args.start)
     main_curve = estimate_aging_curve(

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from clockproc import cli
 from clockproc.chain import mixing_check
 from clockproc.environment import block_length
 from clockproc.cli import _build_parser, main
@@ -454,6 +455,26 @@ def test_aging_refuses_a_trap_threshold_outside_the_unit_interval(tmp_path, caps
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "trap threshold" in err
+    assert list(outdir.iterdir()) == []
+
+
+@pytest.mark.parametrize("threshold", ["nan", "0", "1.5"])
+def test_aging_refuses_the_trap_threshold_before_the_curve(
+    tmp_path, capsys, monkeypatch, threshold
+):
+    """The threshold is refused before the Monte Carlo curve runs: exit 1,
+    naming the threshold, and no file written."""
+
+    def no_curve(*args, **kwargs):
+        raise AssertionError("the aging curve ran before the trap threshold was checked")
+
+    monkeypatch.setattr(cli, "estimate_aging_curve", no_curve)
+    cfg_path = write_config(tmp_path / "cfg.json", n=8, beta=2.0, gamma=1.5)
+    outdir = tmp_path / "out"
+    argv = ["aging", "--config", str(cfg_path), "--out", str(outdir), "--trap-threshold", threshold]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "trap threshold" in err and threshold in err
     assert list(outdir.iterdir()) == []
 
 
