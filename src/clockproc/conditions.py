@@ -13,10 +13,11 @@ Monte Carlo over walks, each tail grid read off one sample of block sums as
 hit rates with binomial errors, and (iii) and (iv) as averages over the
 sampled environment's states of one bounded term per state, the exponential
 hold integrated out: over one draw of uniform starts for the whole grid, and
-exactly over all 2^n states where the energy table exists, one row block
-at a time.  It fits tail exponents, gives the annealed truncated mean as
-one trapezoid sum over its one-dimensional integral, and packages the lot
-into a report with pass / warn / fail verdicts.
+exactly over all 2^n states where the energy table exists, one row block of
+consecutive states at a time, the blocks' sums combined pairwise into the
+bits of one whole-vector mean.  It fits tail exponents, gives the annealed
+truncated mean as one trapezoid sum over its one-dimensional integral, and
+packages the lot into a report with pass / warn / fail verdicts.
 
 Estimator conventions used throughout:
 
@@ -35,13 +36,19 @@ Estimator conventions used throughout:
 * walk states read per-state tables gathered by state, with the bits of the
   per-state computation, wherever at least 2^n states read a table of a
   table-backed environment: the block sums gather the 2^n scaled holds
-  exp(beta*H - log time scale), built once per call that walks 2^n states,
+  exp(beta*H - log time scale), filled once per call that walks 2^n states,
   and the block Laplace transform gathers, for each v, the 2^n terms
   logaddexp(0, log v + beta*H - log time scale) of the fold in
-  :func:`conditional_block_laplace`, built once per chunk of 2^n states or
+  :func:`conditional_block_laplace`, filled once per chunk of 2^n states or
   more; a chunk keeps its walk (as 4-byte states) only when its term
   tables take several passes over the v grid, and otherwise folds each row
   block as it is drawn;
+* every pass over all 2^n states (filling those tables and the exact state
+  averages) reads the energies through :meth:`Environment.energies` in row
+  blocks of consecutive states from :func:`_state_blocks`, so beside the
+  energy table a run holds at most one derived 2^n table at a time (the
+  hold table, or one group of term tables) and row blocks: no index of the
+  state space and no copy of the energies;
 * above one thread, the block sums and the transform draw each row block's
   walk one ahead on a helper thread while the caller gathers and folds the
   current one; each stream is drawn by one thread in serial order (the walk
@@ -109,6 +116,38 @@ _CHUNK_STATES = 4_000_000
 # order, so no output depends on it, and it bounds the memory a walk takes
 _GATHER_STATES = 1 << 16
 
+# numpy sums a contiguous float64 array pairwise, halving it down to leaves of
+# at most this many elements, which it sums with eight running accumulators
+_PAIRWISE_LEAF = 128
+
+
+def _state_blocks(env: Environment) -> Iterator[tuple[int, int, np.ndarray]]:
+    """An iterator of ``(lo, hi, energies)`` over row blocks of consecutive
+    states lo..hi-1 of a table-backed environment, in state order, each read
+    through :meth:`Environment.energies` into a fresh array; the one place
+    that enumerates all 2^n states.
+
+    A block holds the largest power of two of states within
+    ``_GATHER_STATES``, and at least ``_PAIRWISE_LEAF``, so every block but
+    a lone one (at 2^n below that size) is a subtree of numpy's pairwise sum
+    over 2^n values, and :func:`_pairwise_total` rebuilds that sum's bits
+    from the blocks' sums.
+    """
+    size = 1 << env.n
+    states = max(_PAIRWISE_LEAF, 1 << (_GATHER_STATES.bit_length() - 1))
+    for lo in range(0, size, states):
+        hi = min(size, lo + states)
+        yield lo, hi, env.energies(np.arange(lo, hi, dtype=np.uint64))
+
+
+def _pairwise_total(partials: np.ndarray) -> float:
+    """The sum of a power-of-two count of :func:`_state_blocks` sums,
+    combined in a balanced tree of adjacent pairs: numpy's pairwise sum of
+    the whole vector, bit for bit."""
+    while partials.size > 1:
+        partials = partials[0::2] + partials[1::2]
+    return float(partials[0])
+
 
 def _uniform_starts(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     return rng.integers(0, 1 << n, size=count, dtype=np.uint64)
@@ -174,19 +213,23 @@ def _block_sums(
 
     A call whose ``count`` blocks :func:`_folds_by_table` admits gathers each
     state's scaled hold from a table of the 2^n values exp(beta*H - log time
-    scale), built once; other calls compute them from the states' energies.
-    Either way each hold takes the same operations in the same order, so the
-    sums are bit-identical.  Each row block is walked, drawn and summed on
-    its own, so beyond the sums a call holds the table and one row block,
-    and with ``threads`` > 1 the walk of the next, drawn on a helper thread
-    while this one is gathered and its waiting times are drawn.
+    scale), filled once, one :func:`_state_blocks` row block at a time;
+    other calls compute them from the states' energies.  Either way each
+    hold takes the same operations in the same order, so the sums are
+    bit-identical.  Each row block is walked, drawn and summed on its own,
+    so beyond the sums a call holds the table and one row block, and with
+    ``threads`` > 1 the walk of the next, drawn on a helper thread while
+    this one is gathered and its waiting times are drawn.
     """
     if count < 1:
         raise ParameterValidationError(f"sample count must be >= 1; got {count}")
     sums = np.empty(count)
     hold_table = None
     if _folds_by_table(env, count * env.block_length):
-        hold_table = scaled_holds(env, _all_energies(env))
+        hold_table = np.empty(1 << env.n)
+        for lo, hi, energies in _state_blocks(env):
+            hold_table[lo:hi] = scaled_holds(env, energies)
+        del energies  # the last row block, which the loop name would keep through the walk
     for lo, hi, states in _iter_block_states(env, count, streams, presteps, starts, threads):
         if hold_table is None:
             holds = scaled_holds(env, env.energies(states))
@@ -452,22 +495,27 @@ def _table_folds(env: Environment, v_values: Sequence[float], walk, folds: np.nd
     row's gathered terms are summed over the same contiguous block, so the
     result is bit-identical.  The tables of as many v as fit in the bytes of
     the chunk's states as uint32 are held at once, so that each row block is
-    widened to gather indices once for all of them.  When they cover every
-    v, each row block is folded as it is drawn and then dropped; otherwise
-    the chunk's walk is kept as uint32 row blocks for the passes over the v.
+    widened to gather indices once for all of them.  Each pass over such a
+    group fills its tables one :func:`_state_blocks` row block of energies
+    at a time, scaling each block by beta once for the whole group.  When
+    the tables cover every v, each row block of the walk is folded as it is
+    drawn and then dropped; otherwise the chunk's walk is kept as uint32 row
+    blocks for the passes over the v.
     """
     group = max(1, folds.shape[1] * env.block_length * 4 // (8 << env.n))
     if group < len(v_values):
         walk = [(lo, hi, block.astype(np.uint32)) for lo, hi, block in walk]
-    scaled = _all_energies(env)
-    scaled *= env.beta
-    tables = np.empty((min(group, len(v_values)), scaled.size))
+    tables = np.empty((min(group, len(v_values)), 1 << env.n))
     gathered = index = None
     for first in range(0, len(v_values), group):
-        for terms, v in zip(tables, v_values[first : first + group]):
-            np.add(scaled, math.log(v), out=terms)
-            terms -= env.log_time_scale
-            np.logaddexp(0.0, terms, out=terms)
+        logs = [math.log(v) for v in v_values[first : first + group]]
+        for lo, hi, scaled in _state_blocks(env):
+            scaled *= env.beta
+            for terms, log_v in zip(tables[:, lo:hi], logs):
+                np.add(scaled, log_v, out=terms)
+                terms -= env.log_time_scale
+                np.logaddexp(0.0, terms, out=terms)
+        del scaled  # the last row block, which the loop name would keep through the walk
         for lo, hi, block in walk:
             if index is None:
                 gathered, index = np.empty(block.shape), np.empty(block.shape, dtype=np.intp)
@@ -613,11 +661,6 @@ class InitialTermEstimate:
     exact_value: float | None
 
 
-def _all_energies(env: Environment) -> np.ndarray:
-    """Energies of every state, in state order, of a table-backed environment."""
-    return env.energies(np.arange(1 << env.n, dtype=np.uint64))
-
-
 def _inverse_holds(env: Environment, energies: np.ndarray) -> np.ndarray:
     """time_scale / tau = exp(log time scale - beta*H) of ``energies``, in
     place, saturating to inf."""
@@ -636,9 +679,12 @@ def _state_average(
     which writes one bounded value per state into ``out``, for each x of
     ``grid``.  The mean and standard error are over ``samples`` uniform
     starts from ``streams.walk``, one draw for every x.  ``exact`` averages
-    all 2^n states where the energy table exists, and is None past it; that
-    pass writes each x's terms into one 2^n buffer, one row block of
-    ``_GATHER_STATES`` states at a time."""
+    all 2^n states where the energy table exists, and is None past it.  That
+    pass walks the :func:`_state_blocks` row blocks once: each block's
+    inverse holds serve every x, each x's terms in the block are summed,
+    and :func:`_pairwise_total` combines each x's block sums, so the mean
+    has the bits of one 2^n vector of terms while the pass holds one row
+    block of them."""
     sampled = env.energies(_uniform_starts(env.n, samples, streams.walk))
     out = np.empty_like(sampled)
     moments = []
@@ -651,13 +697,14 @@ def _state_average(
             moments.append((float(out.mean()), stderr))
         if env.has_energy_table:
             del sampled, out
-            inverse_holds = _inverse_holds(env, _all_energies(env))
-            terms = np.empty_like(inverse_holds)
-            for j, x in enumerate(grid):
-                for lo in range(0, terms.size, _GATHER_STATES):
-                    hi = lo + _GATHER_STATES
-                    term(inverse_holds[lo:hi], x, terms[lo:hi])
-                exact[j] = float(terms.mean())
+            partials = [[] for _ in grid]
+            for _, _, energies in _state_blocks(env):
+                inverse_holds = _inverse_holds(env, energies)
+                terms = np.empty_like(inverse_holds)
+                for sums, x in zip(partials, grid):
+                    term(inverse_holds, x, terms)
+                    sums.append(terms.sum())
+            exact = [_pairwise_total(np.array(sums)) / (1 << env.n) for sums in partials]
     return [(mean, stderr, value) for (mean, stderr), value in zip(moments, exact)]
 
 

@@ -242,8 +242,12 @@ class ExperimentConfig:
         return self
 
     def resolved_threads(self) -> int:
+        """``threads``, or else the cores this process may run on: its CPU
+        affinity where the platform reports one, not the host's count."""
         if self.threads is not None:
             return self.threads
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
 
     # -- serialization ----------------------------------------------------

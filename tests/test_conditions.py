@@ -346,15 +346,16 @@ def test_block_sums_equal_the_per_state_oracle_bit_for_bit(case, contracted, mon
     env = make_env(contracted)
     starts = keyed_starts(env.n, samples) if presteps else None
     reference = per_state_block_sums(env, samples, ReplicaStreams.from_seed(37), presteps, starts)
-    tables = []
-    enumerate_all = conditions._all_energies
+    passes = []
+    state_blocks = conditions._state_blocks
     monkeypatch.setattr(
-        conditions, "_all_energies", lambda env: tables.append(1) or enumerate_all(env)
+        conditions, "_state_blocks", lambda env: passes.append(1) or state_blocks(env)
     )
     sums = _block_sums(env, samples, ReplicaStreams.from_seed(37), presteps, starts)
     assert sums.tobytes() == reference.tobytes()
-    # the hold table is built once per call, however many row blocks read it
-    assert len(tables) == int(by_table)
+    # the hold table is filled in one pass over the states per call, however
+    # many row blocks read it
+    assert len(passes) == int(by_table)
     if case == "saturating":
         assert np.isinf(sums).any() and np.isfinite(sums).any()
 
@@ -389,8 +390,9 @@ ROW_BLOCK_CASES = {
 def whole_vector_exact_averages(env, term, grid):
     """The exact state averages with each x's terms computed over all 2^n
     states in one call."""
+    energies = env.energies(np.arange(2**env.n, dtype=np.uint64))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        inverse_holds = conditions._inverse_holds(env, conditions._all_energies(env))
+        inverse_holds = conditions._inverse_holds(env, energies)
         out = np.empty_like(inverse_holds)
         averages = []
         for x in grid:
@@ -401,12 +403,13 @@ def whole_vector_exact_averages(env, term, grid):
 
 # row blocks of one row, of 5 rows, which do not divide the 48 rows of a
 # 5,000-state chunk at n = 10, and of 96 rows, more than a chunk holds; the
-# exact state averages of a table-backed environment fill their 2^10 terms
-# in 1,024, 2 and 1 row blocks.  The transform also runs in chunks of 900
-# states, 8 rows of 832 < 2^10 states, which fold state by state, and of
-# 20,000 states, 192 rows (and a ragged 116), whose term tables cover the
-# 4 v, so each row block is folded as it is drawn; a 5,000-state chunk's
-# tables cover 2 v, so it keeps its row blocks for two passes
+# exact state averages of a table-backed environment sum their 2^10 terms
+# in 8 row blocks of 128 states, 2 of 512 and 1 of 1,024.  The transform
+# also runs in chunks of 900 states, 8 rows of 832 < 2^10 states, which fold
+# state by state, and of 20,000 states, 192 rows (and a ragged 116), whose
+# term tables cover the 4 v, so each row block is folded as it is drawn; a
+# 5,000-state chunk's tables cover 2 v, so it keeps its row blocks for two
+# passes
 @pytest.mark.parametrize("gather_states", [1, 520, 10_000])
 @pytest.mark.parametrize("case", sorted(ROW_BLOCK_CASES))
 def test_no_output_depends_on_the_row_block_size(case, gather_states, contracted, monkeypatch):
@@ -436,6 +439,37 @@ def test_no_output_depends_on_the_row_block_size(case, gather_states, contracted
     ):
         averages = conditions._state_average(env, term, grid, 10, ReplicaStreams.from_seed(23))
         assert [exact for *_, exact in averages] == whole_vector_exact_averages(env, term, grid)
+
+
+# (environment, row block size, state blocks) of the pairwise combine: the
+# 2^18 states of n = 18 in four blocks of 2^16, and the 2^10 of n = 10, both
+# the reference and the saturating environment, under each row block size of
+# the row-block test, whose states then make 8, 2 and 1 sum blocks
+EXACT_AVERAGE_CASES = {
+    "n18": (lambda: Environment.create(18, 3, 3.0, 2.7, seed=5), 1 << 16, 4),
+    **{
+        f"{name}-{gather_states}": (make_env, gather_states, blocks)
+        for name, make_env in (("table", reference_env), ("saturating", saturating_env))
+        for gather_states, blocks in ((1, 8), (520, 2), (10_000, 1))
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXACT_AVERAGE_CASES))
+def test_exact_state_averages_equal_the_whole_vector_mean_bit_for_bit(case, monkeypatch):
+    """Combining the row blocks' sums in a balanced tree gives the bits of
+    numpy's mean over one vector of all 2^n terms, for both state terms."""
+    make_env, gather_states, blocks = EXACT_AVERAGE_CASES[case]
+    monkeypatch.setattr(conditions, "_GATHER_STATES", gather_states)
+    env = make_env()
+    assert len(list(conditions._state_blocks(env))) == blocks
+    for term, grid in (
+        (conditions._survival_terms, [0.1, 1.0, 10.0, 100.0]),
+        (conditions._truncated_terms, [0.05, 0.1, 0.2]),
+    ):
+        averages = conditions._state_average(env, term, grid, 10, ReplicaStreams.from_seed(23))
+        exact = np.array([value for *_, value in averages])
+        assert exact.tobytes() == np.array(whole_vector_exact_averages(env, term, grid)).tobytes()
 
 
 def next_draws(stream):
@@ -513,19 +547,20 @@ def test_block_sums_peak_memory_grows_only_by_the_per_sample_vectors():
 
 def test_table_fold_peak_memory_stays_within_the_walk_window():
     """At n = 14 one group of term tables covers the v grid, so each row
-    block is folded as it is drawn.  The transform holds the scaled energies
-    and one term table per v (2^n doubles each), per-sample vectors (the
-    starts, and per chunk row one fold per v and one square; a chunk's folds
-    are freed before the next chunk is walked), one row block of gathered
-    terms and their 8-byte indices while the next is walked (8-byte states
-    and 4-byte flip sites), and 64 KiB of the interpreter's own objects.
-    1 and 5 chunks of 19,607 blocks of 204 states, each followed by a ragged
-    one, fit the same budget but for the starts; holding a chunk's walk as
-    4-byte states would add 16 MB."""
+    block is folded as it is drawn.  The transform holds one term table per
+    v (2^n doubles each; no copy of the energies: the tables are filled one
+    row block of energies at a time), per-sample vectors (the starts, and
+    per chunk row one fold per v and one square; a chunk's folds are freed
+    before the next chunk is walked), one row block of gathered terms and
+    their 8-byte indices while the next is walked (8-byte states and 4-byte
+    flip sites), and 64 KiB of the interpreter's own objects.  1 and 5
+    chunks of 19,607 blocks of 204 states, each followed by a ragged one,
+    fit the same budget but for the starts; holding a chunk's walk as 4-byte
+    states would add 16 MB."""
     env = memory_env()
     v_grid = [1.0, 1.78, 3.16, 5.62, 10.0, 17.8, 31.6, 56.2, 100.0]
     rows = conditions._CHUNK_STATES // env.block_length
-    tables = (len(v_grid) + 1) * (1 << env.n) * 8
+    tables = len(v_grid) * (1 << env.n) * 8
     block = conditions._GATHER_STATES * 28
     for samples in (20_000, 100_000):
         peak = traced_peak(
@@ -535,6 +570,35 @@ def test_table_fold_peak_memory_stays_within_the_walk_window():
         )
         per_sample = samples * 8 + (len(v_grid) + 1) * rows * 8
         assert peak <= tables + per_sample + block + (1 << 16)
+
+
+def test_multi_pass_table_fold_peak_memory_is_the_kept_walk_and_one_group(monkeypatch):
+    """Chunks of 400 blocks of 204 states at n = 14 have room for the term
+    tables of 2 of the 9 v, so each chunk keeps its walk as 4-byte states
+    for five passes over the v grid.  The transform then holds that walk,
+    one group of 2 term tables, the per-sample vectors of the single-pass
+    case, one row block of the walk widened to 8-byte indices with its
+    gathered terms (16 bytes a walk state; a row block being walked and
+    narrowed takes as much), one row block of states and their energies
+    while the next pass fills its tables (16 bytes a state; at n = 14 the
+    2^14 states make one) and 64 KiB of the interpreter's own objects: no
+    table per v and no copy of the energies."""
+    env = memory_env()
+    v_grid = [1.0, 1.78, 3.16, 5.62, 10.0, 17.8, 31.6, 56.2, 100.0]
+    rows = 400
+    monkeypatch.setattr(conditions, "_CHUNK_STATES", rows * env.block_length)
+    group = rows * env.block_length * 4 // (8 << env.n)
+    assert group == 2
+    walk = rows * env.block_length * 4
+    block = conditions._GATHER_STATES * 16 + (1 << env.n) * 16
+    for samples in (2000, 10_000):
+        peak = traced_peak(
+            lambda: estimate_intensity_laplace(
+                env, None, v_grid, samples, ReplicaStreams.from_seed(29), block_count=1
+            )
+        )
+        per_sample = samples * 8 + (len(v_grid) + 1) * rows * 8
+        assert peak <= group * (1 << env.n) * 8 + walk + per_sample + block + (1 << 16)
 
 
 def test_laplace_intensity_rescaled_values_monotone():
@@ -633,22 +697,30 @@ def test_state_averages_draw_the_starts_once(table, contracted):
         assert next_draws(streams.noise) == next_draws(fresh.noise)
 
 
-def test_exact_state_average_peak_memory_is_two_state_vectors_and_a_row_block():
-    """The exact pass holds the 2^n inverse holds and one 2^n buffer of terms,
-    which it fills one row block at a time; the truncated-mean term's own
-    temporaries (the block's hold means, their sum with eps, and the indices
-    and values of the short-hold states) take at most 40 bytes a block state.
-    The Monte Carlo draw is freed before the pass, and 64 KiB covers the
-    interpreter's own objects."""
-    env = Environment.create(18, 3, 3.0, 2.7, seed=5)
-    env.energies(0)  # builds the energy table before tracing starts
+def test_exact_state_average_peak_memory_is_a_few_row_blocks():
+    """The exact pass holds one row block of inverse holds and one of terms,
+    and the truncated-mean term's own temporaries (the block's hold means,
+    their sum with eps, and the indices and values of the short-hold states)
+    take at most 32 bytes a block state: six row blocks of 8-byte values,
+    and no 2^n vector.  The Monte Carlo draw is freed before the pass, and
+    64 KiB covers the interpreter's own objects.  The 2^16 states of n = 16
+    make one row block and the 2^18 of n = 18 four, and the peak does not
+    grow with them: a vector of 2^18 terms would add three row blocks."""
     eps_grid = [0.05, 0.1, 0.2]
-    peak = traced_peak(
-        lambda: estimate_truncated_mean(env, eps_grid, 1.0, 1000, ReplicaStreams.from_seed(29))
-    )
-    vectors = 2 * (1 << env.n) * 8
-    block = conditions._GATHER_STATES * 40
-    assert peak <= vectors + block + (1 << 16)
+    peaks = []
+    for n in (16, 18):
+        env = Environment.create(n, 3, 3.0, 2.7, seed=5)
+        env.energies(0)  # builds the energy table before tracing starts
+        peaks.append(
+            traced_peak(
+                lambda: estimate_truncated_mean(
+                    env, eps_grid, 1.0, 1000, ReplicaStreams.from_seed(29)
+                )
+            )
+        )
+    block = conditions._GATHER_STATES * 8
+    assert max(peaks) <= 6 * block + (1 << 16)
+    assert peaks[1] - peaks[0] <= 1 << 16
 
 
 # --- truncated single-jump mean -------------------------------------------

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from clockproc import config
 from clockproc.config import ExperimentConfig, default_ts_grid
 from clockproc.errors import ParameterValidationError
 
@@ -19,6 +20,22 @@ def test_defaults_are_valid_and_describe_reference_model():
     assert cfg.formats == ("csv", "json")
     assert cfg.threads is None
     assert cfg.resolved_threads() >= 1
+
+
+def test_threads_default_to_the_cores_this_process_may_run_on(monkeypatch):
+    """Under a CPU affinity mask (taskset, a cpuset) the default is the
+    mask's size, not the host's core count."""
+    monkeypatch.setattr(config.os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+    monkeypatch.setattr(config.os, "cpu_count", lambda: 8)
+    assert ExperimentConfig().resolved_threads() == 2
+    assert ExperimentConfig(threads=5).resolved_threads() == 5
+
+
+@pytest.mark.parametrize("count, threads", [(8, 8), (None, 1)])
+def test_threads_fall_back_to_the_cpu_count_without_affinity(count, threads, monkeypatch):
+    monkeypatch.delattr(config.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(config.os, "cpu_count", lambda: count)
+    assert ExperimentConfig().resolved_threads() == threads
 
 
 def test_round_trip_through_dict_and_json(tmp_path):

@@ -2,8 +2,9 @@
 name it never uses, every exported name exists, every exported function is
 run by the package, every public method, classmethod and property of an
 exported class is read by it, every exported error class but the base is
-raised by it, only ``verdicts.py`` writes a verdict's status, and only
-``seeding.py`` builds or positions a Philox stream.
+raised by it, only ``verdicts.py`` writes a verdict's status, only
+``seeding.py`` builds or positions a Philox stream, and no module builds an
+index of the whole state space.
 
 A name with a leading underscore (dunders such as ``__version__`` aside) is
 private to the module that defines it; a ``from .module import _name``
@@ -13,7 +14,11 @@ only tests call belongs in the tests, as an oracle next to the test that uses
 it.  An error class nothing raises promises callers a failure mode that no
 longer exists.  A status set outside the graders of ``verdicts.py`` would
 grade by a rule of its own.  A stream built or positioned outside
-``seeding.py`` would count its draws by arithmetic of its own.
+``seeding.py`` would count its draws by arithmetic of its own.  An
+``arange`` over all 2^n states costs 8 bytes a state, and its gather as
+much again, beside the energy table; the row-block helper of
+``conditions.py`` enumerates the states one block of consecutive states at
+a time instead.
 """
 
 import ast
@@ -409,5 +414,61 @@ def test_only_the_seeding_module_builds_or_positions_a_philox_stream():
         path.name: lines
         for path in sorted(PACKAGE.glob("*.py"))
         if path.name != "seeding.py" and (lines := philox_handling(path.read_text()))
+    }
+    assert offenders == {}
+
+
+def _is_state_count(node) -> bool:
+    """Whether ``node`` is ``1 << x`` or ``2 ** x``."""
+    return isinstance(node, ast.BinOp) and isinstance(node.left, ast.Constant) and (
+        isinstance(node.op, ast.LShift) and node.left.value == 1
+        or isinstance(node.op, ast.Pow) and node.left.value == 2
+    )
+
+
+def whole_state_indices(source: str) -> list[int]:
+    """Lines that call an ``arange`` with an argument ``1 << x`` or ``2 ** x``,
+    or with a name the module binds to one of these."""
+    tree = ast.parse(source)
+    counts = {
+        target.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and _is_state_count(node.value)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    lines = []
+    for node in ast.walk(tree):
+        func = node.func if isinstance(node, ast.Call) else None
+        if getattr(func, "attr", getattr(func, "id", None)) == "arange":
+            args = node.args + [keyword.value for keyword in node.keywords]
+            if any(
+                _is_state_count(arg) or isinstance(arg, ast.Name) and arg.id in counts
+                for arg in args
+            ):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_guard_detects_whole_state_space_indices():
+    source = (
+        "import numpy as np\n"
+        "a = np.arange(1 << n, dtype=np.uint64)\n"
+        "b = np.arange(2**env.n)\n"
+        "size = 1 << env.n\n"
+        "c = np.arange(0, size)\n"
+        "d = np.arange(lo, min(lo + 8, size))\n"
+        "e = arange(stop=2 ** n)\n"
+        "f = np.arange(n) + (1 << n) + np.arange(3 << n)\n"
+        "g = rng.integers(0, 1 << n, size=8)\n"
+    )
+    assert whole_state_indices(source) == [2, 3, 5, 7]
+
+
+def test_no_module_builds_a_whole_state_space_index():
+    offenders = {
+        path.name: lines
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (lines := whole_state_indices(path.read_text()))
     }
     assert offenders == {}
