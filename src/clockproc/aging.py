@@ -21,10 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import TrajectorySegment, block_rows, process_at_time, walk_to_times
+from .chain import TrajectorySegment, map_replicas, process_at_time, walk_to_times
 from .environment import Environment, SpinConfig, block_length, overlap_to_reference
 from .errors import BudgetError, ParameterValidationError
-from .parallel import ordered_map
 from .seeding import StreamFamily
 from .subordinator import arcsine_cdf
 
@@ -156,9 +155,9 @@ def estimate_aging_curve(
     :func:`flat_aging_curve`).  Each replica starts uniformly (or at
     ``start``, a non-stationary choice for exploratory runs) and walks until
     its clock passes the latest requested time, recording where it sits at
-    each t and t + s.  The thread pool takes row blocks of
-    :func:`~clockproc.chain.block_rows` replicas, sized by the expected
-    number of steps to reach that time; each block walks in growing windows
+    each t and t + s.  :func:`~clockproc.chain.map_replicas` hands the
+    thread pool row blocks of replicas, sized by the expected number of
+    steps to reach that time; each block walks in growing windows
     through :func:`~clockproc.chain.walk_to_times`, whose rows stop as their
     clocks pass it, and reads its indicators in one overlap comparison.  Each
     replica draws from its own streams, so the curve does not depend on the
@@ -186,16 +185,14 @@ def estimate_aging_curve(
     times = np.array(pair_list)
     later = times.sum(axis=1) * env.time_scale
     queries = np.concatenate([times[:, 0] * env.time_scale, later])
-    rows = block_rows(env, first)
 
-    def worker(b: int):
-        streams = [family.replica(i) for i in range(b * rows, min(replicas, (b + 1) * rows))]
+    def worker(streams):
         states, clocks = walk_to_times(env, start, queries, first, step_cap, streams)
         reached = later < clocks[:, None]  # the rest are censored at the step cap
         close = overlap_to_reference(*np.split(states, 2, axis=1), env.n) >= 1.0 - epsilon
         return (close & reached).sum(axis=0), reached.sum(axis=0)
 
-    results = ordered_map(worker, -(-replicas // rows), threads)
+    results = map_replicas(env, first, family, replicas, threads, worker)
     hits = np.sum([r[0] for r in results], axis=0)
     valid = np.sum([r[1] for r in results], axis=0)
     with np.errstate(invalid="ignore"):  # a pair that no replica reached reads NaN

@@ -7,7 +7,8 @@ rescaled clock over fixed-length blocks yields the jump sizes whose tail
 statistics the conditions module estimates.  ``scaled_holds`` is the one
 place a hold is rescaled, as exp(beta*H - log time scale).  One row path
 draws every trajectory: a row block of replicas at a time, each from its own
-streams, from a given start or the stationary (uniform) one.
+streams, from a given start or the stationary (uniform) one; only
+``map_replicas`` splits replicas into row blocks for the thread pool.
 ``blocked_clocks`` folds a block's rescaled holds straight into block sums,
 ``simulate_segment`` keeps one replica's whole segment, and
 ``extend_segment`` continues a segment with the same streams.
@@ -24,17 +25,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
 from .environment import Environment, SpinConfig
 from .errors import DimensionMismatchError, HorizonError, ParameterValidationError
-from .seeding import ReplicaStreams
+from .parallel import ordered_map
+from .seeding import ReplicaStreams, StreamFamily
 
 __all__ = [
     "TrajectorySegment",
     "MixingReport",
-    "block_rows",
+    "map_replicas",
     "scaled_holds",
     "blocked_clocks",
     "simulate_segment",
@@ -126,11 +129,18 @@ def _segment_rows(
     return states, energies, draws, holds
 
 
-def block_rows(env: Environment, length: int) -> int:
-    """Replicas per row block of ``length``-step segments: as many as fit in
-    ``SEGMENT_BLOCK_STATES`` states, and one past the energy table, where a
-    contracted energy depends on the batch it is contracted in."""
-    return max(1, SEGMENT_BLOCK_STATES // (length + 1)) if env.has_energy_table else 1
+def map_replicas(
+    env: Environment, length: int, family: StreamFamily, count: int, threads: int, fn: Callable
+) -> list:
+    """``fn`` of each row block of replicas 0..count-1, in block order: ``fn``
+    takes the block's ``family.replica(i)`` streams, and the blocks run on
+    ``threads`` pool threads.  A row block holds as many ``length``-step
+    replicas as fit in ``SEGMENT_BLOCK_STATES`` states, and one past the
+    energy table, where a contracted energy depends on the batch it is
+    contracted in."""
+    rows = max(1, SEGMENT_BLOCK_STATES // (length + 1)) if env.has_energy_table else 1
+    blocks = [range(lo, min(count, lo + rows)) for lo in range(0, count, rows)]
+    return ordered_map(lambda b: fn([family.replica(i) for i in blocks[b]]), len(blocks), threads)
 
 
 def _origins(

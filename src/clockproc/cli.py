@@ -64,7 +64,7 @@ from scipy import special
 
 from . import __version__
 from .aging import estimate_aging_curve, flat_aging_curve, trap_localization_diagnostic
-from .chain import TrajectorySegment, block_rows, blocked_clocks, mixing_check, simulate_segment
+from .chain import TrajectorySegment, blocked_clocks, map_replicas, mixing_check, simulate_segment
 from .conditions import (
     build_condition_report,
     degenerate_laplace_check,
@@ -75,7 +75,6 @@ from .conditions import (
 from .config import ExperimentConfig
 from .environment import Environment, SpinConfig, block_length
 from .errors import ClockprocError, ParameterValidationError
-from .parallel import ordered_map
 from .seeding import StreamFamily, resolve_seeds
 from .subordinator import arcsine_cdf, self_test
 from .verdicts import MIN_ESS, ladder, slope_verdict, verdict, worst, z_verdict
@@ -258,14 +257,10 @@ def _run_clock(cfg: ExperimentConfig, args) -> tuple[dict, list[_Output], dict]:
     theta = env.block_length
     start = _parse_start(cfg, args.start)
     family = StreamFamily(cfg.master_seed, "clock")
-
-    rows = block_rows(env, k * theta)
-
-    def worker(b: int):
-        streams = [family.replica(i) for i in range(b * rows, min(cfg.replicas, (b + 1) * rows))]
-        return blocked_clocks(env, start, k, streams)
-
-    blocks = ordered_map(worker, -(-cfg.replicas // rows), cfg.resolved_threads())
+    blocks = map_replicas(
+        env, k * theta, family, cfg.replicas, cfg.resolved_threads(),
+        lambda streams: blocked_clocks(env, start, k, streams),
+    )
     # (replicas, k) block sums and (replicas,) initial terms, in replica order
     sums, initial = (np.concatenate(parts) for parts in zip(*blocks))
     replicas = f"0..{cfg.replicas - 1}"
@@ -344,13 +339,16 @@ def _run_clock(cfg: ExperimentConfig, args) -> tuple[dict, list[_Output], dict]:
 
 
 def _run_aging(cfg: ExperimentConfig, args) -> tuple[dict, list[_Output], dict]:
-    # the trap diagnostics would refuse it only after the whole Monte Carlo curve
-    if not 0 < args.trap_threshold <= 1:
-        raise ParameterValidationError(
-            f"trap threshold must lie in (0, 1]; got {args.trap_threshold}"
-        )
     env = _build_environment(cfg)
     start = _parse_start(cfg, args.start)
+    # per-block localisation diagnostics on one dedicated trajectory, graded
+    # before the Monte Carlo curve so that they refuse a bad threshold first
+    trap_streams = StreamFamily(cfg.master_seed, "aging-trap").replica(0)
+    segment = simulate_segment(env, start, _TRAP_BLOCKS * env.block_length, trap_streams)
+    reports = [
+        trap_localization_diagnostic(env, segment, i, args.epsilon, args.trap_threshold)
+        for i in range(_TRAP_BLOCKS)
+    ]
     main_curve = estimate_aging_curve(
         env,
         cfg.ts_grid,
@@ -386,15 +384,6 @@ def _run_aging(cfg: ExperimentConfig, args) -> tuple[dict, list[_Output], dict]:
         )
     }
 
-    # per-block localisation diagnostics on one dedicated trajectory
-    trap_streams = StreamFamily(cfg.master_seed, "aging-trap").replica(0)
-    segment = simulate_segment(env, start, _TRAP_BLOCKS * env.block_length, trap_streams)
-    reports = [
-        trap_localization_diagnostic(
-            env, segment, i, epsilon=args.epsilon, threshold=args.trap_threshold
-        )
-        for i in range(_TRAP_BLOCKS)
-    ]
     rows = (
         [
             r.block_index,

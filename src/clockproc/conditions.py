@@ -176,10 +176,6 @@ def _iter_block_states(
     window_steps = presteps + env.block_length - 1
     if starts is None:
         starts = _uniform_starts(env.n, count, streams.walk)
-    else:
-        starts = np.asarray(starts, dtype=np.uint64)
-        if starts.shape != (count,):
-            raise ParameterValidationError("starts must be a vector of length `count`")
     block = _GATHER_STATES if env.has_energy_table else _CHUNK_STATES
     rows = max(1, block // (window_steps + 1))
 
@@ -853,8 +849,8 @@ def estimate_truncated_mean(
     """
     if env.step_scale is None or not math.isfinite(env.step_scale):
         raise DegenerateScaleError("jump-count scale unavailable at these parameters")
-    if samples < 2:
-        raise ParameterValidationError("need at least two samples")
+    if samples < 1:
+        raise ParameterValidationError(f"sample count must be >= 1; got {samples}")
     eps_arr = np.asarray(eps_values, dtype=np.float64)
     if np.any(eps_arr <= 0):
         raise ParameterValidationError("epsilon values must be positive")

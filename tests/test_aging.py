@@ -276,7 +276,10 @@ def test_aging_curve_peak_memory_is_one_window_block_per_thread():
     for seed, step_cap in ((3, 2000), (3, 20_000), (4, 20_000)):
         env = Environment.create(10, 3, 3.0, 2.7, seed=seed)
         env.energies(0)  # builds the energy table before tracing starts
-        rows = chain.block_rows(env, math.ceil(env.step_scale))
+        blocks = chain.map_replicas(
+            env, math.ceil(env.step_scale), StreamFamily(0, "rows"), replicas, 1, len
+        )
+        rows = max(blocks)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]

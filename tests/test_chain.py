@@ -8,10 +8,10 @@ import pytest
 from clockproc import chain
 from clockproc.chain import (
     SEGMENT_BLOCK_STATES,
-    block_rows,
     blocked_clocks,
     extend_segment,
     index_walk,
+    map_replicas,
     mixing_check,
     process_at_time,
     simulate_segment,
@@ -200,13 +200,26 @@ def test_blocked_clocks_rows_equal_the_one_replica_folds(start):
     assert len(set(initial.tolist())) == 5
 
 
-def test_block_rows_fill_the_state_budget_and_hold_one_replica_past_the_table():
-    env = make_env(n=6)
-    assert block_rows(env, SEGMENT_BLOCK_STATES - 1) == 1
-    assert block_rows(env, SEGMENT_BLOCK_STATES // 4 - 1) == 4
-    assert block_rows(env, 4 * SEGMENT_BLOCK_STATES) == 1
+@pytest.mark.parametrize("threads", [1, 2])
+def test_map_replicas_fill_the_state_budget_and_hold_one_replica_past_the_table(threads):
+    """Row blocks take as many replicas as fit in the state budget, one past
+    the energy table; each gets its replicas' own streams, in block order."""
+    env, family = make_env(n=6), StreamFamily(3, "blocks")
+
+    def first_draws(streams):
+        return [(r.walk.random(), r.noise.random()) for r in streams]
+
+    def sizes(env, length, count):
+        return list(map(len, map_replicas(env, length, family, count, threads, first_draws)))
+
+    assert sizes(env, SEGMENT_BLOCK_STATES - 1, 3) == [1, 1, 1]
+    assert sizes(env, SEGMENT_BLOCK_STATES // 4 - 1, 9) == [4, 4, 1]
+    assert sizes(env, 4 * SEGMENT_BLOCK_STATES, 2) == [1, 1]
+    assert sizes(env, 10, 0) == []
     past = Environment.create(MAX_TABLE_SPINS + 1, 3, 3.0, 2.7, seed=1)
-    assert block_rows(past, 10) == 1
+    assert sizes(past, 10, 3) == [1, 1, 1]
+    blocks = map_replicas(env, SEGMENT_BLOCK_STATES // 4 - 1, family, 9, threads, first_draws)
+    assert sum(blocks, []) == first_draws([family.replica(i) for i in range(9)])
 
 
 def test_cumulative_and_horizon():

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from clockproc import cli
+from clockproc import chain, cli
 from clockproc.chain import mixing_check
 from clockproc.environment import block_length
 from clockproc.cli import _build_parser, main
@@ -158,6 +158,18 @@ def test_conditions_runs_to_a_verdict_below_the_quadrature_budget(tmp_path):
     assert all(tm["quadrature_value"] is None for tm in report["truncated_means"])
 
 
+def test_conditions_runs_to_a_verdict_at_one_sample(tmp_path):
+    """The config accepts one sample, and so does every estimator: the run
+    ends with a verdict (stderrs of 0.0 meet the floored yardstick), not
+    with a refusal after the other estimators have run."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"model": {"n": 8}, "budgets": {"samples": 1}}))
+    outdir = tmp_path / "out"
+    code = main(["conditions", "--config", str(cfg_path), "--out", str(outdir)])
+    assert code in (0, 2, 3)
+    assert "truncated_mean" in load_manifest(outdir)["verdicts"]
+
+
 def test_conditions_reruns_are_byte_identical(tmp_path):
     cfg_path = write_config(tmp_path / "cfg.json", block_count=5)
     first, second = tmp_path / "a", tmp_path / "b"
@@ -232,6 +244,38 @@ def test_clock_outputs_do_not_depend_on_thread_count(tmp_path):
     assert len(rows) == 1 + 12 * k
     assert all(float(r[2]) > 0 for r in rows[1:])
     assert len(read_rows(serial / "clock_initial_terms.csv")) == 1 + 12
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_clock_row_blocks_leave_the_data_bytes(threads, tmp_path, monkeypatch):
+    """One replica per row block, three, or the default budget's count write
+    the bytes of the default run at one thread, at one or two threads."""
+    # 50 blocks of 67 steps: four replicas fill the default budget of 2^14 states
+    cfg_path = clock_config(tmp_path / "cfg.json", replicas=13, block_count=50)
+
+    def data_files(outdir, threads):
+        argv = ["clock", "--config", str(cfg_path), "--out", str(outdir), "--threads", threads]
+        assert main(argv) in (0, 2, 3)
+        return {p.name: p.read_bytes() for p in outdir.iterdir() if p.name != "manifest.json"}
+
+    reference = data_files(tmp_path / "reference", "1")
+    record = load_manifest(tmp_path / "reference")["run"]
+    length = record["block_count"] * record["block_length"]
+    default_rows = chain.SEGMENT_BLOCK_STATES // (length + 1)
+    assert default_rows == 4 and "clock_jumps.csv" in reference
+    blocks, blocked_clocks = [], cli.blocked_clocks
+
+    def recording(env, start, k, streams):
+        blocks.append(len(streams))
+        return blocked_clocks(env, start, k, streams)
+
+    monkeypatch.setattr(cli, "blocked_clocks", recording)
+    for rows in (1, 3, default_rows):
+        monkeypatch.setattr(chain, "SEGMENT_BLOCK_STATES", rows * (length + 1))
+        blocks.clear()
+        assert data_files(tmp_path / str(rows), threads) == reference
+        ragged = [13 % rows] if 13 % rows else []
+        assert sorted(blocks, reverse=True) == [rows] * (13 // rows) + ragged
 
 
 # (master seed, replicas), one case per tolerance band of the p-value check

@@ -870,8 +870,11 @@ def test_truncated_mean_validation():
     env = Environment.create(8, 3, 3.0, 2.7, seed=5)
     with pytest.raises(ParameterValidationError):
         estimate_truncated_mean(env, [-0.1], 1.0, 100, ReplicaStreams.from_seed(1))
-    with pytest.raises(ParameterValidationError):
-        estimate_truncated_mean(env, [0.1], 1.0, 1, ReplicaStreams.from_seed(1))
+    with pytest.raises(ParameterValidationError, match="sample count must be >= 1"):
+        estimate_truncated_mean(env, [0.1], 1.0, 0, ReplicaStreams.from_seed(1))
+    # one sample reads a stderr of 0.0, as the initial term's does
+    (one,) = estimate_truncated_mean(env, [0.1], 1.0, 1, ReplicaStreams.from_seed(1))
+    assert one.samples == 1 and one.mc_stderr == 0.0 and one.mc_value > 0
     with pytest.raises(DegenerateScaleError):
         estimate_truncated_mean(unit_env(), [0.1], 1.0, 100, ReplicaStreams.from_seed(1))
 

@@ -3,8 +3,8 @@ name it never uses, every exported name exists, every exported function is
 run by the package, every public method, classmethod and property of an
 exported class is read by it, every exported error class but the base is
 raised by it, only ``verdicts.py`` writes a verdict's status, only
-``seeding.py`` builds or positions a Philox stream, and no module builds an
-index of the whole state space.
+``seeding.py`` builds or positions a Philox stream, only ``chain.py`` fans
+replicas out, and no module builds an index of the whole state space.
 
 A name with a leading underscore (dunders such as ``__version__`` aside) is
 private to the module that defines it; a ``from .module import _name``
@@ -14,7 +14,9 @@ only tests call belongs in the tests, as an oracle next to the test that uses
 it.  An error class nothing raises promises callers a failure mode that no
 longer exists.  A status set outside the graders of ``verdicts.py`` would
 grade by a rule of its own.  A stream built or positioned outside
-``seeding.py`` would count its draws by arithmetic of its own.  An
+``seeding.py`` would count its draws by arithmetic of its own.  A list of
+``.replica(...)`` streams built outside ``chain.py`` would split replicas
+into row blocks by a rule of its own.  An
 ``arange`` over all 2^n states costs 8 bytes a state, and its gather as
 much again, beside the energy table; the row-block helper of
 ``conditions.py`` enumerates the states one block of consecutive states at
@@ -416,6 +418,47 @@ def test_only_the_seeding_module_builds_or_positions_a_philox_stream():
         if path.name != "seeding.py" and (lines := philox_handling(path.read_text()))
     }
     assert offenders == {}
+
+
+def replica_fan_outs(source: str) -> list[int]:
+    """Lines that build a list of ``.replica(...)`` calls: a list
+    comprehension or generator expression whose element is one."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.ListComp, ast.GeneratorExp))
+        and isinstance(node.elt, ast.Call)
+        and getattr(node.elt.func, "attr", None) == "replica"
+    )
+
+
+def test_guard_detects_replica_fan_outs():
+    # the row-block workers of the clock runner and of the aging curve before
+    # both called the chain's replica map
+    source = (
+        "def worker(b: int):\n"
+        "    streams = [family.replica(i) for i in range("
+        "b * rows, min(cfg.replicas, (b + 1) * rows))]\n"
+        "    return blocked_clocks(env, start, k, streams)\n"
+        "def worker(b: int):\n"
+        "    streams = [family.replica(i) for i in range("
+        "b * rows, min(replicas, (b + 1) * rows))]\n"
+        "    states, clocks = walk_to_times(env, start, queries, first, step_cap, streams)\n"
+        "a = list(StreamFamily(1, 'x').replica(i) for i in range(4))\n"
+        "b = simulate_segment(env, None, 8, family.replica(0))\n"
+        "c = [replica(i) for i in range(4)] + [r.walk for r in family.replicas]\n"
+    )
+    assert replica_fan_outs(source) == [2, 5, 7]
+
+
+def test_only_the_chain_module_fans_replicas_out():
+    offenders = {
+        path.name: lines
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "chain.py" and (lines := replica_fan_outs(path.read_text()))
+    }
+    assert offenders == {}
+    assert replica_fan_outs((PACKAGE / "chain.py").read_text())
 
 
 def _is_state_count(node) -> bool:
