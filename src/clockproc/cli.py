@@ -30,13 +30,17 @@ Subcommands:
     law and the horizon-marginal transform against quadrature.  The sampler
     is :func:`clockproc.subordinator.self_test`; this module grades its sums.
 
-One table, ``_COMMANDS``, names each subcommand's runner and help text.  A
-runner computes; it returns its verdicts, the files it offers, each with a
-writer and its stream provenance, and its run record (the environment's
-derived scales, the start distribution and the run's settings; ``None``
-where no environment is sampled).  :func:`run` alone writes: the offered
-files whose extension is listed in ``outputs.formats`` (and a
-``--dump-trajectory`` file always), in the runner's order, then
+One table, ``_COMMANDS``, names each subcommand's runner, whether it samples
+an environment, and its help text.  Every runner has one shape,
+``(env, cfg, args) -> (verdicts, outputs, record)``: :func:`run` builds the
+environment once, from the config's coupling seed (``None`` for ``mixing``
+and ``subordinator``), and hands it in.  A runner computes and grades its
+own verdicts through :mod:`clockproc.verdicts`; it returns them, the files it
+offers, each with a writer and its stream provenance, and its run record
+(the environment's derived scales, the start distribution and the run's
+settings; ``None`` where no environment is sampled).  :func:`run` alone
+writes: the offered files whose extension is listed in ``outputs.formats``
+(and a ``--dump-trajectory`` file always), in the runner's order, then
 ``manifest.json`` (resolved config, package versions, stream provenance for
 each written file, verdicts, run record).  Exit code: 0 when every verdict
 passes, 2 when the worst verdict is a warning, 3 when one fails, 1 on
@@ -51,6 +55,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import math
 import json
 import os
@@ -66,11 +71,9 @@ from . import __version__
 from .aging import estimate_aging_curve, flat_aging_curve, trap_localization_diagnostic
 from .chain import TrajectorySegment, blocked_clocks, map_replicas, mixing_check, simulate_segment
 from .conditions import (
-    build_condition_report,
-    degenerate_laplace_check,
-    estimate_intensity_laplace,
-    plain,
-    resolve_block_count,
+    TRUNCATED_TERM_BOUND, ConditionReport, LaplaceIntensityEstimate, SquaredTailEstimate,
+    build_condition_report, degenerate_block_laplace, degenerate_block_tail,
+    degenerate_initial_term, estimate_intensity_laplace, plain, resolve_block_count,
 )
 from .config import ExperimentConfig
 from .environment import Environment, SpinConfig, block_length
@@ -82,6 +85,10 @@ from .verdicts import MIN_ESS, ladder, slope_verdict, verdict, worst, z_verdict
 __all__ = ["main", "run"]
 
 _EXIT_CODE = {"pass": 0, "warn": 2, "fail": 3}
+
+# the observation horizon t of ``conditions``, ``laplace`` and ``clock``, on
+# the jump-count scale: their blocks cover the first floor(step_scale * t) steps
+_HORIZON = 1.0
 
 _TRAJECTORY = "trajectory.csv"
 _TRAJECTORY_ROW_CAP = 1_000_000
@@ -100,6 +107,10 @@ class _Output(NamedTuple):
     note: str
 
 
+# a runner's verdicts, the outputs it offers and its run record
+_Result = tuple[dict, list[_Output], dict | None]
+
+
 def _write_csv(path: str, header: list[str], rows: Iterable[list]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -112,15 +123,6 @@ def _table(
 ) -> _Output:
     """A plain CSV table; ``rows`` is read only if the file is written."""
     return _Output(name, lambda path: _write_csv(path, header, rows), purpose, replicas, note)
-
-
-def _build_environment(cfg: ExperimentConfig) -> Environment:
-    """The config's coupling draw; beta = 0 is the flat chain, which the
-    admissibility check would refuse."""
-    seed = resolve_seeds(cfg.master_seed, "environment", 0)
-    if cfg.beta == 0.0:
-        return Environment.degenerate(cfg.n, cfg.p, 0.0, cfg.gamma, seed)
-    return Environment.create(cfg.n, cfg.p, cfg.beta, cfg.gamma, seed, zeta_table=cfg.zeta_table)
 
 
 def _environment_record(env: Environment, start: SpinConfig | None) -> dict:
@@ -175,37 +177,136 @@ def _trajectory(env: Environment, segment: TrajectorySegment, purpose: str) -> _
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each runner computes its verdicts, the outputs it offers and
-# its run record; ``run`` decides which outputs to write
+# subcommands: each runner takes the environment ``run`` built and computes
+# its verdicts, the outputs it offers and its run record; ``run`` decides
+# which outputs to write
 
 
-def _run_conditions(cfg: ExperimentConfig, args) -> tuple[dict, list[_Output], dict]:
-    env = _build_environment(cfg)
+def _closed_form_check(pairs) -> dict:
+    """Verdict on (estimate, closed form) pairs that must agree to rounding:
+    the largest relative error passes up to 1e-12 and fails above."""
+    rel = 0.0
+    for value, oracle in pairs:
+        rel = max(rel, abs(value - oracle) / (abs(oracle) if oracle != 0 else 1.0))
+    return verdict(ladder(rel, 1e-12, 1e-12), max_relative_error=rel)
+
+
+def _floored_z(rows) -> dict:
+    """z verdict of Monte Carlo state averages against their exact values, from
+    rows (estimate, stderr, samples, exact value, bound) of per-state terms in
+    [0, bound].  Their variance is at most (bound - mean) * mean (Bhatia &
+    Davis, Amer. Math. Monthly 2000); that floors the yardstick where the
+    sample variance collapses on rare states."""
+    return z_verdict(
+        (value, exact, max(stderr, math.sqrt((bound - exact) * exact / samples)))
+        for value, stderr, samples, exact, bound in rows
+    )
+
+
+def _squared_tail_verdict(
+    two_step: list[SquaredTailEstimate], split: list[SquaredTailEstimate]
+) -> dict:
+    """The routes' largest disagreement in z units over the thresholds where
+    either route has a joint exceedance; a threshold where neither has one
+    agrees on no evidence and adds no z.  With no exceedance at any
+    threshold there is nothing to grade, and the verdict warns."""
+    seen = [(a, b) for a, b in zip(two_step, split) if a.value > 0 or b.value > 0]
+    note = None if seen else "no joint exceedance in either route at any threshold"
+    triples = [(a.value, b.value, math.hypot(a.stderr, b.stderr)) for a, b in seen]
+    return z_verdict(triples, note)
+
+
+def _laplace_verdicts(env: Environment, est: LaplaceIntensityEstimate, **evidence) -> dict:
+    """The transform intensity's slope against alpha - 1, ``evidence``
+    recorded beside its deviation, and at beta = 0 its values against the
+    closed form, which the estimator reproduces to rounding because it
+    integrates the (unit) waiting times out exactly."""
+    verdicts = {}
+    if env.alpha is not None:
+        verdicts["laplace_slope"] = slope_verdict(
+            est.slope, env.alpha - 1.0, est.slope_se, **evidence
+        )
+    if env.beta == 0.0:
+        verdicts["degenerate_laplace"] = _closed_form_check(
+            (value, est.block_count * (1.0 - degenerate_block_laplace(env, v)) / v)
+            for v, value in zip(est.v_values, est.values)
+        )
+    return verdicts
+
+
+def _condition_verdicts(env: Environment, report: ConditionReport) -> dict:
+    """The verdicts on a condition report.
+
+    Statistical agreement (the two correlated-square routes, Monte Carlo
+    state averages against their exact values, estimates against the beta = 0
+    closed forms) is graded in z-score units.  The two tail-exponent fits are
+    graded against an absolute window around the parameter value instead:
+    at finite n the fitted exponent deviates systematically, not
+    statistically, so a z-test against the limit value would reject at any
+    sufficiently large sample size.  At beta = 0 every estimator is
+    cross-checked against its closed form.
+    """
+    intensity, k = report.intensity, report.block_count
+    squared_a, squared_b = report.squared_two_step, report.squared_split
+    verdicts = _laplace_verdicts(env, report.laplace_intensity)
+    if env.alpha is not None:
+        note = "no tail fit: fewer than two thresholds have hit rates strictly inside (0, 1)"
+        note = note if math.isnan(intensity.slope) else None
+        verdicts["intensity_slope"] = slope_verdict(
+            intensity.slope, -env.alpha, intensity.slope_se, note
+        )
+    verdicts["squared_tail_routes"] = _squared_tail_verdict(squared_a, squared_b)
+    if env.has_energy_table:
+        verdicts["initial_term"] = _floored_z(
+            (est.value, est.stderr, est.samples, est.exact_value, 1.0)
+            for est in report.initial_terms
+        )
+    if report.truncated_means and env.has_energy_table:
+        scale = env.step_scale * report.horizon * TRUNCATED_TERM_BOUND
+        verdicts["truncated_mean"] = _floored_z(
+            (tm.mc_value, tm.mc_stderr, tm.samples, tm.exact_value, scale * tm.epsilon)
+            for tm in report.truncated_means
+        )
+    if env.beta == 0.0:
+        tails = [degenerate_block_tail(env, u) for u in intensity.thresholds]
+        verdicts["degenerate_tail"] = z_verdict(
+            (value, k * q, max(se, k * math.sqrt(q * (1.0 - q) / intensity.samples)))
+            for q, value, se in zip(tails, intensity.values, intensity.stderrs)
+        )
+        # the squared-tail routes share the intensity's thresholds
+        joint = [q * q for q in tails]
+        verdicts["degenerate_squared"] = z_verdict(
+            (est.value, k * q2, max(est.stderr, k * math.sqrt(q2 * (1.0 - q2) / est.samples)))
+            for q2, ea, eb in zip(joint, squared_a, squared_b)
+            for est in (ea, eb)
+        )
+        verdicts["degenerate_initial"] = _closed_form_check(
+            (est.value, degenerate_initial_term(env, est.v)) for est in report.initial_terms
+        )
+    return verdicts
+
+
+def _run_conditions(env: Environment, cfg: ExperimentConfig, args) -> _Result:
     streams = StreamFamily(cfg.master_seed, "conditions").replica(0)
     report = build_condition_report(
-        env,
-        horizon=1.0,
-        u_grid=cfg.u_grid,
-        v_grid=cfg.v_grid,
-        eps_grid=cfg.eps_grid,
-        streams=streams,
-        samples=cfg.samples,
-        block_count=cfg.block_count,
-        threads=cfg.resolved_threads(),
+        env, _HORIZON, cfg.u_grid, cfg.v_grid, cfg.eps_grid, streams, samples=cfg.samples,
+        block_count=cfg.block_count, threads=cfg.resolved_threads(),
     )
+    verdicts = _condition_verdicts(env, report)
+    overall = worst(entry["status"] for entry in verdicts.values())
+    report = dataclasses.replace(report, verdicts=verdicts, overall=overall)
     outputs = [
         _Output("conditions.csv", report.write_csv, "conditions", [0], "one row per grid point"),
         _Output("conditions.json", report.write_json, "conditions", [0], "full report"),
     ]
     counts = {"block_count": report.block_count, "literal_block_count": report.literal_block_count}
-    return report.verdicts, outputs, _environment_record(env, None) | counts
+    return verdicts, outputs, _environment_record(env, None) | counts
 
 
-def _run_laplace(cfg: ExperimentConfig, args) -> tuple[dict, list[_Output], dict]:
-    env = _build_environment(cfg)
+def _run_laplace(env: Environment, cfg: ExperimentConfig, args) -> _Result:
     streams = StreamFamily(cfg.master_seed, "laplace").replica(0)
     est = estimate_intensity_laplace(
-        env, 1.0, cfg.v_grid, cfg.samples, streams, block_count=cfg.block_count,
+        env, _HORIZON, cfg.v_grid, cfg.samples, streams, block_count=cfg.block_count,
         threads=cfg.resolved_threads(),
     )
     rows = (
@@ -214,31 +315,19 @@ def _run_laplace(cfg: ExperimentConfig, args) -> tuple[dict, list[_Output], dict
     )
     header = ["v", "estimate", "stderr", "samples"]
     outputs = [_table("laplace.csv", header, rows, "laplace", [0], "one row per transform argument")]
-    verdicts: dict = {}
-    if env.alpha is not None:
-        verdicts["laplace_slope"] = slope_verdict(
-            est.slope, env.alpha - 1.0, est.slope_se, slope=est.slope, slope_se=est.slope_se,
-            fitted_alpha=est.fitted_alpha, fitted_alpha_se=est.fitted_alpha_se,
-            fitted_amplitude=est.fitted_amplitude, fitted_amplitude_se=est.fitted_amplitude_se,
-        )
-    if env.beta == 0.0:
-        verdicts["degenerate_laplace"] = degenerate_laplace_check(env, est)
+    verdicts = _laplace_verdicts(
+        env, est, slope=est.slope, slope_se=est.slope_se,
+        fitted_alpha=est.fitted_alpha, fitted_alpha_se=est.fitted_alpha_se,
+        fitted_amplitude=est.fitted_amplitude, fitted_amplitude_se=est.fitted_amplitude_se,
+    )
     return verdicts, outputs, _environment_record(env, None) | {"block_count": est.block_count}
 
 
-def _run_mixing(cfg: ExperimentConfig, args) -> tuple[dict, list[_Output], None]:
+def _run_mixing(env: None, cfg: ExperimentConfig, args) -> _Result:
     theta = block_length(cfg.n)
     report = mixing_check(cfg.n, theta)
-    rows = [
-        [
-            report.n,
-            report.theta,
-            repr(report.max_violation),
-            repr(report.bound),
-            report.passed,
-            repr(report.rho_implied),
-        ]
-    ]
+    rows = [[report.n, report.theta, repr(report.max_violation), repr(report.bound),
+             report.passed, repr(report.rho_implied)]]
     header = ["n", "theta", "max_violation", "bound", "passed", "rho_implied"]
     outputs = [_table("mixing.csv", header, rows, "mixing (exact, no streams)", [], "single row")]
     status = "pass" if report.passed else "fail"
@@ -246,14 +335,13 @@ def _run_mixing(cfg: ExperimentConfig, args) -> tuple[dict, list[_Output], None]
     return {"mixing_bound": verdict(status, **evidence)}, outputs, None
 
 
-def _run_clock(cfg: ExperimentConfig, args) -> tuple[dict, list[_Output], dict]:
-    env = _build_environment(cfg)
+def _run_clock(env: Environment, cfg: ExperimentConfig, args) -> _Result:
     if env.alpha is None:
         raise ParameterValidationError(
             "the jump-law comparison needs beta > 0; the beta = 0 chain has no "
             "power-law clock limit"
         )
-    k = resolve_block_count(env, 1.0, cfg.block_count)
+    k = resolve_block_count(env, _HORIZON, cfg.block_count)
     theta = env.block_length
     start = _parse_start(cfg, args.start)
     family = StreamFamily(cfg.master_seed, "clock")
@@ -273,22 +361,10 @@ def _run_clock(cfg: ExperimentConfig, args) -> tuple[dict, list[_Output], dict]:
 
     initial_rows = ([i, repr(float(term))] for i, term in enumerate(initial))
     outputs = [
-        _table(
-            "clock.csv",
-            ["replica", "block_index", "increment", "cumulative"],
-            clock_rows(),
-            "clock",
-            replicas,
-            "k rows per replica",
-        ),
-        _table(
-            "clock_initial_terms.csv",
-            ["replica", "initial_term"],
-            initial_rows,
-            "clock",
-            replicas,
-            "one row per replica",
-        ),
+        _table("clock.csv", ["replica", "block_index", "increment", "cumulative"], clock_rows(),
+               "clock", replicas, "k rows per replica"),
+        _table("clock_initial_terms.csv", ["replica", "initial_term"], initial_rows, "clock",
+               replicas, "one row per replica"),
     ]
 
     pooled = sums.reshape(-1)
@@ -322,24 +398,15 @@ def _run_clock(cfg: ExperimentConfig, args) -> tuple[dict, list[_Output], dict]:
             threshold=threshold,
         )
         jump_rows = ([repr(float(size)), repr(float(y))] for size, y in zip(exceed, x))
-        outputs.append(
-            _table(
-                "clock_jumps.csv",
-                ["size", "normalized"],
-                jump_rows,
-                "clock",
-                replicas,
-                "pooled block increments above the threshold",
-            )
-        )
+        outputs.append(_table("clock_jumps.csv", ["size", "normalized"], jump_rows, "clock",
+                              replicas, "pooled block increments above the threshold"))
     if args.dump_trajectory:
         segment = simulate_segment(env, start, k * theta, family.replica(0))
         outputs.append(_trajectory(env, segment, "clock"))
     return verdicts, outputs, _environment_record(env, start) | {"block_count": k}
 
 
-def _run_aging(cfg: ExperimentConfig, args) -> tuple[dict, list[_Output], dict]:
-    env = _build_environment(cfg)
+def _run_aging(env: Environment, cfg: ExperimentConfig, args) -> _Result:
     start = _parse_start(cfg, args.start)
     # per-block localisation diagnostics on one dedicated trajectory, graded
     # before the Monte Carlo curve so that they refuse a bad threshold first
@@ -385,24 +452,12 @@ def _run_aging(cfg: ExperimentConfig, args) -> tuple[dict, list[_Output], dict]:
     }
 
     rows = (
-        [
-            r.block_index,
-            format(r.dominant_state, "x"),
-            repr(r.dominant_fraction),
-            repr(r.ball_time_fraction),
-            r.reentered,
-            r.untrapped,
-        ]
+        [r.block_index, format(r.dominant_state, "x"), repr(r.dominant_fraction),
+         repr(r.ball_time_fraction), r.reentered, r.untrapped]
         for r in reports
     )
-    header = [
-        "block_index",
-        "dominant_state_hex",
-        "dominant_fraction",
-        "ball_time_fraction",
-        "reentered",
-        "untrapped",
-    ]
+    header = ["block_index", "dominant_state_hex", "dominant_fraction", "ball_time_fraction",
+              "reentered", "untrapped"]
     outputs.append(_table("traps.csv", header, rows, "aging-trap", [0], "one row per block"))
     if args.dump_trajectory:
         outputs.append(_trajectory(env, segment, "aging-trap"))
@@ -410,7 +465,7 @@ def _run_aging(cfg: ExperimentConfig, args) -> tuple[dict, list[_Output], dict]:
     return verdicts, outputs, _environment_record(env, start) | record
 
 
-def _run_subordinator(cfg: ExperimentConfig, args) -> tuple[dict, list[_Output], None]:
+def _run_subordinator(env: None, cfg: ExperimentConfig, args) -> _Result:
     pairs = [(float(t), float(s)) for t, s in cfg.ts_grid]
     paths = cfg.samples
     arcsine_rows = []
@@ -471,14 +526,14 @@ def _run_subordinator(cfg: ExperimentConfig, args) -> tuple[dict, list[_Output],
     return verdicts, outputs, None
 
 
-# subcommand -> (runner, help text)
+# subcommand -> (runner, whether it samples an environment, help text)
 _COMMANDS = {
-    "conditions": (_run_conditions, "full condition report for one sampled environment"),
-    "laplace": (_run_laplace, "transform-based intensity estimate with power-law fit"),
-    "clock": (_run_clock, "blocked clock paths vs the exact power-law jump tail"),
-    "aging": (_run_aging, "two-time correlation curve vs the arcsine prediction"),
-    "mixing": (_run_mixing, "exact aggregation-scale mixing check"),
-    "subordinator": (_run_subordinator, "sampler self-tests against closed forms"),
+    "conditions": (_run_conditions, True, "full condition report for one sampled environment"),
+    "laplace": (_run_laplace, True, "transform-based intensity estimate with power-law fit"),
+    "clock": (_run_clock, True, "blocked clock paths vs the exact power-law jump tail"),
+    "aging": (_run_aging, True, "two-time correlation curve vs the arcsine prediction"),
+    "mixing": (_run_mixing, False, "exact aggregation-scale mixing check"),
+    "subordinator": (_run_subordinator, False, "sampler self-tests against closed forms"),
 }
 
 
@@ -496,7 +551,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Simulation and verification laboratory for rescaled clock processes",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in _COMMANDS.items():
+    for name, (_, _, help_text) in _COMMANDS.items():
         sub = subparsers.add_parser(name, help=help_text)
         sub.add_argument("--config", required=True, help="path to the JSON config document")
         sub.add_argument("--seed", type=int, default=None, help="override seeds.master_seed")
@@ -533,15 +588,26 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(command: str, cfg: ExperimentConfig, args) -> int:
     """Execute one subcommand on a validated config; returns the exit code.
 
-    The runner computes; this writes each output it offers whose extension is
-    one of ``outputs.formats``, in the runner's order, and records its
-    provenance.  A dumped trajectory is asked for by flag, so it is written
-    whatever the formats.
+    This builds the environment the runner samples, from the config's
+    coupling seed; beta = 0 is the flat chain, which the admissibility check
+    would refuse.  The runner computes; this writes each output it offers
+    whose extension is one of ``outputs.formats``, in the runner's order,
+    and records its provenance.  A dumped trajectory is asked for by flag,
+    so it is written whatever the formats.
     """
     outdir = cfg.directory
     os.makedirs(outdir, exist_ok=True)
-    runner, _ = _COMMANDS[command]
-    verdicts, outputs, record = runner(cfg, args)
+    runner, sampled, _ = _COMMANDS[command]
+    env = None
+    if sampled:
+        seed = resolve_seeds(cfg.master_seed, "environment", 0)
+        if cfg.beta == 0.0:
+            env = Environment.degenerate(cfg.n, cfg.p, 0.0, cfg.gamma, seed)
+        else:
+            env = Environment.create(
+                cfg.n, cfg.p, cfg.beta, cfg.gamma, seed, zeta_table=cfg.zeta_table
+            )
+    verdicts, outputs, record = runner(env, cfg, args)
     artifacts = []
     for output in outputs:
         if output.name != _TRAJECTORY and output.name.rpartition(".")[2] not in cfg.formats:
@@ -584,20 +650,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = ExperimentConfig.load(args.config)
-        changes = {}
-        if args.seed is not None:
-            changes["master_seed"] = args.seed
-        if args.out is not None:
-            changes["directory"] = args.out
-        if args.threads is not None:
-            changes["threads"] = args.threads
+        overrides = {"master_seed": args.seed, "directory": args.out, "threads": args.threads}
+        changes = {key: value for key, value in overrides.items() if value is not None}
         if changes:
             cfg = cfg.replace(**changes)
         return run(args.command, cfg, args)
-    except ClockprocError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ClockprocError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -17,7 +17,9 @@ exactly over all 2^n states where the energy table exists, one row block of
 consecutive states at a time, the blocks' sums combined pairwise into the
 bits of one whole-vector mean.  It fits tail exponents, gives the annealed
 truncated mean as one trapezoid sum over its one-dimensional integral, and
-packages the lot into a report with pass / warn / fail verdicts.
+collects the lot into one report of estimates.  It grades nothing: the
+``conditions`` runner of :mod:`clockproc.cli` turns the report into pass /
+warn / fail verdicts.
 
 Estimator conventions used throughout:
 
@@ -56,8 +58,8 @@ Estimator conventions used throughout:
   caller), so no output depends on the thread count.
 
 Two deliberately redundant routes exist for the correlated-square statistic
-(two-step kernel versus split one-step products); consistency between routes
-is part of the report.  The block Laplace transform is estimated by the
+(two-step kernel versus split one-step products); the runner grades their
+agreement.  The block Laplace transform is estimated by the
 conditional closed form over the walk only; its direct-sampling counterpart
 (waiting times drawn too) lives in ``tests/reference_estimators.py`` as a
 test oracle.
@@ -79,7 +81,6 @@ from .environment import Environment
 from .errors import BudgetError, DegenerateScaleError, ParameterValidationError
 from .parallel import prefetch
 from .seeding import ReplicaStreams
-from .verdicts import ladder, slope_verdict, verdict, worst, z_verdict
 
 __all__ = [
     "IntensityEstimate",
@@ -99,9 +100,9 @@ __all__ = [
     "degenerate_block_laplace",
     "degenerate_initial_term",
     "build_condition_report",
-    "degenerate_laplace_check",
     "plain",
     "resolve_block_count",
+    "TRUNCATED_TERM_BOUND",
 ]
 
 # States per chunk of the transform's samples.  Each chunk adds one partial
@@ -411,19 +412,6 @@ def _squared_tail_indicators(
         raise ParameterValidationError(f"unknown route {route!r}; use 'two-step' or 'split'")
     grid = np.asarray(thresholds, dtype=np.float64)
     return (first[None, :] > grid[:, None]) & (second[None, :] > grid[:, None])
-
-
-def _squared_tail_verdict(
-    two_step: Sequence[SquaredTailEstimate], split: Sequence[SquaredTailEstimate]
-) -> dict:
-    """The routes' largest disagreement in z units over the thresholds where
-    either route has a joint exceedance; a threshold where neither has one
-    agrees on no evidence and adds no z.  With no exceedance at any
-    threshold there is nothing to grade, and the verdict warns."""
-    seen = [(a, b) for a, b in zip(two_step, split) if a.value > 0 or b.value > 0]
-    note = None if seen else "no joint exceedance in either route at any threshold"
-    triples = [(a.value, b.value, math.hypot(a.stderr, b.stderr)) for a, b in seen]
-    return z_verdict(triples, note)
 
 
 def estimate_squared_tail_grid(
@@ -750,7 +738,7 @@ def estimate_initial_term(
 # grid points of the truncated-mean quadrature at most (8 MB per array)
 _QUADRATURE_POINTS = 1 << 20
 # max over a of P(2, a) / a, rounded up: the bound of a per-state term over eps
-_TRUNCATED_TERM_BOUND = 0.2985
+TRUNCATED_TERM_BOUND = 0.2985
 
 
 @dataclass(frozen=True)
@@ -933,12 +921,13 @@ def plain(obj):
 
 @dataclass
 class ConditionReport:
-    """All per-environment condition estimates plus verdicts.
+    """All per-environment condition estimates.
 
-    ``verdicts`` maps check name to a :mod:`~clockproc.verdicts` record: its
-    ``status``, its evidence (``z``, ``deviation`` and ``tolerance`` for a
-    slope, or ``max_relative_error``) and maybe a ``note``; ``overall`` is
-    the worst status, ordering pass < warn < fail.
+    :func:`build_condition_report` leaves ``verdicts`` empty and ``overall``
+    "pass"; the ``conditions`` runner replaces them with its
+    :mod:`~clockproc.verdicts` records (check name to status, evidence and
+    maybe a note) and their worst status, which :meth:`write_json` writes
+    with the estimates.
     """
 
     n: int
@@ -1006,40 +995,6 @@ class ConditionReport:
             writer.writerows(rows)
 
 
-def _closed_form_check(pairs) -> dict:
-    """Verdict on (estimate, closed form) pairs that must agree to rounding:
-    the largest relative error passes up to 1e-12 and fails above."""
-    rel = 0.0
-    for value, oracle in pairs:
-        rel = max(rel, abs(value - oracle) / (abs(oracle) if oracle != 0 else 1.0))
-    return verdict(ladder(rel, 1e-12, 1e-12), max_relative_error=rel)
-
-
-def _floored_z(rows) -> dict:
-    """z verdict of Monte Carlo state averages against their exact values, from
-    rows (estimate, stderr, samples, exact value, bound) of per-state terms in
-    [0, bound].  Their variance is at most (bound - mean) * mean (Bhatia &
-    Davis, Amer. Math. Monthly 2000); that floors the yardstick where the
-    sample variance collapses on rare states."""
-    return z_verdict(
-        (value, exact, max(stderr, math.sqrt((bound - exact) * exact / samples)))
-        for value, stderr, samples, exact, bound in rows
-    )
-
-
-def degenerate_laplace_check(env: Environment, estimate: LaplaceIntensityEstimate) -> dict:
-    """Verdict on a beta = 0 transform intensity against its closed form.
-
-    The estimator integrates the (unit) waiting times out exactly, so at
-    beta = 0 it must reproduce the closed form to rounding.
-    """
-    k = estimate.block_count
-    return _closed_form_check(
-        (value, k * (1.0 - degenerate_block_laplace(env, v)) / v)
-        for v, value in zip(estimate.v_values, estimate.values)
-    )
-
-
 def build_condition_report(
     env: Environment,
     horizon: float,
@@ -1051,19 +1006,12 @@ def build_condition_report(
     block_count: int | None = None,
     threads: int = 1,
 ) -> ConditionReport:
-    """Run every per-environment condition estimate and attach verdicts.
+    """Run every per-environment condition estimate into one report, ungraded.
 
-    Statistical verdicts (route agreement, Monte Carlo against closed forms)
-    use z-score units with thresholds 4 (pass) and 6 (warn).  The two
-    tail-exponent fits are judged against an absolute window of 0.15 around
-    the parameter value instead: at finite n the fitted exponent deviates
-    systematically, not statistically, so a z-test against the limit value
-    would reject at any sufficiently large sample size.  Deviations inside
-    the window pass; inside window + 2 fit standard errors they warn.  The
-    two correlated-square routes use max(samples // 5, 2) samples each; every
-    other estimate uses ``samples``.  ``threads`` > 1 draws the walks of the
-    intensity, the transform and the correlated square one row block ahead
-    on a helper thread; no value depends on it.
+    The two correlated-square routes use max(samples // 5, 2) samples each;
+    every other estimate uses ``samples``.  ``threads`` > 1 draws the walks
+    of the intensity, the transform and the correlated square one row block
+    ahead on a helper thread; no value depends on it.
     """
     k = resolve_block_count(env, horizon, block_count)
     literal = _literal_block_count(env, horizon)
@@ -1087,44 +1035,6 @@ def build_condition_report(
     else:
         truncated = []
 
-    verdicts: dict[str, dict] = {}
-    if env.alpha is not None:
-        note = "no tail fit: fewer than two thresholds have hit rates strictly inside (0, 1)"
-        note = note if math.isnan(intensity.slope) else None
-        verdicts["intensity_slope"] = slope_verdict(
-            intensity.slope, -env.alpha, intensity.slope_se, note
-        )
-        verdicts["laplace_slope"] = slope_verdict(laplace.slope, env.alpha - 1.0, laplace.slope_se)
-    verdicts["squared_tail_routes"] = _squared_tail_verdict(squared_a, squared_b)
-    if env.has_energy_table:
-        verdicts["initial_term"] = _floored_z(
-            (est.value, est.stderr, est.samples, est.exact_value, 1.0) for est in initial
-        )
-    if truncated and env.has_energy_table:
-        verdicts["truncated_mean"] = _floored_z(
-            (tm.mc_value, tm.mc_stderr, tm.samples, tm.exact_value,
-             env.step_scale * horizon * _TRUNCATED_TERM_BOUND * tm.epsilon)
-            for tm in truncated
-        )
-
-    if env.beta == 0.0:
-        # every estimator has a closed form here; cross-check them all
-        tails = [degenerate_block_tail(env, float(u)) for u in u_grid]
-        verdicts["degenerate_tail"] = z_verdict(
-            (value, k * q, max(se, k * math.sqrt(q * (1.0 - q) / intensity.samples)))
-            for q, value, se in zip(tails, intensity.values, intensity.stderrs)
-        )
-        joint = [q * q for q in (degenerate_block_tail(env, ea.threshold) for ea in squared_a)]
-        verdicts["degenerate_squared"] = z_verdict(
-            (est.value, k * q2, max(est.stderr, k * math.sqrt(q2 * (1.0 - q2) / est.samples)))
-            for q2, ea, eb in zip(joint, squared_a, squared_b)
-            for est in (ea, eb)
-        )
-        verdicts["degenerate_laplace"] = degenerate_laplace_check(env, laplace)
-        verdicts["degenerate_initial"] = _closed_form_check(
-            (est.value, degenerate_initial_term(env, est.v)) for est in initial
-        )
-
     return ConditionReport(
         n=env.n,
         p=env.p,
@@ -1140,6 +1050,4 @@ def build_condition_report(
         squared_split=squared_b,
         initial_terms=initial,
         truncated_means=truncated,
-        verdicts=verdicts,
-        overall=worst(entry["status"] for entry in verdicts.values()),
     )

@@ -285,7 +285,7 @@ class ExperimentConfig:
         with open(path, "r", encoding="utf-8") as handle:
             try:
                 document = json.load(handle)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise ParameterValidationError(f"config file is not valid JSON: {exc}") from exc
         return cls.from_dict(document)
 

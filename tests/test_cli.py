@@ -19,9 +19,12 @@ from scipy import stats
 
 from clockproc import chain, cli
 from clockproc.chain import mixing_check
-from clockproc.environment import block_length
+from clockproc.conditions import SquaredTailEstimate, plain
+from clockproc.environment import Environment, block_length
 from clockproc.cli import _build_parser, main
 from clockproc.config import ExperimentConfig
+from clockproc.seeding import resolve_seeds
+from clockproc.verdicts import worst
 
 pytestmark = pytest.mark.filterwarnings("ignore:block length")
 
@@ -205,6 +208,101 @@ def test_conditions_and_laplace_outputs_do_not_depend_on_thread_count(command, t
         outputs.append({name: (outdir / name).read_bytes() for name in names})
     assert len(codes) == 1 and codes <= {0, 2, 3}
     assert outputs[0] and outputs[0] == outputs[1] == outputs[2]
+
+
+def squared_rows(route, values, stderrs):
+    return [
+        SquaredTailEstimate(float(u), value, se, 4000, 3, route)
+        for u, value, se in zip([0.5, 1.0, 2.0], values, stderrs)
+    ]
+
+
+def test_squared_tail_verdict_warns_without_a_joint_exceedance():
+    """0 +- 0 on both routes at every threshold is no evidence, not a pass."""
+    empty = [squared_rows(route, [0.0] * 3, [0.0] * 3) for route in ("two-step", "split")]
+    verdict = cli._squared_tail_verdict(*empty)
+    assert verdict["status"] == "warn" and verdict["z"] == 0.0
+    assert "no joint exceedance" in verdict["note"]
+
+
+def test_squared_tail_verdict_skips_thresholds_without_a_hit():
+    """Only thresholds where either route hits add a z; one route's lone hit
+    is graded against the other's zero."""
+    a = squared_rows("two-step", [0.3, 0.0, 0.0], [0.01, 0.0, 0.0])
+    b = squared_rows("split", [0.32, 0.0, 0.0], [0.01, 0.0, 0.0])
+    verdict = cli._squared_tail_verdict(a, b)
+    assert verdict == {"z": pytest.approx(0.02 / math.hypot(0.01, 0.01)), "status": "pass"}
+    b = squared_rows("split", [0.32, 0.0, 0.005], [0.01, 0.0, 0.001])
+    verdict = cli._squared_tail_verdict(a, b)
+    assert verdict == {"z": pytest.approx(5.0), "status": "warn"}
+
+
+def graded_report(verdicts, outputs, tmp_path):
+    """The ``conditions.json`` a conditions runner offers, written and read
+    back; it carries the runner's verdicts and their worst status."""
+    (output,) = [o for o in outputs if o.name == "conditions.json"]
+    output.write(tmp_path / output.name)
+    report = json.loads((tmp_path / output.name).read_text())
+    assert report["verdicts"] == json.loads(json.dumps(plain(verdicts)))
+    assert report["overall"] == worst(entry["status"] for entry in verdicts.values())
+    return report
+
+
+def test_condition_verdicts_beta_zero_all_closed_forms_pass(tmp_path):
+    """At beta = 0 the conditions runner cross-checks every estimator against
+    its closed form; no tail exponent and no jump-count scale exist there."""
+    cfg_path = write_config(tmp_path / "cfg.json", v_grid=[0.5, 1.0], block_count=8)
+    env = Environment.degenerate(6, 3, 0.0, 0.5)
+    verdicts, outputs, _ = cli._run_conditions(env, ExperimentConfig.load(cfg_path), None)
+    for key in ("degenerate_tail", "degenerate_squared", "degenerate_laplace",
+                "degenerate_initial", "initial_term", "squared_tail_routes"):
+        assert key in verdicts, key
+    assert verdicts["degenerate_laplace"]["max_relative_error"] < 1e-12
+    assert verdicts["degenerate_initial"]["max_relative_error"] < 1e-12
+    assert "intensity_slope" not in verdicts
+    assert "truncated_mean" not in verdicts
+    report = graded_report(verdicts, outputs, tmp_path)
+    assert report["truncated_means"] == []
+    assert report["overall"] in ("pass", "warn")
+
+
+def test_condition_verdicts_grade_every_estimate_of_a_sampled_environment(tmp_path):
+    cfg_path = clock_config(tmp_path / "cfg.json", u_grid=[0.25, 0.5, 1.0, 2.0],
+                            v_grid=[0.3, 1.0, 3.0], samples=3000)
+    cfg = ExperimentConfig.load(cfg_path)
+    verdicts, outputs, record = cli._run_conditions(
+        Environment.create(8, 3, 3.0, 2.7, seed=5), cfg, None
+    )
+    assert set(verdicts) == {"intensity_slope", "laplace_slope", "squared_tail_routes",
+                             "initial_term", "truncated_mean"}
+    # the slope verdict of ``conditions`` records no fit evidence beyond its
+    # deviation; ``laplace`` passes the fit's fields through the same grader
+    assert set(verdicts["laplace_slope"]) == {"deviation", "tolerance", "status"}
+    assert graded_report(verdicts, outputs, tmp_path)["overall"] in ("pass", "warn", "fail")
+    assert record["block_count"] == record["literal_block_count"]
+
+
+def test_runners_sweep_environments_in_process(tmp_path):
+    """Building each master seed's environment the way ``run`` does and
+    calling the runners on it in one process gives the verdicts and run
+    record that a ``--seed`` run writes into its manifest."""
+    cfg_path = clock_config(tmp_path / "cfg.json", samples=1000)
+    runners = {"conditions": cli._run_conditions, "clock": cli._run_clock}
+    for seed in (3, 8):
+        cfg = ExperimentConfig.load(cfg_path).replace(master_seed=seed)
+        env = Environment.create(
+            cfg.n, cfg.p, cfg.beta, cfg.gamma, resolve_seeds(seed, "environment", 0),
+            zeta_table=cfg.zeta_table,
+        )
+        for command, runner in runners.items():
+            outdir = tmp_path / f"{command}-{seed}"
+            argv = [command, "--config", str(cfg_path), "--out", str(outdir), "--seed", str(seed)]
+            main(argv)
+            verdicts, _, record = runner(env, cfg, _build_parser().parse_args(argv))
+            manifest = load_manifest(outdir)
+            assert json.loads(json.dumps(plain(verdicts))) == manifest["verdicts"]
+            assert json.loads(json.dumps(plain(record))) == manifest["run"]
+    assert load_manifest(tmp_path / "clock-3")["run"] != load_manifest(tmp_path / "clock-8")["run"]
 
 
 def test_formats_subset_limits_artifacts(tmp_path):
@@ -652,6 +750,13 @@ def test_bad_inputs_exit_with_error_message(tmp_path, capsys):
     assert main(["mixing", "--config", str(broken)]) == 1
     assert "JSON" in capsys.readouterr().err
 
+    # bytes that do not decode as UTF-8, so cannot be JSON either
+    undecodable = tmp_path / "undecodable.json"
+    undecodable.write_bytes(b"\xff\xfe")
+    assert main(["mixing", "--config", str(undecodable)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "JSON" in err and "Traceback" not in err
+
     # well-formed JSON violating a model constraint
     bad = write_config(tmp_path / "bad.json", beta=2.0, gamma=5.0)
     assert main(["mixing", "--config", str(bad)]) == 1
@@ -905,3 +1010,4 @@ def test_every_run_writes_a_well_formed_verdict_block(command, tmp_path):
     assert manifest["overall"] == overall
     assert code == EXIT_CODES[overall]
     assert (manifest["run"] is not None) == (command in RUN_RECORDS)
+    assert cli._COMMANDS[command][1] == (command in RUN_RECORDS)

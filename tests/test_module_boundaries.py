@@ -4,7 +4,9 @@ run by the package, every public method, classmethod and property of an
 exported class is read by it, every exported error class but the base is
 raised by it, only ``verdicts.py`` writes a verdict's status, only
 ``seeding.py`` builds or positions a Philox stream, only ``chain.py`` fans
-replicas out, and no module builds an index of the whole state space.
+replicas out, only ``run`` builds an environment in ``cli.py``,
+``conditions.py`` imports nothing from ``verdicts.py``, and no module builds
+an index of the whole state space.
 
 A name with a leading underscore (dunders such as ``__version__`` aside) is
 private to the module that defines it; a ``from .module import _name``
@@ -16,7 +18,11 @@ longer exists.  A status set outside the graders of ``verdicts.py`` would
 grade by a rule of its own.  A stream built or positioned outside
 ``seeding.py`` would count its draws by arithmetic of its own.  A list of
 ``.replica(...)`` streams built outside ``chain.py`` would split replicas
-into row blocks by a rule of its own.  An
+into row blocks by a rule of its own.  A runner of ``cli.py`` that built its
+own environment could not be handed another one, so a sweep over
+environments would need one process per run; and an estimator module that
+graded its own estimates would split the verdicts of one subcommand between
+two modules.  An
 ``arange`` over all 2^n states costs 8 bytes a state, and its gather as
 much again, beside the energy table; the row-block helper of
 ``conditions.py`` enumerates the states one block of consecutive states at
@@ -459,6 +465,66 @@ def test_only_the_chain_module_fans_replicas_out():
     }
     assert offenders == {}
     assert replica_fan_outs((PACKAGE / "chain.py").read_text())
+
+
+def environment_builds(source: str) -> list[str]:
+    """The module-level function, one entry per call, that calls the
+    ``Environment`` class or its ``create`` or ``degenerate`` constructor;
+    ``<module>`` for a call outside any function."""
+    def name(node) -> str | None:
+        return getattr(node, "id", getattr(node, "attr", None))
+
+    builds = []
+    for statement in ast.parse(source).body:
+        function = statement.name if isinstance(statement, ast.FunctionDef) else "<module>"
+        for node in ast.walk(statement):
+            func = node.func if isinstance(node, ast.Call) else None
+            constructor = name(func) in ("create", "degenerate")
+            if name(func) == "Environment" or (
+                constructor and name(getattr(func, "value", None)) == "Environment"
+            ):
+                builds.append(function)
+    return builds
+
+
+def test_guard_detects_environment_builds():
+    # the environment helper every runner of the CLI called before ``run``
+    # built the environment once and handed it in
+    source = (
+        "def _build_environment(cfg: ExperimentConfig) -> Environment:\n"
+        "    seed = resolve_seeds(cfg.master_seed, 'environment', 0)\n"
+        "    if cfg.beta == 0.0:\n"
+        "        return Environment.degenerate(cfg.n, cfg.p, 0.0, cfg.gamma, seed)\n"
+        "    return Environment.create(cfg.n, cfg.p, cfg.beta, cfg.gamma, seed)\n"
+        "def _run_laplace(cfg, args):\n"
+        "    env = _build_environment(cfg)\n"
+        "def oracles(couplings):\n"
+        "    return [environment.Environment(c, 0.0, 1.0) for c in couplings]\n"
+        "env = environment.Environment.create(8, 3, 3.0, 2.7, 5)\n"
+        "x = Environment.energies(env, s) + Table.create(8) + env.degenerate\n"
+    )
+    assert environment_builds(source) == [
+        "_build_environment", "_build_environment", "oracles", "<module>"
+    ]
+
+
+def test_only_run_builds_an_environment_in_the_cli():
+    assert set(environment_builds((PACKAGE / "cli.py").read_text())) == {"run"}
+
+
+def relative_imports(source: str) -> set[str]:
+    """The package modules a module imports from or imports."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            found |= {node.module} if node.module else {alias.name for alias in node.names}
+    return found
+
+
+def test_the_conditions_module_imports_no_grader():
+    source = "from .verdicts import worst\nfrom . import chain, verdicts as v\nimport numpy\n"
+    assert relative_imports(source) == {"verdicts", "chain"}
+    assert "verdicts" not in relative_imports((PACKAGE / "conditions.py").read_text())
 
 
 def _is_state_count(node) -> bool:

@@ -16,7 +16,7 @@ function's) the lines of its statements that no run reached, or that no
 run called it.  A compound statement counts as reached when any line inside
 it is.  Module and class bodies run at import and are not listed.  pytest
 does not collect this file.  The package's heavy work runs inside numpy, so
-tracing costs little: the eight runs below take about 10 s on two cores.
+tracing costs little: the eight runs below take about 7 s on two cores.
 
 The six subcommands on ``{}`` and the configs of the four benchmark
 workloads (``bench/run.py``: ``conditions`` at n = 14 and n = 20, ``aging``
@@ -27,8 +27,10 @@ at n = 14 with its short (t, s) grid, ``subordinator`` at its defaults), at
   n >= 22, where a 4,000,000-state chunk holds fewer than 2^n states, and
   the tensor contraction of ``Environment.energies`` (``_contract``,
   ``_energy_fold``, ``_signs_from_bits``), which serves n >= 23;
-- the beta = 0 closed forms (``degenerate_*``, ``_closed_form_check``,
-  ``Environment.degenerate`` and the runners' flat branches);
+- the beta = 0 closed forms (``degenerate_*`` of ``conditions``,
+  ``cli._closed_form_check``, ``Environment.degenerate`` and the flat
+  branches of ``run``, ``_laplace_verdicts``, ``_condition_verdicts`` and
+  the runners);
 - the ``--start`` and ``--dump-trajectory`` paths (``_parse_start``,
   ``_trajectory``, ``TrajectorySegment.steps``);
 - the ``s == 0`` and zero-drift branches of ``crossing_probability_batch``;
@@ -38,7 +40,7 @@ at n = 14 with its short (t, s) grid, ``subordinator`` at its defaults), at
   ``SubordinatorPath`` methods they read);
 - the one-thread paths of ``ordered_map`` and ``prefetch``, the config
   coercions of keys the documents leave out, and the raises of the input
-  checks.
+  checks and the error branch of ``main``.
 """
 
 from __future__ import annotations
