@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import math
 import json
 import os
@@ -294,10 +293,10 @@ def _run_conditions(env: Environment, cfg: ExperimentConfig, args) -> _Result:
     )
     verdicts = _condition_verdicts(env, report)
     overall = worst(entry["status"] for entry in verdicts.values())
-    report = dataclasses.replace(report, verdicts=verdicts, overall=overall)
+    write_json = lambda path: report.write_json(path, verdicts=verdicts, overall=overall)
     outputs = [
         _Output("conditions.csv", report.write_csv, "conditions", [0], "one row per grid point"),
-        _Output("conditions.json", report.write_json, "conditions", [0], "full report"),
+        _Output("conditions.json", write_json, "conditions", [0], "full report"),
     ]
     counts = {"block_count": report.block_count, "literal_block_count": report.literal_block_count}
     return verdicts, outputs, _environment_record(env, None) | counts
@@ -589,11 +588,11 @@ def run(command: str, cfg: ExperimentConfig, args) -> int:
     """Execute one subcommand on a validated config; returns the exit code.
 
     This builds the environment the runner samples, from the config's
-    coupling seed; beta = 0 is the flat chain, which the admissibility check
-    would refuse.  The runner computes; this writes each output it offers
-    whose extension is one of ``outputs.formats``, in the runner's order,
-    and records its provenance.  A dumped trajectory is asked for by flag,
-    so it is written whatever the formats.
+    coupling seed, through :meth:`Environment.create` whatever the model
+    (the flat beta = 0 chain too).  The runner computes; this writes each
+    output it offers whose extension is one of ``outputs.formats``, in the
+    runner's order, and records its provenance.  A dumped trajectory is
+    asked for by flag, so it is written whatever the formats.
     """
     outdir = cfg.directory
     os.makedirs(outdir, exist_ok=True)
@@ -601,12 +600,7 @@ def run(command: str, cfg: ExperimentConfig, args) -> int:
     env = None
     if sampled:
         seed = resolve_seeds(cfg.master_seed, "environment", 0)
-        if cfg.beta == 0.0:
-            env = Environment.degenerate(cfg.n, cfg.p, 0.0, cfg.gamma, seed)
-        else:
-            env = Environment.create(
-                cfg.n, cfg.p, cfg.beta, cfg.gamma, seed, zeta_table=cfg.zeta_table
-            )
+        env = Environment.create(cfg.n, cfg.p, cfg.beta, cfg.gamma, seed, cfg.zeta_table)
     verdicts, outputs, record = runner(env, cfg, args)
     artifacts = []
     for output in outputs:

@@ -70,7 +70,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -923,11 +923,9 @@ def plain(obj):
 class ConditionReport:
     """All per-environment condition estimates.
 
-    :func:`build_condition_report` leaves ``verdicts`` empty and ``overall``
-    "pass"; the ``conditions`` runner replaces them with its
-    :mod:`~clockproc.verdicts` records (check name to status, evidence and
-    maybe a note) and their worst status, which :meth:`write_json` writes
-    with the estimates.
+    The report is ungraded: the ``conditions`` runner grades it and hands
+    its :mod:`~clockproc.verdicts` records and their worst status to
+    :meth:`write_json`, which writes them with the estimates.
     """
 
     n: int
@@ -944,15 +942,12 @@ class ConditionReport:
     squared_split: list[SquaredTailEstimate]
     initial_terms: list[InitialTermEstimate]
     truncated_means: list[TruncatedMeanEstimate]
-    verdicts: dict = field(default_factory=dict)
-    overall: str = "pass"
 
-    def to_dict(self) -> dict:
-        return plain(self.__dict__ | {})
-
-    def write_json(self, path) -> None:
+    def write_json(self, path, **graded) -> None:
+        """The estimates as JSON, with any ``graded`` entries (the runner's
+        ``verdicts`` and ``overall``) merged in."""
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True, indent=2)
+            json.dump(plain(self.__dict__ | graded), fh, sort_keys=True, indent=2)
             fh.write("\n")
 
     def write_csv(self, path) -> None:

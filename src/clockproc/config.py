@@ -9,8 +9,10 @@ overrode ``threads`` on the command line.
 
 One table, ``_LAYOUT``, lists each section's keys and the parser of each;
 ``from_dict`` reads the document through it and ``to_dict`` writes it back
-through it.  A null ``overrides`` entry or a null ``threads`` keeps its
-default; a null anywhere else is rejected with the key named.
+through it.  Integer keys are checked by ``validate``, which every config
+passes through, however it was built.  A null ``overrides`` entry or a null
+``threads`` keeps its default; a null anywhere else is rejected with the key
+named.
 
 Configs round-trip losslessly: ``from_dict(cfg.to_dict())`` reproduces the
 config exactly, and the JSON text written by ``save`` parses back to the
@@ -28,7 +30,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from .environment import MAX_SPINS, validate_parameters
+from .environment import validate_parameters
 from .errors import ParameterValidationError
 
 __all__ = [
@@ -61,12 +63,6 @@ def _reject_unknown(section: str, given: dict, allowed: Sequence[str]) -> None:
                 f"unknown key {key!r} in config section {section!r}; "
                 f"allowed keys: {', '.join(allowed)}"
             )
-
-
-def _as_int(section: str, key: str, value: Any) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParameterValidationError(f"{section}.{key} must be an integer; got {value!r}")
-    return value
 
 
 def _as_float(section: str, key: str, value: Any) -> float:
@@ -136,14 +132,16 @@ def _to_json(value: Any) -> Any:
 
 
 # section -> {key: parser}; each key names the ExperimentConfig field it sets.
-# The top-level ``threads`` is the one key outside a section.
+# An integer key has no parser: ``validate`` checks its type, for configs
+# built in code too.  The top-level ``threads`` is the one key outside a
+# section, and an integer.
 _LAYOUT = {
-    "model": {"n": _as_int, "p": _as_int, "beta": _as_float, "gamma": _as_float},
-    "budgets": {"samples": _as_int, "replicas": _as_int, "step_cap": _as_int},
+    "model": {"n": None, "p": None, "beta": _as_float, "gamma": _as_float},
+    "budgets": {"samples": None, "replicas": None, "step_cap": None},
     "grids": {"u_grid": _as_grid, "v_grid": _as_grid, "eps_grid": _as_grid, "ts_grid": _as_pairs},
-    "seeds": {"master_seed": _as_int},
+    "seeds": {"master_seed": None},
     "outputs": {"directory": _as_path, "formats": _as_formats},
-    "overrides": {"block_count": _as_int, "zeta_table": _as_zeta_table},
+    "overrides": {"block_count": None, "zeta_table": _as_zeta_table},
 }
 
 
@@ -186,27 +184,21 @@ class ExperimentConfig:
 
     def validate(self) -> "ExperimentConfig":
         """Check every constraint, raising with the violated one named."""
-        if self.beta == 0.0:
-            # reference model: admissibility does not apply, but the walk
-            # size must still make sense
-            if not isinstance(self.n, int) or not 2 <= self.n <= MAX_SPINS:
-                raise ParameterValidationError(
-                    f"model.n must be an integer in [2, {MAX_SPINS}]; got {self.n!r}"
-                )
-            if not isinstance(self.p, int) or self.p < 3:
-                raise ParameterValidationError(f"model.p must be an integer >= 3; got {self.p!r}")
-            if not 0 <= self.gamma < math.inf:
-                raise ParameterValidationError(
-                    f"model.gamma must be nonnegative and finite; got {self.gamma}"
-                )
-        else:
-            validate_parameters(self.n, self.p, self.beta, self.gamma, self.zeta_table)
-        if self.samples < 1:
-            raise ParameterValidationError(f"budgets.samples must be >= 1; got {self.samples}")
-        if self.replicas < 1:
-            raise ParameterValidationError(f"budgets.replicas must be >= 1; got {self.replicas}")
-        if self.step_cap < 1:
-            raise ParameterValidationError(f"budgets.step_cap must be >= 1; got {self.step_cap}")
+        integers = {
+            f"{section}.{key}": getattr(self, key)
+            for section, parsers in _LAYOUT.items()
+            for key, parse in parsers.items()
+            if parse is None
+        }
+        for name, value in (integers | {"threads": self.threads}).items():
+            if value is None and name in ("overrides.block_count", "threads"):
+                continue  # unset: the default
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ParameterValidationError(f"{name} must be an integer; got {value!r}")
+            # every count is at least 1; the model and the seed have their own bounds
+            if value < 1 and not name.startswith(("model.", "seeds.")):
+                raise ParameterValidationError(f"{name} must be >= 1; got {value}")
+        validate_parameters(self.n, self.p, self.beta, self.gamma, self.zeta_table)
         for key in ("u_grid", "v_grid", "eps_grid"):
             grid = getattr(self, key)
             if not grid:
@@ -233,12 +225,6 @@ class ExperimentConfig:
                 )
         if not self.formats:
             raise ParameterValidationError("outputs.formats must list at least one format")
-        if self.block_count is not None and self.block_count < 1:
-            raise ParameterValidationError(
-                f"overrides.block_count must be >= 1 when set; got {self.block_count}"
-            )
-        if self.threads is not None and self.threads < 1:
-            raise ParameterValidationError(f"threads must be >= 1 when set; got {self.threads}")
         return self
 
     def resolved_threads(self) -> int:
@@ -275,9 +261,9 @@ class ExperimentConfig:
             for key, parse in parsers.items():
                 # an override left null keeps its default (unset)
                 if key in given and (given[key] is not None or section != "overrides"):
-                    kwargs[key] = parse(section, key, given[key])
+                    kwargs[key] = given[key] if parse is None else parse(section, key, given[key])
         if document.get("threads") is not None:
-            kwargs["threads"] = _as_int("<top level>", "threads", document["threads"])
+            kwargs["threads"] = document["threads"]
         return cls(**kwargs).validate()
 
     @classmethod

@@ -166,17 +166,26 @@ def validate_parameters(
     gamma: float,
     zeta_table: dict[int, float] | None = None,
 ) -> None:
-    """Check admissibility 0 < gamma < min(beta^2, zeta(p)*beta) at a finite beta > 0.
+    """Check that (n, p, beta, gamma) is a model clockproc runs.
 
-    Raises ParameterValidationError naming the violated bound.  The bound
-    guarantees 0 < alpha = gamma/beta^2 < 1 for the limiting tail exponent.
+    That is admissibility 0 < gamma < min(beta^2, zeta(p)*beta) at a finite
+    beta > 0, which guarantees 0 < alpha = gamma/beta^2 < 1 for the limiting
+    tail exponent, or the flat reference chain beta = 0 at a finite gamma >=
+    0, which has no limit law and so no admissibility bound.  Raises
+    ParameterValidationError naming the violated bound.
     """
     if not isinstance(n, int) or not 2 <= n <= MAX_SPINS:
         raise ParameterValidationError(f"n must be an integer in [2, {MAX_SPINS}]; got {n!r}")
     if not isinstance(p, int) or p < 3:
         raise ParameterValidationError(f"p must be an integer >= 3; got {p!r}")
+    if beta == 0:
+        if not 0 <= gamma < math.inf:
+            raise ParameterValidationError(
+                f"gamma must be nonnegative and finite at beta = 0; got gamma={gamma}"
+            )
+        return
     if not 0 < beta < math.inf:
-        raise ParameterValidationError(f"beta must be positive and finite; got beta={beta}")
+        raise ParameterValidationError(f"beta must be positive and finite, or 0; got beta={beta}")
     if not gamma > 0:
         raise ParameterValidationError(f"gamma must be positive; got gamma={gamma}")
     z = zeta(p, zeta_table)
@@ -239,11 +248,10 @@ def _walsh_table(values: np.ndarray, n: int, p: int) -> np.ndarray:
 class Environment:
     """Immutable sampled environment: couplings, (beta, gamma), derived scales.
 
-    The constructor takes any couplings and any beta, gamma >= 0, so it also
-    builds the oracle configurations (beta = 0 among them) that closed-form
-    checks need; :meth:`create` samples the couplings from a seed on the
-    admissible domain only, and :meth:`degenerate` samples them without that
-    check.
+    :meth:`create` samples the couplings from a seed for every model that
+    :func:`validate_parameters` accepts, the flat beta = 0 chain included.
+    The bare constructor takes any couplings and any beta, gamma >= 0, so
+    tests also build oracle configurations outside that domain with it.
 
     :meth:`energies` is the one way to read the energies.  At n <=
     ``MAX_TABLE_SPINS`` it gathers from the table of all 2^n energies, so
@@ -279,7 +287,7 @@ class Environment:
         self.couplings = couplings
         self.n = n = couplings.n
         self.p = couplings.p
-        self.beta = beta = float(beta)
+        self.beta = beta = abs(float(beta))  # -0.0 is stored as the flat chain's 0.0
         self.gamma = gamma = float(gamma)
         self.block_length = block_length(n)
         # the tail exponent gamma/beta^2 and the jump-count scale
@@ -308,10 +316,11 @@ class Environment:
         seed: int,
         zeta_table: dict[int, float] | None = None,
     ) -> "Environment":
-        """Validated environment on the admissible parameter domain."""
+        """Environment of a model :func:`validate_parameters` accepts (the flat
+        beta = 0 chain too), with its couplings sampled from ``seed``."""
         validate_parameters(n, p, beta, gamma, zeta_table)
         env = cls(CouplingTensor.sample(n, p, seed), beta, gamma)
-        if math.isfinite(env.step_scale) and env.block_length >= 0.5 * env.step_scale:
+        if env.step_scale is not None and env.block_length >= 0.5 * env.step_scale:
             warnings.warn(
                 f"block length {env.block_length} is not small against the "
                 f"jump-count scale {env.step_scale:.3g} at n={n}; "
@@ -319,16 +328,6 @@ class Environment:
                 stacklevel=2,
             )
         return env
-
-    @classmethod
-    def degenerate(cls, n: int, p: int, beta: float, gamma: float, seed: int = 0) -> "Environment":
-        """Unvalidated environment for closed-form oracle configurations.
-
-        Allows beta = 0 and/or gamma = 0.  The jump-count scale is undefined
-        at beta = 0 (stored as None); estimators that need it require an
-        explicit block-count override there.
-        """
-        return cls(CouplingTensor.sample(n, p, seed), beta, gamma)
 
     def _contract(self, states: np.ndarray) -> np.ndarray:
         """Energies of a flat array of packed states by tensor contraction, one

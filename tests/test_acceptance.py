@@ -160,7 +160,7 @@ def test_criterion_03_conditional_transform_exactness():
 
 
 def test_criterion_04_flat_chain_closed_forms():
-    env = Environment.degenerate(6, P, 0.0, 0.5, seed=resolve_seeds(CANONICAL_SEED, "environment", 0))
+    env = Environment.create(6, P, 0.0, 0.5, seed=resolve_seeds(CANONICAL_SEED, "environment", 0))
     scale = math.exp(env.log_time_scale)
     t0 = time.perf_counter()
 

@@ -33,7 +33,7 @@ pytestmark = pytest.mark.filterwarnings("ignore:block length")
 
 
 def test_correlation_indicator_trivial_cases():
-    env = Environment.degenerate(6, 3, 0.0, 0.5)
+    env = Environment.create(6, 3, 0.0, 0.5, 0)
     seg = simulate_segment(env, SpinConfig(6, 0), 2000, ReplicaStreams.from_seed(1))
     # epsilon = 2 accepts every overlap in [-1, 1]
     assert correlation_indicator(env, seg, 0.5, 0.5, 2.0, time_unit=1.0) == 1
@@ -310,7 +310,7 @@ def test_aging_curve_input_validation():
         )
     # beta = 0 has no tail exponent and no jump-count scale: its curve is
     # the closed form, and the Monte Carlo refuses it
-    flat = Environment.degenerate(6, 3, 0.0, 0.5)
+    flat = Environment.create(6, 3, 0.0, 0.5, 0)
     with pytest.raises(ParameterValidationError, match="beta > 0"):
         estimate_aging_curve(flat, [(1.0, 1.0)], 0.25, replicas=4, master_seed=1)
 
@@ -403,7 +403,7 @@ def test_flat_monte_carlo_agrees_with_the_closed_form(n, epsilon, seed):
     """The beta = 0 walker, one replica at a time on the time unit
     block_length(n), against the closed form: binomial z <= 4, with the se
     from the exact p (a sample se collapses where p is near 0)."""
-    env = Environment.degenerate(n, 3, 0.0, 0.5)
+    env = Environment.create(n, 3, 0.0, 0.5, 0)
     pairs = [(0.5, 0.01), (1.0, 0.03), (0.2, 0.06), (2.0, 0.2), (0.0, 1.0)]
     replicas = 300
     curve = doubling_aging_curve(
@@ -422,7 +422,7 @@ def test_flat_monte_carlo_agrees_with_the_closed_form(n, epsilon, seed):
 
 def test_trap_diagnostic_beta_zero_is_untrapped():
     """Unit-mean holds spread a block's time over ~theta states: no trap."""
-    env = Environment.degenerate(8, 3, 0.0, 0.5)
+    env = Environment.create(8, 3, 0.0, 0.5, 0)
     theta = env.block_length
     seg = simulate_segment(env, SpinConfig(8, 0), 4 * theta + 1, ReplicaStreams.from_seed(17))
     for b in range(4):
@@ -445,7 +445,7 @@ def test_trap_diagnostic_finds_deep_trap_at_low_temperature():
 
 
 def test_trap_diagnostic_validation_and_reentry_flag():
-    env = Environment.degenerate(6, 3, 0.0, 0.5)
+    env = Environment.create(6, 3, 0.0, 0.5, 0)
     theta = env.block_length
     seg = simulate_segment(env, SpinConfig(6, 0), theta + 1, ReplicaStreams.from_seed(21))
     rep = trap_localization_diagnostic(env, seg, 0, epsilon=2.0)
@@ -466,7 +466,7 @@ def test_trap_diagnostic_validation_and_reentry_flag():
 def test_trap_diagnostic_rejects_a_threshold_or_epsilon_out_of_range(keyword, value):
     """The dominant fraction is a share in (0, 1] and the overlap ball needs
     epsilon in (0, 2]; the error names the parameter."""
-    env = Environment.degenerate(6, 3, 0.0, 0.5)
+    env = Environment.create(6, 3, 0.0, 0.5, 0)
     seg = simulate_segment(
         env, SpinConfig(6, 0), env.block_length + 1, ReplicaStreams.from_seed(21)
     )

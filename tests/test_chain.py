@@ -231,7 +231,7 @@ def test_cumulative_and_horizon():
 
 def test_beta_zero_increment_mean():
     """At beta=0 the waiting times are unit exponentials: mean 1 (3 sigma)."""
-    env = Environment.degenerate(8, 3, 0.0, 1.0)
+    env = Environment.create(8, 3, 0.0, 1.0, 0)
     seg = simulate_segment(env, SpinConfig(8, 0), 100_000, ReplicaStreams.from_seed(12))
     m = seg.increments.mean()
     assert abs(m - 1.0) < 3.0 / math.sqrt(len(seg.increments))

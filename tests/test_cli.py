@@ -252,7 +252,7 @@ def test_condition_verdicts_beta_zero_all_closed_forms_pass(tmp_path):
     """At beta = 0 the conditions runner cross-checks every estimator against
     its closed form; no tail exponent and no jump-count scale exist there."""
     cfg_path = write_config(tmp_path / "cfg.json", v_grid=[0.5, 1.0], block_count=8)
-    env = Environment.degenerate(6, 3, 0.0, 0.5)
+    env = Environment.create(6, 3, 0.0, 0.5, 0)
     verdicts, outputs, _ = cli._run_conditions(env, ExperimentConfig.load(cfg_path), None)
     for key in ("degenerate_tail", "degenerate_squared", "degenerate_laplace",
                 "degenerate_initial", "initial_term", "squared_tail_routes"):

@@ -7,6 +7,7 @@ import pytest
 
 from clockproc import config
 from clockproc.config import ExperimentConfig, default_ts_grid
+from clockproc.environment import Environment
 from clockproc.errors import ParameterValidationError
 
 
@@ -98,10 +99,20 @@ def test_validation_names_the_violated_constraint():
         with pytest.raises(ParameterValidationError, match=r"grids\.ts_grid .*finite"):
             ExperimentConfig(ts_grid=(pair,)).validate()
     for gamma in (nan, inf):
-        with pytest.raises(ParameterValidationError, match=r"model\.gamma .*finite"):
+        with pytest.raises(ParameterValidationError, match=r"gamma must be .*finite"):
             ExperimentConfig(beta=0.0, gamma=gamma).validate()
     with pytest.raises(ParameterValidationError, match="beta must be positive and finite"):
         ExperimentConfig(beta=inf).validate()
+    # configs built in code also skip from_dict's parsing of integers, so
+    # validate rejects a float, a bool or a null in an integer key itself
+    for name, value in (
+        ("budgets.samples", 2.5), ("budgets.replicas", 3.5), ("budgets.step_cap", 1e3),
+        ("budgets.samples", True), ("budgets.samples", None), ("seeds.master_seed", 3.0),
+        ("overrides.block_count", 2.0), ("overrides.block_count", True), ("threads", 1.5),
+        ("threads", True),
+    ):
+        with pytest.raises(ParameterValidationError, match=rf"^{name} must be an integer; got"):
+            ExperimentConfig(**{name.rpartition(".")[2]: value}).validate()
 
 
 def test_spin_count_above_the_packed_state_limit_is_rejected():
@@ -110,8 +121,60 @@ def test_spin_count_above_the_packed_state_limit_is_rejected():
     ExperimentConfig(beta=0.0, gamma=0.5, n=63).validate()
     with pytest.raises(ParameterValidationError, match=r"\[2, 63\]; got 70"):
         ExperimentConfig(n=70).validate()
-    with pytest.raises(ParameterValidationError, match=r"model\.n .*\[2, 63\]; got 70"):
+    with pytest.raises(ParameterValidationError, match=r"n must be an integer in \[2, 63\]; got 70"):
         ExperimentConfig(beta=0.0, gamma=0.5, n=70).validate()
+
+
+# (n, p, beta, gamma, zeta table) -> None where the model runs, else the
+# pattern of the bound its refusal names
+_BOUND = r"gamma must satisfy gamma < min\(beta\^2, zeta\(p\)\*beta\)"
+DOMAIN = [
+    # the flat reference chain: any finite gamma >= 0 at n in [2, 63], p >= 3
+    ((2, 3, 0.0, 0.0, None), None),
+    ((8, 3, 0.0, 0.5, None), None),
+    ((63, 3, 0.0, 2.7, None), None),
+    ((8, 5, -0.0, 0.0, None), None),
+    ((8, 3, 0.0, 100.0, None), None),
+    ((8, 3, 0.0, -0.5, None), "gamma must be nonnegative and finite"),
+    ((8, 3, 0.0, math.nan, None), "gamma must be nonnegative and finite"),
+    ((8, 3, 0.0, math.inf, None), "gamma must be nonnegative and finite"),
+    ((1, 3, 0.0, 0.5, None), r"n must be an integer in \[2, 63\]"),
+    ((64, 3, 0.0, 0.5, None), r"n must be an integer in \[2, 63\]"),
+    ((8, 2, 0.0, 0.5, None), "p must be an integer >= 3"),
+    ((8, 3, -1.0, 0.0, None), "beta must be positive and finite"),
+    ((8, 3, -1e-300, 0.5, None), "beta must be positive and finite"),
+    # beta > 0: admissibility 0 < gamma < min(beta^2, zeta(p)*beta)
+    ((10, 3, 3.0, 2.7, None), None),
+    ((10, 3, 0.5, 0.2, None), None),
+    ((10, 3, 3.0, 3.2, {3: 1.12}), None),
+    ((10, 3, 3.0, 3.2, None), _BOUND),
+    ((10, 3, 0.5, 0.25, None), _BOUND),
+    ((10, 3, 3.0, 3.4, {3: 1.12}), _BOUND),
+    ((10, 3, 3.0, 0.0, None), "gamma must be positive"),
+    ((10, 3, 3.0, math.nan, None), "gamma must be positive"),
+    ((10, 3, math.inf, 2.7, None), "beta must be positive and finite"),
+    ((10, 3, math.nan, 2.7, None), "beta must be positive and finite"),
+    ((1, 3, 3.0, 2.7, None), r"n must be an integer in \[2, 63\]"),
+    ((10, 2, 3.0, 2.7, None), "p must be an integer >= 3"),
+]
+
+
+@pytest.mark.filterwarnings("ignore:block length")
+@pytest.mark.parametrize(
+    "model, bound", DOMAIN, ids=["-".join(map(str, model[:4])) for model, _ in DOMAIN]
+)
+def test_config_and_environment_share_one_model_domain(model, bound):
+    n, p, beta, gamma, zeta_table = model
+    builds = (
+        lambda: ExperimentConfig(n=n, p=p, beta=beta, gamma=gamma, zeta_table=zeta_table).validate(),
+        lambda: Environment.create(n, p, beta, gamma, 0, zeta_table),
+    )
+    for build in builds:
+        if bound is None:
+            build()
+        else:
+            with pytest.raises(ParameterValidationError, match=rf"^{bound}"):
+                build()
 
 
 def test_beta_zero_reference_model_is_allowed():

@@ -4,6 +4,7 @@ import itertools
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -186,8 +187,13 @@ def test_validate_parameters_rejections_name_the_bound():
         validate_parameters(1, 3, 3.0, 2.7)
     with pytest.raises(ParameterValidationError, match="p must be"):
         validate_parameters(10, 2, 3.0, 2.7)
-    with pytest.raises(ParameterValidationError, match="beta must be"):
-        validate_parameters(10, 3, 0.0, 2.7)
+    # beta = 0 is the flat chain: any finite gamma >= 0, but never a negative beta
+    validate_parameters(10, 3, 0.0, 2.7)
+    for gamma in (-0.5, math.nan, math.inf):
+        with pytest.raises(ParameterValidationError, match="gamma must be nonnegative and finite"):
+            validate_parameters(10, 3, 0.0, gamma)
+    with pytest.raises(ParameterValidationError, match="beta must be positive and finite, or 0"):
+        validate_parameters(10, 3, -1.0, 0.0)
     # an infinite beta would give alpha = 0 and holds exp(inf * H) of 0 or inf
     for beta in (math.inf, math.nan):
         with pytest.raises(ParameterValidationError, match="beta must be positive and finite"):
@@ -233,13 +239,19 @@ def test_environment_warns_when_blocks_outgrow_step_scale():
 
 
 def test_environment_degenerate_beta_zero():
-    env = Environment.degenerate(8, 3, 0.0, 1.0)
+    env = Environment.create(8, 3, 0.0, 1.0, 0)
     assert env.alpha is None
     assert env.step_scale is None
     with pytest.raises(DegenerateScaleError):
         env.block_count(1.0)
     with pytest.raises(ParameterValidationError):
-        Environment.degenerate(8, 3, -1.0, 1.0)
+        Environment.create(8, 3, -1.0, 1.0, 0)
+    # the flat chain has no jump-count scale to warn against, even at n = 2,
+    # and a beta of -0.0 is the same chain
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        Environment.create(2, 3, 0.0, 0.0, 0)
+    assert math.copysign(1.0, Environment.create(8, 3, -0.0, 1.0, 0).beta) == 1.0
     # the bare constructor owns that check
     with pytest.raises(ParameterValidationError, match="nonnegative"):
         Environment(env.couplings, 1.0, -0.5)

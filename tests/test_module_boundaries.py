@@ -489,27 +489,34 @@ def environment_builds(source: str) -> list[str]:
 
 def test_guard_detects_environment_builds():
     # the environment helper every runner of the CLI called before ``run``
-    # built the environment once and handed it in
+    # built the environment once and handed it in, with its flat branch
+    # written as a bare build
     source = (
         "def _build_environment(cfg: ExperimentConfig) -> Environment:\n"
         "    seed = resolve_seeds(cfg.master_seed, 'environment', 0)\n"
         "    if cfg.beta == 0.0:\n"
-        "        return Environment.degenerate(cfg.n, cfg.p, 0.0, cfg.gamma, seed)\n"
+        "        return Environment(CouplingTensor.sample(cfg.n, cfg.p, seed), 0.0, cfg.gamma)\n"
         "    return Environment.create(cfg.n, cfg.p, cfg.beta, cfg.gamma, seed)\n"
         "def _run_laplace(cfg, args):\n"
         "    env = _build_environment(cfg)\n"
         "def oracles(couplings):\n"
         "    return [environment.Environment(c, 0.0, 1.0) for c in couplings]\n"
         "env = environment.Environment.create(8, 3, 3.0, 2.7, 5)\n"
+        "y = Environment.degenerate(8, 3, 0.0, 1.0)\n"
         "x = Environment.energies(env, s) + Table.create(8) + env.degenerate\n"
     )
     assert environment_builds(source) == [
-        "_build_environment", "_build_environment", "oracles", "<module>"
+        "_build_environment", "_build_environment", "oracles", "<module>", "<module>"
     ]
 
 
-def test_only_run_builds_an_environment_in_the_cli():
-    assert set(environment_builds((PACKAGE / "cli.py").read_text())) == {"run"}
+def test_only_run_builds_an_environment():
+    builds = {
+        path.name: set(found)
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (found := environment_builds(path.read_text()))
+    }
+    assert builds == {"cli.py": {"run"}}
 
 
 def relative_imports(source: str) -> set[str]:

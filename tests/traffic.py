@@ -28,9 +28,9 @@ at n = 14 with its short (t, s) grid, ``subordinator`` at its defaults), at
   the tensor contraction of ``Environment.energies`` (``_contract``,
   ``_energy_fold``, ``_signs_from_bits``), which serves n >= 23;
 - the beta = 0 closed forms (``degenerate_*`` of ``conditions``,
-  ``cli._closed_form_check``, ``Environment.degenerate`` and the flat
-  branches of ``run``, ``_laplace_verdicts``, ``_condition_verdicts`` and
-  the runners);
+  ``cli._closed_form_check``, and the flat branches of
+  ``validate_parameters``, ``_laplace_verdicts``, ``_condition_verdicts``
+  and the runners);
 - the ``--start`` and ``--dump-trajectory`` paths (``_parse_start``,
   ``_trajectory``, ``TrajectorySegment.steps``);
 - the ``s == 0`` and zero-drift branches of ``crossing_probability_batch``;
