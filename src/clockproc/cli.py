@@ -49,6 +49,10 @@ execution, configuration or usage errors.
 All randomness is derived from the config's master seed through tagged
 streams, and reductions happen in replica order, so outputs are
 byte-identical across reruns and thread counts.
+
+``scipy.special`` is imported inside the functions that call it, at their
+first call, so importing this module, ``--help``, ``mixing`` and a refused
+config never load it.
 """
 
 from __future__ import annotations
@@ -64,7 +68,6 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 import scipy
-from scipy import special
 
 from . import __version__
 from .aging import estimate_aging_curve, flat_aging_curve, trap_localization_diagnostic
@@ -388,6 +391,7 @@ def _run_clock(env: Environment, cfg: ExperimentConfig, args) -> _Result:
         cdf = -np.expm1(-env.alpha * np.log(x))
         i = np.arange(1, n + 1)
         statistic = float(max(np.max(i / n - cdf), np.max(cdf - (i - 1) / n)))
+        from scipy import special
         p_value = min(1.0, 2.0 * float(special.smirnov(n, statistic)))
         verdicts["clock_jump_law"] = verdict(
             ladder(-p_value, -1e-3, -1e-6),  # pass at p >= 1e-3

@@ -74,7 +74,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from scipy import special
 
 from .chain import index_walk, scaled_holds
 from .environment import Environment
@@ -612,6 +611,7 @@ def estimate_intensity_laplace(
     if horizon is not None and 0 < alpha_hat < 1:
         log_amp = fit.intercept - math.log(horizon) - math.lgamma(1.0 - alpha_hat)
         amp = math.exp(log_amp)
+        from scipy import special
         psi = special.digamma(1.0 - alpha_hat)
         var_log = fit.intercept_se**2 + (psi * fit.slope_se) ** 2 + 2.0 * psi * fit.cov
         amp_se = amp * math.sqrt(max(var_log, 0.0))
@@ -797,6 +797,7 @@ def truncated_mean_quadrature(env: Environment, epsilon: float, horizon: float) 
     # u = ln x; extra factor x from the change of variables.  The end terms
     # are hundreds of e-folds below the peak, so the trapezoid's halving of
     # them is moot.
+    from scipy import special
     vals = 2.0 * u - np.exp(u) + 0.5 * s * s + special.log_ndtr((gn + log_eps - u) / s - s)
     peak = float(vals.max())
     log_value = peak + math.log(h * float(np.exp(vals - peak).sum()))
@@ -808,6 +809,7 @@ def _truncated_terms(inverse_holds: np.ndarray, epsilon: float, out: np.ndarray)
     scaled hold mean, e the unit exponential hold integrated out, and P(2, a) =
     1 - e^-a (1 + a).  At a = eps/m >= 1 that is m - e^-a (m + eps); below, it
     cancels, and eps * a/2 * 1F1(2; 3; -a) gives it, 0 at a saturated m = inf."""
+    from scipy import special
     holds = np.reciprocal(inverse_holds)
     a = np.multiply(inverse_holds, epsilon, out=out)
     series = np.flatnonzero(a < 1.0)
@@ -878,6 +880,7 @@ def _require_unit_holding(env: Environment) -> None:
 
 def degenerate_block_tail(env: Environment, threshold: float) -> float:
     """Exact block exceedance at beta = 0: a Gamma(block_length) upper tail."""
+    from scipy import special
     _require_unit_holding(env)
     return float(special.gammaincc(env.block_length, threshold * env.time_scale))
 

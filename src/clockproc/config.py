@@ -9,10 +9,12 @@ overrode ``threads`` on the command line.
 
 One table, ``_LAYOUT``, lists each section's keys and the parser of each;
 ``from_dict`` reads the document through it and ``to_dict`` writes it back
-through it.  Integer keys are checked by ``validate``, which every config
-passes through, however it was built.  A null ``overrides`` entry or a null
-``threads`` keeps its default; a null anywhere else is rejected with the key
-named.
+through it.  ``validate``, which every config passes through, however it
+was built, runs each key's parser over the field as a check and checks the
+integer keys itself, so a config built in code is refused where its JSON
+document would be, with the same key named.  A null ``overrides`` entry or
+a null ``threads`` keeps its default; a null anywhere else is rejected with
+the key named.
 
 Configs round-trip losslessly: ``from_dict(cfg.to_dict())`` reproduces the
 config exactly, and the JSON text written by ``save`` parses back to the
@@ -65,10 +67,14 @@ def _reject_unknown(section: str, given: dict, allowed: Sequence[str]) -> None:
             )
 
 
-def _as_float(section: str, key: str, value: Any) -> float:
+def _as_number(section: str, key: str, value: Any) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParameterValidationError(f"{section}.{key} must be a number; got {value!r}")
-    out = float(value)
+    return float(value)
+
+
+def _as_float(section: str, key: str, value: Any) -> float:
+    out = _as_number(section, key, value)
     if not math.isfinite(out):
         raise ParameterValidationError(f"{section}.{key} must be finite; got {value!r}")
     return out
@@ -132,11 +138,12 @@ def _to_json(value: Any) -> Any:
 
 
 # section -> {key: parser}; each key names the ExperimentConfig field it sets.
-# An integer key has no parser: ``validate`` checks its type, for configs
-# built in code too.  The top-level ``threads`` is the one key outside a
-# section, and an integer.
+# An integer key has no parser: ``validate`` checks its type.  The model's
+# numbers are only typed here, since ``validate_parameters`` names their
+# bounds, finiteness among them.  The top-level ``threads`` is the one key
+# outside a section, and an integer.
 _LAYOUT = {
-    "model": {"n": None, "p": None, "beta": _as_float, "gamma": _as_float},
+    "model": {"n": None, "p": None, "beta": _as_number, "gamma": _as_number},
     "budgets": {"samples": None, "replicas": None, "step_cap": None},
     "grids": {"u_grid": _as_grid, "v_grid": _as_grid, "eps_grid": _as_grid, "ts_grid": _as_pairs},
     "seeds": {"master_seed": None},
@@ -184,33 +191,34 @@ class ExperimentConfig:
 
     def validate(self) -> "ExperimentConfig":
         """Check every constraint, raising with the violated one named."""
-        integers = {
-            f"{section}.{key}": getattr(self, key)
+        keys = [
+            (f"{section}.{key}", parse, getattr(self, key))
             for section, parsers in _LAYOUT.items()
             for key, parse in parsers.items()
-            if parse is None
-        }
-        for name, value in (integers | {"threads": self.threads}).items():
-            if value is None and name in ("overrides.block_count", "threads"):
+        ]
+        for name, parse, value in keys + [("threads", None, self.threads)]:
+            if value is None and name.startswith(("overrides.", "threads")):
                 continue  # unset: the default
-            if isinstance(value, bool) or not isinstance(value, int):
+            if parse is not None:
+                parse(*name.split("."), value)  # a check: the field keeps its value
+            elif isinstance(value, bool) or not isinstance(value, int):
                 raise ParameterValidationError(f"{name} must be an integer; got {value!r}")
             # every count is at least 1; the model and the seed have their own bounds
-            if value < 1 and not name.startswith(("model.", "seeds.")):
+            elif value < 1 and not name.startswith(("model.", "seeds.")):
                 raise ParameterValidationError(f"{name} must be >= 1; got {value}")
         validate_parameters(self.n, self.p, self.beta, self.gamma, self.zeta_table)
         for key in ("u_grid", "v_grid", "eps_grid"):
             grid = getattr(self, key)
             if not grid:
                 raise ParameterValidationError(f"grids.{key} must be nonempty")
-            if not all(0 < item < math.inf for item in grid):
-                raise ParameterValidationError(f"grids.{key} entries must be positive and finite")
+            if not all(item > 0 for item in grid):
+                raise ParameterValidationError(f"grids.{key} entries must be positive")
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise ParameterValidationError(f"grids.{key} must be strictly increasing")
         for t, s in self.ts_grid:
-            if not (0 <= t < math.inf and 0 < s < math.inf):
+            if not (t >= 0 and s > 0):
                 raise ParameterValidationError(
-                    f"grids.ts_grid pairs need finite t >= 0 and s > 0; got ({t}, {s})"
+                    f"grids.ts_grid pairs need t >= 0 and s > 0; got ({t}, {s})"
                 )
         if not (0 <= self.master_seed < 1 << 64):
             raise ParameterValidationError(

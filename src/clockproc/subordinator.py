@@ -34,7 +34,6 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import HorizonError, ParameterValidationError
 from .parallel import ordered_map
@@ -192,6 +191,7 @@ def arcsine_cdf(alpha: float, x) -> np.ndarray | float:
     arr = np.asarray(x, dtype=np.float64)
     if np.any((arr < 0) | (arr > 1)):
         raise ParameterValidationError("x must lie in [0, 1]")
+    from scipy import special
     out = special.betainc(alpha, 1.0 - alpha, arr)
     return float(out) if np.isscalar(x) else out
 
@@ -292,6 +292,7 @@ def truncated_laplace_exponent(measure: PowerLawLevyMeasure, cutoff: float, v: f
         raise ParameterValidationError(f"v must be nonnegative; got {v}")
     if cutoff < 0:
         raise ParameterValidationError(f"cutoff must be nonnegative; got {cutoff}")
+    from scipy import special
     a = measure.alpha
     head = cutoff ** -a * -math.expm1(-v * cutoff) if cutoff > 0 else 0.0
     tail = v**a * math.gamma(1.0 - a) * float(special.gammaincc(1.0 - a, v * cutoff))

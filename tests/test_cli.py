@@ -843,6 +843,34 @@ def test_importing_the_cli_leaves_scipy_integrate_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_importing_the_cli_leaves_scipy_special_unloaded():
+    """scipy.special costs about 0.2 s of every start-up, so the package
+    imports it inside the functions that call it."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, clockproc.cli; print('scipy.special' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_mixing_run_leaves_scipy_special_unloaded(tmp_path):
+    """The exact mixing check calls no special function, so its whole run
+    never loads scipy.special."""
+    cfg_path = write_config(tmp_path / "cfg.json")
+    outdir = tmp_path / "out"
+    argv = ["mixing", "--config", str(cfg_path), "--out", str(outdir)]
+    script = (
+        f"import sys; from clockproc.cli import main; code = main({argv!r}); "
+        "print(code, 'scipy.special' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].split() == ["0", "False"]
+    assert (outdir / "mixing.csv").exists()
+
+
 # subcommand -> (config document, the file that shows the run reached the
 # code that once imported scipy.stats or scipy.integrate, and a text in it)
 RUNS_WITHOUT_SLOW_IMPORTS = {

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 
@@ -113,6 +114,24 @@ def test_validation_names_the_violated_constraint():
     ):
         with pytest.raises(ParameterValidationError, match=rf"^{name} must be an integer; got"):
             ExperimentConfig(**{name.rpartition(".")[2]: value}).validate()
+    # configs built in code also pass each key through its section's parser,
+    # so a mistyped value is refused as its JSON document is, with one message
+    for name, value, others, message in (
+        ("model.gamma", "2.7", {}, "model.gamma must be a number; got '2.7'"),
+        ("model.beta", True, {"gamma": 0.5}, "model.beta must be a number; got True"),
+        ("grids.u_grid", ("a", "b"), {}, "grids.u_grid must be a number; got 'a'"),
+        ("grids.v_grid", [1.0, True], {}, "grids.v_grid must be a number; got True"),
+        ("outputs.directory", 5, {}, "outputs.directory must be a string"),
+    ):
+        section, key = name.split(".")
+        document = {"model": dict(others)}
+        document.setdefault(section, {})[key] = value
+        for build in (
+            lambda: ExperimentConfig(**{key: value}, **others).validate(),
+            lambda: ExperimentConfig.from_dict(document),
+        ):
+            with pytest.raises(ParameterValidationError, match=f"^{re.escape(message)}$"):
+                build()
 
 
 def test_spin_count_above_the_packed_state_limit_is_rejected():

@@ -5,8 +5,9 @@ exported class is read by it, every exported error class but the base is
 raised by it, only ``verdicts.py`` writes a verdict's status, only
 ``seeding.py`` builds or positions a Philox stream, only ``chain.py`` fans
 replicas out, only ``run`` builds an environment in ``cli.py``,
-``conditions.py`` imports nothing from ``verdicts.py``, and no module builds
-an index of the whole state space.
+``conditions.py`` imports nothing from ``verdicts.py``, no module builds an
+index of the whole state space, and no module imports a scipy submodule at
+module level.
 
 A name with a leading underscore (dunders such as ``__version__`` aside) is
 private to the module that defines it; a ``from .module import _name``
@@ -26,7 +27,10 @@ two modules.  An
 ``arange`` over all 2^n states costs 8 bytes a state, and its gather as
 much again, beside the energy table; the row-block helper of
 ``conditions.py`` enumerates the states one block of consecutive states at
-a time instead.
+a time instead.  A scipy submodule imported at module level loads with the
+CLI, so every process pays for it before it does anything (``scipy.special``
+took about half of the start-up); imported inside the function that calls
+it, it loads at that function's first call.
 """
 
 import ast
@@ -586,5 +590,55 @@ def test_no_module_builds_a_whole_state_space_index():
         path.name: lines
         for path in sorted(PACKAGE.glob("*.py"))
         if (lines := whole_state_indices(path.read_text()))
+    }
+    assert offenders == {}
+
+
+def eager_scipy_imports(source: str) -> list[str]:
+    """Imports of a scipy submodule, or of a name from one, that run when the
+    module is imported: those outside any function or lambda body."""
+    found = []
+
+    def visit(node) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                found.extend(
+                    f"import {alias.name}" for alias in child.names
+                    if alias.name.startswith("scipy.")
+                )
+            elif isinstance(child, ast.ImportFrom) and child.level == 0 and (
+                child.module == "scipy" or child.module.startswith("scipy.")
+            ):
+                names = ", ".join(alias.name for alias in child.names)
+                found.append(f"from {child.module} import {names}")
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+def test_guard_detects_eager_scipy_imports():
+    source = (
+        "import scipy\nfrom scipy import special\nimport scipy.special\n"
+        "from scipy.special import betainc\n"
+        "import numpy, scipy.linalg as la\nfrom scipyx import y\nfrom . import scipy\n"
+        "class Kind:\n    from scipy import stats\n"
+        "if scipy:\n    from scipy import integrate\n"
+        "def f(x):\n    from scipy import special\n    return special.smirnov(x, 0.1)\n"
+        "async def g():\n    import scipy.optimize\n"
+    )
+    assert eager_scipy_imports(source) == [
+        "from scipy import special", "import scipy.special", "from scipy.special import betainc",
+        "import scipy.linalg", "from scipy import stats", "from scipy import integrate",
+    ]
+
+
+def test_no_module_imports_a_scipy_submodule_at_module_level():
+    offenders = {
+        path.name: hits
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (hits := eager_scipy_imports(path.read_text()))
     }
     assert offenders == {}
