@@ -1,14 +1,16 @@
 """Nearest-neighbour walks on the hypercube and their re-clocked time changes.
 
 The jump chain is simple random walk: each step flips one uniformly chosen
-spin.  The clock process attaches to every visited state an exponential
+spin.  ``walk_paths`` builds every walk of the package, the condition
+estimators' too, and ``uniform_starts`` draws every stationary (uniform)
+start.  The clock process attaches to every visited state an exponential
 waiting time scaled by the holding time tau of that state; aggregating the
 rescaled clock over fixed-length blocks yields the jump sizes whose tail
 statistics the conditions module estimates.  ``scaled_holds`` is the one
 place a hold is rescaled, as exp(beta*H - log time scale).  One row path
 draws every trajectory: a row block of replicas at a time, each from its own
-streams, from a given start or the stationary (uniform) one; only
-``map_replicas`` splits replicas into row blocks for the thread pool.
+streams, from a given start or the stationary one; only ``map_replicas``
+splits replicas into row blocks for the thread pool.
 ``blocked_clocks`` folds a block's rescaled holds straight into block sums,
 ``simulate_segment`` keeps one replica's whole segment, and
 ``extend_segment`` continues a segment with the same streams.
@@ -53,32 +55,24 @@ __all__ = [
 SEGMENT_BLOCK_STATES = 1 << 14
 
 
-def _walk(states: np.ndarray, flips: np.ndarray) -> np.ndarray:
-    """Fill in place the paths whose starts ``states[..., 0]`` holds, from
-    their (..., steps) uint32 flip sites; returns ``states``.  One accumulate
-    over each whole row, start included, makes column j the start xor the
-    first j moves."""
+def walk_paths(starts, flips: np.ndarray) -> np.ndarray:
+    """Packed-state SRW paths, shape (..., steps + 1), from their starts and
+    (..., steps) uint32 flip sites; a scalar start gives one path.  One shift
+    and one accumulate over each row, start included, make column j the start
+    xor the first j moves.  Below 2^32, NumPy draws bounded uint32 and uint64
+    by one 32-bit Lemire path, so the sites and the stream match a uint64 draw."""
+    states = np.empty(flips.shape[:-1] + (flips.shape[-1] + 1,), dtype=np.uint64)
+    states[..., 0] = starts
     np.left_shift(np.uint64(1), flips, out=states[..., 1:])
     np.bitwise_xor.accumulate(states, axis=-1, out=states)
     return states
 
 
-def index_walk(n: int, start_bits, steps: int, walk_rng: np.random.Generator) -> np.ndarray:
-    """Packed-state SRW paths of ``steps`` steps, each including its start.
-
-    A scalar start gives one path of length steps+1; an array of m starts
-    gives m independent paths, shape (m, steps+1), whose flips come from one
-    draw of shape (m, steps).  The path is built in place in its output, so
-    the flip sites (4 bytes each) are the only other allocation.
-    """
-    starts = np.asarray(start_bits, dtype=np.uint64)
-    states = np.empty(starts.shape + (steps + 1,), dtype=np.uint64)
-    states[..., 0] = starts
-    if steps:
-        # below 2^32, NumPy draws bounded uint32 and uint64 by the same 32-bit
-        # Lemire path, so the sites and the stream's state match a uint64 draw
-        _walk(states, walk_rng.integers(0, n, size=starts.shape + (steps,), dtype=np.uint32))
-    return states
+def uniform_starts(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` uniform (stationary) packed states drawn from ``rng``."""
+    if count < 1:
+        raise ParameterValidationError(f"sample count must be >= 1; got {count}")
+    return rng.integers(0, 1 << n, size=count, dtype=np.uint64)
 
 
 @dataclass
@@ -113,11 +107,9 @@ def _segment_rows(
     ``streams[r].walk``, keeps its states from column ``first`` on, and holds
     each kept state tau * e with e from ``streams[r].noise``.  Each row draws
     what a one-row call would, so it does not depend on the rows beside it."""
-    states = np.empty((len(streams), steps + 1), dtype=np.uint64)
-    states[:, 0] = starts
-    flips = np.array([r.walk.integers(0, env.n, size=steps, dtype=np.uint32) for r in streams])
-    states = _walk(states, flips)[:, first:]
-    del flips
+    states = walk_paths(
+        starts, np.array([r.walk.integers(0, env.n, size=steps, dtype=np.uint32) for r in streams])
+    )[:, first:]
     energies = env.energies(states)
     # drawn by size and stacked: filling the rows through ``out=`` ran slower
     # on pool threads
@@ -148,10 +140,11 @@ def _origins(
 ) -> np.ndarray:
     """Each replica's packed start: ``start``, or with ``start=None`` a uniform
     (stationary) state drawn from the replica's walk stream."""
-    if start is not None and start.n != env.n:
+    if start is None:
+        return np.concatenate([uniform_starts(env.n, 1, r.walk) for r in streams])
+    if start.n != env.n:
         raise DimensionMismatchError(f"start has n={start.n}; environment has n={env.n}")
-    origins = [SpinConfig.random(env.n, r.walk) if start is None else start for r in streams]
-    return np.array([origin.bits for origin in origins], dtype=np.uint64)
+    return np.full(len(streams), start.bits, dtype=np.uint64)
 
 
 def scaled_holds(env: Environment, energies: np.ndarray) -> np.ndarray:

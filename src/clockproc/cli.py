@@ -225,8 +225,10 @@ def _laplace_verdicts(env: Environment, est: LaplaceIntensityEstimate, **evidenc
     integrates the (unit) waiting times out exactly."""
     verdicts = {}
     if env.alpha is not None:
+        note = "no transform fit: fewer than two arguments have a positive estimate and stderr"
+        note = note if math.isnan(est.slope) else None
         verdicts["laplace_slope"] = slope_verdict(
-            est.slope, env.alpha - 1.0, est.slope_se, **evidence
+            est.slope, env.alpha - 1.0, est.slope_se, note, **evidence
         )
     if env.beta == 0.0:
         verdicts["degenerate_laplace"] = _closed_form_check(

@@ -30,7 +30,8 @@ Estimator conventions used throughout:
   observation time scale;
 * all randomness is drawn from a :class:`~clockproc.seeding.ReplicaStreams`
   pair (walk stream for moves and starts, noise stream for waiting times), so
-  every estimate is reproducible from the stream seeds alone.
+  every estimate is reproducible from the stream seeds alone; the walks and
+  starts come from :func:`~clockproc.chain.walk_paths` and ``uniform_starts``.
 * walks are drawn, gathered and folded in row blocks of at most
   ``_GATHER_STATES`` states (a whole chunk past the energy table), and no
   output depends on that size; ``_CHUNK_STATES`` groups only the transform
@@ -75,7 +76,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .chain import index_walk, scaled_holds
+from .chain import scaled_holds, uniform_starts, walk_paths
 from .environment import Environment
 from .errors import BudgetError, DegenerateScaleError, ParameterValidationError
 from .parallel import prefetch
@@ -149,41 +150,36 @@ def _pairwise_total(partials: np.ndarray) -> float:
     return float(partials[0])
 
 
-def _uniform_starts(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    return rng.integers(0, 1 << n, size=count, dtype=np.uint64)
-
-
 def _iter_block_states(
     env: Environment,
-    count: int,
+    starts: np.ndarray,
     streams: ReplicaStreams,
     presteps: int = 0,
-    starts: np.ndarray | None = None,
     threads: int = 1,
 ) -> Iterator[tuple[int, int, np.ndarray]]:
-    """An iterator of ``(lo, hi, states)`` over row blocks of ``count`` independent block walks.
+    """An iterator of ``(lo, hi, states)`` over row blocks of block walks from ``starts``.
 
     Sample i walks ``presteps`` moves from its start, then its block covers
     the next ``block_length`` visited states; ``states`` holds the packed
     blocks of samples lo..hi-1, shape (hi-lo, block_length).  A row block
     walks at most ``_GATHER_STATES`` states (at least one row), or
-    ``_CHUNK_STATES`` past the energy table.  Starts default to uniform (the
-    stationary law), drawn here on the caller's thread.  The row blocks
-    consume only the walk stream, in row order; with ``threads`` > 1 they are
-    drawn on one helper thread, one row block ahead of the caller, so the
-    caller must not draw from the walk stream until the iterator ends.
+    ``_CHUNK_STATES`` past the energy table.  The row blocks consume only
+    the walk stream, in row order; with ``threads`` > 1 they are drawn on one
+    helper thread, one row block ahead of the caller, so the caller must not
+    draw from the walk stream until the iterator ends.
     """
-    window_steps = presteps + env.block_length - 1
-    if starts is None:
-        starts = _uniform_starts(env.n, count, streams.walk)
+    count, window_steps = len(starts), presteps + env.block_length - 1
     block = _GATHER_STATES if env.has_energy_table else _CHUNK_STATES
     rows = max(1, block // (window_steps + 1))
 
     def walks():
         for lo in range(0, count, rows):
             hi = min(count, lo + rows)
-            # no name here holds the walk, so the caller frees it by dropping ``states``
-            yield lo, hi, index_walk(env.n, starts[lo:hi], window_steps, streams.walk)[:, presteps:]
+            # no name here holds the flips or the walk: dropping ``states`` frees it
+            yield lo, hi, walk_paths(
+                starts[lo:hi],
+                streams.walk.integers(0, env.n, size=(hi - lo, window_steps), dtype=np.uint32),
+            )[:, presteps:]
 
     return prefetch(walks(), threads)
 
@@ -198,35 +194,32 @@ def _folds_by_table(env: Environment, states: int) -> bool:
 
 def _block_sums(
     env: Environment,
-    count: int,
+    starts: np.ndarray,
     streams: ReplicaStreams,
     presteps: int = 0,
-    starts: np.ndarray | None = None,
     threads: int = 1,
 ) -> np.ndarray:
-    """Scaled sums exp(beta*H - log time scale) * e over the blocks of
-    :func:`_iter_block_states`, waiting times from the noise stream.
+    """Scaled sums exp(beta*H - log time scale) * e over the blocks walked from
+    ``starts`` by :func:`_iter_block_states`, waiting times from the noise stream.
 
-    A call whose ``count`` blocks :func:`_folds_by_table` admits gathers each
-    state's scaled hold from a table of the 2^n values exp(beta*H - log time
-    scale), filled once, one :func:`_state_blocks` row block at a time;
-    other calls compute them from the states' energies.  Either way each
-    hold takes the same operations in the same order, so the sums are
-    bit-identical.  Each row block is walked, drawn and summed on its own,
-    so beyond the sums a call holds the table and one row block, and with
-    ``threads`` > 1 the walk of the next, drawn on a helper thread while
-    this one is gathered and its waiting times are drawn.
+    A call whose blocks :func:`_folds_by_table` admits gathers each state's
+    scaled hold from a table of the 2^n values exp(beta*H - log time scale),
+    filled once, one :func:`_state_blocks` row block at a time; other calls
+    compute them from the states' energies.  Either way each hold takes the
+    same operations in the same order, so the sums are bit-identical.  Each
+    row block is walked, drawn and summed on its own, so beyond the sums a
+    call holds the table and one row block, and with ``threads`` > 1 the walk
+    of the next, drawn on a helper thread while this one is gathered and its
+    waiting times are drawn.
     """
-    if count < 1:
-        raise ParameterValidationError(f"sample count must be >= 1; got {count}")
-    sums = np.empty(count)
+    sums = np.empty(len(starts))
     hold_table = None
-    if _folds_by_table(env, count * env.block_length):
+    if _folds_by_table(env, len(starts) * env.block_length):
         hold_table = np.empty(1 << env.n)
         for lo, hi, energies in _state_blocks(env):
             hold_table[lo:hi] = scaled_holds(env, energies)
         del energies  # the last row block, which the loop name would keep through the walk
-    for lo, hi, states in _iter_block_states(env, count, streams, presteps, starts, threads):
+    for lo, hi, states in _iter_block_states(env, starts, streams, presteps, threads):
         if hold_table is None:
             holds = scaled_holds(env, env.energies(states))
         else:
@@ -351,7 +344,7 @@ def estimate_intensity(
     """
     k = resolve_block_count(env, horizon, block_count)
     grid = np.asarray(thresholds, dtype=np.float64)
-    sums = _block_sums(env, samples, streams, threads=threads)
+    sums = _block_sums(env, uniform_starts(env.n, samples, streams.walk), streams, threads=threads)
     rates, values, stderrs = _binomial_intensity(sums > grid[:, None], k)
     fit = _weighted_line_fit(grid, values, stderrs, rates < 1)
     return IntensityEstimate(
@@ -398,15 +391,16 @@ def _squared_tail_indicators(
     routes target the same quantity through the walk's reversibility and are
     kept separate so that agreement is an actual check.
     """
+    xs = uniform_starts(env.n, samples, streams.walk)
     if route == "two-step":
-        xs = _uniform_starts(env.n, samples, streams.walk)
-        ys = index_walk(env.n, xs, 2, streams.walk)[:, 2]
-        first = _block_sums(env, samples, streams, starts=xs, threads=threads)
-        second = _block_sums(env, samples, streams, starts=ys, threads=threads)
+        ys = walk_paths(
+            xs, streams.walk.integers(0, env.n, size=(samples, 2), dtype=np.uint32)
+        )[:, 2]
+        first = _block_sums(env, xs, streams, threads=threads)
+        second = _block_sums(env, ys, streams, threads=threads)
     elif route == "split":
-        xs = _uniform_starts(env.n, samples, streams.walk)
-        first = _block_sums(env, samples, streams, presteps=1, starts=xs, threads=threads)
-        second = _block_sums(env, samples, streams, presteps=1, starts=xs, threads=threads)
+        first = _block_sums(env, xs, streams, presteps=1, threads=threads)
+        second = _block_sums(env, xs, streams, presteps=1, threads=threads)
     else:
         raise ParameterValidationError(f"unknown route {route!r}; use 'two-step' or 'split'")
     grid = np.asarray(thresholds, dtype=np.float64)
@@ -532,11 +526,11 @@ def _conditional_transform_moments(
     squares = np.zeros(len(v_values))
     lows = np.full(len(v_values), np.inf)
     highs = np.full(len(v_values), -np.inf)
-    starts = _uniform_starts(env.n, samples, streams.walk)
+    starts = uniform_starts(env.n, samples, streams.walk)
     chunk = max(1, _CHUNK_STATES // theta)
     for lo in range(0, samples, chunk):
         part = starts[lo : lo + chunk]
-        walk = _iter_block_states(env, len(part), streams, starts=part, threads=threads)
+        walk = _iter_block_states(env, part, streams, threads=threads)
         folds = np.empty((len(v_values), len(part)))
         if _folds_by_table(env, len(part) * theta):
             _table_folds(env, v_values, walk, folds)
@@ -669,7 +663,7 @@ def _state_average(
     and :func:`_pairwise_total` combines each x's block sums, so the mean
     has the bits of one 2^n vector of terms while the pass holds one row
     block of them."""
-    sampled = env.energies(_uniform_starts(env.n, samples, streams.walk))
+    sampled = env.energies(uniform_starts(env.n, samples, streams.walk))
     out = np.empty_like(sampled)
     moments = []
     exact = [None] * len(grid)
@@ -716,8 +710,6 @@ def estimate_initial_term(
     """
     if any(v < 0 for v in v_values):
         raise ParameterValidationError(f"thresholds must be nonnegative; got {list(v_values)}")
-    if samples < 1:
-        raise ParameterValidationError(f"sample count must be >= 1; got {samples}")
     positive = [v for v in v_values if v > 0]
     averages = iter(_state_average(env, _survival_terms, positive, samples, streams))
     one = (1.0, 0.0, 1.0 if env.has_energy_table else None)
@@ -839,8 +831,6 @@ def estimate_truncated_mean(
     """
     if env.step_scale is None or not math.isfinite(env.step_scale):
         raise DegenerateScaleError("jump-count scale unavailable at these parameters")
-    if samples < 1:
-        raise ParameterValidationError(f"sample count must be >= 1; got {samples}")
     eps_arr = np.asarray(eps_values, dtype=np.float64)
     if np.any(eps_arr <= 0):
         raise ParameterValidationError("epsilon values must be positive")

@@ -114,10 +114,6 @@ class SpinConfig:
                 f"state index {self.bits} out of range for n={self.n}"
             )
 
-    @classmethod
-    def random(cls, n: int, rng: np.random.Generator) -> "SpinConfig":
-        return cls(n, int(rng.integers(0, 1 << n, dtype=np.uint64)))
-
 
 def overlap_to_reference(states: np.ndarray, reference, n: int) -> np.ndarray:
     """Normalised overlap R = (n - 2 * Hamming distance) / n, in [-1, 1], of

@@ -106,8 +106,3 @@ class ReplicaStreams:
 
     walk: np.random.Generator
     noise: np.random.Generator
-
-    @classmethod
-    def from_seed(cls, seed: int) -> "ReplicaStreams":
-        """Convenience constructor for tests and one-off simulations."""
-        return StreamFamily(seed, "replica").replica(0)

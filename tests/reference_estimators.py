@@ -13,7 +13,9 @@ so it checks the hold tables and the row blocks of ``_block_sums``.
 blocks, as the clock once did replica by replica, so it checks the
 row-block fold of ``blocked_clocks``.
 ``uint64_index_walk`` draws the flip sites as uint64 and builds the path
-out of place, as ``index_walk`` once did.  ``sample_path`` draws one
+out of place, as the package's walk builder once did; ``srw_paths`` draws
+them as uint32, as the package does, and builds the paths with its
+``walk_paths``.  ``sample_path`` draws one
 truncated subordinator path on [0, horizon], the oracle path of the
 crossing and extension tests.  ``sample_totals`` draws only the horizon
 marginal of truncated subordinator paths, which checks the truncated
@@ -30,6 +32,9 @@ recorded states of ``estimate_aging_curve``.
 
 ``hamming`` and ``overlap`` compare two ``SpinConfig`` one pair at a time in
 Python integers, beside the package's vectorised ``overlap_to_reference``.
+``random_spin_config`` draws one uniform configuration as a scalar uint64,
+the draw each of the package's size-1 stationary starts must reproduce, and
+``replica_streams`` opens a replica's two streams from one bare seed.
 ``truncated_mean_asymptotic`` is the large-n curve of the truncated
 single-jump mean, whose slope in epsilon the acceptance criterion checks.
 ``concentration_diagnostic`` samples environments and tests how the quenched
@@ -45,7 +50,8 @@ import numpy as np
 from clockproc import conditions
 from clockproc.aging import AgingCurve
 from clockproc.chain import (
-    extend_segment, index_walk, mixing_check, process_at_time, scaled_holds, simulate_segment,
+    extend_segment, mixing_check, process_at_time, scaled_holds, simulate_segment,
+    uniform_starts, walk_paths,
 )
 from clockproc.conditions import (
     _block_sums, _literal_block_count, _squared_tail_indicators, conditional_block_laplace,
@@ -77,6 +83,16 @@ def hamming(x: SpinConfig, y: SpinConfig) -> int:
 def overlap(x: SpinConfig, y: SpinConfig) -> float:
     """Normalised overlap R(x,y) = (n - 2*hamming(x,y)) / n, in [-1, 1]."""
     return (x.n - 2 * hamming(x, y)) / x.n
+
+
+def random_spin_config(n, rng):
+    """A uniform configuration of n spins from one scalar uint64 draw of ``rng``."""
+    return SpinConfig(n, int(rng.integers(0, 1 << n, dtype=np.uint64)))
+
+
+def replica_streams(seed):
+    """The walk and noise streams of replica 0 of the ``"replica"`` family under ``seed``."""
+    return StreamFamily(seed, "replica").replica(0)
 
 
 def truncated_mean_asymptotic(alpha, beta, gamma, epsilon, horizon):
@@ -111,6 +127,13 @@ def uint64_index_walk(n, start_bits, steps, walk_rng):
     return states
 
 
+def srw_paths(n, starts, steps, rng):
+    """``steps``-step SRW paths from ``starts`` through ``walk_paths``, the
+    flip sites drawn from ``rng`` as uint32 in one draw."""
+    flips = rng.integers(0, n, size=np.shape(starts) + (steps,), dtype=np.uint32)
+    return walk_paths(starts, flips)
+
+
 def per_state_block_sums(env, count, streams, presteps=0, starts=None):
     """Block sums exp(beta*H - log time scale) * e of ``count`` blocks, walked
     in one piece and scaled from each state's energy."""
@@ -137,7 +160,7 @@ def blocked_clock(segment, env, k):
 
 def direct_block_laplace(env, v_values, samples, streams):
     """(means, stderrs) of exp(-v * block sum) over fully sampled blocks."""
-    sums = _block_sums(env, samples, streams)
+    sums = _block_sums(env, uniform_starts(env.n, samples, streams.walk), streams)
     weights = np.exp(-np.asarray(v_values, dtype=np.float64)[:, None] * sums[None, :])
     means = weights.mean(axis=1)
     stds = weights.std(axis=1, ddof=1) if samples > 1 else np.zeros_like(means)
@@ -156,7 +179,7 @@ def folded_transform_moments(env, v_values, samples, streams):
     lows = np.full(len(v_values), np.inf)
     highs = np.full(len(v_values), -np.inf)
     for lo in range(0, samples, chunk):
-        walk = index_walk(env.n, starts[lo : lo + chunk], theta - 1, streams.walk)
+        walk = srw_paths(env.n, starts[lo : lo + chunk], theta - 1, streams.walk)
         energies = env.energies(walk)
         for j, v in enumerate(v_values):
             g = conditional_block_laplace(env, energies, v)
@@ -436,7 +459,8 @@ def concentration_diagnostic(
         # independent single-block marginal (fresh uniform starts) for the
         # mean-identity check, then the two correlated-square routes; the
         # replicas already run on the pool, so these walk on this thread alone
-        marginal = _block_sums(env, pair_samples, streams) > threshold
+        starts = uniform_starts(env.n, pair_samples, streams.walk)
+        marginal = _block_sums(env, starts, streams) > threshold
         two_step = _squared_tail_indicators(env, [threshold], pair_samples, streams, "two-step")
         split = _squared_tail_indicators(env, [threshold], pair_samples, streams, "split")
         return q_hat, float(marginal.mean()), float(two_step.mean()), float(split.mean())

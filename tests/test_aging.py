@@ -25,16 +25,16 @@ from clockproc.errors import (
     HorizonError,
     ParameterValidationError,
 )
-from clockproc.seeding import ReplicaStreams, StreamFamily
+from clockproc.seeding import StreamFamily
 from clockproc.subordinator import arcsine_cdf
-from reference_estimators import doubling_aging_curve, overlap
+from reference_estimators import doubling_aging_curve, overlap, replica_streams
 
 pytestmark = pytest.mark.filterwarnings("ignore:block length")
 
 
 def test_correlation_indicator_trivial_cases():
     env = Environment.create(6, 3, 0.0, 0.5, 0)
-    seg = simulate_segment(env, SpinConfig(6, 0), 2000, ReplicaStreams.from_seed(1))
+    seg = simulate_segment(env, SpinConfig(6, 0), 2000, replica_streams(1))
     # epsilon = 2 accepts every overlap in [-1, 1]
     assert correlation_indicator(env, seg, 0.5, 0.5, 2.0, time_unit=1.0) == 1
     # s so small that the process cannot have moved
@@ -50,14 +50,14 @@ def test_correlation_indicator_trivial_cases():
 
 def test_correlation_indicator_deterministic():
     env = Environment.create(6, 3, 2.0, 1.5, seed=4)
-    seg = simulate_segment(env, SpinConfig(6, 3), 5000, ReplicaStreams.from_seed(2))
+    seg = simulate_segment(env, SpinConfig(6, 3), 5000, replica_streams(2))
     vals = [correlation_indicator(env, seg, 0.3, 0.7, 0.25, time_unit=1.0) for _ in range(3)]
     assert len(set(vals)) == 1
 
 
 def test_correlation_indicator_array_form_matches_the_overlap_oracle():
     env = Environment.create(6, 3, 2.0, 1.5, seed=4)
-    seg = simulate_segment(env, SpinConfig(6, 3), 5000, ReplicaStreams.from_seed(2))
+    seg = simulate_segment(env, SpinConfig(6, 3), 5000, replica_streams(2))
     rng = np.random.default_rng(8)
     horizon = seg.cumulative()[-1]
     t = rng.uniform(0.0, 0.5, size=60) * horizon
@@ -85,7 +85,7 @@ def test_correlation_indicator_array_form_matches_the_overlap_oracle():
 
 def test_correlation_indicator_array_form_equals_scalar_calls():
     env = Environment.create(6, 3, 2.0, 1.5, seed=4)
-    seg = simulate_segment(env, SpinConfig(6, 3), 5000, ReplicaStreams.from_seed(2))
+    seg = simulate_segment(env, SpinConfig(6, 3), 5000, replica_streams(2))
     rng = np.random.default_rng(8)
     horizon = seg.cumulative()[-1]
     t = rng.uniform(0.0, 0.5, size=60) * horizon
@@ -424,7 +424,7 @@ def test_trap_diagnostic_beta_zero_is_untrapped():
     """Unit-mean holds spread a block's time over ~theta states: no trap."""
     env = Environment.create(8, 3, 0.0, 0.5, 0)
     theta = env.block_length
-    seg = simulate_segment(env, SpinConfig(8, 0), 4 * theta + 1, ReplicaStreams.from_seed(17))
+    seg = simulate_segment(env, SpinConfig(8, 0), 4 * theta + 1, replica_streams(17))
     for b in range(4):
         rep = trap_localization_diagnostic(env, seg, b)
         assert rep.untrapped
@@ -436,7 +436,7 @@ def test_trap_diagnostic_beta_zero_is_untrapped():
 def test_trap_diagnostic_finds_deep_trap_at_low_temperature():
     env = Environment.create(8, 3, 3.0, 2.7, seed=23)
     theta = env.block_length
-    seg = simulate_segment(env, SpinConfig(8, 0), 6 * theta + 1, ReplicaStreams.from_seed(19))
+    seg = simulate_segment(env, SpinConfig(8, 0), 6 * theta + 1, replica_streams(19))
     fractions = [
         trap_localization_diagnostic(env, seg, b).dominant_fraction for b in range(6)
     ]
@@ -447,7 +447,7 @@ def test_trap_diagnostic_finds_deep_trap_at_low_temperature():
 def test_trap_diagnostic_validation_and_reentry_flag():
     env = Environment.create(6, 3, 0.0, 0.5, 0)
     theta = env.block_length
-    seg = simulate_segment(env, SpinConfig(6, 0), theta + 1, ReplicaStreams.from_seed(21))
+    seg = simulate_segment(env, SpinConfig(6, 0), theta + 1, replica_streams(21))
     rep = trap_localization_diagnostic(env, seg, 0, epsilon=2.0)
     # the ball with epsilon=2 is the whole cube: entered once, never exited
     assert rep.ball_time_fraction == pytest.approx(1.0)
@@ -468,7 +468,7 @@ def test_trap_diagnostic_rejects_a_threshold_or_epsilon_out_of_range(keyword, va
     epsilon in (0, 2]; the error names the parameter."""
     env = Environment.create(6, 3, 0.0, 0.5, 0)
     seg = simulate_segment(
-        env, SpinConfig(6, 0), env.block_length + 1, ReplicaStreams.from_seed(21)
+        env, SpinConfig(6, 0), env.block_length + 1, replica_streams(21)
     )
     name = "trap threshold" if keyword == "threshold" else "epsilon"
     with pytest.raises(ParameterValidationError, match=name):

@@ -10,18 +10,20 @@ from clockproc.chain import (
     SEGMENT_BLOCK_STATES,
     blocked_clocks,
     extend_segment,
-    index_walk,
     map_replicas,
     mixing_check,
     process_at_time,
     simulate_segment,
+    uniform_starts,
     walk_to_times,
 )
 from clockproc.environment import MAX_TABLE_SPINS, Environment, SpinConfig, block_length
 from clockproc.errors import DimensionMismatchError, HorizonError, ParameterValidationError
-from clockproc.seeding import ReplicaStreams, StreamFamily, keyed_generator
+from clockproc.seeding import StreamFamily, keyed_generator
 from dense_srw_kernel import apply_srw_kernel, dense_mixing_violation, exact_step_distribution
-from reference_estimators import blocked_clock, uint64_index_walk
+from reference_estimators import (
+    blocked_clock, random_spin_config, replica_streams, srw_paths, uint64_index_walk,
+)
 
 pytestmark = pytest.mark.filterwarnings("ignore:block length")
 
@@ -36,7 +38,7 @@ def make_env(n=8, beta=3.0, gamma=2.7, seed=5):
 def test_srw_neighbor_frequencies_uniform():
     """Each of the n=4 coordinates is chosen 1/4 of the time (3 sigma at 1e5)."""
     steps = 100_000
-    states = index_walk(4, 0, steps, keyed_generator(17))
+    states = srw_paths(4, 0, steps, keyed_generator(17))
     flipped = np.bitwise_xor(states[1:], states[:-1])
     counts = np.array([(flipped == (1 << b)).sum() for b in range(4)])
     assert counts.sum() == steps  # every step flips exactly one coordinate
@@ -45,7 +47,7 @@ def test_srw_neighbor_frequencies_uniform():
 
 
 def test_index_walk_structure():
-    states = index_walk(6, 0b101010, 200, keyed_generator(3))
+    states = srw_paths(6, 0b101010, 200, keyed_generator(3))
     assert states.shape == (201,)
     assert states.dtype == np.uint64
     assert states[0] == 0b101010
@@ -61,10 +63,10 @@ def test_index_walk_batch_matches_scalar():
     """m batched walks equal m scalar walks drawn one after another from one stream."""
     starts = np.array([0, 3, 60], dtype=np.uint64)
     batch_rng, scalar_rng = keyed_generator(9), keyed_generator(9)
-    batch = index_walk(6, starts, 50, batch_rng)
+    batch = srw_paths(6, starts, 50, batch_rng)
     assert batch.shape == (3, 51)
     for i, s in enumerate(starts):
-        assert np.array_equal(batch[i], index_walk(6, int(s), 50, scalar_rng))
+        assert np.array_equal(batch[i], srw_paths(6, int(s), 50, scalar_rng))
     # both generators are left in the same state
     assert batch_rng.integers(0, 1 << 30) == scalar_rng.integers(0, 1 << 30)
 
@@ -81,7 +83,7 @@ def test_index_walk_equals_the_uint64_draw_oracle(n, steps, batched):
     else:
         starts = int(starts_rng.integers(0, 1 << n, dtype=np.uint64))
     rng, oracle_rng = keyed_generator(31), keyed_generator(31)
-    states = index_walk(n, starts, steps, rng)
+    states = srw_paths(n, starts, steps, rng)
     expected = uint64_index_walk(n, starts, steps, oracle_rng)
     assert states.dtype == expected.dtype == np.uint64
     assert states.shape == expected.shape
@@ -89,10 +91,22 @@ def test_index_walk_equals_the_uint64_draw_oracle(n, steps, batched):
     np.testing.assert_equal(rng.bit_generator.state, oracle_rng.bit_generator.state)
 
 
+@pytest.mark.parametrize("n", [10, 33, 63])
+def test_one_uniform_start_is_the_scalar_draw(n):
+    """A size-1 start draw gives a scalar uint64 draw's value and leaves the
+    stream where that draw does, so a replica that draws its own start draws
+    the state a scalar draw would."""
+    rng, scalar = keyed_generator(n), keyed_generator(n)
+    start = uniform_starts(n, 1, rng)
+    assert start.shape == (1,) and start.dtype == np.uint64
+    assert start[0] == scalar.integers(0, 1 << n, dtype=np.uint64)
+    np.testing.assert_equal(rng.bit_generator.state, scalar.bit_generator.state)
+
+
 def test_uniform_occupation_small_n():
     """Long SRW paths spend asymptotically equal time in every state (n=5)."""
     n, steps = 5, 200_000
-    states = index_walk(n, 0, steps, keyed_generator(23))
+    states = srw_paths(n, 0, steps, keyed_generator(23))
     counts = np.bincount(states.astype(np.int64), minlength=1 << n)
     expected = (steps + 1) / (1 << n)
     # correlated samples: allow a generous 10% band rather than a binomial SE
@@ -105,8 +119,8 @@ def test_uniform_occupation_small_n():
 def test_simulate_segment_deterministic():
     env = make_env()
     start = SpinConfig(8, 0)
-    a = simulate_segment(env, start, 300, ReplicaStreams.from_seed(4))
-    b = simulate_segment(env, start, 300, ReplicaStreams.from_seed(4))
+    a = simulate_segment(env, start, 300, replica_streams(4))
+    b = simulate_segment(env, start, 300, replica_streams(4))
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.increments, b.increments)
     assert a.steps == 300
@@ -118,16 +132,16 @@ def test_simulate_segment_deterministic():
 def test_simulate_segment_validation():
     env = make_env()
     with pytest.raises(DimensionMismatchError):
-        simulate_segment(env, SpinConfig(5, 0), 10, ReplicaStreams.from_seed(0))
+        simulate_segment(env, SpinConfig(5, 0), 10, replica_streams(0))
     with pytest.raises(ParameterValidationError):
-        simulate_segment(env, SpinConfig(8, 0), 0, ReplicaStreams.from_seed(0))
+        simulate_segment(env, SpinConfig(8, 0), 0, replica_streams(0))
 
 
 def test_none_start_draws_the_uniform_start_from_the_walk_stream():
     env = make_env(n=7)
-    own, given = ReplicaStreams.from_seed(5), ReplicaStreams.from_seed(5)
+    own, given = replica_streams(5), replica_streams(5)
     a = simulate_segment(env, None, 150, own)
-    b = simulate_segment(env, SpinConfig.random(7, given.walk), 150, given)
+    b = simulate_segment(env, random_spin_config(7, given.walk), 150, given)
     for field in ("states", "energies", "exp_draws", "increments"):
         assert np.array_equal(getattr(a, field), getattr(b, field))
     # both walk generators were advanced by the same draws
@@ -137,7 +151,7 @@ def test_none_start_draws_the_uniform_start_from_the_walk_stream():
 
 def test_segment_energies_match_environment():
     env = make_env(n=7)
-    seg = simulate_segment(env, SpinConfig(7, 5), 100, ReplicaStreams.from_seed(2))
+    seg = simulate_segment(env, SpinConfig(7, 5), 100, replica_streams(2))
     assert np.allclose(seg.energies, env.energies(seg.states), rtol=1e-14)
     # increments decompose as exp(beta H) * e
     assert np.allclose(seg.increments, np.exp(3.0 * seg.energies) * seg.exp_draws, rtol=1e-12)
@@ -148,10 +162,10 @@ def test_extension_is_prefix_stable():
     env = make_env(n=6)
     start = SpinConfig(6, 9)
     # extension must reuse the same replica streams that produced the prefix
-    streams = ReplicaStreams.from_seed(31)
+    streams = replica_streams(31)
     short = simulate_segment(env, start, 120, streams)
     grown = extend_segment(env, short, 80, streams)
-    one_shot = simulate_segment(env, start, 200, ReplicaStreams.from_seed(31))
+    one_shot = simulate_segment(env, start, 200, replica_streams(31))
     assert np.array_equal(grown.states, one_shot.states)
     assert np.array_equal(grown.exp_draws, one_shot.exp_draws)
     assert np.array_equal(grown.states[:121], short.states)
@@ -165,10 +179,10 @@ def test_simulate_segment_draws_its_start_flips_and_exponentials_in_order(start)
     one exponential per visited state from its noise stream."""
     env = make_env(n=7)
     length = 150
-    segment = simulate_segment(env, start, length, ReplicaStreams.from_seed(12))
-    alone = ReplicaStreams.from_seed(12)
-    origin = SpinConfig.random(7, alone.walk) if start is None else start
-    states = index_walk(7, origin.bits, length, alone.walk)
+    segment = simulate_segment(env, start, length, replica_streams(12))
+    alone = replica_streams(12)
+    origin = random_spin_config(7, alone.walk) if start is None else start
+    states = srw_paths(7, origin.bits, length, alone.walk)
     energies = env.energies(states)
     draws = alone.noise.standard_exponential(length + 1)
     increments = np.exp(env.beta * energies) * draws
@@ -224,7 +238,7 @@ def test_map_replicas_fill_the_state_budget_and_hold_one_replica_past_the_table(
 
 def test_cumulative_and_horizon():
     env = make_env(n=6)
-    seg = simulate_segment(env, SpinConfig(6, 0), 50, ReplicaStreams.from_seed(7))
+    seg = simulate_segment(env, SpinConfig(6, 0), 50, replica_streams(7))
     cum = seg.cumulative()
     assert np.allclose(cum, np.cumsum(seg.increments), rtol=0)
 
@@ -232,7 +246,7 @@ def test_cumulative_and_horizon():
 def test_beta_zero_increment_mean():
     """At beta=0 the waiting times are unit exponentials: mean 1 (3 sigma)."""
     env = Environment.create(8, 3, 0.0, 1.0, 0)
-    seg = simulate_segment(env, SpinConfig(8, 0), 100_000, ReplicaStreams.from_seed(12))
+    seg = simulate_segment(env, SpinConfig(8, 0), 100_000, replica_streams(12))
     m = seg.increments.mean()
     assert abs(m - 1.0) < 3.0 / math.sqrt(len(seg.increments))
     assert np.array_equal(seg.increments, seg.exp_draws)
@@ -242,7 +256,7 @@ def test_conditional_increment_mean_given_walk():
     """Averaging over waiting-time noise only, E[sum inc] = sum tau(J_i)."""
     env = make_env(n=8, seed=77)
     fam = StreamFamily(55, "cond")
-    walk = index_walk(8, 0, 400, fam.generator(0, "walk"))
+    walk = srw_paths(8, 0, 400, fam.generator(0, "walk"))
     tau_vals = np.exp(env.beta * env.energies(walk))
     reps = 400
     acc = 0.0
@@ -261,19 +275,19 @@ def test_conditional_increment_mean_given_walk():
 
 def test_blocked_clock_zero_blocks():
     env = make_env(n=6)
-    sums, initial = blocked_clocks(env, SpinConfig(6, 0), 0, [ReplicaStreams.from_seed(1)])
+    sums, initial = blocked_clocks(env, SpinConfig(6, 0), 0, [replica_streams(1)])
     assert sums.shape == (1, 0)
     assert initial.shape == (1,) and initial[0] >= 0
     with pytest.raises(ParameterValidationError):
-        blocked_clocks(env, SpinConfig(6, 0), -1, [ReplicaStreams.from_seed(1)])
+        blocked_clocks(env, SpinConfig(6, 0), -1, [replica_streams(1)])
 
 
 def test_blocked_clock_matches_direct_recompute():
     """Block sums agree with a direct rescale-and-sum of the raw increments."""
     env = make_env(n=8)
     k, theta = 6, env.block_length
-    sums, initial = blocked_clocks(env, SpinConfig(8, 3), k, [ReplicaStreams.from_seed(9)])
-    seg = simulate_segment(env, SpinConfig(8, 3), k * theta, ReplicaStreams.from_seed(9))
+    sums, initial = blocked_clocks(env, SpinConfig(8, 3), k, [replica_streams(9)])
+    seg = simulate_segment(env, SpinConfig(8, 3), k * theta, replica_streams(9))
     scaled = np.exp(env.beta * seg.energies - env.log_time_scale) * seg.exp_draws
     direct = np.array([scaled[1 + i * theta : 1 + (i + 1) * theta].sum() for i in range(k)])
     assert np.allclose(sums[0], direct, rtol=1e-12)
@@ -285,11 +299,11 @@ def test_blocked_clock_block_sums_are_the_direct_fold_bit_for_bit():
     running total, which lose the low bits of every small block after a large one."""
     env = Environment.create(10, 3, 3.0, 2.7, seed=11)
     k, theta = 12, env.block_length
-    seg = simulate_segment(env, None, k * theta, ReplicaStreams.from_seed(8))
+    seg = simulate_segment(env, None, k * theta, replica_streams(8))
     with np.errstate(over="ignore"):
         scaled = np.exp(env.beta * seg.energies - env.log_time_scale) * seg.exp_draws
     direct = np.array([scaled[1 + i * theta : 1 + (i + 1) * theta].sum() for i in range(k)])
-    assert np.array_equal(blocked_clocks(env, None, k, [ReplicaStreams.from_seed(8)])[0][0], direct)
+    assert np.array_equal(blocked_clocks(env, None, k, [replica_streams(8)])[0][0], direct)
 
 
 # --- time-changed process lookup ------------------------------------------
@@ -307,7 +321,7 @@ def scanned_state(seg, t: float) -> int:
 
 def test_process_at_time_start_and_oracle():
     env = make_env(n=7)
-    seg = simulate_segment(env, SpinConfig(7, 13), 200, ReplicaStreams.from_seed(3))
+    seg = simulate_segment(env, SpinConfig(7, 13), 200, replica_streams(3))
     assert process_at_time(seg, env, 0.0) == 13
     rng = np.random.default_rng(5)
     for t in rng.uniform(0, seg.cumulative()[-1], size=40):
@@ -316,7 +330,7 @@ def test_process_at_time_start_and_oracle():
 
 def test_process_at_time_reads_an_array_of_times_in_one_search():
     env = make_env(n=7)
-    seg = simulate_segment(env, SpinConfig(7, 13), 200, ReplicaStreams.from_seed(3))
+    seg = simulate_segment(env, SpinConfig(7, 13), 200, replica_streams(3))
     horizon = seg.cumulative()[-1]
     times = np.random.default_rng(6).uniform(0, horizon, size=(3, 20))
     times[0, 0] = 0.0
@@ -330,7 +344,7 @@ def test_process_at_time_reads_an_array_of_times_in_one_search():
 
 def test_process_at_time_boundaries():
     env = make_env(n=6)
-    seg = simulate_segment(env, SpinConfig(6, 0), 30, ReplicaStreams.from_seed(6))
+    seg = simulate_segment(env, SpinConfig(6, 0), 30, replica_streams(6))
     cum = seg.cumulative()
     # at an exact jump time the process has already moved on
     j = 10
@@ -386,7 +400,7 @@ def test_walk_to_times_censors_at_exactly_the_step_cap():
 
 def test_walk_to_times_validation():
     env = make_env(n=6)
-    streams = [ReplicaStreams.from_seed(1)]
+    streams = [replica_streams(1)]
     with pytest.raises(ParameterValidationError):
         walk_to_times(env, None, [1.0], 0, 10, streams)
     with pytest.raises(ParameterValidationError):

@@ -519,6 +519,22 @@ def test_laplace_fails_a_slope_it_could_not_fit(tmp_path, capsys):
     assert {key: verdict[key] for key in fit} == dict.fromkeys(fit, "nan")
 
 
+@pytest.mark.parametrize("command", ["conditions", "laplace"])
+def test_a_transform_slope_without_a_fit_fails_with_a_note(command, tmp_path):
+    """One sample gives no transform argument a positive stderr, so there is
+    no transform fit: ``laplace_slope`` fails with a note, as an intensity
+    slope without a fit does."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(
+        {"model": {"n": 10}, "budgets": {"samples": 1}, "overrides": {"block_count": 3}}
+    ))
+    outdir = tmp_path / "out"
+    assert main([command, "--config", str(cfg_path), "--out", str(outdir)]) == 3
+    slope = load_manifest(outdir)["verdicts"]["laplace_slope"]
+    assert slope["deviation"] == "nan" and slope["status"] == "fail"
+    assert slope["note"].startswith("no transform fit")
+
+
 def test_conditions_fails_an_intensity_slope_it_could_not_fit(tmp_path):
     """At n = 12 and seed 9 no block sum reaches the u grid, so there is no
     tail fit: ``intensity_slope`` fails with a note, and every other file and

@@ -26,20 +26,21 @@ from clockproc.conditions import (
     plain,
     truncated_mean_quadrature,
 )
-from clockproc.chain import mixing_check
+from clockproc.chain import mixing_check, uniform_starts
 from clockproc.environment import CouplingTensor, Environment
 from clockproc.errors import (
     BudgetError,
     DegenerateScaleError,
     ParameterValidationError,
 )
-from clockproc.seeding import ReplicaStreams, StreamFamily
+from clockproc.seeding import StreamFamily
 from clockproc.verdicts import SLOPE_WINDOW, slope_status
 from reference_estimators import (
     concentration_diagnostic,
     direct_block_laplace,
     folded_transform_moments,
     per_state_block_sums,
+    replica_streams,
     truncated_mean_asymptotic,
 )
 
@@ -57,7 +58,7 @@ def unit_env(n=6, gamma=0.5):
 def test_block_tail_matches_gamma_law_at_beta_zero():
     env = unit_env()
     # with one block the intensity's values are the hit rates, bit for bit
-    streams = ReplicaStreams.from_seed(2)
+    streams = replica_streams(2)
     est = estimate_intensity(env, None, [2.0, 2.4], 20_000, streams, block_count=1)
     for u, probability, stderr in zip(est.thresholds, est.values, est.stderrs):
         oracle = degenerate_block_tail(env, u)
@@ -72,7 +73,7 @@ def test_block_tail_grid_monotone_by_construction():
     """Common block sums across the grid force exact monotonicity in u."""
     env = Environment.create(8, 3, 3.0, 2.7, seed=5)
     grid = [0.25, 0.5, 1.0, 2.0, 4.0]
-    est = estimate_intensity(env, None, grid, 3000, ReplicaStreams.from_seed(1), block_count=1)
+    est = estimate_intensity(env, None, grid, 3000, replica_streams(1), block_count=1)
     probs = est.values
     assert all(b <= a for a, b in zip(probs, probs[1:]))
     assert est.samples == 3000
@@ -80,18 +81,27 @@ def test_block_tail_grid_monotone_by_construction():
 
 def test_block_tail_extreme_thresholds():
     env = unit_env()
-    streams = ReplicaStreams.from_seed(4)
+    streams = replica_streams(4)
     # the edges p = 1 and p = 0 sit at the ends of a grid with two interior thresholds
     est = estimate_intensity(env, None, [0.0, 1.9, 2.1, 1e9], 500, streams, block_count=1)
     assert (est.values[0], est.stderrs[0]) == (1.0, 0.0)
     assert (est.values[-1], est.stderrs[-1]) == (0.0, 0.0)
 
 
+def block_sums(env, samples, streams, presteps=0, starts=None, threads=1):
+    """``_block_sums`` of ``samples`` blocks from ``starts``, or from uniform
+    starts drawn first from the walk stream, as ``estimate_intensity`` draws
+    them."""
+    if starts is None:
+        starts = uniform_starts(env.n, samples, streams.walk)
+    return _block_sums(env, starts, streams, presteps, threads)
+
+
 def fixed_start_tail(env, start, threshold, samples, streams, presteps=0):
     """(hit rate, binomial stderr) of the block that starts ``presteps`` moves
     after the fixed ``start``."""
     starts = np.full(samples, start, dtype=np.uint64)
-    sums = _block_sums(env, samples, streams, presteps=presteps, starts=starts)
+    sums = _block_sums(env, starts, streams, presteps=presteps)
     rates, _, stderrs = _binomial_intensity(sums[None, :] > threshold, 1)
     return float(rates[0]), float(stderrs[0])
 
@@ -100,7 +110,7 @@ def test_step_averaged_tail_equals_neighbor_average():
     """Averaging the one-step kernel by hand reproduces the presteps=1 route."""
     env = Environment.create(4, 3, 1.2, 1.0, seed=3)
     u = 1.0
-    sa, sa_se = fixed_start_tail(env, 0, u, 8000, ReplicaStreams.from_seed(5), presteps=1)
+    sa, sa_se = fixed_start_tail(env, 0, u, 8000, replica_streams(5), presteps=1)
     fam = StreamFamily(105, "nbrs")
     nbr = [fixed_start_tail(env, 1 << b, u, 8000, fam.replica(b)) for b in range(4)]
     mean_nbr = float(np.mean([p for p, _ in nbr]))
@@ -111,7 +121,7 @@ def test_step_averaged_tail_equals_neighbor_average():
 def test_step_averaged_equals_plain_tail_at_beta_zero():
     # with state-independent holds the pre-step cannot matter
     env = unit_env()
-    a, a_se = fixed_start_tail(env, 0, 2.0, 10_000, ReplicaStreams.from_seed(6), presteps=1)
+    a, a_se = fixed_start_tail(env, 0, 2.0, 10_000, replica_streams(6), presteps=1)
     oracle = degenerate_block_tail(env, 2.0)
     assert abs(a - oracle) < 3.0 * a_se
 
@@ -122,7 +132,7 @@ def test_step_averaged_equals_plain_tail_at_beta_zero():
 def test_intensity_scales_tail_by_block_count():
     env = unit_env()
     grid = [1.7, 1.9, 2.1]
-    est = estimate_intensity(env, None, grid, 5000, ReplicaStreams.from_seed(8), block_count=12)
+    est = estimate_intensity(env, None, grid, 5000, replica_streams(8), block_count=12)
     assert est.block_count == 12
     for u, value, se in zip(grid, est.values, est.stderrs):
         q = degenerate_block_tail(env, u)
@@ -135,7 +145,7 @@ def test_intensity_needs_interior_hit_rates():
     fit: its fields are NaN, and the tail itself is still reported."""
     env = unit_env()
     est = estimate_intensity(
-        env, None, [1e-6, 2e-6], 200, ReplicaStreams.from_seed(9), block_count=3
+        env, None, [1e-6, 2e-6], 200, replica_streams(9), block_count=3
     )
     assert est.values == (3.0, 3.0) and est.stderrs == (0.0, 0.0)
     assert all(math.isnan(x) for x in (est.slope, est.slope_se, est.intercept, est.intercept_se))
@@ -143,10 +153,10 @@ def test_intensity_needs_interior_hit_rates():
 
 def test_intensity_resolves_block_count_from_horizon():
     env = Environment.create(8, 3, 3.0, 2.7, seed=5)
-    est = estimate_intensity(env, 1.0, [0.5, 1.0, 2.0], 2000, ReplicaStreams.from_seed(10))
+    est = estimate_intensity(env, 1.0, [0.5, 1.0, 2.0], 2000, replica_streams(10))
     assert est.block_count == env.block_count(1.0)
     with pytest.raises(ParameterValidationError):
-        estimate_intensity(env, None, [0.5, 1.0], 2000, ReplicaStreams.from_seed(10))
+        estimate_intensity(env, None, [0.5, 1.0], 2000, replica_streams(10))
 
 
 # --- correlated squares ---------------------------------------------------
@@ -168,7 +178,7 @@ def test_squared_tail_at_beta_zero_is_product_of_tails():
     # independent blocks at beta=0: the joint exceedance factorises
     env = unit_env()
     (est,) = estimate_squared_tail_grid(
-        env, [2.0], 20_000, ReplicaStreams.from_seed(14), block_count=1
+        env, [2.0], 20_000, replica_streams(14), block_count=1
     )
     q = degenerate_block_tail(env, 2.0)
     se = max(est.stderr, math.sqrt(q * q * (1 - q * q) / est.samples))
@@ -272,13 +282,13 @@ def test_transform_moments_equal_the_per_state_fold_bit_for_bit(case, contracted
     monkeypatch.setattr(conditions, "_CHUNK_STATES", chunk_states)
     env = make_env(contracted)
     v_grid = [0.1, 0.316, 1.0, 3.16, 10.0, 100.0]
-    reference = folded_transform_moments(env, v_grid, samples, ReplicaStreams.from_seed(23))
+    reference = folded_transform_moments(env, v_grid, samples, replica_streams(23))
     calls = []
     fold = conditions.conditional_block_laplace
     monkeypatch.setattr(
         conditions, "conditional_block_laplace", lambda *args: calls.append(1) or fold(*args)
     )
-    means, stds = _conditional_transform_moments(env, v_grid, samples, ReplicaStreams.from_seed(23))
+    means, stds = _conditional_transform_moments(env, v_grid, samples, replica_streams(23))
     assert np.array_equal(means, reference[0])
     assert np.array_equal(stds, reference[1])
     assert (len(calls) == 0) == derived
@@ -317,13 +327,13 @@ def test_block_sums_equal_the_per_state_oracle_bit_for_bit(case, contracted, mon
     monkeypatch.setattr(conditions, "_CHUNK_STATES", chunk_states)
     env = make_env(contracted)
     starts = keyed_starts(env.n, samples) if presteps else None
-    reference = per_state_block_sums(env, samples, ReplicaStreams.from_seed(37), presteps, starts)
+    reference = per_state_block_sums(env, samples, replica_streams(37), presteps, starts)
     passes = []
     state_blocks = conditions._state_blocks
     monkeypatch.setattr(
         conditions, "_state_blocks", lambda env: passes.append(1) or state_blocks(env)
     )
-    sums = _block_sums(env, samples, ReplicaStreams.from_seed(37), presteps, starts)
+    sums = block_sums(env, samples, replica_streams(37), presteps, starts)
     assert sums.tobytes() == reference.tobytes()
     # the hold table is filled in one pass over the states per call, however
     # many row blocks read it
@@ -343,8 +353,8 @@ def test_block_sums_do_not_depend_on_the_chunk_size(monkeypatch):
     runs = []
     for chunk_states in (900, 50_000):
         monkeypatch.setattr(conditions, "_CHUNK_STATES", chunk_states)
-        runs.append(_block_sums(env, 700, ReplicaStreams.from_seed(43), starts=starts)[:9])
-        runs.append(_block_sums(env, 9, ReplicaStreams.from_seed(43), starts=starts[:9]))
+        runs.append(_block_sums(env, starts, replica_streams(43))[:9])
+        runs.append(_block_sums(env, starts[:9], replica_streams(43)))
     assert all(np.array_equal(runs[0], run) for run in runs[1:])
 
 
@@ -391,16 +401,16 @@ def test_no_output_depends_on_the_row_block_size(case, gather_states, contracted
     env = make_env(contracted)
     samples = 500
     starts = keyed_starts(env.n, samples) if presteps else None
-    reference = per_state_block_sums(env, samples, ReplicaStreams.from_seed(37), presteps, starts)
-    sums = _block_sums(env, samples, ReplicaStreams.from_seed(37), presteps, starts)
+    reference = per_state_block_sums(env, samples, replica_streams(37), presteps, starts)
+    sums = block_sums(env, samples, replica_streams(37), presteps, starts)
     assert sums.tobytes() == reference.tobytes()
     if presteps:
         return
     v_grid = [0.1, 1.0, 10.0, 100.0]
     for chunk_states in (900, 5000, 20_000):
         monkeypatch.setattr(conditions, "_CHUNK_STATES", chunk_states)
-        reference = folded_transform_moments(env, v_grid, samples, ReplicaStreams.from_seed(23))
-        streams = ReplicaStreams.from_seed(23)
+        reference = folded_transform_moments(env, v_grid, samples, replica_streams(23))
+        streams = replica_streams(23)
         moments = _conditional_transform_moments(env, v_grid, samples, streams)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(moments, reference))
     if not env.has_energy_table:
@@ -409,7 +419,7 @@ def test_no_output_depends_on_the_row_block_size(case, gather_states, contracted
         (conditions._survival_terms, v_grid),
         (conditions._truncated_terms, [0.05, 0.1, 0.2]),
     ):
-        averages = conditions._state_average(env, term, grid, 10, ReplicaStreams.from_seed(23))
+        averages = conditions._state_average(env, term, grid, 10, replica_streams(23))
         assert [exact for *_, exact in averages] == whole_vector_exact_averages(env, term, grid)
 
 
@@ -439,7 +449,7 @@ def test_exact_state_averages_equal_the_whole_vector_mean_bit_for_bit(case, monk
         (conditions._survival_terms, [0.1, 1.0, 10.0, 100.0]),
         (conditions._truncated_terms, [0.05, 0.1, 0.2]),
     ):
-        averages = conditions._state_average(env, term, grid, 10, ReplicaStreams.from_seed(23))
+        averages = conditions._state_average(env, term, grid, 10, replica_streams(23))
         exact = np.array([value for *_, value in averages])
         assert exact.tobytes() == np.array(whole_vector_exact_averages(env, term, grid)).tobytes()
 
@@ -460,9 +470,9 @@ def test_block_sums_and_transform_do_not_depend_on_the_thread_count(table, contr
     samples = 503
     starts = keyed_starts(env.n, samples)
     runs = {
-        "plain": lambda streams, threads: [_block_sums(env, samples, streams, threads=threads)],
+        "plain": lambda streams, threads: [block_sums(env, samples, streams, threads=threads)],
         "split": lambda streams, threads: [
-            _block_sums(env, samples, streams, presteps=1, starts=starts, threads=threads)
+            _block_sums(env, starts, streams, presteps=1, threads=threads)
         ],
     }
 
@@ -480,7 +490,7 @@ def test_block_sums_and_transform_do_not_depend_on_the_thread_count(table, contr
     for name, run in runs.items():
         results, ends = [], []
         for threads in (1, 2):
-            streams = ReplicaStreams.from_seed(47)
+            streams = replica_streams(47)
             results.append([a.tobytes() for a in run(streams, threads)])
             ends.append((next_draws(streams.walk), next_draws(streams.noise)))
         assert results[0] == results[1], name
@@ -511,7 +521,7 @@ def test_block_sums_peak_memory_grows_only_by_the_per_sample_vectors():
     env = memory_env()
     small, large = 2000, 20_000  # 408,000 and 4,080,000 walk states
     peaks = [
-        traced_peak(lambda: _block_sums(env, count, ReplicaStreams.from_seed(29)))
+        traced_peak(lambda: block_sums(env, count, replica_streams(29)))
         for count in (small, large)
     ]
     assert peaks[1] - peaks[0] <= (large - small) * 16 + conditions._GATHER_STATES * 8
@@ -537,7 +547,7 @@ def test_table_fold_peak_memory_stays_within_the_walk_window():
     for samples in (20_000, 100_000):
         peak = traced_peak(
             lambda: estimate_intensity_laplace(
-                env, None, v_grid, samples, ReplicaStreams.from_seed(29), block_count=1
+                env, None, v_grid, samples, replica_streams(29), block_count=1
             )
         )
         per_sample = samples * 8 + (len(v_grid) + 1) * rows * 8
@@ -566,7 +576,7 @@ def test_multi_pass_table_fold_peak_memory_is_the_kept_walk_and_one_group(monkey
     for samples in (2000, 10_000):
         peak = traced_peak(
             lambda: estimate_intensity_laplace(
-                env, None, v_grid, samples, ReplicaStreams.from_seed(29), block_count=1
+                env, None, v_grid, samples, replica_streams(29), block_count=1
             )
         )
         per_sample = samples * 8 + (len(v_grid) + 1) * rows * 8
@@ -578,14 +588,14 @@ def test_laplace_intensity_rescaled_values_monotone():
     env = Environment.create(8, 3, 3.0, 2.7, seed=5)
     v_grid = [0.1, 0.3, 1.0, 3.0, 10.0]
     est = estimate_intensity_laplace(
-        env, None, v_grid, 2000, ReplicaStreams.from_seed(17), block_count=9
+        env, None, v_grid, 2000, replica_streams(17), block_count=9
     )
     rescaled = [v * x for v, x in zip(est.v_values, est.values)]
     assert all(b >= a for a, b in zip(rescaled, rescaled[1:]))
     assert est.block_count == 9
     with pytest.raises(ParameterValidationError):
         estimate_intensity_laplace(
-            env, None, [0.0, 1.0], 100, ReplicaStreams.from_seed(17), block_count=9
+            env, None, [0.0, 1.0], 100, replica_streams(17), block_count=9
         )
 
 
@@ -593,7 +603,7 @@ def test_laplace_intensity_beta_zero_closed_form():
     env = unit_env()
     v_grid = [0.5, 1.0, 2.0]
     est = estimate_intensity_laplace(
-        env, None, v_grid, 50, ReplicaStreams.from_seed(19), block_count=4
+        env, None, v_grid, 50, replica_streams(19), block_count=4
     )
     for v, value in zip(v_grid, est.values):
         oracle = 4 * (1.0 - degenerate_block_laplace(env, v)) / v
@@ -608,17 +618,17 @@ def test_laplace_intensity_beta_zero_closed_form():
 
 def test_initial_term_trivial_and_validation():
     env = Environment.create(8, 3, 3.0, 2.7, seed=5)
-    (est,) = estimate_initial_term(env, [0.0], 10, ReplicaStreams.from_seed(1))
+    (est,) = estimate_initial_term(env, [0.0], 10, replica_streams(1))
     assert est.value == 1.0 and est.stderr == 0.0 and est.exact_value == 1.0
     with pytest.raises(ParameterValidationError):
-        estimate_initial_term(env, [-1.0], 10, ReplicaStreams.from_seed(1))
+        estimate_initial_term(env, [-1.0], 10, replica_streams(1))
     with pytest.raises(ParameterValidationError):
-        estimate_initial_term(env, [1.0], 0, ReplicaStreams.from_seed(1))
+        estimate_initial_term(env, [1.0], 0, replica_streams(1))
 
 
 def test_initial_term_exact_vs_monte_carlo():
     env = Environment.create(8, 3, 3.0, 2.7, seed=5)
-    for est in estimate_initial_term(env, (0.1, 1.0), 20_000, ReplicaStreams.from_seed(23)):
+    for est in estimate_initial_term(env, (0.1, 1.0), 20_000, replica_streams(23)):
         assert est.exact_value is not None
         floor = math.sqrt(est.exact_value * (1.0 - est.exact_value) / est.samples)
         assert abs(est.value - est.exact_value) < 3.5 * max(est.stderr, floor)
@@ -626,7 +636,7 @@ def test_initial_term_exact_vs_monte_carlo():
 
 def test_initial_term_exact_monotone_in_v():
     env = Environment.create(8, 3, 3.0, 2.7, seed=5)
-    estimates = estimate_initial_term(env, [0.1, 0.5, 1.0, 5.0], 10, ReplicaStreams.from_seed(1))
+    estimates = estimate_initial_term(env, [0.1, 0.5, 1.0, 5.0], 10, replica_streams(1))
     values = [est.exact_value for est in estimates]
     assert all(b < a for a, b in zip(values, values[1:]))
 
@@ -637,14 +647,14 @@ def test_initial_term_monte_carlo_does_not_increase_in_v():
     draw per v lets them."""
     env = Environment.create(8, 3, 3.0, 2.7, seed=5)
     v_grid = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5]
-    estimates = estimate_initial_term(env, v_grid, 200, ReplicaStreams.from_seed(3))
+    estimates = estimate_initial_term(env, v_grid, 200, replica_streams(3))
     values = [est.value for est in estimates]
     assert all(b <= a for a, b in zip(values, values[1:]))
 
 
 def test_initial_term_beta_zero_closed_form():
     env = unit_env(n=4, gamma=0.25)  # keep exp(-v*c_n) well above underflow
-    estimates = estimate_initial_term(env, [0.2, 1.0], 10, ReplicaStreams.from_seed(1))
+    estimates = estimate_initial_term(env, [0.2, 1.0], 10, replica_streams(1))
     for v, est in zip((0.2, 1.0), estimates):
         assert est.exact_value == pytest.approx(degenerate_initial_term(env, v), rel=1e-12)
         assert est.exact_value == pytest.approx(math.exp(-v * env.time_scale), rel=1e-12)
@@ -662,7 +672,7 @@ def test_state_averages_draw_the_starts_once(table, contracted):
         lambda streams: estimate_initial_term(env, [0.0, 0.1, 1.0, 10.0], 300, streams),
         lambda streams: estimate_truncated_mean(env, [0.05, 0.1, 0.2], 1.0, 300, streams),
     ):
-        streams, fresh = ReplicaStreams.from_seed(31), ReplicaStreams.from_seed(31)
+        streams, fresh = replica_streams(31), replica_streams(31)
         estimate(streams)
         fresh.walk.integers(0, 1 << env.n, size=300, dtype=np.uint64)
         assert next_draws(streams.walk) == next_draws(fresh.walk)
@@ -686,7 +696,7 @@ def test_exact_state_average_peak_memory_is_a_few_row_blocks():
         peaks.append(
             traced_peak(
                 lambda: estimate_truncated_mean(
-                    env, eps_grid, 1.0, 1000, ReplicaStreams.from_seed(29)
+                    env, eps_grid, 1.0, 1000, replica_streams(29)
                 )
             )
         )
@@ -701,7 +711,7 @@ def test_exact_state_average_peak_memory_is_a_few_row_blocks():
 def test_truncated_mean_monte_carlo_matches_exact_average():
     env = Environment.create(8, 3, 3.0, 2.7, seed=5)
     ests = estimate_truncated_mean(
-        env, [0.05, 0.1, 0.2], 1.0, 100_000, ReplicaStreams.from_seed(12)
+        env, [0.05, 0.1, 0.2], 1.0, 100_000, replica_streams(12)
     )
     for est in ests:
         assert est.quadrature_value is not None
@@ -841,14 +851,34 @@ def test_truncated_mean_asymptotic_slope_identity():
 def test_truncated_mean_validation():
     env = Environment.create(8, 3, 3.0, 2.7, seed=5)
     with pytest.raises(ParameterValidationError):
-        estimate_truncated_mean(env, [-0.1], 1.0, 100, ReplicaStreams.from_seed(1))
+        estimate_truncated_mean(env, [-0.1], 1.0, 100, replica_streams(1))
     with pytest.raises(ParameterValidationError, match="sample count must be >= 1"):
-        estimate_truncated_mean(env, [0.1], 1.0, 0, ReplicaStreams.from_seed(1))
+        estimate_truncated_mean(env, [0.1], 1.0, 0, replica_streams(1))
     # one sample reads a stderr of 0.0, as the initial term's does
-    (one,) = estimate_truncated_mean(env, [0.1], 1.0, 1, ReplicaStreams.from_seed(1))
+    (one,) = estimate_truncated_mean(env, [0.1], 1.0, 1, replica_streams(1))
     assert one.samples == 1 and one.mc_stderr == 0.0 and one.mc_value > 0
     with pytest.raises(DegenerateScaleError):
-        estimate_truncated_mean(unit_env(), [0.1], 1.0, 100, ReplicaStreams.from_seed(1))
+        estimate_truncated_mean(unit_env(), [0.1], 1.0, 100, replica_streams(1))
+
+
+# each Monte Carlo estimator of the module, given a sample count
+SAMPLED_ESTIMATORS = {
+    "intensity": lambda env, m, streams: estimate_intensity(env, None, [1.0], m, streams, 1),
+    "squared-tail": lambda env, m, streams: estimate_squared_tail_grid(env, [1.0], m, streams, 1),
+    "transform": lambda env, m, streams: estimate_intensity_laplace(env, None, [1.0], m, streams, 1),
+    "initial-term": lambda env, m, streams: estimate_initial_term(env, [0.5], m, streams),
+    "truncated-mean": lambda env, m, streams: estimate_truncated_mean(env, [0.1], 1.0, m, streams),
+}
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+@pytest.mark.parametrize("name", sorted(SAMPLED_ESTIMATORS))
+def test_every_estimator_refuses_a_sample_count_below_one(name, samples):
+    """The one start draw refuses the count, so every estimator raises the
+    same error for it."""
+    env = Environment.create(8, 3, 3.0, 2.7, seed=5)
+    with pytest.raises(ParameterValidationError, match="sample count must be >= 1"):
+        SAMPLED_ESTIMATORS[name](env, samples, replica_streams(1))
 
 
 def test_stderr_halves_when_samples_quadruple():
@@ -934,7 +964,7 @@ def test_condition_report_structure_and_serialization(tmp_path):
         u_grid=[0.25, 0.5, 1.0, 2.0],
         v_grid=[0.3, 1.0, 3.0],
         eps_grid=[0.05, 0.1, 0.2],
-        streams=ReplicaStreams.from_seed(6),
+        streams=replica_streams(6),
         samples=3000,
     )
     assert rep.block_count == env.block_count(1.0)

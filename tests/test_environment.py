@@ -21,14 +21,15 @@ from clockproc.environment import (
     validate_parameters,
     zeta,
 )
-from clockproc.chain import index_walk, simulate_segment
+from clockproc.chain import simulate_segment
 from clockproc.errors import (
     DegenerateScaleError,
     DimensionMismatchError,
     ParameterValidationError,
 )
-from clockproc.seeding import ReplicaStreams
-from reference_estimators import hamming, overlap
+from reference_estimators import (
+    hamming, overlap, random_spin_config, replica_streams, srw_paths,
+)
 
 # small-n environments at the reference parameters legitimately warn that the
 # block length is not yet small against the jump-count scale; tested once below
@@ -116,20 +117,20 @@ def test_overlap_identities():
     rng = np.random.default_rng(2)
     for _ in range(30):
         n = int(rng.integers(2, 16))
-        x = SpinConfig.random(n, rng)
+        x = random_spin_config(n, rng)
         assert overlap(x, x) == 1.0
         assert overlap(x, flip_all(x)) == -1.0
         site = int(rng.integers(0, n))
         assert overlap(x, flip(x, site)) == pytest.approx(1.0 - 2.0 / n)
         # overlap equals the normalised inner product of the spin vectors
-        y = SpinConfig.random(n, rng)
+        y = random_spin_config(n, rng)
         assert overlap(x, y) == pytest.approx(float(spins(x) @ spins(y)) / n)
 
 
 def test_overlap_to_reference_matches_scalar():
     rng = np.random.default_rng(3)
     n = 9
-    ref = SpinConfig.random(n, rng)
+    ref = random_spin_config(n, rng)
     states = rng.integers(0, 1 << n, size=50, dtype=np.uint64)
     vec = overlap_to_reference(states, ref.bits, n)
     for b, r in zip(states, vec):
@@ -258,7 +259,7 @@ def test_environment_degenerate_beta_zero():
     with pytest.raises(ParameterValidationError, match="nonnegative"):
         Environment(env.couplings, math.nan, 1.0)
     # beta=0 holding times are all 1: every hold is its exponential draw
-    segment = simulate_segment(env, None, 255, ReplicaStreams.from_seed(1))
+    segment = simulate_segment(env, None, 255, replica_streams(1))
     assert np.array_equal(segment.increments, segment.exp_draws)
 
 
@@ -374,7 +375,7 @@ def test_table_and_contraction_agree_on_a_walk_at_n20(contracted):
     """The two paths round differently, so they agree to a few ulps on a
     long n = 20 walk, not bit for bit."""
     tensor = CouplingTensor.sample(20, 3, seed=3001)
-    walk = index_walk(20, 12345, 20_000, np.random.default_rng(3001))
+    walk = srw_paths(20, 12345, 20_000, np.random.default_rng(3001))
     tabled = Environment(tensor, 3.0, 2.7).energies(walk)
     contraction = contracted(lambda: Environment(tensor, 3.0, 2.7)).energies(walk)
     assert np.max(np.abs(tabled - contraction)) <= 1e-13
@@ -417,7 +418,7 @@ def test_energy_global_flip_antisymmetry():
     env = Environment.create(9, 3, 3.0, 2.7, seed=13)
     rng = np.random.default_rng(0)
     for _ in range(20):
-        x = SpinConfig.random(9, rng)
+        x = random_spin_config(9, rng)
         assert energy(env, flip_all(x)) == pytest.approx(-energy(env, x), rel=1e-10, abs=1e-10)
 
 
@@ -428,7 +429,7 @@ def test_energy_matches_explicit_tensor_contraction():
     J = env.couplings.values.reshape(n, n, n)
     rng = np.random.default_rng(4)
     for _ in range(10):
-        x = SpinConfig.random(n, rng)
+        x = random_spin_config(n, rng)
         s = spins(x)
         direct = float(np.einsum("ijk,i,j,k->", J, s, s, s)) * n ** (-(p - 1) / 2.0)
         assert energy(env, x) == pytest.approx(direct, rel=1e-12, abs=1e-12)
@@ -461,7 +462,7 @@ def test_tau_saturates_to_inf():
     values[0] = 1e6  # J_{000}: contributes s_0^3 * n^{-1}
     env = Environment(CouplingTensor(n, p, 0, values), beta=10.0, gamma=0.0)
     hot = SpinConfig(n, 0b1111)
-    segment = simulate_segment(env, hot, 8, ReplicaStreams.from_seed(3))
+    segment = simulate_segment(env, hot, 8, replica_streams(3))
     # the holding time saturates to inf and never wraps; the energy stays finite
     assert math.isinf(segment.increments[0])
     assert math.isfinite(segment.energies[0])

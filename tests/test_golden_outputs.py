@@ -44,8 +44,7 @@ from clockproc.conditions import (
     plain,
 )
 from clockproc.environment import Environment
-from clockproc.seeding import ReplicaStreams
-from reference_estimators import concentration_diagnostic
+from reference_estimators import concentration_diagnostic, replica_streams
 
 pytestmark = pytest.mark.filterwarnings("ignore:block length")
 
@@ -111,6 +110,19 @@ CASES = {
         },
         ["--dump-trajectory"],
     ),
+    # a fixed start; 40 blocks of 104 steps fill a quarter of the shipped row
+    # budget, so the four replicas walk in row blocks of 3 and 1, of 1 each
+    # at a budget of one state and of 4 at an unbounded one
+    "clock-start": (
+        "clock",
+        {
+            "model": _model(10, 3.0, 2.7),
+            "budgets": {"replicas": 4},
+            "grids": {"u_grid": [0.25, 0.5]},
+            "overrides": {"block_count": 40},
+        },
+        ["--start", "3f", "--dump-trajectory"],
+    ),
     "aging": (
         "aging",
         {
@@ -145,6 +157,13 @@ EXPECTED = {
         "clock_jumps.csv": "c6b8075d1519c5ebab70b81e16997ac48cd18e6a35e8c9066e239615b92b40fa",
         "trajectory.csv": "f1627c2c0712fdc091c5dd2c5d54367c55ce59b92e966539c962d3dd6a859270",
         "verdicts": "04be8a8ab03107cbaf3765d47156e0682fd5c6e7db8cdc056cbeab9a9500838d",
+    }),
+    "clock-start": (0, {
+        "clock.csv": "5828d3d5d98d9085455daf4296e275ea0a9603283b3a8221a688b19fde51b451",
+        "clock_initial_terms.csv": "4ace8bd172f6586d4768246d27e7b896d513e6362bef25906257c307d3df3960",
+        "clock_jumps.csv": "fe8bc3596b4e2984d9f28107a891121cd83a65fe1fc61bad28ccd49d52296092",
+        "trajectory.csv": "e358b77ed212eb9dda911473906b7804ed45b9e7574394eb01295717f1a14cb8",
+        "verdicts": "a2b6a74cd689a5ed9eb559075ffaa180d6d888aa4bb412a369a74dc77e94ccd8",
     }),
     "conditions": (3, {
         "conditions.csv": "64080a8e5596a6540c138f7bb1f7b9b738c2ae258d87c35d15c873a6b3db5891",
@@ -209,7 +228,7 @@ def test_data_files_match_recorded_digests(name, threads, tmp_path):
 
 
 @pytest.mark.parametrize("budget", [1, 1 << 40])
-@pytest.mark.parametrize("name", ["aging", "clock"])
+@pytest.mark.parametrize("name", ["aging", "clock", "clock-start"])
 def test_segment_row_blocks_leave_the_digests(name, budget, tmp_path, monkeypatch):
     """One replica per row block, or every replica in one, writes the same bytes."""
     monkeypatch.setattr(chain, "SEGMENT_BLOCK_STATES", budget)
@@ -263,7 +282,7 @@ INITIAL_TERM_TABLE_DIGEST = "98a34e61a11874eeb1d35485ef3add2de668d4ec513f8a16752
 
 def initial_term_digest(table, contracted):
     env = create_env() if table else contracted(create_env)
-    streams = ReplicaStreams.from_seed(SEED)
+    streams = replica_streams(SEED)
     v_grid = [0.1, 1.0, 10.0, 100.0]
     estimates = estimate_initial_term(env, v_grid, 5000, streams)
     assert all((est.exact_value is not None) == table for est in estimates)
@@ -285,7 +304,7 @@ TRUNCATED_MEAN_TABLE_DIGEST = "d769a6191bab5107942eb741b67f8a57ac2ca5b49f0f0d852
 def truncated_mean_digest(table, contracted):
     env = create_env() if table else contracted(create_env)
     estimates = estimate_truncated_mean(
-        env, [0.05, 0.1, 0.2], 1.0, 5000, ReplicaStreams.from_seed(SEED)
+        env, [0.05, 0.1, 0.2], 1.0, 5000, replica_streams(SEED)
     )
     assert all((est.exact_value is not None) == table for est in estimates)
     return _sha(json.dumps(plain(estimates), sort_keys=True).encode())
@@ -310,7 +329,7 @@ def laplace_intensity_digest(table, contracted):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(conditions, "_CHUNK_STATES", 5000)
         est = estimate_intensity_laplace(
-            env, None, [0.1, 1.0, 10.0, 100.0], 1013, ReplicaStreams.from_seed(SEED),
+            env, None, [0.1, 1.0, 10.0, 100.0], 1013, replica_streams(SEED),
             block_count=4,
         )
     return _sha(json.dumps(plain([est.values, est.stderrs])).encode())
@@ -330,6 +349,7 @@ def test_laplace_intensity_matches_recorded_digest(table, contracted):
 PROVENANCE = {
     "aging": "a16eeef749ff665e770b7cd2fcd4c80f6557267fd92ca76f3e5829801c5911f7",
     "clock": "b1958d404a83f711b6d9392d4b531fa261497c05fcd77829461f7d076fe7519b",
+    "clock-start": "432cf00b252b35b478d8a14d7a8cc03f022e8a8cf9b372c91cfc3924d01bbac2",
     "conditions": "44639bdc91b2f644da7b61baba8d01fe0cdc52b050f1acbe759291ac55e3ffac",
     "conditions-flat": "5f57b21db5e0a8b8369e0136a16b5ebd0f4744ec65f4d63fa9706a58105e3547",
     "laplace": "f9a3a0255c46d87bed75a8729c50249e16729411e94617edbd90d6e6bd6ef96a",

