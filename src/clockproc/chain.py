@@ -33,7 +33,7 @@ import numpy as np
 
 from .environment import Environment, SpinConfig
 from .errors import DimensionMismatchError, HorizonError, ParameterValidationError
-from .parallel import ordered_map
+from .parallel import ordered_map, row_blocks
 from .seeding import ReplicaStreams, StreamFamily
 
 __all__ = [
@@ -51,7 +51,7 @@ __all__ = [
 
 # a row block of segments, or one window of a windowed walk, holds about this
 # many visited states: their packed states, energies, exponentials, holds and
-# clock, 40 bytes a state
+# clock, 40 bytes a state; no output read off the energy table depends on it
 SEGMENT_BLOCK_STATES = 1 << 14
 
 
@@ -126,12 +126,11 @@ def map_replicas(
 ) -> list:
     """``fn`` of each row block of replicas 0..count-1, in block order: ``fn``
     takes the block's ``family.replica(i)`` streams, and the blocks run on
-    ``threads`` pool threads.  A row block holds as many ``length``-step
-    replicas as fit in ``SEGMENT_BLOCK_STATES`` states, and one past the
-    energy table, where a contracted energy depends on the batch it is
-    contracted in."""
-    rows = max(1, SEGMENT_BLOCK_STATES // (length + 1)) if env.has_energy_table else 1
-    blocks = [range(lo, min(count, lo + rows)) for lo in range(0, count, rows)]
+    ``threads`` pool threads.  The blocks are :func:`row_blocks` of
+    ``length``-step replicas within ``SEGMENT_BLOCK_STATES`` states, or one
+    replica past the table, where an energy depends on its contraction batch."""
+    budget = SEGMENT_BLOCK_STATES if env.has_energy_table else 1
+    blocks = [range(*block) for block in row_blocks(count, length + 1, budget)]
     return ordered_map(lambda b: fn([family.replica(i) for i in blocks[b]]), len(blocks), threads)
 
 

@@ -32,9 +32,8 @@ Estimator conventions used throughout:
   pair (walk stream for moves and starts, noise stream for waiting times), so
   every estimate is reproducible from the stream seeds alone; the walks and
   starts come from :func:`~clockproc.chain.walk_paths` and ``uniform_starts``.
-* walks are drawn, gathered and folded in row blocks of at most
-  ``_GATHER_STATES`` states (a whole chunk past the energy table), and no
-  output depends on that size; ``_CHUNK_STATES`` groups only the transform
+* walks are drawn, gathered and folded in row blocks (``row_blocks``), and no
+  output depends on their size; ``_CHUNK_STATES`` groups only the transform
   moments' running sums and, past the table, the contracted energies;
 * walk states read per-state tables gathered by state, with the bits of the
   per-state computation, wherever at least 2^n states read a table of a
@@ -79,7 +78,7 @@ import numpy as np
 from .chain import scaled_holds, uniform_starts, walk_paths
 from .environment import Environment
 from .errors import BudgetError, DegenerateScaleError, ParameterValidationError
-from .parallel import prefetch
+from .parallel import prefetch, row_blocks
 from .seeding import ReplicaStreams
 
 __all__ = [
@@ -134,10 +133,8 @@ def _state_blocks(env: Environment) -> Iterator[tuple[int, int, np.ndarray]]:
     over 2^n values, and :func:`_pairwise_total` rebuilds that sum's bits
     from the blocks' sums.
     """
-    size = 1 << env.n
     states = max(_PAIRWISE_LEAF, 1 << (_GATHER_STATES.bit_length() - 1))
-    for lo in range(0, size, states):
-        hi = min(size, lo + states)
+    for lo, hi in row_blocks(1 << env.n, 1, states):
         yield lo, hi, env.energies(np.arange(lo, hi, dtype=np.uint64))
 
 
@@ -161,20 +158,19 @@ def _iter_block_states(
 
     Sample i walks ``presteps`` moves from its start, then its block covers
     the next ``block_length`` visited states; ``states`` holds the packed
-    blocks of samples lo..hi-1, shape (hi-lo, block_length).  A row block
-    walks at most ``_GATHER_STATES`` states (at least one row), or
-    ``_CHUNK_STATES`` past the energy table.  The row blocks consume only
+    blocks of samples lo..hi-1, shape (hi-lo, block_length).  The row
+    blocks are :func:`row_blocks` of walks within ``_GATHER_STATES`` states,
+    or ``_CHUNK_STATES`` past the energy table.  The row blocks consume only
     the walk stream, in row order; with ``threads`` > 1 they are drawn on one
     helper thread, one row block ahead of the caller, so the caller must not
     draw from the walk stream until the iterator ends.
     """
     count, window_steps = len(starts), presteps + env.block_length - 1
-    block = _GATHER_STATES if env.has_energy_table else _CHUNK_STATES
-    rows = max(1, block // (window_steps + 1))
+    budget = _GATHER_STATES if env.has_energy_table else _CHUNK_STATES
+    blocks = row_blocks(count, window_steps + 1, budget)
 
     def walks():
-        for lo in range(0, count, rows):
-            hi = min(count, lo + rows)
+        for lo, hi in blocks:
             # no name here holds the flips or the walk: dropping ``states`` frees it
             yield lo, hi, walk_paths(
                 starts[lo:hi],
@@ -479,13 +475,13 @@ def _table_folds(env: Environment, v_values: Sequence[float], walk, folds: np.nd
     drawn and then dropped; otherwise the chunk's walk is kept as uint32 row
     blocks for the passes over the v.
     """
-    group = max(1, folds.shape[1] * env.block_length * 4 // (8 << env.n))
-    if group < len(v_values):
+    groups = row_blocks(len(v_values), 8 << env.n, folds.shape[1] * env.block_length * 4)
+    if len(groups) > 1:
         walk = [(lo, hi, block.astype(np.uint32)) for lo, hi, block in walk]
-    tables = np.empty((min(group, len(v_values)), 1 << env.n))
+    tables = np.empty((groups[0][1] if groups else 0, 1 << env.n))  # the largest group
     gathered = index = None
-    for first in range(0, len(v_values), group):
-        logs = [math.log(v) for v in v_values[first : first + group]]
+    for first, last in groups:
+        logs = [math.log(v) for v in v_values[first:last]]
         for lo, hi, scaled in _state_blocks(env):
             scaled *= env.beta
             for terms, log_v in zip(tables[:, lo:hi], logs):
@@ -499,7 +495,7 @@ def _table_folds(env: Environment, v_values: Sequence[float], walk, folds: np.nd
             part, indices = gathered[: hi - lo], index[: hi - lo]
             np.copyto(indices, block)
             del block
-            for terms, fold in zip(tables, folds[first : first + group]):
+            for terms, fold in zip(tables, folds[first:last]):
                 # indices are in range; any mode but "raise" gathers straight into ``out``
                 np.take(terms, indices, out=part, mode="clip")
                 np.exp(-part.sum(axis=-1), out=fold[lo:hi])
@@ -527,9 +523,8 @@ def _conditional_transform_moments(
     lows = np.full(len(v_values), np.inf)
     highs = np.full(len(v_values), -np.inf)
     starts = uniform_starts(env.n, samples, streams.walk)
-    chunk = max(1, _CHUNK_STATES // theta)
-    for lo in range(0, samples, chunk):
-        part = starts[lo : lo + chunk]
+    for lo, hi in row_blocks(samples, theta, _CHUNK_STATES):
+        part = starts[lo:hi]
         walk = _iter_block_states(env, part, streams, threads=threads)
         folds = np.empty((len(v_values), len(part)))
         if _folds_by_table(env, len(part) * theta):

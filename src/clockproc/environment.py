@@ -36,6 +36,7 @@ from .errors import (
     DimensionMismatchError,
     ParameterValidationError,
 )
+from .parallel import row_blocks
 from .seeding import keyed_generator
 
 __all__ = [
@@ -209,7 +210,8 @@ def _energy_fold(values: np.ndarray, n: int, p: int, signs: np.ndarray) -> np.nd
     return h * float(n) ** (-(p - 1) / 2.0)
 
 
-# states contracted per batch, for on-demand energies past the table
+# states contracted per batch, for on-demand energies past the table; it fixes
+# the bytes, since a contracted energy's last bits can move with its batch
 _CONTRACT_CHUNK = 4096
 
 
@@ -329,10 +331,9 @@ class Environment:
         """Energies of a flat array of packed states by tensor contraction, one
         chunk at a time."""
         out = np.empty(states.size)
-        for lo in range(0, states.size, _CONTRACT_CHUNK):
-            chunk = states[lo : lo + _CONTRACT_CHUNK]
-            out[lo : lo + chunk.size] = _energy_fold(
-                self.couplings.values, self.n, self.p, _signs_from_bits(chunk, self.n)
+        for lo, hi in row_blocks(states.size, 1, _CONTRACT_CHUNK):
+            out[lo:hi] = _energy_fold(
+                self.couplings.values, self.n, self.p, _signs_from_bits(states[lo:hi], self.n)
             )
         return out
 

@@ -1,4 +1,5 @@
-"""Deterministic fan-out over independent replica indices, and one-ahead prefetch.
+"""Deterministic fan-out over independent replica indices, one-ahead prefetch,
+and ``row_blocks``, the one rule every chunk loop of the package cuts rows by.
 
 ``ordered_map`` work items receive only their index; any randomness must
 come from streams derived from that index, so the result list is identical
@@ -59,3 +60,10 @@ def prefetch(items: Iterable[T], threads: int = 1) -> Iterator[T]:
             ahead = helper.submit(next, source, _DONE)
             # popped, so no name here holds the item while the caller does
             yield ready.pop()
+
+
+def row_blocks(count: int, width: int, budget: int) -> list[tuple[int, int]]:
+    """``(lo, hi)`` ranges over rows 0..count-1 in order, each of as many rows
+    ``width`` units wide as fit in ``budget`` (at least one), the last of the rest."""
+    rows = max(1, budget // width)
+    return [(lo, min(count, lo + rows)) for lo in range(0, count, rows)]

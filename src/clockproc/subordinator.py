@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HorizonError, ParameterValidationError
-from .parallel import ordered_map
+from .parallel import ordered_map, row_blocks
 from .seeding import StreamFamily, keyed_generator, stream_position
 
 __all__ = [
@@ -52,13 +52,13 @@ __all__ = [
 ]
 
 # self-test battery: unit-amplitude reference models, their cutoff and the
-# chunk size (the config's model section plays no role there)
+# chunk size (the config's model section plays no role there); each chunk
+# draws from its own keyed stream, so the chunk size fixes the bytes
 _SELF_TEST_ALPHAS = (0.3, 0.5, 0.7)
 _SELF_TEST_CUTOFF = 1.0e-4
 _SELF_TEST_CHUNK = 2000
-# entries of each padded matrix a row block builds: rows = budget // (width + 1),
-# at least one; any budget gives the same bytes, since every block shares the
-# window's row length
+# entries of each padded matrix a row block builds (see ``parallel.row_blocks``);
+# any budget gives the same bytes, since every block shares the window's row length
 _SELF_TEST_BLOCK_ELEMENTS = 2**17
 
 
@@ -336,19 +336,17 @@ def self_test(
     so each row block draws its rows' times from the chunk's generator and
     their sizes from one second generator per window, placed at the sizes'
     offset; the second ends where sequential draws leave the stream, and
-    the next window draws from it.  A block holds
-    ``_SELF_TEST_BLOCK_ELEMENTS // (width + 1)`` rows, at least one, of the
-    window's row length, so its matrices and its draws stay within one
-    budget whatever the window; every block's rows are as long as the
-    window's longest, so the bytes do not depend on the budget.  Each
-    thread builds the matrices and reads the crossings in its own scratch
-    arrays, owned by this call and reused across its chunks, windows and
-    blocks; every block overwrites the part it reads, so the bytes do not
-    depend on what an earlier window left there either.
+    the next window draws from it.  ``row_blocks`` keeps each row block's
+    matrices and draws within ``_SELF_TEST_BLOCK_ELEMENTS``, and every
+    block's rows are as long as the window's longest, so the bytes do not
+    depend on the budget.  Each thread builds the matrices and reads the
+    crossings in its own scratch arrays, owned by this call and reused
+    across its chunks, windows and blocks; every block overwrites the part
+    it reads, so nothing an earlier window left there reaches the bytes.
     """
     cutoff = _SELF_TEST_CUTOFF
     deepest = int(np.argmax([t for t, _ in pairs]))  # the pair with the largest t
-    chunks = (paths + _SELF_TEST_CHUNK - 1) // _SELF_TEST_CHUNK
+    chunks = row_blocks(paths, 1, _SELF_TEST_CHUNK)
     v_arr = np.asarray(v_grid, dtype=np.float64)
     scratch = _Scratch()
     out = []
@@ -360,7 +358,7 @@ def self_test(
         def worker(c: int):
             seed = family.seed_for(c)
             rng = keyed_generator(seed)
-            count = min(_SELF_TEST_CHUNK, paths - c * _SELF_TEST_CHUNK)
+            count = chunks[c][1] - chunks[c][0]
             flags = np.full((len(pairs), count), -1, dtype=np.int64)
             mass = np.zeros(count)  # jump mass each path has drawn so far
             rows = np.arange(count)  # paths that have not landed above the deepest t
@@ -376,11 +374,9 @@ def self_test(
                 # one row length for every block keeps each row's pairwise sums
                 width = max(int(counts.max()), 1)
                 offsets = np.concatenate([[0], np.cumsum(counts)])
-                step = max(1, _SELF_TEST_BLOCK_ELEMENTS // (width + 1))
                 if start == 0.0:
                     totals = np.empty(rows.size)  # jump mass of [0, 1]
-                for lo in range(0, rows.size, step):
-                    hi = min(lo + step, rows.size)
+                for lo, hi in row_blocks(rows.size, width + 1, _SELF_TEST_BLOCK_ELEMENTS):
                     block = rows[lo:hi]
                     shape = (hi - lo, width + 1)
                     times, sizes, work = (scratch.take(n, *shape) for n in ("times", "sizes", "work"))
@@ -418,7 +414,7 @@ def self_test(
             return flags.sum(axis=1), weights.sum(axis=1)
 
         # the pool finishes within this iteration, so the worker sees this alpha
-        results = ordered_map(worker, chunks, threads)
+        results = ordered_map(worker, len(chunks), threads)
         means = (np.sum([r[1] for r in results], axis=0) / paths).tolist()
         stderrs, predicted, ess = [], [], []
         for v in v_grid:
@@ -431,5 +427,5 @@ def self_test(
             stderrs.append(predicted[-1] * math.sqrt(spread / paths))
             ess.append(paths / (1.0 + spread))
         crossings = np.sum([r[0] for r in results], axis=0)
-        out.append(SelfTest(alpha, chunks, crossings, means, stderrs, predicted, ess))
+        out.append(SelfTest(alpha, len(chunks), crossings, means, stderrs, predicted, ess))
     return out

@@ -413,13 +413,15 @@ def energy(env, x):
     return float(env.energies(x.bits)[0])
 
 
-def test_energy_global_flip_antisymmetry():
-    # a pure odd-p interaction changes sign under a global spin flip
-    env = Environment.create(9, 3, 3.0, 2.7, seed=13)
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        x = random_spin_config(9, rng)
-        assert energy(env, flip_all(x)) == pytest.approx(-energy(env, x), rel=1e-10, abs=1e-10)
+@pytest.mark.parametrize("p", [3, 4, 5, 6])
+def test_energy_global_flip_antisymmetry(p):
+    # a pure p-spin interaction takes the sign (-1)^p under a global spin
+    # flip, bit for bit over every state
+    n = 10
+    env = Environment.create(n, p, 3.0, 2.7, seed=13)
+    states = np.arange(1 << n, dtype=np.uint64)
+    flipped = env.energies(states ^ np.uint64((1 << n) - 1))
+    assert np.array_equal(flipped, (-1) ** p * env.energies(states))
 
 
 def test_energy_matches_explicit_tensor_contraction():

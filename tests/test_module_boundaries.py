@@ -7,8 +7,8 @@ raised by it, only ``verdicts.py`` writes a verdict's status, only
 replicas out, builds a walk or draws a stationary start, only ``run``
 builds an environment in ``cli.py``,
 ``conditions.py`` imports nothing from ``verdicts.py``, no module builds an
-index of the whole state space, and no module imports a scipy submodule at
-module level.
+index of the whole state space, no module imports a scipy submodule at
+module level, and only ``parallel.py`` cuts rows into blocks.
 
 A name with a leading underscore (dunders such as ``__version__`` aside) is
 private to the module that defines it; a ``from .module import _name``
@@ -34,7 +34,10 @@ much again, beside the energy table; the row-block helper of
 a time instead.  A scipy submodule imported at module level loads with the
 CLI, so every process pays for it before it does anything (``scipy.special``
 took about half of the start-up); imported inside the function that calls
-it, it loads at that function's first call.
+it, it loads at that function's first call.  A chunk loop that cut its own
+row blocks, by a ``max(1, budget // width)`` row count and a stepped
+``range``, would restate the row-block rule that ``parallel.row_blocks``
+keeps in one place.
 """
 
 import ast
@@ -687,3 +690,55 @@ def test_no_module_imports_a_scipy_submodule_at_module_level():
         if (hits := eager_scipy_imports(path.read_text()))
     }
     assert offenders == {}
+
+
+def row_block_arithmetic(source: str) -> list[tuple[int, str]]:
+    """``(line, "range")`` for each three-argument ``range`` call and
+    ``(line, "max")`` for each ``max(1, a // b)`` call: the two halves of a
+    row-block rule."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        name = getattr(node.func, "id", None) if isinstance(node, ast.Call) else None
+        if name == "range" and len(node.args) == 3:
+            found.append((node.lineno, "range"))
+        elif name == "max" and len(node.args) == 2:
+            one, rows = node.args
+            if isinstance(one, ast.Constant) and one.value == 1 and (
+                isinstance(rows, ast.BinOp) and isinstance(rows.op, ast.FloorDiv)
+            ):
+                found.append((node.lineno, "max"))
+    return sorted(found)
+
+
+def test_guard_detects_row_block_arithmetic():
+    # the chunk loops of ``map_replicas``, ``_iter_block_states``,
+    # ``self_test`` and ``Environment._contract`` before they all took their
+    # blocks from ``row_blocks``; the transform's sample split and the window
+    # cap of ``walk_to_times`` cut no rows
+    source = (
+        "rows = max(1, SEGMENT_BLOCK_STATES // (length + 1)) if env.has_energy_table else 1\n"
+        "blocks = [range(lo, min(count, lo + rows)) for lo in range(0, count, rows)]\n"
+        "rows = max(1, block // (window_steps + 1))\n"
+        "for lo in range(0, count, rows):\n    pass\n"
+        "step = max(1, _SELF_TEST_BLOCK_ELEMENTS // (width + 1))\n"
+        "for lo in range(0, rows.size, step):\n    pass\n"
+        "for lo in range(0, states.size, _CONTRACT_CHUNK):\n    pass\n"
+        "k = max(samples // 5, 2)\n"
+        "window = min(window, step_cap - steps, max(1, SEGMENT_BLOCK_STATES // rows.size - 1))\n"
+        "near = [d for d in range(n + 1)] + [max(1, math.ceil(x))]\n"
+    )
+    assert row_block_arithmetic(source) == [
+        (1, "max"), (2, "range"), (3, "max"), (4, "range"), (6, "max"), (7, "range"), (9, "range")
+    ]
+
+
+def test_only_the_parallel_module_cuts_row_blocks():
+    offenders = {
+        path.name: hits
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "parallel.py" and (hits := row_block_arithmetic(path.read_text()))
+    }
+    assert offenders == {}
+    # one row count and one stepped range
+    found = row_block_arithmetic((PACKAGE / "parallel.py").read_text())
+    assert sorted(kind for _, kind in found) == ["max", "range"]

@@ -1,11 +1,12 @@
-"""The one-ahead prefetch helper: serial items, serial stream order, joined threads."""
+"""The one-ahead prefetch helper: serial items, serial stream order, joined
+threads; and the row-block rule: blocks that tile the rows in order."""
 
 import threading
 
 import numpy as np
 import pytest
 
-from clockproc.parallel import prefetch
+from clockproc.parallel import prefetch, row_blocks
 from clockproc.seeding import keyed_generator
 
 
@@ -78,3 +79,22 @@ def test_prefetch_joins_its_thread_when_the_consumer_stops_early():
     for _ in prefetch(draws(keyed_generator(5)), 3):
         break
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize(
+    "count, width, budget, sizes",
+    [
+        (0, 3, 100, []),  # no rows, no blocks
+        (5, 101, 100, [1, 1, 1, 1, 1]),  # a row wider than the budget
+        (4, 1, 1, [1, 1, 1, 1]),  # a budget of one
+        (12, 3, 12, [4, 4, 4]),  # an exact multiple
+        (10, 3, 14, [4, 4, 2]),  # a ragged last block
+    ],
+)
+def test_row_blocks_tile_the_rows_in_order(count, width, budget, sizes):
+    blocks = row_blocks(count, width, budget)
+    edges = [0] + [hi for _, hi in blocks]
+    assert blocks == list(zip(edges, edges[1:]))  # in order, no gap, no overlap
+    assert edges[-1] == count
+    assert [hi - lo for lo, hi in blocks] == sizes
+    assert all(size == max(1, budget // width) for size in sizes[:-1])
