@@ -38,13 +38,14 @@ and ``subordinator``), and hands it in.  A runner computes and grades its
 own verdicts through :mod:`clockproc.verdicts`; it returns them, the files it
 offers, each with a writer and its stream provenance, and its run record
 (the environment's derived scales, the start distribution and the run's
-settings; ``None`` where no environment is sampled).  :func:`run` alone
-writes: the offered files whose extension is listed in ``outputs.formats``
-(and a ``--dump-trajectory`` file always), in the runner's order, then
-``manifest.json`` (resolved config, package versions, stream provenance for
-each written file, verdicts, run record).  Exit code: 0 when every verdict
-passes, 2 when the worst verdict is a warning, 3 when one fails, 1 on
-execution, configuration or usage errors.
+settings; ``None`` where no environment is sampled).  :func:`run` chooses
+which files are written, each by its own writer: the offered files whose
+extension is in ``outputs.formats`` (and a ``--dump-trajectory`` file
+always), in the runner's order, then ``manifest.json`` (resolved config,
+package versions, stream provenance for each written file, verdicts, run
+record).  Exit code: 0 when every verdict passes, 2 when the worst verdict
+is a warning, 3 when one fails, 1 on execution, configuration or usage
+errors.
 
 All randomness is derived from the config's master seed through tagged
 streams, and reductions happen in replica order, so outputs are
@@ -87,10 +88,6 @@ from .verdicts import MIN_ESS, ladder, slope_verdict, verdict, worst, z_verdict
 __all__ = ["main", "run"]
 
 _EXIT_CODE = {"pass": 0, "warn": 2, "fail": 3}
-
-# the observation horizon t of ``conditions``, ``laplace`` and ``clock``, on
-# the jump-count scale: their blocks cover the first floor(step_scale * t) steps
-_HORIZON = 1.0
 
 _TRAJECTORY = "trajectory.csv"
 _TRAJECTORY_ROW_CAP = 1_000_000
@@ -293,7 +290,7 @@ def _condition_verdicts(env: Environment, report: ConditionReport) -> dict:
 def _run_conditions(env: Environment, cfg: ExperimentConfig, args) -> _Result:
     streams = StreamFamily(cfg.master_seed, "conditions").replica(0)
     report = build_condition_report(
-        env, _HORIZON, cfg.u_grid, cfg.v_grid, cfg.eps_grid, streams, samples=cfg.samples,
+        env, cfg.u_grid, cfg.v_grid, cfg.eps_grid, streams, samples=cfg.samples,
         block_count=cfg.block_count, threads=cfg.resolved_threads(),
     )
     verdicts = _condition_verdicts(env, report)
@@ -309,9 +306,9 @@ def _run_conditions(env: Environment, cfg: ExperimentConfig, args) -> _Result:
 
 def _run_laplace(env: Environment, cfg: ExperimentConfig, args) -> _Result:
     streams = StreamFamily(cfg.master_seed, "laplace").replica(0)
+    k = resolve_block_count(env, cfg.block_count)
     est = estimate_intensity_laplace(
-        env, _HORIZON, cfg.v_grid, cfg.samples, streams, block_count=cfg.block_count,
-        threads=cfg.resolved_threads(),
+        env, k, cfg.v_grid, cfg.samples, streams, threads=cfg.resolved_threads()
     )
     rows = (
         [repr(v), repr(val), repr(se), est.samples]
@@ -324,7 +321,7 @@ def _run_laplace(env: Environment, cfg: ExperimentConfig, args) -> _Result:
         fitted_alpha=est.fitted_alpha, fitted_alpha_se=est.fitted_alpha_se,
         fitted_amplitude=est.fitted_amplitude, fitted_amplitude_se=est.fitted_amplitude_se,
     )
-    return verdicts, outputs, _environment_record(env, None) | {"block_count": est.block_count}
+    return verdicts, outputs, _environment_record(env, None) | {"block_count": k}
 
 
 def _run_mixing(env: None, cfg: ExperimentConfig, args) -> _Result:
@@ -345,7 +342,7 @@ def _run_clock(env: Environment, cfg: ExperimentConfig, args) -> _Result:
             "the jump-law comparison needs beta > 0; the beta = 0 chain has no "
             "power-law clock limit"
         )
-    k = resolve_block_count(env, _HORIZON, cfg.block_count)
+    k = resolve_block_count(env, cfg.block_count)
     theta = env.block_length
     start = _parse_start(cfg, args.start)
     family = StreamFamily(cfg.master_seed, "clock")

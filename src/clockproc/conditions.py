@@ -76,7 +76,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .chain import scaled_holds, uniform_starts, walk_paths
-from .environment import Environment
+from .environment import HORIZON, Environment
 from .errors import BudgetError, DegenerateScaleError, ParameterValidationError
 from .parallel import prefetch, row_blocks
 from .seeding import ReplicaStreams
@@ -228,31 +228,24 @@ def _block_sums(
     return sums
 
 
-def resolve_block_count(env: Environment, horizon: float | None, block_count: int | None) -> int:
-    """The explicit block count, else the horizon's."""
+def resolve_block_count(env: Environment, block_count: int | None) -> int:
+    """The explicit block count, else ``env.block_count``, which must be positive."""
     if block_count is not None:
         if block_count < 1:
             raise ParameterValidationError(f"block count must be >= 1; got {block_count}")
         return int(block_count)
-    if horizon is None:
-        raise ParameterValidationError("pass a horizon t or an explicit block count")
-    k = env.block_count(horizon)
+    k = env.block_count
+    if k is None:
+        raise DegenerateScaleError(
+            "jump-count scale is undefined or infinite at these parameters; "
+            "pass an explicit block count"
+        )
     if k == 0:
         raise DegenerateScaleError(
-            f"horizon t={horizon} yields zero complete aggregation blocks at n={env.n}; "
+            f"horizon t={HORIZON} yields zero complete aggregation blocks at n={env.n}; "
             "pass an explicit block count"
         )
     return k
-
-
-def _literal_block_count(env: Environment, horizon: float | None) -> int | None:
-    """The horizon's own block count, or None where the jump-count scale is unusable."""
-    if horizon is None:
-        return None
-    try:
-        return env.block_count(horizon)
-    except DegenerateScaleError:
-        return None
 
 
 @dataclass(frozen=True)
@@ -322,11 +315,10 @@ class IntensityEstimate:
 
 def estimate_intensity(
     env: Environment,
-    horizon: float | None,
+    block_count: int,
     thresholds: Sequence[float],
     samples: int,
     streams: ReplicaStreams,
-    block_count: int | None = None,
     threads: int = 1,
 ) -> IntensityEstimate:
     """nu_hat(u) = k * P(block sum > u) over a threshold grid, with slope fit.
@@ -338,7 +330,7 @@ def estimate_intensity(
     strictly inside (0, 1); the slope estimates the negated tail exponent.
     Below two such points there is no fit, and its four fields are NaN.
     """
-    k = resolve_block_count(env, horizon, block_count)
+    k = resolve_block_count(env, block_count)
     grid = np.asarray(thresholds, dtype=np.float64)
     sums = _block_sums(env, uniform_starts(env.n, samples, streams.walk), streams, threads=threads)
     rates, values, stderrs = _binomial_intensity(sums > grid[:, None], k)
@@ -405,14 +397,14 @@ def _squared_tail_indicators(
 
 def estimate_squared_tail_grid(
     env: Environment,
+    block_count: int,
     thresholds: Sequence[float],
     samples: int,
     streams: ReplicaStreams,
-    block_count: int,
     route: str = "two-step",
     threads: int = 1,
 ) -> list[SquaredTailEstimate]:
-    k = resolve_block_count(env, None, block_count)
+    k = resolve_block_count(env, block_count)
     joint = _squared_tail_indicators(env, thresholds, samples, streams, route, threads)
     _, values, stderrs = _binomial_intensity(joint, k)
     return [
@@ -558,9 +550,10 @@ class LaplaceIntensityEstimate:
 
     On the power-law plateau this behaves like K * t * Gamma(1-alpha) *
     v^(alpha-1), so the weighted log-log slope estimates alpha - 1 and the
-    intercept carries the tail amplitude.  ``fitted_amplitude`` divides the
-    Gamma factor back out; it is reported with a delta-method stderr for
-    orientation and is deliberately not a certified output.
+    intercept carries the tail amplitude.  ``fitted_amplitude``, K per unit
+    horizon, divides the Gamma factor and t = ``HORIZON`` back out; it is
+    reported with a delta-method stderr for orientation and is deliberately
+    not a certified output.
     """
 
     v_values: tuple[float, ...]
@@ -580,14 +573,13 @@ class LaplaceIntensityEstimate:
 
 def estimate_intensity_laplace(
     env: Environment,
-    horizon: float | None,
+    block_count: int,
     v_values: Sequence[float],
     samples: int,
     streams: ReplicaStreams,
-    block_count: int | None = None,
     threads: int = 1,
 ) -> LaplaceIntensityEstimate:
-    k = resolve_block_count(env, horizon, block_count)
+    k = resolve_block_count(env, block_count)
     varr = np.asarray(v_values, dtype=np.float64)
     if np.any(varr <= 0):
         raise ParameterValidationError("transform arguments must be positive for the intensity fit")
@@ -597,8 +589,8 @@ def estimate_intensity_laplace(
     fit = _weighted_line_fit(varr, values, stderrs, True)
     alpha_hat = 1.0 + fit.slope
     amp = amp_se = math.nan
-    if horizon is not None and 0 < alpha_hat < 1:
-        log_amp = fit.intercept - math.log(horizon) - math.lgamma(1.0 - alpha_hat)
+    if 0 < alpha_hat < 1:
+        log_amp = fit.intercept - math.log(HORIZON) - math.lgamma(1.0 - alpha_hat)
         amp = math.exp(log_amp)
         from scipy import special
         psi = special.digamma(1.0 - alpha_hat)
@@ -739,12 +731,12 @@ class TruncatedMeanEstimate:
     quadrature_value: float | None
 
 
-def truncated_mean_quadrature(env: Environment, epsilon: float, horizon: float) -> float:
+def truncated_mean_quadrature(env: Environment, epsilon: float) -> float:
     """Closed-form (quadrature) value of the annealed truncated-jump mean.
 
     Integrating the Gaussian energy marginal exactly gives
 
-        step_scale * t / time_scale
+        step_scale * HORIZON / time_scale
           * int_0^inf x e^{-x} e^{s^2/2} Phi((gn + ln(eps/x))/s - s) dx,
 
     with s = beta*sqrt(n) and gn = log time_scale; everything is evaluated in
@@ -788,7 +780,7 @@ def truncated_mean_quadrature(env: Environment, epsilon: float, horizon: float) 
     vals = 2.0 * u - np.exp(u) + 0.5 * s * s + special.log_ndtr((gn + log_eps - u) / s - s)
     peak = float(vals.max())
     log_value = peak + math.log(h * float(np.exp(vals - peak).sum()))
-    return math.exp(math.log(env.step_scale * horizon) - gn + log_value)
+    return math.exp(math.log(env.step_scale * HORIZON) - gn + log_value)
 
 
 def _truncated_terms(inverse_holds: np.ndarray, epsilon: float, out: np.ndarray) -> None:
@@ -810,11 +802,10 @@ def _truncated_terms(inverse_holds: np.ndarray, epsilon: float, out: np.ndarray)
 def estimate_truncated_mean(
     env: Environment,
     eps_values: Sequence[float],
-    horizon: float,
     samples: int,
     streams: ReplicaStreams,
 ) -> list[TruncatedMeanEstimate]:
-    """Truncated-jump mean step_scale * t * E[m*e; m*e <= eps] of the sampled
+    """Truncated-jump mean step_scale * HORIZON * E[m*e; m*e <= eps] of the sampled
     environment on an epsilon grid, m a state's scaled hold mean and e its
     hold, integrated out (:func:`_truncated_terms`).
 
@@ -829,10 +820,10 @@ def estimate_truncated_mean(
     eps_arr = np.asarray(eps_values, dtype=np.float64)
     if np.any(eps_arr <= 0):
         raise ParameterValidationError("epsilon values must be positive")
-    scale = env.step_scale * horizon
+    scale = env.step_scale * HORIZON
     averages = _state_average(env, _truncated_terms, eps_arr, samples, streams)
     try:
-        quadrature = [truncated_mean_quadrature(env, float(eps), horizon) for eps in eps_arr]
+        quadrature = [truncated_mean_quadrature(env, float(eps)) for eps in eps_arr]
     except BudgetError:
         # the annealed reference only; the quenched estimate does not need it
         quadrature = [None] * len(eps_arr)
@@ -841,7 +832,7 @@ def estimate_truncated_mean(
         out.append(
             TruncatedMeanEstimate(
                 epsilon=float(eps),
-                horizon=float(horizon),
+                horizon=HORIZON,
                 mc_value=float(scale * mean),
                 mc_stderr=float(scale * stderr),
                 samples=samples,
@@ -980,7 +971,6 @@ class ConditionReport:
 
 def build_condition_report(
     env: Environment,
-    horizon: float,
     u_grid: Sequence[float],
     v_grid: Sequence[float],
     eps_grid: Sequence[float],
@@ -994,29 +984,25 @@ def build_condition_report(
     The two correlated-square routes use max(samples // 5, 2) samples each;
     every other estimate uses ``samples``.  ``threads`` > 1 draws the walks
     of the intensity, the transform and the correlated square one row block
-    ahead on a helper thread; no value depends on it.
+    ahead on a helper thread; no value depends on it.  The estimators use
+    ``block_count`` blocks when it is given, else ``env.block_count``.
     """
-    k = resolve_block_count(env, horizon, block_count)
-    literal = _literal_block_count(env, horizon)
-    intensity = estimate_intensity(
-        env, horizon, u_grid, samples, streams, block_count=k, threads=threads
-    )
-    laplace = estimate_intensity_laplace(
-        env, horizon, v_grid, samples, streams, block_count=k, threads=threads
-    )
+    k = resolve_block_count(env, block_count)
+    intensity = estimate_intensity(env, k, u_grid, samples, streams, threads=threads)
+    laplace = estimate_intensity_laplace(env, k, v_grid, samples, streams, threads=threads)
     squared_a, squared_b = (
         estimate_squared_tail_grid(
-            env, u_grid, max(samples // 5, 2), streams, block_count=k, route=route, threads=threads
+            env, k, u_grid, max(samples // 5, 2), streams, route=route, threads=threads
         )
         for route in ("two-step", "split")
     )
     initial = estimate_initial_term(env, v_grid, samples, streams)
     # the truncated-jump mean lives on the jump-count scale, which does not
     # exist at beta = 0 (or once it overflows); skip it there instead of failing
-    if env.step_scale is not None and math.isfinite(env.step_scale):
-        truncated = estimate_truncated_mean(env, eps_grid, horizon, samples, streams)
-    else:
+    if env.block_count is None:
         truncated = []
+    else:
+        truncated = estimate_truncated_mean(env, eps_grid, samples, streams)
 
     return ConditionReport(
         n=env.n,
@@ -1024,9 +1010,9 @@ def build_condition_report(
         beta=env.beta,
         gamma=env.gamma,
         alpha=env.alpha,
-        horizon=horizon,
+        horizon=HORIZON,
         block_count=k,
-        literal_block_count=literal,
+        literal_block_count=env.block_count,
         intensity=intensity,
         laplace_intensity=laplace,
         squared_two_step=squared_a,

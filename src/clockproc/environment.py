@@ -18,8 +18,9 @@ the couplings, and past that by tensor contraction of the states asked for.
 
 The module also derives the scale parameters of the accelerated dynamics:
 observation time scale exp(gamma*n), jump-count scale sqrt(n) *
-exp(n*gamma^2/(2*beta^2)), aggregation block length ceil((3*ln2/2)*n^2), and
-the tail exponent alpha = gamma/beta^2.
+exp(n*gamma^2/(2*beta^2)), aggregation block length ceil((3*ln2/2)*n^2), the
+tail exponent alpha = gamma/beta^2, and the number of whole blocks in the
+first floor(a_n * t) steps at the one observation horizon t = ``HORIZON``.
 """
 
 from __future__ import annotations
@@ -31,11 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateScaleError,
-    DimensionMismatchError,
-    ParameterValidationError,
-)
+from .errors import DimensionMismatchError, ParameterValidationError
 from .parallel import row_blocks
 from .seeding import keyed_generator
 
@@ -49,6 +46,7 @@ __all__ = [
     "ZETA_LIMIT",
     "DEFAULT_ZETA_TABLE",
     "EXP_OVERFLOW",
+    "HORIZON",
     "MAX_SPINS",
     "MAX_TABLE_SPINS",
 ]
@@ -61,6 +59,10 @@ ZETA_LIMIT = math.sqrt(2.0 * math.log(2.0))
 DEFAULT_ZETA_TABLE: dict[int, float] = {3: 1.0291, 4: 1.07}
 
 EXP_OVERFLOW = 709.0  # exp() overflows float64 just above this
+
+# the observation horizon t of ``conditions``, ``laplace`` and ``clock``, on
+# the jump-count scale: their blocks cover the first floor(step_scale * t) steps
+HORIZON = 1.0
 
 # largest spin count whose packed states (and uniform draws below 1 << n) fit in uint64
 MAX_SPINS = 63
@@ -272,6 +274,7 @@ class Environment:
         "log_time_scale",
         "time_scale",
         "step_scale",
+        "block_count",
         "has_energy_table",
         "_energy_table",
         "_table_lock",
@@ -287,19 +290,21 @@ class Environment:
         self.p = couplings.p
         self.beta = beta = abs(float(beta))  # -0.0 is stored as the flat chain's 0.0
         self.gamma = gamma = float(gamma)
-        self.block_length = block_length(n)
-        # the tail exponent gamma/beta^2 and the jump-count scale
-        # sqrt(n) * exp(n*gamma^2/(2*beta^2)) do not exist at beta = 0 (None
-        # there); scales whose exponent leaves the float64 range saturate to inf
+        self.block_length = theta = block_length(n)
+        # the tail exponent, the jump-count scale and the block count do not
+        # exist at beta = 0 (None there); scales past the float64 range
+        # saturate to inf, and the block count is None there
         self.log_time_scale = gamma * n
         self.time_scale = math.exp(gamma * n) if gamma * n < EXP_OVERFLOW else math.inf
-        self.alpha = self.step_scale = None
+        self.alpha = self.step_scale = self.block_count = None
         if beta > 0:
             exponent = n * gamma * gamma / (2.0 * beta * beta)
             self.alpha = gamma / (beta * beta)
-            self.step_scale = (
+            self.step_scale = step_scale = (
                 math.sqrt(n) * math.exp(exponent) if exponent < EXP_OVERFLOW else math.inf
             )
+            if math.isfinite(step_scale):
+                self.block_count = int(math.floor(math.floor(step_scale * HORIZON) / theta))
         self.has_energy_table = n <= MAX_TABLE_SPINS
         self._energy_table = None
         self._table_lock = threading.Lock()
@@ -357,14 +362,3 @@ class Environment:
             # packed states stay below 2^63, so the int64 view indexes without a cast
             return self._table()[bits.view(np.int64)]
         return self._contract(bits.reshape(-1)).reshape(bits.shape)
-
-    def block_count(self, t: float) -> int:
-        """Number of aggregation blocks inside the first floor(a_n * t) steps."""
-        if t < 0:
-            raise ParameterValidationError(f"t must be nonnegative; got {t}")
-        if self.step_scale is None or not math.isfinite(self.step_scale):
-            raise DegenerateScaleError(
-                "jump-count scale is undefined or infinite at these parameters; "
-                "pass an explicit block count"
-            )
-        return int(math.floor(math.floor(self.step_scale * t) / self.block_length))

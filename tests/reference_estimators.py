@@ -54,8 +54,7 @@ from clockproc.chain import (
     uniform_starts, walk_paths,
 )
 from clockproc.conditions import (
-    _block_sums, _literal_block_count, _squared_tail_indicators, conditional_block_laplace,
-    resolve_block_count,
+    _block_sums, _squared_tail_indicators, conditional_block_laplace, resolve_block_count,
 )
 from clockproc.environment import CouplingTensor, Environment, SpinConfig, validate_parameters
 from clockproc.errors import BudgetError, DimensionMismatchError, ParameterValidationError
@@ -430,8 +429,13 @@ def concentration_diagnostic(
     ``master_seed``, so the report is reproducible and independent of
     ``threads``.  The deviation grid defaults to ten geometric points from
     half to eight times the bound's own scale sqrt(rho*nu^2 + sigma^2).
+    A given ``horizon`` is ``environment.HORIZON``, the one the block count
+    ``literal_block_count`` is derived at; ``block_count`` overrides the count
+    the estimates use.
     """
     validate_parameters(n, p, beta, gamma)
+    if horizon is None and block_count is None:
+        raise ParameterValidationError("pass a horizon t or an explicit block count")
     if replicas < 2:
         raise ParameterValidationError("need at least two environment replicas")
     family = StreamFamily(master_seed, "concentration")
@@ -443,8 +447,8 @@ def concentration_diagnostic(
     # replica 0's environment carries the scales every replica shares
     first = environment(0)
     theta = first.block_length
-    literal = _literal_block_count(first, horizon)
-    k = resolve_block_count(first, horizon, block_count)
+    literal = None if horizon is None else first.block_count
+    k = resolve_block_count(first, block_count)
 
     def worker(i: int):
         env = first if i == 0 else environment(i)

@@ -170,11 +170,10 @@ def test_criterion_04_flat_chain_closed_forms():
     # with one block the intensity's values are the hit rates, bit for bit
     tails = estimate_intensity(
         env,
-        None,
+        1,
         [1.7, 1.9, 2.1, 2.3],
         200_000,
         StreamFamily(CANONICAL_SEED, "flat-tail").replica(0),
-        block_count=1,
     )
     worst_z = 0.0
     for u, probability, stderr in zip(tails.thresholds, tails.values, tails.stderrs):
@@ -185,11 +184,10 @@ def test_criterion_04_flat_chain_closed_forms():
     # conditioning on the walk leaves nothing random: exactly zero MC variance
     intensity = estimate_intensity_laplace(
         env,
-        None,
+        5,
         [0.1, 1.0, 10.0],
         500,
         StreamFamily(CANONICAL_SEED, "flat-intensity").replica(0),
-        block_count=5,
     )
     worst_rel = 0.0
     for v, value, stderr in zip(intensity.v_values, intensity.values, intensity.stderrs):
@@ -227,7 +225,7 @@ def test_criterion_05_power_law_exponent():
     t0 = time.perf_counter()
     est = estimate_intensity_laplace(
         env,
-        1.0,
+        env.block_count,
         ExperimentConfig().v_grid,
         100_000,
         StreamFamily(CANONICAL_SEED, "intensity-fit").replica(0),
@@ -251,7 +249,7 @@ def test_criterion_06_truncated_mean():
     env = _canonical_env(12)
     t0 = time.perf_counter()
     estimates = estimate_truncated_mean(
-        env, (0.05, 0.1, 0.2), 1.0, 200_000, StreamFamily(1, "truncated-acceptance").replica(0)
+        env, (0.05, 0.1, 0.2), 200_000, StreamFamily(1, "truncated-acceptance").replica(0)
     )
     # the Monte Carlo average over states against the exact average over all
     # 2^12 states of the same environment

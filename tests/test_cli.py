@@ -117,6 +117,14 @@ def test_clock_with_zero_blocks_is_an_error(tmp_path, capsys):
     assert "horizon t=1.0 yields zero complete aggregation blocks at n=6" in err
 
 
+def test_conditions_at_beta_zero_needs_an_explicit_block_count(tmp_path, capsys):
+    # the flat chain has no jump-count scale, so no block count of its own
+    cfg_path = write_config(tmp_path / "cfg.json")
+    assert main(["conditions", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "jump-count scale is undefined or infinite" in err
+
+
 def test_conditions_degenerate_environment_passes_cleanly(tmp_path):
     cfg_path = write_config(tmp_path / "cfg.json", block_count=5)
     outdir = tmp_path / "out"

@@ -24,6 +24,7 @@ from clockproc.conditions import (
     estimate_squared_tail_grid,
     estimate_truncated_mean,
     plain,
+    resolve_block_count,
     truncated_mean_quadrature,
 )
 from clockproc.chain import mixing_check, uniform_starts
@@ -59,7 +60,7 @@ def test_block_tail_matches_gamma_law_at_beta_zero():
     env = unit_env()
     # with one block the intensity's values are the hit rates, bit for bit
     streams = replica_streams(2)
-    est = estimate_intensity(env, None, [2.0, 2.4], 20_000, streams, block_count=1)
+    est = estimate_intensity(env, 1, [2.0, 2.4], 20_000, streams)
     for u, probability, stderr in zip(est.thresholds, est.values, est.stderrs):
         oracle = degenerate_block_tail(env, u)
         assert oracle == pytest.approx(
@@ -73,7 +74,7 @@ def test_block_tail_grid_monotone_by_construction():
     """Common block sums across the grid force exact monotonicity in u."""
     env = Environment.create(8, 3, 3.0, 2.7, seed=5)
     grid = [0.25, 0.5, 1.0, 2.0, 4.0]
-    est = estimate_intensity(env, None, grid, 3000, replica_streams(1), block_count=1)
+    est = estimate_intensity(env, 1, grid, 3000, replica_streams(1))
     probs = est.values
     assert all(b <= a for a, b in zip(probs, probs[1:]))
     assert est.samples == 3000
@@ -83,7 +84,7 @@ def test_block_tail_extreme_thresholds():
     env = unit_env()
     streams = replica_streams(4)
     # the edges p = 1 and p = 0 sit at the ends of a grid with two interior thresholds
-    est = estimate_intensity(env, None, [0.0, 1.9, 2.1, 1e9], 500, streams, block_count=1)
+    est = estimate_intensity(env, 1, [0.0, 1.9, 2.1, 1e9], 500, streams)
     assert (est.values[0], est.stderrs[0]) == (1.0, 0.0)
     assert (est.values[-1], est.stderrs[-1]) == (0.0, 0.0)
 
@@ -132,7 +133,7 @@ def test_step_averaged_equals_plain_tail_at_beta_zero():
 def test_intensity_scales_tail_by_block_count():
     env = unit_env()
     grid = [1.7, 1.9, 2.1]
-    est = estimate_intensity(env, None, grid, 5000, replica_streams(8), block_count=12)
+    est = estimate_intensity(env, 12, grid, 5000, replica_streams(8))
     assert est.block_count == 12
     for u, value, se in zip(grid, est.values, est.stderrs):
         q = degenerate_block_tail(env, u)
@@ -144,19 +145,19 @@ def test_intensity_needs_interior_hit_rates():
     """Both thresholds are hit almost surely, so no point is usable for the
     fit: its fields are NaN, and the tail itself is still reported."""
     env = unit_env()
-    est = estimate_intensity(
-        env, None, [1e-6, 2e-6], 200, replica_streams(9), block_count=3
-    )
+    est = estimate_intensity(env, 3, [1e-6, 2e-6], 200, replica_streams(9))
     assert est.values == (3.0, 3.0) and est.stderrs == (0.0, 0.0)
     assert all(math.isnan(x) for x in (est.slope, est.slope_se, est.intercept, est.intercept_se))
 
 
-def test_intensity_resolves_block_count_from_horizon():
+def test_intensity_takes_the_environment_block_count_and_refuses_zero():
     env = Environment.create(8, 3, 3.0, 2.7, seed=5)
-    est = estimate_intensity(env, 1.0, [0.5, 1.0, 2.0], 2000, replica_streams(10))
-    assert est.block_count == env.block_count(1.0)
-    with pytest.raises(ParameterValidationError):
-        estimate_intensity(env, None, [0.5, 1.0], 2000, replica_streams(10))
+    k = resolve_block_count(env, None)
+    assert k == env.block_count == 1
+    est = estimate_intensity(env, k, [0.5, 1.0, 2.0], 2000, replica_streams(10))
+    assert est.block_count == env.block_count
+    with pytest.raises(ParameterValidationError, match="block count must be >= 1"):
+        estimate_intensity(env, 0, [0.5, 1.0], 2000, replica_streams(10))
 
 
 # --- correlated squares ---------------------------------------------------
@@ -165,21 +166,19 @@ def test_intensity_resolves_block_count_from_horizon():
 def test_squared_tail_routes_agree():
     env = Environment.create(6, 3, 2.0, 1.5, seed=2)
     fam = StreamFamily(13, "sq")
-    (a,) = estimate_squared_tail_grid(env, [0.5], 6000, fam.replica(0), block_count=5)
-    (b,) = estimate_squared_tail_grid(env, [0.5], 6000, fam.replica(1), block_count=5, route="split")
+    (a,) = estimate_squared_tail_grid(env, 5, [0.5], 6000, fam.replica(0))
+    (b,) = estimate_squared_tail_grid(env, 5, [0.5], 6000, fam.replica(1), route="split")
     assert a.route == "two-step" and b.route == "split"
     se = math.hypot(a.stderr, b.stderr)
     assert abs(a.value - b.value) < 3.5 * se
     with pytest.raises(ParameterValidationError):
-        estimate_squared_tail_grid(env, [0.5], 100, fam.replica(2), block_count=5, route="joint")
+        estimate_squared_tail_grid(env, 5, [0.5], 100, fam.replica(2), route="joint")
 
 
 def test_squared_tail_at_beta_zero_is_product_of_tails():
     # independent blocks at beta=0: the joint exceedance factorises
     env = unit_env()
-    (est,) = estimate_squared_tail_grid(
-        env, [2.0], 20_000, replica_streams(14), block_count=1
-    )
+    (est,) = estimate_squared_tail_grid(env, 1, [2.0], 20_000, replica_streams(14))
     q = degenerate_block_tail(env, 2.0)
     se = max(est.stderr, math.sqrt(q * q * (1 - q * q) / est.samples))
     assert abs(est.value - q * q) < 3.5 * se
@@ -245,7 +244,7 @@ def test_block_laplace_dual_routes_agree():
     env = Environment.create(8, 3, 3.0, 2.7, seed=5)
     fam = StreamFamily(7, "dual")
     v_grid = [0.3, 1.0, 3.0]
-    cond = estimate_intensity_laplace(env, None, v_grid, 4000, fam.replica(0), block_count=1)
+    cond = estimate_intensity_laplace(env, 1, v_grid, 4000, fam.replica(0))
     means, stderrs = direct_block_laplace(env, v_grid, 4000, fam.replica(1))
     for v, value, stderr, mean, se_direct in zip(v_grid, cond.values, cond.stderrs, means, stderrs):
         # one block: value = (1 - E G(v)) / v
@@ -546,9 +545,7 @@ def test_table_fold_peak_memory_stays_within_the_walk_window():
     block = conditions._GATHER_STATES * 28
     for samples in (20_000, 100_000):
         peak = traced_peak(
-            lambda: estimate_intensity_laplace(
-                env, None, v_grid, samples, replica_streams(29), block_count=1
-            )
+            lambda: estimate_intensity_laplace(env, 1, v_grid, samples, replica_streams(29))
         )
         per_sample = samples * 8 + (len(v_grid) + 1) * rows * 8
         assert peak <= tables + per_sample + block + (1 << 16)
@@ -575,9 +572,7 @@ def test_multi_pass_table_fold_peak_memory_is_the_kept_walk_and_one_group(monkey
     block = conditions._GATHER_STATES * 16 + (1 << env.n) * 16
     for samples in (2000, 10_000):
         peak = traced_peak(
-            lambda: estimate_intensity_laplace(
-                env, None, v_grid, samples, replica_streams(29), block_count=1
-            )
+            lambda: estimate_intensity_laplace(env, 1, v_grid, samples, replica_streams(29))
         )
         per_sample = samples * 8 + (len(v_grid) + 1) * rows * 8
         assert peak <= group * (1 << env.n) * 8 + walk + per_sample + block + (1 << 16)
@@ -587,24 +582,18 @@ def test_laplace_intensity_rescaled_values_monotone():
     """v * nu_hat(v) = k(1 - E G(v)) is nondecreasing in v, exactly under CRN."""
     env = Environment.create(8, 3, 3.0, 2.7, seed=5)
     v_grid = [0.1, 0.3, 1.0, 3.0, 10.0]
-    est = estimate_intensity_laplace(
-        env, None, v_grid, 2000, replica_streams(17), block_count=9
-    )
+    est = estimate_intensity_laplace(env, 9, v_grid, 2000, replica_streams(17))
     rescaled = [v * x for v, x in zip(est.v_values, est.values)]
     assert all(b >= a for a, b in zip(rescaled, rescaled[1:]))
     assert est.block_count == 9
     with pytest.raises(ParameterValidationError):
-        estimate_intensity_laplace(
-            env, None, [0.0, 1.0], 100, replica_streams(17), block_count=9
-        )
+        estimate_intensity_laplace(env, 9, [0.0, 1.0], 100, replica_streams(17))
 
 
 def test_laplace_intensity_beta_zero_closed_form():
     env = unit_env()
     v_grid = [0.5, 1.0, 2.0]
-    est = estimate_intensity_laplace(
-        env, None, v_grid, 50, replica_streams(19), block_count=4
-    )
+    est = estimate_intensity_laplace(env, 4, v_grid, 50, replica_streams(19))
     for v, value in zip(v_grid, est.values):
         oracle = 4 * (1.0 - degenerate_block_laplace(env, v)) / v
         assert value == pytest.approx(oracle, rel=1e-12)
@@ -670,7 +659,7 @@ def test_state_averages_draw_the_starts_once(table, contracted):
     env = reference_env() if table else contracted(reference_env)
     for estimate in (
         lambda streams: estimate_initial_term(env, [0.0, 0.1, 1.0, 10.0], 300, streams),
-        lambda streams: estimate_truncated_mean(env, [0.05, 0.1, 0.2], 1.0, 300, streams),
+        lambda streams: estimate_truncated_mean(env, [0.05, 0.1, 0.2], 300, streams),
     ):
         streams, fresh = replica_streams(31), replica_streams(31)
         estimate(streams)
@@ -695,9 +684,7 @@ def test_exact_state_average_peak_memory_is_a_few_row_blocks():
         env.energies(0)  # builds the energy table before tracing starts
         peaks.append(
             traced_peak(
-                lambda: estimate_truncated_mean(
-                    env, eps_grid, 1.0, 1000, replica_streams(29)
-                )
+                lambda: estimate_truncated_mean(env, eps_grid, 1000, replica_streams(29))
             )
         )
     block = conditions._GATHER_STATES * 8
@@ -710,9 +697,7 @@ def test_exact_state_average_peak_memory_is_a_few_row_blocks():
 
 def test_truncated_mean_monte_carlo_matches_exact_average():
     env = Environment.create(8, 3, 3.0, 2.7, seed=5)
-    ests = estimate_truncated_mean(
-        env, [0.05, 0.1, 0.2], 1.0, 100_000, replica_streams(12)
-    )
+    ests = estimate_truncated_mean(env, [0.05, 0.1, 0.2], 100_000, replica_streams(12))
     for est in ests:
         assert est.quadrature_value is not None
         assert abs(est.mc_value - est.exact_value) < 3.0 * est.mc_stderr
@@ -770,19 +755,19 @@ def test_truncated_mean_exact_value_averages_to_the_quadrature():
     exact = np.array([
         [est.exact_value for est in estimate_truncated_mean(
             Environment.create(10, 3, 3.0, 2.7, seed=family.seed_for(i)),
-            eps_grid, 1.0, 2, family.replica(i),
+            eps_grid, 2, family.replica(i),
         )]
         for i in range(300)
     ])
     env = Environment.create(10, 3, 3.0, 2.7, seed=family.seed_for(0))
     for eps, values in zip(eps_grid, exact.T):
-        quadrature = truncated_mean_quadrature(env, eps, 1.0)
+        quadrature = truncated_mean_quadrature(env, eps)
         assert abs(values.mean() - quadrature) <= 4.0 * values.std(ddof=1) / math.sqrt(300)
 
 
 def test_truncated_mean_quadrature_monotone_in_epsilon():
     env = Environment.create(10, 3, 3.0, 2.7, seed=5)
-    values = [truncated_mean_quadrature(env, e, 1.0) for e in (0.02, 0.05, 0.1, 0.2, 0.5)]
+    values = [truncated_mean_quadrature(env, e) for e in (0.02, 0.05, 0.1, 0.2, 0.5)]
     assert all(v > 0 for v in values)
     assert all(b > a for a, b in zip(values, values[1:]))
 
@@ -824,14 +809,14 @@ def _truncated_mean_mpmath(env, epsilon, horizon):
 )
 def test_truncated_mean_quadrature_against_high_precision(beta, n, gamma, eps):
     env = Environment.create(n, 3, beta, gamma, 0)
-    got = truncated_mean_quadrature(env, eps, 2.0)
-    assert got == pytest.approx(_truncated_mean_mpmath(env, eps, 2.0), rel=1e-12, abs=0.0)
+    got = truncated_mean_quadrature(env, eps)
+    assert got == pytest.approx(_truncated_mean_mpmath(env, eps, 1.0), rel=1e-12, abs=0.0)
 
 
 def test_truncated_mean_quadrature_refuses_a_grid_past_its_budget():
     env = Environment.create(4, 3, SMALLEST_S / 2 * 0.99, SMALLEST_S**2 / 8, 0)
     with pytest.raises(BudgetError, match=f"{SMALLEST_S:.6g}"):
-        truncated_mean_quadrature(env, 0.2, 1.0)
+        truncated_mean_quadrature(env, 0.2)
 
 
 def test_truncated_mean_asymptotic_slope_identity():
@@ -851,23 +836,23 @@ def test_truncated_mean_asymptotic_slope_identity():
 def test_truncated_mean_validation():
     env = Environment.create(8, 3, 3.0, 2.7, seed=5)
     with pytest.raises(ParameterValidationError):
-        estimate_truncated_mean(env, [-0.1], 1.0, 100, replica_streams(1))
+        estimate_truncated_mean(env, [-0.1], 100, replica_streams(1))
     with pytest.raises(ParameterValidationError, match="sample count must be >= 1"):
-        estimate_truncated_mean(env, [0.1], 1.0, 0, replica_streams(1))
+        estimate_truncated_mean(env, [0.1], 0, replica_streams(1))
     # one sample reads a stderr of 0.0, as the initial term's does
-    (one,) = estimate_truncated_mean(env, [0.1], 1.0, 1, replica_streams(1))
+    (one,) = estimate_truncated_mean(env, [0.1], 1, replica_streams(1))
     assert one.samples == 1 and one.mc_stderr == 0.0 and one.mc_value > 0
     with pytest.raises(DegenerateScaleError):
-        estimate_truncated_mean(unit_env(), [0.1], 1.0, 100, replica_streams(1))
+        estimate_truncated_mean(unit_env(), [0.1], 100, replica_streams(1))
 
 
 # each Monte Carlo estimator of the module, given a sample count
 SAMPLED_ESTIMATORS = {
-    "intensity": lambda env, m, streams: estimate_intensity(env, None, [1.0], m, streams, 1),
-    "squared-tail": lambda env, m, streams: estimate_squared_tail_grid(env, [1.0], m, streams, 1),
-    "transform": lambda env, m, streams: estimate_intensity_laplace(env, None, [1.0], m, streams, 1),
+    "intensity": lambda env, m, streams: estimate_intensity(env, 1, [1.0], m, streams),
+    "squared-tail": lambda env, m, streams: estimate_squared_tail_grid(env, 1, [1.0], m, streams),
+    "transform": lambda env, m, streams: estimate_intensity_laplace(env, 1, [1.0], m, streams),
     "initial-term": lambda env, m, streams: estimate_initial_term(env, [0.5], m, streams),
-    "truncated-mean": lambda env, m, streams: estimate_truncated_mean(env, [0.1], 1.0, m, streams),
+    "truncated-mean": lambda env, m, streams: estimate_truncated_mean(env, [0.1], m, streams),
 }
 
 
@@ -885,8 +870,8 @@ def test_stderr_halves_when_samples_quadruple():
     """Monte Carlo error scales like 1/sqrt(samples) (20% slack on the ratio)."""
     env = Environment.create(8, 3, 3.0, 2.7, seed=5)
     fam = StreamFamily(41, "scaling")
-    small = estimate_truncated_mean(env, [0.1], 1.0, 25_000, fam.replica(0))[0]
-    large = estimate_truncated_mean(env, [0.1], 1.0, 100_000, fam.replica(1))[0]
+    small = estimate_truncated_mean(env, [0.1], 25_000, fam.replica(0))[0]
+    large = estimate_truncated_mean(env, [0.1], 100_000, fam.replica(1))[0]
     ratio = small.mc_stderr / large.mc_stderr
     assert 0.8 * 2.0 < ratio < 1.2 * 2.0
 
@@ -960,14 +945,13 @@ def test_condition_report_structure_and_serialization(tmp_path):
     env = Environment.create(8, 3, 3.0, 2.7, seed=5)
     rep = build_condition_report(
         env,
-        1.0,
         u_grid=[0.25, 0.5, 1.0, 2.0],
         v_grid=[0.3, 1.0, 3.0],
         eps_grid=[0.05, 0.1, 0.2],
         streams=replica_streams(6),
         samples=3000,
     )
-    assert rep.block_count == env.block_count(1.0)
+    assert rep.block_count == env.block_count
     assert rep.literal_block_count == rep.block_count
     assert len(rep.squared_two_step) == len(rep.squared_split) == 4
     assert len(rep.initial_terms) == 3 and len(rep.truncated_means) == 3

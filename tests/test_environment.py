@@ -12,6 +12,7 @@ import pytest
 from clockproc import environment
 from clockproc.environment import (
     DEFAULT_ZETA_TABLE,
+    HORIZON,
     ZETA_LIMIT,
     CouplingTensor,
     Environment,
@@ -22,6 +23,7 @@ from clockproc.environment import (
     zeta,
 )
 from clockproc.chain import simulate_segment
+from clockproc.conditions import resolve_block_count
 from clockproc.errors import (
     DegenerateScaleError,
     DimensionMismatchError,
@@ -243,8 +245,7 @@ def test_environment_degenerate_beta_zero():
     env = Environment.create(8, 3, 0.0, 1.0, 0)
     assert env.alpha is None
     assert env.step_scale is None
-    with pytest.raises(DegenerateScaleError):
-        env.block_count(1.0)
+    assert env.block_count is None
     with pytest.raises(ParameterValidationError):
         Environment.create(8, 3, -1.0, 1.0, 0)
     # the flat chain has no jump-count scale to warn against, even at n = 2,
@@ -264,13 +265,29 @@ def test_environment_degenerate_beta_zero():
 
 
 def test_block_count():
-    env = Environment.create(6, 3, 3.0, 2.7, seed=1)
-    assert env.block_count(0.0) == 0
-    t = 1.0
-    expected = math.floor(math.floor(env.step_scale * t) / env.block_length)
-    assert env.block_count(t) == expected
-    with pytest.raises(ParameterValidationError):
-        env.block_count(-0.5)
+    """The whole blocks in the first floor(a_n) steps at t = HORIZON = 1."""
+    assert HORIZON == 1.0
+    with pytest.warns(UserWarning, match="block length"):
+        small = Environment.create(6, 3, 3.0, 2.7, seed=1)
+    assert small.block_count == 0
+    expected = math.floor(math.floor(small.step_scale * 1.0) / small.block_length)
+    assert small.block_count == expected
+    with pytest.raises(DegenerateScaleError, match="zero complete aggregation blocks at n=6"):
+        resolve_block_count(small, None)
+    env = Environment.create(14, 3, 3.0, 2.7, seed=1)
+    assert env.block_count == math.floor(math.floor(env.step_scale) / env.block_length) > 0
+    assert resolve_block_count(env, None) == env.block_count
+    assert resolve_block_count(env, 3) == 3
+    assert Environment.create(8, 3, 0.0, 1.0, 0).block_count is None
+
+
+def test_block_count_is_none_where_the_step_scale_overflows():
+    # n*gamma^2/(2*beta^2) = 50,000 leaves the float64 range
+    env = Environment(CouplingTensor.sample(10, 3, seed=0), 0.01, 1.0)
+    assert env.step_scale == math.inf
+    assert env.block_count is None
+    with pytest.raises(DegenerateScaleError, match="jump-count scale is undefined or infinite"):
+        resolve_block_count(env, None)
 
 
 def test_energy_table_matches_direct_contraction(contracted):

@@ -304,7 +304,7 @@ TRUNCATED_MEAN_TABLE_DIGEST = "d769a6191bab5107942eb741b67f8a57ac2ca5b49f0f0d852
 def truncated_mean_digest(table, contracted):
     env = create_env() if table else contracted(create_env)
     estimates = estimate_truncated_mean(
-        env, [0.05, 0.1, 0.2], 1.0, 5000, replica_streams(SEED)
+        env, [0.05, 0.1, 0.2], 5000, replica_streams(SEED)
     )
     assert all((est.exact_value is not None) == table for est in estimates)
     return _sha(json.dumps(plain(estimates), sort_keys=True).encode())
@@ -329,8 +329,7 @@ def laplace_intensity_digest(table, contracted):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(conditions, "_CHUNK_STATES", 5000)
         est = estimate_intensity_laplace(
-            env, None, [0.1, 1.0, 10.0, 100.0], 1013, replica_streams(SEED),
-            block_count=4,
+            env, 4, [0.1, 1.0, 10.0, 100.0], 1013, replica_streams(SEED)
         )
     return _sha(json.dumps(plain([est.values, est.stderrs])).encode())
 

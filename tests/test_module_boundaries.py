@@ -8,7 +8,8 @@ replicas out, builds a walk or draws a stationary start, only ``run``
 builds an environment in ``cli.py``,
 ``conditions.py`` imports nothing from ``verdicts.py``, no module builds an
 index of the whole state space, no module imports a scipy submodule at
-module level, and only ``parallel.py`` cuts rows into blocks.
+module level, only ``parallel.py`` cuts rows into blocks, and no function
+outside ``subordinator.py`` takes a ``horizon``.
 
 A name with a leading underscore (dunders such as ``__version__`` aside) is
 private to the module that defines it; a ``from .module import _name``
@@ -37,7 +38,10 @@ took about half of the start-up); imported inside the function that calls
 it, it loads at that function's first call.  A chunk loop that cut its own
 row blocks, by a ``max(1, budget // width)`` row count and a stepped
 ``range``, would restate the row-block rule that ``parallel.row_blocks``
-keeps in one place.
+keeps in one place.  Every run observes one horizon, ``environment.HORIZON``,
+and the block count it fixes is a scale of the environment; a ``horizon``
+parameter would derive that count a second way.  The subordinator's path
+horizon is a different quantity, the time its sampled path reaches.
 """
 
 import ast
@@ -742,3 +746,47 @@ def test_only_the_parallel_module_cuts_row_blocks():
     # one row count and one stepped range
     found = row_block_arithmetic((PACKAGE / "parallel.py").read_text())
     assert sorted(kind for _, kind in found) == ["max", "range"]
+
+
+def horizon_parameters(source: str) -> list[str]:
+    """The names of the functions that take a parameter named ``horizon``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            if any(arg.arg == "horizon" for arg in params):
+                found.append(getattr(node, "name", "<lambda>"))
+    return sorted(found)
+
+
+def test_guard_detects_horizon_parameters():
+    # the signatures of ``estimate_intensity`` and ``resolve_block_count``
+    # before the observation horizon became ``environment.HORIZON``
+    source = (
+        "def estimate_intensity(\n"
+        "    env: Environment,\n"
+        "    horizon: float | None,\n"
+        "    thresholds: Sequence[float],\n"
+        "    samples: int,\n"
+        "    streams: ReplicaStreams,\n"
+        "    block_count: int | None = None,\n"
+        "    threads: int = 1,\n"
+        ") -> IntensityEstimate:\n"
+        "    pass\n"
+        "def resolve_block_count(env: Environment, horizon: float | None, "
+        "block_count: int | None) -> int:\n"
+        "    pass\n"
+        "def extend(path, new_horizon, rng):\n"
+        "    return path.horizon\n"
+    )
+    assert horizon_parameters(source) == ["estimate_intensity", "resolve_block_count"]
+
+
+def test_only_the_subordinator_takes_a_horizon():
+    offenders = {
+        path.name: hits
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "subordinator.py" and (hits := horizon_parameters(path.read_text()))
+    }
+    assert offenders == {}
