@@ -9,8 +9,8 @@ with the observation time scale as the unit.  In the trapping regime this
 converges to the generalised arcsine law evaluated at t/(t+s); the module
 estimates the curve over a grid of (t, s) pairs and attaches the prediction,
 gives the flat (beta = 0) chain's curve in closed form as the reference, and
-provides a per-block localisation diagnostic that checks the "one deep trap
-per block" picture directly on a trajectory.
+provides a localisation diagnostic that checks the "one deep trap per
+block" picture directly on every whole block of a trajectory.
 """
 
 from __future__ import annotations
@@ -237,50 +237,46 @@ class TrapReport:
 
 
 def trap_localization_diagnostic(
-    env: Environment,
-    segment: TrajectorySegment,
-    block_index: int,
-    epsilon: float = 0.25,
-    threshold: float = 0.5,
-) -> TrapReport:
-    """Check whether one block's time is dominated by a single trap.
+    env: Environment, segment: TrajectorySegment, epsilon: float, threshold: float
+) -> list[TrapReport]:
+    """Check whether each whole block's time is dominated by a single trap.
 
-    The candidate trap is the state of the block's single largest time
-    increment; the report gives that increment's share of the block's
-    physical time, the share of the whole overlap-(1-epsilon) ball around the
-    trap, a flag for re-entry (the walk exited the ball and came back within
-    the block), and an ``untrapped`` flag when the dominant share falls below
-    ``threshold``, a share in (0, 1].
+    Block i covers steps i * theta + 1 to (i + 1) * theta of the segment,
+    for each of its ``segment.steps // theta`` whole blocks, so a block's
+    report does not depend on the steps after it.  The candidate trap is the
+    state of the block's single largest time increment; the report gives
+    that increment's share of the block's physical time, the share of the
+    whole overlap-(1-epsilon) ball around the trap, a flag for re-entry (the
+    walk exited the ball and came back within the block), and an
+    ``untrapped`` flag when the dominant share falls below ``threshold``, a
+    share in (0, 1].
     """
     if not 0 < epsilon <= 2:
         raise ParameterValidationError(f"epsilon must lie in (0, 2]; got {epsilon}")
     if not 0 < threshold <= 1:
         raise ParameterValidationError(f"trap threshold must lie in (0, 1]; got {threshold}")
-    if block_index < 0:
-        raise ParameterValidationError(f"block index must be >= 0; got {block_index}")
     theta = env.block_length
-    lo = 1 + block_index * theta
-    hi = lo + theta
-    if hi > len(segment.increments):
-        raise ParameterValidationError(
-            f"segment has {segment.steps} steps; block {block_index} needs {hi - 1}"
+    reports = []
+    for i in range(segment.steps // theta):
+        lo, hi = 1 + i * theta, 1 + (i + 1) * theta
+        states = segment.states[lo:hi]
+        increments = segment.increments[lo:hi]
+        total = float(increments.sum())
+        if not total > 0:
+            raise ParameterValidationError("block carries no physical time")
+        winner = int(np.argmax(increments))
+        dominant_state = int(states[winner])
+        dominant_fraction = float(increments[winner] / total)
+        ball = overlap_to_reference(states, dominant_state, env.n) >= 1.0 - epsilon
+        entries = int(np.count_nonzero(np.diff(ball.astype(np.int8)) == 1)) + int(ball[0])
+        reports.append(
+            TrapReport(
+                block_index=i,
+                dominant_state=dominant_state,
+                dominant_fraction=dominant_fraction,
+                ball_time_fraction=float(increments[ball].sum() / total),
+                reentered=entries > 1,
+                untrapped=dominant_fraction < threshold,
+            )
         )
-    states = segment.states[lo:hi]
-    increments = segment.increments[lo:hi]
-    total = float(increments.sum())
-    if not total > 0:
-        raise ParameterValidationError("block carries no physical time")
-    winner = int(np.argmax(increments))
-    dominant_state = int(states[winner])
-    dominant_fraction = float(increments[winner] / total)
-    ball = overlap_to_reference(states, dominant_state, env.n) >= 1.0 - epsilon
-    ball_time_fraction = float(increments[ball].sum() / total)
-    entries = int(np.count_nonzero(np.diff(ball.astype(np.int8)) == 1)) + int(ball[0])
-    return TrapReport(
-        block_index=block_index,
-        dominant_state=dominant_state,
-        dominant_fraction=dominant_fraction,
-        ball_time_fraction=ball_time_fraction,
-        reentered=entries > 1,
-        untrapped=dominant_fraction < threshold,
-    )
+    return reports

@@ -22,7 +22,8 @@ Subcommands:
     limit, P(X/u > x) = x^(-alpha) (one-sample Kolmogorov-Smirnov).
 ``aging``
     Two-time correlation curve next to the arcsine prediction and the flat
-    (beta = 0) chain's curve in closed form, plus per-block trap diagnostics.
+    (beta = 0) chain's curve in closed form, plus the trap diagnostics of
+    every block of one trajectory, read in one call.
 ``mixing``
     Exact aggregation-scale mixing check (Hamming-distance chain; any n).
 ``subordinator``
@@ -43,9 +44,10 @@ which files are written, each by its own writer: the offered files whose
 extension is in ``outputs.formats`` (and a ``--dump-trajectory`` file
 always), in the runner's order, then ``manifest.json`` (resolved config,
 package versions, stream provenance for each written file, verdicts, run
-record).  Exit code: 0 when every verdict passes, 2 when the worst verdict
-is a warning, 3 when one fails, 1 on execution, configuration or usage
-errors.
+record).  A warning of :meth:`Environment.create` goes to stderr as one
+line, ``warning: <message>``.  Exit code: 0 when every verdict passes, 2
+when the worst verdict is a warning, 3 when one fails, 1 on execution,
+configuration or usage errors.
 
 All randomness is derived from the config's master seed through tagged
 streams, and reductions happen in replica order, so outputs are
@@ -65,6 +67,7 @@ import json
 import os
 import platform
 import sys
+import warnings
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
@@ -414,10 +417,7 @@ def _run_aging(env: Environment, cfg: ExperimentConfig, args) -> _Result:
     # before the Monte Carlo curve so that they refuse a bad threshold first
     trap_streams = StreamFamily(cfg.master_seed, "aging-trap").replica(0)
     segment = simulate_segment(env, start, _TRAP_BLOCKS * env.block_length, trap_streams)
-    reports = [
-        trap_localization_diagnostic(env, segment, i, args.epsilon, args.trap_threshold)
-        for i in range(_TRAP_BLOCKS)
-    ]
+    reports = trap_localization_diagnostic(env, segment, args.epsilon, args.trap_threshold)
     main_curve = estimate_aging_curve(
         env,
         cfg.ts_grid,
@@ -603,7 +603,10 @@ def run(command: str, cfg: ExperimentConfig, args) -> int:
     env = None
     if sampled:
         seed = resolve_seeds(cfg.master_seed, "environment", 0)
-        env = Environment.create(cfg.n, cfg.p, cfg.beta, cfg.gamma, seed, cfg.zeta_table)
+        with warnings.catch_warnings(record=True) as caught:
+            env = Environment.create(cfg.n, cfg.p, cfg.beta, cfg.gamma, seed, cfg.zeta_table)
+        for caught_warning in caught:
+            print(f"warning: {caught_warning.message}", file=sys.stderr)
     verdicts, outputs, record = runner(env, cfg, args)
     artifacts = []
     for output in outputs:

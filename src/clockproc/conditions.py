@@ -57,8 +57,10 @@ Estimator conventions used throughout:
   stream's row blocks by the helper, its starts and the noise stream by the
   caller), so no output depends on the thread count.
 
-Two deliberately redundant routes exist for the correlated-square statistic
-(two-step kernel versus split one-step products); the runner grades their
+Each estimator takes its whole grid in one call.  Two deliberately
+redundant routes exist for the correlated-square statistic (two-step kernel
+versus split one-step products), and one call of
+:func:`estimate_squared_tail_grid` returns both; the runner grades their
 agreement.  The block Laplace transform is estimated by the
 conditional closed form over the walk only; its direct-sampling counterpart
 (waiting times drawn too) lives in ``tests/reference_estimators.py`` as a
@@ -362,62 +364,40 @@ class SquaredTailEstimate:
     route: str
 
 
-def _squared_tail_indicators(
-    env: Environment,
-    thresholds: Sequence[float],
-    samples: int,
-    streams: ReplicaStreams,
-    route: str,
-    threads: int = 1,
-) -> np.ndarray:
-    """(len(thresholds), samples) joint-exceedance indicators for one route.
-
-    Route "two-step": block from x and an independent block from a state two
-    moves away (the kernel form of the correlated square).  Route "split":
-    two independent one-move-then-block runs from the same x, whose product
-    is an unbiased estimate of the squared one-step-averaged tail.  The two
-    routes target the same quantity through the walk's reversibility and are
-    kept separate so that agreement is an actual check.
-    """
-    xs = uniform_starts(env.n, samples, streams.walk)
-    if route == "two-step":
-        ys = walk_paths(
-            xs, streams.walk.integers(0, env.n, size=(samples, 2), dtype=np.uint32)
-        )[:, 2]
-        first = _block_sums(env, xs, streams, threads=threads)
-        second = _block_sums(env, ys, streams, threads=threads)
-    elif route == "split":
-        first = _block_sums(env, xs, streams, presteps=1, threads=threads)
-        second = _block_sums(env, xs, streams, presteps=1, threads=threads)
-    else:
-        raise ParameterValidationError(f"unknown route {route!r}; use 'two-step' or 'split'")
-    grid = np.asarray(thresholds, dtype=np.float64)
-    return (first[None, :] > grid[:, None]) & (second[None, :] > grid[:, None])
-
-
 def estimate_squared_tail_grid(
     env: Environment,
     block_count: int,
     thresholds: Sequence[float],
     samples: int,
     streams: ReplicaStreams,
-    route: str = "two-step",
     threads: int = 1,
-) -> list[SquaredTailEstimate]:
+) -> tuple[list[SquaredTailEstimate], list[SquaredTailEstimate]]:
+    """k * P(both blocks > u) over a threshold grid by two routes, ``(two_step, split)``.
+
+    Route "two-step": a block from x and an independent block from a state
+    two moves away (the kernel form of the correlated square).  Route
+    "split": two independent one-move-then-block runs from the same fresh
+    start x, whose product is an unbiased estimate of the squared
+    one-step-averaged tail.  The two routes target the same quantity through the walk's
+    reversibility and are kept separate so that agreement is an actual
+    check.  The two-step route draws first, then the split route.
+    """
     k = resolve_block_count(env, block_count)
-    joint = _squared_tail_indicators(env, thresholds, samples, streams, route, threads)
-    _, values, stderrs = _binomial_intensity(joint, k)
-    return [
-        SquaredTailEstimate(
-            threshold=float(u),
-            value=float(value),
-            stderr=float(stderr),
-            samples=samples,
-            block_count=k,
-            route=route,
-        )
-        for u, value, stderr in zip(thresholds, values, stderrs)
-    ]
+    grid = np.asarray(thresholds, dtype=np.float64)[:, None]
+
+    def estimates(name: str, first: np.ndarray, second: np.ndarray) -> list[SquaredTailEstimate]:
+        _, values, stderrs = _binomial_intensity((first > grid) & (second > grid), k)
+        return [
+            SquaredTailEstimate(float(u), float(value), float(stderr), samples, k, name)
+            for u, value, stderr in zip(thresholds, values, stderrs)
+        ]
+
+    xs = uniform_starts(env.n, samples, streams.walk)
+    ys = walk_paths(xs, streams.walk.integers(0, env.n, size=(samples, 2), dtype=np.uint32))[:, 2]
+    two_step = [_block_sums(env, x, streams, threads=threads) for x in (xs, ys)]
+    xs = uniform_starts(env.n, samples, streams.walk)
+    split = [_block_sums(env, xs, streams, presteps=1, threads=threads) for _ in range(2)]
+    return estimates("two-step", *two_step), estimates("split", *split)
 
 
 # ---------------------------------------------------------------------------
@@ -990,11 +970,8 @@ def build_condition_report(
     k = resolve_block_count(env, block_count)
     intensity = estimate_intensity(env, k, u_grid, samples, streams, threads=threads)
     laplace = estimate_intensity_laplace(env, k, v_grid, samples, streams, threads=threads)
-    squared_a, squared_b = (
-        estimate_squared_tail_grid(
-            env, k, u_grid, max(samples // 5, 2), streams, route=route, threads=threads
-        )
-        for route in ("two-step", "split")
+    squared_a, squared_b = estimate_squared_tail_grid(
+        env, k, u_grid, max(samples // 5, 2), streams, threads=threads
     )
     initial = estimate_initial_term(env, v_grid, samples, streams)
     # the truncated-jump mean lives on the jump-count scale, which does not

@@ -54,7 +54,7 @@ from clockproc.chain import (
     uniform_starts, walk_paths,
 )
 from clockproc.conditions import (
-    _block_sums, _squared_tail_indicators, conditional_block_laplace, resolve_block_count,
+    _block_sums, conditional_block_laplace, estimate_squared_tail_grid, resolve_block_count,
 )
 from clockproc.environment import CouplingTensor, Environment, SpinConfig, validate_parameters
 from clockproc.errors import BudgetError, DimensionMismatchError, ParameterValidationError
@@ -465,9 +465,11 @@ def concentration_diagnostic(
         # replicas already run on the pool, so these walk on this thread alone
         starts = uniform_starts(env.n, pair_samples, streams.walk)
         marginal = _block_sums(env, starts, streams) > threshold
-        two_step = _squared_tail_indicators(env, [threshold], pair_samples, streams, "two-step")
-        split = _squared_tail_indicators(env, [threshold], pair_samples, streams, "split")
-        return q_hat, float(marginal.mean()), float(two_step.mean()), float(split.mean())
+        # at k = 1 each route's value is its joint hit rate, bit for bit
+        (two_step,), (split,) = estimate_squared_tail_grid(
+            env, 1, [threshold], pair_samples, streams
+        )
+        return q_hat, float(marginal.mean()), two_step.value, split.value
 
     results = ordered_map(worker, replicas, threads)
     q = np.array([r[0] for r in results])

@@ -17,7 +17,7 @@ from clockproc.aging import (
     flat_aging_curve,
     trap_localization_diagnostic,
 )
-from clockproc.chain import simulate_segment
+from clockproc.chain import TrajectorySegment, simulate_segment
 from clockproc.environment import Environment, SpinConfig, block_length, overlap_to_reference
 from clockproc.errors import (
     BudgetError,
@@ -425,8 +425,7 @@ def test_trap_diagnostic_beta_zero_is_untrapped():
     env = Environment.create(8, 3, 0.0, 0.5, 0)
     theta = env.block_length
     seg = simulate_segment(env, SpinConfig(8, 0), 4 * theta + 1, replica_streams(17))
-    for b in range(4):
-        rep = trap_localization_diagnostic(env, seg, b)
+    for rep in trap_localization_diagnostic(env, seg, 0.25, 0.5):
         assert rep.untrapped
         assert rep.dominant_fraction < 0.35
         assert rep.ball_time_fraction >= rep.dominant_fraction
@@ -437,25 +436,20 @@ def test_trap_diagnostic_finds_deep_trap_at_low_temperature():
     env = Environment.create(8, 3, 3.0, 2.7, seed=23)
     theta = env.block_length
     seg = simulate_segment(env, SpinConfig(8, 0), 6 * theta + 1, replica_streams(19))
-    fractions = [
-        trap_localization_diagnostic(env, seg, b).dominant_fraction for b in range(6)
-    ]
+    reports = trap_localization_diagnostic(env, seg, 0.25, 0.5)
+    fractions = [rep.dominant_fraction for rep in reports]
     # at beta=3 the deepest visited state dominates most blocks outright
     assert max(fractions) > 0.5
 
 
-def test_trap_diagnostic_validation_and_reentry_flag():
+def test_trap_diagnostic_reentry_flag():
     env = Environment.create(6, 3, 0.0, 0.5, 0)
     theta = env.block_length
     seg = simulate_segment(env, SpinConfig(6, 0), theta + 1, replica_streams(21))
-    rep = trap_localization_diagnostic(env, seg, 0, epsilon=2.0)
+    (rep,) = trap_localization_diagnostic(env, seg, 2.0, 0.5)
     # the ball with epsilon=2 is the whole cube: entered once, never exited
     assert rep.ball_time_fraction == pytest.approx(1.0)
     assert not rep.reentered
-    with pytest.raises(ParameterValidationError):
-        trap_localization_diagnostic(env, seg, -1)
-    with pytest.raises(ParameterValidationError):
-        trap_localization_diagnostic(env, seg, 2)
 
 
 @pytest.mark.parametrize(
@@ -471,8 +465,42 @@ def test_trap_diagnostic_rejects_a_threshold_or_epsilon_out_of_range(keyword, va
         env, SpinConfig(6, 0), env.block_length + 1, replica_streams(21)
     )
     name = "trap threshold" if keyword == "threshold" else "epsilon"
+    settings = {"epsilon": 0.25, "threshold": 0.5, keyword: value}
     with pytest.raises(ParameterValidationError, match=name):
-        trap_localization_diagnostic(env, seg, 0, **{keyword: value})
+        trap_localization_diagnostic(env, seg, **settings)
     # a dominant fraction is at most 1, so a threshold of 1 flags every block
     # whose time is not all at one state
-    assert trap_localization_diagnostic(env, seg, 0, threshold=1.0).untrapped
+    (rep,) = trap_localization_diagnostic(env, seg, 0.25, 1.0)
+    assert rep.untrapped
+
+
+def cut(segment: TrajectorySegment, steps: int) -> TrajectorySegment:
+    """The first ``steps`` steps of ``segment``."""
+    return TrajectorySegment(
+        *(array[: steps + 1] for array in
+          (segment.states, segment.energies, segment.exp_draws, segment.increments))
+    )
+
+
+def test_trap_diagnostic_reports_each_whole_block_of_the_segment():
+    """Blocks start at step 1, so 4 theta + 1 steps hold four whole blocks and
+    theta - 1 steps none."""
+    env = Environment.create(8, 3, 3.0, 2.7, seed=23)
+    theta = env.block_length
+    seg = simulate_segment(env, SpinConfig(8, 0), 4 * theta + 1, replica_streams(19))
+    reports = trap_localization_diagnostic(env, seg, 0.25, 0.5)
+    assert [rep.block_index for rep in reports] == [0, 1, 2, 3]
+    assert trap_localization_diagnostic(env, cut(seg, theta - 1), 0.25, 0.5) == []
+
+
+def test_trap_report_does_not_depend_on_the_steps_after_its_block():
+    """Block i's report from the whole segment equals the last report from
+    the segment cut to (i + 1) theta steps."""
+    env = Environment.create(8, 3, 3.0, 2.7, seed=23)
+    theta = env.block_length
+    seg = simulate_segment(env, SpinConfig(8, 0), 4 * theta + 1, replica_streams(19))
+    reports = trap_localization_diagnostic(env, seg, 0.25, 0.5)
+    for i, rep in enumerate(reports):
+        shorter = trap_localization_diagnostic(env, cut(seg, (i + 1) * theta), 0.25, 0.5)
+        assert len(shorter) == i + 1
+        assert shorter[-1] == rep

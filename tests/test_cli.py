@@ -843,6 +843,23 @@ def test_module_entry_point_runs_in_subprocess(tmp_path):
     assert (outdir / "manifest.json").exists()
 
 
+def test_block_length_warning_is_one_line_naming_no_file(tmp_path):
+    """At n = 6 a block of 38 states is not small against the jump-count
+    scale; the run says so on one stderr line, with no path or line number."""
+    cfg_path = write_config(tmp_path / "cfg.json", beta=3.0, block_count=2, samples=200)
+    proc = subprocess.run(
+        [sys.executable, "-m", "clockproc.cli", "conditions", "--config", str(cfg_path),
+         "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode != 1, proc.stderr
+    assert proc.stderr.splitlines() == [
+        "warning: block length 38 is not small against the jump-count scale 2.66 at n=6; "
+        "block-level asymptotics are unreliable at this size"
+    ]
+
+
 def test_importing_the_cli_leaves_scipy_stats_unloaded():
     """scipy.stats is the slowest import of the dependencies, and no module of
     the package uses it: the clock jump law is graded through scipy.special."""

@@ -15,8 +15,10 @@ helper threads run count too.  The script then prints, for each function of
 function's) the lines of its statements that no run reached, or that no
 run called it.  A compound statement counts as reached when any line inside
 it is.  Module and class bodies run at import and are not listed.  pytest
-does not collect this file.  The package's heavy work runs inside numpy, so
-tracing costs little: the eight runs below take about 7 s on two cores.
+does not collect this file; ``tests/test_traffic.py`` pins the functions
+that the six runs on ``{}`` never call.  The package's heavy work runs
+inside numpy, so tracing costs little: the ten runs below take about 7 s
+on two cores.
 
 The six subcommands on ``{}`` and the configs of the four benchmark
 workloads (``bench/run.py``: ``conditions`` at n = 14 and n = 20, ``aging``
@@ -32,8 +34,7 @@ at n = 14 with its short (t, s) grid, ``subordinator`` at its defaults), at
   ``validate_parameters``, ``_laplace_verdicts``, ``_condition_verdicts``
   and the runners);
 - the ``--start`` and ``--dump-trajectory`` paths (``_parse_start``, the
-  fixed-start branch of ``chain._origins``, ``_trajectory``,
-  ``TrajectorySegment.steps``);
+  fixed-start branch of ``chain._origins``, ``_trajectory``);
 - the ``s == 0`` and zero-drift branches of ``crossing_probability_batch``;
 - the functions only the benchmark tracer calls (``correlation_indicator``
   with ``process_at_time`` and ``TrajectorySegment.cumulative``,
