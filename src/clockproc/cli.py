@@ -53,9 +53,11 @@ All randomness is derived from the config's master seed through tagged
 streams, and reductions happen in replica order, so outputs are
 byte-identical across reruns and thread counts.
 
-``scipy.special`` is imported inside the functions that call it, at their
-first call, so importing this module, ``--help``, ``mixing`` and a refused
-config never load it.
+Every special function comes from :mod:`~clockproc.special`, which loads
+mpmath only at the first incomplete beta, incomplete gamma or digamma, so
+importing this module, ``--help``, ``mixing`` and a refused config never
+load it.  The manifest reads the mpmath version from the installed
+package's metadata, not from the module.
 """
 
 from __future__ import annotations
@@ -71,9 +73,8 @@ import warnings
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
-import scipy
 
-from . import __version__
+from . import __version__, special
 from .aging import estimate_aging_curve, flat_aging_curve, trap_localization_diagnostic
 from .chain import TrajectorySegment, blocked_clocks, map_replicas, mixing_check, simulate_segment
 from .conditions import (
@@ -82,7 +83,7 @@ from .conditions import (
     degenerate_initial_term, estimate_intensity_laplace, plain, resolve_block_count,
 )
 from .config import ExperimentConfig
-from .environment import Environment, SpinConfig, block_length
+from .environment import HORIZON, Environment, SpinConfig, block_length
 from .errors import ClockprocError, ParameterValidationError
 from .seeding import StreamFamily, resolve_seeds
 from .subordinator import arcsine_cdf, self_test
@@ -266,7 +267,7 @@ def _condition_verdicts(env: Environment, report: ConditionReport) -> dict:
             for est in report.initial_terms
         )
     if report.truncated_means and env.has_energy_table:
-        scale = env.step_scale * report.horizon * TRUNCATED_TERM_BOUND
+        scale = env.step_scale * HORIZON * TRUNCATED_TERM_BOUND
         verdicts["truncated_mean"] = _floored_z(
             (tm.mc_value, tm.mc_stderr, tm.samples, tm.exact_value, scale * tm.epsilon)
             for tm in report.truncated_means
@@ -393,8 +394,7 @@ def _run_clock(env: Environment, cfg: ExperimentConfig, args) -> _Result:
         cdf = -np.expm1(-env.alpha * np.log(x))
         i = np.arange(1, n + 1)
         statistic = float(max(np.max(i / n - cdf), np.max(cdf - (i - 1) / n)))
-        from scipy import special
-        p_value = min(1.0, 2.0 * float(special.smirnov(n, statistic)))
+        p_value = min(1.0, 2.0 * special.smirnov(n, statistic))
         verdicts["clock_jump_law"] = verdict(
             ladder(-p_value, -1e-3, -1e-6),  # pass at p >= 1e-3
             statistic=statistic,
@@ -623,6 +623,7 @@ def run(command: str, cfg: ExperimentConfig, args) -> int:
             }
         )
     overall = worst(entry["status"] for entry in verdicts.values())
+    from importlib import metadata
     manifest = {
         "command": command,
         "config": cfg.to_dict(),
@@ -630,7 +631,7 @@ def run(command: str, cfg: ExperimentConfig, args) -> int:
             "clockproc": __version__,
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "mpmath": metadata.version("mpmath"),
         },
         "artifacts": artifacts,
         "verdicts": verdicts,

@@ -77,6 +77,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from . import special
 from .chain import scaled_holds, uniform_starts, walk_paths
 from .environment import HORIZON, Environment
 from .errors import BudgetError, DegenerateScaleError, ParameterValidationError
@@ -572,7 +573,6 @@ def estimate_intensity_laplace(
     if 0 < alpha_hat < 1:
         log_amp = fit.intercept - math.log(HORIZON) - math.lgamma(1.0 - alpha_hat)
         amp = math.exp(log_amp)
-        from scipy import special
         psi = special.digamma(1.0 - alpha_hat)
         var_log = fit.intercept_se**2 + (psi * fit.slope_se) ** 2 + 2.0 * psi * fit.cov
         amp_se = amp * math.sqrt(max(var_log, 0.0))
@@ -703,7 +703,6 @@ TRUNCATED_TERM_BOUND = 0.2985
 @dataclass(frozen=True)
 class TruncatedMeanEstimate:
     epsilon: float
-    horizon: float
     mc_value: float
     mc_stderr: float
     samples: int
@@ -756,7 +755,6 @@ def truncated_mean_quadrature(env: Environment, epsilon: float) -> float:
     # u = ln x; extra factor x from the change of variables.  The end terms
     # are hundreds of e-folds below the peak, so the trapezoid's halving of
     # them is moot.
-    from scipy import special
     vals = 2.0 * u - np.exp(u) + 0.5 * s * s + special.log_ndtr((gn + log_eps - u) / s - s)
     peak = float(vals.max())
     log_value = peak + math.log(h * float(np.exp(vals - peak).sum()))
@@ -768,7 +766,6 @@ def _truncated_terms(inverse_holds: np.ndarray, epsilon: float, out: np.ndarray)
     scaled hold mean, e the unit exponential hold integrated out, and P(2, a) =
     1 - e^-a (1 + a).  At a = eps/m >= 1 that is m - e^-a (m + eps); below, it
     cancels, and eps * a/2 * 1F1(2; 3; -a) gives it, 0 at a saturated m = inf."""
-    from scipy import special
     holds = np.reciprocal(inverse_holds)
     a = np.multiply(inverse_holds, epsilon, out=out)
     series = np.flatnonzero(a < 1.0)
@@ -776,7 +773,7 @@ def _truncated_terms(inverse_holds: np.ndarray, epsilon: float, out: np.ndarray)
     np.exp(np.negative(a, out=out), out=out)
     out *= holds + epsilon
     np.subtract(holds, out, out=out)
-    out[series] = 0.5 * epsilon * low * special.hyp1f1(2.0, 3.0, -low)
+    out[series] = 0.5 * epsilon * low * special.hyp1f1_2_3(low)
 
 
 def estimate_truncated_mean(
@@ -812,7 +809,6 @@ def estimate_truncated_mean(
         out.append(
             TruncatedMeanEstimate(
                 epsilon=float(eps),
-                horizon=HORIZON,
                 mc_value=float(scale * mean),
                 mc_stderr=float(scale * stderr),
                 samples=samples,
@@ -836,9 +832,8 @@ def _require_unit_holding(env: Environment) -> None:
 
 def degenerate_block_tail(env: Environment, threshold: float) -> float:
     """Exact block exceedance at beta = 0: a Gamma(block_length) upper tail."""
-    from scipy import special
     _require_unit_holding(env)
-    return float(special.gammaincc(env.block_length, threshold * env.time_scale))
+    return special.gammaincc(env.block_length, threshold * env.time_scale)
 
 
 def degenerate_block_laplace(env: Environment, v: float) -> float:
@@ -892,7 +887,6 @@ class ConditionReport:
     beta: float
     gamma: float
     alpha: float | None
-    horizon: float
     block_count: int
     literal_block_count: int | None
     intensity: IntensityEstimate
@@ -987,7 +981,6 @@ def build_condition_report(
         beta=env.beta,
         gamma=env.gamma,
         alpha=env.alpha,
-        horizon=HORIZON,
         block_count=k,
         literal_block_count=env.block_count,
         intensity=intensity,

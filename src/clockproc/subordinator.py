@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import special
 from .errors import HorizonError, ParameterValidationError
 from .parallel import ordered_map, row_blocks
 from .seeding import StreamFamily, keyed_generator, stream_position
@@ -183,15 +184,14 @@ def arcsine_cdf(alpha: float, x) -> np.ndarray | float:
 
     This is the limiting probability that an alpha-stable subordinator's
     range misses (t, t+s) when x = t/(t+s).  Evaluated through the
-    continued-fraction incomplete-beta implementation; at alpha = 1/2 it
-    reduces to (2/pi) * arcsin(sqrt(x)).
+    correctly rounded incomplete beta of :mod:`~clockproc.special`; at
+    alpha = 1/2 it reduces to (2/pi) * arcsin(sqrt(x)).
     """
     if not 0 < alpha < 1:
         raise ParameterValidationError(f"alpha must lie in (0, 1); got {alpha}")
     arr = np.asarray(x, dtype=np.float64)
     if np.any((arr < 0) | (arr > 1)):
         raise ParameterValidationError("x must lie in [0, 1]")
-    from scipy import special
     out = special.betainc(alpha, 1.0 - alpha, arr)
     return float(out) if np.isscalar(x) else out
 
@@ -292,10 +292,9 @@ def truncated_laplace_exponent(measure: PowerLawLevyMeasure, cutoff: float, v: f
         raise ParameterValidationError(f"v must be nonnegative; got {v}")
     if cutoff < 0:
         raise ParameterValidationError(f"cutoff must be nonnegative; got {cutoff}")
-    from scipy import special
     a = measure.alpha
     head = cutoff ** -a * -math.expm1(-v * cutoff) if cutoff > 0 else 0.0
-    tail = v**a * math.gamma(1.0 - a) * float(special.gammaincc(1.0 - a, v * cutoff))
+    tail = v**a * math.gamma(1.0 - a) * special.gammaincc(1.0 - a, v * cutoff)
     return measure.amplitude * (head + tail)
 
 

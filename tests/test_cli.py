@@ -89,7 +89,7 @@ def test_mixing_run_writes_manifest_and_matches_direct_check(tmp_path, capsys):
     assert manifest["command"] == "mixing"
     assert manifest["overall"] == "pass"
     assert manifest["verdicts"]["mixing_bound"]["status"] == "pass"
-    for key in ("clockproc", "python", "numpy", "scipy"):
+    for key in ("clockproc", "python", "numpy", "mpmath"):
         assert key in manifest["versions"]
     # the recorded config must be a loadable document equivalent to the input
     rebuilt = ExperimentConfig.from_dict(manifest["config"])
@@ -862,7 +862,8 @@ def test_block_length_warning_is_one_line_naming_no_file(tmp_path):
 
 def test_importing_the_cli_leaves_scipy_stats_unloaded():
     """scipy.stats is the slowest import of the dependencies, and no module of
-    the package uses it: the clock jump law is graded through scipy.special."""
+    the package uses it: the clock jump law is graded through
+    ``special.smirnov``."""
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, clockproc.cli; print('scipy.stats' in sys.modules)"],
         capture_output=True,
@@ -884,41 +885,32 @@ def test_importing_the_cli_leaves_scipy_integrate_unloaded():
     assert proc.stdout.strip() == "False"
 
 
-def test_importing_the_cli_leaves_scipy_special_unloaded():
-    """scipy.special costs about 0.2 s of every start-up, so the package
-    imports it inside the functions that call it."""
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, clockproc.cli; print('scipy.special' in sys.modules)"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
-
-
-def test_mixing_run_leaves_scipy_special_unloaded(tmp_path):
-    """The exact mixing check calls no special function, so its whole run
-    never loads scipy.special."""
-    cfg_path = write_config(tmp_path / "cfg.json")
-    outdir = tmp_path / "out"
-    argv = ["mixing", "--config", str(cfg_path), "--out", str(outdir)]
-    script = (
-        f"import sys; from clockproc.cli import main; code = main({argv!r}); "
-        "print(code, 'scipy.special' in sys.modules)"
-    )
+def test_importing_the_cli_loads_neither_scipy_nor_mpmath():
+    """scipy.special cost about 0.2 s of every run that called it, so no
+    module of the package imports scipy; mpmath loads at the first closed
+    form that :mod:`clockproc.special` hands to it, not with the CLI."""
+    script = "import sys, clockproc.cli; print('scipy' in sys.modules, 'mpmath' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1].split() == ["0", "False"]
-    assert (outdir / "mixing.csv").exists()
+    assert proc.stdout.split() == ["False", "False"]
 
+
+_SMALL_MODEL = {"n": 8, "p": 3, "beta": 3.0, "gamma": 2.7}
 
 # subcommand -> (config document, the file that shows the run reached the
-# code that once imported scipy.stats or scipy.integrate, and a text in it)
+# closed form it grades by, or for ``mixing`` its exact check, and a text in
+# it)
 RUNS_WITHOUT_SLOW_IMPORTS = {
+    # the arcsine prediction is the incomplete beta
+    "aging": (
+        {"model": _SMALL_MODEL, "budgets": {"replicas": 40}},
+        "aging.csv",
+        "predicted",
+    ),
     # the jump law is graded by twice the one-sided Smirnov tail
     "clock": (
         {
-            "model": {"n": 8, "p": 3, "beta": 3.0, "gamma": 2.7},
+            "model": _SMALL_MODEL,
             "seeds": {"master_seed": 12},
             "budgets": {"replicas": 40},
             "grids": {"u_grid": [0.25]},
@@ -929,13 +921,21 @@ RUNS_WITHOUT_SLOW_IMPORTS = {
     # the truncated-mean reference is one trapezoid sum
     "conditions": (
         {
-            "model": {"n": 8, "p": 3, "beta": 3.0, "gamma": 2.7},
+            "model": _SMALL_MODEL,
             "budgets": {"samples": 200},
             "grids": {"u_grid": [0.5, 1.0], "v_grid": [1.0], "eps_grid": [0.1]},
         },
         "conditions.csv",
         "truncated_mean_quadrature",
     ),
+    # the amplitude's stderr takes digamma
+    "laplace": (
+        {"model": _SMALL_MODEL, "budgets": {"samples": 200}, "grids": {"v_grid": [1.0, 10.0]}},
+        "laplace.csv",
+        "estimate",
+    ),
+    # the exact check calls no special function, so mpmath stays unloaded too
+    "mixing": ({"model": _SMALL_MODEL}, "mixing.csv", "max_violation"),
     # the self-test grades against the truncated Laplace exponent in closed form
     "subordinator": (
         {"budgets": {"samples": 200}, "grids": {"ts_grid": [[1.0, 1.0]], "v_grid": [1.0]}},
@@ -947,7 +947,8 @@ RUNS_WITHOUT_SLOW_IMPORTS = {
 
 @pytest.mark.parametrize("command", sorted(RUNS_WITHOUT_SLOW_IMPORTS))
 def test_run_leaves_scipy_stats_and_integrate_unloaded(command, tmp_path):
-    """A whole run loads neither scipy.stats nor scipy.integrate."""
+    """A whole run loads no part of scipy, so neither scipy.stats nor
+    scipy.integrate, and a ``mixing`` run no mpmath."""
     document, name, text = RUNS_WITHOUT_SLOW_IMPORTS[command]
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(document))
@@ -955,14 +956,16 @@ def test_run_leaves_scipy_stats_and_integrate_unloaded(command, tmp_path):
     argv = [command, "--config", str(cfg_path), "--out", str(outdir)]
     script = (
         f"import sys; from clockproc.cli import main; code = main({argv!r}); "
-        "print(code, 'scipy.stats' in sys.modules, 'scipy.integrate' in sys.modules)"
+        "print(code, 'scipy' in sys.modules, 'mpmath' in sys.modules)"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    code, stats_loaded, integrate_loaded = proc.stdout.splitlines()[-1].split()
+    code, scipy_loaded, mpmath_loaded = proc.stdout.splitlines()[-1].split()
     assert code != "1", proc.stderr
     assert text in (outdir / name).read_text()
-    assert (stats_loaded, integrate_loaded) == ("False", "False")
+    assert scipy_loaded == "False"
+    if command == "mixing":
+        assert mpmath_loaded == "False"
 
 
 # --- run-argument provenance ---------------------------------------------

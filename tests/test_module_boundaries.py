@@ -7,9 +7,9 @@ raised by it, only ``verdicts.py`` writes a verdict's status, only
 replicas out, builds a walk or draws a stationary start, only ``run``
 builds an environment in ``cli.py``,
 ``conditions.py`` imports nothing from ``verdicts.py``, no module builds an
-index of the whole state space, no module imports a scipy submodule at
-module level, only ``parallel.py`` cuts rows into blocks, and no function
-outside ``subordinator.py`` takes a ``horizon``.
+index of the whole state space, no module imports scipy and none imports
+mpmath at module level, only ``parallel.py`` cuts rows into blocks, and no
+function outside ``subordinator.py`` takes a ``horizon``.
 
 A name with a leading underscore (dunders such as ``__version__`` aside) is
 private to the module that defines it; a ``from .module import _name``
@@ -32,10 +32,11 @@ two modules.  An
 ``arange`` over all 2^n states costs 8 bytes a state, and its gather as
 much again, beside the energy table; the row-block helper of
 ``conditions.py`` enumerates the states one block of consecutive states at
-a time instead.  A scipy submodule imported at module level loads with the
-CLI, so every process pays for it before it does anything (``scipy.special``
-took about half of the start-up); imported inside the function that calls
-it, it loads at that function's first call.  A chunk loop that cut its own
+a time instead.  ``special.py`` evaluates every special function without
+scipy, whose ``scipy.special`` cost about 0.2 s and 18 MB at its first call
+for a handful of scalar values; mpmath, which it uses instead, is imported
+inside the functions that call it, so it loads at the first closed form and
+not with the CLI.  A chunk loop that cut its own
 row blocks, by a ``max(1, budget // width)`` row count and a stepped
 ``range``, would restate the row-block rule that ``parallel.row_blocks``
 keeps in one place.  Every run observes one horizon, ``environment.HORIZON``,
@@ -646,28 +647,35 @@ def test_no_module_builds_a_whole_state_space_index():
     assert offenders == {}
 
 
-def eager_scipy_imports(source: str) -> list[str]:
-    """Imports of a scipy submodule, or of a name from one, that run when the
-    module is imported: those outside any function or lambda body."""
+def slow_imports(source: str) -> list[str]:
+    """Every import of scipy, of a part of it or of a name from one, wherever
+    it runs, and every such import of mpmath that runs when the module is
+    imported: outside any function or lambda body."""
     found = []
 
-    def visit(node) -> None:
+    def slow(module: str, in_function: bool) -> bool:
+        return any(
+            module == name or module.startswith(name + ".")
+            for name in (("scipy",) if in_function else ("scipy", "mpmath"))
+        )
+
+    def visit(node, in_function: bool) -> None:
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                continue
+            inside = in_function or isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+            )
             if isinstance(child, ast.Import):
                 found.extend(
-                    f"import {alias.name}" for alias in child.names
-                    if alias.name.startswith("scipy.")
+                    f"import {alias.name}" for alias in child.names if slow(alias.name, inside)
                 )
-            elif isinstance(child, ast.ImportFrom) and child.level == 0 and (
-                child.module == "scipy" or child.module.startswith("scipy.")
+            elif isinstance(child, ast.ImportFrom) and child.level == 0 and slow(
+                child.module, inside
             ):
                 names = ", ".join(alias.name for alias in child.names)
                 found.append(f"from {child.module} import {names}")
-            visit(child)
+            visit(child, inside)
 
-    visit(ast.parse(source))
+    visit(ast.parse(source), False)
     return found
 
 
@@ -681,17 +689,47 @@ def test_guard_detects_eager_scipy_imports():
         "def f(x):\n    from scipy import special\n    return special.smirnov(x, 0.1)\n"
         "async def g():\n    import scipy.optimize\n"
     )
-    assert eager_scipy_imports(source) == [
-        "from scipy import special", "import scipy.special", "from scipy.special import betainc",
-        "import scipy.linalg", "from scipy import stats", "from scipy import integrate",
+    assert slow_imports(source) == [
+        "import scipy", "from scipy import special", "import scipy.special",
+        "from scipy.special import betainc", "import scipy.linalg", "from scipy import stats",
+        "from scipy import integrate", "from scipy import special", "import scipy.optimize",
     ]
 
 
-def test_no_module_imports_a_scipy_submodule_at_module_level():
+def test_guard_detects_the_lazy_scipy_special_imports_special_py_replaced():
+    # two of the seven in-function imports the closed forms made before
+    # ``special.py`` evaluated them
+    source = (
+        "def arcsine_cdf(alpha, x):\n"
+        "    arr = np.asarray(x, dtype=np.float64)\n"
+        "    from scipy import special\n"
+        "    out = special.betainc(alpha, 1.0 - alpha, arr)\n"
+        "def _run_clock(env, cfg, args):\n"
+        "    if exceed.size >= 10:\n"
+        "        from scipy import special\n"
+        "        p_value = min(1.0, 2.0 * float(special.smirnov(n, statistic)))\n"
+    )
+    assert slow_imports(source) == ["from scipy import special"] * 2
+
+
+def test_guard_detects_module_level_mpmath_imports():
+    source = (
+        "import mpmath\nfrom mpmath import mp\nimport numpy, mpmath.libmp as lib\n"
+        "import mpmathx\nfrom . import mpmath\n"
+        "class Kind:\n    from mpmath import mpf\n"
+        "def f():\n    import mpmath\n    return mpmath.mpf(1)\n"
+        "g = lambda: __import__('mpmath')\n"
+    )
+    assert slow_imports(source) == [
+        "import mpmath", "from mpmath import mp", "import mpmath.libmp", "from mpmath import mpf",
+    ]
+
+
+def test_no_module_imports_scipy_and_none_imports_mpmath_at_module_level():
     offenders = {
         path.name: hits
         for path in sorted(PACKAGE.glob("*.py"))
-        if (hits := eager_scipy_imports(path.read_text()))
+        if (hits := slow_imports(path.read_text()))
     }
     assert offenders == {}
 
