@@ -146,34 +146,34 @@ CASES = {
 # overall verdict and run record
 EXPECTED = {
     "aging": (0, {
-        "aging.csv": "cd27e68e57c143fa48b589d98034a1223f9336daf330eb18f58d51c690ce3e1a",
-        "aging_reference.csv": "e01221fec76f67c1e1270c75ed64e3dd3b8571956d0769d779442049957db248",
+        "aging.csv": "ab72333d4217ad70f4ea5db65dc181396d70db912bedf708b8ef568a269dd215",
+        "aging_reference.csv": "0b16d90f6119a75bcafd09913ce9c13e0fe64fede8dc76531bd50a46fbbf933e",
         "traps.csv": "b837d81057c253790d925e62805de9badd657203b12ff79636d932d711ac715f",
-        "verdicts": "882af866311c9ac3d926b240e7acc6a9c308f471c0681e1b30033d45041d35de",
+        "verdicts": "cba5cc250989c8372b87762e43adb3dc9cbaac81c61ef3f3deae04761cf82757",
     }),
     "clock": (0, {
         "clock.csv": "9c30e5ebee43e4c890b9aa63be0757387d6bf1a5b5129b679caadce5dd7108fa",
         "clock_initial_terms.csv": "7e060b9f5fd29ea90e4576d77189a56a5ec5c6c79fe3e8aea64aa66cbbccc480",
         "clock_jumps.csv": "c6b8075d1519c5ebab70b81e16997ac48cd18e6a35e8c9066e239615b92b40fa",
         "trajectory.csv": "f1627c2c0712fdc091c5dd2c5d54367c55ce59b92e966539c962d3dd6a859270",
-        "verdicts": "04be8a8ab03107cbaf3765d47156e0682fd5c6e7db8cdc056cbeab9a9500838d",
+        "verdicts": "79892322660dfce396ccc415bad5c4bca44605366a636526c60cd382bf3cf747",
     }),
     "clock-start": (0, {
         "clock.csv": "5828d3d5d98d9085455daf4296e275ea0a9603283b3a8221a688b19fde51b451",
         "clock_initial_terms.csv": "4ace8bd172f6586d4768246d27e7b896d513e6362bef25906257c307d3df3960",
         "clock_jumps.csv": "fe8bc3596b4e2984d9f28107a891121cd83a65fe1fc61bad28ccd49d52296092",
         "trajectory.csv": "e358b77ed212eb9dda911473906b7804ed45b9e7574394eb01295717f1a14cb8",
-        "verdicts": "a2b6a74cd689a5ed9eb559075ffaa180d6d888aa4bb412a369a74dc77e94ccd8",
+        "verdicts": "56ec58ff5e738ab4f61c3e04de2a9e940062e3aa8518b5b5b1fd8fe401b792e5",
     }),
     "conditions": (3, {
-        "conditions.csv": "64080a8e5596a6540c138f7bb1f7b9b738c2ae258d87c35d15c873a6b3db5891",
-        "conditions.json": "63131b98b8345d0ac9c2a9d75fa8851ddb72a6d3304e020343788c2cc90f2aa4",
+        "conditions.csv": "791dddf0aaa82b9b98d36f62f3c0d0a56a6164af2718585e010855fa26f03f88",
+        "conditions.json": "0de24320d837af1e077a2bf9b74aea70c9c294c8475bd58869cf68dd0506fc4e",
         "verdicts": "2a56868207a1e37442d5bce3121c4b0a4d38fbce875952b84fe540c5a3f6108a",
     }),
     "conditions-flat": (0, {
         "conditions.csv": "ec5d6e6291970bc3f156f6703da79da69e5d6a04a440268806a0918a054790a9",
-        "conditions.json": "fd3783649e4f7c681deaa7416c01367376df5f4fa76a31f024684302373bb304",
-        "verdicts": "d011839ad51fbc30399fa9904540108fc8482fb10c377cf2781c5bcb1a53d2ff",
+        "conditions.json": "6ca2ed5da8610f3b9cf9697b4a704b8251d8bcb7390380df636012b88e64cc29",
+        "verdicts": "261bd021c86b183dd7f9585234b0a88356d30c1e09ba5bd194889570533687b1",
     }),
     "laplace": (0, {
         "laplace.csv": "b179bba34c71bc3f3c094bb690b9e5c479d2caa7e2b149408c94ac1dae9072ba",
@@ -184,9 +184,9 @@ EXPECTED = {
         "verdicts": "05c482ef710e198693199de710ab62ab38c058ea63189f63308e71457544d067",
     }),
     "subordinator": (0, {
-        "subordinator_arcsine.csv": "afc9af3783c4b3d0f2d2ed4083186469050d113f2f6a82d5aff4092c189166c0",
+        "subordinator_arcsine.csv": "e8fccaa76e46b8f4ae54fbb1d5d4baa0b34682972d409b9baa8a0c9d6d664c5c",
         "subordinator_laplace.csv": "d3dd4a677aba2e9bfd36c63eefa0d0427d7a47512f3d1ff2b4dfb94d72ef9f36",
-        "verdicts": "1870e3b1e859f5da4ee0c338a8d18c6a79c57df6956eb9a0cc83b11eb27a93f1",
+        "verdicts": "afa8857e7ae63323512b2e3f457d69ad05db1d19c089fd1bd9d9a5d06090c600",
     }),
 }
 
@@ -297,8 +297,8 @@ def test_initial_terms_match_recorded_digest(table, contracted):
 
 # truncated-mean estimates, serialised with sorted keys: on the table path
 # with their exact values, on the contraction path (past the table) without
-TRUNCATED_MEAN_CONTRACTION_DIGEST = "0365eaaf2aa09398de5817b91df87ed2c42dd9c53e4e69e8128f6845b5ec77a6"
-TRUNCATED_MEAN_TABLE_DIGEST = "d769a6191bab5107942eb741b67f8a57ac2ca5b49f0f0d85211dcdf270e65c06"
+TRUNCATED_MEAN_CONTRACTION_DIGEST = "95a3b2dcd8861282097037d675161c7ed941270b6667bfadacecf002e87dc562"
+TRUNCATED_MEAN_TABLE_DIGEST = "3dee0778e4f892e5128d5d1f381acc46a56db4b6fa4fa2a728cee1c502604360"
 
 
 def truncated_mean_digest(table, contracted):
