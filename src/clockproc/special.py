@@ -1,13 +1,11 @@
 """Every special function the package evaluates, for its closed forms.
 
-The scalar ones (the regularized incomplete beta and upper incomplete gamma
-functions, and digamma) go through one private mpmath context at 30 digits,
-so each is the correctly rounded double.  mpmath is imported at the first
-such call, never with the package, and a lock guards the context, whose
-precision mpmath changes inside a call.  Three forms are called too often
-for mpmath and have double-precision kernels: ``hyp1f1_2_3`` on the
-per-state terms, ``log_ndtr`` on the quadrature's abscissae and ``smirnov``
-on the clock's jump-law statistic.
+The incomplete beta and gamma functions and digamma go through one private
+mpmath context at 30 digits, so each is the correctly rounded double;
+mpmath is imported at the first such call, and a lock guards the context,
+whose precision mpmath changes inside a call.  The forms called too often
+for mpmath have double-precision kernels: ``hyp1f1_2_3`` on the per-state
+terms, ``log_ndtr`` on the quadrature's abscissae and ``smirnov``.
 """
 
 from __future__ import annotations
@@ -23,14 +21,12 @@ __all__ = ["betainc", "gammaincc", "digamma", "hyp1f1_2_3", "log_ndtr", "smirnov
 _LOCK = threading.Lock()
 _CONTEXT = None
 
-# Taylor coefficients of 1F1(2; 3; x), 2 / ((k + 2) k!); 20 terms leave a
-# remainder below 1e-18 on |x| < 1
+# Taylor coefficients 2 / ((k + 2) k!) of 1F1(2; 3; x): a remainder below
+# 1e-18 on |x| < 1
 _HYP1F1_2_3 = [2.0 / ((k + 2) * math.factorial(k)) for k in range(20)]
-# (2k - 1)!!, the coefficients of the asymptotic series of erfcx(y) y sqrt(pi)
-# in -1/(2 y^2); ten terms leave a remainder below 1e-22 at y >= 37/sqrt(2)
+# (2k - 1)!!, the asymptotic series of erfcx(y) y sqrt(pi) in -1/(2 y^2): a
+# remainder below 1e-22 at y >= 37/sqrt(2)
 _ERFCX_SERIES = [math.factorial(2 * k) / (2**k * math.factorial(k)) for k in range(10)]
-# below this z, erfc(-z/sqrt(2)) nears the smallest normal double
-_LOG_NDTR_TAIL = -37.0
 _erfc = np.vectorize(math.erfc, otypes=[float])
 
 
@@ -80,12 +76,12 @@ def hyp1f1_2_3(a: np.ndarray) -> np.ndarray:
 
 def log_ndtr(z) -> np.ndarray:
     """log Phi(z), with t = z/sqrt(2): log1p(-erfc(t)/2) above 0 and
-    log(erfc(-t)/2) below; past ``_LOG_NDTR_TAIL``, log(erfcx(-t)/2) - t^2
-    with erfcx from its asymptotic series, as erfc(-t) would underflow."""
+    log(erfc(-t)/2) below; below -37, where erfc(-t) nears the smallest
+    normal double, log(erfcx(-t)/2) - t^2 by erfcx's asymptotic series."""
     z = np.asarray(z, dtype=np.float64)
     t = z * math.sqrt(0.5)
     out = np.empty_like(t)
-    upper, tail = z > 0, z < _LOG_NDTR_TAIL
+    upper, tail = z > 0, z < -37.0
     lower = ~(upper | tail)
     out[upper] = np.log1p(-0.5 * _erfc(t[upper]))
     out[lower] = np.log(0.5 * _erfc(-t[lower]))
@@ -96,15 +92,13 @@ def log_ndtr(z) -> np.ndarray:
 
 
 def smirnov(n: int, d: float) -> float:
-    """One-sided Kolmogorov-Smirnov tail P(D_n^+ >= d), by the Birnbaum-Tingey
-    sum d * sum_j C(n, j) (1 - d - j/n)^(n-j) (d + j/n)^(j-1) over the j with
-    1 - d - j/n > 0, in log space."""
-    if d <= 0:
-        return 1.0
+    """One-sided Kolmogorov-Smirnov tail P(D_n^+ >= d) for d > 0, by the
+    Birnbaum-Tingey sum d * sum_j C(n, j) (1 - d - j/n)^(n-j) (d + j/n)^(j-1)
+    over the j with 1 - d - j/n > 0, in log space."""
     j = np.arange(n)
     rest = 1.0 - d - j / n
     j, rest = j[rest > 0], rest[rest > 0]
-    if j.size == 0:
+    if j.size == 0:  # d >= 1
         return 0.0
     log_factorials = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
     logs = (
