@@ -114,3 +114,6 @@ def test_arcsine_cdf_from_pool_threads_at_once_gives_the_serial_values(monkeypat
         sys.setswitchinterval(interval)
     for ours, reference in zip(threaded, serial):
         assert np.array_equal(ours, reference)
+    # mpmath raises the precision inside a call and restores the one it
+    # found, so calls that interleaved would leave another one behind
+    assert special._CONTEXT.dps == 30
