@@ -39,12 +39,10 @@ and ``subordinator``), and hands it in.  A runner computes and grades its
 own verdicts through :mod:`clockproc.verdicts`; it returns them, the files it
 offers, each with a writer and its stream provenance, and its run record
 (the environment's derived scales, the start distribution and the run's
-settings; ``None`` where no environment is sampled).  :func:`run` chooses
-which files are written, each by its own writer: the offered files whose
-extension is in ``outputs.formats`` (and a ``--dump-trajectory`` file
-always), in the runner's order, then ``manifest.json`` (resolved config,
-package versions, stream provenance for each written file, verdicts, run
-record).  A warning of :meth:`Environment.create` goes to stderr as one
+settings; ``None`` where no environment is sampled).  :func:`run` writes
+every offered file, each by its own writer, in the runner's order, then
+``manifest.json`` (resolved config, package versions, stream provenance for
+each written file, verdicts, run record).  A warning of :meth:`Environment.create` goes to stderr as one
 line, ``warning: <message>``.  Exit code: 0 when every verdict passes, 2
 when the worst verdict is a warning, 3 when one fails, 1 on execution,
 configuration or usage errors.
@@ -93,7 +91,6 @@ __all__ = ["main", "run"]
 
 _EXIT_CODE = {"pass": 0, "warn": 2, "fail": 3}
 
-_TRAJECTORY = "trajectory.csv"
 _TRAJECTORY_ROW_CAP = 1_000_000
 _TRAP_BLOCKS = 8
 
@@ -124,7 +121,7 @@ def _write_csv(path: str, header: list[str], rows: Iterable[list]) -> None:
 def _table(
     name: str, header: list[str], rows: Iterable[list], purpose: str, replicas, note: str
 ) -> _Output:
-    """A plain CSV table; ``rows`` is read only if the file is written."""
+    """A plain CSV table, its rows streamed into the file as it is written."""
     return _Output(name, lambda path: _write_csv(path, header, rows), purpose, replicas, note)
 
 
@@ -176,13 +173,13 @@ def _trajectory(env: Environment, segment: TrajectorySegment, purpose: str) -> _
         for i in range(rows)
     )
     header = ["step", "state_hex", "H", "tau", "exp_draw", "increment"]
-    return _table(_TRAJECTORY, header, table, purpose, [0], f"{rows} visit rows")
+    return _table("trajectory.csv", header, table, purpose, [0], f"{rows} visit rows")
 
 
 # ---------------------------------------------------------------------------
 # subcommands: each runner takes the environment ``run`` built and computes
-# its verdicts, the outputs it offers and its run record; ``run`` decides
-# which outputs to write
+# its verdicts, the outputs it offers and its run record; ``run`` writes
+# them
 
 
 def _closed_form_check(pairs) -> dict:
@@ -592,10 +589,8 @@ def run(command: str, cfg: ExperimentConfig, args) -> int:
 
     This builds the environment the runner samples, from the config's
     coupling seed, through :meth:`Environment.create` whatever the model
-    (the flat beta = 0 chain too).  The runner computes; this writes each
-    output it offers whose extension is one of ``outputs.formats``, in the
-    runner's order, and records its provenance.  A dumped trajectory is
-    asked for by flag, so it is written whatever the formats.
+    (the flat beta = 0 chain too).  The runner computes; this writes every
+    output it offers, in the runner's order, and records its provenance.
     """
     outdir = cfg.directory
     os.makedirs(outdir, exist_ok=True)
@@ -610,8 +605,6 @@ def run(command: str, cfg: ExperimentConfig, args) -> int:
     verdicts, outputs, record = runner(env, cfg, args)
     artifacts = []
     for output in outputs:
-        if output.name != _TRAJECTORY and output.name.rpartition(".")[2] not in cfg.formats:
-            continue
         output.write(os.path.join(outdir, output.name))
         artifacts.append(
             {

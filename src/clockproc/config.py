@@ -2,7 +2,8 @@
 
 The document has six sections -- ``model``, ``budgets``, ``grids``,
 ``seeds``, ``outputs``, ``overrides`` -- plus a top-level ``threads`` knob
-for the worker-pool width.  Thread count never changes any numeric result
+for the worker-pool width.  ``outputs`` names the output directory alone: a
+run writes every file its subcommand offers there.  Thread count never changes any numeric result
 (reductions are performed in replica-index order), it only changes wall
 time, so two runs of the same config are comparable even when one of them
 overrode ``threads`` on the command line.
@@ -42,8 +43,6 @@ __all__ = [
 ]
 
 DEFAULT_MASTER_SEED = 20260822
-
-_FORMATS = ("csv", "json")
 
 
 def default_ts_grid() -> tuple[tuple[float, float], ...]:
@@ -105,12 +104,6 @@ def _as_path(section: str, key: str, value: Any) -> str:
     return value
 
 
-def _as_formats(section: str, key: str, value: Any) -> tuple[str, ...]:
-    if not isinstance(value, (list, tuple)):
-        raise ParameterValidationError(f"{section}.{key} must be a list")
-    return tuple(str(fmt) for fmt in value)
-
-
 def _as_zeta_table(section: str, key: str, value: Any) -> dict[int, float]:
     if not isinstance(value, dict):
         raise ParameterValidationError(
@@ -147,7 +140,7 @@ _LAYOUT = {
     "budgets": {"samples": None, "replicas": None, "step_cap": None},
     "grids": {"u_grid": _as_grid, "v_grid": _as_grid, "eps_grid": _as_grid, "ts_grid": _as_pairs},
     "seeds": {"master_seed": None},
-    "outputs": {"directory": _as_path, "formats": _as_formats},
+    "outputs": {"directory": _as_path},
     "overrides": {"block_count": None, "zeta_table": _as_zeta_table},
 }
 
@@ -182,7 +175,6 @@ class ExperimentConfig:
     master_seed: int = DEFAULT_MASTER_SEED
     # outputs
     directory: str = "results"
-    formats: tuple[str, ...] = ("csv", "json")
     # overrides
     block_count: int | None = None
     zeta_table: dict[int, float] | None = None
@@ -226,13 +218,6 @@ class ExperimentConfig:
             )
         if not self.directory:
             raise ParameterValidationError("outputs.directory must be a nonempty path")
-        for fmt in self.formats:
-            if fmt not in _FORMATS:
-                raise ParameterValidationError(
-                    f"outputs.formats entries must come from {_FORMATS}; got {fmt!r}"
-                )
-        if not self.formats:
-            raise ParameterValidationError("outputs.formats must list at least one format")
         return self
 
     def resolved_threads(self) -> int:

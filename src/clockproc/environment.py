@@ -212,9 +212,11 @@ def _energy_fold(values: np.ndarray, n: int, p: int, signs: np.ndarray) -> np.nd
     return h * float(n) ** (-(p - 1) / 2.0)
 
 
-# states contracted per batch, for on-demand energies past the table; it fixes
-# the bytes, since a contracted energy's last bits can move with its batch
-_CONTRACT_CHUNK = 4096
+# elements of a contraction batch's first product, (states, n^(p-1)) float64,
+# for on-demand energies past the table, and at most 4,096 states per batch;
+# it fixes the bytes where it binds, since a contracted energy's last bits can
+# move with its batch (p = 3 keeps 4,096-state batches up to n = 32)
+_CONTRACT_BUDGET = 1 << 22
 
 
 def _walsh_table(values: np.ndarray, n: int, p: int) -> np.ndarray:
@@ -334,9 +336,10 @@ class Environment:
 
     def _contract(self, states: np.ndarray) -> np.ndarray:
         """Energies of a flat array of packed states by tensor contraction, one
-        chunk at a time."""
+        batch at a time."""
         out = np.empty(states.size)
-        for lo, hi in row_blocks(states.size, 1, _CONTRACT_CHUNK):
+        width = max(self.n ** (self.p - 1), _CONTRACT_BUDGET // 4096)
+        for lo, hi in row_blocks(states.size, width, _CONTRACT_BUDGET):
             out[lo:hi] = _energy_fold(
                 self.couplings.values, self.n, self.p, _signs_from_bits(states[lo:hi], self.n)
             )

@@ -298,7 +298,7 @@ def _subordinator_config(samples):
             "eps_grid": [0.05, 0.1, 0.2],
             "ts_grid": [[1.0, 1.0], [1.0, 3.0], [3.0, 1.0]],
         },
-        "outputs": {"directory": "results", "formats": ["csv", "json"]},
+        "outputs": {"directory": "results"},
     }
 
 
@@ -369,7 +369,7 @@ def test_criterion_09_determinism(tmp_path):
         "model": {"n": 14, "p": P, "beta": BETA, "gamma": GAMMA},
         "seeds": {"master_seed": CANONICAL_SEED},
         "budgets": {"samples": 1000, "replicas": 120, "step_cap": 100_000_000},
-        "outputs": {"directory": "results", "formats": ["csv", "json"]},
+        "outputs": {"directory": "results"},
     }
     aging_cfg = _write_config(tmp_path / "aging.json", aging_doc)
     outputs = []
@@ -402,7 +402,7 @@ def test_criterion_10_aging_trend(tmp_path):
                 [1.0, 0.25],
             ],
         },
-        "outputs": {"directory": "results", "formats": ["csv", "json"]},
+        "outputs": {"directory": "results"},
     }
     cfg = _write_config(tmp_path / "cfg.json", doc)
     outdir = tmp_path / "out"

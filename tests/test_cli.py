@@ -49,7 +49,7 @@ def write_config(path, **kw):
             "eps_grid": [0.05, 0.1],
             "ts_grid": kw.get("ts_grid", [[1.0, 1.0]]),
         },
-        "outputs": {"directory": "results", "formats": list(kw.get("formats", ("csv", "json")))},
+        "outputs": {"directory": "results"},
         "overrides": {"block_count": kw.get("block_count")},
     }
     path.write_text(json.dumps(doc))
@@ -313,15 +313,6 @@ def test_runners_sweep_environments_in_process(tmp_path):
     assert load_manifest(tmp_path / "clock-3")["run"] != load_manifest(tmp_path / "clock-8")["run"]
 
 
-def test_formats_subset_limits_artifacts(tmp_path):
-    cfg_path = write_config(tmp_path / "cfg.json", block_count=5, formats=("json",))
-    outdir = tmp_path / "out"
-    main(["conditions", "--config", str(cfg_path), "--out", str(outdir)])
-    assert not (outdir / "conditions.csv").exists()
-    assert (outdir / "conditions.json").exists()
-    assert (outdir / "manifest.json").exists()
-
-
 def clock_config(path, **kw):
     kw.setdefault("n", 8)
     kw.setdefault("beta", 3.0)
@@ -456,16 +447,6 @@ def test_clock_trajectory_dump_layout(tmp_path):
     for row in rows[1:5]:
         assert 0 <= int(row[1], 16) < 2**8
         assert float(row[3]) == pytest.approx(math.exp(3.0 * float(row[2])), rel=1e-12)
-
-
-@pytest.mark.parametrize("command", ["clock", "aging"])
-def test_trajectory_dump_is_written_whatever_the_formats(command, tmp_path):
-    cfg_path = clock_config(tmp_path / "cfg.json", replicas=2, formats=("json",))
-    outdir = tmp_path / "out"
-    code = main([command, "--config", str(cfg_path), "--out", str(outdir), "--dump-trajectory"])
-    assert code in (0, 2)
-    assert sorted(path.name for path in outdir.iterdir()) == ["manifest.json", "trajectory.csv"]
-    assert [a["file"] for a in load_manifest(outdir)["artifacts"]] == ["trajectory.csv"]
 
 
 def test_clock_start_override_is_recorded_as_nonconformant(tmp_path):
@@ -860,35 +841,13 @@ def test_block_length_warning_is_one_line_naming_no_file(tmp_path):
     ]
 
 
-def test_importing_the_cli_leaves_scipy_stats_unloaded():
-    """scipy.stats is the slowest import of the dependencies, and no module of
-    the package uses it: the clock jump law is graded through
-    ``special.smirnov``."""
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, clockproc.cli; print('scipy.stats' in sys.modules)"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
-
-
-def test_importing_the_cli_leaves_scipy_integrate_unloaded():
-    """scipy.integrate adds about 0.3 s to every start-up, and no module of
-    the package uses it."""
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, clockproc.cli; print('scipy.integrate' in sys.modules)"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
-
-
 def test_importing_the_cli_loads_neither_scipy_nor_mpmath():
-    """scipy.special cost about 0.2 s of every run that called it, so no
-    module of the package imports scipy; mpmath loads at the first closed
-    form that :mod:`clockproc.special` hands to it, not with the CLI."""
+    """No module of the package imports scipy, so no part of it loads:
+    scipy.special cost about 0.2 s of every run that called it,
+    scipy.integrate about 0.3 s of every start-up, and scipy.stats is the
+    slowest import of all (the clock jump law is graded through
+    ``special.smirnov``).  mpmath loads at the first closed form that
+    :mod:`clockproc.special` hands to it, not with the CLI."""
     script = "import sys, clockproc.cli; print('scipy' in sys.modules, 'mpmath' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -946,9 +905,8 @@ RUNS_WITHOUT_SLOW_IMPORTS = {
 
 
 @pytest.mark.parametrize("command", sorted(RUNS_WITHOUT_SLOW_IMPORTS))
-def test_run_leaves_scipy_stats_and_integrate_unloaded(command, tmp_path):
-    """A whole run loads no part of scipy, so neither scipy.stats nor
-    scipy.integrate, and a ``mixing`` run no mpmath."""
+def test_run_loads_no_scipy_and_mixing_no_mpmath(command, tmp_path):
+    """A whole run loads no part of scipy, and a ``mixing`` run no mpmath."""
     document, name, text = RUNS_WITHOUT_SLOW_IMPORTS[command]
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(document))
@@ -1045,6 +1003,9 @@ def test_every_run_option_is_written_into_the_manifest(command, tmp_path):
             argv.append(option)
     assert main(argv) in (0, 2, 3)
     manifest = load_manifest(outdir)
+    # every offered file is written, and only those the manifest lists
+    files = [a["file"] for a in manifest["artifacts"]]
+    assert sorted(path.name for path in outdir.iterdir()) == sorted([*files, "manifest.json"])
     args = _build_parser().parse_args(argv)
     overrides = {"master_seed": args.seed, "directory": args.out, "threads": args.threads}
     resolved = ExperimentConfig.load(cfg_path).replace(**overrides).to_dict()
@@ -1053,7 +1014,8 @@ def test_every_run_option_is_written_into_the_manifest(command, tmp_path):
         if path == ("config",):
             assert manifest["config"] == json.loads(json.dumps(resolved)), option
         elif path == ("artifacts",):
-            assert "trajectory.csv" in [a["file"] for a in manifest["artifacts"]], option
+            # the dumped trajectory comes after the runner's own files
+            assert files[-1] == "trajectory.csv" and len(files) > 1, option
         else:
             node = manifest
             for key in path:

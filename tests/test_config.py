@@ -2,6 +2,7 @@
 
 import json
 import math
+import pathlib
 import re
 
 import pytest
@@ -19,7 +20,6 @@ def test_defaults_are_valid_and_describe_reference_model():
     assert cfg.replicas == 500
     assert cfg.ts_grid == default_ts_grid()
     assert len(cfg.ts_grid) == 6
-    assert cfg.formats == ("csv", "json")
     assert cfg.threads is None
     assert cfg.resolved_threads() >= 1
 
@@ -69,6 +69,17 @@ def test_unknown_keys_rejected_per_section():
         ExperimentConfig.from_dict({"budgets": {"walks": 10}})
     with pytest.raises(ParameterValidationError, match="grids"):
         ExperimentConfig.from_dict({"grids": {"w_grid": [1.0]}})
+    # every run writes all the files it offers, so there is no format list
+    with pytest.raises(ParameterValidationError, match="'formats' in config section 'outputs'"):
+        ExperimentConfig.from_dict({"outputs": {"formats": ["csv"]}})
+
+
+def test_the_readme_config_example_loads():
+    """The README's JSON example is a document the parser accepts."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+    cfg = ExperimentConfig.from_dict(json.loads(block))
+    assert (cfg.n, cfg.master_seed, cfg.directory) == (10, 7, "results")
 
 
 def test_validation_names_the_violated_constraint():
@@ -78,8 +89,6 @@ def test_validation_names_the_violated_constraint():
         ExperimentConfig(samples=0).validate()
     with pytest.raises(ParameterValidationError, match="master_seed"):
         ExperimentConfig(master_seed=-1).validate()
-    with pytest.raises(ParameterValidationError, match="formats"):
-        ExperimentConfig(formats=("yaml",)).validate()
     with pytest.raises(ParameterValidationError, match="ts_grid"):
         ExperimentConfig(ts_grid=((1.0, 0.0),)).validate()
     with pytest.raises(ParameterValidationError, match=r"grids\.v_grid entries must be positive"):

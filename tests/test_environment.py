@@ -4,6 +4,7 @@ import itertools
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -313,6 +314,22 @@ def test_energy_of_a_state_does_not_depend_on_its_batch():
     permuted[order] = env.energies(states[order])
     assert np.array_equal(batched, whole)
     assert np.array_equal(permuted, whole)
+
+
+def test_contraction_batches_bound_their_first_product(contracted):
+    """One 4,096-state contraction at n = 10, p = 5 cuts its batches so that
+    their (batch, n^4) first product stays within the element budget: the
+    traced peak stays under 64 MB, where whole 4,096-state batches take
+    about 360 MB."""
+    env = contracted(lambda: Environment(CouplingTensor.sample(10, 5, seed=5), 3.0, 2.7))
+    states = np.arange(4096, dtype=np.uint64)
+    tracemalloc.start()
+    try:
+        env.energies(states)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 @pytest.fixture
