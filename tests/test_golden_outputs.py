@@ -346,14 +346,14 @@ def test_laplace_intensity_matches_recorded_digest(table, contracted):
 # and its resolved config, less the output directory and the thread count,
 # serialised with sorted keys
 PROVENANCE = {
-    "aging": "a16eeef749ff665e770b7cd2fcd4c80f6557267fd92ca76f3e5829801c5911f7",
-    "clock": "b1958d404a83f711b6d9392d4b531fa261497c05fcd77829461f7d076fe7519b",
-    "clock-start": "432cf00b252b35b478d8a14d7a8cc03f022e8a8cf9b372c91cfc3924d01bbac2",
-    "conditions": "44639bdc91b2f644da7b61baba8d01fe0cdc52b050f1acbe759291ac55e3ffac",
-    "conditions-flat": "5f57b21db5e0a8b8369e0136a16b5ebd0f4744ec65f4d63fa9706a58105e3547",
-    "laplace": "f9a3a0255c46d87bed75a8729c50249e16729411e94617edbd90d6e6bd6ef96a",
-    "laplace-flat": "032472b10a723f1349e934fa001856def905f1c4c5c3d35f1ec9084e9ad3499c",
-    "subordinator": "d901e662b27e6d1312328c8e091f03ceb34a52cc1d415bd23798944b45a85231",
+    "aging": "ac9a23eff5a42b85020a775082f6be151189cf5426bd974067a7ef561b1e56aa",
+    "clock": "aaaacf650c3c1d4f3f6e7c912f09b325547fc8648a1382154dbc27fbb12aab27",
+    "clock-start": "c4cb874dbc97357c08ec22143e0beaa77353273c3f97a55556c03662d4492e1c",
+    "conditions": "2114f8857adeb30ba6050454019b90eebbdd29017d36a33d903b2daa478c8316",
+    "conditions-flat": "feda562a04422d9f407f7c741e281d18a2aec98292622779cec4609df8159c91",
+    "laplace": "f680d2f69e87049c4298c556f66bd01d19f493f50bd211e937a130a4a46bf297",
+    "laplace-flat": "2faeed55404deb4b96adcd1f879f13e8c4721bf5913d53be5b273d4074b0f299",
+    "subordinator": "41e09d104e01dcf54d3d14719eec358bf60b7997360c599b47fed25a719b0d39",
 }
 
 
