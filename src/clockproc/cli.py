@@ -42,10 +42,11 @@ offers, each with a writer and its stream provenance, and its run record
 settings; ``None`` where no environment is sampled).  :func:`run` writes
 every offered file, each by its own writer, in the runner's order, then
 ``manifest.json`` (resolved config, package versions, stream provenance for
-each written file, verdicts, run record).  A warning of :meth:`Environment.create` goes to stderr as one
-line, ``warning: <message>``.  Exit code: 0 when every verdict passes, 2
-when the worst verdict is a warning, 3 when one fails, 1 on execution,
-configuration or usage errors.
+each written file, verdicts, run record).  A warning of
+:meth:`Environment.create` goes to stderr as one line, ``warning:
+<message>``.  Exit code: 0 when every verdict passes, 2 when the worst
+verdict is a warning, 3 when one fails, 1 on execution, configuration or
+usage errors.
 
 All randomness is derived from the config's master seed through tagged
 streams, and reductions happen in replica order, so outputs are

@@ -3,10 +3,10 @@
 The document has six sections -- ``model``, ``budgets``, ``grids``,
 ``seeds``, ``outputs``, ``overrides`` -- plus a top-level ``threads`` knob
 for the worker-pool width.  ``outputs`` names the output directory alone: a
-run writes every file its subcommand offers there.  Thread count never changes any numeric result
-(reductions are performed in replica-index order), it only changes wall
-time, so two runs of the same config are comparable even when one of them
-overrode ``threads`` on the command line.
+run writes every file its subcommand offers there.  Thread count never
+changes any numeric result (reductions are performed in replica-index
+order), it only changes wall time, so two runs of the same config are
+comparable even when one of them overrode ``threads`` on the command line.
 
 One table, ``_LAYOUT``, lists each section's keys and the parser of each;
 ``from_dict`` reads the document through it and ``to_dict`` writes it back
