@@ -123,6 +123,19 @@ CASES = {
         },
         ["--start", "3f", "--dump-trajectory"],
     ),
+    # 40 blocks of 104 steps fill a quarter of the shipped row budget, so the
+    # four replicas walk in row blocks of 3 and 1, of 1 each at a budget of
+    # one state and of 4 at an unbounded one
+    "clock-rows": (
+        "clock",
+        {
+            "model": _model(10, 3.0, 2.7),
+            "budgets": {"replicas": 4},
+            "grids": {"u_grid": [0.25, 0.5]},
+            "overrides": {"block_count": 40},
+        },
+        ["--dump-trajectory"],
+    ),
     "aging": (
         "aging",
         {
@@ -157,6 +170,13 @@ EXPECTED = {
         "clock_jumps.csv": "c6b8075d1519c5ebab70b81e16997ac48cd18e6a35e8c9066e239615b92b40fa",
         "trajectory.csv": "f1627c2c0712fdc091c5dd2c5d54367c55ce59b92e966539c962d3dd6a859270",
         "verdicts": "79892322660dfce396ccc415bad5c4bca44605366a636526c60cd382bf3cf747",
+    }),
+    "clock-rows": (3, {
+        "clock.csv": "85bb3d58c7d0e9a9c9a7cfa4929a81fac2c7953064e881302ce109173ba6e082",
+        "clock_initial_terms.csv": "52b69612681485c3d25009399d208337d162f007a70978cda31caf1b487eb59e",
+        "clock_jumps.csv": "2ef6c7d36480156893db183ffc414e7c36f06435c74015811d805fa84e5570f3",
+        "trajectory.csv": "b74135ecc474b6bf801491fbfda73ff28d857d16ed5cbdf4def1072cc14215bb",
+        "verdicts": "731aafb8e730a872e96341bbd8c3e18f53ef431aef32fbb00b9d53679447530a",
     }),
     "clock-start": (0, {
         "clock.csv": "5828d3d5d98d9085455daf4296e275ea0a9603283b3a8221a688b19fde51b451",
@@ -228,7 +248,7 @@ def test_data_files_match_recorded_digests(name, threads, tmp_path):
 
 
 @pytest.mark.parametrize("budget", [1, 1 << 40])
-@pytest.mark.parametrize("name", ["aging", "clock", "clock-start"])
+@pytest.mark.parametrize("name", ["aging", "clock", "clock-rows", "clock-start"])
 def test_segment_row_blocks_leave_the_digests(name, budget, tmp_path, monkeypatch):
     """One replica per row block, or every replica in one, writes the same bytes."""
     monkeypatch.setattr(chain, "SEGMENT_BLOCK_STATES", budget)
@@ -348,6 +368,7 @@ def test_laplace_intensity_matches_recorded_digest(table, contracted):
 PROVENANCE = {
     "aging": "ac9a23eff5a42b85020a775082f6be151189cf5426bd974067a7ef561b1e56aa",
     "clock": "aaaacf650c3c1d4f3f6e7c912f09b325547fc8648a1382154dbc27fbb12aab27",
+    "clock-rows": "c4cb874dbc97357c08ec22143e0beaa77353273c3f97a55556c03662d4492e1c",
     "clock-start": "c4cb874dbc97357c08ec22143e0beaa77353273c3f97a55556c03662d4492e1c",
     "conditions": "2114f8857adeb30ba6050454019b90eebbdd29017d36a33d903b2daa478c8316",
     "conditions-flat": "feda562a04422d9f407f7c741e281d18a2aec98292622779cec4609df8159c91",
