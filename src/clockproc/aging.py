@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import TrajectorySegment, map_replicas, process_at_time, walk_to_times
-from .environment import Environment, SpinConfig, block_length, overlap_to_reference
+from .environment import Environment, block_length, overlap_to_reference
 from .errors import BudgetError, ParameterValidationError
 from .seeding import StreamFamily
 from .subordinator import arcsine_cdf
@@ -35,6 +35,11 @@ __all__ = [
     "TrapReport",
     "trap_localization_diagnostic",
 ]
+
+
+def _check_epsilon(epsilon: float) -> None:
+    if not 0 < epsilon <= 2:
+        raise ParameterValidationError(f"epsilon must lie in (0, 2]; got {epsilon}")
 
 
 def correlation_indicator(
@@ -56,8 +61,7 @@ def correlation_indicator(
     t, s = np.asarray(t, dtype=np.float64), np.asarray(s, dtype=np.float64)
     if (t < 0).any() or (s < 0).any():
         raise ParameterValidationError("t and s must be nonnegative")
-    if not 0 < epsilon <= 2:
-        raise ParameterValidationError(f"epsilon must lie in (0, 2]; got {epsilon}")
+    _check_epsilon(epsilon)
     unit = env.time_scale if time_unit is None else float(time_unit)
     states = process_at_time(segment, env, np.array([t * unit, (t + s) * unit]))
     return (overlap_to_reference(states[0], states[1], env.n) >= 1.0 - epsilon).astype(np.int64)
@@ -121,8 +125,7 @@ def _checked_pairs(pairs, epsilon: float) -> list[tuple[float, float]]:
     for t, s in pair_list:
         if t < 0 or s <= 0:
             raise ParameterValidationError(f"need t >= 0 and s > 0; got (t, s)=({t}, {s})")
-    if not 0 < epsilon <= 2:
-        raise ParameterValidationError(f"epsilon must lie in (0, 2]; got {epsilon}")
+    _check_epsilon(epsilon)
     return pair_list
 
 
@@ -145,20 +148,19 @@ def estimate_aging_curve(
     *,
     step_cap: int = 100_000_000,
     threads: int = 1,
-    start: SpinConfig | None = None,
 ) -> AgingCurve:
     """Monte Carlo aging curve over independent trajectory replicas.
 
     Times are in units of the observation time scale, and the predicted
     values evaluate the arcsine law at t/(t+s) with the environment's tail
     exponent; beta = 0 has neither and is refused (its curve is
-    :func:`flat_aging_curve`).  Each replica starts uniformly (or at
-    ``start``, a non-stationary choice for exploratory runs) and walks until
-    its clock passes the latest requested time, recording where it sits at
-    each t and t + s.  :func:`~clockproc.chain.map_replicas` hands the
-    thread pool row blocks of replicas, sized by the expected number of
-    steps to reach that time; each block walks in growing windows
-    through :func:`~clockproc.chain.walk_to_times`, whose rows stop as their
+    :func:`flat_aging_curve`).  Each replica starts from the uniform
+    (stationary) law and walks until its clock passes the latest requested
+    time, recording where it sits at each t and t + s.
+    :func:`~clockproc.chain.map_replicas` hands the thread pool row blocks
+    of replicas, sized by the expected number of steps to reach that time;
+    each block walks in growing windows through
+    :func:`~clockproc.chain.walk_to_times`, whose rows stop as their
     clocks pass it, and reads its indicators in one overlap comparison.  Each
     replica draws from its own streams, so the curve does not depend on the
     block size or ``threads``.  If already the expected number of steps
@@ -187,7 +189,7 @@ def estimate_aging_curve(
     queries = np.concatenate([times[:, 0] * env.time_scale, later])
 
     def worker(streams):
-        states, clocks = walk_to_times(env, start, queries, first, step_cap, streams)
+        states, clocks = walk_to_times(env, queries, first, step_cap, streams)
         reached = later < clocks[:, None]  # the rest are censored at the step cap
         close = overlap_to_reference(*np.split(states, 2, axis=1), env.n) >= 1.0 - epsilon
         return (close & reached).sum(axis=0), reached.sum(axis=0)
@@ -251,8 +253,7 @@ def trap_localization_diagnostic(
     ``untrapped`` flag when the dominant share falls below ``threshold``, a
     share in (0, 1].
     """
-    if not 0 < epsilon <= 2:
-        raise ParameterValidationError(f"epsilon must lie in (0, 2]; got {epsilon}")
+    _check_epsilon(epsilon)
     if not 0 < threshold <= 1:
         raise ParameterValidationError(f"trap threshold must lie in (0, 1]; got {threshold}")
     theta = env.block_length

@@ -9,8 +9,8 @@ rescaled clock over fixed-length blocks yields the jump sizes whose tail
 statistics the conditions module estimates.  ``scaled_holds`` is the one
 place a hold is rescaled, as exp(beta*H - log time scale).  One row path
 draws every trajectory: a row block of replicas at a time, each from its own
-streams, from a given start or the stationary one; only ``map_replicas``
-splits replicas into row blocks for the thread pool.
+streams, from the stationary start; only ``map_replicas`` splits replicas
+into row blocks for the thread pool.
 ``blocked_clocks`` folds a block's rescaled holds straight into block sums,
 ``simulate_segment`` keeps one replica's whole segment, and
 ``extend_segment`` continues a segment with the same streams.
@@ -31,8 +31,8 @@ from typing import Callable
 
 import numpy as np
 
-from .environment import Environment, SpinConfig
-from .errors import DimensionMismatchError, HorizonError, ParameterValidationError
+from .environment import MAX_SPINS, Environment
+from .errors import HorizonError, ParameterValidationError
 from .parallel import ordered_map, row_blocks
 from .seeding import ReplicaStreams, StreamFamily
 
@@ -134,16 +134,10 @@ def map_replicas(
     return ordered_map(lambda b: fn([family.replica(i) for i in blocks[b]]), len(blocks), threads)
 
 
-def _origins(
-    env: Environment, start: SpinConfig | None, streams: list[ReplicaStreams]
-) -> np.ndarray:
-    """Each replica's packed start: ``start``, or with ``start=None`` a uniform
-    (stationary) state drawn from the replica's walk stream."""
-    if start is None:
-        return np.concatenate([uniform_starts(env.n, 1, r.walk) for r in streams])
-    if start.n != env.n:
-        raise DimensionMismatchError(f"start has n={start.n}; environment has n={env.n}")
-    return np.full(len(streams), start.bits, dtype=np.uint64)
+def _origins(env: Environment, streams: list[ReplicaStreams]) -> np.ndarray:
+    """Each replica's packed start: a uniform (stationary) state drawn from
+    the replica's walk stream."""
+    return np.concatenate([uniform_starts(env.n, 1, r.walk) for r in streams])
 
 
 def scaled_holds(env: Environment, energies: np.ndarray) -> np.ndarray:
@@ -158,7 +152,7 @@ def scaled_holds(env: Environment, energies: np.ndarray) -> np.ndarray:
 
 
 def blocked_clocks(
-    env: Environment, start: SpinConfig | None, k: int, streams: list[ReplicaStreams]
+    env: Environment, k: int, streams: list[ReplicaStreams]
 ) -> tuple[np.ndarray, np.ndarray]:
     """The rescaled clocks of a row block of replicas over k aggregation blocks.
 
@@ -166,9 +160,8 @@ def blocked_clocks(
     increments exp(beta*H - gamma*n) * e, block i+1 covering steps
     theta*i+1 .. theta*(i+1), each block summed on its own (pairwise); the
     (rows,) initial terms are the rescaled holds of the starting states
-    (step 0), kept out of the blocks.  ``start=None`` draws each replica's
-    uniform (stationary) start from its walk stream before its steps.
-    Replica r draws its start, flips and exponentials from ``streams[r]``
+    (step 0), kept out of the blocks.  Replica r draws its uniform
+    (stationary) start, its flips and its exponentials from ``streams[r]``
     alone, in that order, as :func:`simulate_segment` draws them, so its row
     does not depend on the block it is drawn in.  One walk build, one energy
     lookup and one rescaling pass serve the whole block.
@@ -176,28 +169,26 @@ def blocked_clocks(
     if k < 0:
         raise ParameterValidationError(f"block count must be >= 0; got {k}")
     theta = env.block_length
-    _, energies, draws, _ = _segment_rows(env, _origins(env, start, streams), k * theta, streams, 0)
+    _, energies, draws, _ = _segment_rows(env, _origins(env, streams), k * theta, streams, 0)
     scaled = scaled_holds(env, energies)
     scaled *= draws
     # the initial terms are copied out so the block's holds are not kept alive
     return scaled[:, 1:].reshape(len(streams), k, theta).sum(axis=-1), scaled[:, 0].copy()
 
 
-def simulate_segment(
-    env: Environment, start: SpinConfig | None, length: int, streams: ReplicaStreams
-) -> TrajectorySegment:
-    """Run ``length`` SRW steps from ``start`` and attach waiting times.
+def simulate_segment(env: Environment, length: int, streams: ReplicaStreams) -> TrajectorySegment:
+    """Run ``length`` SRW steps from a uniform start and attach waiting times.
 
-    ``start=None`` draws the uniform (stationary) start from the walk stream
-    before the steps.  The start, flips and exponentials come from
-    ``streams`` alone, in that order, so the segment is deterministic given
-    (env, start, the stream seeds).  A segment simulated with the same
-    streams and a larger length extends this one prefix-stably, because
-    steps and waiting times come from separate substreams.
+    The start, drawn from the walk stream before the steps, the flips and
+    the exponentials come from ``streams`` alone, in that order, so the
+    segment is deterministic given (env, the stream seeds).  A segment
+    simulated with the same streams and a larger length extends this one
+    prefix-stably, because steps and waiting times come from separate
+    substreams.
     """
     if length < 1:
         raise ParameterValidationError(f"segment length must be >= 1; got {length}")
-    rows = _segment_rows(env, _origins(env, start, [streams]), length, [streams], 0)
+    rows = _segment_rows(env, _origins(env, [streams]), length, [streams], 0)
     return TrajectorySegment(*(row[0] for row in rows))
 
 
@@ -220,12 +211,7 @@ def extend_segment(
 
 
 def walk_to_times(
-    env: Environment,
-    start: SpinConfig | None,
-    times,
-    first: int,
-    step_cap: int,
-    streams: list[ReplicaStreams],
+    env: Environment, times, first: int, step_cap: int, streams: list[ReplicaStreams]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Where a row block of replicas sits at each of ``times``, and their final clocks.
 
@@ -247,7 +233,7 @@ def walk_to_times(
     queries, order = np.unique(np.asarray(times, dtype=np.float64), return_inverse=True)
     if not queries.size or queries[0] < 0:
         raise ParameterValidationError("need at least one time, all nonnegative")
-    last = _origins(env, start, streams)
+    last = _origins(env, streams)
     clocks = np.zeros(len(streams))
     found = np.zeros((len(streams), queries.size), dtype=np.uint64)
     placed = np.zeros(len(streams), dtype=np.intp)  # each row's sorted queries placed so far
@@ -329,7 +315,8 @@ def mixing_check(n: int, theta: int) -> MixingReport:
     P(J(k)=y) = c_k(d) / (n^k C(n,d)); the counts are integers, so the check
     is exact at every n.
     """
-    SpinConfig(n, 0)  # n must be a valid packed-state dimension
+    if not 1 <= n <= MAX_SPINS:
+        raise ParameterValidationError(f"spin count must be in [1, {MAX_SPINS}]; got n={n}")
     if theta < 0:
         raise ParameterValidationError(f"theta must be >= 0; got {theta}")
     counts = [1] + [0] * n

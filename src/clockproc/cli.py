@@ -3,9 +3,9 @@
 Usage::
 
     clockproc <subcommand> --config path.json [--seed N] [--out dir]
-              [--threads K] [--dump-trajectory] [--start HEX]
+              [--threads K] [--dump-trajectory]
 
-``--dump-trajectory`` and ``--start`` belong to ``clock`` and ``aging`` only.
+``--dump-trajectory`` belongs to ``clock`` and ``aging`` only.
 
 Subcommands:
 
@@ -82,7 +82,7 @@ from .conditions import (
     degenerate_initial_term, estimate_intensity_laplace, plain, resolve_block_count,
 )
 from .config import ExperimentConfig
-from .environment import HORIZON, Environment, SpinConfig, block_length
+from .environment import HORIZON, Environment, block_length
 from .errors import ClockprocError, ParameterValidationError
 from .seeding import StreamFamily, resolve_seeds
 from .subordinator import arcsine_cdf, self_test
@@ -126,36 +126,15 @@ def _table(
     return _Output(name, lambda path: _write_csv(path, header, rows), purpose, replicas, note)
 
 
-def _environment_record(env: Environment, start: SpinConfig | None) -> dict:
+def _environment_record(env: Environment) -> dict:
     return {
         "coupling_seed": env.couplings.seed,
         "alpha": env.alpha,
         "block_length": env.block_length,
         "log_time_scale": env.log_time_scale,
         "step_scale": env.step_scale,
-        "start_distribution": (
-            "uniform (stationary)"
-            if start is None
-            else {
-                "fixed_state_hex": format(start.bits, "x"),
-                "theorem_conformant": False,
-            }
-        ),
+        "start_distribution": "uniform (stationary)",
     }
-
-
-def _parse_start(cfg: ExperimentConfig, raw: str | None) -> SpinConfig | None:
-    if raw is None:
-        return None
-    try:
-        bits = int(raw, 16)
-    except ValueError:
-        raise ParameterValidationError(f"--start must be a hex state; got {raw!r}") from None
-    if not 0 <= bits < (1 << cfg.n):
-        raise ParameterValidationError(
-            f"--start {raw!r} is outside the n={cfg.n} state space [0, 2^{cfg.n})"
-        )
-    return SpinConfig(cfg.n, bits)
 
 
 def _trajectory(env: Environment, segment: TrajectorySegment, purpose: str) -> _Output:
@@ -303,7 +282,7 @@ def _run_conditions(env: Environment, cfg: ExperimentConfig, args) -> _Result:
         _Output("conditions.json", write_json, "conditions", [0], "full report"),
     ]
     counts = {"block_count": report.block_count, "literal_block_count": report.literal_block_count}
-    return verdicts, outputs, _environment_record(env, None) | counts
+    return verdicts, outputs, _environment_record(env) | counts
 
 
 def _run_laplace(env: Environment, cfg: ExperimentConfig, args) -> _Result:
@@ -323,7 +302,7 @@ def _run_laplace(env: Environment, cfg: ExperimentConfig, args) -> _Result:
         fitted_alpha=est.fitted_alpha, fitted_alpha_se=est.fitted_alpha_se,
         fitted_amplitude=est.fitted_amplitude, fitted_amplitude_se=est.fitted_amplitude_se,
     )
-    return verdicts, outputs, _environment_record(env, None) | {"block_count": k}
+    return verdicts, outputs, _environment_record(env) | {"block_count": k}
 
 
 def _run_mixing(env: None, cfg: ExperimentConfig, args) -> _Result:
@@ -346,11 +325,10 @@ def _run_clock(env: Environment, cfg: ExperimentConfig, args) -> _Result:
         )
     k = resolve_block_count(env, cfg.block_count)
     theta = env.block_length
-    start = _parse_start(cfg, args.start)
     family = StreamFamily(cfg.master_seed, "clock")
     blocks = map_replicas(
         env, k * theta, family, cfg.replicas, cfg.resolved_threads(),
-        lambda streams: blocked_clocks(env, start, k, streams),
+        lambda streams: blocked_clocks(env, k, streams),
     )
     # (replicas, k) block sums and (replicas,) initial terms, in replica order
     sums, initial = (np.concatenate(parts) for parts in zip(*blocks))
@@ -404,17 +382,16 @@ def _run_clock(env: Environment, cfg: ExperimentConfig, args) -> _Result:
         outputs.append(_table("clock_jumps.csv", ["size", "normalized"], jump_rows, "clock",
                               replicas, "pooled block increments above the threshold"))
     if args.dump_trajectory:
-        segment = simulate_segment(env, start, k * theta, family.replica(0))
+        segment = simulate_segment(env, k * theta, family.replica(0))
         outputs.append(_trajectory(env, segment, "clock"))
-    return verdicts, outputs, _environment_record(env, start) | {"block_count": k}
+    return verdicts, outputs, _environment_record(env) | {"block_count": k}
 
 
 def _run_aging(env: Environment, cfg: ExperimentConfig, args) -> _Result:
-    start = _parse_start(cfg, args.start)
     # per-block localisation diagnostics on one dedicated trajectory, graded
     # before the Monte Carlo curve so that they refuse a bad threshold first
     trap_streams = StreamFamily(cfg.master_seed, "aging-trap").replica(0)
-    segment = simulate_segment(env, start, _TRAP_BLOCKS * env.block_length, trap_streams)
+    segment = simulate_segment(env, _TRAP_BLOCKS * env.block_length, trap_streams)
     reports = trap_localization_diagnostic(env, segment, args.epsilon, args.trap_threshold)
     main_curve = estimate_aging_curve(
         env,
@@ -424,7 +401,6 @@ def _run_aging(env: Environment, cfg: ExperimentConfig, args) -> _Result:
         resolve_seeds(cfg.master_seed, "aging-main", 0),
         step_cap=cfg.step_cap,
         threads=cfg.resolved_threads(),
-        start=start,
     )
     reference_curve = flat_aging_curve(cfg.n, cfg.ts_grid, args.epsilon, env.alpha)
     replicas = f"0..{cfg.replicas - 1}"
@@ -462,7 +438,7 @@ def _run_aging(env: Environment, cfg: ExperimentConfig, args) -> _Result:
     if args.dump_trajectory:
         outputs.append(_trajectory(env, segment, "aging-trap"))
     record = {"epsilon": args.epsilon, "trap_threshold": args.trap_threshold}
-    return verdicts, outputs, _environment_record(env, start) | record
+    return verdicts, outputs, _environment_record(env) | record
 
 
 def _run_subordinator(env: None, cfg: ExperimentConfig, args) -> _Result:
@@ -562,12 +538,6 @@ def _build_parser() -> argparse.ArgumentParser:
                 "--dump-trajectory",
                 action="store_true",
                 help="also write one trajectory as CSV",
-            )
-            sub.add_argument(
-                "--start",
-                default=None,
-                metavar="HEX",
-                help="fixed starting state (hex); non-stationary, for exploration",
             )
         if name == "aging":
             sub.add_argument(

@@ -37,7 +37,6 @@ from .parallel import row_blocks
 from .seeding import keyed_generator
 
 __all__ = [
-    "SpinConfig",
     "CouplingTensor",
     "Environment",
     "zeta",
@@ -97,25 +96,6 @@ def zeta(p: int, table: dict[int, float] | None = None) -> float:
 def block_length(n: int) -> int:
     """Aggregation block length: ceil((3*ln2/2) * n^2)."""
     return math.ceil(1.5 * _LOG2 * n * n)
-
-
-@dataclass(frozen=True)
-class SpinConfig:
-    """One corner of the hypercube {-1,+1}^n, packed into an integer.
-
-    Bit ``b`` set means spin ``x_b = +1``; cleared means ``-1``.
-    """
-
-    n: int
-    bits: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_SPINS:
-            raise ParameterValidationError(f"spin count must be in [1, {MAX_SPINS}]; got n={self.n}")
-        if not 0 <= self.bits < (1 << self.n):
-            raise ParameterValidationError(
-                f"state index {self.bits} out of range for n={self.n}"
-            )
 
 
 def overlap_to_reference(states: np.ndarray, reference, n: int) -> np.ndarray:

@@ -17,7 +17,7 @@ class ClockprocError(Exception):
 
 
 class DimensionMismatchError(ClockprocError, ValueError):
-    """Spin configurations of different length were combined."""
+    """A coupling array does not hold n^p entries."""
 
 
 class ParameterValidationError(ClockprocError, ValueError):

@@ -30,8 +30,10 @@ latest time, and compares the two states of each (t, s) pair by
 ``overlap``, so it checks the row blocks, the growing windows and the
 recorded states of ``estimate_aging_curve``.
 
-``hamming`` and ``overlap`` compare two ``SpinConfig`` one pair at a time in
-Python integers, beside the package's vectorised ``overlap_to_reference``.
+``SpinConfig`` is the oracles' state type: one packed configuration with its
+spin count, checked against the package's ``MAX_SPINS``.  ``hamming`` and
+``overlap`` compare two of them one pair at a time in Python integers,
+beside the package's vectorised ``overlap_to_reference``.
 ``random_spin_config`` draws one uniform configuration as a scalar uint64,
 the draw each of the package's size-1 stationary starts must reproduce, and
 ``replica_streams`` opens a replica's two streams from one bare seed.
@@ -56,7 +58,7 @@ from clockproc.chain import (
 from clockproc.conditions import (
     _block_sums, conditional_block_laplace, estimate_squared_tail_grid, resolve_block_count,
 )
-from clockproc.environment import CouplingTensor, Environment, SpinConfig, validate_parameters
+from clockproc.environment import MAX_SPINS, CouplingTensor, Environment, validate_parameters
 from clockproc.errors import BudgetError, DimensionMismatchError, ParameterValidationError
 from clockproc.parallel import ordered_map
 from clockproc.seeding import StreamFamily, keyed_generator
@@ -70,6 +72,25 @@ from clockproc.subordinator import (
 from clockproc.verdicts import z_score
 
 DEFAULT_JUMP_BUDGET = 1.0e8
+
+
+@dataclass(frozen=True)
+class SpinConfig:
+    """One corner of the hypercube {-1,+1}^n, packed into an integer.
+
+    Bit ``b`` set means spin ``x_b = +1``; cleared means ``-1``.
+    """
+
+    n: int
+    bits: int
+
+    def __post_init__(self) -> None:
+        if not 1 <= self.n <= MAX_SPINS:
+            raise ParameterValidationError(f"spin count must be in [1, {MAX_SPINS}]; got n={self.n}")
+        if not 0 <= self.bits < (1 << self.n):
+            raise ParameterValidationError(
+                f"state index {self.bits} out of range for n={self.n}"
+            )
 
 
 def hamming(x: SpinConfig, y: SpinConfig) -> int:
@@ -304,8 +325,7 @@ def unblocked_self_test(pairs, v_grid, paths, master_seed, alphas=(0.3, 0.5, 0.7
 
 
 def doubling_aging_curve(
-    env, pairs, epsilon, replicas, master_seed, *, time_unit=None, step_cap=100_000_000,
-    start=None,
+    env, pairs, epsilon, replicas, master_seed, *, time_unit=None, step_cap=100_000_000
 ):
     """The ``AgingCurve`` of ``estimate_aging_curve``, one replica at a time:
     each walks a segment of four times the expected steps, doubles it until
@@ -326,7 +346,7 @@ def doubling_aging_curve(
     valid = np.zeros(len(pairs), dtype=np.int64)
     for i in range(replicas):
         streams = family.replica(i)
-        segment = simulate_segment(env, start, first_steps, streams)
+        segment = simulate_segment(env, first_steps, streams)
         while segment.cumulative()[-1] <= latest * unit and segment.steps < step_cap:
             extra = min(segment.steps, step_cap - segment.steps)
             segment = extend_segment(env, segment, extra, streams)
@@ -453,7 +473,7 @@ def concentration_diagnostic(
     def worker(i: int):
         env = first if i == 0 else environment(i)
         streams = family.replica(i)
-        walk = simulate_segment(env, None, walk_blocks * theta - 1, streams)
+        walk = simulate_segment(env, walk_blocks * theta - 1, streams)
         # blocks start at step 0 here, not at step 1 as in blocked_clocks; the
         # holds are rescaled on a copy, since a segment's arrays stay unchanged
         increments = scaled_holds(env, walk.energies.copy())

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from clockproc.aging import estimate_aging_curve
-from clockproc.chain import SpinConfig, mixing_check, simulate_segment
+from clockproc.chain import mixing_check, simulate_segment
 from clockproc.cli import main
 from clockproc.conditions import (
     conditional_block_laplace,
@@ -33,7 +33,7 @@ from clockproc.conditions import (
 from clockproc.environment import CouplingTensor, Environment, block_length
 from clockproc.seeding import StreamFamily, keyed_generator, resolve_seeds
 from reference_estimators import (
-    concentration_diagnostic, overlap, random_spin_config, truncated_mean_asymptotic,
+    SpinConfig, concentration_diagnostic, overlap, truncated_mean_asymptotic,
 )
 
 pytestmark = pytest.mark.filterwarnings("ignore:block length")
@@ -127,8 +127,7 @@ def test_criterion_03_conditional_transform_exactness():
     worst_rel = 0.0
     for b in range(blocks):
         streams = family.replica(b)
-        origin = random_spin_config(env.n, streams.walk)
-        segment = simulate_segment(env, origin, theta - 1, streams)
+        segment = simulate_segment(env, theta - 1, streams)
         exact = np.array(
             [conditional_block_laplace(env, segment.energies, v) for v in v_values]
         )

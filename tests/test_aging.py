@@ -18,23 +18,22 @@ from clockproc.aging import (
     trap_localization_diagnostic,
 )
 from clockproc.chain import TrajectorySegment, simulate_segment
-from clockproc.environment import Environment, SpinConfig, block_length, overlap_to_reference
+from clockproc.environment import Environment, block_length, overlap_to_reference
 from clockproc.errors import (
     BudgetError,
-    DimensionMismatchError,
     HorizonError,
     ParameterValidationError,
 )
 from clockproc.seeding import StreamFamily
 from clockproc.subordinator import arcsine_cdf
-from reference_estimators import doubling_aging_curve, overlap, replica_streams
+from reference_estimators import SpinConfig, doubling_aging_curve, overlap, replica_streams
 
 pytestmark = pytest.mark.filterwarnings("ignore:block length")
 
 
 def test_correlation_indicator_trivial_cases():
     env = Environment.create(6, 3, 0.0, 0.5, 0)
-    seg = simulate_segment(env, SpinConfig(6, 0), 2000, replica_streams(1))
+    seg = simulate_segment(env, 2000, replica_streams(1))
     # epsilon = 2 accepts every overlap in [-1, 1]
     assert correlation_indicator(env, seg, 0.5, 0.5, 2.0, time_unit=1.0) == 1
     # s so small that the process cannot have moved
@@ -50,14 +49,16 @@ def test_correlation_indicator_trivial_cases():
 
 def test_correlation_indicator_deterministic():
     env = Environment.create(6, 3, 2.0, 1.5, seed=4)
-    seg = simulate_segment(env, SpinConfig(6, 3), 5000, replica_streams(2))
+    seg = simulate_segment(env, 5000, replica_streams(2))
     vals = [correlation_indicator(env, seg, 0.3, 0.7, 0.25, time_unit=1.0) for _ in range(3)]
     assert len(set(vals)) == 1
 
 
 def test_correlation_indicator_array_form_matches_the_overlap_oracle():
     env = Environment.create(6, 3, 2.0, 1.5, seed=4)
-    seg = simulate_segment(env, SpinConfig(6, 3), 5000, replica_streams(2))
+    # a uniform start from these streams, whose pairs at epsilon = 1 are not
+    # all close, so both indicator values are read at both epsilons
+    seg = simulate_segment(env, 5000, replica_streams(0))
     rng = np.random.default_rng(8)
     horizon = seg.cumulative()[-1]
     t = rng.uniform(0.0, 0.5, size=60) * horizon
@@ -85,7 +86,7 @@ def test_correlation_indicator_array_form_matches_the_overlap_oracle():
 
 def test_correlation_indicator_array_form_equals_scalar_calls():
     env = Environment.create(6, 3, 2.0, 1.5, seed=4)
-    seg = simulate_segment(env, SpinConfig(6, 3), 5000, replica_streams(2))
+    seg = simulate_segment(env, 5000, replica_streams(2))
     rng = np.random.default_rng(8)
     horizon = seg.cumulative()[-1]
     t = rng.uniform(0.0, 0.5, size=60) * horizon
@@ -114,7 +115,7 @@ MILD_TIME_SCALE = math.exp(9.0)
 # (environment, estimate_aging_curve arguments): pairs of a few units of
 # clock time read an expected step count of 0.0098, so the walks start from
 # one-step windows; a step cap below the later pair's typical step count
-# cuts walks there and censors that pair; a fixed start; trapped chains
+# cuts walks there and censors that pair; trapped chains
 ORACLE_CONFIGS = {
     "extension-heavy": (
         lambda: Environment.create(6, 3, 2.0, 1.5, seed=9),
@@ -127,10 +128,6 @@ ORACLE_CONFIGS = {
     "censored": (
         lambda: Environment.create(6, 3, 2.0, 1.5, seed=9),
         dict(pairs=[(1.0, 1.0), (10.0, 6.0)], epsilon=1.0, step_cap=400),
-    ),
-    "fixed-start": (
-        lambda: Environment.create(6, 3, 2.0, 1.5, seed=4),
-        dict(pairs=[(0.5, 0.5), (1.0, 1.0)], epsilon=0.25, start=SpinConfig(6, 5)),
     ),
     "trapped": (
         lambda: Environment.create(10, 3, 3.0, 2.7, seed=3),
@@ -178,9 +175,9 @@ def test_aging_curve_matches_the_per_replica_oracle(config, layout, threads, mon
     env, replicas, seed = make_env(), 40, 5
     blocks = []
 
-    def recording(env, start, times, first, step_cap, streams):
+    def recording(env, times, first, step_cap, streams):
         blocks.append((first, len(streams)))
-        return chain.walk_to_times(env, start, times, first, step_cap, streams)
+        return chain.walk_to_times(env, times, first, step_cap, streams)
 
     monkeypatch.setattr(aging, "walk_to_times", recording)
     estimate_aging_curve(env, replicas=1, master_seed=seed, **kwargs)
@@ -259,7 +256,7 @@ def test_aging_curve_extends_short_segments_prefix_stably(monkeypatch):
     family = StreamFamily(seed, "aging")
     hits = np.zeros(len(pairs))
     for i in range(replicas):
-        long = simulate_segment(env, None, 4096, family.replica(i))
+        long = simulate_segment(env, 4096, family.replica(i))
         assert long.cumulative()[-1] > 3.0 * env.time_scale
         hits += [correlation_indicator(env, long, t, s, 0.25) for t, s in pairs]
     assert curve.estimates == tuple(hits / replicas)
@@ -304,26 +301,11 @@ def test_aging_curve_input_validation():
         estimate_aging_curve(env, [(1.0, 1.0)], 0.0, replicas=4, master_seed=1)
     with pytest.raises(ParameterValidationError):
         estimate_aging_curve(env, [(1.0, 1.0)], 0.25, replicas=0, master_seed=1)
-    with pytest.raises(DimensionMismatchError):
-        estimate_aging_curve(
-            env, [(1.0, 1.0)], 0.25, replicas=4, master_seed=1, start=SpinConfig(5, 0)
-        )
     # beta = 0 has no tail exponent and no jump-count scale: its curve is
     # the closed form, and the Monte Carlo refuses it
     flat = Environment.create(6, 3, 0.0, 0.5, 0)
     with pytest.raises(ParameterValidationError, match="beta > 0"):
         estimate_aging_curve(flat, [(1.0, 1.0)], 0.25, replicas=4, master_seed=1)
-
-
-def test_aging_curve_fixed_start_changes_result():
-    env = Environment.create(6, 3, 2.0, 1.5, seed=9)
-    pairs = [(0.5, 0.5)]
-    kwargs = dict(epsilon=0.25, replicas=20, master_seed=11)
-    uniform = estimate_aging_curve(env, pairs, **kwargs)
-    fixed = estimate_aging_curve(env, pairs, start=SpinConfig(6, 0), **kwargs)
-    assert uniform.pairs == fixed.pairs
-    # same seeds, different starts: the indicator draws genuinely differ
-    assert uniform.estimates != fixed.estimates or uniform != fixed
 
 
 def test_aging_curve_max_gap_and_csv(tmp_path):
@@ -424,7 +406,7 @@ def test_trap_diagnostic_beta_zero_is_untrapped():
     """Unit-mean holds spread a block's time over ~theta states: no trap."""
     env = Environment.create(8, 3, 0.0, 0.5, 0)
     theta = env.block_length
-    seg = simulate_segment(env, SpinConfig(8, 0), 4 * theta + 1, replica_streams(17))
+    seg = simulate_segment(env, 4 * theta + 1, replica_streams(17))
     for rep in trap_localization_diagnostic(env, seg, 0.25, 0.5):
         assert rep.untrapped
         assert rep.dominant_fraction < 0.35
@@ -435,7 +417,7 @@ def test_trap_diagnostic_beta_zero_is_untrapped():
 def test_trap_diagnostic_finds_deep_trap_at_low_temperature():
     env = Environment.create(8, 3, 3.0, 2.7, seed=23)
     theta = env.block_length
-    seg = simulate_segment(env, SpinConfig(8, 0), 6 * theta + 1, replica_streams(19))
+    seg = simulate_segment(env, 6 * theta + 1, replica_streams(19))
     reports = trap_localization_diagnostic(env, seg, 0.25, 0.5)
     fractions = [rep.dominant_fraction for rep in reports]
     # at beta=3 the deepest visited state dominates most blocks outright
@@ -445,7 +427,7 @@ def test_trap_diagnostic_finds_deep_trap_at_low_temperature():
 def test_trap_diagnostic_reentry_flag():
     env = Environment.create(6, 3, 0.0, 0.5, 0)
     theta = env.block_length
-    seg = simulate_segment(env, SpinConfig(6, 0), theta + 1, replica_streams(21))
+    seg = simulate_segment(env, theta + 1, replica_streams(21))
     (rep,) = trap_localization_diagnostic(env, seg, 2.0, 0.5)
     # the ball with epsilon=2 is the whole cube: entered once, never exited
     assert rep.ball_time_fraction == pytest.approx(1.0)
@@ -461,9 +443,7 @@ def test_trap_diagnostic_rejects_a_threshold_or_epsilon_out_of_range(keyword, va
     """The dominant fraction is a share in (0, 1] and the overlap ball needs
     epsilon in (0, 2]; the error names the parameter."""
     env = Environment.create(6, 3, 0.0, 0.5, 0)
-    seg = simulate_segment(
-        env, SpinConfig(6, 0), env.block_length + 1, replica_streams(21)
-    )
+    seg = simulate_segment(env, env.block_length + 1, replica_streams(21))
     name = "trap threshold" if keyword == "threshold" else "epsilon"
     settings = {"epsilon": 0.25, "threshold": 0.5, keyword: value}
     with pytest.raises(ParameterValidationError, match=name):
@@ -487,7 +467,7 @@ def test_trap_diagnostic_reports_each_whole_block_of_the_segment():
     theta - 1 steps none."""
     env = Environment.create(8, 3, 3.0, 2.7, seed=23)
     theta = env.block_length
-    seg = simulate_segment(env, SpinConfig(8, 0), 4 * theta + 1, replica_streams(19))
+    seg = simulate_segment(env, 4 * theta + 1, replica_streams(19))
     reports = trap_localization_diagnostic(env, seg, 0.25, 0.5)
     assert [rep.block_index for rep in reports] == [0, 1, 2, 3]
     assert trap_localization_diagnostic(env, cut(seg, theta - 1), 0.25, 0.5) == []
@@ -498,7 +478,7 @@ def test_trap_report_does_not_depend_on_the_steps_after_its_block():
     the segment cut to (i + 1) theta steps."""
     env = Environment.create(8, 3, 3.0, 2.7, seed=23)
     theta = env.block_length
-    seg = simulate_segment(env, SpinConfig(8, 0), 4 * theta + 1, replica_streams(19))
+    seg = simulate_segment(env, 4 * theta + 1, replica_streams(19))
     reports = trap_localization_diagnostic(env, seg, 0.25, 0.5)
     for i, rep in enumerate(reports):
         shorter = trap_localization_diagnostic(env, cut(seg, (i + 1) * theta), 0.25, 0.5)

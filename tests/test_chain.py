@@ -17,7 +17,7 @@ from clockproc.chain import (
     uniform_starts,
     walk_to_times,
 )
-from clockproc.environment import MAX_TABLE_SPINS, Environment, SpinConfig, block_length
+from clockproc.environment import MAX_TABLE_SPINS, Environment, block_length
 from clockproc.errors import DimensionMismatchError, HorizonError, ParameterValidationError
 from clockproc.seeding import StreamFamily, keyed_generator
 from dense_srw_kernel import apply_srw_kernel, dense_mixing_violation, exact_step_distribution
@@ -118,9 +118,8 @@ def test_uniform_occupation_small_n():
 
 def test_simulate_segment_deterministic():
     env = make_env()
-    start = SpinConfig(8, 0)
-    a = simulate_segment(env, start, 300, replica_streams(4))
-    b = simulate_segment(env, start, 300, replica_streams(4))
+    a = simulate_segment(env, 300, replica_streams(4))
+    b = simulate_segment(env, 300, replica_streams(4))
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.increments, b.increments)
     assert a.steps == 300
@@ -131,27 +130,13 @@ def test_simulate_segment_deterministic():
 
 def test_simulate_segment_validation():
     env = make_env()
-    with pytest.raises(DimensionMismatchError):
-        simulate_segment(env, SpinConfig(5, 0), 10, replica_streams(0))
     with pytest.raises(ParameterValidationError):
-        simulate_segment(env, SpinConfig(8, 0), 0, replica_streams(0))
-
-
-def test_none_start_draws_the_uniform_start_from_the_walk_stream():
-    env = make_env(n=7)
-    own, given = replica_streams(5), replica_streams(5)
-    a = simulate_segment(env, None, 150, own)
-    b = simulate_segment(env, random_spin_config(7, given.walk), 150, given)
-    for field in ("states", "energies", "exp_draws", "increments"):
-        assert np.array_equal(getattr(a, field), getattr(b, field))
-    # both walk generators were advanced by the same draws
-    assert own.walk.integers(0, 1 << 62) == given.walk.integers(0, 1 << 62)
-    assert own.noise.random() == given.noise.random()
+        simulate_segment(env, 0, replica_streams(0))
 
 
 def test_segment_energies_match_environment():
     env = make_env(n=7)
-    seg = simulate_segment(env, SpinConfig(7, 5), 100, replica_streams(2))
+    seg = simulate_segment(env, 100, replica_streams(2))
     assert np.allclose(seg.energies, env.energies(seg.states), rtol=1e-14)
     # increments decompose as exp(beta H) * e
     assert np.allclose(seg.increments, np.exp(3.0 * seg.energies) * seg.exp_draws, rtol=1e-12)
@@ -160,12 +145,11 @@ def test_segment_energies_match_environment():
 def test_extension_is_prefix_stable():
     """Growing a segment never rewrites its past, and matches a one-shot run."""
     env = make_env(n=6)
-    start = SpinConfig(6, 9)
     # extension must reuse the same replica streams that produced the prefix
     streams = replica_streams(31)
-    short = simulate_segment(env, start, 120, streams)
+    short = simulate_segment(env, 120, streams)
     grown = extend_segment(env, short, 80, streams)
-    one_shot = simulate_segment(env, start, 200, replica_streams(31))
+    one_shot = simulate_segment(env, 200, replica_streams(31))
     assert np.array_equal(grown.states, one_shot.states)
     assert np.array_equal(grown.exp_draws, one_shot.exp_draws)
     assert np.array_equal(grown.states[:121], short.states)
@@ -173,15 +157,16 @@ def test_extension_is_prefix_stable():
         extend_segment(env, short, 0, streams)
 
 
-@pytest.mark.parametrize("start", [None, SpinConfig(7, 77)])
-def test_simulate_segment_draws_its_start_flips_and_exponentials_in_order(start):
-    """A segment draws its start, then its flips, from its walk stream, and
-    one exponential per visited state from its noise stream."""
+def test_simulate_segment_draws_its_start_flips_and_exponentials_in_order():
+    """A segment draws its uniform start, then its flips, from its walk
+    stream, and one exponential per visited state from its noise stream, and
+    leaves both streams where those draws leave them."""
     env = make_env(n=7)
     length = 150
-    segment = simulate_segment(env, start, length, replica_streams(12))
+    own = replica_streams(12)
+    segment = simulate_segment(env, length, own)
     alone = replica_streams(12)
-    origin = random_spin_config(7, alone.walk) if start is None else start
+    origin = random_spin_config(7, alone.walk)
     states = srw_paths(7, origin.bits, length, alone.walk)
     energies = env.energies(states)
     draws = alone.noise.standard_exponential(length + 1)
@@ -191,21 +176,22 @@ def test_simulate_segment_draws_its_start_flips_and_exponentials_in_order(start)
     assert np.array_equal(segment.exp_draws, draws)
     assert np.array_equal(segment.increments, increments)
     assert np.array_equal(segment.cumulative(), np.cumsum(increments))
+    assert own.walk.integers(0, 1 << 62) == alone.walk.integers(0, 1 << 62)
+    assert own.noise.random() == alone.noise.random()
 
 
-@pytest.mark.parametrize("start", [None, SpinConfig(7, 77)])
-def test_blocked_clocks_rows_equal_the_one_replica_folds(start):
+def test_blocked_clocks_rows_equal_the_one_replica_folds():
     """Each row of a block's clock is the per-segment fold of the segment its
     replica draws alone, bit for bit, and the block leaves each replica's
     streams where drawing alone leaves them."""
     env = make_env(n=7)
     family, k = StreamFamily(12, "block"), 9
     block = [family.replica(i) for i in range(5)]
-    sums, initial = blocked_clocks(env, start, k, block)
+    sums, initial = blocked_clocks(env, k, block)
     assert sums.shape == (5, k) and initial.shape == (5,)
     for i in range(5):
         alone = family.replica(i)
-        segment = simulate_segment(env, start, k * env.block_length, alone)
+        segment = simulate_segment(env, k * env.block_length, alone)
         block_sums, initial_term = blocked_clock(segment, env, k)
         assert np.array_equal(sums[i], block_sums)
         assert initial[i] == initial_term
@@ -238,7 +224,7 @@ def test_map_replicas_fill_the_state_budget_and_hold_one_replica_past_the_table(
 
 def test_cumulative_and_horizon():
     env = make_env(n=6)
-    seg = simulate_segment(env, SpinConfig(6, 0), 50, replica_streams(7))
+    seg = simulate_segment(env, 50, replica_streams(7))
     cum = seg.cumulative()
     assert np.allclose(cum, np.cumsum(seg.increments), rtol=0)
 
@@ -246,7 +232,7 @@ def test_cumulative_and_horizon():
 def test_beta_zero_increment_mean():
     """At beta=0 the waiting times are unit exponentials: mean 1 (3 sigma)."""
     env = Environment.create(8, 3, 0.0, 1.0, 0)
-    seg = simulate_segment(env, SpinConfig(8, 0), 100_000, replica_streams(12))
+    seg = simulate_segment(env, 100_000, replica_streams(12))
     m = seg.increments.mean()
     assert abs(m - 1.0) < 3.0 / math.sqrt(len(seg.increments))
     assert np.array_equal(seg.increments, seg.exp_draws)
@@ -275,19 +261,19 @@ def test_conditional_increment_mean_given_walk():
 
 def test_blocked_clock_zero_blocks():
     env = make_env(n=6)
-    sums, initial = blocked_clocks(env, SpinConfig(6, 0), 0, [replica_streams(1)])
+    sums, initial = blocked_clocks(env, 0, [replica_streams(1)])
     assert sums.shape == (1, 0)
     assert initial.shape == (1,) and initial[0] >= 0
     with pytest.raises(ParameterValidationError):
-        blocked_clocks(env, SpinConfig(6, 0), -1, [replica_streams(1)])
+        blocked_clocks(env, -1, [replica_streams(1)])
 
 
 def test_blocked_clock_matches_direct_recompute():
     """Block sums agree with a direct rescale-and-sum of the raw increments."""
     env = make_env(n=8)
     k, theta = 6, env.block_length
-    sums, initial = blocked_clocks(env, SpinConfig(8, 3), k, [replica_streams(9)])
-    seg = simulate_segment(env, SpinConfig(8, 3), k * theta, replica_streams(9))
+    sums, initial = blocked_clocks(env, k, [replica_streams(9)])
+    seg = simulate_segment(env, k * theta, replica_streams(9))
     scaled = np.exp(env.beta * seg.energies - env.log_time_scale) * seg.exp_draws
     direct = np.array([scaled[1 + i * theta : 1 + (i + 1) * theta].sum() for i in range(k)])
     assert np.allclose(sums[0], direct, rtol=1e-12)
@@ -299,11 +285,11 @@ def test_blocked_clock_block_sums_are_the_direct_fold_bit_for_bit():
     running total, which lose the low bits of every small block after a large one."""
     env = Environment.create(10, 3, 3.0, 2.7, seed=11)
     k, theta = 12, env.block_length
-    seg = simulate_segment(env, None, k * theta, replica_streams(8))
+    seg = simulate_segment(env, k * theta, replica_streams(8))
     with np.errstate(over="ignore"):
         scaled = np.exp(env.beta * seg.energies - env.log_time_scale) * seg.exp_draws
     direct = np.array([scaled[1 + i * theta : 1 + (i + 1) * theta].sum() for i in range(k)])
-    assert np.array_equal(blocked_clocks(env, None, k, [replica_streams(8)])[0][0], direct)
+    assert np.array_equal(blocked_clocks(env, k, [replica_streams(8)])[0][0], direct)
 
 
 # --- time-changed process lookup ------------------------------------------
@@ -321,8 +307,8 @@ def scanned_state(seg, t: float) -> int:
 
 def test_process_at_time_start_and_oracle():
     env = make_env(n=7)
-    seg = simulate_segment(env, SpinConfig(7, 13), 200, replica_streams(3))
-    assert process_at_time(seg, env, 0.0) == 13
+    seg = simulate_segment(env, 200, replica_streams(3))
+    assert process_at_time(seg, env, 0.0) == seg.states[0]
     rng = np.random.default_rng(5)
     for t in rng.uniform(0, seg.cumulative()[-1], size=40):
         assert process_at_time(seg, env, float(t)) == scanned_state(seg, t)
@@ -330,7 +316,7 @@ def test_process_at_time_start_and_oracle():
 
 def test_process_at_time_reads_an_array_of_times_in_one_search():
     env = make_env(n=7)
-    seg = simulate_segment(env, SpinConfig(7, 13), 200, replica_streams(3))
+    seg = simulate_segment(env, 200, replica_streams(3))
     horizon = seg.cumulative()[-1]
     times = np.random.default_rng(6).uniform(0, horizon, size=(3, 20))
     times[0, 0] = 0.0
@@ -344,7 +330,7 @@ def test_process_at_time_reads_an_array_of_times_in_one_search():
 
 def test_process_at_time_boundaries():
     env = make_env(n=6)
-    seg = simulate_segment(env, SpinConfig(6, 0), 30, replica_streams(6))
+    seg = simulate_segment(env, 30, replica_streams(6))
     cum = seg.cumulative()
     # at an exact jump time the process has already moved on
     j = 10
@@ -361,8 +347,7 @@ def test_process_at_time_boundaries():
 
 
 @pytest.mark.parametrize("budget", [SEGMENT_BLOCK_STATES, 64, 2])
-@pytest.mark.parametrize("start", [None, SpinConfig(7, 77)])
-def test_walk_to_times_reads_what_one_long_segment_reads(start, budget, monkeypatch):
+def test_walk_to_times_reads_what_one_long_segment_reads(budget, monkeypatch):
     """Whatever the windows' budget, each row sits where one long segment
     from its streams sits at every query time (repeated, unsorted, or an
     exact jump time), and its final clock is a partial sum of that segment's
@@ -370,12 +355,12 @@ def test_walk_to_times_reads_what_one_long_segment_reads(start, budget, monkeypa
     monkeypatch.setattr(chain, "SEGMENT_BLOCK_STATES", budget)
     env = make_env(n=7)
     family, count = StreamFamily(12, "windows"), 6
-    long = [simulate_segment(env, start, 4000, family.replica(i)) for i in range(count)]
+    long = [simulate_segment(env, 4000, family.replica(i)) for i in range(count)]
     latest = min(segment.cumulative()[-1] for segment in long) / 2
     jump = float(long[0].cumulative()[5])
     times = np.array([latest / 3, 0.0, latest, jump, latest / 3])
     streams = [family.replica(i) for i in range(count)]
-    states, clocks = walk_to_times(env, start, times, 3, 10**6, streams)
+    states, clocks = walk_to_times(env, times, 3, 10**6, streams)
     assert states.shape == (count, len(times)) and states.dtype == np.uint64
     for segment, row, clock in zip(long, states, clocks):
         assert row.tolist() == process_at_time(segment, env, times).tolist()
@@ -387,11 +372,11 @@ def test_walk_to_times_censors_at_exactly_the_step_cap():
     with the clock of that many steps, and reads 0 past it."""
     env = make_env(n=7)
     family, step_cap = StreamFamily(3, "cap"), 50
-    capped = [simulate_segment(env, None, step_cap, family.replica(i)) for i in range(4)]
+    capped = [simulate_segment(env, step_cap, family.replica(i)) for i in range(4)]
     early = min(segment.cumulative()[-1] for segment in capped) / 2
     times = np.array([early, 1e300])
     states, clocks = walk_to_times(
-        env, None, times, 7, step_cap, [family.replica(i) for i in range(4)]
+        env, times, 7, step_cap, [family.replica(i) for i in range(4)]
     )
     assert clocks.tolist() == [segment.cumulative()[-1] for segment in capped]
     assert states[:, 0].tolist() == [int(process_at_time(s, env, early)) for s in capped]
@@ -402,15 +387,13 @@ def test_walk_to_times_validation():
     env = make_env(n=6)
     streams = [replica_streams(1)]
     with pytest.raises(ParameterValidationError):
-        walk_to_times(env, None, [1.0], 0, 10, streams)
+        walk_to_times(env, [1.0], 0, 10, streams)
     with pytest.raises(ParameterValidationError):
-        walk_to_times(env, None, [1.0], 11, 10, streams)
+        walk_to_times(env, [1.0], 11, 10, streams)
     with pytest.raises(ParameterValidationError):
-        walk_to_times(env, None, [1.0, -1.0], 1, 10, streams)
+        walk_to_times(env, [1.0, -1.0], 1, 10, streams)
     with pytest.raises(ParameterValidationError):
-        walk_to_times(env, None, [], 1, 10, streams)
-    with pytest.raises(DimensionMismatchError):
-        walk_to_times(env, SpinConfig(5, 0), [1.0], 1, 10, streams)
+        walk_to_times(env, [], 1, 10, streams)
 
 
 # --- dense kernel oracle (tests/dense_srw_kernel.py) -----------------------
@@ -500,9 +483,13 @@ def test_mixing_check_validation():
     assert rep.n == 13 and rep.theta == 10 and not rep.passed
     with pytest.raises(ParameterValidationError):
         mixing_check(6, -1)
-    for n in (0, 64):
-        with pytest.raises(ParameterValidationError):
-            mixing_check(n, 10)
+
+
+@pytest.mark.parametrize("n", [0, 64])
+def test_mixing_check_refuses_spin_counts_outside_a_packed_state(n):
+    message = rf"spin count must be in \[1, 63\]; got n={n}"
+    with pytest.raises(ParameterValidationError, match=message):
+        mixing_check(n, 10)
 
 
 @pytest.mark.parametrize("n", range(4, 13))

@@ -362,9 +362,9 @@ def test_clock_row_blocks_leave_the_data_bytes(threads, tmp_path, monkeypatch):
     assert default_rows == 4 and "clock_jumps.csv" in reference
     blocks, blocked_clocks = [], cli.blocked_clocks
 
-    def recording(env, start, k, streams):
+    def recording(env, k, streams):
         blocks.append(len(streams))
-        return blocked_clocks(env, start, k, streams)
+        return blocked_clocks(env, k, streams)
 
     monkeypatch.setattr(cli, "blocked_clocks", recording)
     for rows in (1, 3, default_rows):
@@ -447,31 +447,6 @@ def test_clock_trajectory_dump_layout(tmp_path):
     for row in rows[1:5]:
         assert 0 <= int(row[1], 16) < 2**8
         assert float(row[3]) == pytest.approx(math.exp(3.0 * float(row[2])), rel=1e-12)
-
-
-def test_clock_start_override_is_recorded_as_nonconformant(tmp_path):
-    cfg_path = clock_config(tmp_path / "cfg.json", replicas=2)
-    outdir = tmp_path / "out"
-    code = main(["clock", "--config", str(cfg_path), "--out", str(outdir), "--start", "3f"])
-    assert code in (0, 2)
-    record = load_manifest(outdir)["run"]["start_distribution"]
-    assert record == {"fixed_state_hex": "3f", "theorem_conformant": False}
-
-    # the default draw from the uniform distribution is flagged as such
-    plain = tmp_path / "plain"
-    main(["clock", "--config", str(cfg_path), "--out", str(plain)])
-    assert load_manifest(plain)["run"]["start_distribution"] == (
-        "uniform (stationary)"
-    )
-
-
-def test_clock_start_rejects_bad_values(tmp_path, capsys):
-    cfg_path = clock_config(tmp_path / "cfg.json", replicas=2)
-    outdir = tmp_path / "out"
-    assert main(["clock", "--config", str(cfg_path), "--out", str(outdir), "--start", "zz"]) == 1
-    assert "hex" in capsys.readouterr().err
-    assert main(["clock", "--config", str(cfg_path), "--out", str(outdir), "--start", "1ff"]) == 1
-    assert "state space" in capsys.readouterr().err
 
 
 def test_laplace_degenerate_closed_form_and_layout(tmp_path):
@@ -627,11 +602,10 @@ def test_aging_refuses_the_trap_threshold_before_the_curve(
 
 def test_aging_reference_file_uses_no_streams(tmp_path):
     """The flat reference is a closed form: its file reads the same bytes at
-    any seed and start, while the Monte Carlo curve moves with the seed."""
+    any seed, while the Monte Carlo curve moves with the seed."""
     cfg_path = clock_config(tmp_path / "cfg.json", ts_grid=[[1.0, 1.0], [1.0, 0.25]])
     runs = {}
-    for label, extra in (("seed1", ["--seed", "1"]), ("seed2", ["--seed", "2"]),
-                         ("start", ["--seed", "1", "--start", "2a"])):
+    for label, extra in (("seed1", ["--seed", "1"]), ("seed2", ["--seed", "2"])):
         outdir = tmp_path / label
         assert main(["aging", "--config", str(cfg_path), "--out", str(outdir), *extra]) in (0, 2)
         runs[label] = outdir
@@ -800,6 +774,9 @@ def test_dump_trajectory_is_a_usage_error_outside_clock_and_aging(tmp_path):
         (["conditions", "--config", "{config}", "--threads", "two"], 1),
         (["--help"], 0),
         (["aging", "--help"], 0),
+        # every walk starts stationary, so clock and aging take no start either
+        (["clock", "--config", "{config}", "--start", "2a"], 1),
+        (["aging", "--config", "{config}", "--start", "2a"], 1),
     ],
 )
 def test_usage_errors_exit_1_and_help_exits_0(argv, code, tmp_path, capsys):
@@ -932,8 +909,8 @@ _COMMON_OPTIONS = ["--config", "--out", "--seed", "--threads"]
 
 # every option of every subcommand, as the parser declares them
 PINNED_OPTIONS = {
-    "aging": [*_COMMON_OPTIONS, "--dump-trajectory", "--epsilon", "--start", "--trap-threshold"],
-    "clock": [*_COMMON_OPTIONS, "--dump-trajectory", "--start"],
+    "aging": [*_COMMON_OPTIONS, "--dump-trajectory", "--epsilon", "--trap-threshold"],
+    "clock": [*_COMMON_OPTIONS, "--dump-trajectory"],
     "conditions": _COMMON_OPTIONS,
     "laplace": _COMMON_OPTIONS,
     "mixing": _COMMON_OPTIONS,
@@ -951,14 +928,12 @@ OPTION_RECORDS = {
     "--seed": ("config", "seeds", "master_seed"),
     "--threads": ("config", "threads"),
     "--dump-trajectory": ("artifacts",),
-    "--start": ("run", "start_distribution", "fixed_state_hex"),
     "--epsilon": ("run", "epsilon"),
     "--trap-threshold": ("run", "trap_threshold"),
 }
 
 # a value for each option that takes one, away from its default and the config's
-OPTION_VALUES = {"--seed": "7", "--threads": "2", "--start": "2a", "--epsilon": "0.3",
-                 "--trap-threshold": "0.7"}
+OPTION_VALUES = {"--seed": "7", "--threads": "2", "--epsilon": "0.3", "--trap-threshold": "0.7"}
 
 
 def parser_options():

@@ -17,7 +17,6 @@ from clockproc.environment import (
     ZETA_LIMIT,
     CouplingTensor,
     Environment,
-    SpinConfig,
     block_length,
     overlap_to_reference,
     validate_parameters,
@@ -31,7 +30,7 @@ from clockproc.errors import (
     ParameterValidationError,
 )
 from reference_estimators import (
-    hamming, overlap, random_spin_config, replica_streams, srw_paths,
+    SpinConfig, hamming, overlap, random_spin_config, replica_streams, srw_paths,
 )
 
 # small-n environments at the reference parameters legitimately warn that the
@@ -75,7 +74,7 @@ def test_block_length_values():
         assert block_length(n) == math.ceil(1.5 * math.log(2.0) * n * n)
 
 
-# --- spin configurations --------------------------------------------------
+# --- spin configurations (the oracles' state type) ------------------------
 
 
 def spins(x: SpinConfig) -> np.ndarray:
@@ -261,7 +260,7 @@ def test_environment_degenerate_beta_zero():
     with pytest.raises(ParameterValidationError, match="nonnegative"):
         Environment(env.couplings, math.nan, 1.0)
     # beta=0 holding times are all 1: every hold is its exponential draw
-    segment = simulate_segment(env, None, 255, replica_streams(1))
+    segment = simulate_segment(env, 255, replica_streams(1))
     assert np.array_equal(segment.increments, segment.exp_draws)
 
 
@@ -497,9 +496,8 @@ def test_tau_saturates_to_inf():
     values = np.zeros(n**p)
     values[0] = 1e6  # J_{000}: contributes s_0^3 * n^{-1}
     env = Environment(CouplingTensor(n, p, 0, values), beta=10.0, gamma=0.0)
-    hot = SpinConfig(n, 0b1111)
-    segment = simulate_segment(env, hot, 8, replica_streams(3))
+    segment = simulate_segment(env, 8, replica_streams(3))
+    hot = (segment.states & np.uint64(1)).astype(bool)  # s_0 = +1
     # the holding time saturates to inf and never wraps; the energy stays finite
-    assert math.isinf(segment.increments[0])
-    assert math.isfinite(segment.energies[0])
-    assert np.all(np.isinf(segment.increments) == (segment.states & np.uint64(1)).astype(bool))
+    assert hot.any() and np.all(np.isinf(segment.increments) == hot)
+    assert np.all(np.isfinite(segment.energies))

@@ -110,19 +110,6 @@ CASES = {
         },
         ["--dump-trajectory"],
     ),
-    # a fixed start; 40 blocks of 104 steps fill a quarter of the shipped row
-    # budget, so the four replicas walk in row blocks of 3 and 1, of 1 each
-    # at a budget of one state and of 4 at an unbounded one
-    "clock-start": (
-        "clock",
-        {
-            "model": _model(10, 3.0, 2.7),
-            "budgets": {"replicas": 4},
-            "grids": {"u_grid": [0.25, 0.5]},
-            "overrides": {"block_count": 40},
-        },
-        ["--start", "3f", "--dump-trajectory"],
-    ),
     # 40 blocks of 104 steps fill a quarter of the shipped row budget, so the
     # four replicas walk in row blocks of 3 and 1, of 1 each at a budget of
     # one state and of 4 at an unbounded one
@@ -177,13 +164,6 @@ EXPECTED = {
         "clock_jumps.csv": "2ef6c7d36480156893db183ffc414e7c36f06435c74015811d805fa84e5570f3",
         "trajectory.csv": "b74135ecc474b6bf801491fbfda73ff28d857d16ed5cbdf4def1072cc14215bb",
         "verdicts": "731aafb8e730a872e96341bbd8c3e18f53ef431aef32fbb00b9d53679447530a",
-    }),
-    "clock-start": (0, {
-        "clock.csv": "5828d3d5d98d9085455daf4296e275ea0a9603283b3a8221a688b19fde51b451",
-        "clock_initial_terms.csv": "4ace8bd172f6586d4768246d27e7b896d513e6362bef25906257c307d3df3960",
-        "clock_jumps.csv": "fe8bc3596b4e2984d9f28107a891121cd83a65fe1fc61bad28ccd49d52296092",
-        "trajectory.csv": "e358b77ed212eb9dda911473906b7804ed45b9e7574394eb01295717f1a14cb8",
-        "verdicts": "56ec58ff5e738ab4f61c3e04de2a9e940062e3aa8518b5b5b1fd8fe401b792e5",
     }),
     "conditions": (3, {
         "conditions.csv": "791dddf0aaa82b9b98d36f62f3c0d0a56a6164af2718585e010855fa26f03f88",
@@ -248,7 +228,7 @@ def test_data_files_match_recorded_digests(name, threads, tmp_path):
 
 
 @pytest.mark.parametrize("budget", [1, 1 << 40])
-@pytest.mark.parametrize("name", ["aging", "clock", "clock-rows", "clock-start"])
+@pytest.mark.parametrize("name", ["aging", "clock", "clock-rows"])
 def test_segment_row_blocks_leave_the_digests(name, budget, tmp_path, monkeypatch):
     """One replica per row block, or every replica in one, writes the same bytes."""
     monkeypatch.setattr(chain, "SEGMENT_BLOCK_STATES", budget)
@@ -369,7 +349,6 @@ PROVENANCE = {
     "aging": "ac9a23eff5a42b85020a775082f6be151189cf5426bd974067a7ef561b1e56aa",
     "clock": "aaaacf650c3c1d4f3f6e7c912f09b325547fc8648a1382154dbc27fbb12aab27",
     "clock-rows": "c4cb874dbc97357c08ec22143e0beaa77353273c3f97a55556c03662d4492e1c",
-    "clock-start": "c4cb874dbc97357c08ec22143e0beaa77353273c3f97a55556c03662d4492e1c",
     "conditions": "2114f8857adeb30ba6050454019b90eebbdd29017d36a33d903b2daa478c8316",
     "conditions-flat": "feda562a04422d9f407f7c741e281d18a2aec98292622779cec4609df8159c91",
     "laplace": "f680d2f69e87049c4298c556f66bd01d19f493f50bd211e937a130a4a46bf297",

@@ -152,15 +152,15 @@ RE_EXPORTED = (
 # ``truncated_mean_asymptotic`` once only tests called them, ``TailEstimate``
 # and ``estimate_block_tail_grid`` once the intensity read its tail grid
 # straight off its block sums, ``ClockPath``, ``blocked_clock`` and
-# ``SegmentLengthError`` once the clock folded whole row blocks, and
+# ``SegmentLengthError`` once the clock folded whole row blocks,
 # ``ConcentrationReport`` and ``concentration_diagnostic`` once only tests ran
-# them)
+# them, and ``SpinConfig`` once every walk started stationary)
 TOP_LEVEL_NAMES = {
     "__version__",
     "ClockprocError", "DimensionMismatchError", "ParameterValidationError",
     "HorizonError", "DegenerateScaleError", "BudgetError",
     "resolve_seeds", "keyed_generator", "StreamFamily", "ReplicaStreams",
-    "SpinConfig", "CouplingTensor", "Environment", "zeta", "validate_parameters",
+    "CouplingTensor", "Environment", "zeta", "validate_parameters",
     "block_length", "ZETA_LIMIT", "DEFAULT_ZETA_TABLE",
     "TrajectorySegment", "MixingReport", "blocked_clocks", "simulate_segment",
     "extend_segment", "walk_to_times", "process_at_time", "mixing_check",
@@ -189,7 +189,7 @@ def test_top_level_is_composed_from_the_module_lists():
     ]
     assert clockproc.__all__ == composed
     assert len(set(composed)) == len(composed)
-    assert len(TOP_LEVEL_NAMES) == 63
+    assert len(TOP_LEVEL_NAMES) == 62
     assert TOP_LEVEL_NAMES <= set(clockproc.__all__)
 
 
