@@ -157,14 +157,26 @@ def test_extension_is_prefix_stable():
         extend_segment(env, short, 0, streams)
 
 
+def test_none_start_draws_the_uniform_start_from_the_walk_stream():
+    """With no start to give, a segment's first state is one scalar uniform
+    draw of its walk stream, taken before its flips, and the segment leaves
+    both streams where that draw, its flips and its exponentials leave them."""
+    env = make_env(n=7)
+    own, given = replica_streams(5), replica_streams(5)
+    segment = simulate_segment(env, 150, own)
+    assert segment.states[0] == random_spin_config(7, given.walk).bits
+    given.walk.integers(0, 7, size=150, dtype=np.uint32)
+    given.noise.standard_exponential(151)
+    assert own.walk.integers(0, 1 << 62) == given.walk.integers(0, 1 << 62)
+    assert own.noise.random() == given.noise.random()
+
+
 def test_simulate_segment_draws_its_start_flips_and_exponentials_in_order():
     """A segment draws its uniform start, then its flips, from its walk
-    stream, and one exponential per visited state from its noise stream, and
-    leaves both streams where those draws leave them."""
+    stream, and one exponential per visited state from its noise stream."""
     env = make_env(n=7)
     length = 150
-    own = replica_streams(12)
-    segment = simulate_segment(env, length, own)
+    segment = simulate_segment(env, length, replica_streams(12))
     alone = replica_streams(12)
     origin = random_spin_config(7, alone.walk)
     states = srw_paths(7, origin.bits, length, alone.walk)
@@ -176,8 +188,6 @@ def test_simulate_segment_draws_its_start_flips_and_exponentials_in_order():
     assert np.array_equal(segment.exp_draws, draws)
     assert np.array_equal(segment.increments, increments)
     assert np.array_equal(segment.cumulative(), np.cumsum(increments))
-    assert own.walk.integers(0, 1 << 62) == alone.walk.integers(0, 1 << 62)
-    assert own.noise.random() == alone.noise.random()
 
 
 def test_blocked_clocks_rows_equal_the_one_replica_folds():
