@@ -2,10 +2,10 @@
 
 Usage::
 
-    clockproc <subcommand> --config path.json [--seed N] [--out dir]
-              [--threads K] [--dump-trajectory]
+    clockproc <subcommand> --config path.json [--seed N] [--out dir] [--threads K]
 
-``--dump-trajectory`` belongs to ``clock`` and ``aging`` only.
+Each option overrides one field of the config, so the resolved config in
+``manifest.json`` and the package's constants fix every byte a run writes.
 
 Subcommands:
 
@@ -33,7 +33,7 @@ Subcommands:
 
 One table, ``_COMMANDS``, names each subcommand's runner, whether it samples
 an environment, and its help text.  Every runner has one shape,
-``(env, cfg, args) -> (verdicts, outputs, record)``: :func:`run` builds the
+``(env, cfg) -> (verdicts, outputs, record)``: :func:`run` builds the
 environment once, from the config's coupling seed (``None`` for ``mixing``
 and ``subordinator``), and hands it in.  A runner computes and grades its
 own verdicts through :mod:`clockproc.verdicts`; it returns them, the files it
@@ -75,7 +75,7 @@ import numpy as np
 
 from . import __version__, special
 from .aging import estimate_aging_curve, flat_aging_curve, trap_localization_diagnostic
-from .chain import TrajectorySegment, blocked_clocks, map_replicas, mixing_check, simulate_segment
+from .chain import blocked_clocks, map_replicas, mixing_check, simulate_segment
 from .conditions import (
     TRUNCATED_TERM_BOUND, ConditionReport, LaplaceIntensityEstimate, SquaredTailEstimate,
     build_condition_report, degenerate_block_laplace, degenerate_block_tail,
@@ -92,8 +92,9 @@ __all__ = ["main", "run"]
 
 _EXIT_CODE = {"pass": 0, "warn": 2, "fail": 3}
 
-_TRAJECTORY_ROW_CAP = 1_000_000
 _TRAP_BLOCKS = 8
+_EPSILON = 0.25  # overlap tolerance of the two-time correlation event
+_TRAP_THRESHOLD = 0.5  # dominant fraction above which a block counts as trapped
 
 
 class _Output(NamedTuple):
@@ -135,25 +136,6 @@ def _environment_record(env: Environment) -> dict:
         "step_scale": env.step_scale,
         "start_distribution": "uniform (stationary)",
     }
-
-
-def _trajectory(env: Environment, segment: TrajectorySegment, purpose: str) -> _Output:
-    rows = min(len(segment.states), _TRAJECTORY_ROW_CAP)
-    with np.errstate(over="ignore"):
-        taus = np.exp(env.beta * segment.energies[:rows])
-    table = (
-        [
-            i,
-            format(int(segment.states[i]), "x"),
-            repr(float(segment.energies[i])),
-            repr(float(taus[i])),
-            repr(float(segment.exp_draws[i])),
-            repr(float(segment.increments[i])),
-        ]
-        for i in range(rows)
-    )
-    header = ["step", "state_hex", "H", "tau", "exp_draw", "increment"]
-    return _table("trajectory.csv", header, table, purpose, [0], f"{rows} visit rows")
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +250,7 @@ def _condition_verdicts(env: Environment, report: ConditionReport) -> dict:
     return verdicts
 
 
-def _run_conditions(env: Environment, cfg: ExperimentConfig, args) -> _Result:
+def _run_conditions(env: Environment, cfg: ExperimentConfig) -> _Result:
     streams = StreamFamily(cfg.master_seed, "conditions").replica(0)
     report = build_condition_report(
         env, cfg.u_grid, cfg.v_grid, cfg.eps_grid, streams, samples=cfg.samples,
@@ -285,7 +267,7 @@ def _run_conditions(env: Environment, cfg: ExperimentConfig, args) -> _Result:
     return verdicts, outputs, _environment_record(env) | counts
 
 
-def _run_laplace(env: Environment, cfg: ExperimentConfig, args) -> _Result:
+def _run_laplace(env: Environment, cfg: ExperimentConfig) -> _Result:
     streams = StreamFamily(cfg.master_seed, "laplace").replica(0)
     k = resolve_block_count(env, cfg.block_count)
     est = estimate_intensity_laplace(
@@ -305,7 +287,7 @@ def _run_laplace(env: Environment, cfg: ExperimentConfig, args) -> _Result:
     return verdicts, outputs, _environment_record(env) | {"block_count": k}
 
 
-def _run_mixing(env: None, cfg: ExperimentConfig, args) -> _Result:
+def _run_mixing(env: None, cfg: ExperimentConfig) -> _Result:
     theta = block_length(cfg.n)
     report = mixing_check(cfg.n, theta)
     rows = [[report.n, report.theta, repr(report.max_violation), repr(report.bound),
@@ -317,17 +299,16 @@ def _run_mixing(env: None, cfg: ExperimentConfig, args) -> _Result:
     return {"mixing_bound": verdict(status, **evidence)}, outputs, None
 
 
-def _run_clock(env: Environment, cfg: ExperimentConfig, args) -> _Result:
+def _run_clock(env: Environment, cfg: ExperimentConfig) -> _Result:
     if env.alpha is None:
         raise ParameterValidationError(
             "the jump-law comparison needs beta > 0; the beta = 0 chain has no "
             "power-law clock limit"
         )
     k = resolve_block_count(env, cfg.block_count)
-    theta = env.block_length
     family = StreamFamily(cfg.master_seed, "clock")
     blocks = map_replicas(
-        env, k * theta, family, cfg.replicas, cfg.resolved_threads(),
+        env, k * env.block_length, family, cfg.replicas, cfg.resolved_threads(),
         lambda streams: blocked_clocks(env, k, streams),
     )
     # (replicas, k) block sums and (replicas,) initial terms, in replica order
@@ -381,28 +362,24 @@ def _run_clock(env: Environment, cfg: ExperimentConfig, args) -> _Result:
         jump_rows = ([repr(float(size)), repr(float(y))] for size, y in zip(exceed, x))
         outputs.append(_table("clock_jumps.csv", ["size", "normalized"], jump_rows, "clock",
                               replicas, "pooled block increments above the threshold"))
-    if args.dump_trajectory:
-        segment = simulate_segment(env, k * theta, family.replica(0))
-        outputs.append(_trajectory(env, segment, "clock"))
     return verdicts, outputs, _environment_record(env) | {"block_count": k}
 
 
-def _run_aging(env: Environment, cfg: ExperimentConfig, args) -> _Result:
-    # per-block localisation diagnostics on one dedicated trajectory, graded
-    # before the Monte Carlo curve so that they refuse a bad threshold first
+def _run_aging(env: Environment, cfg: ExperimentConfig) -> _Result:
+    # per-block localisation diagnostics on one dedicated trajectory
     trap_streams = StreamFamily(cfg.master_seed, "aging-trap").replica(0)
     segment = simulate_segment(env, _TRAP_BLOCKS * env.block_length, trap_streams)
-    reports = trap_localization_diagnostic(env, segment, args.epsilon, args.trap_threshold)
+    reports = trap_localization_diagnostic(env, segment, _EPSILON, _TRAP_THRESHOLD)
     main_curve = estimate_aging_curve(
         env,
         cfg.ts_grid,
-        args.epsilon,
+        _EPSILON,
         cfg.replicas,
         resolve_seeds(cfg.master_seed, "aging-main", 0),
         step_cap=cfg.step_cap,
         threads=cfg.resolved_threads(),
     )
-    reference_curve = flat_aging_curve(cfg.n, cfg.ts_grid, args.epsilon, env.alpha)
+    reference_curve = flat_aging_curve(cfg.n, cfg.ts_grid, _EPSILON, env.alpha)
     replicas = f"0..{cfg.replicas - 1}"
     outputs = [
         _Output("aging.csv", main_curve.write_csv, "aging-main", replicas, "one row per (t, s)"),
@@ -435,13 +412,11 @@ def _run_aging(env: Environment, cfg: ExperimentConfig, args) -> _Result:
     header = ["block_index", "dominant_state_hex", "dominant_fraction", "ball_time_fraction",
               "reentered", "untrapped"]
     outputs.append(_table("traps.csv", header, rows, "aging-trap", [0], "one row per block"))
-    if args.dump_trajectory:
-        outputs.append(_trajectory(env, segment, "aging-trap"))
-    record = {"epsilon": args.epsilon, "trap_threshold": args.trap_threshold}
+    record = {"epsilon": _EPSILON, "trap_threshold": _TRAP_THRESHOLD}
     return verdicts, outputs, _environment_record(env) | record
 
 
-def _run_subordinator(env: None, cfg: ExperimentConfig, args) -> _Result:
+def _run_subordinator(env: None, cfg: ExperimentConfig) -> _Result:
     pairs = [(float(t), float(s)) for t, s in cfg.ts_grid]
     paths = cfg.samples
     arcsine_rows = []
@@ -533,29 +508,10 @@ def _build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--seed", type=int, default=None, help="override seeds.master_seed")
         sub.add_argument("--out", default=None, help="override outputs.directory")
         sub.add_argument("--threads", type=int, default=None, help="override the worker count")
-        if name in ("clock", "aging"):
-            sub.add_argument(
-                "--dump-trajectory",
-                action="store_true",
-                help="also write one trajectory as CSV",
-            )
-        if name == "aging":
-            sub.add_argument(
-                "--epsilon",
-                type=float,
-                default=0.25,
-                help="overlap tolerance for the correlation event (default 0.25)",
-            )
-            sub.add_argument(
-                "--trap-threshold",
-                type=float,
-                default=0.5,
-                help="dominant-fraction threshold flagging a block as trapped (default 0.5)",
-            )
     return parser
 
 
-def run(command: str, cfg: ExperimentConfig, args) -> int:
+def run(command: str, cfg: ExperimentConfig) -> int:
     """Execute one subcommand on a validated config; returns the exit code.
 
     This builds the environment the runner samples, from the config's
@@ -573,7 +529,7 @@ def run(command: str, cfg: ExperimentConfig, args) -> int:
             env = Environment.create(cfg.n, cfg.p, cfg.beta, cfg.gamma, seed, cfg.zeta_table)
         for caught_warning in caught:
             print(f"warning: {caught_warning.message}", file=sys.stderr)
-    verdicts, outputs, record = runner(env, cfg, args)
+    verdicts, outputs, record = runner(env, cfg)
     artifacts = []
     for output in outputs:
         output.write(os.path.join(outdir, output.name))
@@ -619,7 +575,7 @@ def main(argv=None) -> int:
         changes = {key: value for key, value in overrides.items() if value is not None}
         if changes:
             cfg = cfg.replace(**changes)
-        return run(args.command, cfg, args)
+        return run(args.command, cfg)
     except (ClockprocError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

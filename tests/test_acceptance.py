@@ -18,7 +18,6 @@ import mpmath
 import numpy as np
 import pytest
 
-from clockproc.aging import estimate_aging_curve
 from clockproc.chain import mixing_check, simulate_segment
 from clockproc.cli import main
 from clockproc.conditions import (

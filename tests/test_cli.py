@@ -261,7 +261,7 @@ def test_condition_verdicts_beta_zero_all_closed_forms_pass(tmp_path):
     its closed form; no tail exponent and no jump-count scale exist there."""
     cfg_path = write_config(tmp_path / "cfg.json", v_grid=[0.5, 1.0], block_count=8)
     env = Environment.create(6, 3, 0.0, 0.5, 0)
-    verdicts, outputs, _ = cli._run_conditions(env, ExperimentConfig.load(cfg_path), None)
+    verdicts, outputs, _ = cli._run_conditions(env, ExperimentConfig.load(cfg_path))
     for key in ("degenerate_tail", "degenerate_squared", "degenerate_laplace",
                 "degenerate_initial", "initial_term", "squared_tail_routes"):
         assert key in verdicts, key
@@ -279,7 +279,7 @@ def test_condition_verdicts_grade_every_estimate_of_a_sampled_environment(tmp_pa
                             v_grid=[0.3, 1.0, 3.0], samples=3000)
     cfg = ExperimentConfig.load(cfg_path)
     verdicts, outputs, record = cli._run_conditions(
-        Environment.create(8, 3, 3.0, 2.7, seed=5), cfg, None
+        Environment.create(8, 3, 3.0, 2.7, seed=5), cfg
     )
     assert set(verdicts) == {"intensity_slope", "laplace_slope", "squared_tail_routes",
                              "initial_term", "truncated_mean"}
@@ -295,7 +295,7 @@ def test_runners_sweep_environments_in_process(tmp_path):
     calling the runners on it in one process gives the verdicts and run
     record that a ``--seed`` run writes into its manifest."""
     cfg_path = clock_config(tmp_path / "cfg.json", samples=1000)
-    runners = {"conditions": cli._run_conditions, "clock": cli._run_clock}
+    runners = {"conditions": cli._run_conditions, "clock": cli._run_clock, "aging": cli._run_aging}
     for seed in (3, 8):
         cfg = ExperimentConfig.load(cfg_path).replace(master_seed=seed)
         env = Environment.create(
@@ -304,9 +304,8 @@ def test_runners_sweep_environments_in_process(tmp_path):
         )
         for command, runner in runners.items():
             outdir = tmp_path / f"{command}-{seed}"
-            argv = [command, "--config", str(cfg_path), "--out", str(outdir), "--seed", str(seed)]
-            main(argv)
-            verdicts, _, record = runner(env, cfg, _build_parser().parse_args(argv))
+            main([command, "--config", str(cfg_path), "--out", str(outdir), "--seed", str(seed)])
+            verdicts, _, record = runner(env, cfg)
             manifest = load_manifest(outdir)
             assert json.loads(json.dumps(plain(verdicts))) == manifest["verdicts"]
             assert json.loads(json.dumps(plain(record))) == manifest["run"]
@@ -433,22 +432,6 @@ def test_clock_jump_law_warns_when_too_few_increments_exceed_the_threshold(tmp_p
     assert files == ["clock.csv", "clock_initial_terms.csv"]
 
 
-def test_clock_trajectory_dump_layout(tmp_path):
-    cfg_path = clock_config(tmp_path / "cfg.json", replicas=2)
-    outdir = tmp_path / "out"
-    code = main(["clock", "--config", str(cfg_path), "--out", str(outdir), "--dump-trajectory"])
-    assert code in (0, 2)
-    rows = read_rows(outdir / "trajectory.csv")
-    assert rows[0] == ["step", "state_hex", "H", "tau", "exp_draw", "increment"]
-    manifest = load_manifest(outdir)
-    k = manifest["run"]["block_count"]
-    assert len(rows) == 1 + (k * block_length(8) + 1)
-    # every visited state parses as an n-bit integer and tau = exp(beta * H)
-    for row in rows[1:5]:
-        assert 0 <= int(row[1], 16) < 2**8
-        assert float(row[3]) == pytest.approx(math.exp(3.0 * float(row[2])), rel=1e-12)
-
-
 def test_laplace_degenerate_closed_form_and_layout(tmp_path):
     cfg_path = write_config(tmp_path / "cfg.json", block_count=5)
     outdir = tmp_path / "out"
@@ -516,25 +499,12 @@ def test_conditions_fails_an_intensity_slope_it_could_not_fit(tmp_path):
     assert (outdir / "conditions.json").exists()
 
 
-def test_aging_run_layout_and_flags(tmp_path):
+def test_aging_run_layout(tmp_path):
     cfg_path = write_config(
         tmp_path / "cfg.json", n=6, beta=3.0, gamma=2.7, replicas=4, step_cap=500_000
     )
     outdir = tmp_path / "out"
-    code = main(
-        [
-            "aging",
-            "--config",
-            str(cfg_path),
-            "--out",
-            str(outdir),
-            "--epsilon",
-            "0.5",
-            "--trap-threshold",
-            "0.3",
-        ]
-    )
-    assert code in (0, 2, 3)
+    assert main(["aging", "--config", str(cfg_path), "--out", str(outdir)]) in (0, 2, 3)
 
     curve = read_rows(outdir / "aging.csv")
     assert curve[0] == [
@@ -566,38 +536,6 @@ def test_aging_run_layout_and_flags(tmp_path):
     assert "aging_order" in manifest["verdicts"]
     # the trap diagnostics are a report in traps.csv, not a verdict
     assert "trap_blocks" not in manifest["verdicts"]
-
-
-def test_aging_refuses_a_trap_threshold_outside_the_unit_interval(tmp_path, capsys):
-    """A NaN threshold flagged no block; it exits 1, naming the threshold,
-    and writes no file."""
-    cfg_path = write_config(tmp_path / "cfg.json", n=8, beta=2.0, gamma=1.5)
-    outdir = tmp_path / "out"
-    argv = ["aging", "--config", str(cfg_path), "--out", str(outdir), "--trap-threshold", "nan"]
-    assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "trap threshold" in err
-    assert list(outdir.iterdir()) == []
-
-
-@pytest.mark.parametrize("threshold", ["nan", "0", "1.5"])
-def test_aging_refuses_the_trap_threshold_before_the_curve(
-    tmp_path, capsys, monkeypatch, threshold
-):
-    """The threshold is refused before the Monte Carlo curve runs: exit 1,
-    naming the threshold, and no file written."""
-
-    def no_curve(*args, **kwargs):
-        raise AssertionError("the aging curve ran before the trap threshold was checked")
-
-    monkeypatch.setattr(cli, "estimate_aging_curve", no_curve)
-    cfg_path = write_config(tmp_path / "cfg.json", n=8, beta=2.0, gamma=1.5)
-    outdir = tmp_path / "out"
-    argv = ["aging", "--config", str(cfg_path), "--out", str(outdir), "--trap-threshold", threshold]
-    assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "trap threshold" in err and threshold in err
-    assert list(outdir.iterdir()) == []
 
 
 def test_aging_reference_file_uses_no_streams(tmp_path):
@@ -759,13 +697,6 @@ def test_unknown_command_is_a_usage_error(tmp_path):
     assert excinfo.value.code == 1
 
 
-def test_dump_trajectory_is_a_usage_error_outside_clock_and_aging(tmp_path):
-    cfg_path = write_config(tmp_path / "cfg.json")
-    with pytest.raises(SystemExit) as excinfo:
-        main(["conditions", "--config", str(cfg_path), "--dump-trajectory"])
-    assert excinfo.value.code == 1
-
-
 @pytest.mark.parametrize(
     "argv, code",
     [
@@ -777,6 +708,11 @@ def test_dump_trajectory_is_a_usage_error_outside_clock_and_aging(tmp_path):
         # every walk starts stationary, so clock and aging take no start either
         (["clock", "--config", "{config}", "--start", "2a"], 1),
         (["aging", "--config", "{config}", "--start", "2a"], 1),
+        # epsilon and the trap threshold are constants, and no run dumps a trajectory
+        (["conditions", "--config", "{config}", "--dump-trajectory"], 1),
+        (["clock", "--config", "{config}", "--dump-trajectory"], 1),
+        (["aging", "--config", "{config}", "--epsilon", "0.3"], 1),
+        (["aging", "--config", "{config}", "--trap-threshold", "0.7"], 1),
     ],
 )
 def test_usage_errors_exit_1_and_help_exits_0(argv, code, tmp_path, capsys):
@@ -908,32 +844,24 @@ def test_run_loads_no_scipy_and_mixing_no_mpmath(command, tmp_path):
 _COMMON_OPTIONS = ["--config", "--out", "--seed", "--threads"]
 
 # every option of every subcommand, as the parser declares them
-PINNED_OPTIONS = {
-    "aging": [*_COMMON_OPTIONS, "--dump-trajectory", "--epsilon", "--trap-threshold"],
-    "clock": [*_COMMON_OPTIONS, "--dump-trajectory"],
-    "conditions": _COMMON_OPTIONS,
-    "laplace": _COMMON_OPTIONS,
-    "mixing": _COMMON_OPTIONS,
-    "subordinator": _COMMON_OPTIONS,
-}
+PINNED_OPTIONS = dict.fromkeys(
+    ["aging", "clock", "conditions", "laplace", "mixing", "subordinator"], _COMMON_OPTIONS
+)
 
 # where a run writes each option's value into manifest.json: a key path whose
-# value equals the parsed option, the whole resolved "config" for --config, or
-# the "artifacts" list for a file the option adds.  An option that changes a
-# data file but is written nowhere would leave two different runs with equal
-# manifests; a new option must say here where its value is recorded.
+# value equals the parsed option, or the whole resolved "config" for --config.
+# An option that changes a data file but is written nowhere would leave two
+# different runs with equal manifests; a new option must say here where its
+# value is recorded.
 OPTION_RECORDS = {
     "--config": ("config",),
     "--out": ("config", "outputs", "directory"),
     "--seed": ("config", "seeds", "master_seed"),
     "--threads": ("config", "threads"),
-    "--dump-trajectory": ("artifacts",),
-    "--epsilon": ("run", "epsilon"),
-    "--trap-threshold": ("run", "trap_threshold"),
 }
 
 # a value for each option that takes one, away from its default and the config's
-OPTION_VALUES = {"--seed": "7", "--threads": "2", "--epsilon": "0.3", "--trap-threshold": "0.7"}
+OPTION_VALUES = {"--seed": "7", "--threads": "2"}
 
 
 def parser_options():
@@ -974,8 +902,6 @@ def test_every_run_option_is_written_into_the_manifest(command, tmp_path):
     for option in PINNED_OPTIONS[command]:
         if option in OPTION_VALUES:
             argv += [option, OPTION_VALUES[option]]
-        elif option == "--dump-trajectory":
-            argv.append(option)
     assert main(argv) in (0, 2, 3)
     manifest = load_manifest(outdir)
     # every offered file is written, and only those the manifest lists
@@ -988,9 +914,6 @@ def test_every_run_option_is_written_into_the_manifest(command, tmp_path):
         path = OPTION_RECORDS[option]
         if path == ("config",):
             assert manifest["config"] == json.loads(json.dumps(resolved)), option
-        elif path == ("artifacts",):
-            # the dumped trajectory comes after the runner's own files
-            assert files[-1] == "trajectory.csv" and len(files) > 1, option
         else:
             node = manifest
             for key in path:

@@ -108,7 +108,7 @@ CASES = {
             "grids": {"u_grid": [0.25, 0.5]},
             "overrides": {"block_count": 8},
         },
-        ["--dump-trajectory"],
+        [],
     ),
     # 40 blocks of 104 steps fill a quarter of the shipped row budget, so the
     # four replicas walk in row blocks of 3 and 1, of 1 each at a budget of
@@ -121,7 +121,7 @@ CASES = {
             "grids": {"u_grid": [0.25, 0.5]},
             "overrides": {"block_count": 40},
         },
-        ["--dump-trajectory"],
+        [],
     ),
     "aging": (
         "aging",
@@ -155,14 +155,12 @@ EXPECTED = {
         "clock.csv": "9c30e5ebee43e4c890b9aa63be0757387d6bf1a5b5129b679caadce5dd7108fa",
         "clock_initial_terms.csv": "7e060b9f5fd29ea90e4576d77189a56a5ec5c6c79fe3e8aea64aa66cbbccc480",
         "clock_jumps.csv": "c6b8075d1519c5ebab70b81e16997ac48cd18e6a35e8c9066e239615b92b40fa",
-        "trajectory.csv": "f1627c2c0712fdc091c5dd2c5d54367c55ce59b92e966539c962d3dd6a859270",
         "verdicts": "79892322660dfce396ccc415bad5c4bca44605366a636526c60cd382bf3cf747",
     }),
     "clock-rows": (3, {
         "clock.csv": "85bb3d58c7d0e9a9c9a7cfa4929a81fac2c7953064e881302ce109173ba6e082",
         "clock_initial_terms.csv": "52b69612681485c3d25009399d208337d162f007a70978cda31caf1b487eb59e",
         "clock_jumps.csv": "2ef6c7d36480156893db183ffc414e7c36f06435c74015811d805fa84e5570f3",
-        "trajectory.csv": "b74135ecc474b6bf801491fbfda73ff28d857d16ed5cbdf4def1072cc14215bb",
         "verdicts": "731aafb8e730a872e96341bbd8c3e18f53ef431aef32fbb00b9d53679447530a",
     }),
     "conditions": (3, {

@@ -14,7 +14,6 @@ NEVER_CALLED = {
     "chain.py:TrajectorySegment.cumulative",
     "chain.py:extend_segment",
     "chain.py:process_at_time",
-    "cli.py:_trajectory",
     "cli.py:_closed_form_check",
     "cli.py:_Parser.error",
     "conditions.py:conditional_block_laplace",

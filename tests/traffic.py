@@ -33,7 +33,6 @@ at n = 14 with its short (t, s) grid, ``subordinator`` at its defaults), at
   ``cli._closed_form_check``, and the flat branches of
   ``validate_parameters``, ``_laplace_verdicts``, ``_condition_verdicts``
   and the runners);
-- the ``--dump-trajectory`` path (``_trajectory``);
 - the ``s == 0`` and zero-drift branches of ``crossing_probability_batch``;
 - the functions only the benchmark tracer calls (``correlation_indicator``
   with ``process_at_time`` and ``TrajectorySegment.cumulative``,
