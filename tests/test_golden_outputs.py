@@ -345,8 +345,8 @@ def test_laplace_intensity_matches_recorded_digest(table, contracted):
 # serialised with sorted keys
 PROVENANCE = {
     "aging": "ac9a23eff5a42b85020a775082f6be151189cf5426bd974067a7ef561b1e56aa",
-    "clock": "aaaacf650c3c1d4f3f6e7c912f09b325547fc8648a1382154dbc27fbb12aab27",
-    "clock-rows": "c4cb874dbc97357c08ec22143e0beaa77353273c3f97a55556c03662d4492e1c",
+    "clock": "d0812c76ff54413be263765d6b541b1cf9a853df9bfe325d935ffd38dfed2a87",
+    "clock-rows": "3d231129d6099c2bee3e4566addcb2a81491e05110c6c005e8d7aaf740bba958",
     "conditions": "2114f8857adeb30ba6050454019b90eebbdd29017d36a33d903b2daa478c8316",
     "conditions-flat": "feda562a04422d9f407f7c741e281d18a2aec98292622779cec4609df8159c91",
     "laplace": "f680d2f69e87049c4298c556f66bd01d19f493f50bd211e937a130a4a46bf297",
