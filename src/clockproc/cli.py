@@ -4,8 +4,8 @@ Usage::
 
     clockproc <subcommand> --config path.json [--seed N] [--out dir] [--threads K]
 
-Each option overrides one field of the config, so the resolved config in
-``manifest.json`` and the package's constants fix every byte a run writes.
+``--seed``, ``--out`` and ``--threads`` override config fields, so the config
+in ``manifest.json`` and the package's constants fix every byte a run writes.
 
 Subcommands:
 
