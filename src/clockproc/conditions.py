@@ -36,21 +36,23 @@ Estimator conventions used throughout:
   output depends on their size; ``_CHUNK_STATES`` groups only the transform
   moments' running sums and, past the table, the contracted energies;
 * walk states read per-state tables gathered by state, with the bits of the
-  per-state computation, wherever at least 2^n states read a table of a
-  table-backed environment: the block sums gather the 2^n scaled holds
-  exp(beta*H - log time scale), filled once per call that walks 2^n states,
-  and the block Laplace transform gathers, for each v, the 2^n terms
-  logaddexp(0, log v + beta*H - log time scale) of the fold in
-  :func:`conditional_block_laplace`, filled once per chunk of 2^n states or
-  more; a chunk keeps its walk (as 4-byte states) only when its term
+  per-state computation, wherever at least 3 * 2^n states read a table of a
+  table-backed environment (:func:`_folds_by_table`): the block sums gather
+  the 2^n scaled holds exp(beta*H - log time scale), filled once per call
+  that walks that many states, and the block Laplace transform gathers, for
+  each v, the 2^n terms logaddexp(0, log v + beta*H - log time scale) of the
+  fold in :func:`conditional_block_laplace`, filled once per chunk of that
+  many states; a chunk keeps its walk (as 4-byte states) only when its term
   tables take several passes over the v grid, and otherwise folds each row
-  block as it is drawn;
+  block as it is drawn.  Fewer states read their energies through
+  :meth:`Environment.energies` and compute their terms state by state;
 * every pass over all 2^n states (filling those tables and the exact state
   averages) reads the energies through :meth:`Environment.energies` in row
   blocks of consecutive states from :func:`_state_blocks`, so beside the
   energy table a run holds at most one derived 2^n table at a time (the
-  hold table, or one group of term tables) and row blocks: no index of the
-  state space and no copy of the energies;
+  hold table, or one group of term tables), none when no call or chunk
+  walks 3 * 2^n states, and row blocks: no index of the state space and no
+  copy of the energies;
 * above one thread, the block sums and the transform draw each row block's
   walk one ahead on a helper thread while the caller gathers and folds the
   current one; each stream is drawn by one thread in serial order (the walk
@@ -183,12 +185,22 @@ def _iter_block_states(
     return prefetch(walks(), threads)
 
 
+# Walk states per table entry from which a derived 2^n table (the hold table,
+# a v's term table) is built.  Timed in process at n = 18 and 20 on one thread,
+# the hold table breaks even at 3 to 4 states an entry and the nine-point v
+# grid's term tables below 2; at 2 and 3 states an entry the per-state fold
+# takes 6 to 57% longer than the tables' (at most 0.1 s there), and in
+# exchange no 2^n table is held beside the energies
+_TABLE_REUSE = 3
+
+
 def _folds_by_table(env: Environment, states: int) -> bool:
     """Whether ``states`` walk states read a per-state table of 2^n entries
-    built for them: the energies are tabulated and there are at least 2^n
-    of them, so the table costs less than computing their terms state by
-    state."""
-    return env.has_energy_table and states >= 1 << env.n
+    built for them: the energies are tabulated and there are at least
+    ``_TABLE_REUSE`` * 2^n of them, so the table costs less than computing
+    their terms state by state.  The one admission rule for the hold table
+    and the term tables."""
+    return env.has_energy_table and states >= _TABLE_REUSE << env.n
 
 
 def _block_sums(
@@ -201,15 +213,16 @@ def _block_sums(
     """Scaled sums exp(beta*H - log time scale) * e over the blocks walked from
     ``starts`` by :func:`_iter_block_states`, waiting times from the noise stream.
 
-    A call whose blocks :func:`_folds_by_table` admits gathers each state's
-    scaled hold from a table of the 2^n values exp(beta*H - log time scale),
-    filled once, one :func:`_state_blocks` row block at a time; other calls
-    compute them from the states' energies.  Either way each hold takes the
-    same operations in the same order, so the sums are bit-identical.  Each
-    row block is walked, drawn and summed on its own, so beyond the sums a
-    call holds the table and one row block, and with ``threads`` > 1 the walk
-    of the next, drawn on a helper thread while this one is gathered and its
-    waiting times are drawn.
+    A call whose blocks :func:`_folds_by_table` admits, 3 * 2^n walk states or
+    more, gathers each state's scaled hold from a table of the 2^n values
+    exp(beta*H - log time scale), filled once, one :func:`_state_blocks` row
+    block at a time; other calls compute them from each row block's
+    energies, read through :meth:`Environment.energies`.  Either way each
+    hold takes the same operations in the same order, so the sums are
+    bit-identical.  Each row block is walked, drawn and summed on its own,
+    so beyond the sums a call holds the table, if any, and one row block,
+    and with ``threads`` > 1 the walk of the next, drawn on a helper thread
+    while this one is gathered and its waiting times are drawn.
     """
     sums = np.empty(len(starts))
     hold_table = None
@@ -416,9 +429,9 @@ def conditional_block_laplace(env: Environment, energies, v: float):
 
     This is the reference fold.  The transform estimator folds through it
     on the chunks that :func:`_folds_by_table` turns down: past the energy
-    table (n > ``MAX_TABLE_SPINS``) and on chunks of fewer than 2^n states.
-    The chunks it admits gather the same terms from per-v tables instead,
-    with identical bits.
+    table (n > ``MAX_TABLE_SPINS``) and on chunks of fewer than 3 * 2^n
+    states.  The chunks it admits gather the same terms from per-v tables
+    instead, with identical bits.
     """
     if v < 0:
         raise ParameterValidationError(f"transform argument must be nonnegative; got {v}")
@@ -485,11 +498,11 @@ def _conditional_transform_moments(
     :func:`conditional_block_laplace` for each v, with running sums that add
     one partial sum per chunk of ``_CHUNK_STATES`` states.  Each chunk fills
     one (v, chunk row) fold array: through :func:`_table_folds` where
-    :func:`_folds_by_table` admits it, else by folding each row block's
-    energies for every v as the block is drawn.  Beyond that array a chunk
-    holds one row block unless it needs several table passes, and with
-    ``threads`` > 1 the walk of the next row block, drawn on a helper thread
-    while this one is folded."""
+    :func:`_folds_by_table` admits it, at 3 * 2^n walk states or more, else
+    by folding each row block's energies for every v as the block is drawn.
+    Beyond that array a chunk holds one row block unless it needs several
+    table passes, and with ``threads`` > 1 the walk of the next row block,
+    drawn on a helper thread while this one is folded."""
     theta = env.block_length
     sums = np.zeros(len(v_values))
     squares = np.zeros(len(v_values))

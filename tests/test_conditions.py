@@ -256,25 +256,29 @@ def reference_env():
 
 
 # (environment given the ``contracted`` fixture, chunk state limit, samples,
-# whether chunks fold through term tables); at n = 10 a block holds 104
-# states, so 5,000 states make chunks of 4,992 >= 2^10 and 900 make chunks of
-# 832 < 2^10, each with a ragged last one.  A chunk's uint32 states fit the
-# tables of 4,992 * 4 // 8,192 = 2 v at once, so "derived" takes three table
-# passes over the 6 v; "streamed" makes two 192-row chunks whose tables fit
-# 9 >= 6 v, folded as each row block is drawn, and a ragged 116-row chunk
-# whose tables fit 5 v, so it keeps its row blocks for two passes
+# chunks folded state by state); at n = 10 a block holds 104 states and a
+# chunk reads term tables once it walks 3 * 2^10 = 3,072 states, so 5,000
+# states make chunks of 4,992 >= 3,072 and 900 make chunks of 832 < 3,072.  A
+# chunk's uint32 states fit the tables of 4,992 * 4 // 8,192 = 2 v at once,
+# so "derived" takes three table passes over the 6 v in each of its ten
+# 48-row chunks, and its ragged 20-row chunk, 2,080 < 3,072 states, folds
+# state by state; "streamed" makes two 192-row chunks whose tables fit
+# 9 >= 6 v, folded as each row block is drawn, and a ragged 116-row chunk,
+# 12,064 states, whose tables fit 5 v, so it keeps its row blocks for two
+# passes; "direct" folds its 13 chunks and "contraction" its 11 state by
+# state.  Each chunk folded state by state is one row block, one fold call a v
 TRANSFORM_FOLD_CASES = {
-    "derived": (lambda contracted: reference_env(), 5000, 500, True),
-    "streamed": (lambda contracted: reference_env(), 20_000, 500, True),
-    "direct": (lambda contracted: reference_env(), 900, 100, False),
-    "beta-zero": (lambda contracted: unit_env(), 5000, 300, True),
-    "contraction": (lambda contracted: contracted(reference_env), 5000, 500, False),
+    "derived": (lambda contracted: reference_env(), 5000, 500, 1),
+    "streamed": (lambda contracted: reference_env(), 20_000, 500, 0),
+    "direct": (lambda contracted: reference_env(), 900, 100, 13),
+    "beta-zero": (lambda contracted: unit_env(), 5000, 300, 0),
+    "contraction": (lambda contracted: contracted(reference_env), 5000, 500, 11),
 }
 
 
 @pytest.mark.parametrize("case", sorted(TRANSFORM_FOLD_CASES))
 def test_transform_moments_equal_the_per_state_fold_bit_for_bit(case, contracted, monkeypatch):
-    make_env, chunk_states, samples, derived = TRANSFORM_FOLD_CASES[case]
+    make_env, chunk_states, samples, per_state_chunks = TRANSFORM_FOLD_CASES[case]
     monkeypatch.setattr(conditions, "_CHUNK_STATES", chunk_states)
     env = make_env(contracted)
     v_grid = [0.1, 0.316, 1.0, 3.16, 10.0, 100.0]
@@ -287,7 +291,7 @@ def test_transform_moments_equal_the_per_state_fold_bit_for_bit(case, contracted
     means, stds = _conditional_transform_moments(env, v_grid, samples, replica_streams(23))
     assert np.array_equal(means, reference[0])
     assert np.array_equal(stds, reference[1])
-    assert (len(calls) == 0) == derived
+    assert len(calls) == per_state_chunks * len(v_grid)
 
 
 def saturating_env():
@@ -303,10 +307,10 @@ def keyed_starts(n, count):
 
 # (environment given the ``contracted`` fixture, chunk state limit, samples,
 # presteps, whether the call reads the hold table); the first four mirror
-# TRANSFORM_FOLD_CASES, except that a call reads the table once it walks 2^n
-# states, so "direct" walks 9 blocks of 104 states, 936 < 2^10; "split" walks
-# one move before each block from given starts, as the split route of the
-# correlated square does
+# TRANSFORM_FOLD_CASES, except that a whole call reads the table once it
+# walks 3 * 2^n states, so "direct" walks 9 blocks of 104 states,
+# 936 < 3 * 2^10; "split" walks one move before each block from given
+# starts, as the split route of the correlated square does
 BLOCK_SUM_CASES = {
     "derived": (lambda contracted: reference_env(), 5000, 500, 0, True),
     "direct": (lambda contracted: reference_env(), 900, 9, 0, False),
@@ -341,17 +345,43 @@ def test_block_sums_equal_the_per_state_oracle_bit_for_bit(case, contracted, mon
 def test_block_sums_do_not_depend_on_the_chunk_size(monkeypatch):
     """Neither the chunk size nor the hold table moves a sum: the first 9 of
     700 blocks, which read the hold table, equal the 9 blocks of a call that
-    walks fewer than 2^n states and so computes each hold from its energy,
-    under chunks of 900 and 50,000 states."""
+    walks fewer than 3 * 2^n states and so computes each hold from its
+    energy, under chunks of 900 and 50,000 states."""
     env = reference_env()
     starts = keyed_starts(env.n, 700)
-    assert 9 * env.block_length < 1 << env.n <= 700 * env.block_length
+    assert 9 * env.block_length < 3 << env.n <= 700 * env.block_length
     runs = []
     for chunk_states in (900, 50_000):
         monkeypatch.setattr(conditions, "_CHUNK_STATES", chunk_states)
         runs.append(_block_sums(env, starts, replica_streams(43))[:9])
         runs.append(_block_sums(env, starts[:9], replica_streams(43)))
     assert all(np.array_equal(runs[0], run) for run in runs[1:])
+
+
+def test_a_derived_table_serves_at_least_three_walk_states_an_entry(contracted, monkeypatch):
+    """The hold table and the term tables are admitted at 3 * 2^n walk states
+    and not one fewer, never past the energy table; 29 blocks of 104 states,
+    3,016 states between 2^10 and 3 * 2^10, make no pass over the states and
+    keep the per-state oracle's bits in both the sums and the moments."""
+    env = reference_env()
+    assert not conditions._folds_by_table(env, (3 << env.n) - 1)
+    assert conditions._folds_by_table(env, 3 << env.n)
+    bare = contracted(reference_env)
+    assert not any(conditions._folds_by_table(bare, states) for states in (3 << bare.n, 1 << 40))
+    samples = 29
+    assert 1 << env.n < samples * env.block_length < 3 << env.n
+    passes = []
+    state_blocks = conditions._state_blocks
+    monkeypatch.setattr(
+        conditions, "_state_blocks", lambda env: passes.append(1) or state_blocks(env)
+    )
+    reference = per_state_block_sums(env, samples, replica_streams(37))
+    assert block_sums(env, samples, replica_streams(37)).tobytes() == reference.tobytes()
+    v_grid = [0.1, 1.0, 10.0, 100.0]
+    reference = folded_transform_moments(env, v_grid, samples, replica_streams(23))
+    moments = _conditional_transform_moments(env, v_grid, samples, replica_streams(23))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(moments, reference))
+    assert passes == []
 
 
 # (environment given the ``contracted`` fixture, presteps) of the row-block
@@ -383,11 +413,12 @@ def whole_vector_exact_averages(env, term, grid):
 # 5,000-state chunk at n = 10, and of 96 rows, more than a chunk holds; the
 # exact state averages of a table-backed environment sum their 2^10 terms
 # in 8 row blocks of 128 states, 2 of 512 and 1 of 1,024.  The transform
-# also runs in chunks of 900 states, 8 rows of 832 < 2^10 states, which fold
-# state by state, and of 20,000 states, 192 rows (and a ragged 116), whose
-# term tables cover the 4 v, so each row block is folded as it is drawn; a
-# 5,000-state chunk's tables cover 2 v, so it keeps its row blocks for two
-# passes
+# also runs in chunks of 900 states, 8 rows of 832 < 3 * 2^10 states, which
+# fold state by state, and of 20,000 states, 192 rows (and a ragged 116),
+# whose term tables cover the 4 v, so each row block is folded as it is
+# drawn; a 5,000-state chunk's tables cover 2 v, so it keeps its row blocks
+# for two passes, and its ragged 20 rows, 2,080 < 3 * 2^10 states, fold
+# state by state
 @pytest.mark.parametrize("gather_states", [1, 520, 10_000])
 @pytest.mark.parametrize("case", sorted(ROW_BLOCK_CASES))
 def test_no_output_depends_on_the_row_block_size(case, gather_states, contracted, monkeypatch):

@@ -55,7 +55,7 @@ def _model(n, beta, gamma):
     return {"n": n, "p": 3, "beta": beta, "gamma": gamma}
 
 
-# name -> (subcommand, config document, extra argv)
+# name -> (subcommand, config document)
 CASES = {
     "conditions": (
         "conditions",
@@ -69,7 +69,6 @@ CASES = {
             },
             "overrides": {"block_count": 4},
         },
-        [],
     ),
     "conditions-flat": (
         "conditions",
@@ -83,12 +82,10 @@ CASES = {
             },
             "overrides": {"block_count": 5},
         },
-        [],
     ),
     "laplace": (
         "laplace",
         {"model": _model(10, 3.0, 2.7), "budgets": {"samples": 3000}},
-        [],
     ),
     "laplace-flat": (
         "laplace",
@@ -98,7 +95,6 @@ CASES = {
             "grids": {"v_grid": [0.1, 1.0, 10.0]},
             "overrides": {"block_count": 5},
         },
-        [],
     ),
     "clock": (
         "clock",
@@ -108,7 +104,6 @@ CASES = {
             "grids": {"u_grid": [0.25, 0.5]},
             "overrides": {"block_count": 8},
         },
-        [],
     ),
     # 40 blocks of 104 steps fill a quarter of the shipped row budget, so the
     # four replicas walk in row blocks of 3 and 1, of 1 each at a budget of
@@ -121,7 +116,6 @@ CASES = {
             "grids": {"u_grid": [0.25, 0.5]},
             "overrides": {"block_count": 40},
         },
-        [],
     ),
     "aging": (
         "aging",
@@ -130,7 +124,6 @@ CASES = {
             "budgets": {"replicas": 40, "step_cap": 2_000_000},
             "grids": {"ts_grid": [[1.0, 1.0], [1.0, 0.25]]},
         },
-        [],
     ),
     "subordinator": (
         "subordinator",
@@ -138,7 +131,6 @@ CASES = {
             "budgets": {"samples": 4000},
             "grids": {"ts_grid": [[1.0, 1.0], [1.0, 0.25]], "v_grid": [0.3, 1.0, 3.0]},
         },
-        [],
     ),
 }
 
@@ -195,13 +187,12 @@ def _sha(data: bytes) -> str:
 
 def run_cli(name, threads, root):
     """Runs one case through ``main``; returns its exit code and output directory."""
-    command, document, extra = CASES[name]
+    command, document = CASES[name]
     cfg_path = root / f"{name}.json"
     cfg_path.write_text(json.dumps(dict(document, seeds={"master_seed": SEED})))
     outdir = root / f"{name}-t{threads}"
     code = main(
         [command, "--config", str(cfg_path), "--out", str(outdir), "--threads", str(threads)]
-        + extra
     )
     return code, outdir
 
