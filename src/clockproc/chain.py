@@ -6,11 +6,11 @@ estimators' too, and ``uniform_starts`` draws every stationary (uniform)
 start.  The clock process attaches to every visited state an exponential
 waiting time scaled by the holding time tau of that state; aggregating the
 rescaled clock over fixed-length blocks yields the jump sizes whose tail
-statistics the conditions module estimates.  ``scaled_holds`` is the one
-place a hold is rescaled, as exp(beta*H - log time scale).  One row path
-draws every trajectory: a row block of replicas at a time, each from its own
-streams, from the stationary start; only ``map_replicas`` splits replicas
-into row blocks for the thread pool.
+statistics the conditions module estimates.  ``scaled_holds`` computes every
+hold, physical (unit 1) or rescaled (exp(beta*H - log time scale)).  One row
+path draws every trajectory: a row block of replicas at a time, each from its
+own streams, from the stationary start; only ``map_replicas`` splits
+replicas into row blocks for the thread pool.
 ``blocked_clocks`` folds a block's rescaled holds straight into block sums,
 ``simulate_segment`` keeps one replica's whole segment, and
 ``extend_segment`` continues a segment with the same streams.
@@ -50,8 +50,8 @@ __all__ = [
 ]
 
 # a row block of segments, or one window of a windowed walk, holds about this
-# many visited states: their packed states, energies, exponentials, holds and
-# clock, 40 bytes a state; no output read off the energy table depends on it
+# many visited states: their packed states, exponentials and holds, 24 bytes a
+# state; no output read off the energy table depends on it
 SEGMENT_BLOCK_STATES = 1 << 14
 
 
@@ -77,17 +77,15 @@ def uniform_starts(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
 
 @dataclass
 class TrajectorySegment:
-    """A simulated walk with one waiting time per visited state.
+    """A simulated walk's visited states and their physical holds, nothing else.
 
     ``states`` has length L+1 for L steps; ``increments[i]`` is
-    tau(states[i]) * e_i with e_i a unit-mean exponential, i.e. the physical
-    time spent at the i-th visited state.  Immutable by convention once
-    built; extension returns a new segment.
+    tau(states[i]) * e_i with e_i a unit-mean exponential, the physical time
+    spent at the i-th visited state, whose energy ``env.energies`` reads.
+    Immutable by convention once built; extension returns a new segment.
     """
 
     states: np.ndarray
-    energies: np.ndarray
-    exp_draws: np.ndarray
     increments: np.ndarray
 
     @property
@@ -100,25 +98,21 @@ class TrajectorySegment:
 
 
 def _segment_rows(
-    env: Environment, starts: np.ndarray, steps: int, streams: list[ReplicaStreams], first: int
-) -> tuple[np.ndarray, ...]:
-    """(states, energies, exponentials, holds) of one row per replica: row r
-    walks ``steps`` steps from ``starts[r]`` with flips from
-    ``streams[r].walk``, keeps its states from column ``first`` on, and holds
-    each kept state tau * e with e from ``streams[r].noise``.  Each row draws
-    what a one-row call would, so it does not depend on the rows beside it."""
+    env: Environment, starts, steps: int, streams: list[ReplicaStreams], first: int, log_unit: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(states, holds) of one row per replica: row r walks ``steps`` steps
+    from ``starts[r]`` with flips from ``streams[r].walk``, keeps its states
+    from column ``first`` on, and holds each kept state ``scaled_holds`` * e
+    in units of exp(``log_unit``), e from ``streams[r].noise``.  Each row
+    draws what a one-row call would, so it does not depend on the rows beside it."""
     states = walk_paths(
         starts, np.array([r.walk.integers(0, env.n, size=steps, dtype=np.uint32) for r in streams])
     )[:, first:]
-    energies = env.energies(states)
+    holds = scaled_holds(env, env.energies(states), log_unit)
     # drawn by size and stacked: filling the rows through ``out=`` ran slower
     # on pool threads
-    draws = np.array([r.noise.standard_exponential(states.shape[-1]) for r in streams])
-    holds = env.beta * energies
-    with np.errstate(over="ignore"):
-        np.exp(holds, out=holds)
-    holds *= draws
-    return states, energies, draws, holds
+    holds *= np.array([r.noise.standard_exponential(states.shape[-1]) for r in streams])
+    return states, holds
 
 
 def map_replicas(
@@ -140,13 +134,12 @@ def _origins(env: Environment, streams: list[ReplicaStreams]) -> np.ndarray:
     return np.concatenate([uniform_starts(env.n, 1, r.walk) for r in streams])
 
 
-def scaled_holds(env: Environment, energies: np.ndarray) -> np.ndarray:
-    """exp(beta*H - log time scale) of ``energies``, in place, saturating to inf.
-
-    The holds are rescaled stably, never as a quotient of raw exponentials.
-    """
+def scaled_holds(env: Environment, energies, log_unit: float | None = None) -> np.ndarray:
+    """exp(beta*H - log_unit) of ``energies``, in place, saturating to inf:
+    tau in units of exp(``log_unit``), by default the observation time scale.
+    Never a quotient of raw exponentials; ``log_unit`` 0 keeps beta*H exact."""
     energies *= env.beta
-    energies -= env.log_time_scale
+    energies -= env.log_time_scale if log_unit is None else log_unit
     with np.errstate(over="ignore"):
         return np.exp(energies, out=energies)
 
@@ -164,16 +157,14 @@ def blocked_clocks(
     (stationary) start, its flips and its exponentials from ``streams[r]``
     alone, in that order, as :func:`simulate_segment` draws them, so its row
     does not depend on the block it is drawn in.  One walk build, one energy
-    lookup and one rescaling pass serve the whole block.
+    lookup and one hold pass serve the whole block.
     """
     if k < 0:
         raise ParameterValidationError(f"block count must be >= 0; got {k}")
     theta = env.block_length
-    _, energies, draws, _ = _segment_rows(env, _origins(env, streams), k * theta, streams, 0)
-    scaled = scaled_holds(env, energies)
-    scaled *= draws
+    _, holds = _segment_rows(env, _origins(env, streams), k * theta, streams, 0, env.log_time_scale)
     # the initial terms are copied out so the block's holds are not kept alive
-    return scaled[:, 1:].reshape(len(streams), k, theta).sum(axis=-1), scaled[:, 0].copy()
+    return holds[:, 1:].reshape(len(streams), k, theta).sum(axis=-1), holds[:, 0].copy()
 
 
 def simulate_segment(env: Environment, length: int, streams: ReplicaStreams) -> TrajectorySegment:
@@ -188,8 +179,8 @@ def simulate_segment(env: Environment, length: int, streams: ReplicaStreams) -> 
     """
     if length < 1:
         raise ParameterValidationError(f"segment length must be >= 1; got {length}")
-    rows = _segment_rows(env, _origins(env, [streams]), length, [streams], 0)
-    return TrajectorySegment(*(row[0] for row in rows))
+    states, holds = _segment_rows(env, _origins(env, [streams]), length, [streams], 0, 0.0)
+    return TrajectorySegment(states[0], holds[0])
 
 
 def extend_segment(
@@ -201,12 +192,10 @@ def extend_segment(
     """
     if extra < 1:
         raise ParameterValidationError(f"extension must be >= 1 steps; got {extra}")
-    states, energies, draws, holds = _segment_rows(env, segment.states[-1:], extra, [streams], 1)
+    states, holds = _segment_rows(env, segment.states[-1:], extra, [streams], 1, 0.0)
     return TrajectorySegment(
-        states=np.concatenate([segment.states, states[0]]),
-        energies=np.concatenate([segment.energies, energies[0]]),
-        exp_draws=np.concatenate([segment.exp_draws, draws[0]]),
-        increments=np.concatenate([segment.increments, holds[0]]),
+        np.concatenate([segment.states, states[0]]),
+        np.concatenate([segment.increments, holds[0]]),
     )
 
 
@@ -241,10 +230,9 @@ def walk_to_times(
     steps, window = 0, first
     while rows.size:
         window = min(window, step_cap - steps, max(1, SEGMENT_BLOCK_STATES // rows.size - 1))
-        states, energies, draws, clock = _segment_rows(
-            env, last[rows], window, [streams[r] for r in rows], int(steps > 0)
+        states, clock = _segment_rows(
+            env, last[rows], window, [streams[r] for r in rows], int(steps > 0), 0.0
         )
-        del energies, draws  # only the states and the clock are read
         clock[:, 0] += clocks[rows]
         np.cumsum(clock, axis=1, out=clock)
         # a row's unplaced queries all lie at or past this window's start;

@@ -45,7 +45,7 @@ Estimator conventions used throughout:
   many states; a chunk keeps its walk (as 4-byte states) only when its term
   tables take several passes over the v grid, and otherwise folds each row
   block as it is drawn.  Fewer states read their energies through
-  :meth:`Environment.energies` and compute their terms state by state;
+  :meth:`Environment.energies` and fold them state by state, one v grid a call;
 * every pass over all 2^n states (filling those tables and the exact state
   averages) reads the energies through :meth:`Environment.energies` in row
   blocks of consecutive states from :func:`_state_blocks`, so beside the
@@ -418,37 +418,46 @@ def estimate_squared_tail_grid(
 # Laplace transforms
 
 
-def conditional_block_laplace(env: Environment, energies, v: float):
+def _laplace_terms(env: Environment, scaled: np.ndarray, v: float, out: np.ndarray) -> None:
+    """Into ``out``, logaddexp(0, log v + scaled - log time scale) at v > 0, ``scaled`` = beta*H."""
+    np.add(scaled, math.log(v), out=out)
+    out -= env.log_time_scale
+    np.logaddexp(0.0, out, out=out)
+
+
+def conditional_block_laplace(env: Environment, energies, v_values: Sequence[float]) -> np.ndarray:
     """Laplace transform of a block sum given its walk, exactly in the waiting times.
 
     For unit-mean exponential holds, integrating them out of
     E[exp(-v * block/time_scale) | walk] leaves the product of
     1 / (1 + v * exp(beta*H_j)/time_scale) over the visited states, evaluated
-    here through logaddexp so extreme energies cannot overflow.  Accepts one
-    energy vector (returns a float) or a batch with blocks on the last axis.
+    here through logaddexp so extreme energies cannot overflow.  Takes one
+    energy vector or a batch with blocks on the last axis, scales it by beta
+    once for the grid, and returns one row per v, shape (len(v_values), batch).
 
-    This is the reference fold.  The transform estimator folds through it
-    on the chunks that :func:`_folds_by_table` turns down: past the energy
-    table (n > ``MAX_TABLE_SPINS``) and on chunks of fewer than 3 * 2^n
-    states.  The chunks it admits gather the same terms from per-v tables
-    instead, with identical bits.
+    This is the reference fold.  The transform estimator folds each row
+    block through it on the chunks that :func:`_folds_by_table` turns down:
+    past the energy table (n > ``MAX_TABLE_SPINS``) and on chunks of fewer
+    than 3 * 2^n states.  The chunks it admits gather the same terms from
+    per-v tables instead, with identical bits.
     """
-    if v < 0:
-        raise ParameterValidationError(f"transform argument must be nonnegative; got {v}")
-    arr = np.asarray(energies, dtype=np.float64)
-    if v == 0:
-        return 1.0 if arr.ndim == 1 else np.ones(arr.shape[:-1])
-    z = math.log(v) + env.beta * arr - env.log_time_scale
-    out = np.exp(-np.logaddexp(0.0, z).sum(axis=-1))
-    return float(out) if arr.ndim == 1 else out
+    if any(v < 0 for v in v_values):
+        raise ParameterValidationError(f"transform arguments must be nonnegative; got {v_values}")
+    scaled = env.beta * np.asarray(energies, dtype=np.float64)
+    terms = np.empty_like(scaled)
+    folds = np.ones((len(v_values),) + scaled.shape[:-1])
+    for j, v in enumerate(v_values):
+        if v != 0:  # at v = 0 the transform is 1
+            _laplace_terms(env, scaled, v, terms)
+            folds[j] = np.exp(-terms.sum(axis=-1))
+    return folds
 
 
 def _table_folds(env: Environment, v_values: Sequence[float], walk, folds: np.ndarray) -> None:
     """Fill row j of ``folds``, shape (len(v_values), chunk rows), with
     :func:`conditional_block_laplace` of v_values[j] > 0 over a chunk's walk,
     given as the row blocks of :func:`_iter_block_states`, read from tables
-    of the 2^n terms logaddexp(0, log v + beta*H - log time scale) gathered
-    by state.
+    of the 2^n terms of :func:`_laplace_terms` gathered by state.
 
     Each term takes the reference fold's operations in its order, and each
     row's gathered terms are summed over the same contiguous block, so the
@@ -467,13 +476,10 @@ def _table_folds(env: Environment, v_values: Sequence[float], walk, folds: np.nd
     tables = np.empty((groups[0][1] if groups else 0, 1 << env.n))  # the largest group
     gathered = index = None
     for first, last in groups:
-        logs = [math.log(v) for v in v_values[first:last]]
         for lo, hi, scaled in _state_blocks(env):
             scaled *= env.beta
-            for terms, log_v in zip(tables[:, lo:hi], logs):
-                np.add(scaled, log_v, out=terms)
-                terms -= env.log_time_scale
-                np.logaddexp(0.0, terms, out=terms)
+            for terms, v in zip(tables[:, lo:hi], v_values[first:last]):
+                _laplace_terms(env, scaled, v, terms)
         del scaled  # the last row block, which the loop name would keep through the walk
         for lo, hi, block in walk:
             if index is None:
@@ -499,7 +505,7 @@ def _conditional_transform_moments(
     one partial sum per chunk of ``_CHUNK_STATES`` states.  Each chunk fills
     one (v, chunk row) fold array: through :func:`_table_folds` where
     :func:`_folds_by_table` admits it, at 3 * 2^n walk states or more, else
-    by folding each row block's energies for every v as the block is drawn.
+    by one grid-wide fold of each row block's energies as the block is drawn.
     Beyond that array a chunk holds one row block unless it needs several
     table passes, and with ``threads`` > 1 the walk of the next row block,
     drawn on a helper thread while this one is folded."""
@@ -519,8 +525,7 @@ def _conditional_transform_moments(
             for start, stop, states in walk:
                 energies = env.energies(states)
                 del states
-                for fold, v in zip(folds, v_values):
-                    fold[start:stop] = conditional_block_laplace(env, energies, v)
+                folds[:, start:stop] = conditional_block_laplace(env, energies, v_values)
         # each row is contiguous, so its sum is the same pairwise sum as a 1-D fold's
         sums += folds.sum(axis=1)
         np.minimum(lows, folds.min(axis=1), out=lows)

@@ -11,7 +11,9 @@ same blocks in one piece and scales each state's hold from its own energy,
 so it checks the hold tables and the row blocks of ``_block_sums``.
 ``blocked_clock`` aggregates one replica's whole segment into its clock
 blocks, as the clock once did replica by replica, so it checks the
-row-block fold of ``blocked_clocks``.
+row-block fold of ``blocked_clocks``; ``segment_draws`` replays a segment's
+exponentials from a fresh copy of its noise stream, since a segment keeps
+only its states and holds.
 ``uint64_index_walk`` draws the flip sites as uint64 and builds the path
 out of place, as the package's walk builder once did; ``srw_paths`` draws
 them as uint32, as the package does, and builds the paths with its
@@ -167,14 +169,22 @@ def per_state_block_sums(env, count, streams, presteps=0, starts=None):
         return (np.exp(env.beta * energies - env.log_time_scale) * draws).sum(axis=1)
 
 
-def blocked_clock(segment, env, k):
+def segment_draws(segment, noise):
+    """The unit exponentials of ``segment``, replayed from a fresh copy
+    ``noise`` of its noise stream, which draws them in one call."""
+    return noise.standard_exponential(len(segment.states))
+
+
+def blocked_clock(segment, env, k, noise):
     """(block sums, initial term) of a segment's rescaled clock over k blocks
-    of ``env.block_length`` steps, the starting state's hold kept out."""
+    of ``env.block_length`` steps, the starting state's hold kept out; its
+    energies are read from ``env`` and its exponentials replayed from a fresh
+    copy ``noise`` of its noise stream."""
     theta = env.block_length
     need = k * theta + 1
-    log_scaled = env.beta * segment.energies[:need] - env.log_time_scale
+    log_scaled = env.beta * env.energies(segment.states[:need]) - env.log_time_scale
     with np.errstate(over="ignore"):
-        scaled = np.exp(log_scaled) * segment.exp_draws[:need]
+        scaled = np.exp(log_scaled) * segment_draws(segment, noise)[:need]
     return scaled[1:need].reshape(k, theta).sum(axis=1), float(scaled[0])
 
 
@@ -201,8 +211,7 @@ def folded_transform_moments(env, v_values, samples, streams):
     for lo in range(0, samples, chunk):
         walk = srw_paths(env.n, starts[lo : lo + chunk], theta - 1, streams.walk)
         energies = env.energies(walk)
-        for j, v in enumerate(v_values):
-            g = conditional_block_laplace(env, energies, v)
+        for j, g in enumerate(conditional_block_laplace(env, energies, v_values)):
             sums[j] += g.sum()
             squares[j] += (g * g).sum()
             lows[j] = min(lows[j], g.min())
@@ -475,9 +484,9 @@ def concentration_diagnostic(
         streams = family.replica(i)
         walk = simulate_segment(env, walk_blocks * theta - 1, streams)
         # blocks start at step 0 here, not at step 1 as in blocked_clocks; the
-        # holds are rescaled on a copy, since a segment's arrays stay unchanged
-        increments = scaled_holds(env, walk.energies.copy())
-        increments *= walk.exp_draws
+        # exponentials are replayed from a fresh copy of the noise stream
+        increments = scaled_holds(env, env.energies(walk.states))
+        increments *= segment_draws(walk, family.replica(i).noise)
         block_exceeds = increments.reshape(walk_blocks, theta).sum(axis=1) > threshold
         q_hat = float(block_exceeds.mean())
         # independent single-block marginal (fresh uniform starts) for the

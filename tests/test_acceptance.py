@@ -127,12 +127,11 @@ def test_criterion_03_conditional_transform_exactness():
     for b in range(blocks):
         streams = family.replica(b)
         segment = simulate_segment(env, theta - 1, streams)
-        exact = np.array(
-            [conditional_block_laplace(env, segment.energies, v) for v in v_values]
-        )
+        energies = env.energies(segment.states)
+        exact = conditional_block_laplace(env, energies, v_values)
 
         draws = streams.noise.standard_exponential((draw_count, theta))
-        rescaled_total = draws @ np.exp(BETA * segment.energies - env.log_time_scale)
+        rescaled_total = draws @ np.exp(BETA * energies - env.log_time_scale)
         transformed = np.exp(-np.outer(v_values, rescaled_total))
         mc = transformed.mean(axis=1)
         se = transformed.std(axis=1, ddof=1) / math.sqrt(draw_count)
@@ -145,7 +144,7 @@ def test_criterion_03_conditional_transform_exactness():
             log_c = mpmath.mpf(env.log_time_scale)
             for v, product in zip(v_values, exact):
                 direct = mpmath.mpf(1)
-                for h in segment.energies:
+                for h in energies:
                     direct /= 1 + mpmath.mpf(v) * mpmath.e ** (BETA * mpmath.mpf(h) - log_c)
                 rel = abs(product - float(direct)) / float(direct)
                 worst_rel = max(worst_rel, rel)

@@ -150,9 +150,9 @@ def record_windows(monkeypatch) -> list:
     """(rows, steps, first column kept) of every window the row path draws."""
     windows, segment_rows = [], chain._segment_rows
 
-    def counting(env, starts, steps, streams, first):
+    def counting(env, starts, steps, streams, first, log_unit):
         windows.append((len(streams), steps, first))
-        return segment_rows(env, starts, steps, streams, first)
+        return segment_rows(env, starts, steps, streams, first, log_unit)
 
     monkeypatch.setattr(chain, "_segment_rows", counting)
     return windows
@@ -456,10 +456,7 @@ def test_trap_diagnostic_rejects_a_threshold_or_epsilon_out_of_range(keyword, va
 
 def cut(segment: TrajectorySegment, steps: int) -> TrajectorySegment:
     """The first ``steps`` steps of ``segment``."""
-    return TrajectorySegment(
-        *(array[: steps + 1] for array in
-          (segment.states, segment.energies, segment.exp_draws, segment.increments))
-    )
+    return TrajectorySegment(segment.states[: steps + 1], segment.increments[: steps + 1])
 
 
 def test_trap_diagnostic_reports_each_whole_block_of_the_segment():

@@ -22,7 +22,8 @@ from clockproc.errors import DimensionMismatchError, HorizonError, ParameterVali
 from clockproc.seeding import StreamFamily, keyed_generator
 from dense_srw_kernel import apply_srw_kernel, dense_mixing_violation, exact_step_distribution
 from reference_estimators import (
-    blocked_clock, random_spin_config, replica_streams, srw_paths, uint64_index_walk,
+    blocked_clock, random_spin_config, replica_streams, segment_draws, srw_paths,
+    uint64_index_walk,
 )
 
 pytestmark = pytest.mark.filterwarnings("ignore:block length")
@@ -123,7 +124,7 @@ def test_simulate_segment_deterministic():
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.increments, b.increments)
     assert a.steps == 300
-    assert len(a.states) == len(a.energies) == len(a.exp_draws) == 301
+    assert len(a.states) == len(a.increments) == 301
     assert np.all(a.increments > 0)
     assert np.all(np.isfinite(a.increments))
 
@@ -137,9 +138,10 @@ def test_simulate_segment_validation():
 def test_segment_energies_match_environment():
     env = make_env(n=7)
     seg = simulate_segment(env, 100, replica_streams(2))
-    assert np.allclose(seg.energies, env.energies(seg.states), rtol=1e-14)
-    # increments decompose as exp(beta H) * e
-    assert np.allclose(seg.increments, np.exp(3.0 * seg.energies) * seg.exp_draws, rtol=1e-12)
+    # increments decompose as exp(beta H) * e, the energies read off the
+    # environment and the exponentials replayed from a fresh noise stream
+    draws = segment_draws(seg, replica_streams(2).noise)
+    assert np.array_equal(seg.increments, np.exp(3.0 * env.energies(seg.states)) * draws)
 
 
 def test_extension_is_prefix_stable():
@@ -151,7 +153,7 @@ def test_extension_is_prefix_stable():
     grown = extend_segment(env, short, 80, streams)
     one_shot = simulate_segment(env, 200, replica_streams(31))
     assert np.array_equal(grown.states, one_shot.states)
-    assert np.array_equal(grown.exp_draws, one_shot.exp_draws)
+    assert np.array_equal(grown.increments, one_shot.increments)
     assert np.array_equal(grown.states[:121], short.states)
     with pytest.raises(ParameterValidationError):
         extend_segment(env, short, 0, streams)
@@ -184,8 +186,6 @@ def test_simulate_segment_draws_its_start_flips_and_exponentials_in_order():
     draws = alone.noise.standard_exponential(length + 1)
     increments = np.exp(env.beta * energies) * draws
     assert np.array_equal(segment.states, states)
-    assert np.array_equal(segment.energies, energies)
-    assert np.array_equal(segment.exp_draws, draws)
     assert np.array_equal(segment.increments, increments)
     assert np.array_equal(segment.cumulative(), np.cumsum(increments))
 
@@ -202,7 +202,7 @@ def test_blocked_clocks_rows_equal_the_one_replica_folds():
     for i in range(5):
         alone = family.replica(i)
         segment = simulate_segment(env, k * env.block_length, alone)
-        block_sums, initial_term = blocked_clock(segment, env, k)
+        block_sums, initial_term = blocked_clock(segment, env, k, family.replica(i).noise)
         assert np.array_equal(sums[i], block_sums)
         assert initial[i] == initial_term
         assert block[i].walk.integers(0, 1 << 62) == alone.walk.integers(0, 1 << 62)
@@ -245,7 +245,7 @@ def test_beta_zero_increment_mean():
     seg = simulate_segment(env, 100_000, replica_streams(12))
     m = seg.increments.mean()
     assert abs(m - 1.0) < 3.0 / math.sqrt(len(seg.increments))
-    assert np.array_equal(seg.increments, seg.exp_draws)
+    assert np.array_equal(seg.increments, segment_draws(seg, replica_streams(12).noise))
 
 
 def test_conditional_increment_mean_given_walk():
@@ -284,10 +284,11 @@ def test_blocked_clock_matches_direct_recompute():
     k, theta = 6, env.block_length
     sums, initial = blocked_clocks(env, k, [replica_streams(9)])
     seg = simulate_segment(env, k * theta, replica_streams(9))
-    scaled = np.exp(env.beta * seg.energies - env.log_time_scale) * seg.exp_draws
+    draws = segment_draws(seg, replica_streams(9).noise)
+    scaled = np.exp(env.beta * env.energies(seg.states) - env.log_time_scale) * draws
     direct = np.array([scaled[1 + i * theta : 1 + (i + 1) * theta].sum() for i in range(k)])
-    assert np.allclose(sums[0], direct, rtol=1e-12)
-    assert initial[0] == pytest.approx(float(scaled[0]), rel=1e-15)
+    assert np.array_equal(sums[0], direct)
+    assert initial[0] == scaled[0]
 
 
 def test_blocked_clock_block_sums_are_the_direct_fold_bit_for_bit():
@@ -296,8 +297,9 @@ def test_blocked_clock_block_sums_are_the_direct_fold_bit_for_bit():
     env = Environment.create(10, 3, 3.0, 2.7, seed=11)
     k, theta = 12, env.block_length
     seg = simulate_segment(env, k * theta, replica_streams(8))
+    draws = segment_draws(seg, replica_streams(8).noise)
     with np.errstate(over="ignore"):
-        scaled = np.exp(env.beta * seg.energies - env.log_time_scale) * seg.exp_draws
+        scaled = np.exp(env.beta * env.energies(seg.states) - env.log_time_scale) * draws
     direct = np.array([scaled[1 + i * theta : 1 + (i + 1) * theta].sum() for i in range(k)])
     assert np.array_equal(blocked_clocks(env, k, [replica_streams(8)])[0][0], direct)
 

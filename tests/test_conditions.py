@@ -186,22 +186,29 @@ def test_squared_tail_at_beta_zero_is_product_of_tails():
 
 def test_conditional_laplace_trivial_cases():
     env = Environment.create(8, 3, 3.0, 2.7, seed=5)
-    assert conditional_block_laplace(env, np.zeros(10), 0.0) == 1.0
+    assert conditional_block_laplace(env, np.zeros(10), [0.0]).tolist() == [1.0]
     # one state whose mean hold equals the whole observation scale: 1/(1+1)
     single = np.array([env.log_time_scale / env.beta])
-    assert conditional_block_laplace(env, single, 1.0) == pytest.approx(0.5, rel=1e-14)
-    with pytest.raises(ParameterValidationError):
-        conditional_block_laplace(env, single, -0.5)
+    (half,) = conditional_block_laplace(env, single, [1.0])
+    assert half == pytest.approx(0.5, rel=1e-14)
+    for grid in ([-0.5], [1.0, -0.5]):
+        with pytest.raises(ParameterValidationError):
+            conditional_block_laplace(env, single, grid)
 
 
 def test_conditional_laplace_batch_matches_scalar():
+    """A batch over a v grid gives one row per v, each entry the bits of one
+    block's fold at that v alone."""
     env = Environment.create(8, 3, 3.0, 2.7, seed=5)
     rng = np.random.default_rng(3)
     batch = rng.normal(size=(5, 7))
-    out = conditional_block_laplace(env, batch, 0.7)
-    assert out.shape == (5,)
-    for row, val in zip(batch, out):
-        assert conditional_block_laplace(env, row, 0.7) == pytest.approx(float(val), rel=1e-14)
+    grid = [0.7, 0.0, 3.0]
+    out = conditional_block_laplace(env, batch, grid)
+    assert out.shape == (3, 5)
+    assert np.array_equal(out[1], np.ones(5))
+    for v, row_out in zip(grid, out):
+        for row, val in zip(batch, row_out):
+            assert conditional_block_laplace(env, row, [v]).tolist() == [val]
 
 
 def test_conditional_laplace_against_high_precision_product():
@@ -210,8 +217,8 @@ def test_conditional_laplace_against_high_precision_product():
     env = Environment.create(10, 3, 3.0, 2.7, seed=7)
     rng = np.random.default_rng(21)
     energies = rng.normal(scale=math.sqrt(10), size=104)
-    for v in (0.1, 1.0, 10.0):
-        got = conditional_block_laplace(env, energies, v)
+    v_grid = (0.1, 1.0, 10.0)
+    for v, got in zip(v_grid, conditional_block_laplace(env, energies, v_grid)):
         with mp.workdps(50):
             prod = mp.mpf(1)
             for h in energies:
@@ -232,7 +239,7 @@ def test_conditional_laplace_against_monte_carlo():
     draws = rng.standard_exponential((100_000, 20))
     g = np.exp(-v * draws @ tau_scaled)
     mc, se = float(g.mean()), float(g.std(ddof=1)) / math.sqrt(len(g))
-    exact = conditional_block_laplace(env, energies, v)
+    (exact,) = conditional_block_laplace(env, energies, [v])
     assert abs(mc - exact) < 3.0 * se
 
 
@@ -266,7 +273,8 @@ def reference_env():
 # 9 >= 6 v, folded as each row block is drawn, and a ragged 116-row chunk,
 # 12,064 states, whose tables fit 5 v, so it keeps its row blocks for two
 # passes; "direct" folds its 13 chunks and "contraction" its 11 state by
-# state.  Each chunk folded state by state is one row block, one fold call a v
+# state.  Each chunk folded state by state is one row block, one fold call for
+# the whole v grid
 TRANSFORM_FOLD_CASES = {
     "derived": (lambda contracted: reference_env(), 5000, 500, 1),
     "streamed": (lambda contracted: reference_env(), 20_000, 500, 0),
@@ -291,7 +299,7 @@ def test_transform_moments_equal_the_per_state_fold_bit_for_bit(case, contracted
     means, stds = _conditional_transform_moments(env, v_grid, samples, replica_streams(23))
     assert np.array_equal(means, reference[0])
     assert np.array_equal(stds, reference[1])
-    assert len(calls) == per_state_chunks * len(v_grid)
+    assert len(calls) == per_state_chunks
 
 
 def saturating_env():

@@ -30,7 +30,7 @@ from clockproc.errors import (
     ParameterValidationError,
 )
 from reference_estimators import (
-    SpinConfig, hamming, overlap, random_spin_config, replica_streams, srw_paths,
+    SpinConfig, hamming, overlap, random_spin_config, replica_streams, segment_draws, srw_paths,
 )
 
 # small-n environments at the reference parameters legitimately warn that the
@@ -261,7 +261,7 @@ def test_environment_degenerate_beta_zero():
         Environment(env.couplings, math.nan, 1.0)
     # beta=0 holding times are all 1: every hold is its exponential draw
     segment = simulate_segment(env, 255, replica_streams(1))
-    assert np.array_equal(segment.increments, segment.exp_draws)
+    assert np.array_equal(segment.increments, segment_draws(segment, replica_streams(1).noise))
 
 
 def test_block_count():
@@ -500,4 +500,4 @@ def test_tau_saturates_to_inf():
     hot = (segment.states & np.uint64(1)).astype(bool)  # s_0 = +1
     # the holding time saturates to inf and never wraps; the energy stays finite
     assert hot.any() and np.all(np.isinf(segment.increments) == hot)
-    assert np.all(np.isfinite(segment.energies))
+    assert np.all(np.isfinite(env.energies(segment.states)))

@@ -17,7 +17,7 @@ run called it.  A compound statement counts as reached when any line inside
 it is.  Module and class bodies run at import and are not listed.  pytest
 does not collect this file; ``tests/test_traffic.py`` pins the functions
 that the six runs on ``{}`` never call.  The package's heavy work runs
-inside numpy, so tracing costs little: the ten runs below take about 7 s
+inside numpy, so tracing costs little: the ten runs below take about 9 s
 on two cores.
 
 The six subcommands on ``{}`` and the configs of the four benchmark
@@ -25,9 +25,17 @@ workloads (``bench/run.py``: ``conditions`` at n = 14 and n = 20, ``aging``
 at n = 14 with its short (t, s) grid, ``subordinator`` at its defaults), at
 ``--threads 2``, leave unrun:
 
-- the per-state transform fold (``conditional_block_laplace``), which serves
-  n >= 22, where a 4,000,000-state chunk holds fewer than 2^n states, and
-  the tensor contraction of ``Environment.energies`` (``_contract``,
+- the v < 0 refusal of the per-state transform fold
+  (``conditional_block_laplace``): the ``conditions`` run at n = 20, whose
+  5,000-sample chunk of 2,080,000 states is below 3 * 2^n, folds each row
+  block through it for the whole v grid, and its block sums take the
+  per-state branch of ``_block_sums`` too; the six runs on ``{}`` never
+  call it;
+- the multi-pass branch of ``_table_folds``, which keeps a chunk's walk as
+  uint32 row blocks where a chunk of 3 * 2^n states or more cannot hold the
+  term tables of the whole v grid at once (n = 18 to 20 at larger sample
+  counts);
+- the tensor contraction of ``Environment.energies`` (``_contract``,
   ``_energy_fold``, ``_signs_from_bits``), which serves n >= 23;
 - the beta = 0 closed forms (``degenerate_*`` of ``conditions``,
   ``cli._closed_form_check``, and the flat branches of
